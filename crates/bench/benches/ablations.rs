@@ -65,11 +65,11 @@ fn bench_rewrite_ablation(c: &mut Criterion) {
     ];
 
     // All variants must agree before we time them.
-    let reference = tpm_exec::evaluate(&store, &query, &planner, &options)
+    let reference = tpm_exec::evaluate(&store, &query, &variants[0].1, &planner, &options)
         .unwrap()
         .to_xml();
     for (name, rewrites) in &variants {
-        let got = tpm_exec::evaluate_with_rewrites(&store, &query, rewrites, &planner, &options)
+        let got = tpm_exec::evaluate(&store, &query, rewrites, &planner, &options)
             .unwrap()
             .to_xml();
         assert_eq!(got, reference, "rewrite variant {name} changed the answer");
@@ -81,10 +81,7 @@ fn bench_rewrite_ablation(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for (name, rewrites) in variants {
         group.bench_function(name, |b| {
-            b.iter(|| {
-                tpm_exec::evaluate_with_rewrites(&store, &query, &rewrites, &planner, &options)
-                    .unwrap()
-            })
+            b.iter(|| tpm_exec::evaluate(&store, &query, &rewrites, &planner, &options).unwrap())
         });
     }
     group.finish();
@@ -95,6 +92,7 @@ fn bench_index_ablation(c: &mut Criterion) {
     let store = db.store("dblp").unwrap();
     let query = xmldb_xq::parse(EXAMPLE6).unwrap();
     let options = QueryOptions::default();
+    let rewrites = RewriteOptions::default();
     let with = PlannerConfig::cost_based();
     let without = PlannerConfig {
         use_indexes: false,
@@ -106,10 +104,10 @@ fn bench_index_ablation(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.bench_function("with-indexes", |b| {
-        b.iter(|| tpm_exec::evaluate(&store, &query, &with, &options).unwrap())
+        b.iter(|| tpm_exec::evaluate(&store, &query, &rewrites, &with, &options).unwrap())
     });
     group.bench_function("without-indexes", |b| {
-        b.iter(|| tpm_exec::evaluate(&store, &query, &without, &options).unwrap())
+        b.iter(|| tpm_exec::evaluate(&store, &query, &rewrites, &without, &options).unwrap())
     });
     group.finish();
 }

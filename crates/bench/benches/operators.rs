@@ -1,13 +1,13 @@
 //! Microbenchmarks of the storage and operator substrate: B+-tree point
-//! operations and scans, external sorting, and the three join algorithms
-//! on a structural-join workload.
+//! operations and scans, external sorting, and the one join operator in
+//! its three inner-join parameterisations (re-scanned right side row by
+//! row, index probe, re-scanned right side per 64-row block) on a
+//! structural-join workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xmldb_algebra::{Attr, CmpOp};
-use xmldb_physical::ops::{
-    BlockNestedLoopJoinOp, IndexNestedLoopJoinOp, NestedLoopJoinOp, Probe, ScanOp, Src,
-};
-use xmldb_physical::{execute_all, Bindings, ExecContext, PhysOperand, PhysPred};
+use xmldb_physical::ops::{JoinInner, JoinOp, Probe, ScanOp, Src};
+use xmldb_physical::{execute_all, Bindings, ExecContext, Operator, PhysOperand, PhysPred};
 use xmldb_storage::{BTree, Env, EnvConfig, ExternalSorter};
 use xmldb_xasr::shred_document;
 
@@ -134,40 +134,35 @@ fn bench_joins(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    group.bench_function("nlj", |b| {
-        b.iter(|| {
-            let ctx = ExecContext::new(&store, &binds);
-            let mut op = NestedLoopJoinOp::new(
-                Box::new(ScanOp::new(Probe::ByLabel("journal".into()), vec![])),
-                Box::new(ScanOp::new(Probe::ByLabel("name".into()), vec![])),
-                descendant_preds(),
-            );
-            execute_all(&mut op, &ctx).unwrap().len()
-        })
-    });
-    group.bench_function("inlj", |b| {
-        b.iter(|| {
-            let ctx = ExecContext::new(&store, &binds);
-            let mut op = IndexNestedLoopJoinOp::new(
-                Box::new(ScanOp::new(Probe::ByLabel("journal".into()), vec![])),
-                Probe::LabelDescendantsOf("name".into(), Src::Col(0)),
-                vec![],
-            );
-            execute_all(&mut op, &ctx).unwrap().len()
-        })
-    });
-    group.bench_function("bnlj", |b| {
-        b.iter(|| {
-            let ctx = ExecContext::new(&store, &binds);
-            let mut op = BlockNestedLoopJoinOp::new(
-                Box::new(ScanOp::new(Probe::ByLabel("journal".into()), vec![])),
-                Box::new(ScanOp::new(Probe::ByLabel("name".into()), vec![])),
-                descendant_preds(),
-                64,
-            );
-            execute_all(&mut op, &ctx).unwrap().len()
-        })
-    });
+    let by_label = |label: &str| -> Box<dyn Operator> {
+        Box::new(ScanOp::new(Probe::ByLabel(label.into()), vec![]))
+    };
+    let names_rescanned = |block_rows| JoinInner::Scan {
+        right: by_label("name"),
+        block_rows,
+    };
+    let cases: [(&str, &dyn Fn() -> JoinOp); 3] = [
+        ("nlj", &|| {
+            let inner = names_rescanned(1);
+            JoinOp::new(by_label("journal"), inner, false, descendant_preds())
+        }),
+        ("inlj", &|| {
+            let probe = Probe::LabelDescendantsOf("name".into(), Src::Col(0));
+            JoinOp::new(by_label("journal"), JoinInner::Probe(probe), false, vec![])
+        }),
+        ("bnlj", &|| {
+            let inner = names_rescanned(64);
+            JoinOp::new(by_label("journal"), inner, false, descendant_preds())
+        }),
+    ];
+    for (name, join) in cases {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let ctx = ExecContext::new(&store, &binds);
+                execute_all(&mut join(), &ctx).unwrap().len()
+            })
+        });
+    }
     group.finish();
 }
 

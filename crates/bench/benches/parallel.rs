@@ -1,12 +1,15 @@
-//! Morsel-driven parallel execution benchmark: the vectorized
-//! [`EngineKind::Parallel`] engine against the row-at-a-time serial
-//! milestone 4 engine on the same cost-based plans, at 1/2/4/8 workers,
-//! over a generated DBLP-scale document.
+//! Morsel-driven parallel execution benchmark: [`EngineKind::Parallel`]
+//! against the serial milestone 4 engine on the same cost-based plans, at
+//! 1/2/4/8 workers, over a generated DBLP-scale document.
 //!
-//! The speedup on this box comes from the batch pipeline itself —
-//! 1024-row B-tree range fetches, flat `RowBatch` frames instead of a
-//! per-row `Vec` allocation, and predicate loops over columns — with the
-//! worker sweep showing how morsel fan-out behaves on top of that. Both
+//! Both engines run the *same* batch operators — the serial engine pulls
+//! each relfor's plan in 1024-row frames on the calling thread, the
+//! parallel one splits the leaf scan into morsels and runs that same
+//! drive per morsel on pool workers — so what this bench measures is the
+//! morsel machinery alone: plan cloning per morsel, task dispatch, the
+//! ordered gather. On a one-CPU box that is pure overhead and the honest
+//! expectation is "about 1.0x, never much worse"; a real speedup needs
+//! real cores and has not been observed yet (see EXPERIMENTS.md). Both
 //! engines must produce byte-identical output; the bench asserts it.
 //!
 //! Emits a machine-readable JSON snapshot (`BENCH_parallel.json` at the
@@ -17,11 +20,12 @@
 //! cargo bench -p xmldb-bench --bench parallel -- --check BENCH_parallel.json
 //! ```
 //!
-//! `--check` re-measures and fails (exit 1) if the 4-worker scan speedup
-//! falls below 2.5x, or if the serial path runs more than 5% slower than
-//! the committed snapshot (the batch refactor must not tax the
-//! unchanged row-at-a-time engines). Under `cargo test` (no `--bench`
-//! flag) each case runs once at a reduced scale as a smoke test.
+//! `--check` re-measures and fails (exit 1) if the serial engine runs
+//! more than 5% slower than the committed snapshot, or if the parallel
+//! engine at 4 workers takes more than 1.25x the serial engine's time
+//! (the morsel overhead bound, a ratio within one run, so it holds across
+//! machines). Under `cargo test` (no `--bench` flag) each case runs once
+//! at a reduced scale as a smoke test.
 
 use std::time::Instant;
 use xmldb_core::{Database, EngineKind, QueryOptions};
@@ -54,17 +58,23 @@ fn bench_mode() -> bool {
     std::env::args().any(|a| a == "--bench")
 }
 
+/// Document scale. At 32 (≈ 8 MB of XML) the serial scan pipeline takes
+/// about a millisecond — the shortest run the 5% serial bound can still be
+/// timed to; the batch drive made scale 8 a 0.3 ms query.
 fn scale() -> f64 {
     if bench_mode() {
-        8.0
+        32.0
     } else {
         0.2
     }
 }
 
+/// Runs per measurement (the best one counts). Pool hand-offs make the
+/// parallel engine's run times scatter more than the serial engine's, so
+/// a best-of-few would mostly measure the scheduler.
 fn iterations() -> usize {
     if bench_mode() {
-        5
+        25
     } else {
         1
     }
@@ -200,15 +210,16 @@ fn baseline_entries(snapshot: &str) -> Vec<(String, usize, f64)> {
 }
 
 /// CI regression gate: re-measures against the committed snapshot.
-/// Two bounds, five attempts each to absorb scheduler noise:
+/// Two bounds per case, five attempts each to absorb scheduler noise:
 ///
-/// - the 4-worker scan speedup (measured fresh, as a ratio within one
-///   run, so it holds across machines) must stay ≥ 2.5x;
-/// - the serial path must not run more than 5% slower than the
-///   snapshot — the batch ABI shim must stay free for row-at-a-time
-///   engines.
+/// - the serial engine must not run more than 5% slower than the
+///   snapshot;
+/// - the parallel engine at 4 workers (measured fresh, as a ratio within
+///   one run, so it holds across machines) must not take more than 1.25x
+///   the serial engine's time — morsel dispatch must stay cheap even
+///   where there are no cores for it to use.
 fn check(baseline_path: &str) -> bool {
-    const MIN_SCAN_SPEEDUP: f64 = 2.5;
+    const MAX_PARALLEL_SLOWDOWN: f64 = 1.25;
     const SERIAL_TOLERANCE: f64 = 1.05;
     let mut path = std::path::PathBuf::from(baseline_path);
     if !path.exists() && path.is_relative() {
@@ -231,28 +242,27 @@ fn check(baseline_path: &str) -> bool {
             .unwrap_or_else(|| panic!("no serial {name} entry in snapshot"));
         let ceiling = base_serial * SERIAL_TOLERANCE;
         let mut serial = f64::INFINITY;
-        let mut speedup = 0.0f64;
+        let mut parallel = f64::INFINITY;
         for _attempt in 0..5 {
-            let s = time_query(&db, query, 0);
-            let p = time_query(&db, query, 4);
-            serial = serial.min(s);
-            speedup = speedup.max(s / p);
-            if serial <= ceiling && (name != "scan" || speedup >= MIN_SCAN_SPEEDUP) {
+            serial = serial.min(time_query(&db, query, 0));
+            parallel = parallel.min(time_query(&db, query, 4));
+            if serial <= ceiling && parallel <= serial * MAX_PARALLEL_SLOWDOWN {
                 break;
             }
         }
+        let slowdown = parallel / serial;
         let serial_ok = serial <= ceiling;
-        let speedup_ok = name != "scan" || speedup >= MIN_SCAN_SPEEDUP;
+        let parallel_ok = slowdown <= MAX_PARALLEL_SLOWDOWN;
         println!(
             "{name:<5} serial {serial:>8.2}ms (snapshot {base_serial:>8.2}ms, ceiling \
-             {ceiling:>8.2}ms)  speedup@4 {speedup:>5.2}x  {}",
-            match (serial_ok, speedup_ok) {
+             {ceiling:>8.2}ms)  parallel@4 {slowdown:>5.2}x serial  {}",
+            match (serial_ok, parallel_ok) {
                 (true, true) => "ok",
                 (false, _) => "SERIAL REGRESSED",
-                (_, false) => "SPEEDUP BELOW GATE",
+                (_, false) => "MORSEL OVERHEAD ABOVE GATE",
             }
         );
-        ok &= serial_ok && speedup_ok;
+        ok &= serial_ok && parallel_ok;
     }
     ok
 }
@@ -276,7 +286,7 @@ fn main() {
 
     if let Some(path) = check_path {
         if !check(&path) {
-            eprintln!("parallel execution regression (speedup gate or serial tax)");
+            eprintln!("parallel execution regression (serial slowdown or morsel overhead)");
             std::process::exit(1);
         }
         return;

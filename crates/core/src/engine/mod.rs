@@ -5,10 +5,12 @@ pub mod m1;
 pub mod tpm_exec;
 
 use crate::{Error, QueryMetrics, QueryResult, Result};
+use std::borrow::Borrow;
 use std::time::{Duration, Instant};
+use xmldb_algebra::rewrite::RewriteOptions;
 use xmldb_obs::span;
 use xmldb_optimizer::PlannerConfig;
-use xmldb_storage::{Governor, MemReservation, StorageError, Txn};
+use xmldb_storage::{Governor, GovernorSnapshot, IoSnapshot, MemReservation, StorageError, Txn};
 use xmldb_xasr::{Statistics, XasrStore};
 use xmldb_xq::Expr;
 
@@ -64,32 +66,24 @@ impl EngineKind {
         }
     }
 
-    /// The logical rewrites each algebraic engine applies: milestone 3 has
-    /// the merging rules; the milestone-4 engines add the left-outer-join
-    /// constructor extension.
-    pub(crate) fn rewrite_options(self) -> xmldb_algebra::rewrite::RewriteOptions {
-        use xmldb_algebra::rewrite::RewriteOptions;
+    /// How an algebraic engine compiles a query (`None` for the
+    /// interpreters): milestone 3 has the merging rules and the heuristic
+    /// planner; the milestone-4 engines add the left-outer-join constructor
+    /// extension and plan by cost. The parallel engine plans exactly like
+    /// the cost-based one, so its serial fallbacks and the differential
+    /// harness compare like for like.
+    pub(crate) fn plan_settings(self) -> Option<(RewriteOptions, PlannerConfig)> {
+        let m4 = |config| Some((RewriteOptions::extended(), config));
         match self {
-            EngineKind::M4CostBased | EngineKind::M4Pipelined | EngineKind::Parallel => {
-                RewriteOptions::extended()
+            EngineKind::M1InMemory | EngineKind::NaiveScan | EngineKind::M2Storage => None,
+            EngineKind::M3Algebraic => {
+                Some((RewriteOptions::default(), PlannerConfig::heuristic()))
             }
-            _ => RewriteOptions::default(),
-        }
-    }
-
-    /// The planner configuration for the algebraic engines.
-    pub(crate) fn planner_config(self) -> Option<PlannerConfig> {
-        match self {
-            EngineKind::M3Algebraic => Some(PlannerConfig::heuristic()),
-            // The parallel engine plans exactly like the cost-based one:
-            // same plans, so its serial fallbacks and the differential
-            // harness compare like for like.
-            EngineKind::M4CostBased | EngineKind::Parallel => Some(PlannerConfig::cost_based()),
-            EngineKind::M4Pipelined => Some(PlannerConfig {
+            EngineKind::M4CostBased | EngineKind::Parallel => m4(PlannerConfig::cost_based()),
+            EngineKind::M4Pipelined => m4(PlannerConfig {
                 materialize_right: false,
                 ..PlannerConfig::cost_based()
             }),
-            _ => None,
         }
     }
 }
@@ -197,15 +191,59 @@ pub(crate) fn governor_trip_kind(e: &Error) -> Option<&'static str> {
     }
 }
 
+/// A query compiled for one engine: everything that can be done before the
+/// first execution has been done.
+pub(crate) enum Compiled {
+    /// Interpreter engines keep the parsed AST.
+    Ast(Expr),
+    /// Algebraic engines keep the fully planned program.
+    Program(Box<tpm_exec::CompiledProgram>),
+}
+
+/// Compiles `query` for `engine`: TPM compilation, rewriting and planning
+/// for the algebraic engines, nothing for the interpreters.
+pub(crate) fn compile(
+    store: &XasrStore,
+    query: &Expr,
+    engine: EngineKind,
+    options: &QueryOptions,
+) -> Compiled {
+    match engine.plan_settings() {
+        None => Compiled::Ast(query.clone()),
+        Some((rewrites, config)) => Compiled::Program(Box::new(tpm_exec::compile_program(
+            store, query, &rewrites, &config, options,
+        ))),
+    }
+}
+
 /// Evaluates a parsed query over a shredded document with the chosen
-/// engine. The returned result carries [`QueryMetrics`] — wall time and
-/// the buffer-pool traffic (I/O snapshot delta) the evaluation caused.
-/// Every evaluation (including failed ones) lands in the environment's
-/// metrics registry: a per-engine latency histogram, a query counter, and
-/// — for governor failures — a trip counter by kind.
+/// engine: compile it, then execute it — the same two steps a
+/// [`crate::PreparedQuery`] takes apart. Both steps run inside
+/// [`execute`]'s scope, so the deadline, the `exec` span, the latency
+/// histogram and [`QueryMetrics::elapsed`] of an ad-hoc query cover its
+/// planning too.
 pub fn evaluate(
     store: &XasrStore,
     query: &Expr,
+    engine: EngineKind,
+    options: &QueryOptions,
+) -> Result<QueryResult> {
+    let compile = || compile(store, query, engine, options);
+    execute(store, compile, engine, options)
+}
+
+/// Executes the query `compiled` yields — the one place an engine is
+/// dispatched, for ad-hoc and prepared queries alike. A prepared query
+/// hands over its finished [`Compiled`]; an ad-hoc one compiles here,
+/// under the scope below. Runs under the governor and the transaction
+/// `options` describe. The returned result carries [`QueryMetrics`] — wall
+/// time and the buffer-pool traffic (I/O snapshot delta) the execution
+/// caused. Every execution (including failed ones) lands in the
+/// environment's metrics registry: a per-engine latency histogram, a query
+/// counter, and — for governor failures — a trip counter by kind.
+pub(crate) fn execute<C: Borrow<Compiled>>(
+    store: &XasrStore,
+    compiled: impl FnOnce() -> C,
     engine: EngineKind,
     options: &QueryOptions,
 ) -> Result<QueryResult> {
@@ -216,9 +254,10 @@ pub fn evaluate(
     let started = Instant::now();
     let exec_span = span("exec");
     exec_span.attr_str("engine", engine.name());
-    let mut plan_digest = None;
-    let result = (|| match engine {
-        EngineKind::M1InMemory => {
+    let compiled = compiled();
+    let compiled = compiled.borrow();
+    let result = (|| match (compiled, engine) {
+        (Compiled::Ast(query), EngineKind::M1InMemory) => {
             // Milestone 1 works on the DOM; materialize the document.
             // Account for the whole DOM up front so a small budget fails
             // with MemoryExceeded rather than OOMing mid-reconstruction.
@@ -226,23 +265,14 @@ pub fn evaluate(
             let doc = store.reconstruct(1)?;
             m1::evaluate(&doc, query)
         }
-        EngineKind::NaiveScan => interp::evaluate(store, query, interp::AccessMode::FullScan),
-        EngineKind::M2Storage => interp::evaluate(store, query, interp::AccessMode::Indexed),
-        algebraic => {
-            let config = algebraic
-                .planner_config()
-                .expect("algebraic engines have configs");
-            let program = tpm_exec::compile_program(
-                store,
-                query,
-                &algebraic.rewrite_options(),
-                &config,
-                options,
-            );
-            plan_digest = Some(program.plan_digest());
+        (Compiled::Ast(query), EngineKind::NaiveScan) => {
+            interp::evaluate(store, query, interp::AccessMode::FullScan)
+        }
+        (Compiled::Ast(query), _) => interp::evaluate(store, query, interp::AccessMode::Indexed),
+        (Compiled::Program(program), _) => {
             let parallelism =
-                (algebraic == EngineKind::Parallel).then(|| options.resolved_parallelism());
-            tpm_exec::execute_program_with(&program, store, parallelism)
+                (engine == EngineKind::Parallel).then(|| options.resolved_parallelism());
+            tpm_exec::execute_program(program, store, parallelism)
         }
     })();
     let elapsed = started.elapsed();
@@ -269,7 +299,10 @@ pub fn evaluate(
         elapsed,
         io,
         governor: governor.snapshot(),
-        plan_digest,
+        plan_digest: match compiled {
+            Compiled::Ast(_) => None,
+            Compiled::Program(program) => Some(program.plan_digest()),
+        },
         spans: Default::default(),
         request_id: options.request_id,
     });
@@ -285,24 +318,7 @@ pub fn explain(
     engine: EngineKind,
     options: &QueryOptions,
 ) -> Result<String> {
-    match engine {
-        EngineKind::M1InMemory | EngineKind::NaiveScan | EngineKind::M2Storage => Ok(format!(
-            "engine {} is an interpreter (no algebraic plan)\n",
-            engine.name()
-        )),
-        algebraic => {
-            let config = algebraic
-                .planner_config()
-                .expect("algebraic engines have configs");
-            tpm_exec::explain_with_rewrites(
-                store,
-                query,
-                &algebraic.rewrite_options(),
-                &config,
-                options,
-            )
-        }
-    }
+    explain_with(store, query, engine, options, false)
 }
 
 /// EXPLAIN ANALYZE: runs the query and renders the executed plans with
@@ -315,62 +331,73 @@ pub fn explain_analyze(
     engine: EngineKind,
     options: &QueryOptions,
 ) -> Result<String> {
-    match engine {
-        EngineKind::M1InMemory | EngineKind::NaiveScan | EngineKind::M2Storage => {
-            let result = evaluate(store, query, engine, options);
-            let mut out = format!(
-                "engine {} is an interpreter (no algebraic plan)\n=== execution ===\n",
-                engine.name()
-            );
-            match &result {
-                Ok(r) => {
-                    out.push_str(&format!("result: {} item(s)\n", r.len()));
-                    if let Some(m) = r.metrics() {
-                        out.push_str(&format!(
-                            "elapsed: {:.3} ms\n",
-                            m.elapsed.as_secs_f64() * 1e3
-                        ));
-                        out.push_str(&format!(
-                            "buffer pool: {} hits, {} misses, {} physical reads, {} physical writes (hit ratio {:.1}%)\n",
-                            m.io.hits,
-                            m.io.misses,
-                            m.io.physical_reads,
-                            m.io.physical_writes,
-                            m.io.hit_ratio() * 100.0
-                        ));
-                        out.push_str(&format!(
-                            "read path: {} node views, {} in-place searches, {} shard locks\n",
-                            m.io.node_views, m.io.in_place_searches, m.io.shard_locks
-                        ));
-                        // A WAL line for an environment without a WAL (or a
-                        // governor line for a query run without limits)
-                        // would only ever print zeros/"off" — omit them.
-                        if store.env().has_wal() {
-                            out.push_str(&format!(
-                                "wal: {} page images, {} bytes, {} syncs\n",
-                                m.io.wal_appends, m.io.wal_bytes, m.io.wal_syncs
-                            ));
-                        }
-                        if m.governor.active {
-                            out.push_str(&format!("governor: {}\n", m.governor.render()));
-                        }
-                    }
-                }
-                Err(e) => out.push_str(&format!("runtime error: {e}\n")),
-            }
-            Ok(out)
-        }
-        algebraic => {
-            let config = algebraic
-                .planner_config()
-                .expect("algebraic engines have configs");
-            tpm_exec::explain_analyze_with_rewrites(
-                store,
-                query,
-                &algebraic.rewrite_options(),
-                &config,
-                options,
-            )
-        }
+    explain_with(store, query, engine, options, true)
+}
+
+fn explain_with(
+    store: &XasrStore,
+    query: &Expr,
+    engine: EngineKind,
+    options: &QueryOptions,
+    analyze: bool,
+) -> Result<String> {
+    if let Some((rewrites, config)) = engine.plan_settings() {
+        return tpm_exec::explain(store, query, &rewrites, &config, options, analyze);
+    }
+    let mut out = format!(
+        "engine {} is an interpreter (no algebraic plan)\n",
+        engine.name()
+    );
+    if analyze {
+        let result = evaluate(store, query, engine, options);
+        let metrics = result.as_ref().ok().and_then(|r| r.metrics());
+        let measured = metrics.map(|m| (m.elapsed, &m.io, &m.governor));
+        render_execution(&mut out, store, &result, measured);
+    }
+    Ok(out)
+}
+
+/// The `=== execution ===` footer of every EXPLAIN ANALYZE rendering: the
+/// result (or runtime error) and, where the run was `measured`, its wall
+/// time, buffer-pool traffic, read-path counters, WAL traffic and governor
+/// snapshot.
+fn render_execution(
+    out: &mut String,
+    store: &XasrStore,
+    result: &Result<QueryResult>,
+    measured: Option<(Duration, &IoSnapshot, &GovernorSnapshot)>,
+) {
+    out.push_str("=== execution ===\n");
+    match result {
+        Ok(r) => out.push_str(&format!("result: {} item(s)\n", r.len())),
+        Err(e) => out.push_str(&format!("runtime error: {e}\n")),
+    }
+    let Some((elapsed, io, governor)) = measured else {
+        return;
+    };
+    out.push_str(&format!("elapsed: {:.3} ms\n", elapsed.as_secs_f64() * 1e3));
+    out.push_str(&format!(
+        "buffer pool: {} hits, {} misses, {} physical reads, {} physical writes (hit ratio {:.1}%)\n",
+        io.hits,
+        io.misses,
+        io.physical_reads,
+        io.physical_writes,
+        io.hit_ratio() * 100.0
+    ));
+    out.push_str(&format!(
+        "read path: {} node views, {} in-place searches, {} shard locks\n",
+        io.node_views, io.in_place_searches, io.shard_locks
+    ));
+    // Omit — rather than zero-fill — telemetry lines for subsystems the
+    // query ran without: a WAL line without a WAL, or a governor line for
+    // an unlimited query, carries no information.
+    if store.env().has_wal() {
+        out.push_str(&format!(
+            "wal: {} page images, {} bytes, {} syncs\n",
+            io.wal_appends, io.wal_bytes, io.wal_syncs
+        ));
+    }
+    if governor.active {
+        out.push_str(&format!("governor: {}\n", governor.render()));
     }
 }

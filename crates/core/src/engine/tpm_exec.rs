@@ -21,25 +21,16 @@ use xmldb_exec_pool::WorkerPool;
 use xmldb_obs::span;
 use xmldb_optimizer::{plan_psx, CostModel, ParallelOpts, Plan, PlanMetrics, PlannerConfig};
 use xmldb_physical::Error as ExecError;
-use xmldb_physical::{Bindings, ExecContext, RowBatch, BATCH_ROWS};
+use xmldb_physical::{Bindings, ExecContext, LastKey, RowBatch, BATCH_ROWS};
 use xmldb_xasr::{NodeTuple, XasrStore};
 use xmldb_xml::{Document, NodeId};
 use xmldb_xq::{Cond, Expr, Var};
 
-/// Evaluates `query` with the TPM pipeline under `config`.
+/// Evaluates `query` with the TPM pipeline under `config`. The explicit
+/// logical-rewrite options are the ablation hook: disabling relfor merging
+/// or redundant-relation elimination shows what each milestone-3 rewrite
+/// buys.
 pub fn evaluate(
-    store: &XasrStore,
-    query: &Expr,
-    config: &PlannerConfig,
-    options: &QueryOptions,
-) -> Result<QueryResult> {
-    evaluate_with_rewrites(store, query, &RewriteOptions::default(), config, options)
-}
-
-/// [`evaluate`] with explicit logical-rewrite options — the ablation hook:
-/// disabling relfor merging or redundant-relation elimination shows what
-/// each milestone-3 rewrite buys.
-pub fn evaluate_with_rewrites(
     store: &XasrStore,
     query: &Expr,
     rewrites: &RewriteOptions,
@@ -47,7 +38,7 @@ pub fn evaluate_with_rewrites(
     options: &QueryOptions,
 ) -> Result<QueryResult> {
     let program = compile_program(store, query, rewrites, config, options);
-    execute_program(&program, store)
+    execute_program(&program, store, None)
 }
 
 /// An opaque, fully planned query (the prepared-query payload): the TPM
@@ -69,7 +60,7 @@ impl CompiledProgram {
                 Prog::Empty | Prog::Text(_) | Prog::VarOut(_) => {}
                 Prog::Concat(parts) => parts.iter().for_each(|p| walk(p, bytes)),
                 Prog::Constr { content, .. } => walk(content, bytes),
-                Prog::RelFor { plan, body, .. } | Prog::RelForOuter { plan, body, .. } => {
+                Prog::RelFor { plan, body, .. } => {
                     bytes.extend_from_slice(&plan.digest().to_le_bytes());
                     walk(body, bytes);
                 }
@@ -91,6 +82,18 @@ pub fn compile_program(
     config: &PlannerConfig,
     options: &QueryOptions,
 ) -> CompiledProgram {
+    compile(store, query, rewrites, config, options).1
+}
+
+/// [`compile_program`], also handing back the optimized TPM expression the
+/// plans were made from (EXPLAIN renders it; executions do not need it).
+fn compile(
+    store: &XasrStore,
+    query: &Expr,
+    rewrites: &RewriteOptions,
+    config: &PlannerConfig,
+    options: &QueryOptions,
+) -> (Tpm, CompiledProgram) {
     let tpm = {
         let _span = span("analyze");
         compile_query(query)
@@ -102,20 +105,15 @@ pub fn compile_program(
     let _span = span("plan");
     let mut plan_count = 0;
     let prog = plan_tpm(&tpm, &model_for(store, options), config, &mut plan_count);
-    CompiledProgram { prog, plan_count }
+    (tpm, CompiledProgram { prog, plan_count })
 }
 
-/// Executes a previously compiled program against `store` serially.
-pub fn execute_program(program: &CompiledProgram, store: &XasrStore) -> Result<QueryResult> {
-    execute_program_with(program, store, None)
-}
-
-/// [`execute_program`] with an optional parallelism target: `Some(n)`
-/// (the [`super::EngineKind::Parallel`] engine) runs eligible relfor
-/// fragments morsel-parallel on the shared worker pool with about `n`
-/// morsels in flight; ineligible fragments fall back to the serial path
-/// per relfor. Output is byte-identical either way.
-pub fn execute_program_with(
+/// Executes a previously compiled program against `store`. `parallelism`
+/// is `Some(n)` for the [`super::EngineKind::Parallel`] engine: eligible
+/// relfor fragments then run morsel-parallel on the shared worker pool
+/// with about `n` morsels in flight, ineligible ones fall back to the
+/// serial drive per relfor. Output is byte-identical either way.
+pub fn execute_program(
     program: &CompiledProgram,
     store: &XasrStore,
     parallelism: Option<usize>,
@@ -131,20 +129,12 @@ pub fn execute_program_with(
             .counter("saardb_parallel_queries_total", &[("engine", "parallel")])
             .inc();
     }
-    let mut out = Document::new();
-    let out_root = out.root();
-    let mut env: HashMap<Var, NodeTuple> = HashMap::new();
-    env.insert(Var::root(), store.root()?);
-    exec(
-        &program.prog,
+    Exec {
         store,
-        &mut env,
-        &mut out,
-        out_root,
-        None,
+        analyze: None,
         parallelism,
-    )?;
-    Ok(QueryResult::new(out))
+    }
+    .run(program)
 }
 
 /// [`execute_program`] with per-operator instrumentation: every plan
@@ -159,76 +149,44 @@ pub fn execute_program_analyzed(
     store: &XasrStore,
 ) -> (Result<QueryResult>, Vec<PlanMetrics>) {
     let metrics = RefCell::new(vec![PlanMetrics::new(); program.plan_count]);
-    let result = (|| {
-        let mut out = Document::new();
-        let out_root = out.root();
-        let mut env: HashMap<Var, NodeTuple> = HashMap::new();
-        env.insert(Var::root(), store.root()?);
-        exec(
-            &program.prog,
-            store,
-            &mut env,
-            &mut out,
-            out_root,
-            Some(&metrics),
-            // Analyzed metric slots are Rc-shared — not Send — so EXPLAIN
-            // ANALYZE always executes serially (the batch path stays on).
-            None,
-        )?;
-        Ok(QueryResult::new(out))
-    })();
+    let result = Exec {
+        store,
+        analyze: Some(&metrics),
+        // Analyzed metric slots are Rc-shared — not Send — so EXPLAIN
+        // ANALYZE always executes serially.
+        parallelism: None,
+    }
+    .run(program);
     (result, metrics.into_inner())
 }
 
 /// EXPLAIN: the optimized TPM expression plus each relfor's physical plan.
+///
+/// With `analyze` (EXPLAIN ANALYZE) the query is also *run*, with
+/// instrumented operators, and every plan line is annotated with actual
+/// row counts, open counts and wall time, followed by the result summary
+/// and the query's buffer-pool traffic (I/O snapshot delta). A runtime
+/// error does not abort the rendering: the plans carry the counters
+/// accumulated up to the failure and the error is reported in the
+/// execution section — a mis-planned query's trace is exactly what triage
+/// needs to see.
 pub fn explain(
     store: &XasrStore,
     query: &Expr,
-    config: &PlannerConfig,
-    options: &QueryOptions,
-) -> Result<String> {
-    explain_with_rewrites(store, query, &RewriteOptions::default(), config, options)
-}
-
-/// [`explain`] with explicit logical-rewrite options.
-pub fn explain_with_rewrites(
-    store: &XasrStore,
-    query: &Expr,
     rewrites: &RewriteOptions,
     config: &PlannerConfig,
     options: &QueryOptions,
+    analyze: bool,
 ) -> Result<String> {
-    let tpm = optimize(compile_query(query), rewrites);
-    let mut plan_count = 0;
-    let prog = plan_tpm(&tpm, &model_for(store, options), config, &mut plan_count);
+    let (tpm, program) = compile(store, query, rewrites, config, options);
     let mut out = String::new();
     out.push_str("=== TPM (merged) ===\n");
     out.push_str(&tpm.render());
-    out.push_str("=== physical plans ===\n");
-    render_prog(&prog, 0, None, &mut out);
-    Ok(out)
-}
-
-/// EXPLAIN ANALYZE: compiles, plans and *runs* the query with instrumented
-/// operators, then renders the TPM and every relfor's plan annotated with
-/// actual row counts, open counts and wall time, followed by the result
-/// summary and the query's buffer-pool traffic (I/O snapshot delta).
-///
-/// A runtime error does not abort the rendering: the plans carry the
-/// counters accumulated up to the failure and the error is reported in the
-/// execution section — a mis-planned query's trace is exactly what triage
-/// needs to see.
-pub fn explain_analyze_with_rewrites(
-    store: &XasrStore,
-    query: &Expr,
-    rewrites: &RewriteOptions,
-    config: &PlannerConfig,
-    options: &QueryOptions,
-) -> Result<String> {
-    let tpm = optimize(compile_query(query), rewrites);
-    let mut plan_count = 0;
-    let prog = plan_tpm(&tpm, &model_for(store, options), config, &mut plan_count);
-    let program = CompiledProgram { prog, plan_count };
+    if !analyze {
+        out.push_str("=== physical plans ===\n");
+        render_prog(&program.prog, 0, None, &mut out);
+        return Ok(out);
+    }
     let governor = options.governor_handle();
     let _scope = governor.install();
     let io_before = store.env().io_stats();
@@ -236,42 +194,10 @@ pub fn explain_analyze_with_rewrites(
     let (result, metrics) = execute_program_analyzed(&program, store);
     let elapsed = started.elapsed();
     let io = store.env().io_stats().delta(&io_before);
-    let mut out = String::new();
-    out.push_str("=== TPM (merged) ===\n");
-    out.push_str(&tpm.render());
     out.push_str("=== executed plans (EXPLAIN ANALYZE) ===\n");
     render_prog(&program.prog, 0, Some(&metrics), &mut out);
-    out.push_str("=== execution ===\n");
-    match &result {
-        Ok(r) => out.push_str(&format!("result: {} item(s)\n", r.len())),
-        Err(e) => out.push_str(&format!("runtime error: {e}\n")),
-    }
-    out.push_str(&format!("elapsed: {:.3} ms\n", elapsed.as_secs_f64() * 1e3));
-    out.push_str(&format!(
-        "buffer pool: {} hits, {} misses, {} physical reads, {} physical writes (hit ratio {:.1}%)\n",
-        io.hits,
-        io.misses,
-        io.physical_reads,
-        io.physical_writes,
-        io.hit_ratio() * 100.0
-    ));
-    out.push_str(&format!(
-        "read path: {} node views, {} in-place searches, {} shard locks\n",
-        io.node_views, io.in_place_searches, io.shard_locks
-    ));
-    // Omit — rather than zero-fill — telemetry lines for subsystems the
-    // query ran without: a WAL line without a WAL, or a governor line for
-    // an unlimited query, carries no information.
-    if store.env().has_wal() {
-        out.push_str(&format!(
-            "wal: {} page images, {} bytes, {} syncs\n",
-            io.wal_appends, io.wal_bytes, io.wal_syncs
-        ));
-    }
-    let gov = governor.snapshot();
-    if gov.active {
-        out.push_str(&format!("governor: {}\n", gov.render()));
-    }
+    let measured = (elapsed, &io, &governor.snapshot());
+    super::render_execution(&mut out, store, &result, Some(measured));
     Ok(out)
 }
 
@@ -298,19 +224,15 @@ enum Prog {
         content: Box<Prog>,
     },
     VarOut(Var),
+    /// A relfor: `plan`'s rows bind `vars` (and, under `outer_join`, one
+    /// more variable) for `body`.
     RelFor {
         vars: Vec<Var>,
-        plan: Plan,
-        plan_index: usize,
-        body: Box<Prog>,
-    },
-    /// The left-outer-join extension: one plan streams (outer ⟕ inner)
-    /// rows; execution groups them by the outer prefix, emitting one
-    /// `label` element per outer binding (empty for NULL-padded rows).
-    RelForOuter {
-        outer_vars: Vec<Var>,
-        inner_var: Var,
-        label: String,
+        /// The left-outer-join extension: the plan streams (vars ⟕ inner)
+        /// rows; execution groups them by the `vars` prefix, emitting one
+        /// `label` element per outer binding (empty for NULL-padded rows)
+        /// and evaluating `body` inside it.
+        outer_join: Option<OuterJoin>,
         plan: Plan,
         plan_index: usize,
         body: Box<Prog>,
@@ -321,10 +243,26 @@ enum Prog {
     },
 }
 
+struct OuterJoin {
+    inner_var: Var,
+    label: String,
+}
+
 /// Plans every relfor in the TPM, assigning each one a dense `plan_index`
 /// (pre-order) so EXPLAIN ANALYZE can associate one [`PlanMetrics`] slot
 /// vector per planned relfor.
 fn plan_tpm(tpm: &Tpm, model: &CostModel, config: &PlannerConfig, next_index: &mut usize) -> Prog {
+    let mut relfor = |vars: &[Var], outer_join, plan, body: &Tpm| {
+        let plan_index = *next_index;
+        *next_index += 1;
+        Prog::RelFor {
+            vars: vars.to_vec(),
+            outer_join,
+            plan,
+            plan_index,
+            body: Box::new(plan_tpm(body, model, config, next_index)),
+        }
+    };
     match tpm {
         Tpm::Empty => Prog::Empty,
         Tpm::Text(t) => Prog::Text(t.clone()),
@@ -340,14 +278,7 @@ fn plan_tpm(tpm: &Tpm, model: &CostModel, config: &PlannerConfig, next_index: &m
         },
         Tpm::VarOut(v) => Prog::VarOut(v.clone()),
         Tpm::RelFor { vars, source, body } => {
-            let plan_index = *next_index;
-            *next_index += 1;
-            Prog::RelFor {
-                vars: vars.clone(),
-                plan: plan_psx(source, model, config),
-                plan_index,
-                body: Box::new(plan_tpm(body, model, config, next_index)),
-            }
+            relfor(vars, None, plan_psx(source, model, config), body)
         }
         Tpm::RelForOuter {
             outer_vars,
@@ -356,18 +287,15 @@ fn plan_tpm(tpm: &Tpm, model: &CostModel, config: &PlannerConfig, next_index: &m
             inner_var,
             inner_source,
             body,
-        } => {
-            let plan_index = *next_index;
-            *next_index += 1;
-            Prog::RelForOuter {
-                outer_vars: outer_vars.clone(),
+        } => relfor(
+            outer_vars,
+            Some(OuterJoin {
                 inner_var: inner_var.clone(),
                 label: label.clone(),
-                plan: xmldb_optimizer::plan_outer_join(outer_source, inner_source, model, config),
-                plan_index,
-                body: Box::new(plan_tpm(body, model, config, next_index)),
-            }
-        }
+            }),
+            xmldb_optimizer::plan_outer_join(outer_source, inner_source, model, config),
+            body,
+        ),
         Tpm::IfFallback { cond, body } => Prog::IfFallback {
             cond: cond.clone(),
             body: Box::new(plan_tpm(body, model, config, next_index)),
@@ -393,6 +321,7 @@ fn render_prog(prog: &Prog, level: usize, metrics: Option<&[PlanMetrics]>, out: 
         Prog::VarOut(v) => out.push_str(&format!("{pad}emit {v}\n")),
         Prog::RelFor {
             vars,
+            outer_join,
             plan,
             plan_index,
             body,
@@ -402,32 +331,12 @@ fn render_prog(prog: &Prog, level: usize, metrics: Option<&[PlanMetrics]>, out: 
                 .map(|v| v.to_string())
                 .collect::<Vec<_>>()
                 .join(", ");
-            out.push_str(&format!("{pad}relfor ({vartuple}):\n"));
-            let rendered = match metrics {
-                Some(m) => plan.explain_analyzed(&m[*plan_index]),
-                None => plan.explain(),
-            };
-            for line in rendered.lines() {
-                out.push_str(&format!("{pad}  | {line}\n"));
+            match outer_join {
+                None => out.push_str(&format!("{pad}relfor ({vartuple}):\n")),
+                Some(OuterJoin { inner_var, label }) => out.push_str(&format!(
+                    "{pad}relfor-outer ({vartuple}; {inner_var}) constr({label}):\n"
+                )),
             }
-            render_prog(body, level + 1, metrics, out);
-        }
-        Prog::RelForOuter {
-            outer_vars,
-            inner_var,
-            label,
-            plan,
-            plan_index,
-            body,
-        } => {
-            let vartuple = outer_vars
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "{pad}relfor-outer ({vartuple}; {inner_var}) constr({label}):\n"
-            ));
             let rendered = match metrics {
                 Some(m) => plan.explain_analyzed(&m[*plan_index]),
                 None => plan.explain(),
@@ -444,270 +353,176 @@ fn render_prog(prog: &Prog, level: usize, metrics: Option<&[PlanMetrics]>, out: 
     }
 }
 
-/// When the parallel engine's fragment driver declines a relfor plan, the
-/// relfor runs serially; the counter makes systematic fallbacks (a planner
-/// change producing ineligible shapes) visible in `saardb stats`.
-fn note_parallel_fallback(store: &XasrStore) {
-    store
-        .env()
-        .registry()
-        .counter("saardb_parallel_fallbacks_total", &[])
-        .inc();
+/// One execution of a program: what every step of the walk down the TPM
+/// tree needs besides the variable environment and the output position.
+struct Exec<'a> {
+    store: &'a XasrStore,
+    /// EXPLAIN ANALYZE: one metric-slot vector per planned relfor.
+    analyze: Option<&'a RefCell<Vec<PlanMetrics>>>,
+    /// The parallel engine's morsel target (see [`execute_program`]).
+    parallelism: Option<usize>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec(
-    prog: &Prog,
-    store: &XasrStore,
-    env: &mut HashMap<Var, NodeTuple>,
-    out: &mut Document,
-    parent: NodeId,
-    analyze: Option<&RefCell<Vec<PlanMetrics>>>,
-    parallelism: Option<usize>,
-) -> Result<()> {
-    match prog {
-        Prog::Empty => Ok(()),
-        Prog::Text(t) => {
-            out.add_text(parent, t);
-            Ok(())
-        }
-        Prog::Concat(parts) => {
-            for p in parts {
-                exec(p, store, env, out, parent, analyze, parallelism)?;
+impl Exec<'_> {
+    fn run(&self, program: &CompiledProgram) -> Result<QueryResult> {
+        let mut out = Document::new();
+        let out_root = out.root();
+        let mut env: HashMap<Var, NodeTuple> = HashMap::new();
+        env.insert(Var::root(), self.store.root()?);
+        self.exec(&program.prog, &mut env, &mut out, out_root)?;
+        Ok(QueryResult::new(out))
+    }
+
+    fn exec(
+        &self,
+        prog: &Prog,
+        env: &mut HashMap<Var, NodeTuple>,
+        out: &mut Document,
+        parent: NodeId,
+    ) -> Result<()> {
+        match prog {
+            Prog::Empty => Ok(()),
+            Prog::Text(t) => {
+                out.add_text(parent, t);
+                Ok(())
             }
-            Ok(())
-        }
-        Prog::Constr { label, content } => {
-            let id = out.add_element(parent, label.clone());
-            exec(content, store, env, out, id, analyze, parallelism)
-        }
-        Prog::VarOut(v) => {
-            let tuple = env
-                .get(v)
-                .cloned()
-                .ok_or_else(|| Error::Exec(ExecError::UnboundVariable(v.to_string())))?;
-            emit_subtree(store, &tuple, out, parent)
-        }
-        Prog::RelFor {
-            vars,
-            plan,
-            plan_index,
-            body,
-        } => {
-            // External variables become constants of this plan execution.
-            let mut bindings = Bindings::new();
-            for (var, tuple) in env.iter() {
-                bindings.bind(var.clone(), tuple.clone());
-            }
-            // Save shadowed bindings for restoration.
-            let saved: Vec<(Var, Option<NodeTuple>)> = vars
-                .iter()
-                .map(|v| (v.clone(), env.get(v).cloned()))
-                .collect();
-            let result = (|| -> Result<()> {
-                // Parallel engine: run the plan fragment morsel-wise on
-                // the pool; batches arrive in document order and the body
-                // evaluates here on the coordinator (document construction
-                // is single-threaded by design). EXPLAIN ANALYZE metric
-                // slots are Rc-shared, so analyzed runs stay serial.
-                if let (Some(threads), None) = (parallelism, analyze) {
-                    let opts = ParallelOpts {
-                        pool: WorkerPool::global(),
-                        parallelism: threads,
-                        batch_rows: BATCH_ROWS,
-                    };
-                    let ran = xmldb_optimizer::execute_parallel::<Error, _>(
-                        plan,
-                        store,
-                        &bindings,
-                        &opts,
-                        |batch: &RowBatch| {
-                            for row in batch.iter() {
-                                debug_assert_eq!(row.len(), vars.len());
-                                for (i, var) in vars.iter().enumerate() {
-                                    env.insert(var.clone(), row[i].clone());
-                                }
-                                exec(body, store, env, out, parent, analyze, parallelism)?;
-                            }
-                            Ok(())
-                        },
-                    )?;
-                    if ran {
-                        return Ok(());
-                    }
-                    note_parallel_fallback(store);
+            Prog::Concat(parts) => {
+                for p in parts {
+                    self.exec(p, env, out, parent)?;
                 }
-                let ctx = ExecContext::new(store, &bindings);
-                // Metric slots are shared across re-instantiations of this
-                // plan (one per outer binding), so counters accumulate and
-                // `opens` counts re-executions.
-                let mut op = match analyze {
-                    Some(cell) => plan.instantiate_analyzed(&mut cell.borrow_mut()[*plan_index]),
-                    None => plan.instantiate(),
-                };
-                op.open(&ctx)?;
-                let result = (|| -> Result<()> {
-                    while let Some(row) = op.next(&ctx)? {
-                        debug_assert_eq!(row.len(), vars.len());
-                        for (i, var) in vars.iter().enumerate() {
-                            env.insert(var.clone(), row[i].clone());
+                Ok(())
+            }
+            Prog::Constr { label, content } => {
+                let id = out.add_element(parent, label.clone());
+                self.exec(content, env, out, id)
+            }
+            Prog::VarOut(v) => {
+                let tuple = env
+                    .get(v)
+                    .cloned()
+                    .ok_or_else(|| Error::Exec(ExecError::UnboundVariable(v.to_string())))?;
+                emit_subtree(self.store, &tuple, out, parent)
+            }
+            Prog::RelFor {
+                vars,
+                outer_join,
+                plan,
+                plan_index,
+                body,
+            } => {
+                // External variables become constants of this plan execution.
+                let mut bindings = Bindings::new();
+                for (var, tuple) in env.iter() {
+                    bindings.bind(var.clone(), tuple.clone());
+                }
+                // The variables a row binds; save what they shadow.
+                let inner_var = outer_join.as_ref().map(|oj| &oj.inner_var);
+                let bound = || vars.iter().chain(inner_var);
+                let saved: Vec<(Var, Option<NodeTuple>)> =
+                    bound().map(|v| (v.clone(), env.get(v).cloned())).collect();
+                // Left-outer relfors group their rows by the `vars` prefix:
+                // the outer binding in progress and its element.
+                let mut group = (LastKey::default(), parent);
+                // The one consumer of this relfor's rows, whichever drive
+                // delivers them: bind the row's variables, evaluate `body`.
+                let mut consume = |batch: &RowBatch| -> Result<()> {
+                    for row in batch.iter() {
+                        debug_assert_eq!(row.len(), bound().count());
+                        let mut target = parent;
+                        if let Some(OuterJoin { label, .. }) = outer_join {
+                            let key = row[..vars.len()].iter().map(|t| t.in_);
+                            if group.0.changes_to(key) {
+                                group.1 = out.add_element(parent, label.clone());
+                            }
+                            target = group.1;
+                            if row[vars.len()].is_null() {
+                                // Match-less outer binding: the (empty)
+                                // element was created above; nothing to
+                                // evaluate inside it.
+                                continue;
+                            }
                         }
-                        exec(body, store, env, out, parent, analyze, parallelism)?;
+                        for (var, tuple) in bound().zip(row) {
+                            env.insert(var.clone(), tuple.clone());
+                        }
+                        self.exec(body, env, out, target)?;
                     }
                     Ok(())
-                })();
-                op.close();
+                };
+                let result = self.drive(plan, *plan_index, &bindings, &mut consume);
+                for (var, old) in saved {
+                    match old {
+                        Some(t) => env.insert(var, t),
+                        None => env.remove(&var),
+                    };
+                }
                 result
-            })();
-            for (var, old) in saved {
-                match old {
-                    Some(t) => env.insert(var, t),
-                    None => env.remove(&var),
-                };
             }
-            result
+            Prog::IfFallback { cond, body } => {
+                if interp::eval_cond_indexed(self.store, cond, env)? {
+                    self.exec(body, env, out, parent)?;
+                }
+                Ok(())
+            }
         }
-        Prog::RelForOuter {
-            outer_vars,
-            inner_var,
-            label,
-            plan,
-            plan_index,
-            body,
-        } => {
-            let mut bindings = Bindings::new();
-            for (var, tuple) in env.iter() {
-                bindings.bind(var.clone(), tuple.clone());
+    }
+
+    /// Runs `plan` under `bindings`, handing its rows to `consume` batch by
+    /// batch in document order. The parallel engine runs an eligible plan
+    /// morsel-wise on the pool and gathers into `consume` here on the
+    /// coordinator (document construction is single-threaded by design);
+    /// everything else, and every fallback, is the serial batch drive.
+    fn drive(
+        &self,
+        plan: &Plan,
+        plan_index: usize,
+        bindings: &Bindings,
+        consume: &mut dyn FnMut(&RowBatch) -> Result<()>,
+    ) -> Result<()> {
+        if let (Some(threads), None) = (self.parallelism, self.analyze) {
+            let opts = ParallelOpts {
+                pool: WorkerPool::global(),
+                parallelism: threads,
+            };
+            let ran = xmldb_optimizer::execute_parallel::<Error, _>(
+                plan,
+                self.store,
+                bindings,
+                &opts,
+                &mut *consume,
+            )?;
+            if ran {
+                return Ok(());
             }
-            let saved: Vec<(Var, Option<NodeTuple>)> = outer_vars
-                .iter()
-                .chain(std::iter::once(inner_var))
-                .map(|v| (v.clone(), env.get(v).cloned()))
-                .collect();
-            let k = outer_vars.len();
-            let mut current_group: Option<(Vec<u64>, NodeId)> = None;
-            // One (outer ⟕ inner) row: maintain the per-outer-binding
-            // group element, bind, evaluate the body. Shared verbatim by
-            // the serial loop and the parallel gather (which delivers the
-            // same rows in the same order).
-            #[allow(clippy::too_many_arguments)]
-            fn outer_row(
-                row: &[NodeTuple],
-                k: usize,
-                outer_vars: &[Var],
-                inner_var: &Var,
-                label: &str,
-                body: &Prog,
-                store: &XasrStore,
-                env: &mut HashMap<Var, NodeTuple>,
-                out: &mut Document,
-                parent: NodeId,
-                current_group: &mut Option<(Vec<u64>, NodeId)>,
-                analyze: Option<&RefCell<Vec<PlanMetrics>>>,
-                parallelism: Option<usize>,
-            ) -> Result<()> {
-                debug_assert_eq!(row.len(), k + 1);
-                let key: Vec<u64> = row[..k].iter().map(|t| t.in_).collect();
-                let element = match &current_group {
-                    Some((group_key, element)) if *group_key == key => *element,
-                    _ => {
-                        let element = out.add_element(parent, label.to_string());
-                        *current_group = Some((key, element));
-                        element
-                    }
-                };
-                if row[k].is_null() {
-                    // Match-less outer binding: the (empty) element was
-                    // created above; nothing to evaluate inside it.
+            // The fragment driver declined this plan shape. The counter
+            // makes systematic fallbacks (a planner change producing
+            // ineligible shapes) visible in `saardb stats`.
+            self.store
+                .env()
+                .registry()
+                .counter("saardb_parallel_fallbacks_total", &[])
+                .inc();
+        }
+        let ctx = ExecContext::new(self.store, bindings);
+        // Metric slots are shared across re-instantiations of this plan
+        // (one per outer binding), so counters accumulate and `opens`
+        // counts re-executions.
+        let mut op = match self.analyze {
+            Some(cell) => plan.instantiate(Some(&mut cell.borrow_mut()[plan_index])),
+            None => plan.instantiate(None),
+        };
+        op.open(&ctx)?;
+        let result = (|| -> Result<()> {
+            loop {
+                let batch = op.next_batch(&ctx, BATCH_ROWS)?;
+                if batch.is_empty() {
                     return Ok(());
                 }
-                for (i, var) in outer_vars.iter().enumerate() {
-                    env.insert(var.clone(), row[i].clone());
-                }
-                env.insert(inner_var.clone(), row[k].clone());
-                exec(body, store, env, out, element, analyze, parallelism)
+                consume(&batch)?;
             }
-            let result = (|| -> Result<()> {
-                if let (Some(threads), None) = (parallelism, analyze) {
-                    let opts = ParallelOpts {
-                        pool: WorkerPool::global(),
-                        parallelism: threads,
-                        batch_rows: BATCH_ROWS,
-                    };
-                    let ran = xmldb_optimizer::execute_parallel::<Error, _>(
-                        plan,
-                        store,
-                        &bindings,
-                        &opts,
-                        |batch: &RowBatch| {
-                            for row in batch.iter() {
-                                outer_row(
-                                    row,
-                                    k,
-                                    outer_vars,
-                                    inner_var,
-                                    label,
-                                    body,
-                                    store,
-                                    env,
-                                    out,
-                                    parent,
-                                    &mut current_group,
-                                    analyze,
-                                    parallelism,
-                                )?;
-                            }
-                            Ok(())
-                        },
-                    )?;
-                    if ran {
-                        return Ok(());
-                    }
-                    note_parallel_fallback(store);
-                }
-                let ctx = ExecContext::new(store, &bindings);
-                let mut op = match analyze {
-                    Some(cell) => plan.instantiate_analyzed(&mut cell.borrow_mut()[*plan_index]),
-                    None => plan.instantiate(),
-                };
-                op.open(&ctx)?;
-                let result = (|| -> Result<()> {
-                    while let Some(row) = op.next(&ctx)? {
-                        outer_row(
-                            &row,
-                            k,
-                            outer_vars,
-                            inner_var,
-                            label,
-                            body,
-                            store,
-                            env,
-                            out,
-                            parent,
-                            &mut current_group,
-                            analyze,
-                            parallelism,
-                        )?;
-                    }
-                    Ok(())
-                })();
-                op.close();
-                result
-            })();
-            for (var, old) in saved {
-                match old {
-                    Some(t) => env.insert(var, t),
-                    None => env.remove(&var),
-                };
-            }
-            result
-        }
-        Prog::IfFallback { cond, body } => {
-            if interp::eval_cond_indexed(store, cond, env)? {
-                exec(body, store, env, out, parent, analyze, parallelism)?;
-            }
-            Ok(())
-        }
+        })();
+        op.close();
+        result
     }
 }
 
@@ -738,9 +553,15 @@ mod tests {
         let env = Env::memory();
         let store = shred_document(&env, "d", FIGURE2).unwrap();
         let q = xmldb_xq::parse(query).unwrap();
-        evaluate(&store, &q, config, &QueryOptions::default())
-            .unwrap()
-            .to_xml()
+        evaluate(
+            &store,
+            &q,
+            &RewriteOptions::default(),
+            config,
+            &QueryOptions::default(),
+        )
+        .unwrap()
+        .to_xml()
     }
 
     #[test]
@@ -788,8 +609,10 @@ mod tests {
         let text = explain(
             &store,
             &q,
+            &RewriteOptions::default(),
             &PlannerConfig::cost_based(),
             &QueryOptions::default(),
+            false,
         )
         .unwrap();
         assert!(text.contains("=== TPM (merged) ==="), "{text}");
@@ -809,7 +632,8 @@ mod tests {
             stats_override: Some(lying),
             ..QueryOptions::default()
         };
-        let out = evaluate(&store, &q, &PlannerConfig::cost_based(), &opts).unwrap();
+        let rewrites = RewriteOptions::default();
+        let out = evaluate(&store, &q, &rewrites, &PlannerConfig::cost_based(), &opts).unwrap();
         assert_eq!(out.to_xml(), "<name>Ana</name><name>Bob</name>");
     }
 }

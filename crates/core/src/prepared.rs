@@ -6,9 +6,8 @@
 //! [`PreparedQuery::execute`] only runs the physical plans.
 
 use crate::database::Database;
-use crate::engine::{interp, m1, tpm_exec, EngineKind, QueryOptions};
+use crate::engine::{self, Compiled, EngineKind, QueryOptions};
 use crate::{QueryResult, Result};
-use xmldb_xq::Expr;
 
 /// A query bound to a document and an engine, with all per-query
 /// compilation already done.
@@ -26,14 +25,7 @@ pub struct PreparedQuery {
     doc: String,
     engine: EngineKind,
     options: QueryOptions,
-    state: PreparedState,
-}
-
-enum PreparedState {
-    /// Interpreter engines keep the parsed AST.
-    Ast(Expr),
-    /// Algebraic engines keep the fully planned program.
-    Program(tpm_exec::CompiledProgram),
+    compiled: Compiled,
 }
 
 impl Database {
@@ -52,26 +44,12 @@ impl Database {
     ) -> Result<PreparedQuery> {
         let expr = xmldb_xq::parse(query)?;
         let store = self.store(doc)?;
-        let state = match engine {
-            EngineKind::M1InMemory | EngineKind::NaiveScan | EngineKind::M2Storage => {
-                PreparedState::Ast(expr)
-            }
-            algebraic => PreparedState::Program(tpm_exec::compile_program(
-                &store,
-                &expr,
-                &algebraic.rewrite_options(),
-                &algebraic
-                    .planner_config()
-                    .expect("algebraic engines have configs"),
-                options,
-            )),
-        };
         Ok(PreparedQuery {
             db: self.clone(),
             doc: doc.to_string(),
             engine,
             options: options.clone(),
-            state,
+            compiled: engine::compile(&store, &expr, engine, options),
         })
     }
 }
@@ -87,32 +65,13 @@ impl PreparedQuery {
         &self.doc
     }
 
-    /// Runs the prepared query under the governor its preparation options
-    /// describe (a fresh deadline per execution).
+    /// Runs the prepared query exactly as an ad-hoc query runs once it is
+    /// compiled: under the governor (a fresh deadline per execution) and
+    /// the transaction its preparation options describe, with metrics
+    /// attached and the engine's latency histogram and counter updated.
     pub fn execute(&self) -> Result<QueryResult> {
         let store = self.db.store(&self.doc)?;
-        let governor = self.options.governor_handle();
-        let _scope = governor.install();
-        match &self.state {
-            PreparedState::Ast(expr) => match self.engine {
-                EngineKind::M1InMemory => {
-                    let dom = store.reconstruct(1)?;
-                    m1::evaluate(&dom, expr)
-                }
-                EngineKind::NaiveScan => {
-                    interp::evaluate(&store, expr, interp::AccessMode::FullScan)
-                }
-                EngineKind::M2Storage => {
-                    interp::evaluate(&store, expr, interp::AccessMode::Indexed)
-                }
-                _ => unreachable!("algebraic engines carry programs"),
-            },
-            PreparedState::Program(program) => {
-                let parallelism = (self.engine == EngineKind::Parallel)
-                    .then(|| self.options.resolved_parallelism());
-                tpm_exec::execute_program_with(program, &store, parallelism)
-            }
-        }
+        engine::execute(&store, || &self.compiled, self.engine, &self.options)
     }
 }
 

@@ -37,6 +37,14 @@ fn query_metrics_carry_span_tree() {
     );
     let rendered = m.spans.render();
     assert!(rendered.contains("exec"), "{rendered}");
+    // An ad-hoc query plans inside `exec`: its planning spans are children
+    // of it, so `elapsed` and the latency histogram cover planning too.
+    let exec_index = m.spans.spans.iter().position(|s| s.name == "exec");
+    for planning in ["analyze", "optimize", "plan"] {
+        let span = m.spans.spans.iter().find(|s| s.name == planning).unwrap();
+        assert_eq!(span.parent, exec_index, "{planning}:\n{rendered}");
+        assert!(m.elapsed.as_nanos() as u64 >= span.elapsed_ns, "{rendered}");
+    }
 }
 
 #[test]

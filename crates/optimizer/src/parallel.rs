@@ -11,11 +11,11 @@
 //! engine against every serial one.
 //!
 //! Eligibility is conservative: a left-deep spine of
-//! `Scan / Filter / Inlj / LeftOuterInlj / Project` whose leaf probe is a
-//! full scan, a label scan, or a descendants interval of an externally
-//! bound variable. Anything else (sorts, block joins, re-openable right
-//! sides, limits) falls back to the serial path — correctness never
-//! depends on a fragment being parallelizable.
+//! `Scan / Filter / Join (probe inner, outer or not) / Project` whose leaf
+//! probe is a full scan, a label scan, or a descendants interval of an
+//! externally bound variable. Anything else (sorts, joins over a
+//! re-scanned right side, limits) falls back to the serial path —
+//! correctness never depends on a fragment being parallelizable.
 //!
 //! Scope-install contract: pool workers carry **no** ambient state. Each
 //! morsel task installs the coordinator's governor and transaction on
@@ -28,8 +28,10 @@
 
 use crate::plan::{Plan, PlanNode};
 use xmldb_exec_pool::WorkerPool;
-use xmldb_physical::ops::Src;
-use xmldb_physical::{Bindings, Error as ExecError, ExecContext, Probe, RowBatch};
+use xmldb_physical::ops::{JoinInner, Src};
+use xmldb_physical::{
+    Bindings, Error as ExecError, ExecContext, LastKey, Probe, RowBatch, BATCH_ROWS,
+};
 use xmldb_storage::{Governor, MemReservation, StorageError, Txn};
 use xmldb_xasr::XasrStore;
 
@@ -45,8 +47,6 @@ pub struct ParallelOpts<'a> {
     /// Target number of concurrent morsels (the dispatch window is twice
     /// this). Does not need to match the pool's worker count.
     pub parallelism: usize,
-    /// Rows per output batch a morsel produces.
-    pub batch_rows: usize,
 }
 
 /// What `analyze_fragment` learned about an eligible plan.
@@ -75,7 +75,11 @@ fn analyze_fragment(
                 node = input;
             }
             PlanNode::Filter { input, .. } => node = input,
-            PlanNode::Inlj { left, .. } | PlanNode::LeftOuterInlj { left, .. } => node = left,
+            PlanNode::Join {
+                left,
+                inner: JoinInner::Probe(_),
+                ..
+            } => node = left,
             PlanNode::Scan { probe, .. } => {
                 let range = match probe {
                     Probe::Full | Probe::ByLabel(_) => {
@@ -108,46 +112,25 @@ fn analyze_fragment(
 /// probe `lo_excl < in < hi_excl`. Only called on plans that passed
 /// [`analyze_fragment`], so the spine shape is known.
 fn morselize(plan: &Plan, lo_excl: u64, hi_excl: u64) -> Plan {
-    let node = match &plan.node {
-        PlanNode::Scan { probe, filter } => {
-            let probe = match probe {
-                Probe::Full | Probe::DescendantsOf(_) => Probe::ClusteredRange(lo_excl, hi_excl),
-                Probe::ByLabel(l) | Probe::LabelDescendantsOf(l, _) => {
-                    Probe::LabelRange(l.clone(), lo_excl, hi_excl)
-                }
-                other => other.clone(),
-            };
-            PlanNode::Scan {
-                probe,
-                filter: filter.clone(),
+    let mut morsel = plan.clone();
+    let mut node = &mut morsel;
+    loop {
+        node = match &mut node.node {
+            PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => input,
+            PlanNode::Join { left, .. } => left,
+            PlanNode::Scan { probe, .. } => {
+                *probe = match probe {
+                    Probe::ByLabel(l) | Probe::LabelDescendantsOf(l, _) => {
+                        Probe::LabelRange(std::mem::take(l), lo_excl, hi_excl)
+                    }
+                    _ => Probe::ClusteredRange(lo_excl, hi_excl),
+                };
+                break;
             }
-        }
-        PlanNode::Filter { input, preds } => PlanNode::Filter {
-            input: Box::new(morselize(input, lo_excl, hi_excl)),
-            preds: preds.clone(),
-        },
-        PlanNode::Project { input, cols, dedup } => PlanNode::Project {
-            input: Box::new(morselize(input, lo_excl, hi_excl)),
-            cols: cols.clone(),
-            dedup: *dedup,
-        },
-        PlanNode::Inlj { left, probe, preds } => PlanNode::Inlj {
-            left: Box::new(morselize(left, lo_excl, hi_excl)),
-            probe: probe.clone(),
-            preds: preds.clone(),
-        },
-        PlanNode::LeftOuterInlj { left, probe, preds } => PlanNode::LeftOuterInlj {
-            left: Box::new(morselize(left, lo_excl, hi_excl)),
-            probe: probe.clone(),
-            preds: preds.clone(),
-        },
-        other => other.clone(),
-    };
-    Plan {
-        node,
-        est_rows: plan.est_rows,
-        est_cost: plan.est_cost,
+            _ => break,
+        };
     }
+    morsel
 }
 
 /// Splits the inclusive range `[lo, hi]` into contiguous inclusive chunks
@@ -183,18 +166,17 @@ fn run_morsel(
     bindings: &Bindings,
     governor: &Governor,
     txn: Option<&Txn>,
-    batch_rows: usize,
 ) -> Result<(Vec<RowBatch>, MemReservation), ExecError> {
     let _gov_scope = governor.install();
     let _txn_scope = txn.map(Txn::install);
     let ctx = ExecContext::with_governor(store, bindings, governor.clone());
-    let mut op = mplan.instantiate();
+    let mut op = mplan.instantiate(None);
     op.open(&ctx)?;
     let mut reservation = MemReservation::empty(governor);
     let mut batches = Vec::new();
     let result = (|| -> Result<(), ExecError> {
         loop {
-            let batch = op.next_batch(&ctx, batch_rows)?;
+            let batch = op.next_batch(&ctx, BATCH_ROWS)?;
             if batch.is_empty() {
                 return Ok(());
             }
@@ -247,11 +229,10 @@ where
     let workers = opts.parallelism.max(1);
     let window = (2 * workers).max(2);
     let morsels = split_morsels(fragment.lo, fragment.hi, workers);
-    let batch_rows = opts.batch_rows;
     let mut error: Option<E> = None;
     // Gather-side adjacent dedup across morsel seams (and, harmlessly,
     // within morsels, where the fragment's own ProjectOp already deduped).
-    let mut last_key: Option<Vec<u64>> = None;
+    let mut last_key = LastKey::default();
     opts.pool.scoped(|scope| {
         let mut next = 0usize;
         loop {
@@ -265,9 +246,7 @@ where
                 let mplan = morselize(plan, lo - 1, hi + 1);
                 let governor = governor.clone();
                 let txn = txn.clone();
-                scope.submit(move || {
-                    run_morsel(&mplan, store, bindings, &governor, txn.as_ref(), batch_rows)
-                });
+                scope.submit(move || run_morsel(&mplan, store, bindings, &governor, txn.as_ref()));
             }
             match scope.recv_next() {
                 None => break,
@@ -306,16 +285,10 @@ where
 /// Drops rows whose full `in`-vector equals the previous surviving row's —
 /// the same one-pass adjacent dedup `ProjectOp` applies, carried across
 /// morsel seams by threading `last` through the whole gather.
-fn dedup_adjacent(batch: &mut RowBatch, last: &mut Option<Vec<u64>>) {
+fn dedup_adjacent(batch: &mut RowBatch, last: &mut LastKey) {
     batch
         .retain_rows(|row| {
-            let key: Vec<u64> = row.iter().map(|t| t.in_).collect();
-            if last.as_ref() == Some(&key) {
-                Ok::<_, std::convert::Infallible>(false)
-            } else {
-                *last = Some(key);
-                Ok(true)
-            }
+            Ok::<_, std::convert::Infallible>(last.changes_to(row.iter().map(|t| t.in_)))
         })
         .unwrap_or_else(|e| match e {});
 }
@@ -361,7 +334,6 @@ mod tests {
             &ParallelOpts {
                 pool,
                 parallelism: pool.workers(),
-                batch_rows: 64,
             },
             |batch| {
                 rows.extend(batch.iter().map(|r| r.to_vec()));
@@ -383,7 +355,7 @@ mod tests {
         });
         let serial = {
             let ctx = ExecContext::new(&store, &bindings);
-            execute_all(&mut *p.instantiate(), &ctx).unwrap()
+            execute_all(&mut *p.instantiate(None), &ctx).unwrap()
         };
         let par = collect_parallel(&p, &store, &bindings, &pool)
             .unwrap()
@@ -399,14 +371,15 @@ mod tests {
         let bindings = Bindings::with_root(&store).unwrap();
         let pool = WorkerPool::new(2);
         // books joined to their year children, projected to the book with
-        // dedup — exercises Inlj resume state and seam dedup.
+        // dedup — exercises probe-join resume state and seam dedup.
         let p = plan(PlanNode::Project {
-            input: Box::new(plan(PlanNode::Inlj {
+            input: Box::new(plan(PlanNode::Join {
                 left: Box::new(plan(PlanNode::Scan {
                     probe: Probe::ByLabel("book".into()),
                     filter: vec![],
                 })),
-                probe: Probe::ChildrenOf(Src::Col(0)),
+                inner: JoinInner::Probe(Probe::ChildrenOf(Src::Col(0))),
+                outer: false,
                 preds: vec![PhysPred {
                     op: xmldb_algebra::CmpOp::Eq,
                     lhs: PhysOperand::Col {
@@ -422,7 +395,7 @@ mod tests {
         });
         let serial = {
             let ctx = ExecContext::new(&store, &bindings);
-            execute_all(&mut *p.instantiate(), &ctx).unwrap()
+            execute_all(&mut *p.instantiate(None), &ctx).unwrap()
         };
         let par = collect_parallel(&p, &store, &bindings, &pool)
             .unwrap()

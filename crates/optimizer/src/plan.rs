@@ -6,9 +6,7 @@
 
 use std::rc::Rc;
 use xmldb_physical::ops::{
-    BlockNestedLoopJoinOp, FilterOp, IndexNestedLoopJoinOp, LeftOuterIndexNestedLoopJoinOp,
-    LeftOuterNestedLoopJoinOp, LimitOp, MaterializeOp, NestedLoopJoinOp, ProjectOp, ScanOp,
-    SingletonOp, SortOp,
+    FilterOp, JoinInner, JoinOp, LimitOp, MaterializeOp, ProjectOp, RowsOp, ScanOp, SortOp,
 };
 use xmldb_physical::{AnalyzedOperator, OpMetrics, Operator, PhysPred, Probe, SharedOpMetrics};
 
@@ -76,37 +74,16 @@ pub enum PlanNode {
         input: Box<Plan>,
         preds: Vec<PhysPred>,
     },
-    /// Order-preserving nested-loops join.
-    Nlj {
+    /// The nested-loops join. `inner` picks the access path — an index
+    /// probe parameterized by left-row columns, or a re-scanned right plan
+    /// with its block size (1 = order-preserving, more = block join) —
+    /// and `outer` the TPM left-outer-join extension (match-less left
+    /// rows survive NULL-padded); [`JoinInner::name`] names the result.
+    Join {
         left: Box<Plan>,
-        right: Box<Plan>,
+        inner: JoinInner<Box<Plan>>,
+        outer: bool,
         preds: Vec<PhysPred>,
-    },
-    /// Index nested-loops join (probe parameterized by left-row columns).
-    Inlj {
-        left: Box<Plan>,
-        probe: Probe,
-        preds: Vec<PhysPred>,
-    },
-    /// Left-outer index nested-loops join (the TPM left-outer-join
-    /// extension): match-less left rows survive NULL-padded.
-    LeftOuterInlj {
-        left: Box<Plan>,
-        probe: Probe,
-        preds: Vec<PhysPred>,
-    },
-    /// Left-outer nested-loops join over a re-openable right input.
-    LeftOuterNlj {
-        left: Box<Plan>,
-        right: Box<Plan>,
-        preds: Vec<PhysPred>,
-    },
-    /// Block nested-loops join (not order-preserving).
-    Bnlj {
-        left: Box<Plan>,
-        right: Box<Plan>,
-        preds: Vec<PhysPred>,
-        block_rows: usize,
     },
     /// External sort on the `in` values of the given columns.
     Sort { input: Box<Plan>, keys: Vec<usize> },
@@ -125,140 +102,57 @@ pub enum PlanNode {
 }
 
 impl Plan {
-    /// Builds a fresh operator tree for this plan.
-    pub fn instantiate(&self) -> Box<dyn Operator> {
-        match &self.node {
+    /// Builds a fresh operator tree for this plan. With `metrics`, every
+    /// operator is wrapped in an [`AnalyzedOperator`] accumulating into
+    /// its slot there; slot order is the pre-order of [`Plan::explain`],
+    /// so [`Plan::explain_analyzed`] can line counters up with plan lines.
+    pub fn instantiate(&self, metrics: Option<&mut PlanMetrics>) -> Box<dyn Operator> {
+        self.build(metrics, &mut 0)
+    }
+
+    fn build(
+        &self,
+        mut metrics: Option<&mut PlanMetrics>,
+        next_slot: &mut usize,
+    ) -> Box<dyn Operator> {
+        let handle = metrics.as_deref_mut().map(|m| m.slot(*next_slot));
+        *next_slot += 1;
+        let mut child = |plan: &Plan| plan.build(metrics.as_deref_mut(), next_slot);
+        let op: Box<dyn Operator> = match &self.node {
             PlanNode::Scan { probe, filter } => {
                 Box::new(ScanOp::new(probe.clone(), filter.clone()))
             }
             PlanNode::Filter { input, preds } => {
-                Box::new(FilterOp::new(input.instantiate(), preds.clone()))
+                Box::new(FilterOp::new(child(input), preds.clone()))
             }
-            PlanNode::Nlj { left, right, preds } => Box::new(NestedLoopJoinOp::new(
-                left.instantiate(),
-                right.instantiate(),
-                preds.clone(),
-            )),
-            PlanNode::Inlj { left, probe, preds } => Box::new(IndexNestedLoopJoinOp::new(
-                left.instantiate(),
-                probe.clone(),
-                preds.clone(),
-            )),
-            PlanNode::LeftOuterInlj { left, probe, preds } => {
-                Box::new(LeftOuterIndexNestedLoopJoinOp::new(
-                    left.instantiate(),
-                    probe.clone(),
-                    preds.clone(),
-                ))
-            }
-            PlanNode::LeftOuterNlj { left, right, preds } => {
-                Box::new(LeftOuterNestedLoopJoinOp::new(
-                    left.instantiate(),
-                    right.instantiate(),
-                    preds.clone(),
-                ))
-            }
-            PlanNode::Bnlj {
+            PlanNode::Join {
                 left,
-                right,
+                inner,
+                outer,
                 preds,
-                block_rows,
-            } => Box::new(BlockNestedLoopJoinOp::new(
-                left.instantiate(),
-                right.instantiate(),
-                preds.clone(),
-                *block_rows,
-            )),
-            PlanNode::Sort { input, keys } => {
-                Box::new(SortOp::new(input.instantiate(), keys.clone()))
+            } => {
+                let left = child(left);
+                let inner = match inner {
+                    JoinInner::Probe(probe) => JoinInner::Probe(probe.clone()),
+                    JoinInner::Scan { right, block_rows } => JoinInner::Scan {
+                        right: child(right),
+                        block_rows: *block_rows,
+                    },
+                };
+                Box::new(JoinOp::new(left, inner, *outer, preds.clone()))
             }
+            PlanNode::Sort { input, keys } => Box::new(SortOp::new(child(input), keys.clone())),
             PlanNode::Project { input, cols, dedup } => {
-                Box::new(ProjectOp::new(input.instantiate(), cols.clone(), *dedup))
+                Box::new(ProjectOp::new(child(input), cols.clone(), *dedup))
             }
-            PlanNode::Materialize { input } => Box::new(MaterializeOp::new(input.instantiate())),
-            PlanNode::Singleton => Box::new(SingletonOp::new()),
-            PlanNode::Limit { input, n } => Box::new(LimitOp::new(input.instantiate(), *n)),
-        }
-    }
-
-    /// [`Plan::instantiate`] with every operator wrapped in an
-    /// [`AnalyzedOperator`] that accumulates into `metrics`. Slot order is
-    /// the pre-order of [`Plan::explain`], so
-    /// [`Plan::explain_analyzed`] can line counters up with plan lines.
-    pub fn instantiate_analyzed(&self, metrics: &mut PlanMetrics) -> Box<dyn Operator> {
-        let mut next_slot = 0usize;
-        self.instantiate_analyzed_at(metrics, &mut next_slot)
-    }
-
-    fn instantiate_analyzed_at(
-        &self,
-        metrics: &mut PlanMetrics,
-        next_slot: &mut usize,
-    ) -> Box<dyn Operator> {
-        let handle = metrics.slot(*next_slot);
-        *next_slot += 1;
-        let inner: Box<dyn Operator> = match &self.node {
-            PlanNode::Scan { probe, filter } => {
-                Box::new(ScanOp::new(probe.clone(), filter.clone()))
-            }
-            PlanNode::Filter { input, preds } => Box::new(FilterOp::new(
-                input.instantiate_analyzed_at(metrics, next_slot),
-                preds.clone(),
-            )),
-            PlanNode::Nlj { left, right, preds } => Box::new(NestedLoopJoinOp::new(
-                left.instantiate_analyzed_at(metrics, next_slot),
-                right.instantiate_analyzed_at(metrics, next_slot),
-                preds.clone(),
-            )),
-            PlanNode::Inlj { left, probe, preds } => Box::new(IndexNestedLoopJoinOp::new(
-                left.instantiate_analyzed_at(metrics, next_slot),
-                probe.clone(),
-                preds.clone(),
-            )),
-            PlanNode::LeftOuterInlj { left, probe, preds } => {
-                Box::new(LeftOuterIndexNestedLoopJoinOp::new(
-                    left.instantiate_analyzed_at(metrics, next_slot),
-                    probe.clone(),
-                    preds.clone(),
-                ))
-            }
-            PlanNode::LeftOuterNlj { left, right, preds } => {
-                Box::new(LeftOuterNestedLoopJoinOp::new(
-                    left.instantiate_analyzed_at(metrics, next_slot),
-                    right.instantiate_analyzed_at(metrics, next_slot),
-                    preds.clone(),
-                ))
-            }
-            PlanNode::Bnlj {
-                left,
-                right,
-                preds,
-                block_rows,
-            } => Box::new(BlockNestedLoopJoinOp::new(
-                left.instantiate_analyzed_at(metrics, next_slot),
-                right.instantiate_analyzed_at(metrics, next_slot),
-                preds.clone(),
-                *block_rows,
-            )),
-            PlanNode::Sort { input, keys } => Box::new(SortOp::new(
-                input.instantiate_analyzed_at(metrics, next_slot),
-                keys.clone(),
-            )),
-            PlanNode::Project { input, cols, dedup } => Box::new(ProjectOp::new(
-                input.instantiate_analyzed_at(metrics, next_slot),
-                cols.clone(),
-                *dedup,
-            )),
-            PlanNode::Materialize { input } => Box::new(MaterializeOp::new(
-                input.instantiate_analyzed_at(metrics, next_slot),
-            )),
-            PlanNode::Singleton => Box::new(SingletonOp::new()),
-            PlanNode::Limit { input, n } => Box::new(LimitOp::new(
-                input.instantiate_analyzed_at(metrics, next_slot),
-                *n,
-            )),
+            PlanNode::Materialize { input } => Box::new(MaterializeOp::new(child(input))),
+            PlanNode::Singleton => Box::new(RowsOp::singleton()),
+            PlanNode::Limit { input, n } => Box::new(LimitOp::new(child(input), *n)),
         };
-        Box::new(AnalyzedOperator::new(inner, handle))
+        match handle {
+            Some(handle) => Box::new(AnalyzedOperator::new(op, handle)),
+            None => op,
+        }
     }
 
     /// EXPLAIN rendering: one operator per line, indented, with estimates.
@@ -307,41 +201,26 @@ impl Plan {
                 )
             }
         };
+        let name = self.node.name();
         let line = match &self.node {
             PlanNode::Scan { probe, filter } => {
-                format!("scan {}{}", probe.describe(), describe_preds(filter))
+                format!("{name} {}{}", probe.describe(), describe_preds(filter))
             }
-            PlanNode::Filter { preds, .. } => format!("filter{}", describe_preds(preds)),
-            PlanNode::Nlj { preds, .. } => format!("nl-join{}", describe_preds(preds)),
-            PlanNode::Inlj { probe, preds, .. } => {
-                format!(
-                    "inl-join probe={}{}",
-                    probe.describe(),
-                    describe_preds(preds)
-                )
+            PlanNode::Filter { preds, .. } => format!("{name}{}", describe_preds(preds)),
+            PlanNode::Join { inner, preds, .. } => {
+                let access = match inner {
+                    JoinInner::Probe(probe) => format!(" probe={}", probe.describe()),
+                    _ if inner.is_order_preserving() => String::new(),
+                    JoinInner::Scan { block_rows, .. } => format!(" block={block_rows}"),
+                };
+                format!("{name}{access}{}", describe_preds(preds))
             }
-            PlanNode::LeftOuterInlj { probe, preds, .. } => {
-                format!(
-                    "left-outer-inl-join probe={}{}",
-                    probe.describe(),
-                    describe_preds(preds)
-                )
-            }
-            PlanNode::LeftOuterNlj { preds, .. } => {
-                format!("left-outer-nl-join{}", describe_preds(preds))
-            }
-            PlanNode::Bnlj {
-                preds, block_rows, ..
-            } => {
-                format!("bnl-join block={block_rows}{}", describe_preds(preds))
-            }
-            PlanNode::Sort { keys, .. } => format!("sort keys={keys:?}"),
+            PlanNode::Sort { keys, .. } => format!("{name} keys={keys:?}"),
             PlanNode::Project { cols, dedup, .. } => {
-                format!("project cols={cols:?} dedup={dedup}")
+                format!("{name} cols={cols:?} dedup={dedup}")
             }
-            PlanNode::Materialize { .. } => "materialize".to_string(),
-            PlanNode::Singleton => "singleton".to_string(),
-            PlanNode::Limit { n, .. } => format!("limit {n}"),
+            PlanNode::Materialize { .. } | PlanNode::Singleton => name.to_string(),
+            PlanNode::Limit { n, .. } => format!("{name} {n}"),
         };
         let actual = match metrics {
             None => String::new(),
@@ -376,19 +255,17 @@ impl Plan {
             | PlanNode::Project { input, .. }
             | PlanNode::Materialize { input }
             | PlanNode::Limit { input, .. } => vec![input],
-            PlanNode::Nlj { left, right, .. }
-            | PlanNode::Bnlj { left, right, .. }
-            | PlanNode::LeftOuterNlj { left, right, .. } => {
-                vec![left, right]
-            }
-            PlanNode::Inlj { left, .. } | PlanNode::LeftOuterInlj { left, .. } => vec![left],
+            PlanNode::Join { left, inner, .. } => match inner {
+                JoinInner::Probe(_) => vec![left],
+                JoinInner::Scan { right, .. } => vec![left, right],
+            },
         }
     }
 
     /// True if every operator in the plan is order-preserving.
     pub fn is_order_preserving(&self) -> bool {
         match &self.node {
-            PlanNode::Bnlj { .. } => false,
+            PlanNode::Join { inner, .. } if !inner.is_order_preserving() => false,
             // A sort *establishes* order; treat as preserving downstream.
             PlanNode::Sort { .. } => true,
             _ => self.children().iter().all(|c| c.is_order_preserving()),
@@ -397,24 +274,29 @@ impl Plan {
 
     /// Count of operators of a given EXPLAIN name (test helper).
     pub fn count_ops(&self, name: &str) -> usize {
-        let here = match (&self.node, name) {
-            (PlanNode::Scan { .. }, "scan")
-            | (PlanNode::Filter { .. }, "filter")
-            | (PlanNode::Nlj { .. }, "nl-join")
-            | (PlanNode::Inlj { .. }, "inl-join")
-            | (PlanNode::Bnlj { .. }, "bnl-join")
-            | (PlanNode::Sort { .. }, "sort")
-            | (PlanNode::Project { .. }, "project")
-            | (PlanNode::Materialize { .. }, "materialize")
-            | (PlanNode::Singleton, "singleton")
-            | (PlanNode::Limit { .. }, "limit") => 1,
-            _ => 0,
-        };
+        let here = usize::from(self.node.name() == name);
         here + self
             .children()
             .iter()
             .map(|c| c.count_ops(name))
             .sum::<usize>()
+    }
+}
+
+impl PlanNode {
+    /// The operator's EXPLAIN name. Joins share [`JoinInner::name`] with
+    /// the instantiated operator.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PlanNode::Scan { .. } => "scan",
+            PlanNode::Filter { .. } => "filter",
+            PlanNode::Join { inner, outer, .. } => inner.name(*outer),
+            PlanNode::Sort { .. } => "sort",
+            PlanNode::Project { .. } => "project",
+            PlanNode::Materialize { .. } => "materialize",
+            PlanNode::Singleton => "singleton",
+            PlanNode::Limit { .. } => "limit",
+        }
     }
 }
 

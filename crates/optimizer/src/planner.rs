@@ -5,7 +5,7 @@ use crate::plan::{Plan, PlanNode};
 use std::collections::HashMap;
 use xmldb_algebra::ordering;
 use xmldb_algebra::{AtomicPred, Attr, CmpOp, Operand, Psx};
-use xmldb_physical::ops::Src;
+use xmldb_physical::ops::{JoinInner, Src};
 use xmldb_physical::{PhysOperand, PhysPred, Probe};
 
 /// Planner knobs — the difference between the Figure 7 engines.
@@ -137,94 +137,89 @@ pub fn plan_outer_join(
         model,
         config,
     );
-    let inner_pos = outer.cols.len();
-
-    match access.join {
-        JoinKind::Index => {
-            positions.insert(inner_alias, inner_pos);
-            let residual: Vec<PhysPred> = inner
-                .conjuncts
-                .iter()
-                .zip(consumed.iter())
-                .filter(|(_, done)| !**done)
-                .map(|(p, _)| resolve_pred(p, &positions))
-                .collect();
-            let rows = (outer_plan.est_rows * access.per_left_rows).max(outer_plan.est_rows);
-            let cost = outer_plan.est_cost + outer_plan.est_rows.max(1.0) * access.per_left_cost;
-            Plan {
-                est_rows: rows,
-                est_cost: cost,
-                node: PlanNode::LeftOuterInlj {
-                    left: Box::new(outer_plan),
-                    probe: access.probe,
-                    preds: residual,
-                },
-            }
-        }
-        JoinKind::Nested => {
-            // Local inner conjuncts go into the right scan (alias at its
-            // position 0); cross conjuncts stay at the join. Strict (XQ
-            // `=`) conjuncts never push below the join — see take_local.
-            let mut pushed = vec![false; inner.conjuncts.len()];
-            let local: Vec<&AtomicPred> = inner
-                .conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(i, p)| {
-                    !consumed[*i] && !p.strict_text && {
-                        let aliases = p.aliases();
-                        aliases.len() == 1 && aliases[0] == inner_alias
-                    }
-                })
-                .map(|(i, p)| {
-                    pushed[i] = true;
-                    p
-                })
-                .collect();
-            let local_positions: HashMap<String, usize> =
-                [(inner_alias.clone(), 0usize)].into_iter().collect();
-            let filter: Vec<PhysPred> = local
-                .iter()
-                .map(|p| resolve_pred(p, &local_positions))
-                .collect();
-            let right = Plan {
-                est_rows: access.est_rows,
-                est_cost: access.est_cost + model.materialize_cost(access.est_rows),
-                node: PlanNode::Materialize {
-                    input: Box::new(Plan {
-                        est_rows: access.est_rows,
-                        est_cost: access.est_cost,
-                        node: PlanNode::Scan {
-                            probe: access.probe,
-                            filter,
-                        },
-                    }),
-                },
-            };
-            positions.insert(inner_alias.clone(), inner_pos);
-            let residual: Vec<PhysPred> = inner
-                .conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !consumed[*i] && !pushed[*i])
-                .map(|(_, p)| resolve_pred(p, &positions))
-                .collect();
-            let rows = (outer_plan.est_rows * access.est_rows * 0.1).max(outer_plan.est_rows);
+    // A nested-loops right side takes the inner's local conjuncts into its
+    // scan; cross conjuncts stay at the join. It is always spilled: the
+    // outer side re-reads it once per row.
+    let right = matches!(access.join, JoinKind::Nested).then(|| {
+        let local = take_local(inner, &inner_alias, &mut consumed);
+        let filter = resolve_local(&local, &inner_alias);
+        let probe = access.probe.clone();
+        rescanned_right(probe, access.est_rows, access.est_cost, filter, model, true)
+    });
+    positions.insert(inner_alias, outer.cols.len());
+    let preds: Vec<PhysPred> = inner
+        .conjuncts
+        .iter()
+        .zip(consumed.iter())
+        .filter(|(_, done)| !**done)
+        .map(|(p, _)| resolve_pred(p, &positions))
+        .collect();
+    let outer_rows = outer_plan.est_rows;
+    let (inner, rows, cost) = match right {
+        None => (
+            JoinInner::Probe(access.probe),
+            outer_rows * access.per_left_rows,
+            outer_plan.est_cost + outer_rows.max(1.0) * access.per_left_cost,
+        ),
+        Some((right, rescan_cost)) => {
             let cost = outer_plan.est_cost
                 + right.est_cost
-                + outer_plan.est_rows.max(1.0) * model.materialized_pages(access.est_rows)
-                + model.join_cpu_cost(outer_plan.est_rows * access.est_rows);
-            Plan {
-                est_rows: rows,
-                est_cost: cost,
-                node: PlanNode::LeftOuterNlj {
-                    left: Box::new(outer_plan),
-                    right: Box::new(right),
-                    preds: residual,
-                },
-            }
+                + outer_rows.max(1.0) * rescan_cost
+                + model.join_cpu_cost(outer_rows * access.est_rows);
+            let inner = JoinInner::Scan {
+                right: Box::new(right),
+                block_rows: 1,
+            };
+            (inner, outer_rows * access.est_rows * 0.1, cost)
         }
+    };
+    Plan {
+        est_rows: rows.max(outer_rows),
+        est_cost: cost,
+        node: PlanNode::Join {
+            left: Box::new(outer_plan),
+            inner,
+            outer: true,
+            preds,
+        },
     }
+}
+
+/// Resolves conjuncts local to `alias` against the one-column row of a
+/// scan of it (the alias sits at position 0).
+fn resolve_local(local: &[&AtomicPred], alias: &str) -> Vec<PhysPred> {
+    let positions: HashMap<String, usize> = [(alias.to_string(), 0usize)].into_iter().collect();
+    local.iter().map(|p| resolve_pred(p, &positions)).collect()
+}
+
+/// The right side of a join that re-scans it: a scan with the relation's
+/// local conjuncts pushed down ("pushing selections as far down as
+/// possible"), spilled when `materialize` (milestone 3's "write to disk
+/// each intermediate result"). Returns the plan and one re-scan's cost.
+fn rescanned_right(
+    probe: Probe,
+    est_rows: f64,
+    est_cost: f64,
+    filter: Vec<PhysPred>,
+    model: &CostModel,
+    materialize: bool,
+) -> (Plan, f64) {
+    let scan = Plan {
+        est_rows,
+        est_cost,
+        node: PlanNode::Scan { probe, filter },
+    };
+    if !materialize {
+        return (scan, est_cost);
+    }
+    let spilled = Plan {
+        est_rows,
+        est_cost: est_cost + model.materialize_cost(est_rows),
+        node: PlanNode::Materialize {
+            input: Box::new(scan),
+        },
+    };
+    (spilled, model.materialized_pages(est_rows))
 }
 
 /// Producers in projection order, then the rest in syntactic order.
@@ -342,24 +337,22 @@ fn build_plan(
         );
 
         // For nested-loops rights, push this relation's remaining local
-        // conjuncts into the right-side scan ("pushing selections as far
-        // down as possible"). They see the alias at position 0 of the
-        // right's own row.
-        let pushed: Vec<PhysPred>;
-        let pushed_sel;
-        if matches!(access.join, JoinKind::Nested) {
+        // conjuncts into the right-side scan, which is re-read per left
+        // row (or per block).
+        let right = matches!(access.join, JoinKind::Nested).then(|| {
             let local = take_local(psx, alias, &mut consumed);
-            pushed_sel = non_structural_selectivity(&local, model);
-            let local_positions: HashMap<String, usize> =
-                [(alias.clone(), 0usize)].into_iter().collect();
-            pushed = local
-                .iter()
-                .map(|p| resolve_pred(p, &local_positions))
-                .collect();
-        } else {
-            pushed = Vec::new();
-            pushed_sel = 1.0;
-        }
+            let rows = (access.est_rows * non_structural_selectivity(&local, model)).max(0.0);
+            let filter = resolve_local(&local, alias);
+            let probe = access.probe.clone();
+            rescanned_right(
+                probe,
+                rows,
+                access.est_cost,
+                filter,
+                model,
+                config.materialize_right,
+            )
+        });
 
         positions.insert(alias.clone(), row_aliases.len());
         row_aliases.push(alias.clone());
@@ -370,80 +363,42 @@ fn build_plan(
             .map(|p| resolve_pred(p, &positions))
             .collect();
 
-        plan = match access.join {
-            JoinKind::Index => {
-                let rows = (plan.est_rows * access.per_left_rows * residual_sel).max(0.0);
-                let cost = plan.est_cost + plan.est_rows.max(1.0) * access.per_left_cost;
-                Plan {
-                    est_rows: rows,
-                    est_cost: cost,
-                    node: PlanNode::Inlj {
-                        left: Box::new(plan),
-                        probe: access.probe,
-                        preds,
-                    },
-                }
-            }
-            JoinKind::Nested => {
-                // Right side: a scan (materialized if configured) that is
-                // re-read per left row (or per block).
-                let right_scan = Plan {
-                    est_rows: (access.est_rows * pushed_sel).max(0.0),
-                    est_cost: access.est_cost,
-                    node: PlanNode::Scan {
-                        probe: access.probe,
-                        filter: pushed,
-                    },
-                };
-                let (right, rescan_cost) = if config.materialize_right {
-                    let pages = model.materialized_pages(right_scan.est_rows);
-                    (
-                        Plan {
-                            est_rows: right_scan.est_rows,
-                            est_cost: right_scan.est_cost
-                                + model.materialize_cost(right_scan.est_rows),
-                            node: PlanNode::Materialize {
-                                input: Box::new(right_scan),
-                            },
-                        },
-                        pages,
-                    )
+        let (inner, rows, cost) = match right {
+            None => (
+                JoinInner::Probe(access.probe),
+                plan.est_rows * access.per_left_rows,
+                plan.est_cost + plan.est_rows.max(1.0) * access.per_left_cost,
+            ),
+            Some((right, rescan_cost)) => {
+                // When the order does not matter a block join saves
+                // rescans; otherwise the right is re-read per left row.
+                let (block_rows, rescans) = if force_sort {
+                    let blocks = (plan.est_rows / config.bnlj_block_rows as f64).ceil();
+                    (config.bnlj_block_rows, blocks.max(1.0))
                 } else {
-                    let cost = right_scan.est_cost;
-                    (right_scan, cost)
+                    (1, plan.est_rows.max(1.0))
                 };
-                let rows = (plan.est_rows * right.est_rows * residual_sel).max(0.0);
-                let cpu = model.join_cpu_cost(plan.est_rows * right.est_rows);
-                if force_sort {
-                    // Order does not matter: block join saves rescans.
-                    let blocks = (plan.est_rows / config.bnlj_block_rows as f64)
-                        .ceil()
-                        .max(1.0);
-                    let cost = plan.est_cost + right.est_cost + blocks * rescan_cost + cpu;
-                    Plan {
-                        est_rows: rows,
-                        est_cost: cost,
-                        node: PlanNode::Bnlj {
-                            left: Box::new(plan),
-                            right: Box::new(right),
-                            preds,
-                            block_rows: config.bnlj_block_rows,
-                        },
-                    }
-                } else {
-                    let cost =
-                        plan.est_cost + right.est_cost + plan.est_rows.max(1.0) * rescan_cost + cpu;
-                    Plan {
-                        est_rows: rows,
-                        est_cost: cost,
-                        node: PlanNode::Nlj {
-                            left: Box::new(plan),
-                            right: Box::new(right),
-                            preds,
-                        },
-                    }
-                }
+                let cost = plan.est_cost
+                    + right.est_cost
+                    + rescans * rescan_cost
+                    + model.join_cpu_cost(plan.est_rows * right.est_rows);
+                let rows = plan.est_rows * right.est_rows;
+                let inner = JoinInner::Scan {
+                    right: Box::new(right),
+                    block_rows,
+                };
+                (inner, rows, cost)
             }
+        };
+        plan = Plan {
+            est_rows: (rows * residual_sel).max(0.0),
+            est_cost: cost,
+            node: PlanNode::Join {
+                left: Box::new(plan),
+                inner,
+                outer: false,
+                preds,
+            },
         };
 
         // --- semijoin projection: drop exhausted trailing non-producers ----------
@@ -1137,7 +1092,7 @@ mod tests {
     fn run(plan: &Plan, store: &XasrStore) -> Vec<Vec<u64>> {
         let binds = Bindings::with_root(store).unwrap();
         let ctx = ExecContext::new(store, &binds);
-        let mut op = plan.instantiate();
+        let mut op = plan.instantiate(None);
         execute_all(op.as_mut(), &ctx)
             .unwrap()
             .into_iter()
@@ -1338,7 +1293,7 @@ mod text_index_tests {
     fn run(plan: &Plan, store: &xmldb_xasr::XasrStore) -> Vec<Vec<u64>> {
         let binds = Bindings::with_root(store).unwrap();
         let ctx = ExecContext::new(store, &binds);
-        let mut op = plan.instantiate();
+        let mut op = plan.instantiate(None);
         execute_all(op.as_mut(), &ctx)
             .unwrap()
             .into_iter()
@@ -1405,7 +1360,7 @@ mod text_index_tests {
         let plan = plan_cost_based(&psx, &model);
         let binds = Bindings::with_root(&store).unwrap();
         let ctx = ExecContext::new(&store, &binds);
-        let mut op = plan.instantiate();
+        let mut op = plan.instantiate(None);
         let result = execute_all(op.as_mut(), &ctx);
         assert!(
             matches!(result, Err(xmldb_physical::Error::NonTextComparison { .. })),

@@ -38,7 +38,7 @@ fn measure(plan: &xmldb_optimizer::Plan, store: &xmldb_xasr::XasrStore) -> (u64,
     let binds = Bindings::with_root(store).unwrap();
     let ctx = ExecContext::new(store, &binds);
     store.env().reset_io_stats();
-    let mut op = plan.instantiate();
+    let mut op = plan.instantiate(None);
     let rows = execute_all(op.as_mut(), &ctx).unwrap().len();
     (store.env().io_stats().requests(), rows)
 }

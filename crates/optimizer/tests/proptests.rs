@@ -223,7 +223,7 @@ fn brute_force(psx: &Psx, store: &XasrStore, bindings: &Bindings) -> Vec<Vec<u64
     let mut out: Vec<Vec<u64>> = Vec::new();
     'outer: loop {
         let row: Vec<NodeTuple> = counters.iter().map(|&i| all[i].clone()).collect();
-        if xmldb_physical::pred::eval_all(&preds, &row, bindings).unwrap() {
+        if xmldb_physical::pred::eval_all(&preds, &row, &[], bindings).unwrap() {
             out.push(
                 psx.cols
                     .iter()
@@ -260,7 +260,7 @@ fn run_plan(
     let model = CostModel::from_store(store);
     let plan = plan_psx(psx, &model, config);
     let ctx = ExecContext::new(store, bindings);
-    let mut op = plan.instantiate();
+    let mut op = plan.instantiate(None);
     execute_all(op.as_mut(), &ctx)
         .unwrap_or_else(|e| panic!("plan failed: {e}\n{}", plan.explain()))
         .into_iter()

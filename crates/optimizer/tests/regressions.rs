@@ -46,7 +46,7 @@ fn value_and_kind_conjuncts_both_apply() {
         let model = CostModel::from_store(&store);
         let plan = plan_psx(&psx, &model, &config);
         let ctx = ExecContext::new(&store, &bindings);
-        let mut op = plan.instantiate();
+        let mut op = plan.instantiate(None);
         let rows = execute_all(op.as_mut(), &ctx).unwrap();
         assert!(
             rows.is_empty(),

@@ -9,7 +9,6 @@
 //! exactly the numbers needed to spot a mis-planned inner loop.
 
 use crate::exec::{ExecContext, Operator};
-use crate::row::Row;
 use crate::Result;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -18,13 +17,13 @@ use std::time::Instant;
 /// Actual execution counters for one plan operator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpMetrics {
-    /// Rows produced (`Ok(Some(_))` returns from `next`).
+    /// Rows produced (summed over the batches `next_batch` returned).
     pub rows: u64,
     /// `open` calls, across every instantiation and re-open.
     pub opens: u64,
     /// Wall time spent inside `open`, inclusive of children.
     pub open_nanos: u64,
-    /// Wall time spent inside `next`, inclusive of children.
+    /// Wall time spent inside `next_batch`, inclusive of children.
     pub next_nanos: u64,
 }
 
@@ -64,17 +63,6 @@ impl Operator for AnalyzedOperator {
         result
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        let started = Instant::now();
-        let result = self.inner.next(ctx);
-        let mut m = self.metrics.borrow_mut();
-        m.next_nanos += started.elapsed().as_nanos() as u64;
-        if matches!(result, Ok(Some(_))) {
-            m.rows += 1;
-        }
-        result
-    }
-
     fn close(&mut self) {
         self.inner.close();
     }
@@ -84,8 +72,6 @@ impl Operator for AnalyzedOperator {
     }
 
     fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<crate::RowBatch> {
-        // Forwarded (not shimmed): the inner operator's vectorized path
-        // stays active under EXPLAIN ANALYZE, and timings reflect it.
         let started = Instant::now();
         let result = self.inner.next_batch(ctx, max_rows);
         let mut m = self.metrics.borrow_mut();
@@ -101,7 +87,7 @@ impl Operator for AnalyzedOperator {
 mod tests {
     use super::*;
     use crate::exec::{execute_all, Bindings};
-    use crate::ops::SingletonOp;
+    use crate::ops::RowsOp;
     use xmldb_storage::Env;
     use xmldb_xasr::shred_document;
 
@@ -115,10 +101,10 @@ mod tests {
         // Two separate instantiations feed the same slot, as relfor
         // re-instantiations do.
         for _ in 0..2 {
-            let mut op = AnalyzedOperator::new(Box::new(SingletonOp::new()), Rc::clone(&metrics));
+            let mut op = AnalyzedOperator::new(Box::new(RowsOp::singleton()), Rc::clone(&metrics));
             let rows = execute_all(&mut op, &ctx).unwrap();
             assert_eq!(rows.len(), 1);
-            assert_eq!(op.name(), SingletonOp::new().name());
+            assert_eq!(op.name(), RowsOp::singleton().name());
         }
         let m = *metrics.borrow();
         assert_eq!(m.rows, 2);

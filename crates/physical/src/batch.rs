@@ -1,10 +1,9 @@
 //! Batch-at-a-time row containers.
 //!
 //! A [`RowBatch`] holds up to a few thousand rows of a fixed width in one
-//! flat allocation, row-major. The tuple-at-a-time path pays a `Vec`
-//! allocation, a virtual call and a governor check *per row*; the batch
-//! path pays each of those once per ~[`BATCH_ROWS`] rows, which is where
-//! most of the vectorized speedup comes from.
+//! flat allocation, row-major. Operators exchange nothing else: a `Vec`
+//! allocation, a virtual call and a governor check are paid once per
+//! ~[`BATCH_ROWS`] rows instead of once per row.
 
 use xmldb_xasr::NodeTuple;
 
@@ -16,7 +15,9 @@ pub const BATCH_ROWS: usize = 1024;
 
 /// A column-width-`width` batch of rows stored row-major in one flat
 /// `Vec<NodeTuple>`. Width 0 is legal (singleton/nullary rows): the row
-/// count is tracked separately from the tuple storage.
+/// count is tracked separately from the tuple storage. An empty batch
+/// adopts the width of the first row pushed, so operators that only learn
+/// their row width from their input start from [`RowBatch::default`].
 #[derive(Debug, Clone, Default)]
 pub struct RowBatch {
     width: usize,
@@ -25,15 +26,6 @@ pub struct RowBatch {
 }
 
 impl RowBatch {
-    /// An empty batch of the given row width.
-    pub fn new(width: usize) -> RowBatch {
-        RowBatch {
-            width,
-            rows: 0,
-            tuples: Vec::new(),
-        }
-    }
-
     /// An empty batch with storage pre-sized for `rows` rows.
     pub fn with_capacity(width: usize, rows: usize) -> RowBatch {
         RowBatch {
@@ -53,11 +45,6 @@ impl RowBatch {
         }
     }
 
-    /// Columns per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows
@@ -74,25 +61,26 @@ impl RowBatch {
         self.tuples.clear();
     }
 
+    /// Counts one more row of `width` columns, fixing the batch's width if
+    /// this is its first row.
+    fn add_row(&mut self, width: usize) {
+        if self.rows == 0 {
+            self.width = width;
+        }
+        debug_assert_eq!(width, self.width);
+        self.rows += 1;
+    }
+
     /// Appends a row given as a slice (clones the tuples).
     pub fn push_row(&mut self, row: &[NodeTuple]) {
-        debug_assert_eq!(row.len(), self.width);
         self.tuples.extend_from_slice(row);
-        self.rows += 1;
+        self.add_row(row.len());
     }
 
-    /// Appends a row by value (moves the tuples; the common shim path).
+    /// Appends a row by value (moves the tuples; decoded spill records).
     pub fn push_row_vec(&mut self, row: Vec<NodeTuple>) {
-        debug_assert_eq!(row.len(), self.width);
+        self.add_row(row.len());
         self.tuples.extend(row);
-        self.rows += 1;
-    }
-
-    /// Appends a single-column row (the leaf-scan fast path).
-    pub fn push_tuple(&mut self, tuple: NodeTuple) {
-        debug_assert_eq!(self.width, 1);
-        self.tuples.push(tuple);
-        self.rows += 1;
     }
 
     /// Appends a row from an iterator of exactly `width` tuples, without an
@@ -100,17 +88,23 @@ impl RowBatch {
     pub fn push_row_iter(&mut self, row: impl Iterator<Item = NodeTuple>) {
         let before = self.tuples.len();
         self.tuples.extend(row);
-        debug_assert_eq!(self.tuples.len() - before, self.width);
-        self.rows += 1;
+        self.add_row(self.tuples.len() - before);
     }
 
     /// Appends a row formed by a prefix slice plus one joined tuple,
-    /// without building an intermediate `Vec` (the join fast path).
+    /// without building an intermediate `Vec` (the probe-join fast path).
     pub fn push_joined(&mut self, left: &[NodeTuple], right: NodeTuple) {
-        debug_assert_eq!(left.len() + 1, self.width);
         self.tuples.extend_from_slice(left);
         self.tuples.push(right);
-        self.rows += 1;
+        self.add_row(left.len() + 1);
+    }
+
+    /// Appends the concatenation of two row slices (the nested-loops join
+    /// path).
+    pub fn push_concat(&mut self, left: &[NodeTuple], right: &[NodeTuple]) {
+        self.tuples.extend_from_slice(left);
+        self.tuples.extend_from_slice(right);
+        self.add_row(left.len() + right.len());
     }
 
     /// Row `i` as a tuple slice.
@@ -164,8 +158,7 @@ impl RowBatch {
         Ok(())
     }
 
-    /// Moves all rows out as owned `Vec` rows (compatibility with the
-    /// tuple-at-a-time API).
+    /// Moves all rows out as owned `Vec` rows (for [`crate::execute_all`]).
     pub fn take_rows(&mut self) -> Vec<Vec<NodeTuple>> {
         let w = self.width;
         let rows = self.rows;
@@ -210,7 +203,7 @@ mod tests {
 
     #[test]
     fn push_and_iterate() {
-        let mut b = RowBatch::new(2);
+        let mut b = RowBatch::default();
         b.push_row(&[tuple(1), tuple(3)]);
         b.push_joined(&[tuple(5)], tuple(7));
         assert_eq!(b.len(), 2);
@@ -222,9 +215,9 @@ mod tests {
 
     #[test]
     fn retain_preserves_order() {
-        let mut b = RowBatch::new(1);
+        let mut b = RowBatch::default();
         for i in 1..=9 {
-            b.push_tuple(tuple(i));
+            b.push_row(&[tuple(i)]);
         }
         b.retain_rows(|r| Ok::<bool, ()>(r[0].in_ % 2 == 0))
             .unwrap();
@@ -234,7 +227,7 @@ mod tests {
 
     #[test]
     fn width_zero_rows() {
-        let mut b = RowBatch::new(0);
+        let mut b = RowBatch::default();
         b.push_row(&[]);
         b.push_row(&[]);
         assert_eq!(b.len(), 2);
@@ -246,7 +239,7 @@ mod tests {
 
     #[test]
     fn take_rows_roundtrip() {
-        let mut b = RowBatch::new(2);
+        let mut b = RowBatch::default();
         b.push_row(&[tuple(1), tuple(2)]);
         b.push_row(&[tuple(3), tuple(4)]);
         assert_eq!(

@@ -1,4 +1,4 @@
-//! Execution context and the volcano operator trait.
+//! Execution context and the batch-at-a-time volcano operator trait.
 
 use crate::batch::{RowBatch, BATCH_ROWS};
 use crate::row::Row;
@@ -69,8 +69,8 @@ pub struct ExecContext<'a> {
     pub store: &'a XasrStore,
     /// External variable bindings (constant for one plan execution).
     pub bindings: &'a Bindings,
-    /// The query's resource governor. Operators check it at row boundaries
-    /// in `next` and account large buffers against its memory budget; the
+    /// The query's resource governor. Operators check it at batch boundaries
+    /// and account large buffers against its memory budget; the
     /// inert [`Governor::none`] handle makes every check free.
     pub governor: Governor,
 }
@@ -103,45 +103,27 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// The volcano iterator interface. `open` may be called again after
-/// exhaustion to re-execute the operator (nested-loops inners rely on
-/// this).
+/// The volcano iterator interface, batch-at-a-time. `open` may be called
+/// again after exhaustion to re-execute the operator (nested-loops inners
+/// rely on this).
 pub trait Operator {
     /// Prepares (or resets) the operator.
     fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()>;
 
-    /// Produces the next row, or `None` when exhausted.
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>>;
+    /// Produces the next rows, at most `max_rows` (≥ 1) of them. An
+    /// **empty** batch means the operator is exhausted; a non-empty batch
+    /// may be shorter than `max_rows` (callers must not treat "short" as
+    /// "done"). An operator never pulls more from its input than it needs
+    /// to answer the call, so a consumer that stops early (`LimitOp`, an
+    /// exists check) keeps the whole pipeline below it lazy by asking for
+    /// few rows.
+    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch>;
 
     /// Releases resources.
     fn close(&mut self);
 
     /// Operator name for EXPLAIN output.
     fn name(&self) -> &'static str;
-
-    /// Produces up to `max_rows` rows at once. An **empty** batch means the
-    /// operator is exhausted; a non-empty batch may be shorter than
-    /// `max_rows` (callers must not treat "short" as "done"). The default
-    /// implementation is a compatibility shim looping [`Operator::next`],
-    /// so untouched operators keep working under batch drivers; hot
-    /// operators override it with vectorized implementations.
-    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
-        let mut batch = RowBatch::default();
-        let mut first = true;
-        while batch.len() < max_rows {
-            match self.next(ctx)? {
-                Some(row) => {
-                    if first {
-                        batch = RowBatch::with_capacity(row.len(), max_rows.min(BATCH_ROWS));
-                        first = false;
-                    }
-                    batch.push_row_vec(row);
-                }
-                None => break,
-            }
-        }
-        Ok(batch)
-    }
 }
 
 /// Runs a plan to completion batch-wise, returning all rows (tests and the

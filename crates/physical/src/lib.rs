@@ -2,9 +2,12 @@
 
 //! Physical operators for saardb — the milestone 3/4 execution layer.
 //!
-//! Operators follow the volcano (open/next/close) model over rows of XASR
-//! tuples. The operator set is exactly what the paper's milestones call
-//! for:
+//! Operators follow the volcano model with one calling convention:
+//! `open` / `next_batch` / `close` ([`Operator`]), exchanging
+//! [`RowBatch`]es of up to `max_rows` rows of XASR tuples. A consumer that
+//! may stop early asks for few rows and no operator below it pulls more
+//! than it needs, so the one ABI serves bulk scans and lazy exists checks
+//! alike. The operator set is exactly what the paper's milestones call for:
 //!
 //! * scans: full clustered scan, and the milestone-4 *index-based
 //!   selection* access paths ([`Probe`]) — children by parent index,
@@ -14,19 +17,20 @@
 //!   semantics,
 //! * order-aware projection with one-pass duplicate elimination
 //!   ([`ops::ProjectOp`]) — approach (c) of the ordering discussion,
-//! * joins: order-preserving nested-loops ([`ops::NestedLoopJoinOp`]),
-//!   milestone-4 *index nested-loops* ([`ops::IndexNestedLoopJoinOp`]), and
-//!   the non-order-preserving block-nested-loops join
-//!   ([`ops::BlockNestedLoopJoinOp`]) for sort-based plans and ablations,
+//! * one nested-loops join ([`ops::JoinOp`]) whose parameters
+//!   ([`ops::JoinInner`], `outer`, predicates) give the order-preserving
+//!   nested-loops join, the milestone-4 *index nested-loops* join, the
+//!   non-order-preserving block-nested-loops join for sort-based plans
+//!   and ablations, and the left-outer forms of each,
 //! * external sort ([`ops::SortOp`]) — approach (a),
 //! * materialization to scratch files ([`ops::MaterializeOp`]) — the paper
 //!   allowed milestone-3 engines to "write to disk each intermediate
 //!   result, and re-read it whenever necessary".
 //!
-//! Rows are vectors of full [`NodeTuple`]s (not just in-values): this *is*
-//! the paper's vartuple-out extension — every bound variable carries its
-//! `out` value (and the rest of its tuple), so descendant steps on outer
-//! variables need no extra join.
+//! Rows are vectors of full [`xmldb_xasr::NodeTuple`]s (not just
+//! in-values): this *is* the paper's vartuple-out extension — every bound
+//! variable carries its `out` value (and the rest of its tuple), so
+//! descendant steps on outer variables need no extra join.
 
 pub mod analyze;
 pub mod batch;
@@ -40,9 +44,7 @@ pub use batch::{RowBatch, BATCH_ROWS};
 pub use exec::{execute_all, Bindings, ExecContext, Operator};
 pub use ops::Probe;
 pub use pred::{PhysOperand, PhysPred};
-pub use row::Row;
-
-use xmldb_xasr::NodeTuple;
+pub use row::{LastKey, Row};
 
 /// Errors during physical execution.
 #[derive(Debug, Clone)]
@@ -97,8 +99,3 @@ impl std::error::Error for Error {}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, Error>;
-
-/// Convenience: the tuple a row column holds.
-pub fn row_tuple(row: &Row, pos: usize) -> &NodeTuple {
-    &row[pos]
-}

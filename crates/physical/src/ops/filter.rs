@@ -3,8 +3,8 @@
 
 use crate::exec::{ExecContext, Operator};
 use crate::pred::{eval_all, PhysPred};
-use crate::row::Row;
-use crate::Result;
+use crate::row::{LastKey, Row};
+use crate::{Result, RowBatch};
 
 /// σ — residual selection over any input.
 pub struct FilterOp {
@@ -24,13 +24,19 @@ impl Operator for FilterOp {
         self.input.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        while let Some(row) = self.input.next(ctx)? {
-            if eval_all(&self.preds, &row, ctx.bindings)? {
-                return Ok(Some(row));
+    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
+        // Filter whole input batches in place; loop until some rows
+        // survive (an empty result batch must mean "exhausted").
+        loop {
+            let mut batch = self.input.next_batch(ctx, max_rows)?;
+            if batch.is_empty() {
+                return Ok(batch);
+            }
+            batch.retain_rows(|row| eval_all(&self.preds, row, &[], ctx.bindings))?;
+            if !batch.is_empty() {
+                return Ok(batch);
             }
         }
-        Ok(None)
     }
 
     fn close(&mut self) {
@@ -39,21 +45,6 @@ impl Operator for FilterOp {
 
     fn name(&self) -> &'static str {
         "filter"
-    }
-
-    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<crate::RowBatch> {
-        // Vectorized: filter whole input batches in place; loop until some
-        // rows survive (an empty result batch must mean "exhausted").
-        loop {
-            let mut batch = self.input.next_batch(ctx, max_rows)?;
-            if batch.is_empty() {
-                return Ok(batch);
-            }
-            batch.retain_rows(|row| eval_all(&self.preds, row, ctx.bindings))?;
-            if !batch.is_empty() {
-                return Ok(batch);
-            }
-        }
     }
 }
 
@@ -68,7 +59,8 @@ pub struct ProjectOp {
     input: Box<dyn Operator>,
     cols: Vec<usize>,
     dedup: bool,
-    last: Option<Vec<u64>>,
+    /// The last row emitted; carries the dedup across batch seams.
+    last: LastKey,
 }
 
 impl ProjectOp {
@@ -78,53 +70,28 @@ impl ProjectOp {
             input,
             cols,
             dedup,
-            last: None,
+            last: LastKey::default(),
         }
     }
 }
 
 impl Operator for ProjectOp {
     fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.last = None;
+        self.last = LastKey::default();
         self.input.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        while let Some(row) = self.input.next(ctx)? {
-            let key: Vec<u64> = self.cols.iter().map(|&c| row[c].in_).collect();
-            if self.dedup && self.last.as_ref() == Some(&key) {
-                continue;
-            }
-            self.last = Some(key);
-            let projected: Row = self.cols.iter().map(|&c| row[c].clone()).collect();
-            return Ok(Some(projected));
-        }
-        Ok(None)
-    }
-
-    fn close(&mut self) {
-        self.input.close();
-        self.last = None;
-    }
-
-    fn name(&self) -> &'static str {
-        "project"
-    }
-
-    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<crate::RowBatch> {
+    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
         loop {
             let input = self.input.next_batch(ctx, max_rows)?;
             if input.is_empty() {
-                return Ok(crate::RowBatch::new(self.cols.len()));
+                return Ok(input);
             }
-            let mut out = crate::RowBatch::with_capacity(self.cols.len(), input.len());
+            let mut out = RowBatch::with_capacity(self.cols.len(), input.len());
             for row in input.iter() {
-                if self.dedup {
-                    let key: Vec<u64> = self.cols.iter().map(|&c| row[c].in_).collect();
-                    if self.last.as_ref() == Some(&key) {
-                        continue;
-                    }
-                    self.last = Some(key);
+                let key = self.cols.iter().map(|&c| row[c].in_);
+                if self.dedup && !self.last.changes_to(key) {
+                    continue;
                 }
                 out.push_row_iter(self.cols.iter().map(|&c| row[c].clone()));
             }
@@ -133,51 +100,20 @@ impl Operator for ProjectOp {
             }
         }
     }
-}
 
-/// Emits exactly one empty row — the nullary "true" relation, and the seed
-/// left input for building join chains.
-pub struct SingletonOp {
-    emitted: bool,
-}
-
-impl SingletonOp {
-    /// Creates the one-empty-row operator.
-    pub fn new() -> SingletonOp {
-        SingletonOp { emitted: false }
+    fn close(&mut self) {
+        self.input.close();
+        self.last = LastKey::default();
     }
-}
-
-impl Default for SingletonOp {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Operator for SingletonOp {
-    fn open(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
-        self.emitted = false;
-        Ok(())
-    }
-
-    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        if self.emitted {
-            Ok(None)
-        } else {
-            self.emitted = true;
-            Ok(Some(Vec::new()))
-        }
-    }
-
-    fn close(&mut self) {}
 
     fn name(&self) -> &'static str {
-        "singleton"
+        "project"
     }
 }
 
 /// Stops after `limit` rows — the early exit for existential (nullary
-/// relfor) checks.
+/// relfor) checks. It never asks its input for more rows than it still
+/// has to deliver, which keeps the plan below it lazy.
 pub struct LimitOp {
     input: Box<dyn Operator>,
     limit: usize,
@@ -201,17 +137,15 @@ impl Operator for LimitOp {
         self.input.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
         if self.seen >= self.limit {
-            return Ok(None);
+            return Ok(RowBatch::default());
         }
-        match self.input.next(ctx)? {
-            Some(row) => {
-                self.seen += 1;
-                Ok(Some(row))
-            }
-            None => Ok(None),
-        }
+        let batch = self
+            .input
+            .next_batch(ctx, max_rows.min(self.limit - self.seen))?;
+        self.seen += batch.len();
+        Ok(batch)
     }
 
     fn close(&mut self) {
@@ -223,8 +157,8 @@ impl Operator for LimitOp {
     }
 }
 
-/// Emits a fixed set of rows (testing, and re-play of tiny materialized
-/// results).
+/// Emits a fixed set of rows: the nullary "true" relation
+/// ([`RowsOp::singleton`]), and fixed inputs for tests.
 pub struct RowsOp {
     rows: Vec<Row>,
     pos: usize,
@@ -235,6 +169,11 @@ impl RowsOp {
     pub fn new(rows: Vec<Row>) -> RowsOp {
         RowsOp { rows, pos: 0 }
     }
+
+    /// Exactly one empty row — the relation-free PSX's plan.
+    pub fn singleton() -> RowsOp {
+        RowsOp::new(vec![Row::new()])
+    }
 }
 
 impl Operator for RowsOp {
@@ -243,14 +182,13 @@ impl Operator for RowsOp {
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        if self.pos < self.rows.len() {
-            let row = self.rows[self.pos].clone();
-            self.pos += 1;
-            Ok(Some(row))
-        } else {
-            Ok(None)
+    fn next_batch(&mut self, _ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
+        let mut batch = RowBatch::default();
+        for row in self.rows.iter().skip(self.pos).take(max_rows) {
+            batch.push_row(row);
         }
+        self.pos += batch.len();
+        Ok(batch)
     }
 
     fn close(&mut self) {}
@@ -319,7 +257,7 @@ mod tests {
         let (_e, store) = ctx_fixture();
         let binds = Bindings::new();
         let ctx = ExecContext::new(&store, &binds);
-        let mut s = SingletonOp::new();
+        let mut s = RowsOp::singleton();
         assert_eq!(
             execute_all(&mut s, &ctx).unwrap(),
             vec![Vec::<NodeTuple>::new()]

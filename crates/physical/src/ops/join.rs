@@ -1,930 +1,361 @@
-//! Join operators: order-preserving nested loops, milestone-4 index nested
-//! loops, and the non-order-preserving block nested loops.
+//! The join operator: one nested-loops join, parameterised by its inner
+//! access path, by left-outer-ness and by its predicates.
 
-use super::scan::{Probe, ProbeCursor};
+use super::scan::{tuple_bytes, BatchProbe, Probe};
 use crate::exec::{ExecContext, Operator};
 use crate::pred::{eval_all, PhysPred};
-use crate::row::Row;
-use crate::{Error, Result};
-use xmldb_storage::MemReservation;
+use crate::{Result, RowBatch, BATCH_ROWS};
+use xmldb_storage::{Governor, MemReservation, StorageError};
+use xmldb_xasr::NodeTuple;
 
-/// Tuple-at-a-time nested-loops join (order-preserving). The right input is
-/// re-opened for every left row; with a [`super::MaterializeOp`] right this
-/// is the milestone-3 "write each intermediate result and re-read it"
-/// evaluation.
-pub struct NestedLoopJoinOp {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    preds: Vec<PhysPred>,
-    current_left: Option<Row>,
+/// The inner access path of a join. Together with `outer` and the
+/// predicates this is the join's whole parameter space; the EXPLAIN names
+/// of the combinations are [`JoinInner::name`]'s. `R` is the re-openable
+/// right input: an operator in [`JoinOp`], a plan in the optimizer's plan
+/// tree.
+#[derive(Debug, Clone)]
+pub enum JoinInner<R> {
+    /// Probe an XASR index once per left row (milestone 4's index
+    /// nested-loops join). Order-preserving: probes deliver in document
+    /// order per left row.
+    Probe(Probe),
+    /// Re-open and scan `right` once per block of `block_rows` left rows.
+    /// One row per block is the order-preserving tuple-at-a-time
+    /// nested-loops join (with a [`super::MaterializeOp`] right, the
+    /// milestone-3 "write each intermediate result and re-read it"
+    /// evaluation). Bigger blocks rescan the right side less often but are
+    /// **not order-preserving** (output is right-major within a block) —
+    /// plans using them must restore order by sorting, which is exactly
+    /// the trade-off of the paper's ordering discussion.
+    Scan {
+        /// The right input.
+        right: R,
+        /// Left rows buffered per scan of `right` (0 is treated as 1).
+        block_rows: usize,
+    },
 }
 
-impl NestedLoopJoinOp {
-    /// Joins `left` and `right` under `preds` (right re-opened per left row).
-    pub fn new(
-        left: Box<dyn Operator>,
+impl<R> JoinInner<R> {
+    /// False for a scan inner with blocks of more than one left row.
+    pub fn is_order_preserving(&self) -> bool {
+        !matches!(self, JoinInner::Scan { block_rows, .. } if *block_rows > 1)
+    }
+
+    /// The EXPLAIN name of the join these parameters give.
+    pub fn name(&self, outer: bool) -> &'static str {
+        let [inner, left_outer] = match self {
+            JoinInner::Probe(_) => ["inl-join", "left-outer-inl-join"],
+            _ if self.is_order_preserving() => ["nl-join", "left-outer-nl-join"],
+            _ => ["bnl-join", "left-outer-bnl-join"],
+        };
+        if outer {
+            left_outer
+        } else {
+            inner
+        }
+    }
+}
+
+/// Nested-loops join of `left` with a [`JoinInner`] under `preds`.
+///
+/// With `outer` set it is the paper's proposed TPM extension ("one
+/// solution to this problem is to extend TPM by left-outer-joins"): every
+/// left row survives; when no inner tuple passes the predicates the row is
+/// emitted once with the [`NodeTuple::null`] sentinel in the joined
+/// column, so constructors can still emit their (empty) element for
+/// match-less outer bindings. Left-outer inners are single-relation.
+pub struct JoinOp {
+    left: Box<dyn Operator>,
+    inner: Inner,
+    outer: bool,
+    /// Conjuncts over the joined row (for a probe inner: the residual
+    /// ones the probe does not already guarantee).
+    preds: Vec<PhysPred>,
+    name: &'static str,
+    st: State,
+}
+
+// One `Inner` lives inside each `JoinOp` and is never moved: boxing the big
+// variant would only add an allocation per plan instantiation.
+#[allow(clippy::large_enum_variant)]
+enum Inner {
+    Probe(BatchProbe),
+    Scan {
         right: Box<dyn Operator>,
-        preds: Vec<PhysPred>,
-    ) -> NestedLoopJoinOp {
-        NestedLoopJoinOp {
-            left,
-            right,
-            preds,
-            current_left: None,
-        }
-    }
+        block_rows: usize,
+    },
 }
 
-impl Operator for NestedLoopJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.current_left = None;
-        self.left.open(ctx)
-    }
-
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        loop {
-            ctx.governor.check()?;
-            if self.current_left.is_none() {
-                match self.left.next(ctx)? {
-                    Some(row) => {
-                        self.current_left = Some(row);
-                        self.right.open(ctx)?;
-                    }
-                    None => return Ok(None),
-                }
-            }
-            let left = self.current_left.as_ref().expect("set above");
-            while let Some(right_row) = self.right.next(ctx)? {
-                let mut joined = left.clone();
-                joined.extend(right_row);
-                if eval_all(&self.preds, &joined, ctx.bindings)? {
-                    return Ok(Some(joined));
-                }
-            }
-            self.current_left = None;
-        }
-    }
-
-    fn close(&mut self) {
-        self.left.close();
-        self.right.close();
-        self.current_left = None;
-    }
-
-    fn name(&self) -> &'static str {
-        "nl-join"
-    }
-}
-
-/// Batched merge probing for the vectorized drive of label probes: instead
-/// of one B+-tree descent per outer row, fetch the probe label's index run
-/// once over the whole buffered outer batch's document window, then answer
-/// each row with a binary search into the fetched run. The per-row
-/// semantics are exact: matches are the label tuples with
-/// `row.in < t.in < row.out` (descendant probes), restricted to
-/// `t.parent_in == row.in` for children probes — the same sets the
-/// per-row cursors produce (the label index holds only elements), in the
-/// same document order. Only column sources qualify; an `Ext` source is
-/// constant per execution, where the per-row cursor is already a single
-/// range scan.
-struct MergeProbe {
-    label: String,
+/// Everything a join buffers between calls; dropped on open and close.
+#[derive(Default)]
+struct State {
+    /// Buffered left rows: the batch being probed, or the block being
+    /// paired against one scan of the right input.
+    block: RowBatch,
+    /// Probe inner: the block row in progress. Scan inner: the next block
+    /// row to pair with the current right row (or to NULL-pad).
     pos: usize,
-    /// Direct children only (`t.parent_in == row.in`), else descendants.
-    children_only: bool,
-    /// Label tuples fetched for the current outer batch's window, in
-    /// document order.
-    buf: Vec<xmldb_xasr::NodeTuple>,
-    /// `buf` corresponds to the operator's current left batch.
-    valid: bool,
-    /// Resume index into `buf` for the current outer row; `None` means the
-    /// row has not been started (the operator resets it per row).
-    cur: Option<usize>,
-    /// Accounts `buf` against the governor's memory budget.
+    /// Per block row: has it produced a row yet (left-outer padding).
+    matched: Vec<bool>,
+    /// Probe inner: reused fetch buffer.
+    candidates: Vec<NodeTuple>,
+    /// Scan inner: left rows pulled but not yet in a block — the tail of
+    /// a batch the memory budget cut short.
+    pending: RowBatch,
+    pending_pos: usize,
+    /// Scan inner: the right rows being paired with the block.
+    right_batch: RowBatch,
+    right_pos: usize,
+    phase: Phase,
+    /// Scan inner: accounts `block` against the governor's memory budget.
     reservation: MemReservation,
-    /// Reused residual-predicate evaluation row.
-    scratch: Row,
 }
 
-/// Estimated heap footprint of a fetched index tuple.
-fn tuple_bytes(t: &xmldb_xasr::NodeTuple) -> usize {
-    std::mem::size_of::<xmldb_xasr::NodeTuple>() + t.value.as_ref().map_or(0, |v| v.len())
+/// Where the scan drive stands.
+#[derive(Clone, Copy, Default)]
+enum Phase {
+    /// No block: buffer the next one and (re-)open the right input.
+    #[default]
+    Fill,
+    /// Pairing right rows with the block.
+    Pair,
+    /// Right input exhausted: NULL-pad the unmatched block rows.
+    Pad,
 }
 
-impl MergeProbe {
-    fn for_probe(probe: &Probe) -> Option<MergeProbe> {
-        let (label, pos, children_only) = match probe {
-            Probe::LabelChildrenOf(l, super::scan::Src::Col(pos)) => (l, *pos, true),
-            Probe::LabelDescendantsOf(l, super::scan::Src::Col(pos)) => (l, *pos, false),
-            _ => return None,
-        };
-        Some(MergeProbe {
-            label: label.clone(),
-            pos,
-            children_only,
-            buf: Vec::new(),
-            valid: false,
-            cur: None,
-            reservation: MemReservation::default(),
-            scratch: Row::new(),
-        })
-    }
-
-    fn reset(&mut self, ctx: &ExecContext<'_>) {
-        self.buf.clear();
-        self.valid = false;
-        self.cur = None;
-        self.reservation = MemReservation::empty(&ctx.governor);
-        self.scratch.clear();
-    }
-
-    /// Fetches the label run covering every remaining row of `batch`
-    /// (rows `from..`), in chunks so cancellation stays responsive.
-    fn fill_window(
-        &mut self,
-        ctx: &ExecContext<'_>,
-        batch: &crate::RowBatch,
-        from: usize,
-    ) -> Result<()> {
-        const CHUNK: usize = 4096;
-        self.buf.clear();
-        self.reservation.release_all();
-        self.valid = true;
-        self.cur = None;
-        let mut win_lo = u64::MAX;
-        let mut win_hi = 0u64;
-        for i in from..batch.len() {
-            let t = batch.row(i).get(self.pos).ok_or_else(|| {
-                Error::Xasr(format!("probe source column {} out of range", self.pos))
-            })?;
-            // NULL outer tuples (left-outer padding) have the empty window
-            // (0, 0) and never match; keep them out of the fetch window.
-            if t.is_null() {
-                continue;
-            }
-            win_lo = win_lo.min(t.in_);
-            win_hi = win_hi.max(t.out);
-        }
-        if win_lo >= win_hi {
-            return Ok(());
-        }
-        let mut resume = None;
-        loop {
-            ctx.governor.check()?;
-            let lower = Some(resume.unwrap_or(win_lo));
-            let appended = ctx.store.label_range_into(
-                &self.label,
-                lower,
-                Some(win_hi),
-                CHUNK,
-                &mut self.buf,
-            )?;
-            if appended == 0 {
-                break;
-            }
-            let grown: usize = self.buf[self.buf.len() - appended..]
-                .iter()
-                .map(tuple_bytes)
-                .sum();
-            if !self.reservation.grow(grown) {
-                return Err(xmldb_storage::StorageError::MemoryExceeded {
-                    used: ctx.governor.mem_used() + grown,
-                    budget: ctx.governor.mem_budget().unwrap_or(0),
-                }
-                .into());
-            }
-            if appended < CHUNK {
-                break;
-            }
-            resume = Some(self.buf.last().expect("appended > 0").in_);
-        }
-        Ok(())
-    }
-
-    /// Emits the current row's remaining matches into `out` until
-    /// `max_rows`. Returns `(row_done, matched_now)`; when `row_done` is
-    /// false the batch filled up and the row resumes on the next call.
-    /// The caller resets `self.cur` to `None` when it advances to the
-    /// next row.
-    fn emit_row(
-        &mut self,
-        ctx: &ExecContext<'_>,
-        row: &[NodeTuple],
-        preds: &[PhysPred],
-        out: &mut crate::RowBatch,
-        max_rows: usize,
-    ) -> Result<(bool, bool)> {
-        let t = row
-            .get(self.pos)
-            .ok_or_else(|| Error::Xasr(format!("probe source column {} out of range", self.pos)))?;
-        let (lo, hi) = (t.in_, t.out);
-        let mut cur = match self.cur {
-            Some(i) => i,
-            None => self.buf.partition_point(|b| b.in_ <= lo),
-        };
-        let mut matched = false;
-        loop {
-            if cur >= self.buf.len() || self.buf[cur].in_ >= hi {
-                self.cur = Some(cur);
-                return Ok((true, matched));
-            }
-            if out.len() >= max_rows {
-                self.cur = Some(cur);
-                return Ok((false, matched));
-            }
-            let t = self.buf[cur].clone();
-            cur += 1;
-            if self.children_only && t.parent_in != lo {
-                continue;
-            }
-            if preds.is_empty() {
-                out.push_joined(row, t);
-                matched = true;
-            } else {
-                self.scratch.clear();
-                self.scratch.extend_from_slice(row);
-                self.scratch.push(t);
-                if eval_all(preds, &self.scratch, ctx.bindings)? {
-                    let t = self.scratch.pop().expect("pushed above");
-                    out.push_joined(row, t);
-                    matched = true;
-                }
-            }
-        }
-    }
-}
-
-/// Index nested-loops join (milestone 4): for each left row, probe an XASR
-/// index. Order-preserving — probes deliver in document order per left row.
-pub struct IndexNestedLoopJoinOp {
-    left: Box<dyn Operator>,
-    probe: Probe,
-    /// Residual conjuncts over the joined row.
-    preds: Vec<PhysPred>,
-    current_left: Option<Row>,
-    cursor: Option<ProbeCursor>,
-    /// Left rows buffered by the batch path (`next` drains it too, so the
-    /// two drive styles can never skip rows if mixed).
-    left_batch: crate::RowBatch,
-    left_pos: usize,
-    /// Batched merge probing for label probes (vectorized drive only).
-    merge: Option<MergeProbe>,
-}
-
-impl IndexNestedLoopJoinOp {
-    /// Probes `probe` per `left` row; `preds` are residual conjuncts.
+impl JoinOp {
+    /// Joins `left` with `inner` under `preds`; left-outer if `outer`.
     pub fn new(
         left: Box<dyn Operator>,
-        probe: Probe,
+        inner: JoinInner<Box<dyn Operator>>,
+        outer: bool,
         preds: Vec<PhysPred>,
-    ) -> IndexNestedLoopJoinOp {
-        IndexNestedLoopJoinOp {
-            merge: MergeProbe::for_probe(&probe),
+    ) -> JoinOp {
+        JoinOp {
             left,
-            probe,
+            name: inner.name(outer),
+            inner: match inner {
+                JoinInner::Probe(probe) => Inner::Probe(BatchProbe::new(probe)),
+                JoinInner::Scan { right, block_rows } => Inner::Scan {
+                    right,
+                    block_rows: block_rows.max(1),
+                },
+            },
+            outer,
             preds,
-            current_left: None,
-            cursor: None,
-            left_batch: crate::RowBatch::default(),
-            left_pos: 0,
+            st: State::default(),
         }
     }
 
-    /// The vectorized drive for merge-eligible probes: one label-index
-    /// fetch per buffered left batch, binary-searched per row.
-    fn merge_next_batch(
-        &mut self,
-        ctx: &ExecContext<'_>,
-        max_rows: usize,
-    ) -> Result<crate::RowBatch> {
-        let mut out = crate::RowBatch::default();
-        loop {
-            if out.len() >= max_rows {
-                return Ok(out);
-            }
-            if self.left_pos >= self.left_batch.len() {
-                self.left_batch = self.left.next_batch(ctx, crate::BATCH_ROWS)?;
-                self.left_pos = 0;
-                let merge = self.merge.as_mut().expect("merge drive");
-                merge.valid = false;
-                merge.cur = None;
-                if self.left_batch.is_empty() {
-                    break;
-                }
-                ctx.governor.check()?;
-            }
-            if !self.merge.as_ref().expect("merge drive").valid {
-                let (merge, batch) = (self.merge.as_mut().expect("merge drive"), &self.left_batch);
-                merge.fill_window(ctx, batch, self.left_pos)?;
-            }
-            if out.width() != self.left_batch.width() + 1 {
-                debug_assert!(out.is_empty(), "left width is constant per execution");
-                out = crate::RowBatch::with_capacity(self.left_batch.width() + 1, max_rows);
-            }
-            let row = self.left_batch.row(self.left_pos);
-            let merge = self.merge.as_mut().expect("merge drive");
-            let (row_done, _) = merge.emit_row(ctx, row, &self.preds, &mut out, max_rows)?;
-            if !row_done {
-                return Ok(out);
-            }
-            merge.cur = None;
-            self.left_pos += 1;
+    /// Drops every buffered row; later buffers are accounted against
+    /// `governor`.
+    fn reset(&mut self, governor: &Governor) {
+        self.st = State {
+            reservation: MemReservation::empty(governor),
+            ..State::default()
+        };
+        if let Inner::Probe(probe) = &mut self.inner {
+            probe.reset(governor);
         }
-        Ok(out)
-    }
-
-    /// Next left row: from the buffered batch if any, else from the left
-    /// child — batch-at-a-time when `batched` (vectorized driver), else
-    /// row-at-a-time (keeps `next`-driven plans lazy under LIMIT).
-    fn next_left(&mut self, ctx: &ExecContext<'_>, batched: bool) -> Result<Option<Row>> {
-        if self.left_pos < self.left_batch.len() {
-            let row = self.left_batch.row(self.left_pos).to_vec();
-            self.left_pos += 1;
-            return Ok(Some(row));
-        }
-        if !batched {
-            return self.left.next(ctx);
-        }
-        self.left_batch = self.left.next_batch(ctx, crate::BATCH_ROWS)?;
-        self.left_pos = 0;
-        if self.left_batch.is_empty() {
-            return Ok(None);
-        }
-        self.left_pos = 1;
-        Ok(Some(self.left_batch.row(0).to_vec()))
     }
 }
 
-impl Operator for IndexNestedLoopJoinOp {
+impl Operator for JoinOp {
     fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.current_left = None;
-        self.cursor = None;
-        self.left_batch = crate::RowBatch::default();
-        self.left_pos = 0;
-        if let Some(merge) = self.merge.as_mut() {
-            merge.reset(ctx);
-        }
+        self.reset(&ctx.governor);
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        loop {
-            ctx.governor.check()?;
-            if self.current_left.is_none() {
-                match self.next_left(ctx, false)? {
-                    Some(row) => {
-                        self.cursor = Some(ProbeCursor::start(&self.probe, Some(&row), ctx)?);
-                        self.current_left = Some(row);
+    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
+        ctx.governor.check()?;
+        let JoinOp {
+            left,
+            inner,
+            outer,
+            preds,
+            st,
+            ..
+        } = self;
+        let mut out = RowBatch::default();
+        match inner {
+            // For each left row in order: the probe's tuples that pass
+            // `preds`, then the NULL padding if left-outer and none did.
+            Inner::Probe(probe) => {
+                while out.len() < max_rows {
+                    if st.pos >= st.block.len() {
+                        // The next left batch is no bigger than what the
+                        // caller asked of this join, so a `limit` above
+                        // it keeps the whole left side lazy.
+                        st.block = left.next_batch(ctx, max_rows)?;
+                        if st.block.is_empty() {
+                            break;
+                        }
+                        ctx.governor.check()?;
+                        st.pos = 0;
+                        st.matched.clear();
+                        st.matched.resize(st.block.len(), false);
+                        probe.load(ctx, &st.block)?;
                     }
-                    None => return Ok(None),
+                    let row = st.block.row(st.pos);
+                    // Drain the row's inner tuples; when `out` fills up
+                    // first, the row resumes on the next call.
+                    let mut exhausted = false;
+                    while !exhausted && out.len() < max_rows {
+                        st.candidates.clear();
+                        let want = max_rows - out.len();
+                        exhausted = probe.fill(ctx, row, &mut st.candidates, want)? == 0;
+                        for t in st.candidates.drain(..) {
+                            let inner_row = std::slice::from_ref(&t);
+                            if eval_all(preds, row, inner_row, ctx.bindings)? {
+                                out.push_joined(row, t);
+                                st.matched[st.pos] = true;
+                            }
+                        }
+                    }
+                    if !exhausted {
+                        break;
+                    }
+                    if *outer && !st.matched[st.pos] {
+                        // A row without matches has added nothing to
+                        // `out`, so there is still room for its padding.
+                        out.push_joined(row, NodeTuple::null());
+                    }
+                    probe.next_row();
+                    st.pos += 1;
                 }
             }
-            let left = self.current_left.as_ref().expect("set above");
-            let cursor = self.cursor.as_mut().expect("set with left");
-            while let Some(tuple) = cursor.next(ctx)? {
-                let mut joined = left.clone();
-                joined.push(tuple);
-                if eval_all(&self.preds, &joined, ctx.bindings)? {
-                    return Ok(Some(joined));
+            // Buffer a block of left rows, pair every right row with every
+            // block row, then NULL-pad the unmatched block rows if
+            // left-outer.
+            Inner::Scan { right, block_rows } => {
+                while out.len() < max_rows {
+                    match st.phase {
+                        Phase::Fill => {
+                            if !st.fill_block(left.as_mut(), *block_rows, ctx)? {
+                                break;
+                            }
+                            right.open(ctx)?;
+                            st.right_batch.clear();
+                            st.right_pos = 0;
+                            st.phase = Phase::Pair;
+                        }
+                        Phase::Pair if st.right_pos >= st.right_batch.len() => {
+                            // At one row per block a right row yields at
+                            // most one output row, so the pull is sized by
+                            // what the caller still wants: an exists check
+                            // (`limit 1`) stops the right side at its first
+                            // match. Blocked joins sit under a sort, which
+                            // drains them: they pull full frames.
+                            let want = match *block_rows {
+                                1 => max_rows - out.len(),
+                                _ => BATCH_ROWS,
+                            };
+                            st.right_batch = right.next_batch(ctx, want)?;
+                            st.right_pos = 0;
+                            if st.right_batch.is_empty() {
+                                // Block finished against the whole right.
+                                st.phase = if *outer { Phase::Pad } else { Phase::Fill };
+                            }
+                        }
+                        Phase::Pair => {
+                            ctx.governor.check()?;
+                            let right_row = st.right_batch.row(st.right_pos);
+                            debug_assert!(
+                                !*outer || right_row.len() == 1,
+                                "LOJ inners are single-relation"
+                            );
+                            while st.pos < st.block.len() && out.len() < max_rows {
+                                let row = st.block.row(st.pos);
+                                if eval_all(preds, row, right_row, ctx.bindings)? {
+                                    out.push_concat(row, right_row);
+                                    st.matched[st.pos] = true;
+                                }
+                                st.pos += 1;
+                            }
+                            if st.pos == st.block.len() {
+                                st.right_pos += 1;
+                                st.pos = 0;
+                            }
+                        }
+                        Phase::Pad => {
+                            while st.pos < st.block.len() && out.len() < max_rows {
+                                if !st.matched[st.pos] {
+                                    out.push_joined(st.block.row(st.pos), NodeTuple::null());
+                                }
+                                st.pos += 1;
+                            }
+                            if st.pos == st.block.len() {
+                                st.phase = Phase::Fill;
+                            }
+                        }
+                    }
                 }
             }
-            self.current_left = None;
-            self.cursor = None;
         }
+        Ok(out)
     }
 
     fn close(&mut self) {
         self.left.close();
-        self.current_left = None;
-        self.cursor = None;
-        self.left_batch = crate::RowBatch::default();
-        self.left_pos = 0;
-        if let Some(merge) = self.merge.as_mut() {
-            merge.buf = Vec::new();
-            merge.valid = false;
-            merge.cur = None;
-            merge.reservation.release_all();
+        if let Inner::Scan { right, .. } = &mut self.inner {
+            right.close();
         }
+        self.reset(&Governor::none());
     }
 
     fn name(&self) -> &'static str {
-        "inl-join"
+        self.name
     }
-
-    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<crate::RowBatch> {
-        // Vectorized: bulk-fill probe results per left row and evaluate the
-        // residual conjuncts against a reused scratch row, emitting into a
-        // flat output batch — no per-row Vec allocation or virtual call.
-        ctx.governor.check()?;
-        if self.merge.is_some() {
-            return self.merge_next_batch(ctx, max_rows);
-        }
-        let mut out = crate::RowBatch::default();
-        let mut fetched: Vec<NodeTuple> = Vec::new();
-        let mut scratch: Row = Vec::new();
-        loop {
-            if self.current_left.is_none() {
-                match self.next_left(ctx, true)? {
-                    Some(row) => {
-                        self.cursor = Some(ProbeCursor::start(&self.probe, Some(&row), ctx)?);
-                        self.current_left = Some(row);
-                    }
-                    None => break,
-                }
-            }
-            let left = self.current_left.as_ref().expect("set above");
-            if out.width() != left.len() + 1 {
-                debug_assert!(out.is_empty(), "left width is constant per execution");
-                out = crate::RowBatch::with_capacity(left.len() + 1, max_rows);
-            }
-            let cursor = self.cursor.as_mut().expect("set with left");
-            while out.len() < max_rows {
-                fetched.clear();
-                if cursor.fill(ctx, &mut fetched, max_rows - out.len())? == 0 {
-                    break;
-                }
-                if self.preds.is_empty() {
-                    for t in fetched.drain(..) {
-                        out.push_joined(left, t);
-                    }
-                    continue;
-                }
-                scratch.clear();
-                scratch.extend_from_slice(left);
-                scratch.push(NodeTuple::null());
-                let last = scratch.len() - 1;
-                for t in fetched.drain(..) {
-                    scratch[last] = t;
-                    if eval_all(&self.preds, &scratch, ctx.bindings)? {
-                        let t = std::mem::replace(&mut scratch[last], NodeTuple::null());
-                        out.push_joined(left, t);
-                    }
-                }
-            }
-            if out.len() >= max_rows {
-                return Ok(out);
-            }
-            self.current_left = None;
-            self.cursor = None;
-        }
-        Ok(out)
-    }
-}
-
-/// Block nested-loops join: buffers a block of left rows, then scans the
-/// right once per block. Fewer right rescans than tuple-at-a-time NLJ, but
-/// **not order-preserving** (output order is right-major within a block) —
-/// plans using it must restore order by sorting, which is exactly the
-/// trade-off of the paper's ordering discussion.
-pub struct BlockNestedLoopJoinOp {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    preds: Vec<PhysPred>,
-    block_rows: usize,
-    block: Vec<Row>,
-    /// Index of the next block row to pair with the current right row.
-    block_pos: usize,
-    current_right: Option<Row>,
-    left_exhausted: bool,
-    /// A left row pulled but deferred to the next block because the
-    /// governor's budget could not cover it alongside the current block.
-    pending_left: Option<Row>,
-    /// Accounts the buffered block against the governor's memory budget.
-    reservation: MemReservation,
 }
 
 /// Estimated heap footprint of a buffered row (tuples plus text values).
-fn row_bytes(row: &Row) -> usize {
-    std::mem::size_of::<Row>()
-        + row.len() * std::mem::size_of::<xmldb_xasr::NodeTuple>()
-        + row
-            .iter()
-            .map(|t| t.value.as_ref().map_or(0, |v| v.len()))
-            .sum::<usize>()
+fn row_bytes(row: &[NodeTuple]) -> usize {
+    std::mem::size_of::<crate::Row>() + tuple_bytes(row)
 }
 
-impl BlockNestedLoopJoinOp {
-    /// Joins block-at-a-time with `block_rows` buffered left rows.
-    pub fn new(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        preds: Vec<PhysPred>,
+impl State {
+    /// Buffers the next block of up to `block_rows` left rows; false when
+    /// the left input is exhausted.
+    fn fill_block(
+        &mut self,
+        left: &mut dyn Operator,
         block_rows: usize,
-    ) -> BlockNestedLoopJoinOp {
-        BlockNestedLoopJoinOp {
-            left,
-            right,
-            preds,
-            block_rows: block_rows.max(1),
-            block: Vec::new(),
-            block_pos: 0,
-            current_right: None,
-            left_exhausted: false,
-            pending_left: None,
-            reservation: MemReservation::default(),
-        }
-    }
-
-    fn fill_block(&mut self, ctx: &ExecContext<'_>) -> Result<bool> {
+        ctx: &ExecContext<'_>,
+    ) -> Result<bool> {
         self.block.clear();
+        self.pos = 0;
         self.reservation.release_all();
-        while self.block.len() < self.block_rows {
-            let row = match self.pending_left.take() {
-                Some(row) => row,
-                None => match self.left.next(ctx)? {
-                    Some(row) => row,
-                    None => {
-                        self.left_exhausted = true;
-                        break;
-                    }
-                },
-            };
+        while self.block.len() < block_rows {
+            if self.pending_pos >= self.pending.len() {
+                // Pull exactly what the block still needs: at one row per
+                // block the left side stays as lazy as its consumer.
+                self.pending = left.next_batch(ctx, block_rows - self.block.len())?;
+                self.pending_pos = 0;
+                if self.pending.is_empty() {
+                    break;
+                }
+            }
+            let row = self.pending.row(self.pending_pos);
             // A block the budget cannot hold degrades gracefully: stop
             // filling and run the partial block (more right rescans,
             // bounded memory). Only a single row that does not fit even in
             // an otherwise empty block is a hard error.
-            if !self.reservation.grow(row_bytes(&row)) {
+            if !self.reservation.grow(row_bytes(row)) {
                 if self.block.is_empty() {
-                    return Err(xmldb_storage::StorageError::MemoryExceeded {
-                        used: ctx.governor.mem_used() + row_bytes(&row),
+                    return Err(StorageError::MemoryExceeded {
+                        used: ctx.governor.mem_used() + row_bytes(row),
                         budget: ctx.governor.mem_budget().unwrap_or(0),
                     }
                     .into());
                 }
-                self.pending_left = Some(row);
                 break;
             }
-            self.block.push(row);
+            self.block.push_row(row);
+            self.pending_pos += 1;
         }
+        self.matched.clear();
+        self.matched.resize(self.block.len(), false);
         Ok(!self.block.is_empty())
-    }
-}
-
-impl Operator for BlockNestedLoopJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.block.clear();
-        self.block_pos = 0;
-        self.current_right = None;
-        self.left_exhausted = false;
-        self.pending_left = None;
-        self.reservation = MemReservation::empty(&ctx.governor);
-        self.left.open(ctx)?;
-        Ok(())
-    }
-
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        loop {
-            ctx.governor.check()?;
-            if self.block.is_empty() {
-                if self.left_exhausted || !self.fill_block(ctx)? {
-                    return Ok(None);
-                }
-                self.right.open(ctx)?;
-                self.current_right = None;
-                self.block_pos = 0;
-            }
-            if self.current_right.is_none() {
-                match self.right.next(ctx)? {
-                    Some(row) => {
-                        self.current_right = Some(row);
-                        self.block_pos = 0;
-                    }
-                    None => {
-                        // Block finished against the whole right side.
-                        self.block.clear();
-                        continue;
-                    }
-                }
-            }
-            let right = self.current_right.as_ref().expect("set above");
-            while self.block_pos < self.block.len() {
-                let left = &self.block[self.block_pos];
-                self.block_pos += 1;
-                let mut joined = left.clone();
-                joined.extend(right.iter().cloned());
-                if eval_all(&self.preds, &joined, ctx.bindings)? {
-                    return Ok(Some(joined));
-                }
-            }
-            self.current_right = None;
-        }
-    }
-
-    fn close(&mut self) {
-        self.left.close();
-        self.right.close();
-        self.block.clear();
-        self.pending_left = None;
-        self.reservation.release_all();
-    }
-
-    fn name(&self) -> &'static str {
-        "bnl-join"
-    }
-}
-
-/// Left-outer index nested-loops join — the paper's proposed TPM extension
-/// ("one solution to this problem is to extend TPM by left-outer-joins"):
-/// every left row survives; when the probe yields no tuple passing the
-/// residual predicates, the row is emitted once with the
-/// [`NodeTuple::null`] sentinel in the joined column, so constructors can
-/// still emit their (empty) element for match-less outer bindings.
-pub struct LeftOuterIndexNestedLoopJoinOp {
-    left: Box<dyn Operator>,
-    probe: Probe,
-    preds: Vec<PhysPred>,
-    current_left: Option<Row>,
-    cursor: Option<ProbeCursor>,
-    matched: bool,
-    /// Left rows buffered by the vectorized merge drive.
-    left_batch: crate::RowBatch,
-    left_pos: usize,
-    /// Batched merge probing for label probes (vectorized drive only).
-    merge: Option<MergeProbe>,
-}
-
-use xmldb_xasr::NodeTuple;
-
-impl LeftOuterIndexNestedLoopJoinOp {
-    /// Left-outer probe join; match-less left rows are NULL-padded.
-    pub fn new(
-        left: Box<dyn Operator>,
-        probe: Probe,
-        preds: Vec<PhysPred>,
-    ) -> LeftOuterIndexNestedLoopJoinOp {
-        LeftOuterIndexNestedLoopJoinOp {
-            merge: MergeProbe::for_probe(&probe),
-            left,
-            probe,
-            preds,
-            current_left: None,
-            cursor: None,
-            matched: false,
-            left_batch: crate::RowBatch::default(),
-            left_pos: 0,
-        }
-    }
-
-    /// The vectorized drive for merge-eligible probes: like the inner
-    /// join's, plus NULL padding for match-less left rows. `self.matched`
-    /// accumulates across resumed calls for the row in progress.
-    fn merge_next_batch(
-        &mut self,
-        ctx: &ExecContext<'_>,
-        max_rows: usize,
-    ) -> Result<crate::RowBatch> {
-        let mut out = crate::RowBatch::default();
-        loop {
-            if out.len() >= max_rows {
-                return Ok(out);
-            }
-            if self.left_pos >= self.left_batch.len() {
-                self.left_batch = self.left.next_batch(ctx, crate::BATCH_ROWS)?;
-                self.left_pos = 0;
-                let merge = self.merge.as_mut().expect("merge drive");
-                merge.valid = false;
-                merge.cur = None;
-                if self.left_batch.is_empty() {
-                    break;
-                }
-                ctx.governor.check()?;
-            }
-            if !self.merge.as_ref().expect("merge drive").valid {
-                let (merge, batch) = (self.merge.as_mut().expect("merge drive"), &self.left_batch);
-                merge.fill_window(ctx, batch, self.left_pos)?;
-            }
-            if out.width() != self.left_batch.width() + 1 {
-                debug_assert!(out.is_empty(), "left width is constant per execution");
-                out = crate::RowBatch::with_capacity(self.left_batch.width() + 1, max_rows);
-            }
-            let row = self.left_batch.row(self.left_pos);
-            let merge = self.merge.as_mut().expect("merge drive");
-            if merge.cur.is_none() {
-                self.matched = false;
-            }
-            let (row_done, matched_now) =
-                merge.emit_row(ctx, row, &self.preds, &mut out, max_rows)?;
-            self.matched |= matched_now;
-            if !row_done {
-                return Ok(out);
-            }
-            if !self.matched {
-                if out.len() >= max_rows {
-                    // No room for the padded row; `merge.cur` stays at the
-                    // row's end so the next call pads before advancing.
-                    return Ok(out);
-                }
-                out.push_joined(row, NodeTuple::null());
-            }
-            merge.cur = None;
-            self.left_pos += 1;
-        }
-        Ok(out)
-    }
-}
-
-impl Operator for LeftOuterIndexNestedLoopJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.current_left = None;
-        self.cursor = None;
-        self.matched = false;
-        self.left_batch = crate::RowBatch::default();
-        self.left_pos = 0;
-        if let Some(merge) = self.merge.as_mut() {
-            merge.reset(ctx);
-        }
-        self.left.open(ctx)
-    }
-
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        loop {
-            ctx.governor.check()?;
-            if self.current_left.is_none() {
-                match self.left.next(ctx)? {
-                    Some(row) => {
-                        self.cursor = Some(ProbeCursor::start(&self.probe, Some(&row), ctx)?);
-                        self.current_left = Some(row);
-                        self.matched = false;
-                    }
-                    None => return Ok(None),
-                }
-            }
-            let left = self.current_left.as_ref().expect("set above");
-            let cursor = self.cursor.as_mut().expect("set with left");
-            while let Some(tuple) = cursor.next(ctx)? {
-                let mut joined = left.clone();
-                joined.push(tuple);
-                if eval_all(&self.preds, &joined, ctx.bindings)? {
-                    self.matched = true;
-                    return Ok(Some(joined));
-                }
-            }
-            // Probe exhausted: emit the NULL-padded row if nothing matched.
-            let emit_null = !self.matched;
-            let mut padded = self.current_left.take().expect("set above");
-            self.cursor = None;
-            if emit_null {
-                padded.push(NodeTuple::null());
-                return Ok(Some(padded));
-            }
-        }
-    }
-
-    fn close(&mut self) {
-        self.left.close();
-        self.current_left = None;
-        self.cursor = None;
-        self.left_batch = crate::RowBatch::default();
-        self.left_pos = 0;
-        if let Some(merge) = self.merge.as_mut() {
-            merge.buf = Vec::new();
-            merge.valid = false;
-            merge.cur = None;
-            merge.reservation.release_all();
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "left-outer-inl-join"
-    }
-
-    fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<crate::RowBatch> {
-        ctx.governor.check()?;
-        if self.merge.is_some() {
-            return self.merge_next_batch(ctx, max_rows);
-        }
-        let mut out = crate::RowBatch::default();
-        let mut fetched: Vec<NodeTuple> = Vec::new();
-        let mut scratch: Row = Vec::new();
-        loop {
-            if self.current_left.is_none() {
-                match self.left.next(ctx)? {
-                    Some(row) => {
-                        self.cursor = Some(ProbeCursor::start(&self.probe, Some(&row), ctx)?);
-                        self.current_left = Some(row);
-                        self.matched = false;
-                    }
-                    None => break,
-                }
-            }
-            let left = self.current_left.as_ref().expect("set above");
-            if out.width() != left.len() + 1 {
-                debug_assert!(out.is_empty(), "left width is constant per execution");
-                out = crate::RowBatch::with_capacity(left.len() + 1, max_rows);
-            }
-            let cursor = self.cursor.as_mut().expect("set with left");
-            let mut probe_done = false;
-            while out.len() < max_rows {
-                fetched.clear();
-                if cursor.fill(ctx, &mut fetched, max_rows - out.len())? == 0 {
-                    probe_done = true;
-                    break;
-                }
-                scratch.clear();
-                scratch.extend_from_slice(left);
-                scratch.push(NodeTuple::null());
-                let last = scratch.len() - 1;
-                for t in fetched.drain(..) {
-                    scratch[last] = t;
-                    if eval_all(&self.preds, &scratch, ctx.bindings)? {
-                        self.matched = true;
-                        let t = std::mem::replace(&mut scratch[last], NodeTuple::null());
-                        out.push_joined(left, t);
-                    }
-                }
-            }
-            if !probe_done {
-                // Batch full with the probe still live; resume next call.
-                return Ok(out);
-            }
-            let emit_null = !self.matched;
-            let padded = self.current_left.take().expect("set above");
-            self.cursor = None;
-            if emit_null {
-                out.push_joined(&padded, NodeTuple::null());
-                if out.len() >= max_rows {
-                    return Ok(out);
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Left-outer nested-loops join over a re-openable right input (the
-/// fallback when no index probe is derivable for the inner side).
-pub struct LeftOuterNestedLoopJoinOp {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    preds: Vec<PhysPred>,
-    current_left: Option<Row>,
-    matched: bool,
-}
-
-impl LeftOuterNestedLoopJoinOp {
-    /// Left-outer nested-loops join over a re-openable right.
-    pub fn new(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        preds: Vec<PhysPred>,
-    ) -> LeftOuterNestedLoopJoinOp {
-        LeftOuterNestedLoopJoinOp {
-            left,
-            right,
-            preds,
-            current_left: None,
-            matched: false,
-        }
-    }
-}
-
-impl Operator for LeftOuterNestedLoopJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.current_left = None;
-        self.matched = false;
-        self.left.open(ctx)
-    }
-
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        loop {
-            ctx.governor.check()?;
-            if self.current_left.is_none() {
-                match self.left.next(ctx)? {
-                    Some(row) => {
-                        self.current_left = Some(row);
-                        self.matched = false;
-                        self.right.open(ctx)?;
-                    }
-                    None => return Ok(None),
-                }
-            }
-            let left = self.current_left.as_ref().expect("set above");
-            while let Some(right_row) = self.right.next(ctx)? {
-                debug_assert_eq!(right_row.len(), 1, "LOJ inners are single-relation");
-                let mut joined = left.clone();
-                joined.extend(right_row);
-                if eval_all(&self.preds, &joined, ctx.bindings)? {
-                    self.matched = true;
-                    return Ok(Some(joined));
-                }
-            }
-            let emit_null = !self.matched;
-            let mut padded = self.current_left.take().expect("set above");
-            if emit_null {
-                padded.push(NodeTuple::null());
-                return Ok(Some(padded));
-            }
-        }
-    }
-
-    fn close(&mut self) {
-        self.left.close();
-        self.right.close();
-        self.current_left = None;
-    }
-
-    fn name(&self) -> &'static str {
-        "left-outer-nl-join"
     }
 }
 
@@ -945,6 +376,38 @@ mod tests {
         let env = Env::memory();
         let store = shred_document(&env, "f", FIGURE2).unwrap();
         (env, store)
+    }
+
+    fn scan(probe: Probe) -> Box<dyn Operator> {
+        Box::new(ScanOp::new(probe, vec![]))
+    }
+
+    fn by_label(label: &str) -> Box<dyn Operator> {
+        scan(Probe::ByLabel(label.into()))
+    }
+
+    /// The join over a re-scanned right input: `block_rows == 1` is NLJ.
+    fn scan_join(
+        left: Box<dyn Operator>,
+        right: Box<dyn Operator>,
+        block_rows: usize,
+        outer: bool,
+        preds: Vec<PhysPred>,
+    ) -> JoinOp {
+        JoinOp::new(left, JoinInner::Scan { right, block_rows }, outer, preds)
+    }
+
+    fn probe_join(
+        left: Box<dyn Operator>,
+        probe: Probe,
+        outer: bool,
+        preds: Vec<PhysPred>,
+    ) -> JoinOp {
+        JoinOp::new(left, JoinInner::Probe(probe), outer, preds)
+    }
+
+    fn pairs(rows: &[crate::Row]) -> Vec<(u64, u64)> {
+        rows.iter().map(|r| (r[0].in_, r[1].in_)).collect()
     }
 
     fn descendant_preds(left: usize, right: usize) -> Vec<PhysPred> {
@@ -976,20 +439,41 @@ mod tests {
         ]
     }
 
+    #[test]
+    fn names_follow_the_parameters() {
+        let probe = || JoinInner::<()>::Probe(Probe::Full);
+        let scan = |block_rows| JoinInner::Scan {
+            right: (),
+            block_rows,
+        };
+        assert_eq!(probe().name(false), "inl-join");
+        assert_eq!(probe().name(true), "left-outer-inl-join");
+        assert_eq!(scan(1).name(false), "nl-join");
+        assert_eq!(scan(1).name(true), "left-outer-nl-join");
+        assert_eq!(scan(64).name(false), "bnl-join");
+        // No planner blocks a left-outer join; the operator's parameters
+        // are orthogonal all the same (tests/batch_invariance.rs runs it).
+        assert_eq!(scan(64).name(true), "left-outer-bnl-join");
+        let op = scan_join(by_label("a"), by_label("b"), 1, true, vec![]);
+        assert_eq!(op.name(), "left-outer-nl-join");
+    }
+
     /// Example 2 as a join: journals × names with descendant predicate.
     #[test]
     fn nlj_example2_bindings() {
         let (_e, store) = fixture();
         let binds = Bindings::with_root(&store).unwrap();
         let ctx = ExecContext::new(&store, &binds);
-        let left = ScanOp::new(Probe::ByLabel("journal".into()), vec![]);
-        let right = ScanOp::new(Probe::ByLabel("name".into()), vec![]);
-        let mut join =
-            NestedLoopJoinOp::new(Box::new(left), Box::new(right), descendant_preds(0, 1));
+        let mut join = scan_join(
+            by_label("journal"),
+            by_label("name"),
+            1,
+            false,
+            descendant_preds(0, 1),
+        );
         let rows = execute_all(&mut join, &ctx).unwrap();
-        let pairs: Vec<(u64, u64)> = rows.iter().map(|r| (r[0].in_, r[1].in_)).collect();
         assert_eq!(
-            pairs,
+            pairs(&rows),
             vec![(2, 4), (2, 8)],
             "the Example 2 vartuple sequence"
         );
@@ -1000,15 +484,14 @@ mod tests {
         let (_e, store) = fixture();
         let binds = Bindings::with_root(&store).unwrap();
         let ctx = ExecContext::new(&store, &binds);
-        let left = ScanOp::new(Probe::ByLabel("journal".into()), vec![]);
-        let mut join = IndexNestedLoopJoinOp::new(
-            Box::new(left),
+        let mut join = probe_join(
+            by_label("journal"),
             Probe::LabelDescendantsOf("name".into(), Src::Col(0)),
+            false,
             vec![],
         );
         let rows = execute_all(&mut join, &ctx).unwrap();
-        let pairs: Vec<(u64, u64)> = rows.iter().map(|r| (r[0].in_, r[1].in_)).collect();
-        assert_eq!(pairs, vec![(2, 4), (2, 8)]);
+        assert_eq!(pairs(&rows), vec![(2, 4), (2, 8)]);
     }
 
     #[test]
@@ -1017,14 +500,12 @@ mod tests {
         let binds = Bindings::with_root(&store).unwrap();
         let ctx = ExecContext::new(&store, &binds);
         // names × names cross (no preds) via both joins.
-        let mk_scan = || Box::new(ScanOp::new(Probe::ByLabel("name".into()), vec![]));
-        let mut nlj = NestedLoopJoinOp::new(mk_scan(), mk_scan(), vec![]);
-        let mut bnlj = BlockNestedLoopJoinOp::new(mk_scan(), mk_scan(), vec![], 10);
+        let mut nlj = scan_join(by_label("name"), by_label("name"), 1, false, vec![]);
+        let mut bnlj = scan_join(by_label("name"), by_label("name"), 10, false, vec![]);
         let a = execute_all(&mut nlj, &ctx).unwrap();
         let b = execute_all(&mut bnlj, &ctx).unwrap();
         assert_eq!(a.len(), 4);
-        let mut pa: Vec<(u64, u64)> = a.iter().map(|r| (r[0].in_, r[1].in_)).collect();
-        let mut pb: Vec<(u64, u64)> = b.iter().map(|r| (r[0].in_, r[1].in_)).collect();
+        let (mut pa, mut pb) = (pairs(&a), pairs(&b));
         // BNLJ with a block bigger than the input is right-major: (4,4),
         // (8,4), (4,8), (8,8) — same set, different order.
         assert_ne!(pa, pb, "BNLJ must not be order-preserving here");
@@ -1038,18 +519,17 @@ mod tests {
         let (_e, store) = fixture();
         let binds = Bindings::with_root(&store).unwrap();
         let ctx = ExecContext::new(&store, &binds);
-        let left = ScanOp::new(Probe::Full, vec![]);
-        let right = ScanOp::new(Probe::ByLabel("name".into()), vec![]);
-        let mut join = BlockNestedLoopJoinOp::new(
-            Box::new(left),
-            Box::new(right),
-            descendant_preds(0, 1),
+        let mut join = scan_join(
+            scan(Probe::Full),
+            by_label("name"),
             2, // 9 left rows → 5 blocks
+            false,
+            descendant_preds(0, 1),
         );
         let rows = execute_all(&mut join, &ctx).unwrap();
         // Ancestors of names: root(1), journal(2), authors(3) each × both
         // names, plus each name's own parents... count pairs (x, name).
-        let mut pairs: Vec<(u64, u64)> = rows.iter().map(|r| (r[0].in_, r[1].in_)).collect();
+        let mut pairs = pairs(&rows);
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 4), (1, 8), (2, 4), (2, 8), (3, 4), (3, 8)]);
     }
@@ -1061,10 +541,10 @@ mod tests {
         let ctx = ExecContext::new(&store, &binds);
         // Every element × its text children: title(13) and authors(3) have
         // none directly (authors' text is under name).
-        let left = ScanOp::new(Probe::ByLabel("name".into()), vec![]);
-        let mut join = LeftOuterIndexNestedLoopJoinOp::new(
-            Box::new(left),
+        let mut join = probe_join(
+            by_label("name"),
             Probe::ChildrenOf(Src::Col(0)),
+            true,
             vec![],
         );
         let rows = execute_all(&mut join, &ctx).unwrap();
@@ -1073,7 +553,6 @@ mod tests {
         assert!(rows.iter().all(|r| !r[1].is_null()));
         // Authors element (in=3) as the left: children are elements, so a
         // text()-style filter (via preds) yields NULL padding.
-        let left = ScanOp::new(Probe::ByLabel("authors".into()), vec![]);
         let text_only = vec![PhysPred {
             op: CmpOp::Eq,
             lhs: PhysOperand::Col {
@@ -1083,9 +562,10 @@ mod tests {
             rhs: PhysOperand::Kind(xmldb_xasr::NodeType::Text),
             strict_text: false,
         }];
-        let mut join = LeftOuterIndexNestedLoopJoinOp::new(
-            Box::new(left),
+        let mut join = probe_join(
+            by_label("authors"),
             Probe::ChildrenOf(Src::Col(0)),
+            true,
             text_only,
         );
         let rows = execute_all(&mut join, &ctx).unwrap();
@@ -1098,61 +578,71 @@ mod tests {
         let (_e, store) = fixture();
         let binds = Bindings::with_root(&store).unwrap();
         let ctx = ExecContext::new(&store, &binds);
-        let preds = descendant_preds(0, 1);
-        let mut loj_nl = LeftOuterNestedLoopJoinOp::new(
-            Box::new(ScanOp::new(Probe::ByLabel("title".into()), vec![])),
-            Box::new(ScanOp::new(Probe::ByLabel("name".into()), vec![])),
-            preds,
+        let mut loj_nl = scan_join(
+            by_label("title"),
+            by_label("name"),
+            1,
+            true,
+            descendant_preds(0, 1),
         );
         let rows = execute_all(&mut loj_nl, &ctx).unwrap();
         // Titles have no name descendants → single NULL-padded row.
         assert_eq!(rows.len(), 1);
         assert!(rows[0][1].is_null());
-        let mut loj_inl = LeftOuterIndexNestedLoopJoinOp::new(
-            Box::new(ScanOp::new(Probe::ByLabel("title".into()), vec![])),
+        let mut loj_inl = probe_join(
+            by_label("title"),
             Probe::LabelDescendantsOf("name".into(), Src::Col(0)),
+            true,
             vec![],
         );
         let rows2 = execute_all(&mut loj_inl, &ctx).unwrap();
-        assert_eq!(
-            rows.iter()
-                .map(|r| (r[0].in_, r[1].in_))
-                .collect::<Vec<_>>(),
-            rows2
-                .iter()
-                .map(|r| (r[0].in_, r[1].in_))
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(pairs(&rows), pairs(&rows2));
     }
 
     #[test]
     fn bnlj_degrades_to_smaller_blocks_under_budget() {
-        use xmldb_storage::Governor;
         let (_e, store) = fixture();
         let binds = Bindings::with_root(&store).unwrap();
         // Budget fits roughly one row at a time: the huge configured block
         // degrades to tiny blocks and the join still completes correctly.
-        let gov = Governor::with_limits(None, Some(row_bytes(&vec![store.root().unwrap()]) + 16));
+        let gov = Governor::with_limits(None, Some(row_bytes(&[store.root().unwrap()]) + 16));
         let ctx = ExecContext::with_governor(&store, &binds, gov.clone());
-        let mk_scan = || Box::new(ScanOp::new(Probe::ByLabel("name".into()), vec![]));
-        let mut bnlj = BlockNestedLoopJoinOp::new(mk_scan(), mk_scan(), vec![], 1000);
+        let mut bnlj = scan_join(by_label("name"), by_label("name"), 1000, false, vec![]);
         let rows = execute_all(&mut bnlj, &ctx).unwrap();
-        let mut pairs: Vec<(u64, u64)> = rows.iter().map(|r| (r[0].in_, r[1].in_)).collect();
+        let mut pairs = pairs(&rows);
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(4, 4), (4, 8), (8, 4), (8, 8)]);
         assert_eq!(gov.mem_used(), 0, "block reservation released");
     }
 
     #[test]
+    fn merge_window_degrades_to_row_probes_under_budget() {
+        let (_e, store) = fixture();
+        let binds = Bindings::with_root(&store).unwrap();
+        // Two left rows make the join try a merge window; a budget too
+        // small for even one fetched tuple makes it fall back to per-row
+        // probes instead of failing the query.
+        let gov = Governor::with_limits(None, Some(8));
+        let ctx = ExecContext::with_governor(&store, &binds, gov.clone());
+        let mut join = probe_join(
+            scan(Probe::Full),
+            Probe::LabelChildrenOf("name".into(), Src::Col(0)),
+            false,
+            vec![],
+        );
+        let rows = execute_all(&mut join, &ctx).unwrap();
+        assert_eq!(pairs(&rows), vec![(3, 4), (3, 8)]);
+        assert_eq!(gov.mem_used(), 0);
+    }
+
+    #[test]
     fn cancellation_mid_join_is_clean() {
-        use xmldb_storage::Governor;
         let (env, store) = fixture();
         let binds = Bindings::with_root(&store).unwrap();
         let gov = Governor::unlimited();
         gov.trip_cancel_after_checks(3);
         let ctx = ExecContext::with_governor(&store, &binds, gov);
-        let mk_scan = || Box::new(ScanOp::new(Probe::Full, vec![]));
-        let mut nlj = NestedLoopJoinOp::new(mk_scan(), mk_scan(), vec![]);
+        let mut nlj = scan_join(scan(Probe::Full), scan(Probe::Full), 1, false, vec![]);
         let err = execute_all(&mut nlj, &ctx).unwrap_err();
         assert!(
             matches!(
@@ -1169,13 +659,12 @@ mod tests {
         let (_e, store) = fixture();
         let binds = Bindings::with_root(&store).unwrap();
         let ctx = ExecContext::new(&store, &binds);
-        let empty = || Box::new(RowsOp::new(vec![]));
-        let names = || Box::new(ScanOp::new(Probe::ByLabel("name".into()), vec![]));
-        let mut j1 = NestedLoopJoinOp::new(empty(), names(), vec![]);
+        let empty = || -> Box<dyn Operator> { Box::new(RowsOp::new(vec![])) };
+        let mut j1 = scan_join(empty(), by_label("name"), 1, false, vec![]);
         assert!(execute_all(&mut j1, &ctx).unwrap().is_empty());
-        let mut j2 = NestedLoopJoinOp::new(names(), empty(), vec![]);
+        let mut j2 = scan_join(by_label("name"), empty(), 1, false, vec![]);
         assert!(execute_all(&mut j2, &ctx).unwrap().is_empty());
-        let mut j3 = BlockNestedLoopJoinOp::new(empty(), names(), vec![], 4);
+        let mut j3 = scan_join(empty(), by_label("name"), 4, false, vec![]);
         assert!(execute_all(&mut j3, &ctx).unwrap().is_empty());
     }
 }

@@ -5,10 +5,7 @@ mod join;
 mod scan;
 mod sort;
 
-pub use filter::{FilterOp, LimitOp, ProjectOp, RowsOp, SingletonOp};
-pub use join::{
-    BlockNestedLoopJoinOp, IndexNestedLoopJoinOp, LeftOuterIndexNestedLoopJoinOp,
-    LeftOuterNestedLoopJoinOp, NestedLoopJoinOp,
-};
+pub use filter::{FilterOp, LimitOp, ProjectOp, RowsOp};
+pub use join::{JoinInner, JoinOp};
 pub use scan::{Probe, ScanOp, Src};
 pub use sort::{BTreeSortOp, MaterializeOp, SortOp};

@@ -2,13 +2,14 @@
 
 use crate::exec::{ExecContext, Operator};
 use crate::pred::{eval_all, PhysPred};
-use crate::row::Row;
 use crate::{Error, Result};
+use xmldb_storage::{Governor, MemReservation};
 use xmldb_xasr::NodeTuple;
 use xmldb_xq::Var;
 
-/// Tuples fetched per index round-trip (block-based reading).
-const BATCH: usize = 128;
+/// Most entries read per parent/text-index round-trip (block-based
+/// reading: about one leaf page's worth).
+const FETCH: usize = 128;
 
 /// Where a probe gets its context node from.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +21,7 @@ pub enum Src {
 }
 
 impl Src {
-    fn resolve(&self, left: Option<&Row>, ctx: &ExecContext<'_>) -> Result<NodeTuple> {
+    fn resolve(&self, left: Option<&[NodeTuple]>, ctx: &ExecContext<'_>) -> Result<NodeTuple> {
         match self {
             Src::Col(pos) => left
                 .and_then(|row| row.get(*pos))
@@ -91,154 +92,94 @@ impl Probe {
     }
 }
 
-/// A running probe with owned cursor state (batched fetches).
+/// A running probe: the index range it resolved to and how far it has
+/// been read.
 pub(crate) struct ProbeCursor {
     resolved: Resolved,
-    /// Resume point: last `in` value delivered.
+    /// Resume point: `in` of the last index entry read.
     resume: Option<u64>,
-    batch: std::collections::VecDeque<NodeTuple>,
     done: bool,
+    /// Tuples read ahead of the caller, last first.
+    ahead: Vec<NodeTuple>,
+    /// Least number of entries the next index read asks for, doubling per
+    /// read up to [`FETCH`]: a caller pulling a row at a time (an exists
+    /// check under `limit 1`) reads one tuple if the first answers it, and
+    /// pays a B+-tree descent per doubling, not per row, if it looks on.
+    ramp: usize,
 }
 
 enum Resolved {
-    Full,
-    ByLabel(String),
-    Children { parent_in: u64 },
-    LabelChildren { label: String, parent_in: u64 },
-    Descendants { lo: u64, hi: u64 },
-    LabelDescendants { label: String, lo: u64, hi: u64 },
+    /// `lo < in < hi` (open where `None`) of the clustered index, or of
+    /// `label`'s run of the label index.
+    Range {
+        label: Option<String>,
+        lo: Option<u64>,
+        hi: Option<u64>,
+    },
+    /// `parent_in`'s run of the parent index, optionally label-filtered.
+    Children {
+        parent_in: u64,
+        label: Option<String>,
+    },
+    TextEq {
+        text: String,
+    },
     Bound(Option<NodeTuple>),
-    TextEq { text: String },
 }
 
 impl ProbeCursor {
     pub(crate) fn start(
         probe: &Probe,
-        left: Option<&Row>,
+        left: Option<&[NodeTuple]>,
         ctx: &ExecContext<'_>,
     ) -> Result<ProbeCursor> {
+        let range = |label: Option<&String>, lo, hi| Resolved::Range {
+            label: label.cloned(),
+            lo,
+            hi,
+        };
         let resolved = match probe {
-            Probe::Full => Resolved::Full,
-            Probe::ByLabel(l) => Resolved::ByLabel(l.clone()),
+            Probe::Full => range(None, None, None),
+            Probe::ByLabel(l) => range(Some(l), None, None),
             Probe::ChildrenOf(s) => Resolved::Children {
                 parent_in: s.resolve(left, ctx)?.in_,
+                label: None,
             },
-            Probe::LabelChildrenOf(l, s) => Resolved::LabelChildren {
-                label: l.clone(),
+            Probe::LabelChildrenOf(l, s) => Resolved::Children {
                 parent_in: s.resolve(left, ctx)?.in_,
+                label: Some(l.clone()),
             },
             Probe::DescendantsOf(s) => {
                 let t = s.resolve(left, ctx)?;
-                Resolved::Descendants {
-                    lo: t.in_,
-                    hi: t.out,
-                }
+                range(None, Some(t.in_), Some(t.out))
             }
             Probe::LabelDescendantsOf(l, s) => {
                 let t = s.resolve(left, ctx)?;
-                Resolved::LabelDescendants {
-                    label: l.clone(),
-                    lo: t.in_,
-                    hi: t.out,
-                }
+                range(Some(l), Some(t.in_), Some(t.out))
             }
-            Probe::ClusteredRange(lo, hi) => Resolved::Descendants { lo: *lo, hi: *hi },
-            Probe::LabelRange(l, lo, hi) => Resolved::LabelDescendants {
-                label: l.clone(),
-                lo: *lo,
-                hi: *hi,
-            },
+            Probe::ClusteredRange(lo, hi) => range(None, Some(*lo), Some(*hi)),
+            Probe::LabelRange(l, lo, hi) => range(Some(l), Some(*lo), Some(*hi)),
             Probe::Bound(s) => Resolved::Bound(Some(s.resolve(left, ctx)?)),
             Probe::ByTextEq(t) => Resolved::TextEq { text: t.clone() },
             Probe::TextEqOf(s) => {
                 let t = s.resolve(left, ctx)?;
-                match (t.kind, &t.value) {
-                    (xmldb_xasr::NodeType::Text, Some(content)) => Resolved::TextEq {
-                        text: content.clone(),
-                    },
-                    _ => {
-                        return Err(Error::NonTextComparison {
-                            kind: t.kind,
-                            value: t.value.clone(),
-                        })
-                    }
+                match (t.kind, t.value) {
+                    (xmldb_xasr::NodeType::Text, Some(text)) => Resolved::TextEq { text },
+                    (kind, value) => return Err(Error::NonTextComparison { kind, value }),
                 }
             }
         };
         Ok(ProbeCursor {
             resolved,
             resume: None,
-            batch: std::collections::VecDeque::new(),
             done: false,
+            ahead: Vec::new(),
+            ramp: 1,
         })
     }
 
-    pub(crate) fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<NodeTuple>> {
-        loop {
-            if let Some(t) = self.batch.pop_front() {
-                self.resume = Some(t.in_);
-                return Ok(Some(t));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            let fetched: Vec<NodeTuple> = match &mut self.resolved {
-                Resolved::Full => ctx.store.clustered_batch(self.resume, None, BATCH)?,
-                Resolved::ByLabel(label) => {
-                    ctx.store.label_batch(label, self.resume, None, BATCH)?
-                }
-                Resolved::Children { parent_in } => {
-                    ctx.store.parent_batch(*parent_in, self.resume, BATCH)?
-                }
-                Resolved::LabelChildren { label, parent_in } => {
-                    let raw = ctx.store.parent_batch(*parent_in, self.resume, BATCH)?;
-                    if raw.is_empty() {
-                        Vec::new()
-                    } else {
-                        // Remember the raw resume point before filtering so
-                        // skipped tuples are not refetched forever.
-                        self.resume = Some(raw.last().expect("non-empty").in_);
-                        let filtered: Vec<NodeTuple> = raw
-                            .into_iter()
-                            .filter(|t| t.label() == Some(label.as_str()))
-                            .collect();
-                        if filtered.is_empty() {
-                            continue;
-                        }
-                        self.batch.extend(filtered);
-                        continue;
-                    }
-                }
-                Resolved::Descendants { lo, hi } => {
-                    let lower = Some(self.resume.map_or(*lo, |r| r.max(*lo)));
-                    ctx.store.clustered_batch(lower, Some(*hi), BATCH)?
-                }
-                Resolved::LabelDescendants { label, lo, hi } => {
-                    let lower = Some(self.resume.map_or(*lo, |r| r.max(*lo)));
-                    ctx.store.label_batch(label, lower, Some(*hi), BATCH)?
-                }
-                Resolved::TextEq { text } => ctx.store.text_batch(text, self.resume, BATCH)?,
-                Resolved::Bound(slot) => match slot.take() {
-                    Some(t) => {
-                        self.done = true;
-                        return Ok(Some(t));
-                    }
-                    None => Vec::new(),
-                },
-            };
-            if fetched.is_empty() {
-                self.done = true;
-                return Ok(None);
-            }
-            self.batch.extend(fetched);
-        }
-    }
-
-    /// Vectorized fetch: appends up to `max` tuples to `out`. Probes with a
-    /// contiguous index range (full/label scans and interval scans) fill
-    /// straight from the B+-tree leaf pages via the zero-copy visitor — no
-    /// per-tuple VecDeque hop, key/value allocation, or tree re-descent.
-    /// The remaining probes fall back to the row-at-a-time path.
+    /// Appends up to `max` further tuples to `out`, in document order;
+    /// returns how many (0 = the probe is exhausted).
     pub(crate) fn fill(
         &mut self,
         ctx: &ExecContext<'_>,
@@ -246,58 +187,235 @@ impl ProbeCursor {
         max: usize,
     ) -> Result<usize> {
         let before = out.len();
-        // Drain tuples already buffered by the row-at-a-time path first.
-        while out.len() - before < max {
-            match self.batch.pop_front() {
-                Some(t) => {
-                    self.resume = Some(t.in_);
-                    out.push(t);
+        loop {
+            while out.len() - before < max {
+                let Some(t) = self.ahead.pop() else { break };
+                out.push(t);
+            }
+            let want = max - (out.len() - before);
+            if want == 0 || self.done {
+                return Ok(out.len() - before);
+            }
+            if want >= self.ramp {
+                self.read(ctx, out, want)?;
+            } else {
+                let mut ahead = std::mem::take(&mut self.ahead);
+                self.read(ctx, &mut ahead, self.ramp)?;
+                ahead.reverse();
+                self.ahead = ahead;
+            }
+            self.ramp = (self.ramp * 2).min(FETCH);
+        }
+    }
+
+    /// One index read: appends at most `want` tuples to `out`. Contiguous
+    /// ranges (full/label and interval scans) fill straight from the leaf
+    /// pages via the zero-copy visitor; children and text probes read the
+    /// parent/text index at most [`FETCH`] entries at a time.
+    fn read(&mut self, ctx: &ExecContext<'_>, out: &mut Vec<NodeTuple>, want: usize) -> Result<()> {
+        // Every read asks for `asked` index entries at most; getting fewer
+        // means the index range is exhausted.
+        let asked = want.min(FETCH);
+        let (fetched, label) = match &mut self.resolved {
+            Resolved::Range { label, lo, hi } => {
+                let lower = self.resume.max(*lo);
+                let read = match label {
+                    Some(l) => ctx.store.label_range_into(l, lower, *hi, want, out)?,
+                    None => ctx.store.clustered_range_into(lower, *hi, want, out)?,
+                };
+                if read > 0 {
+                    self.resume = out.last().map(|t| t.in_);
                 }
-                None => break,
+                self.done = read < want;
+                return Ok(());
+            }
+            Resolved::Children { parent_in, label } => {
+                let raw = ctx.store.parent_batch(*parent_in, self.resume, asked)?;
+                (raw, label.as_deref())
+            }
+            Resolved::TextEq { text } => (ctx.store.text_batch(text, self.resume, asked)?, None),
+            Resolved::Bound(slot) => (Vec::from_iter(slot.take()), None),
+        };
+        // Resume after the last entry *read*, so tuples the label test
+        // drops are not refetched forever.
+        if let Some(t) = fetched.last() {
+            self.resume = Some(t.in_);
+        }
+        self.done = fetched.len() < asked;
+        let kept = |t: &NodeTuple| label.map_or(true, |l| t.label() == Some(l));
+        out.extend(fetched.into_iter().filter(kept));
+        Ok(())
+    }
+}
+
+/// Runs a probe once per row of a left batch — the inner side of a probe
+/// join — by one of two routes. The general one is a [`ProbeCursor`] per
+/// row. Label probes on a left column can instead be *merge-probed*: fetch
+/// the label's index run once over the whole batch's document window, then
+/// answer each row with a binary search into the fetched run, saving a
+/// B+-tree descent per row. The per-row semantics are exact: matches are
+/// the label tuples with `row.in < t.in < row.out` (descendant probes),
+/// restricted to `t.parent_in == row.in` for children probes — the same
+/// sets the per-row cursors produce (the label index holds only elements),
+/// in the same document order. An `Ext` source is constant per execution,
+/// where the per-row cursor is already a single range scan.
+pub(crate) struct BatchProbe {
+    probe: Probe,
+    /// `(label, left column, children only)` when the probe can be
+    /// merge-probed.
+    mergeable: Option<(String, usize, bool)>,
+    /// The label's tuples over the current batch's window, in document
+    /// order, when that batch is merge-probed.
+    window: Option<Vec<NodeTuple>>,
+    /// Accounts `window` against the governor's memory budget.
+    reservation: MemReservation,
+    /// Where the row in progress reads from; `None` between rows.
+    current: Option<Candidates>,
+}
+
+enum Candidates {
+    /// A running index probe for this row alone.
+    Cursor(ProbeCursor),
+    /// The row's run of the merge window: the index of its next tuple.
+    Window(usize),
+}
+
+/// Estimated heap footprint of buffered tuples (structs plus text values).
+pub(crate) fn tuple_bytes(tuples: &[NodeTuple]) -> usize {
+    let values = tuples
+        .iter()
+        .map(|t| t.value.as_ref().map_or(0, |v| v.len()));
+    std::mem::size_of_val(tuples) + values.sum::<usize>()
+}
+
+impl BatchProbe {
+    pub(crate) fn new(probe: Probe) -> BatchProbe {
+        let mergeable = match &probe {
+            Probe::LabelChildrenOf(l, Src::Col(pos)) => Some((l.clone(), *pos, true)),
+            Probe::LabelDescendantsOf(l, Src::Col(pos)) => Some((l.clone(), *pos, false)),
+            _ => None,
+        };
+        BatchProbe {
+            probe,
+            mergeable,
+            window: None,
+            reservation: MemReservation::default(),
+            current: None,
+        }
+    }
+
+    /// Forgets the batch and row in progress; later windows are accounted
+    /// against `governor`.
+    pub(crate) fn reset(&mut self, governor: &Governor) {
+        self.window = None;
+        self.current = None;
+        self.reservation = MemReservation::empty(governor);
+    }
+
+    /// Prepares for the rows of a new left batch: fetches the merge window
+    /// covering them, in chunks, so cancellation stays responsive. A single
+    /// row (an exists check under `limit 1`) gets no window: its cursor
+    /// reads just the matches asked for. A window the memory budget refuses
+    /// is dropped and the batch probed per row — the window only saves
+    /// descents, so budget pressure degrades it rather than failing the
+    /// query.
+    pub(crate) fn load(&mut self, ctx: &ExecContext<'_>, batch: &crate::RowBatch) -> Result<()> {
+        const CHUNK: usize = 4096;
+        self.window = None;
+        self.current = None;
+        self.reservation.release_all();
+        if batch.len() < 2 {
+            return Ok(());
+        }
+        let Some((label, pos, _)) = &self.mergeable else {
+            return Ok(());
+        };
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for row in batch.iter() {
+            let t = row
+                .get(*pos)
+                .ok_or_else(|| Error::Xasr(format!("probe source column {pos} out of range")))?;
+            // NULL left tuples (left-outer padding) have the empty window
+            // (0, 0) and never match; keep them out of the fetch window.
+            if !t.is_null() {
+                lo = lo.min(t.in_);
+                hi = hi.max(t.out);
             }
         }
-        while out.len() - before < max && !self.done {
-            let want = max - (out.len() - before);
-            let appended = match &mut self.resolved {
-                Resolved::Full => ctx
-                    .store
-                    .clustered_range_into(self.resume, None, want, out)?,
-                Resolved::ByLabel(label) => {
-                    ctx.store
-                        .label_range_into(label, self.resume, None, want, out)?
-                }
-                Resolved::Descendants { lo, hi } => {
-                    let lower = Some(self.resume.map_or(*lo, |r| r.max(*lo)));
-                    ctx.store
-                        .clustered_range_into(lower, Some(*hi), want, out)?
-                }
-                Resolved::LabelDescendants { label, lo, hi } => {
-                    let lower = Some(self.resume.map_or(*lo, |r| r.max(*lo)));
-                    ctx.store
-                        .label_range_into(label, lower, Some(*hi), want, out)?
-                }
-                _ => {
-                    // Children/text/bound probes: no contiguous bulk range.
-                    while out.len() - before < max {
-                        match self.next(ctx)? {
-                            Some(t) => out.push(t),
-                            None => break,
-                        }
-                    }
-                    return Ok(out.len() - before);
-                }
-            };
-            if appended == 0 {
-                self.done = true;
+        let mut window = Vec::new();
+        let mut resume = lo;
+        while resume < hi {
+            ctx.governor.check()?;
+            let read =
+                ctx.store
+                    .label_range_into(label, Some(resume), Some(hi), CHUNK, &mut window)?;
+            if !self
+                .reservation
+                .grow(tuple_bytes(&window[window.len() - read..]))
+            {
+                self.reservation.release_all();
+                return Ok(());
+            }
+            if read < CHUNK {
                 break;
             }
-            // A short fill means the index range is exhausted.
-            if appended < want {
-                self.done = true;
+            resume = window.last().expect("read > 0").in_;
+        }
+        self.window = Some(window);
+        Ok(())
+    }
+
+    /// Appends up to `max` further inner tuples of `row` to `out`, in
+    /// document order; 0 means the row has no more. The first call for a
+    /// row starts its probe.
+    pub(crate) fn fill(
+        &mut self,
+        ctx: &ExecContext<'_>,
+        row: &[NodeTuple],
+        out: &mut Vec<NodeTuple>,
+        max: usize,
+    ) -> Result<usize> {
+        let BatchProbe {
+            probe,
+            mergeable,
+            window,
+            current,
+            ..
+        } = self;
+        let merge = window.as_ref().zip(mergeable.as_ref());
+        let current = match current {
+            Some(current) => current,
+            empty => empty.insert(match merge {
+                Some((window, (_, pos, _))) => {
+                    Candidates::Window(window.partition_point(|t| t.in_ <= row[*pos].in_))
+                }
+                None => Candidates::Cursor(ProbeCursor::start(probe, Some(row), ctx)?),
+            }),
+        };
+        let (cur, window, pos, children_only) = match (current, merge) {
+            (Candidates::Cursor(cursor), _) => return cursor.fill(ctx, out, max),
+            (Candidates::Window(cur), Some((window, (_, pos, children_only)))) => {
+                (cur, window, *pos, *children_only)
             }
-            self.resume = Some(out.last().expect("appended > 0").in_);
+            (Candidates::Window(_), None) => unreachable!("the window outlives its batch's rows"),
+        };
+        let (lo, hi) = (row[pos].in_, row[pos].out);
+        let before = out.len();
+        while out.len() - before < max {
+            let Some(t) = window.get(*cur).filter(|t| t.in_ < hi) else {
+                break;
+            };
+            *cur += 1;
+            if !children_only || t.parent_in == lo {
+                out.push(t.clone());
+            }
         }
         Ok(out.len() - before)
+    }
+
+    /// Ends the row in progress: the next `fill` starts a new row's probe.
+    pub(crate) fn next_row(&mut self) {
+        self.current = None;
     }
 }
 
@@ -326,21 +444,6 @@ impl Operator for ScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        let cursor = self
-            .cursor
-            .as_mut()
-            .ok_or_else(|| Error::Xasr("scan not open".into()))?;
-        ctx.governor.check()?;
-        while let Some(tuple) = cursor.next(ctx)? {
-            let row = vec![tuple];
-            if eval_all(&self.filter, &row, ctx.bindings)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn close(&mut self) {
         self.cursor = None;
     }
@@ -354,7 +457,6 @@ impl Operator for ScanOp {
             .cursor
             .as_mut()
             .ok_or_else(|| Error::Xasr("scan not open".into()))?;
-        // One governor check per batch instead of per row.
         ctx.governor.check()?;
         let mut tuples: Vec<NodeTuple> = Vec::new();
         while tuples.len() < max_rows {
@@ -367,11 +469,8 @@ impl Operator for ScanOp {
                 // are ever materialized as batch rows.
                 let mut write = start;
                 for read in start..tuples.len() {
-                    if eval_all(
-                        &self.filter,
-                        std::slice::from_ref(&tuples[read]),
-                        ctx.bindings,
-                    )? {
+                    let row = std::slice::from_ref(&tuples[read]);
+                    if eval_all(&self.filter, row, &[], ctx.bindings)? {
                         tuples.swap(write, read);
                         write += 1;
                     }
@@ -387,6 +486,7 @@ impl Operator for ScanOp {
 mod tests {
     use super::*;
     use crate::exec::{execute_all, Bindings};
+    use crate::Row;
     use xmldb_algebra::{Attr, CmpOp};
     use xmldb_storage::Env;
     use xmldb_xasr::{shred_document, NodeType};

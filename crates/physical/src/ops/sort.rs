@@ -1,16 +1,44 @@
 //! Sort and materialization operators.
 
 use crate::exec::{ExecContext, Operator};
-use crate::row::{decode_row, encode_row, Row};
-use crate::{Error, Result};
+use crate::row::{decode_row, encode_row};
+use crate::{Error, Result, RowBatch};
 use xmldb_storage::{HeapFile, SortedRecords};
+use xmldb_xasr::NodeTuple;
 
 /// Default sort memory budget (run-generation buffer).
 const SORT_BUDGET: usize = 2 << 20;
 
+/// Drains an opened `input`, handing every row to `sink` (the blocking
+/// operators below consume their whole input in `open`). Checks the
+/// governor per row: a sink spills or inserts, so rows are not cheap here.
+fn drain(
+    input: &mut dyn Operator,
+    ctx: &ExecContext<'_>,
+    mut sink: impl FnMut(&[NodeTuple]) -> Result<()>,
+) -> Result<()> {
+    loop {
+        let batch = input.next_batch(ctx, crate::BATCH_ROWS)?;
+        if batch.is_empty() {
+            return Ok(());
+        }
+        for row in batch.iter() {
+            ctx.governor.check()?;
+            sink(row)?;
+        }
+    }
+}
+
+/// The big-endian `in` values of `cols`: a byte-comparable sort key.
+fn sort_key(row: &[NodeTuple], cols: &[usize], key: &mut Vec<u8>) {
+    for &c in cols {
+        key.extend_from_slice(&row[c].in_.to_be_bytes());
+    }
+}
+
 /// External sort on the `in` values of key columns — approach (a) of the
 /// ordering discussion: restore hierarchical document order after a
-/// non-order-preserving plan (e.g. one using [`super::BlockNestedLoopJoinOp`]).
+/// non-order-preserving plan (e.g. one using a block [`super::JoinOp`]).
 pub struct SortOp {
     input: Box<dyn Operator>,
     key_cols: Vec<usize>,
@@ -42,33 +70,28 @@ impl Operator for SortOp {
             ctx.governor.clone(),
             move |a, b| a[..key_width].cmp(&b[..key_width]),
         );
-        while let Some(row) = self.input.next(ctx)? {
-            ctx.governor.check()?;
+        drain(&mut *self.input, ctx, |row| {
             let mut rec = Vec::with_capacity(key_width + 32);
-            for &c in &self.key_cols {
-                rec.extend_from_slice(&row[c].in_.to_be_bytes());
-            }
-            rec.extend_from_slice(&encode_row(&row));
-            sorter.push(rec)?;
-        }
+            sort_key(row, &self.key_cols, &mut rec);
+            rec.extend_from_slice(&encode_row(row));
+            Ok(sorter.push(rec)?)
+        })?;
         self.input.close();
         self.sorted = Some(sorter.finish()?);
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, _ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
         let sorted = self
             .sorted
             .as_mut()
             .ok_or_else(|| Error::Xasr("sort not open".into()))?;
         let key_width = self.key_cols.len() * 8;
-        match sorted.next() {
-            Some(rec) => {
-                let rec = rec?;
-                Ok(Some(decode_row(&rec[key_width..])?))
-            }
-            None => Ok(None),
+        let mut batch = RowBatch::default();
+        for rec in sorted.take(max_rows) {
+            batch.push_row_vec(decode_row(&rec?[key_width..])?);
         }
+        Ok(batch)
     }
 
     fn close(&mut self) {
@@ -112,10 +135,10 @@ impl Operator for MaterializeOp {
         if self.heap.is_none() {
             let mut heap = HeapFile::temp(ctx.store.env())?;
             self.input.open(ctx)?;
-            while let Some(row) = self.input.next(ctx)? {
-                ctx.governor.check()?;
-                heap.append(&encode_row(&row))?;
-            }
+            drain(&mut *self.input, ctx, |row| {
+                heap.append(&encode_row(row))?;
+                Ok(())
+            })?;
             self.input.close();
             self.heap = Some(heap);
         }
@@ -125,24 +148,25 @@ impl Operator for MaterializeOp {
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, _ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
         let heap = self
             .heap
             .as_ref()
             .ok_or_else(|| Error::Xasr("materialize not open".into()))?;
-        loop {
+        let mut batch = RowBatch::default();
+        while batch.len() < max_rows {
             if self.buffer_pos < self.buffered.len() {
-                let rec = &self.buffered[self.buffer_pos];
+                batch.push_row_vec(decode_row(&self.buffered[self.buffer_pos])?);
                 self.buffer_pos += 1;
-                return Ok(Some(decode_row(rec)?));
+            } else if self.page < heap.data_pages()? {
+                self.buffered = heap.page_records(self.page)?;
+                self.buffer_pos = 0;
+                self.page += 1;
+            } else {
+                break;
             }
-            if self.page >= heap.data_pages()? {
-                return Ok(None);
-            }
-            self.buffered = heap.page_records(self.page)?;
-            self.buffer_pos = 0;
-            self.page += 1;
         }
+        Ok(batch)
     }
 
     fn close(&mut self) {
@@ -192,24 +216,22 @@ impl Operator for BTreeSortOp {
         self.input.open(ctx)?;
         let mut tree = xmldb_storage::BTree::temp(ctx.store.env())?;
         let mut seq = 0u64;
-        while let Some(row) = self.input.next(ctx)? {
-            ctx.governor.check()?;
+        drain(&mut *self.input, ctx, |row| {
             let mut key = Vec::with_capacity(self.key_cols.len() * 8 + 8);
-            for &c in &self.key_cols {
-                key.extend_from_slice(&row[c].in_.to_be_bytes());
-            }
+            sort_key(row, &self.key_cols, &mut key);
             // Unique suffix: duplicates must all survive (bag semantics).
             key.extend_from_slice(&seq.to_be_bytes());
             seq += 1;
-            tree.insert(&key, &encode_row(&row))?;
-        }
+            tree.insert(&key, &encode_row(row))?;
+            Ok(())
+        })?;
         self.input.close();
         self.tree = Some(tree);
         self.cursor_after = None;
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, _ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
         let tree = self
             .tree
             .as_ref()
@@ -218,14 +240,17 @@ impl Operator for BTreeSortOp {
             Some(k) => std::ops::Bound::Excluded(k.as_slice()),
             None => std::ops::Bound::Unbounded,
         };
-        match tree.range(lower, std::ops::Bound::Unbounded).next() {
-            Some(entry) => {
-                let (key, value) = entry?;
-                self.cursor_after = Some(key);
-                Ok(Some(decode_row(&value)?))
-            }
-            None => Ok(None),
+        let mut batch = RowBatch::default();
+        let mut last_key = None;
+        for entry in tree.range(lower, std::ops::Bound::Unbounded).take(max_rows) {
+            let (key, value) = entry?;
+            batch.push_row_vec(decode_row(&value)?);
+            last_key = Some(key);
         }
+        if last_key.is_some() {
+            self.cursor_after = last_key;
+        }
+        Ok(batch)
     }
 
     fn close(&mut self) {
@@ -243,6 +268,7 @@ mod tests {
     use super::*;
     use crate::exec::{execute_all, Bindings};
     use crate::ops::{Probe, RowsOp, ScanOp};
+    use crate::Row;
     use xmldb_storage::Env;
     use xmldb_xasr::{shred_document, NodeTuple, NodeType};
 

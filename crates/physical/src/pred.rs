@@ -46,11 +46,18 @@ enum Value<'a> {
 }
 
 impl PhysPred {
-    /// Evaluates the predicate over `row` and `bindings`. Takes a tuple
-    /// slice so batch rows evaluate without materializing a `Vec`.
-    pub fn eval(&self, row: &[NodeTuple], bindings: &Bindings) -> Result<bool> {
-        let lhs = resolve(&self.lhs, row, bindings, self.strict_text)?;
-        let rhs = resolve(&self.rhs, row, bindings, self.strict_text)?;
+    /// Evaluates the predicate over the row `left ++ right` and `bindings`.
+    /// The row comes as two slices so that a join can test every (left
+    /// row, inner row) pair without materializing it, and build only the
+    /// pairs that pass; single rows pass an empty `right`.
+    pub fn eval(
+        &self,
+        left: &[NodeTuple],
+        right: &[NodeTuple],
+        bindings: &Bindings,
+    ) -> Result<bool> {
+        let lhs = resolve(&self.lhs, left, right, bindings, self.strict_text)?;
+        let rhs = resolve(&self.rhs, left, right, bindings, self.strict_text)?;
         let ord = match (&lhs, &rhs) {
             (Value::Num(a), Value::Num(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => match (a, b) {
@@ -80,7 +87,8 @@ impl PhysPred {
 
 fn resolve<'a>(
     operand: &'a PhysOperand,
-    row: &'a [NodeTuple],
+    left: &'a [NodeTuple],
+    right: &'a [NodeTuple],
     bindings: &'a Bindings,
     strict_text: bool,
 ) -> Result<Value<'a>> {
@@ -89,8 +97,9 @@ fn resolve<'a>(
         PhysOperand::Str(s) => Ok(Value::Str(Some(s))),
         PhysOperand::Kind(k) => Ok(Value::Kind(*k)),
         PhysOperand::Col { pos, attr } => {
-            let tuple = row
+            let tuple = left
                 .get(*pos)
+                .or_else(|| right.get(*pos - left.len()))
                 .ok_or_else(|| Error::Xasr(format!("row has no column {pos}")))?;
             field(tuple, *attr, strict_text)
         }
@@ -121,10 +130,16 @@ fn field(tuple: &NodeTuple, attr: Attr, strict_text: bool) -> Result<Value<'_>> 
     })
 }
 
-/// Evaluates a conjunction.
-pub fn eval_all(preds: &[PhysPred], row: &[NodeTuple], bindings: &Bindings) -> Result<bool> {
+/// Evaluates a conjunction over the row `left ++ right` (see
+/// [`PhysPred::eval`]).
+pub fn eval_all(
+    preds: &[PhysPred],
+    left: &[NodeTuple],
+    right: &[NodeTuple],
+    bindings: &Bindings,
+) -> Result<bool> {
     for p in preds {
-        if !p.eval(row, bindings)? {
+        if !p.eval(left, right, bindings)? {
             return Ok(false);
         }
     }
@@ -177,7 +192,7 @@ mod tests {
             rhs: col(0, Attr::Out),
             strict_text: false,
         };
-        assert!(eval_all(&[p1, p2], &row, &binds).unwrap());
+        assert!(eval_all(&[p1, p2], &row, &[], &binds).unwrap());
         // Child of root: parent_in = 1.
         let p = PhysPred {
             op: CmpOp::Eq,
@@ -185,7 +200,7 @@ mod tests {
             rhs: PhysOperand::Num(1),
             strict_text: false,
         };
-        assert!(p.eval(&row, &binds).unwrap());
+        assert!(p.eval(&row, &[], &binds).unwrap());
     }
 
     #[test]
@@ -198,21 +213,21 @@ mod tests {
             rhs: PhysOperand::Kind(NodeType::Element),
             strict_text: false,
         };
-        assert!(is_elem.eval(&row, &binds).unwrap());
+        assert!(is_elem.eval(&row, &[], &binds).unwrap());
         let label = PhysPred {
             op: CmpOp::Eq,
             lhs: col(0, Attr::Value),
             rhs: PhysOperand::Str("journal".into()),
             strict_text: false,
         };
-        assert!(label.eval(&row, &binds).unwrap());
+        assert!(label.eval(&row, &[], &binds).unwrap());
         let wrong = PhysPred {
             op: CmpOp::Eq,
             lhs: col(0, Attr::Value),
             rhs: PhysOperand::Str("title".into()),
             strict_text: false,
         };
-        assert!(!wrong.eval(&row, &binds).unwrap());
+        assert!(!wrong.eval(&row, &[], &binds).unwrap());
     }
 
     #[test]
@@ -226,7 +241,7 @@ mod tests {
             strict_text: true,
         };
         assert!(matches!(
-            p.eval(&row, &binds),
+            p.eval(&row, &[], &binds),
             Err(Error::NonTextComparison { .. })
         ));
     }
@@ -241,9 +256,9 @@ mod tests {
             rhs: col(1, Attr::Value),
             strict_text: true,
         };
-        assert!(p.eval(&row, &binds).unwrap());
+        assert!(p.eval(&row, &[], &binds).unwrap());
         let row2: Row = vec![text(5, "Ana"), text(9, "Bob")];
-        assert!(!p.eval(&row2, &binds).unwrap());
+        assert!(!p.eval(&row2, &[], &binds).unwrap());
     }
 
     #[test]
@@ -261,7 +276,7 @@ mod tests {
             },
             strict_text: false,
         };
-        assert!(p.eval(&row, &binds).unwrap());
+        assert!(p.eval(&row, &[], &binds).unwrap());
         let missing = PhysPred {
             op: CmpOp::Eq,
             lhs: PhysOperand::Ext {
@@ -272,7 +287,7 @@ mod tests {
             strict_text: false,
         };
         assert!(matches!(
-            missing.eval(&row, &binds),
+            missing.eval(&row, &[], &binds),
             Err(Error::UnboundVariable(_))
         ));
     }
@@ -294,6 +309,6 @@ mod tests {
             rhs: PhysOperand::Str("x".into()),
             strict_text: false,
         };
-        assert!(!p.eval(&row, &binds).unwrap());
+        assert!(!p.eval(&row, &[], &binds).unwrap());
     }
 }

@@ -8,7 +8,7 @@ use xmldb_xasr::NodeTuple;
 pub type Row = Vec<NodeTuple>;
 
 /// Serializes a row for spilling (materialization, sort runs).
-pub fn encode_row(row: &Row) -> Vec<u8> {
+pub fn encode_row(row: &[NodeTuple]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + row.len() * 32);
     codec::put_u64(&mut out, row.len() as u64);
     for tuple in row {
@@ -32,16 +32,24 @@ pub fn decode_row(bytes: &[u8]) -> Result<Row> {
     Ok(row)
 }
 
-/// Lexicographic comparison of rows by the `in` values of the given
-/// columns — "sorted hierarchically in document order" over those columns.
-pub fn compare_rows_by(cols: &[usize], a: &Row, b: &Row) -> std::cmp::Ordering {
-    for &c in cols {
-        match a[c].in_.cmp(&b[c].in_) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
+/// The `in` values of the last row seen — one-pass detection of where the
+/// key changes in rows sorted hierarchically on it (adjacent duplicate
+/// elimination, grouping), carried across batch seams by whoever owns it.
+#[derive(Debug, Clone, Default)]
+pub struct LastKey(Option<Vec<u64>>);
+
+impl LastKey {
+    /// False if `key` equals the remembered key; otherwise remembers it
+    /// and returns true.
+    pub fn changes_to(&mut self, key: impl Iterator<Item = u64> + Clone) -> bool {
+        if matches!(&self.0, Some(last) if key.clone().eq(last.iter().copied())) {
+            return false;
         }
+        let last = self.0.get_or_insert_with(Vec::new);
+        last.clear();
+        last.extend(key);
+        true
     }
-    std::cmp::Ordering::Equal
 }
 
 #[cfg(test)]
@@ -64,19 +72,6 @@ mod tests {
         for row in [vec![], vec![tuple(1)], vec![tuple(2), tuple(5), tuple(9)]] {
             assert_eq!(decode_row(&encode_row(&row)).unwrap(), row);
         }
-    }
-
-    #[test]
-    fn compare_rows_hierarchical() {
-        use std::cmp::Ordering::*;
-        let a = vec![tuple(2), tuple(4)];
-        let b = vec![tuple(2), tuple(8)];
-        let c = vec![tuple(3), tuple(1)];
-        assert_eq!(compare_rows_by(&[0, 1], &a, &b), Less);
-        assert_eq!(compare_rows_by(&[0, 1], &b, &c), Less);
-        assert_eq!(compare_rows_by(&[0, 1], &a, &a), Equal);
-        assert_eq!(compare_rows_by(&[1], &c, &a), Less);
-        assert_eq!(compare_rows_by(&[], &a, &c), Equal);
     }
 
     #[test]

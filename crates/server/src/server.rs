@@ -1125,7 +1125,14 @@ impl Session {
                     Ok(e) => e,
                     Err(resp) => return resp,
                 };
-                let options = self.options(0, 0, 0);
+                // A prepared statement outlives the transaction it was
+                // prepared in: it must not capture that transaction. Each
+                // execution runs under whatever transaction the session
+                // has open then (installed in `ExecPrepared` below).
+                let options = QueryOptions {
+                    txn: None,
+                    ..self.options(0, 0, 0)
+                };
                 match self.shared.db.prepare_with(doc, query, engine, &options) {
                     Ok(prepared) => {
                         let id = self.next_prepared;

@@ -92,6 +92,29 @@ fn concurrent_clients_all_succeed() {
     eventually("all sessions drained", || server.active_sessions() == 0);
 }
 
+/// A statement prepared inside a transaction outlives it: later
+/// executions run under the session's then-current transaction (or none),
+/// never under the finished one it was prepared in.
+#[test]
+fn prepared_statement_outlives_its_transaction() {
+    let (_db, server) = server_with(ServerConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.begin().unwrap();
+    let id = client.prepare("lib", "//b/t", None).unwrap();
+    assert_eq!(client.exec_prepared(id).unwrap().count, 3);
+    client.commit().unwrap();
+    assert_eq!(client.exec_prepared(id).unwrap().count, 3);
+    // Inside the next transaction it sees that transaction's writes.
+    client.begin().unwrap();
+    client.load("extra", "<b><t>d</t></b>").unwrap();
+    let extra = client.prepare("extra", "//b/t", None).unwrap();
+    assert_eq!(client.exec_prepared(extra).unwrap().count, 1);
+    assert_eq!(client.exec_prepared(id).unwrap().count, 3);
+    client.rollback().unwrap();
+    assert_eq!(client.exec_prepared(id).unwrap().count, 3);
+    client.close().unwrap();
+}
+
 /// A client killed mid-transaction: the server must notice the broken
 /// connection, roll the transaction back, and release its locks so other
 /// sessions can write the same document.

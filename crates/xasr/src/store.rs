@@ -281,74 +281,16 @@ impl XasrStore {
 
     // --- batched access (for volcano operators) --------------------------------
     //
-    // Physical operators cannot hold borrowing iterators across `next()`
-    // calls, so they pull fixed-size batches and remember a resume key —
+    // Physical operators cannot hold borrowing iterators across
+    // `next_batch()` calls, so they pull bounded runs and remember a resume key —
     // which is also faithful block-based reading: one batch ≈ one leaf
     // page's worth of tuples.
 
-    /// Up to `limit` tuples from the clustered index with
-    /// `lower_excl < in < upper_excl` (`None` bounds are open).
-    pub fn clustered_batch(
-        &self,
-        lower_excl: Option<u64>,
-        upper_excl: Option<u64>,
-        limit: usize,
-    ) -> Result<Vec<NodeTuple>> {
-        let lo = lower_excl.map(NodeTuple::clustered_key);
-        let hi = upper_excl.map(NodeTuple::clustered_key);
-        let lo_bound = lo.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-        let hi_bound = hi.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-        let mut out = Vec::with_capacity(limit);
-        for entry in self.clustered.range(lo_bound, hi_bound) {
-            let (_, v) = entry?;
-            out.push(NodeTuple::decode(&v)?);
-            if out.len() >= limit {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Up to `limit` elements labeled `label` with
-    /// `lower_excl < in < upper_excl`.
-    pub fn label_batch(
-        &self,
-        label: &str,
-        lower_excl: Option<u64>,
-        upper_excl: Option<u64>,
-        limit: usize,
-    ) -> Result<Vec<NodeTuple>> {
-        let lo = NodeTuple::label_key(label, lower_excl.unwrap_or(0));
-        // Upper: just past the last possible in under this label.
-        let hi = match upper_excl {
-            Some(u) => NodeTuple::label_key(label, u),
-            None => NodeTuple::label_key(label, u64::MAX),
-        };
-        let hi_bound = if upper_excl.is_some() {
-            Bound::Excluded(hi.as_slice())
-        } else {
-            // in = u64::MAX is unreachable; include it for completeness.
-            Bound::Included(hi.as_slice())
-        };
-        let mut out = Vec::with_capacity(limit);
-        for entry in self
-            .label_idx
-            .range(Bound::Excluded(lo.as_slice()), hi_bound)
-        {
-            let (k, v) = entry?;
-            out.push(NodeTuple::from_label_entry(&k, &v)?);
-            if out.len() >= limit {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Vectorized [`Self::clustered_batch`]: appends up to `limit` tuples
-    /// into `out` via the zero-copy [`BTree::scan_range`] visitor —
-    /// decoding straight off the pinned leaf page, with no per-row key or
-    /// value allocation and no cursor re-descent per tuple. The batch
-    /// operators' leaf fast path.
+    /// Appends up to `limit` tuples of the clustered index with
+    /// `lower_excl < in < upper_excl` (`None` bounds are open) to `out`,
+    /// via the zero-copy [`BTree::scan_range`] visitor — decoding straight
+    /// off the pinned leaf page, with no per-row key or value allocation
+    /// and no cursor re-descent per tuple. Returns how many.
     pub fn clustered_range_into(
         &self,
         lower_excl: Option<u64>,
@@ -378,8 +320,9 @@ impl XasrStore {
         }
     }
 
-    /// Vectorized [`Self::label_batch`]: zero-copy visitor fill, like
-    /// [`Self::clustered_range_into`].
+    /// Appends up to `limit` elements labeled `label` with
+    /// `lower_excl < in < upper_excl` to `out`: a zero-copy visitor fill,
+    /// like [`Self::clustered_range_into`].
     pub fn label_range_into(
         &self,
         label: &str,
@@ -634,23 +577,24 @@ mod tests {
         let (_env, s) = store();
         // Batch through the clustered index two at a time.
         let mut seen = Vec::new();
-        let mut cursor: Option<u64> = None;
-        loop {
-            let batch = s.clustered_batch(cursor, None, 2).unwrap();
-            if batch.is_empty() {
-                break;
-            }
-            cursor = Some(batch.last().unwrap().in_);
-            seen.extend(batch.into_iter().map(|t| t.in_));
-        }
-        assert_eq!(seen, vec![1, 2, 3, 4, 5, 8, 9, 13, 14]);
+        while s
+            .clustered_range_into(seen.last().map(|t: &NodeTuple| t.in_), None, 2, &mut seen)
+            .unwrap()
+            > 0
+        {}
+        let ins = |tuples: &[NodeTuple]| tuples.iter().map(|t| t.in_).collect::<Vec<_>>();
+        assert_eq!(ins(&seen), vec![1, 2, 3, 4, 5, 8, 9, 13, 14]);
 
         // Label batches with interval bounds (descendants of journal in=2,
         // out=17).
-        let names = s.label_batch("name", Some(2), Some(17), 10).unwrap();
-        assert_eq!(names.iter().map(|t| t.in_).collect::<Vec<_>>(), vec![4, 8]);
-        let none = s.label_batch("name", Some(4), Some(8), 10).unwrap();
-        assert_eq!(none.len(), 0);
+        let mut names = Vec::new();
+        s.label_range_into("name", Some(2), Some(17), 10, &mut names)
+            .unwrap();
+        assert_eq!(ins(&names), vec![4, 8]);
+        let none = s
+            .label_range_into("name", Some(4), Some(8), 10, &mut names)
+            .unwrap();
+        assert_eq!(none, 0);
 
         // Parent batches resume too.
         let first = s.parent_batch(3, None, 1).unwrap();

@@ -183,3 +183,120 @@ fn explain_covers_all_engines() {
         assert!(!text.is_empty(), "{engine} explain empty");
     }
 }
+
+/// The plan engines whose EXPLAIN the goldens below pin down.
+const PLAN_ENGINES: [EngineKind; 4] = [
+    EngineKind::M3Algebraic,
+    EngineKind::M4CostBased,
+    EngineKind::M4Pipelined,
+    EngineKind::Parallel,
+];
+
+/// The testbed corpus loaded into one database: every correctness document
+/// with the 16 correctness queries, the big `dblp` with the five
+/// efficiency queries.
+fn corpus_cases() -> (Database, Vec<(String, &'static str, &'static str)>) {
+    use xmldb_testbed::corpus::{correctness_queries, efficiency_queries, Corpus, CorpusConfig};
+    let corpus = Corpus::generate(&CorpusConfig::default());
+    let db = Database::in_memory();
+    let mut cases = Vec::new();
+    for (doc, xml) in &corpus.documents {
+        db.load_document(doc, xml).unwrap();
+        let queries = if doc == "dblp" {
+            efficiency_queries()
+        } else {
+            correctness_queries()
+        };
+        for (name, query) in queries {
+            cases.push((doc.clone(), name, query));
+        }
+    }
+    (db, cases)
+}
+
+/// The single join operator must plan, name and cost exactly what the five
+/// join structs it replaced did. `tests/golden/corpus_plans.tsv` was
+/// written by the commit *before* the replacement: one line per corpus
+/// (document, query, engine) with the FNV-1a of the full EXPLAIN text and
+/// the executed program's plan digest (`Plan::digest` per relfor, folded;
+/// `-` for the big `dblp`, whose queries are only planned here, not run).
+/// EXPLAIN text, and with it every estimate and every `nl-join` /
+/// `inl-join` / `bnl-join block=…` / `left-outer-…` name derived from the
+/// join's parameters, must not have moved by a byte.
+#[test]
+fn corpus_explain_and_digests_match_golden() {
+    let golden = include_str!("golden/corpus_plans.tsv");
+    let (db, cases) = corpus_cases();
+    let mut lines = golden.lines();
+    for (doc, name, query) in &cases {
+        for engine in PLAN_ENGINES {
+            let text = db.explain(doc, query, engine).unwrap();
+            let digest = (doc != "dblp")
+                .then(|| db.query(doc, query, engine).ok())
+                .flatten()
+                .and_then(|r| r.metrics().and_then(|m| m.plan_digest))
+                .map_or("-".to_string(), |d| format!("{d:016x}"));
+            let line = format!(
+                "{doc}\t{name}\t{engine}\t{:016x}\t{digest}",
+                xmldb_obs::fnv1a(text.as_bytes())
+            );
+            assert_eq!(
+                Some(line.as_str()),
+                lines.next(),
+                "EXPLAIN or plan digest moved for {doc} {name} {engine}; EXPLAIN is now:\n{text}"
+            );
+        }
+    }
+    assert_eq!(lines.next(), None, "golden has cases the corpus lost");
+}
+
+/// Full EXPLAIN text (same provenance as the digests above) for one plan
+/// per join name, so the names and their `probe=` / `block=` details are
+/// readable in the golden itself.
+#[test]
+fn every_join_name_renders_as_before() {
+    let golden = include_str!("golden/join_names.explain");
+    let (db, cases) = corpus_cases();
+    let engine_named = |name: &str| {
+        PLAN_ENGINES
+            .into_iter()
+            .find(|e| e.name() == name)
+            .unwrap_or_else(|| panic!("unknown engine {name}"))
+    };
+    let mut seen = Vec::new();
+    for section in golden.split("### ").skip(1) {
+        let (header, expected) = section.split_once('\n').unwrap();
+        let [doc, name, engine] = header.split(' ').collect::<Vec<_>>()[..] else {
+            panic!("malformed golden header {header:?}")
+        };
+        // The corpus has no left-outer join over a re-scanned right side;
+        // this query (an inner loop unrelated to the outer one, under a
+        // constructor) plans as one.
+        let query = match name {
+            "outer-nl" => "for $n in //name return <n>{ for $t in //title return $t }</n>",
+            _ => {
+                cases
+                    .iter()
+                    .find(|(d, n, _)| d == doc && *n == name)
+                    .unwrap_or_else(|| panic!("no corpus case {doc} {name}"))
+                    .2
+            }
+        };
+        let text = db.explain(doc, query, engine_named(engine)).unwrap();
+        assert_eq!(text, expected, "{header}");
+        seen.extend(
+            [
+                "left-outer-inl-join",
+                "left-outer-nl-join",
+                "bnl-join block=1024",
+                " inl-join",
+                " nl-join",
+            ]
+            .into_iter()
+            .filter(|n| text.contains(n)),
+        );
+    }
+    seen.sort_unstable();
+    seen.dedup();
+    assert_eq!(seen.len(), 5, "a join name is not covered: {seen:?}");
+}
