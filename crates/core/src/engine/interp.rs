@@ -18,7 +18,7 @@ use crate::{Error, QueryResult, Result};
 use std::collections::HashMap;
 use xmldb_physical::Error as ExecError;
 use xmldb_xasr::{predicates, NodeTuple, NodeType, XasrStore};
-use xmldb_xml::{Document, NodeId};
+use xmldb_xml::XmlWriter;
 use xmldb_xq::{Axis, Cond, Expr, NodeTest, Var};
 
 /// How axis steps touch storage.
@@ -32,12 +32,11 @@ pub enum AccessMode {
 
 /// Evaluates `query` against a shredded document.
 pub fn evaluate(store: &XasrStore, query: &Expr, mode: AccessMode) -> Result<QueryResult> {
-    let mut out = Document::new();
-    let out_root = out.root();
+    let mut out = XmlWriter::new();
     let mut env: HashMap<Var, NodeTuple> = HashMap::new();
     env.insert(Var::root(), store.root()?);
     let interp = Interp { store, mode };
-    interp.eval(query, &mut env, &mut out, out_root)?;
+    interp.eval(query, &mut env, &mut out)?;
     Ok(QueryResult::new(out))
 }
 
@@ -61,38 +60,36 @@ struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
+    /// Writes `expr`'s output at `out`'s current position.
     fn eval(
         &self,
         expr: &Expr,
         env: &mut HashMap<Var, NodeTuple>,
-        out: &mut Document,
-        parent: NodeId,
+        out: &mut XmlWriter,
     ) -> Result<()> {
         match expr {
             Expr::Empty => Ok(()),
             Expr::Text(t) => {
-                out.add_text(parent, t);
+                out.text(t);
                 Ok(())
             }
             Expr::Sequence(parts) => {
                 for p in parts {
-                    self.eval(p, env, out, parent)?;
+                    self.eval(p, env, out)?;
                 }
                 Ok(())
             }
             Expr::Element { name, content } => {
-                let id = out.add_element(parent, name.clone());
-                self.eval(content, env, out, id)
+                out.open(name);
+                self.eval(content, env, out)?;
+                out.close();
+                Ok(())
             }
-            Expr::Var(v) => {
-                let tuple = lookup(env, v)?;
-                self.emit_subtree(&tuple, out, parent)
-            }
+            Expr::Var(v) => Ok(self.store.write_subtree(&lookup(env, v)?, out)?),
             Expr::Step(step) => {
                 let base = lookup(env, &step.var)?;
                 for tuple in self.axis(&base, step.axis, &step.test) {
-                    let tuple = tuple?;
-                    self.emit_subtree(&tuple, out, parent)?;
+                    self.store.write_subtree(&tuple?, out)?;
                 }
                 Ok(())
             }
@@ -103,14 +100,14 @@ impl<'a> Interp<'a> {
                 let saved = env.get(var).cloned();
                 for tuple in tuples {
                     env.insert(var.clone(), tuple?);
-                    self.eval(body, env, out, parent)?;
+                    self.eval(body, env, out)?;
                 }
                 restore(env, var, saved);
                 Ok(())
             }
             Expr::If { cond, then } => {
                 if self.eval_cond(cond, env)? {
-                    self.eval(then, env, out, parent)?;
+                    self.eval(then, env, out)?;
                 }
                 Ok(())
             }
@@ -211,16 +208,6 @@ impl<'a> Interp<'a> {
                 )
             }
         }
-    }
-
-    /// Copies the stored subtree under `tuple` into the output.
-    fn emit_subtree(&self, tuple: &NodeTuple, out: &mut Document, parent: NodeId) -> Result<()> {
-        let fragment = self.store.reconstruct(tuple.in_)?;
-        let root = fragment.root();
-        for &child in fragment.children(root) {
-            out.copy_subtree(parent, &fragment, child);
-        }
-        Ok(())
     }
 }
 

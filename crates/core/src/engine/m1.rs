@@ -9,18 +9,21 @@ use crate::{Error, QueryResult, Result};
 use std::collections::HashMap;
 use xmldb_physical::Error as ExecError;
 use xmldb_xasr::NodeType;
-use xmldb_xml::{Document, NodeId, NodeKind};
+use xmldb_xml::{Document, NodeId, NodeKind, XmlWriter};
 use xmldb_xq::{Axis, Cond, Expr, NodeTest, Var};
 
 /// Evaluates `query` over an in-memory document. The implicit root
-/// variable binds to the document's virtual root.
+/// variable binds to the document's virtual root. The result is built as
+/// a DOM — the denotational reading — and written out in one pass.
 pub fn evaluate(doc: &Document, query: &Expr) -> Result<QueryResult> {
     let mut out = Document::new();
     let out_root = out.root();
     let mut env: HashMap<Var, NodeId> = HashMap::new();
     env.insert(Var::root(), doc.root());
     eval(doc, query, &mut env, &mut out, out_root)?;
-    Ok(QueryResult::new(out))
+    let mut writer = XmlWriter::new();
+    writer.node(&out, out_root);
+    Ok(QueryResult::new(writer))
 }
 
 /// Convenience: parse an XML string and evaluate a query string over it

@@ -23,7 +23,7 @@ use xmldb_optimizer::{plan_psx, CostModel, ParallelOpts, Plan, PlanMetrics, Plan
 use xmldb_physical::Error as ExecError;
 use xmldb_physical::{Bindings, ExecContext, LastKey, RowBatch, BATCH_ROWS};
 use xmldb_xasr::{NodeTuple, XasrStore};
-use xmldb_xml::{Document, NodeId};
+use xmldb_xml::XmlWriter;
 use xmldb_xq::{Cond, Expr, Var};
 
 /// Evaluates `query` with the TPM pipeline under `config`. The explicit
@@ -365,43 +365,43 @@ struct Exec<'a> {
 
 impl Exec<'_> {
     fn run(&self, program: &CompiledProgram) -> Result<QueryResult> {
-        let mut out = Document::new();
-        let out_root = out.root();
+        let mut out = XmlWriter::new();
         let mut env: HashMap<Var, NodeTuple> = HashMap::new();
         env.insert(Var::root(), self.store.root()?);
-        self.exec(&program.prog, &mut env, &mut out, out_root)?;
+        self.exec(&program.prog, &mut env, &mut out)?;
         Ok(QueryResult::new(out))
     }
 
+    /// Writes `prog`'s output at `out`'s current position.
     fn exec(
         &self,
         prog: &Prog,
         env: &mut HashMap<Var, NodeTuple>,
-        out: &mut Document,
-        parent: NodeId,
+        out: &mut XmlWriter,
     ) -> Result<()> {
         match prog {
             Prog::Empty => Ok(()),
             Prog::Text(t) => {
-                out.add_text(parent, t);
+                out.text(t);
                 Ok(())
             }
             Prog::Concat(parts) => {
                 for p in parts {
-                    self.exec(p, env, out, parent)?;
+                    self.exec(p, env, out)?;
                 }
                 Ok(())
             }
             Prog::Constr { label, content } => {
-                let id = out.add_element(parent, label.clone());
-                self.exec(content, env, out, id)
+                out.open(label);
+                self.exec(content, env, out)?;
+                out.close();
+                Ok(())
             }
             Prog::VarOut(v) => {
                 let tuple = env
                     .get(v)
-                    .cloned()
                     .ok_or_else(|| Error::Exec(ExecError::UnboundVariable(v.to_string())))?;
-                emit_subtree(self.store, &tuple, out, parent)
+                Ok(self.store.write_subtree(tuple, out)?)
             }
             Prog::RelFor {
                 vars,
@@ -420,36 +420,42 @@ impl Exec<'_> {
                 let bound = || vars.iter().chain(inner_var);
                 let saved: Vec<(Var, Option<NodeTuple>)> =
                     bound().map(|v| (v.clone(), env.get(v).cloned())).collect();
-                // Left-outer relfors group their rows by the `vars` prefix:
-                // the outer binding in progress and its element.
-                let mut group = (LastKey::default(), parent);
+                // Left-outer relfors group their rows by the `vars` prefix;
+                // each outer binding's element stays open until the key
+                // changes or the rows end.
+                let mut group = LastKey::default();
+                let mut group_open = false;
                 // The one consumer of this relfor's rows, whichever drive
                 // delivers them: bind the row's variables, evaluate `body`.
                 let mut consume = |batch: &RowBatch| -> Result<()> {
                     for row in batch.iter() {
                         debug_assert_eq!(row.len(), bound().count());
-                        let mut target = parent;
                         if let Some(OuterJoin { label, .. }) = outer_join {
                             let key = row[..vars.len()].iter().map(|t| t.in_);
-                            if group.0.changes_to(key) {
-                                group.1 = out.add_element(parent, label.clone());
+                            if group.changes_to(key) {
+                                if group_open {
+                                    out.close();
+                                }
+                                out.open(label);
+                                group_open = true;
                             }
-                            target = group.1;
                             if row[vars.len()].is_null() {
-                                // Match-less outer binding: the (empty)
-                                // element was created above; nothing to
-                                // evaluate inside it.
+                                // Match-less outer binding: its element,
+                                // opened above, stays empty.
                                 continue;
                             }
                         }
                         for (var, tuple) in bound().zip(row) {
                             env.insert(var.clone(), tuple.clone());
                         }
-                        self.exec(body, env, out, target)?;
+                        self.exec(body, env, out)?;
                     }
                     Ok(())
                 };
                 let result = self.drive(plan, *plan_index, &bindings, &mut consume);
+                if group_open {
+                    out.close();
+                }
                 for (var, old) in saved {
                     match old {
                         Some(t) => env.insert(var, t),
@@ -460,7 +466,7 @@ impl Exec<'_> {
             }
             Prog::IfFallback { cond, body } => {
                 if interp::eval_cond_indexed(self.store, cond, env)? {
-                    self.exec(body, env, out, parent)?;
+                    self.exec(body, env, out)?;
                 }
                 Ok(())
             }
@@ -470,7 +476,7 @@ impl Exec<'_> {
     /// Runs `plan` under `bindings`, handing its rows to `consume` batch by
     /// batch in document order. The parallel engine runs an eligible plan
     /// morsel-wise on the pool and gathers into `consume` here on the
-    /// coordinator (document construction is single-threaded by design);
+    /// coordinator (result writing is single-threaded by design);
     /// everything else, and every fallback, is the serial batch drive.
     fn drive(
         &self,
@@ -524,20 +530,6 @@ impl Exec<'_> {
         op.close();
         result
     }
-}
-
-fn emit_subtree(
-    store: &XasrStore,
-    tuple: &NodeTuple,
-    out: &mut Document,
-    parent: NodeId,
-) -> Result<()> {
-    let fragment = store.reconstruct(tuple.in_)?;
-    let root = fragment.root();
-    for &child in fragment.children(root) {
-        out.copy_subtree(parent, &fragment, child);
-    }
-    Ok(())
 }
 
 #[cfg(test)]

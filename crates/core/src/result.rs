@@ -1,9 +1,9 @@
-//! Query results: a sequence of output items held as a DOM forest.
+//! Query results: a sequence of output items held as serialized XML.
 
 use std::time::Duration;
 use xmldb_obs::SpanTree;
 use xmldb_storage::{GovernorSnapshot, IoSnapshot};
-use xmldb_xml::{serialize_subtree, Document, NodeId};
+use xmldb_xml::XmlWriter;
 
 /// Execution metrics attached to a [`QueryResult`] by the engine
 /// dispatcher: wall time plus the buffer-pool traffic the query caused
@@ -33,15 +33,19 @@ pub struct QueryMetrics {
 }
 
 /// The result of evaluating an XQ query: a sequence of constructed and/or
-/// copied nodes, in output order.
+/// copied nodes, in output order, held as its canonical compact
+/// serialization plus the number of items.
 ///
-/// Internally a [`Document`] whose virtual root's children are the items.
-/// Two results are equal iff their canonical (compact) serializations are
+/// The engines write the serialization into an [`XmlWriter`] while they
+/// run, inside their execution scope — copied subtrees are read while the
+/// query's transaction and the document are still there — and build no
+/// result DOM. Two results are equal iff their serializations are
 /// byte-equal — exactly how the course's submission&test system diffed
 /// engine outputs against the reference answers.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
-    doc: Document,
+    xml: String,
+    items: usize,
     // Boxed: the metrics block (io snapshot, governor counters, span tree)
     // is larger than the result header itself and most results move
     // through channels and enum variants by value.
@@ -49,17 +53,18 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Wraps a result forest.
-    pub(crate) fn new(doc: Document) -> QueryResult {
-        QueryResult { doc, metrics: None }
+    /// Takes what an engine wrote.
+    pub(crate) fn new(out: XmlWriter) -> QueryResult {
+        QueryResult {
+            items: out.items(),
+            xml: out.into_string(),
+            metrics: None,
+        }
     }
 
     /// An empty result.
     pub fn empty() -> QueryResult {
-        QueryResult {
-            doc: Document::new(),
-            metrics: None,
-        }
+        QueryResult::new(XmlWriter::new())
     }
 
     /// Attaches execution metrics (done by the engine dispatcher).
@@ -80,42 +85,30 @@ impl QueryResult {
         self.metrics.as_deref_mut()
     }
 
-    /// The result forest as a DOM.
-    pub fn document(&self) -> &Document {
-        &self.doc
-    }
-
-    /// Number of top-level items.
+    /// Number of top-level items; adjacent top-level text is one item.
     pub fn len(&self) -> usize {
-        self.doc.children(self.doc.root()).len()
+        self.items
     }
 
     /// True if the query produced nothing.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Item ids in output order.
-    pub fn items(&self) -> &[NodeId] {
-        self.doc.children(self.doc.root())
+        self.items == 0
     }
 
     /// Canonical compact serialization of the whole result sequence.
     pub fn to_xml(&self) -> String {
-        xmldb_xml::serialize_document(&self.doc)
+        self.xml.clone()
     }
 
-    /// Serialization of one item.
-    pub fn item_xml(&self, index: usize) -> Option<String> {
-        self.items()
-            .get(index)
-            .map(|&id| serialize_subtree(&self.doc, id))
+    /// [`Self::to_xml`] without the copy.
+    pub fn into_xml(self) -> String {
+        self.xml
     }
 }
 
 impl PartialEq for QueryResult {
     fn eq(&self, other: &Self) -> bool {
-        self.to_xml() == other.to_xml()
+        self.xml == other.xml
     }
 }
 
@@ -123,7 +116,7 @@ impl Eq for QueryResult {}
 
 impl std::fmt::Display for QueryResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_xml())
+        f.write_str(&self.xml)
     }
 }
 
@@ -141,27 +134,25 @@ mod tests {
 
     #[test]
     fn items_and_serialization() {
-        let mut doc = Document::new();
-        let root = doc.root();
-        let a = doc.add_element(root, "a");
-        doc.add_text(a, "x");
-        doc.add_text(root, "tail");
-        let r = QueryResult::new(doc);
+        let mut out = XmlWriter::new();
+        out.open("a");
+        out.text("x");
+        out.close();
+        out.text("tail");
+        let r = QueryResult::new(out);
         assert_eq!(r.len(), 2);
         assert_eq!(r.to_xml(), "<a>x</a>tail");
-        assert_eq!(r.item_xml(0).unwrap(), "<a>x</a>");
-        assert_eq!(r.item_xml(1).unwrap(), "tail");
-        assert!(r.item_xml(2).is_none());
+        assert_eq!(r.into_xml(), "<a>x</a>tail");
     }
 
     #[test]
     fn equality_is_canonical_serialization() {
-        let mut d1 = Document::new();
-        let r1 = d1.root();
-        d1.add_element(r1, "a");
-        let mut d2 = Document::new();
-        let r2 = d2.root();
-        d2.add_element(r2, "a");
-        assert_eq!(QueryResult::new(d1), QueryResult::new(d2));
+        let result = || {
+            let mut out = XmlWriter::new();
+            out.open("a");
+            out.close();
+            QueryResult::new(out)
+        };
+        assert_eq!(result(), result());
     }
 }

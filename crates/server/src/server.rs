@@ -839,9 +839,11 @@ fn run_session(shared: &Arc<Shared>, mut stream: TcpStream, id: u64, queued: boo
     // Cleanup: a client that vanished mid-transaction must not keep its
     // page locks — roll back now, not at some later GC.
     if let Some(txn) = session.txn.take() {
-        shared.metrics.disconnect_rollbacks_total.inc();
         let _ = txn.rollback();
         session.drop_txn_created_docs();
+        // Counted only once the rollback and its document compensation
+        // are done: a scrape that sees the count sees their effects.
+        shared.metrics.disconnect_rollbacks_total.inc();
     }
     shared.remove_session(id);
     shared.release_slot();
@@ -1115,7 +1117,7 @@ impl Session {
                     Ok(result) => Response::Items {
                         count: result.len() as u64,
                         elapsed_us: started.elapsed().as_micros() as u64,
-                        xml: result.to_xml(),
+                        xml: result.into_xml(),
                     },
                     Err(e) => self.error_response(&e),
                 }
@@ -1165,7 +1167,7 @@ impl Session {
                     Ok(result) => Response::Items {
                         count: result.len() as u64,
                         elapsed_us: started.elapsed().as_micros() as u64,
-                        xml: result.to_xml(),
+                        xml: result.into_xml(),
                     },
                     Err(e) => self.error_response(&e),
                 }
@@ -1309,10 +1311,6 @@ impl Session {
         }
     }
 
-    /// Maps an engine error to its typed wire code. A deadlock victim's
-    /// transaction is already rolled back by the lock manager — drop the
-    /// dead handle so the session's state matches reality and the client
-    /// can `begin` again.
     /// Drops documents created inside a transaction that did not commit
     /// (see the field docs on `txn_created_docs`).
     fn drop_txn_created_docs(&mut self) {
@@ -1327,6 +1325,10 @@ impl Session {
         }
     }
 
+    /// Maps an engine error to its typed wire code. A deadlock victim's
+    /// transaction is already rolled back by the lock manager — drop the
+    /// dead handle so the session's state matches reality and the client
+    /// can `begin` again.
     fn error_response(&mut self, e: &Error) -> Response {
         let code = if e.is_deadlock() {
             if self.txn.as_ref().is_some_and(|t| !t.is_active()) {

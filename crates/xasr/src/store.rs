@@ -1,11 +1,11 @@
 //! The XASR node store: three B+-trees plus statistics over one document.
 
 use crate::stats::Statistics;
-use crate::tuple::{NodeTuple, NodeType};
+use crate::tuple::{NodeTuple, NodeType, TupleRef};
 use crate::{Error, Result};
 use std::ops::Bound;
 use xmldb_storage::{BTree, Env};
-use xmldb_xml::Document;
+use xmldb_xml::{Document, XmlWriter};
 
 /// File names backing a document named `name`.
 pub struct FileNames {
@@ -385,8 +385,8 @@ impl XasrStore {
 
     /// Reconstructs the subtree rooted at `in_` as a DOM fragment —
     /// "obviously, XML documents stored using this schema can be
-    /// reconstructed". Used when query results copy input subtrees to the
-    /// output.
+    /// reconstructed". Milestone 1 loads the whole document through it, and
+    /// tests hold [`Self::write_subtree`] against it.
     pub fn reconstruct(&self, in_: u64) -> Result<Document> {
         let root_tuple = self
             .get(in_)?
@@ -427,20 +427,82 @@ impl XasrStore {
             attach(&mut doc, &mut ids, &root_tuple)?;
         }
         for tuple in self.scan_in_range(root_tuple.in_, root_tuple.out) {
-            let tuple = tuple?;
-            // scan_in_range yields proper descendants (in document order, so
-            // parents precede children) — but also following-sibling text
-            // nodes whose `in` lies inside the interval? No: descendants are
-            // exactly in ∈ (root.in, root.out) by the interval property.
-            attach(&mut doc, &mut ids, &tuple)?;
+            attach(&mut doc, &mut ids, &tuple?)?;
         }
         Ok(doc)
     }
 
+    /// Writes the stored subtree of `tuple` to `out` — a root tuple writes
+    /// its children only — producing the bytes and item count that
+    /// serializing [`Self::reconstruct`]'s fragment would.
+    ///
+    /// The subtree is the clustered range `[in, out)`, so this is one
+    /// zero-copy range scan in document order: no DOM, no map from `in` to
+    /// node, no per-node allocation. A stack of the open elements' `out`
+    /// values says when to close them: an element ends before the first
+    /// tuple whose `in` exceeds its `out`. A text tuple needs no read at
+    /// all, and neither does an element without descendants.
+    pub fn write_subtree(&self, tuple: &NodeTuple, out: &mut XmlWriter) -> Result<()> {
+        let value = tuple.value.as_deref().unwrap_or("");
+        match tuple.kind {
+            NodeType::Text => {
+                out.text(value);
+                return Ok(());
+            }
+            NodeType::Element => out.open(value),
+            NodeType::Root => {}
+        }
+        let mut open_outs: Vec<u64> = Vec::new();
+        if tuple.out > tuple.in_ + 1 {
+            let lo = NodeTuple::clustered_key(tuple.in_);
+            let hi = NodeTuple::clustered_key(tuple.out);
+            let mut failed = None;
+            self.clustered
+                .scan_range(Bound::Excluded(&lo), Bound::Excluded(&hi), |_, v| {
+                    let t = match TupleRef::decode(v) {
+                        Ok(t) => t,
+                        Err(e) => {
+                            failed = Some(e);
+                            return false;
+                        }
+                    };
+                    while open_outs.last().is_some_and(|&o| o < t.in_) {
+                        open_outs.pop();
+                        out.close();
+                    }
+                    let value = t.value.unwrap_or("");
+                    match t.kind {
+                        NodeType::Element => {
+                            out.open(value);
+                            open_outs.push(t.out);
+                        }
+                        NodeType::Text => out.text(value),
+                        // Only the document's first tuple is a root.
+                        NodeType::Root => {}
+                    }
+                    true
+                })?;
+            if let Some(e) = failed {
+                return Err(e);
+            }
+        }
+        for _ in open_outs {
+            out.close();
+        }
+        if tuple.kind == NodeType::Element {
+            out.close();
+        }
+        Ok(())
+    }
+
     /// Serializes the subtree rooted at `in_` back to XML text.
     pub fn serialize_subtree(&self, in_: u64) -> Result<String> {
-        let doc = self.reconstruct(in_)?;
-        Ok(xmldb_xml::serialize_document(&doc))
+        let tuple = self
+            .get(in_)?
+            .ok_or_else(|| Error::Corrupt(format!("no node with in={in_}")))?;
+        let mut out = XmlWriter::new();
+        self.write_subtree(&tuple, &mut out)?;
+        Ok(out.into_string())
     }
 }
 

@@ -122,35 +122,13 @@ impl NodeTuple {
 
     /// Inverse of [`Self::encode`].
     pub fn decode(buf: &[u8]) -> Result<NodeTuple> {
-        if buf.len() < 26 {
-            return Err(Error::Corrupt(format!(
-                "tuple record too short: {}",
-                buf.len()
-            )));
-        }
-        let mut pos = 0;
-        let in_ = codec::get_u64(buf, &mut pos);
-        let out = codec::get_u64(buf, &mut pos);
-        let parent_in = codec::get_u64(buf, &mut pos);
-        let kind = NodeType::from_byte(buf[pos])?;
-        pos += 1;
-        let has_value = buf[pos] == 1;
-        pos += 1;
-        let value = if has_value {
-            let bytes = codec::get_bytes(buf, &mut pos);
-            Some(
-                String::from_utf8(bytes.to_vec())
-                    .map_err(|_| Error::Corrupt("tuple value not UTF-8".into()))?,
-            )
-        } else {
-            None
-        };
+        let t = TupleRef::decode(buf)?;
         Ok(NodeTuple {
-            in_,
-            out,
-            parent_in,
-            kind,
-            value,
+            in_: t.in_,
+            out: t.out,
+            parent_in: t.parent_in,
+            kind: t.kind,
+            value: t.value.map(str::to_string),
         })
     }
 
@@ -325,6 +303,53 @@ impl NodeTuple {
             parent_in,
             kind,
             value: val,
+        })
+    }
+}
+
+/// A clustered record decoded in place: [`NodeTuple`]'s fields with the
+/// value borrowed from the encoded bytes, so a scan can read the tuple
+/// without allocating.
+pub(crate) struct TupleRef<'a> {
+    pub(crate) in_: u64,
+    pub(crate) out: u64,
+    pub(crate) parent_in: u64,
+    pub(crate) kind: NodeType,
+    pub(crate) value: Option<&'a str>,
+}
+
+impl<'a> TupleRef<'a> {
+    /// Decodes [`NodeTuple::encode`]'s output.
+    pub(crate) fn decode(buf: &'a [u8]) -> Result<TupleRef<'a>> {
+        if buf.len() < 26 {
+            return Err(Error::Corrupt(format!(
+                "tuple record too short: {}",
+                buf.len()
+            )));
+        }
+        let mut pos = 0;
+        let in_ = codec::get_u64(buf, &mut pos);
+        let out = codec::get_u64(buf, &mut pos);
+        let parent_in = codec::get_u64(buf, &mut pos);
+        let kind = NodeType::from_byte(buf[pos])?;
+        pos += 1;
+        let has_value = buf[pos] == 1;
+        pos += 1;
+        let value = if has_value {
+            let bytes = codec::get_bytes(buf, &mut pos);
+            Some(
+                std::str::from_utf8(bytes)
+                    .map_err(|_| Error::Corrupt("tuple value not UTF-8".into()))?,
+            )
+        } else {
+            None
+        };
+        Ok(TupleRef {
+            in_,
+            out,
+            parent_in,
+            kind,
+            value,
         })
     }
 }

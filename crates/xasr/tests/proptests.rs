@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use xmldb_storage::{Env, EnvConfig};
 use xmldb_xasr::{shred_document, NodeTuple, NodeType};
-use xmldb_xml::NodeKind;
+use xmldb_xml::{NodeKind, XmlWriter};
 
 #[derive(Debug, Clone)]
 enum Tree {
@@ -28,9 +28,23 @@ fn root_strategy() -> impl Strategy<Value = Tree> {
         .prop_map(|(n, kids)| Tree::Element(n, kids))
 }
 
+/// Text that needs escaping, empty elements, and nesting deep enough that
+/// one subtree spans several leaves of a small-page clustered tree.
+fn escaped_deep_strategy() -> impl Strategy<Value = Tree> {
+    let leaf = prop_oneof![
+        "[a-c&<> ]{1,6}".prop_map(Tree::Text),
+        "[a-d]{1,3}".prop_map(|n| Tree::Element(n, vec![])),
+    ];
+    let tree = leaf.prop_recursive(10, 96, 3, |inner| {
+        ("[a-d]{1,3}", prop::collection::vec(inner, 0..3))
+            .prop_map(|(n, kids)| Tree::Element(n, kids))
+    });
+    ("[a-d]{1,3}", prop::collection::vec(tree, 0..4)).prop_map(|(n, kids)| Tree::Element(n, kids))
+}
+
 fn to_xml(tree: &Tree, out: &mut String) {
     match tree {
-        Tree::Text(t) => out.push_str(t),
+        Tree::Text(t) => out.push_str(&xmldb_xml::escape::escape_text(t)),
         Tree::Element(name, kids) => {
             out.push('<');
             out.push_str(name);
@@ -93,6 +107,25 @@ proptest! {
         let dom = xmldb_xml::parse(&xml).unwrap();
         let canonical = xmldb_xml::serialize_document(&dom);
         prop_assert_eq!(store.serialize_subtree(1).unwrap(), canonical);
+    }
+
+    /// The range-scan writer produces exactly what serializing the
+    /// reconstructed fragment produces, for every node: bytes and item
+    /// count.
+    #[test]
+    fn write_subtree_matches_reconstruct(tree in escaped_deep_strategy()) {
+        let mut xml = String::new();
+        to_xml(&tree, &mut xml);
+        let env = small_env();
+        let store = shred_document(&env, "d", &xml).unwrap();
+        for tuple in store.scan_all() {
+            let tuple = tuple.unwrap();
+            let fragment = store.reconstruct(tuple.in_).unwrap();
+            let mut out = XmlWriter::new();
+            store.write_subtree(&tuple, &mut out).unwrap();
+            prop_assert_eq!(out.items(), fragment.children(fragment.root()).len());
+            prop_assert_eq!(out.into_string(), xmldb_xml::serialize_document(&fragment));
+        }
     }
 
     /// Axis accessors agree with brute-force filtering of the full relation.

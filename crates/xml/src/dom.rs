@@ -219,15 +219,10 @@ impl Document {
 
     /// Appends text under `parent`, merging with a preceding text sibling so
     /// a document never contains adjacent text nodes (an XQuery data-model
-    /// invariant relied on by the comparison semantics).
+    /// invariant relied on by the comparison semantics). Empty text with no
+    /// text sibling still becomes a node, so its parent serializes as
+    /// `<a></a>`, not `<a/>`.
     pub fn add_text(&mut self, parent: NodeId, text: &str) -> NodeId {
-        if text.is_empty() {
-            // Still create a node if the subtree must exist? Empty text nodes
-            // are meaningless in the data model; merge target or fresh node
-            // would both be invisible. Create nothing only if a sibling
-            // exists; otherwise keep an empty node so `<a></a>` and
-            // `<a>""</a>` can be distinguished by explicit construction.
-        }
         if let Some(&last) = self.nodes[parent.index()].children.last() {
             if self.kind(last) == NodeKind::Text {
                 self.nodes[last.index()].value.push_str(text);

@@ -11,7 +11,8 @@
 //!   engine,
 //! * [`labeling`] — the in/out (pre/post tag-count) numbering of Figure 2,
 //!   the basis of the XASR encoding,
-//! * [`serializer`] — document/subtree serialization back to XML text,
+//! * [`serializer`] — compact XML output ([`XmlWriter`], which the query
+//!   engines write results into) and DOM serialization back to XML text,
 //! * [`escape`] — entity escaping and resolution.
 //!
 //! The supported dialect is deliberately the one the course needed: elements,
@@ -32,7 +33,7 @@ pub use dom::{Document, NodeId, NodeKind};
 pub use error::{XmlError, XmlErrorKind};
 pub use labeling::Labeling;
 pub use reader::{Event, EventReader, ParseOptions};
-pub use serializer::{serialize_document, serialize_subtree, SerializeOptions};
+pub use serializer::{serialize_document, SerializeOptions, XmlWriter};
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, XmlError>;

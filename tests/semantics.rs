@@ -254,6 +254,53 @@ fn semantics_table_all_engines() {
     }
 }
 
+/// The result's shape — bytes *and* item count — on every engine equals
+/// M1's, which builds the result as a DOM: adjacent top-level text is one
+/// item, only a childless element self-closes, `$root` writes the
+/// document's children, and a left-outer group with no match is an empty
+/// element even when it is the last one.
+#[test]
+fn result_items_match_m1_on_every_engine() {
+    let cases: &[(&str, &str, &str, usize)] = &[
+        (
+            "<a><name>Ana</name><name>Bob</name></a>",
+            "for $t in //name/text() return $t",
+            "AnaBob",
+            1,
+        ),
+        ("<a/>", "<a>{()}</a>", "<a/>", 1),
+        ("<a><e/><f>x</f><e/></a>", "//e", "<e/><e/>", 2),
+        ("<a><e/>t</a>", "$root", "<a><e/>t</a>", 1),
+        (
+            "<a><e/>t</a>",
+            "($root, $root)",
+            "<a><e/>t</a><a><e/>t</a>",
+            2,
+        ),
+        (
+            "<lib><j><n>1</n><n>2</n></j><j><n>3</n></j><j/></lib>",
+            "for $j in //j return <out>{ for $n in $j/n return $n }</out>",
+            "<out><n>1</n><n>2</n></out><out><n>3</n></out><out/>",
+            3,
+        ),
+    ];
+    for &(doc, query, xml, items) in cases {
+        let db = Database::in_memory();
+        db.load_document("doc", doc).unwrap();
+        let oracle = db.query("doc", query, EngineKind::M1InMemory).unwrap();
+        assert_eq!(
+            (oracle.to_xml().as_str(), oracle.len()),
+            (xml, items),
+            "{query}"
+        );
+        for engine in EngineKind::ALL {
+            let got = db.query("doc", query, engine).unwrap();
+            assert_eq!(got.to_xml(), oracle.to_xml(), "{query} on {engine}");
+            assert_eq!(got.len(), oracle.len(), "{query} on {engine}");
+        }
+    }
+}
+
 /// Whole-document replacement is the supported update model.
 #[test]
 fn replace_document_updates_answers() {
