@@ -34,23 +34,17 @@ pub enum EngineKind {
     /// ("industrious students were rewarded with bonus points if they
     /// implemented either pipelining or cost-based join reordering").
     M4Pipelined,
-    /// The cost-based engine with morsel-driven parallel execution:
-    /// eligible relfor fragments split their leaf scan's `in`-range into
-    /// morsels run on the shared worker pool, gathered back in document
-    /// order — output is byte-identical to the serial engines.
-    Parallel,
 }
 
 impl EngineKind {
     /// All engines, mild to wild.
-    pub const ALL: [EngineKind; 7] = [
+    pub const ALL: [EngineKind; 6] = [
         EngineKind::M1InMemory,
         EngineKind::NaiveScan,
         EngineKind::M2Storage,
         EngineKind::M3Algebraic,
         EngineKind::M4CostBased,
         EngineKind::M4Pipelined,
-        EngineKind::Parallel,
     ];
 
     /// Short stable name (testbed reports, benchmark tables).
@@ -62,16 +56,13 @@ impl EngineKind {
             EngineKind::M3Algebraic => "m3-algebraic",
             EngineKind::M4CostBased => "m4-costbased",
             EngineKind::M4Pipelined => "m4-pipelined",
-            EngineKind::Parallel => "parallel",
         }
     }
 
     /// How an algebraic engine compiles a query (`None` for the
     /// interpreters): milestone 3 has the merging rules and the heuristic
     /// planner; the milestone-4 engines add the left-outer-join constructor
-    /// extension and plan by cost. The parallel engine plans exactly like
-    /// the cost-based one, so its serial fallbacks and the differential
-    /// harness compare like for like.
+    /// extension and plan by cost.
     pub(crate) fn plan_settings(self) -> Option<(RewriteOptions, PlannerConfig)> {
         let m4 = |config| Some((RewriteOptions::extended(), config));
         match self {
@@ -79,7 +70,7 @@ impl EngineKind {
             EngineKind::M3Algebraic => {
                 Some((RewriteOptions::default(), PlannerConfig::heuristic()))
             }
-            EngineKind::M4CostBased | EngineKind::Parallel => m4(PlannerConfig::cost_based()),
+            EngineKind::M4CostBased => m4(PlannerConfig::cost_based()),
             EngineKind::M4Pipelined => m4(PlannerConfig {
                 materialize_right: false,
                 ..PlannerConfig::cost_based()
@@ -118,11 +109,6 @@ pub struct QueryOptions {
     /// durable until the transaction commits. `None` — the default — is
     /// auto-commit: the query runs on the untransacted fast path.
     pub txn: Option<Txn>,
-    /// Target parallelism for [`EngineKind::Parallel`] (morsels in flight
-    /// at once). `None` falls back to the `SAARDB_PARALLELISM` environment
-    /// variable, then to the machine's available cores. Other engines
-    /// ignore it.
-    pub parallelism: Option<usize>,
     /// Wire-level request id of the statement this query serves, when it
     /// arrived over the network. Carried into [`QueryMetrics`] and the
     /// flight record so client-side log lines, server spans and
@@ -142,19 +128,6 @@ impl QueryOptions {
         } else {
             Governor::current()
         }
-    }
-
-    /// The effective parallelism for [`EngineKind::Parallel`]: explicit
-    /// option, else `SAARDB_PARALLELISM`, else the available cores.
-    pub(crate) fn resolved_parallelism(&self) -> usize {
-        self.parallelism
-            .or_else(|| {
-                std::env::var("SAARDB_PARALLELISM")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(1)
     }
 }
 
@@ -269,11 +242,7 @@ pub(crate) fn execute<C: Borrow<Compiled>>(
             interp::evaluate(store, query, interp::AccessMode::FullScan)
         }
         (Compiled::Ast(query), _) => interp::evaluate(store, query, interp::AccessMode::Indexed),
-        (Compiled::Program(program), _) => {
-            let parallelism =
-                (engine == EngineKind::Parallel).then(|| options.resolved_parallelism());
-            tpm_exec::execute_program(program, store, parallelism)
-        }
+        (Compiled::Program(program), _) => tpm_exec::execute_program(program, store),
     })();
     let elapsed = started.elapsed();
     let io = store.env().io_stats().delta(&io_before);

@@ -17,9 +17,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 use xmldb_algebra::rewrite::{optimize, RewriteOptions};
 use xmldb_algebra::{compile_query, Tpm};
-use xmldb_exec_pool::WorkerPool;
 use xmldb_obs::span;
-use xmldb_optimizer::{plan_psx, CostModel, ParallelOpts, Plan, PlanMetrics, PlannerConfig};
+use xmldb_optimizer::{plan_psx, CostModel, Plan, PlanMetrics, PlannerConfig};
 use xmldb_physical::Error as ExecError;
 use xmldb_physical::{Bindings, ExecContext, LastKey, RowBatch, BATCH_ROWS};
 use xmldb_xasr::{NodeTuple, XasrStore};
@@ -38,7 +37,7 @@ pub fn evaluate(
     options: &QueryOptions,
 ) -> Result<QueryResult> {
     let program = compile_program(store, query, rewrites, config, options);
-    execute_program(&program, store, None)
+    execute_program(&program, store)
 }
 
 /// An opaque, fully planned query (the prepared-query payload): the TPM
@@ -108,31 +107,11 @@ fn compile(
     (tpm, CompiledProgram { prog, plan_count })
 }
 
-/// Executes a previously compiled program against `store`. `parallelism`
-/// is `Some(n)` for the [`super::EngineKind::Parallel`] engine: eligible
-/// relfor fragments then run morsel-parallel on the shared worker pool
-/// with about `n` morsels in flight, ineligible ones fall back to the
-/// serial drive per relfor. Output is byte-identical either way.
-pub fn execute_program(
-    program: &CompiledProgram,
-    store: &XasrStore,
-    parallelism: Option<usize>,
-) -> Result<QueryResult> {
-    if parallelism.is_some() {
-        // Surface the pool's gauges/counters through this environment's
-        // registry (`saardb stats`, the Prometheus endpoint) and count
-        // the query against the parallel engine.
-        WorkerPool::global().bind_registry(store.env().registry());
-        store
-            .env()
-            .registry()
-            .counter("saardb_parallel_queries_total", &[("engine", "parallel")])
-            .inc();
-    }
+/// Executes a previously compiled program against `store`.
+pub fn execute_program(program: &CompiledProgram, store: &XasrStore) -> Result<QueryResult> {
     Exec {
         store,
         analyze: None,
-        parallelism,
     }
     .run(program)
 }
@@ -152,9 +131,6 @@ pub fn execute_program_analyzed(
     let result = Exec {
         store,
         analyze: Some(&metrics),
-        // Analyzed metric slots are Rc-shared — not Send — so EXPLAIN
-        // ANALYZE always executes serially.
-        parallelism: None,
     }
     .run(program);
     (result, metrics.into_inner())
@@ -359,8 +335,6 @@ struct Exec<'a> {
     store: &'a XasrStore,
     /// EXPLAIN ANALYZE: one metric-slot vector per planned relfor.
     analyze: Option<&'a RefCell<Vec<PlanMetrics>>>,
-    /// The parallel engine's morsel target (see [`execute_program`]).
-    parallelism: Option<usize>,
 }
 
 impl Exec<'_> {
@@ -425,8 +399,8 @@ impl Exec<'_> {
                 // changes or the rows end.
                 let mut group = LastKey::default();
                 let mut group_open = false;
-                // The one consumer of this relfor's rows, whichever drive
-                // delivers them: bind the row's variables, evaluate `body`.
+                // The consumer of this relfor's rows: bind the row's
+                // variables, evaluate `body`.
                 let mut consume = |batch: &RowBatch| -> Result<()> {
                     for row in batch.iter() {
                         debug_assert_eq!(row.len(), bound().count());
@@ -474,10 +448,7 @@ impl Exec<'_> {
     }
 
     /// Runs `plan` under `bindings`, handing its rows to `consume` batch by
-    /// batch in document order. The parallel engine runs an eligible plan
-    /// morsel-wise on the pool and gathers into `consume` here on the
-    /// coordinator (result writing is single-threaded by design);
-    /// everything else, and every fallback, is the serial batch drive.
+    /// batch in document order.
     fn drive(
         &self,
         plan: &Plan,
@@ -485,30 +456,6 @@ impl Exec<'_> {
         bindings: &Bindings,
         consume: &mut dyn FnMut(&RowBatch) -> Result<()>,
     ) -> Result<()> {
-        if let (Some(threads), None) = (self.parallelism, self.analyze) {
-            let opts = ParallelOpts {
-                pool: WorkerPool::global(),
-                parallelism: threads,
-            };
-            let ran = xmldb_optimizer::execute_parallel::<Error, _>(
-                plan,
-                self.store,
-                bindings,
-                &opts,
-                &mut *consume,
-            )?;
-            if ran {
-                return Ok(());
-            }
-            // The fragment driver declined this plan shape. The counter
-            // makes systematic fallbacks (a planner change producing
-            // ineligible shapes) visible in `saardb stats`.
-            self.store
-                .env()
-                .registry()
-                .counter("saardb_parallel_fallbacks_total", &[])
-                .inc();
-        }
         let ctx = ExecContext::new(self.store, bindings);
         // Metric slots are shared across re-instantiations of this plan
         // (one per outer binding), so counters accumulate and `opens`

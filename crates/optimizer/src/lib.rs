@@ -26,11 +26,9 @@
 //!   `xmldb-physical` operators.
 
 pub mod cost;
-pub mod parallel;
 pub mod plan;
 pub mod planner;
 
 pub use cost::CostModel;
-pub use parallel::{execute_parallel, ParallelOpts};
 pub use plan::{Plan, PlanMetrics, PlanNode};
 pub use planner::{plan_cost_based, plan_heuristic, plan_outer_join, plan_psx, PlannerConfig};

@@ -64,13 +64,6 @@ pub enum Probe {
     /// index-join side of an XQ value join). Errors with the paper's
     /// non-text runtime error when the context node is not a text node.
     TextEqOf(Src),
-    /// Clustered-index scan over `lo_excl < in < hi_excl` — a
-    /// morsel-bounded [`Probe::Full`], used by the parallel driver to hand
-    /// each worker a contiguous document-order slice.
-    ClusteredRange(u64, u64),
-    /// Label-index scan over `lo_excl < in < hi_excl` — a morsel-bounded
-    /// [`Probe::ByLabel`].
-    LabelRange(String, u64, u64),
 }
 
 impl Probe {
@@ -86,8 +79,6 @@ impl Probe {
             Probe::Bound(s) => format!("bound({s:?})"),
             Probe::ByTextEq(t) => format!("text-eq({t:?})"),
             Probe::TextEqOf(s) => format!("text-eq({s:?})"),
-            Probe::ClusteredRange(lo, hi) => format!("clustered-range({lo},{hi})"),
-            Probe::LabelRange(l, lo, hi) => format!("label-range({l},{lo},{hi})"),
         }
     }
 }
@@ -157,8 +148,6 @@ impl ProbeCursor {
                 let t = s.resolve(left, ctx)?;
                 range(Some(l), Some(t.in_), Some(t.out))
             }
-            Probe::ClusteredRange(lo, hi) => range(None, Some(*lo), Some(*hi)),
-            Probe::LabelRange(l, lo, hi) => range(Some(l), Some(*lo), Some(*hi)),
             Probe::Bound(s) => Resolved::Bound(Some(s.resolve(left, ctx)?)),
             Probe::ByTextEq(t) => Resolved::TextEq { text: t.clone() },
             Probe::TextEqOf(s) => {

@@ -166,7 +166,7 @@ fn scans_of_every_probe() {
     let lib = store.children(1).next().unwrap().unwrap();
     let journal = store.by_label("journal").next().unwrap().unwrap();
     let text = store.by_text("n1").next().unwrap().unwrap();
-    binds.bind(Var::named("lib"), lib.clone());
+    binds.bind(Var::named("lib"), lib);
     binds.bind(Var::named("j"), journal);
     binds.bind(Var::named("t"), text);
     let ctx = ExecContext::new(&store, &binds);
@@ -181,8 +181,6 @@ fn scans_of_every_probe() {
         Probe::Bound(ext("j")),
         Probe::ByTextEq("n2".into()),
         Probe::TextEqOf(ext("t")),
-        Probe::ClusteredRange(lib.in_, lib.out / 2),
-        Probe::LabelRange("name".into(), lib.in_, lib.out / 2),
     ];
     for probe in probes {
         let got = invariant(&probe.describe(), &ctx, &|| scan(probe.clone()));

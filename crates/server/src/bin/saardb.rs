@@ -41,14 +41,10 @@
 //!                                              connections are retried
 //!                                              with jittered backoff)
 //!
-//! options: --engine m1|naive|m2|m3|m4|m4p|parallel   (default m4)
+//! options: --engine m1|naive|m2|m3|m4|m4p   (default m4)
 //!          --pool-mb <n>                    buffer-pool budget (default 16)
 //!          --timeout <secs>                 per-query wall-clock deadline
 //!          --mem-limit <mb>                 per-query working-memory budget
-//!          --parallelism <n>                morsels in flight for the
-//!                                           parallel engine (default: the
-//!                                           SAARDB_PARALLELISM environment
-//!                                           variable, then the core count)
 //!          --connect <addr>                 talk to a saardb server instead
 //!                                           of opening --db locally
 //!
@@ -71,7 +67,6 @@ struct Args {
     pool_mb: usize,
     timeout: Option<Duration>,
     mem_limit_mb: Option<usize>,
-    parallelism: Option<usize>,
     command: Vec<String>,
 }
 
@@ -80,7 +75,6 @@ impl Args {
         QueryOptions {
             timeout: self.timeout,
             mem_limit: self.mem_limit_mb.map(|mb| mb << 20),
-            parallelism: self.parallelism,
             ..QueryOptions::default()
         }
     }
@@ -91,15 +85,14 @@ impl Args {
             engine: Some(engine_to_code(self.engine)),
             timeout_ms: self.timeout.map_or(0, |t| t.as_millis() as u64),
             mem_limit: self.mem_limit_mb.map_or(0, |mb| (mb as u64) << 20),
-            parallelism: self.parallelism.map_or(0, |p| p as u32),
         }
     }
 }
 
 fn print_usage() {
     eprintln!(
-        "usage: saardb --db <dir> [--engine m1|naive|m2|m3|m4|m4p|parallel] [--pool-mb N]\n\
-         \x20             [--timeout SECS] [--mem-limit MB] [--parallelism N] <command>\n\
+        "usage: saardb --db <dir> [--engine m1|naive|m2|m3|m4|m4p] [--pool-mb N]\n\
+         \x20             [--timeout SECS] [--mem-limit MB] <command>\n\
          \x20      saardb --connect <addr> shell\n\
          commands: load <name> <file.xml> | replace <name> <file.xml> | drop <name> |\n\
          \x20         ls | stats <name> | dump <name> | query <name> <xq> |\n\
@@ -119,8 +112,8 @@ fn print_usage() {
 }
 
 /// Parses CLI arguments. Every flag validates its value here — a zero
-/// pool, a NaN timeout or a zero-way parallelism must die as a usage
-/// error, not as a wedged or panicking process later.
+/// pool, a NaN timeout or an unknown option must die as a usage error,
+/// not as a wedged or panicking process later.
 fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut db_dir = None;
     let mut connect = None;
@@ -128,7 +121,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut pool_mb = 16usize;
     let mut timeout = None;
     let mut mem_limit_mb = None;
-    let mut parallelism = None;
     let mut command = Vec::new();
     let mut args = raw.into_iter();
     while let Some(arg) = args.next() {
@@ -144,7 +136,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     "m3" => EngineKind::M3Algebraic,
                     "m4" => EngineKind::M4CostBased,
                     "m4p" => EngineKind::M4Pipelined,
-                    "parallel" => EngineKind::Parallel,
                     other => return Err(format!("unknown engine {other:?}")),
                 };
             }
@@ -182,20 +173,8 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 }
                 mem_limit_mb = Some(n);
             }
-            "--parallelism" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--parallelism needs a whole number of morsels")?;
-                if n == 0 {
-                    return Err(
-                        "--parallelism must be at least 1 (zero morsels in flight make no progress)"
-                            .into(),
-                    );
-                }
-                parallelism = Some(n);
-            }
             "--help" | "-h" => return Err(String::new()),
+            other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
             other => {
                 command.push(other.to_string());
                 command.extend(args.by_ref());
@@ -222,7 +201,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         pool_mb,
         timeout,
         mem_limit_mb,
-        parallelism,
         command,
     })
 }
@@ -541,7 +519,6 @@ fn serve(db: &Database, args: &Args, rest: &[&str]) -> Result<(), Box<dyn std::e
     let mut config = ServerConfig {
         default_engine: args.engine,
         default_mem_limit: args.mem_limit_mb.map(|mb| mb << 20),
-        parallelism: args.parallelism,
         ..ServerConfig::default()
     };
     if args.timeout.is_some() {
@@ -976,16 +953,12 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_rejects_zero() {
-        let err = parse(&["--db", "d", "--parallelism", "0", "ls"]).unwrap_err();
-        assert!(err.contains("--parallelism"));
-        assert!(parse(&["--db", "d", "--parallelism", "none", "ls"]).is_err());
-        assert_eq!(
-            parse(&["--db", "d", "--parallelism", "8", "ls"])
-                .unwrap()
-                .parallelism,
-            Some(8)
-        );
+    fn removed_parallel_flag_and_engine_are_usage_errors() {
+        let flag = ["--", "parallelism"].concat();
+        let err = parse(&["--db", "d", &flag, "4", "ls"]).unwrap_err();
+        assert!(err.contains(&flag), "{err}");
+        let err = parse(&["--db", "d", "--engine", "parallel", "ls"]).unwrap_err();
+        assert!(err.contains("parallel"), "{err}");
     }
 
     #[test]
@@ -1003,10 +976,10 @@ mod tests {
     #[test]
     fn engine_names_resolve_and_garbage_is_rejected() {
         assert_eq!(
-            parse(&["--db", "d", "--engine", "parallel", "ls"])
+            parse(&["--db", "d", "--engine", "m4p", "ls"])
                 .unwrap()
                 .engine,
-            EngineKind::Parallel
+            EngineKind::M4Pipelined
         );
         assert!(parse(&["--db", "d", "--engine", "m9", "ls"])
             .unwrap_err()
@@ -1030,7 +1003,6 @@ mod tests {
             &["--pool-mb"],
             &["--timeout"],
             &["--mem-limit"],
-            &["--parallelism"],
             &["--connect"],
         ] {
             assert!(parse(flags).is_err(), "{flags:?} should be rejected");

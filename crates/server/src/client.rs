@@ -3,7 +3,7 @@
 //!
 //! A [`Client`] owns one TCP connection and one protocol session. The
 //! constructor performs the versioned hello handshake, so a successfully
-//! built client is known-compatible with the server on the other end.
+//! built client is known to speak the server's exact protocol version.
 //! All methods are strictly request/response (the protocol has no
 //! pipelining), which keeps error attribution trivial: an [`Err`] always
 //! belongs to the call that returned it.
@@ -92,8 +92,6 @@ pub struct QueryParams {
     pub timeout_ms: u64,
     /// Memory budget in bytes.
     pub mem_limit: u64,
-    /// Morsel parallelism for the parallel engine.
-    pub parallelism: u32,
 }
 
 /// A blocking saardb protocol client (one connection, one session).
@@ -101,11 +99,8 @@ pub struct QueryParams {
 pub struct Client {
     stream: TcpStream,
     session_id: u64,
-    /// Protocol version negotiated at the handshake: the server answers
-    /// `min(client, server)`, so this is what both ends actually speak.
-    negotiated: u32,
-    /// Wire request id to stamp on the next request (v2 sessions only);
-    /// consumed by the next round trip.
+    /// Wire request id to stamp on the next request; consumed by the next
+    /// round trip.
     pending_tag: Option<u64>,
 }
 
@@ -128,23 +123,13 @@ impl Client {
         let mut client = Client {
             stream,
             session_id: 0,
-            // Until the ack arrives, assume the oldest protocol: nothing
-            // version-gated is sent during the handshake itself.
-            negotiated: crate::proto::MIN_SUPPORTED_VERSION,
             pending_tag: None,
         };
         match client.roundtrip(&Request::Hello {
             version: PROTOCOL_VERSION,
         })? {
-            Response::HelloAck {
-                version,
-                session_id,
-            } => {
+            Response::HelloAck { session_id, .. } => {
                 client.session_id = session_id;
-                // Clamp against our own version: a buggy or newer server
-                // answering above what we sent must not make us emit
-                // frames we don't actually speak.
-                client.negotiated = version.min(PROTOCOL_VERSION);
                 Ok(client)
             }
             Response::Busy {
@@ -164,17 +149,10 @@ impl Client {
         self.session_id
     }
 
-    /// The protocol version negotiated with the server (`min` of both
-    /// ends' [`PROTOCOL_VERSION`]s).
-    pub fn negotiated_version(&self) -> u32 {
-        self.negotiated
-    }
-
-    /// Stamps the *next* request with a wire request id (a v2 tracing
+    /// Stamps the *next* request with a wire request id (a tracing
     /// envelope): the server threads the id through its governor, trace
     /// spans, flight recorder and slow-query log, and echoes it on the
-    /// response. On a v1 session the tag is silently skipped — old
-    /// servers keep working, just without the trace join.
+    /// response.
     pub fn tag_next(&mut self, request_id: u64) {
         self.pending_tag = Some(request_id);
     }
@@ -186,7 +164,7 @@ impl Client {
     }
 
     fn roundtrip(&mut self, request: &Request) -> ClientResult<Response> {
-        let tag = self.pending_tag.take().filter(|_| self.negotiated >= 2);
+        let tag = self.pending_tag.take();
         let payload = match tag {
             Some(request_id) => request.encode_tagged(request_id),
             None => request.encode(),
@@ -272,7 +250,6 @@ impl Client {
             engine: params.engine.unwrap_or(ENGINE_DEFAULT),
             timeout_ms: params.timeout_ms,
             mem_limit: params.mem_limit,
-            parallelism: params.parallelism,
         })
     }
 

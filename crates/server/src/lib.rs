@@ -39,8 +39,5 @@ pub use admin::AdminServer;
 pub use client::{
     Client, ClientError, ClientResult, QueryParams, QueryReply, RetryPolicy, RetryingClient,
 };
-pub use proto::{
-    engine_from_code, engine_to_code, ErrorCode, Request, Response, MIN_SUPPORTED_VERSION,
-    PROTOCOL_VERSION,
-};
+pub use proto::{engine_from_code, engine_to_code, ErrorCode, Request, Response, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig};

@@ -20,29 +20,22 @@
 //!
 //! The first frame on a connection must be [`Request::Hello`] carrying
 //! the client's [`PROTOCOL_VERSION`]; the server answers
-//! [`Response::HelloAck`] carrying the *negotiated* version — the lower
-//! of the two builds' versions, as long as it is at least
-//! [`MIN_SUPPORTED_VERSION`] (or a typed [`Response::Busy`] when
-//! admission control rejects the connection, or `Error{VersionSkew}`
-//! when the peer is older than anything this build still speaks).
+//! [`Response::HelloAck`] echoing that same version (or a typed
+//! [`Response::Busy`] when admission control rejects the connection, or
+//! `Error{VersionSkew}` when the peer speaks any other version — there is
+//! no negotiation, both ends must be the same protocol).
 //!
-//! v2 adds the optional [`Request::Tagged`]/[`Response::Tagged`]
-//! envelope: a client-generated 8-byte request id wrapped around any
-//! other message, echoed back on the response. v1 peers never see it —
-//! a client only sends tagged frames after negotiating ≥ 2.
+//! Any message may travel in a [`Request::Tagged`]/[`Response::Tagged`]
+//! envelope: a client-generated 8-byte request id wrapped around the
+//! message, echoed back on the response.
 
 use std::io::{self, Read, Write};
 use xmldb_core::EngineKind;
 use xmldb_storage::crc32;
 
-/// Protocol version spoken by this build. Bumped on any wire change; the
-/// hello handshake negotiates down to the older peer's version as long
-/// as it is still within [`MIN_SUPPORTED_VERSION`].
-pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Oldest protocol version this build still accepts in a hello. v1
-/// sessions simply never exchange [`Request::Tagged`] envelopes.
-pub const MIN_SUPPORTED_VERSION: u32 = 1;
+/// Protocol version spoken by this build. Bumped on any wire change; a
+/// hello announcing any other version is refused with `VersionSkew`.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Hard ceiling on one frame's payload (requests carry whole documents
 /// for `load`, so this is generous — but a hostile length prefix must
@@ -110,8 +103,8 @@ impl std::fmt::Display for ProtoError {
             }
             ProtoError::VersionSkew { theirs } => write!(
                 f,
-                "protocol version skew: peer speaks v{theirs}, this build accepts \
-                 v{MIN_SUPPORTED_VERSION}..v{PROTOCOL_VERSION}"
+                "protocol version skew: peer speaks v{theirs}, this build speaks \
+                 only v{PROTOCOL_VERSION}"
             ),
             ProtoError::BadValue(what) => write!(f, "invalid field value: {what}"),
         }
@@ -247,8 +240,6 @@ pub enum Request {
         timeout_ms: u64,
         /// Per-request memory budget in bytes (0 = session default).
         mem_limit: u64,
-        /// Morsel parallelism for the parallel engine (0 = default).
-        parallelism: u32,
     },
     /// Parse/compile/plan once; execute later by id.
     Prepare {
@@ -288,7 +279,7 @@ pub enum Request {
     Ping,
     /// Orderly goodbye (an open transaction rolls back).
     Close,
-    /// v2: any other request wrapped with a client-generated request id.
+    /// Any other request wrapped with a client-generated request id.
     /// The server unwraps it, threads the id through execution (session
     /// table, governor, spans, flight record, slow-query log) and echoes
     /// it on the response envelope. Nesting is rejected.
@@ -353,7 +344,7 @@ pub enum Response {
     },
     /// Liveness answer.
     Pong,
-    /// v2: any other response wrapped with the request id it answers.
+    /// Any other response wrapped with the request id it answers.
     Tagged {
         /// The id from the [`Request::Tagged`] envelope being answered.
         request_id: u64,
@@ -463,7 +454,6 @@ impl Request {
                 engine,
                 timeout_ms,
                 mem_limit,
-                parallelism,
             } => {
                 put_u8(&mut out, 0x02);
                 put_str(&mut out, doc);
@@ -471,7 +461,6 @@ impl Request {
                 put_u8(&mut out, *engine);
                 put_u64(&mut out, *timeout_ms);
                 put_u64(&mut out, *mem_limit);
-                put_u32(&mut out, *parallelism);
             }
             Request::Prepare { doc, query, engine } => {
                 put_u8(&mut out, 0x03);
@@ -507,7 +496,7 @@ impl Request {
         out
     }
 
-    /// Serializes `self` wrapped in a v2 [`Request::Tagged`] envelope —
+    /// Serializes `self` wrapped in a [`Request::Tagged`] envelope —
     /// what a tracing client sends without building (and cloning into) the
     /// envelope variant itself.
     pub fn encode_tagged(&self, request_id: u64) -> Vec<u8> {
@@ -530,7 +519,6 @@ impl Request {
                 engine: r.u8()?,
                 timeout_ms: r.u64()?,
                 mem_limit: r.u64()?,
-                parallelism: r.u32()?,
             },
             0x03 => Request::Prepare {
                 doc: r.str()?,
@@ -703,7 +691,7 @@ impl Response {
         Ok(resp)
     }
 
-    /// Strips a v2 [`Response::Tagged`] envelope, returning the id (if
+    /// Strips a [`Response::Tagged`] envelope, returning the id (if
     /// any) and the inner response.
     pub fn untag(self) -> (Option<u64>, Response) {
         match self {
@@ -724,7 +712,6 @@ pub fn engine_to_code(engine: EngineKind) -> u8 {
         EngineKind::M3Algebraic => 3,
         EngineKind::M4CostBased => 4,
         EngineKind::M4Pipelined => 5,
-        EngineKind::Parallel => 6,
     }
 }
 
@@ -739,7 +726,6 @@ pub fn engine_from_code(code: u8) -> Option<EngineKind> {
         3 => Some(EngineKind::M3Algebraic),
         4 => Some(EngineKind::M4CostBased),
         5 => Some(EngineKind::M4Pipelined),
-        6 => Some(EngineKind::Parallel),
         _ => None,
     }
 }
@@ -885,12 +871,11 @@ mod tests {
             engine: ENGINE_DEFAULT,
             timeout_ms: 250,
             mem_limit: 1 << 20,
-            parallelism: 4,
         });
         roundtrip_req(Request::Prepare {
             doc: "d".into(),
             query: "//n".into(),
-            engine: engine_to_code(EngineKind::Parallel),
+            engine: engine_to_code(EngineKind::M4Pipelined),
         });
         roundtrip_req(Request::ExecPrepared { id: 42 });
         roundtrip_req(Request::Begin);
@@ -912,7 +897,6 @@ mod tests {
                 engine: ENGINE_DEFAULT,
                 timeout_ms: 0,
                 mem_limit: 0,
-                parallelism: 0,
             }),
         });
     }
@@ -920,7 +904,7 @@ mod tests {
     #[test]
     fn responses_roundtrip() {
         roundtrip_resp(Response::HelloAck {
-            version: 1,
+            version: PROTOCOL_VERSION,
             session_id: 7,
         });
         roundtrip_resp(Response::Busy {
@@ -1002,7 +986,6 @@ mod tests {
             engine: 4,
             timeout_ms: 0,
             mem_limit: 0,
-            parallelism: 0,
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, &req.encode()).unwrap();
@@ -1066,5 +1049,8 @@ mod tests {
             assert_eq!(engine_from_code(engine_to_code(engine)), Some(engine));
         }
         assert_eq!(engine_from_code(ENGINE_DEFAULT), None);
+        // Code 6 is retired: a client still sending it gets the typed
+        // unknown-engine error, never some other engine.
+        assert_eq!(engine_from_code(6), None);
     }
 }

@@ -32,8 +32,7 @@
 
 use crate::proto::{
     engine_from_code, read_frame_body, read_frame_header, write_frame, ErrorCode, FrameError,
-    ProtoError, Request, Response, ENGINE_DEFAULT, MAX_FRAME_LEN, MIN_SUPPORTED_VERSION,
-    PROTOCOL_VERSION,
+    ProtoError, Request, Response, ENGINE_DEFAULT, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::io;
@@ -62,8 +61,6 @@ pub struct ServerConfig {
     pub default_mem_limit: Option<usize>,
     /// Engine used when a request says [`ENGINE_DEFAULT`].
     pub default_engine: EngineKind,
-    /// Morsel parallelism handed to the parallel engine (`None` = cores).
-    pub parallelism: Option<usize>,
     /// Prepared statements cached per session before the oldest is
     /// evicted.
     pub max_prepared_per_session: usize,
@@ -96,7 +93,6 @@ impl Default for ServerConfig {
             default_timeout: Some(Duration::from_secs(30)),
             default_mem_limit: None,
             default_engine: EngineKind::M4CostBased,
-            parallelism: None,
             max_prepared_per_session: 256,
             handshake_timeout: Duration::from_secs(10),
             frame_timeout: Duration::from_secs(30),
@@ -364,7 +360,7 @@ struct SessionEntry {
     phase: Phase,
     since: Instant,
     /// The wire request id of the last tagged request this session served
-    /// (v2 clients only). Stamped into watchdog sever lines so an
+    /// (tagging clients only). Stamped into watchdog sever lines so an
     /// operator can join a killed session to the client's own trace.
     last_request_id: Option<u64>,
 }
@@ -548,10 +544,6 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        // The server and the parallel engine share the one process-wide
-        // worker pool; bind its gauges to this database's registry so
-        // `saardb stats` over the wire sees pool traffic too.
-        xmldb_exec_pool::WorkerPool::global().bind_registry(db.env().registry());
         let metrics = Metrics::new(&db);
         let shared = Arc::new(Shared {
             db,
@@ -867,7 +859,7 @@ struct Session {
     prepared_order: Vec<u64>,
     next_prepared: u64,
     /// The wire request id of the request being handled right now (set
-    /// from a v2 [`Request::Tagged`] envelope, `None` for v1 traffic).
+    /// from a [`Request::Tagged`] envelope, `None` for untagged traffic).
     /// Threaded into [`QueryOptions`] so the id reaches the governor,
     /// trace spans, flight records and the slow-query log.
     current_request_id: Option<u64>,
@@ -877,16 +869,14 @@ impl Session {
     /// Handshake + request loop. Returns when the client closes, dies, or
     /// sends framing garbage.
     fn serve(&mut self, stream: &mut TcpStream) {
-        // Handshake: first frame must be a Hello whose version this build
-        // still understands. The ack carries the *negotiated* version —
-        // min(theirs, ours) — so a newer client downgrades to what we
-        // speak and an older client keeps its own protocol (v1 clients
-        // ignore the ack's version field entirely, which is exactly the
-        // v1 behavior). The watchdog bounds how long the Hello may take.
+        // Handshake: first frame must be a Hello announcing exactly this
+        // build's version, which the ack echoes; any other version is a
+        // typed `VersionSkew`. The watchdog bounds how long the Hello may
+        // take.
         match self.read_request(stream, Phase::Handshake) {
-            Some(Request::Hello { version }) if version >= MIN_SUPPORTED_VERSION => {
+            Some(Request::Hello { version }) if version == PROTOCOL_VERSION => {
                 let ack = Response::HelloAck {
-                    version: version.min(PROTOCOL_VERSION),
+                    version: PROTOCOL_VERSION,
                     session_id: self.id,
                 };
                 if write_frame(stream, &ack.encode()).is_err() {
@@ -931,7 +921,7 @@ impl Session {
             let Some(request) = self.read_request(stream, waiting) else {
                 return;
             };
-            // Strip the v2 tracing envelope (nested envelopes were already
+            // Strip the tracing envelope (nested envelopes were already
             // rejected at decode). The id is remembered in the session
             // table so a watchdog sever can name the request it killed,
             // and echoed on the response — errors included — so a client
@@ -1054,7 +1044,7 @@ impl Session {
 
     /// Budget resolution: request-supplied limits win; zero means "use
     /// the session default from the server config".
-    fn options(&self, timeout_ms: u64, mem_limit: u64, parallelism: u32) -> QueryOptions {
+    fn options(&self, timeout_ms: u64, mem_limit: u64) -> QueryOptions {
         let config = &self.shared.config;
         QueryOptions {
             timeout: if timeout_ms > 0 {
@@ -1066,11 +1056,6 @@ impl Session {
                 Some(mem_limit as usize)
             } else {
                 config.default_mem_limit
-            },
-            parallelism: if parallelism > 0 {
-                Some(parallelism as usize)
-            } else {
-                config.parallelism
             },
             txn: self.txn.clone(),
             request_id: self.current_request_id,
@@ -1105,13 +1090,12 @@ impl Session {
                 engine,
                 timeout_ms,
                 mem_limit,
-                parallelism,
             } => {
                 let engine = match self.engine_for(*engine) {
                     Ok(e) => e,
                     Err(resp) => return resp,
                 };
-                let options = self.options(*timeout_ms, *mem_limit, *parallelism);
+                let options = self.options(*timeout_ms, *mem_limit);
                 let started = Instant::now();
                 match self.shared.db.query_with(doc, query, engine, &options) {
                     Ok(result) => Response::Items {
@@ -1133,7 +1117,7 @@ impl Session {
                 // has open then (installed in `ExecPrepared` below).
                 let options = QueryOptions {
                     txn: None,
-                    ..self.options(0, 0, 0)
+                    ..self.options(0, 0)
                 };
                 match self.shared.db.prepare_with(doc, query, engine, &options) {
                     Ok(prepared) => {

@@ -9,7 +9,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
-use xmldb_server::proto::{read_frame, write_frame, FrameError, Response, MAX_FRAME_LEN};
+use xmldb_server::proto::{
+    read_frame, write_frame, FrameError, Response, MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 use xmldb_server::{Client, ClientError, ErrorCode};
 
 // --- pure decoder fuzz (the corpus of proto_fuzz.rs, client-side) ----------
@@ -114,7 +116,7 @@ fn ack_hello(conn: &mut TcpStream) {
     swallow_hello(conn);
     let ack = Response::HelloAck {
         session_id: 7,
-        version: 1,
+        version: PROTOCOL_VERSION,
     };
     let _ = write_frame(conn, &ack.encode());
 }

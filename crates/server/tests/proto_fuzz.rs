@@ -55,7 +55,6 @@ proptest! {
         engine in any::<u8>(),
         timeout_ms in any::<u64>(),
         mem_limit in any::<u64>(),
-        parallelism in any::<u32>(),
         id in any::<u64>(),
     ) {
         let cases = [
@@ -66,7 +65,6 @@ proptest! {
                 engine,
                 timeout_ms,
                 mem_limit,
-                parallelism,
             },
             Request::Prepare { doc: doc.clone(), query: query.clone(), engine },
             Request::ExecPrepared { id },
@@ -92,7 +90,6 @@ proptest! {
             engine: 4,
             timeout_ms: 0,
             mem_limit: 0,
-            parallelism: 0,
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, &req.encode()).unwrap();
@@ -119,7 +116,6 @@ proptest! {
             engine: 4,
             timeout_ms: 1000,
             mem_limit: 1 << 20,
-            parallelism: 2,
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, &req.encode()).unwrap();
@@ -233,23 +229,26 @@ fn listener_survives_garbage_streams() {
     assert_server_alive(&server);
 }
 
-/// A Hello below the supported floor is rejected with a typed
-/// `VersionSkew` error; a *newer* client is accepted and downgraded to
-/// the server's version in the ack (negotiation is `min(theirs, ours)`).
-/// Either way the listener keeps serving current-version clients.
+/// There is no version negotiation: a Hello announcing anything but
+/// this build's [`PROTOCOL_VERSION`] — older, newer, or absurd — is
+/// refused with a typed `VersionSkew` error naming the version, and the
+/// session closes. The listener keeps serving current-version clients,
+/// whose ack echoes the version they sent.
 #[test]
 fn version_skew_is_typed_and_survivable() {
     let server = tiny_server();
-    // Version 0 is the only value below MIN_SUPPORTED_VERSION.
-    let wrong = 0u32;
-    {
+    let hello = |version: u32| {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        write_frame(&mut stream, &Request::Hello { version: wrong }.encode()).unwrap();
+        write_frame(&mut stream, &Request::Hello { version }.encode()).unwrap();
         let payload = read_frame(&mut stream, MAX_FRAME_LEN).unwrap();
-        match Response::decode(&payload).unwrap() {
+        (stream, Response::decode(&payload).unwrap())
+    };
+    for wrong in [0, 1, 2, PROTOCOL_VERSION + 1, u32::MAX] {
+        let (mut stream, response) = hello(wrong);
+        match response {
             Response::Error { code, message } => {
                 assert_eq!(code, ErrorCode::VersionSkew, "hello v{wrong}: {message}");
                 assert!(
@@ -264,23 +263,12 @@ fn version_skew_is_typed_and_survivable() {
             read_frame(&mut stream, MAX_FRAME_LEN),
             Err(FrameError::Eof) | Err(FrameError::Io(_))
         ));
+        assert_server_alive(&server);
     }
-    // A client from the future negotiates down instead of being refused.
-    for newer in [PROTOCOL_VERSION + 1, u32::MAX] {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        write_frame(&mut stream, &Request::Hello { version: newer }.encode()).unwrap();
-        let payload = read_frame(&mut stream, MAX_FRAME_LEN).unwrap();
-        match Response::decode(&payload).unwrap() {
-            Response::HelloAck { version, .. } => {
-                assert_eq!(version, PROTOCOL_VERSION, "hello v{newer} negotiated down");
-            }
-            other => panic!("hello v{newer} answered {other:?}"),
-        }
+    match hello(PROTOCOL_VERSION).1 {
+        Response::HelloAck { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
+        other => panic!("hello v{PROTOCOL_VERSION} answered {other:?}"),
     }
-    assert_server_alive(&server);
 }
 
 /// A non-Hello first frame is a typed protocol error, not a hang.

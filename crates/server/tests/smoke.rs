@@ -9,7 +9,9 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use xmldb_core::Database;
-use xmldb_server::proto::{read_frame, write_frame, Request, Response, MAX_FRAME_LEN};
+use xmldb_server::proto::{
+    read_frame, write_frame, Request, Response, MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 use xmldb_server::{Client, ClientError, ErrorCode, QueryParams, Server, ServerConfig};
 
 const DOC: &str = "<lib><b><t>a</t></b><b><t>b</t></b><b><t>c</t></b></lib>";
@@ -178,7 +180,14 @@ fn admission_control_rejects_typed() {
     queued
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    write_frame(&mut queued, &Request::Hello { version: 1 }.encode()).unwrap();
+    write_frame(
+        &mut queued,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode(),
+    )
+    .unwrap();
     eventually("connection queued", || server.queued_connections() == 1);
     // Fourth overflows the queue: immediate typed rejection.
     let started = Instant::now();

@@ -8,7 +8,7 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use xmldb_core::Database;
-use xmldb_server::proto::{read_frame, write_frame, Request, MAX_FRAME_LEN};
+use xmldb_server::proto::{read_frame, write_frame, Request, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use xmldb_server::{
     Client, ClientError, ErrorCode, QueryParams, RetryPolicy, RetryingClient, Server, ServerConfig,
 };
@@ -90,7 +90,14 @@ fn half_a_frame_then_silence_is_severed() {
     });
     let mut loris = TcpStream::connect(server.addr()).unwrap();
     // Complete the handshake honestly…
-    write_frame(&mut loris, &Request::Hello { version: 1 }.encode()).unwrap();
+    write_frame(
+        &mut loris,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode(),
+    )
+    .unwrap();
     read_frame(&mut loris, MAX_FRAME_LEN).unwrap();
     // …then trickle three bytes of the next frame header and stop.
     loris.write_all(&[0x03, 0x00, 0x00]).unwrap();

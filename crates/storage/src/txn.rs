@@ -442,14 +442,6 @@ impl Txn {
         self.inner.data.lock().unwrap().writes.len()
     }
 
-    /// The calling thread's innermost installed transaction, if any (a
-    /// clone). The parallel executor uses this to carry the coordinator's
-    /// transaction onto pool workers (each worker re-installs it for the
-    /// duration of its morsel).
-    pub fn current() -> Option<Txn> {
-        current()
-    }
-
     /// Makes this transaction the thread's current one for the lifetime of
     /// the returned scope: page accesses on its environment acquire locks
     /// and capture pre-images. Nesting installs restore correctly (a

@@ -545,9 +545,6 @@ mod tests {
 
     #[test]
     fn all_engines_pass_correctness_on_tiny_corpus() {
-        // Runs the Parallel engine: serialize against exact-quiescence
-        // observers of the shared pool.
-        let _serial = crate::torture::pool_test_lock();
         let corpus = tiny_corpus();
         for engine in EngineKind::ALL {
             let submission = Submission {

@@ -136,16 +136,6 @@ impl std::fmt::Display for TortureReport {
     }
 }
 
-/// Serializes tests (within one test binary) that run queries through the
-/// process-wide shared worker pool or observe its gauges: an observer
-/// asserting *exact* quiescence — a single `(queued, active) == (0, 0)`
-/// read — must not race another test's in-flight morsels. Poisoning is
-/// ignored: a previous test's panic doesn't invalidate the serialization.
-pub fn pool_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static POOL_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    POOL_TESTS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// The quiescence invariant both torture sweeps grade with: after any
 /// run — a recovered kill-point or a cancelled query — the environment
 /// must hold zero pinned buffer frames and zero leftover temp (spill)
@@ -897,7 +887,6 @@ mod tests {
 
     #[test]
     fn bounded_cancellation_sweep_leaves_db_clean() {
-        let _serial = pool_test_lock();
         let cfg = CancelTortureConfig {
             first_trip: 1,
             trip_stride: 29,
@@ -915,65 +904,10 @@ mod tests {
         );
     }
 
-    /// The morsel-driven engine fans query fragments out to the shared
-    /// worker pool; a mid-query governor trip must drain every in-flight
-    /// pool task (no orphaned morsels keep running against a store the
-    /// coordinator has abandoned) and leave zero pinned frames and zero
-    /// spill files, across a schedule of trip-points.
-    #[test]
-    fn parallel_engine_cancellation_leaves_pool_and_db_quiescent() {
-        let _serial = pool_test_lock();
-        let dir = scratch_dir();
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = Database::open_dir(&dir, xmldb_storage::EnvConfig::default()).unwrap();
-        db.load_document("t", &cancel_doc()).unwrap();
-        let pool = xmldb_exec_pool::WorkerPool::global();
-        let mut cancelled = 0u32;
-        for k in 0..8 {
-            let gov = Governor::unlimited();
-            gov.trip_cancel_after_checks(1 + k * 17);
-            let options = QueryOptions {
-                governor: Some(gov),
-                parallelism: Some(4),
-                ..QueryOptions::default()
-            };
-            let result = db.query_with("t", CANCEL_QUERY, EngineKind::Parallel, &options);
-            match result {
-                Ok(_) => {}
-                Err(e) if e.is_cancelled() => cancelled += 1,
-                Err(e) => panic!("trip {k}: unexpected error: {e}"),
-            }
-            // The scoped dispatcher must not return before every morsel it
-            // submitted has finished, and the pool settles its gauges
-            // before delivering results — so with POOL_TESTS serializing
-            // every global-pool observer, the gauges must read exactly
-            // zero on a single read, no wait-out-the-lag loop. A short
-            // quiesce only shields against *other* tests' stray morsels
-            // (they don't take the mutex); it must already be quiescent.
-            assert!(
-                pool.quiesce(std::time::Duration::from_millis(500)),
-                "trip {k}: tasks left queued or running"
-            );
-            assert_eq!(
-                (pool.queued(), pool.active()),
-                (0, 0),
-                "trip {k}: pool gauges not settled after drained dispatch"
-            );
-            assert_eq!(assert_quiescent(db.env()), None, "trip {k}");
-        }
-        assert!(cancelled > 0, "no trip-point fired mid-query");
-        // The database is still fully usable afterwards.
-        let r = db.query("t", "//title", EngineKind::Parallel).unwrap();
-        assert_eq!(r.len(), 40);
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The full cancellation acceptance sweep. Run by the CI torture step.
     #[test]
     #[ignore = "extended sweep; CI runs it explicitly with --ignored"]
     fn full_cancellation_sweep() {
-        let _serial = pool_test_lock();
         let report = cancel_torture(&CancelTortureConfig::default()).unwrap();
         assert!(report.all_clean(), "{report}");
         assert!(report.any_cancelled(), "{report}");

@@ -374,9 +374,6 @@ mod tests {
 
     #[test]
     fn corpus_sweep_has_zero_mismatches() {
-        // Runs the Parallel engine: serialize against exact-quiescence
-        // observers of the shared pool.
-        let _serial = crate::torture::pool_test_lock();
         let summary = triage_corpus(&tiny_corpus(), 8);
         assert!(summary.cases > 0);
         assert!(
@@ -388,7 +385,6 @@ mod tests {
 
     #[test]
     fn shrinker_finds_minimal_witness() {
-        let _serial = crate::torture::pool_test_lock();
         // Inject a "bug": M4CostBased pretends every document containing a
         // <c/> element under <b> yields <bug/>. The minimal witness is the
         // root with just the b/c spine — the <d>x</d> sibling must go.

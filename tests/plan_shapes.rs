@@ -185,11 +185,10 @@ fn explain_covers_all_engines() {
 }
 
 /// The plan engines whose EXPLAIN the goldens below pin down.
-const PLAN_ENGINES: [EngineKind; 4] = [
+const PLAN_ENGINES: [EngineKind; 3] = [
     EngineKind::M3Algebraic,
     EngineKind::M4CostBased,
     EngineKind::M4Pipelined,
-    EngineKind::Parallel,
 ];
 
 /// The testbed corpus loaded into one database: every correctness document
