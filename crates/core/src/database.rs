@@ -6,13 +6,10 @@ use crate::{Error, QueryResult, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmldb_obs::{span, FlightRecorder, QueryRecord, SpanTree, TraceScope};
-use xmldb_storage::{Env, EnvConfig, HeapFile};
-use xmldb_xasr::{shred_document, XasrStore};
+use xmldb_storage::{Env, EnvConfig, StorageError};
+use xmldb_xasr::{file_names, shred_document, XasrStore};
 
-/// Name of the catalog file listing loaded documents.
-const CATALOG: &str = "__catalog";
-
-/// A saardb database: an environment plus a document catalog. Cloning
+/// A saardb database: an environment of shredded documents. Cloning
 /// yields another handle onto the same environment (the testbed runs
 /// queries on worker threads against cloned handles).
 ///
@@ -42,7 +39,9 @@ struct FlightRun<'a> {
 }
 
 impl Database {
-    fn with_env(env: Env) -> Database {
+    /// A database over an already opened environment — e.g. one opened
+    /// with [`Env::open_dir_with_decorator`] to inject faults.
+    pub fn from_env(env: Env) -> Database {
         let capacity = std::env::var("SAARDB_FLIGHTREC_CAPACITY")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -59,18 +58,18 @@ impl Database {
 
     /// An in-memory database (tests, examples).
     pub fn in_memory() -> Database {
-        Database::with_env(Env::memory())
+        Database::from_env(Env::memory())
     }
 
     /// An in-memory database with an explicit storage configuration (page
     /// size, buffer-pool budget — the efficiency tests' 20 MB knob).
     pub fn in_memory_with(config: EnvConfig) -> Database {
-        Database::with_env(Env::memory_with(config))
+        Database::from_env(Env::memory_with(config))
     }
 
     /// Opens (creating if needed) an on-disk database.
     pub fn open_dir(path: impl Into<std::path::PathBuf>, config: EnvConfig) -> Result<Database> {
-        Ok(Database::with_env(Env::open_dir(path, config)?))
+        Ok(Database::from_env(Env::open_dir(path, config)?))
     }
 
     /// The underlying storage environment.
@@ -92,23 +91,37 @@ impl Database {
         self.flight.set_slow_threshold(threshold);
     }
 
-    /// Loads (shreds) an XML document under `name`.
+    /// Loads (shreds) an XML document under `name`. Outside a transaction
+    /// the load is its own commit and returns once the document is
+    /// durable: its new files fsynced, one commit record, one log fsync.
+    /// Under a transaction installed on this thread it commits or rolls
+    /// back with the transaction. A failed load leaves nothing behind: its
+    /// files are still uncommitted, so removing them writes no log record
+    /// and works even while the environment is read-only.
     pub fn load_document(&self, name: &str, xml: &str) -> Result<()> {
         if XasrStore::exists(&self.env, name) {
             return Err(Error::DocumentExists(name.to_string()));
         }
-        if let Err(e) = shred_document(&self.env, name, xml) {
-            // A failed shred may have created some of the document's
-            // files already; remove them so the name is reusable. (Best
-            // effort: if the failure was the disk filling up, the
-            // environment is read-only now and the removal fails too —
-            // callers that answered "load failed" must compensate once
-            // it is writable again.)
-            let _ = XasrStore::drop_document(&self.env, name);
-            return Err(e.into());
+        let loaded = shred_document(&self.env, name, xml)
+            .map_err(Error::from)
+            .and_then(|_| {
+                if self.env.in_txn() {
+                    Ok(())
+                } else {
+                    self.flush()
+                }
+            });
+        match loaded {
+            // Lost a race with a load of the same name: its files are not ours.
+            Err(Error::Storage(StorageError::FileExists(_))) => {
+                Err(Error::DocumentExists(name.to_string()))
+            }
+            Err(e) => {
+                let _ = XasrStore::drop_document(&self.env, name);
+                Err(e)
+            }
+            Ok(()) => Ok(()),
         }
-        self.catalog_add(name)?;
-        Ok(())
     }
 
     /// Loads a document from a file on disk.
@@ -128,25 +141,16 @@ impl Database {
         if XasrStore::exists(&self.env, name) {
             XasrStore::drop_document(&self.env, name)?;
         }
-        shred_document(&self.env, name, xml)?;
-        self.catalog_add(name)?;
-        Ok(())
+        self.load_document(name, xml)
     }
 
-    /// Removes a document and its indexes.
+    /// Removes a document and its indexes. Under a transaction installed
+    /// on this thread the drop takes effect at its commit, and a rollback
+    /// keeps the document.
     pub fn drop_document(&self, name: &str) -> Result<()> {
         if !XasrStore::exists(&self.env, name) {
             return Err(Error::NoSuchDocument(name.to_string()));
         }
-        XasrStore::drop_document(&self.env, name)?;
-        Ok(())
-    }
-
-    /// Removes whatever files exist for `name`, whole document or partial
-    /// leftovers of a failed load alike; `Ok` if nothing is there. Unlike
-    /// [`Database::drop_document`] this never reports a missing document —
-    /// it is the compensation primitive, not the user-facing drop.
-    pub fn scrub_document(&self, name: &str) -> Result<()> {
         XasrStore::drop_document(&self.env, name)?;
         Ok(())
     }
@@ -156,32 +160,16 @@ impl Database {
         XasrStore::exists(&self.env, name)
     }
 
-    /// Names of loaded documents (catalog order, duplicates and dropped
-    /// entries pruned).
+    /// Names of the committed documents, in name order: the catalog of the
+    /// environment's committed files.
     pub fn documents(&self) -> Result<Vec<String>> {
-        if !self.env.file_exists(CATALOG) {
-            return Ok(Vec::new());
-        }
-        let heap = HeapFile::open(&self.env, CATALOG)?;
-        let mut names = Vec::new();
-        for rec in heap.scan() {
-            let rec = rec?;
-            let name = String::from_utf8_lossy(&rec).into_owned();
-            if !names.contains(&name) && XasrStore::exists(&self.env, &name) {
-                names.push(name);
-            }
-        }
-        Ok(names)
-    }
-
-    fn catalog_add(&self, name: &str) -> Result<()> {
-        let mut heap = if self.env.file_exists(CATALOG) {
-            HeapFile::open(&self.env, CATALOG)?
-        } else {
-            HeapFile::create(&self.env, CATALOG)?
-        };
-        heap.append(name.as_bytes())?;
-        Ok(())
+        let suffix = file_names("").clustered;
+        Ok(self
+            .env
+            .committed_files()
+            .iter()
+            .filter_map(|file| file.strip_suffix(&suffix).map(str::to_string))
+            .collect())
     }
 
     /// Serializes a whole stored document back to XML text (export; the

@@ -299,7 +299,6 @@ fn run(db: &Database, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ["load", name, file] => {
             let started = std::time::Instant::now();
             db.load_document_from_path(name, file)?;
-            db.flush()?;
             let stats = db.store(name)?.stats().clone();
             eprintln!(
                 "loaded {name}: {} nodes in {:.1} ms",
@@ -310,7 +309,6 @@ fn run(db: &Database, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ["replace", name, file] => {
             let xml = std::fs::read_to_string(file)?;
             db.replace_document(name, &xml)?;
-            db.flush()?;
             eprintln!("replaced {name}");
         }
         ["drop", name] => {
@@ -655,10 +653,6 @@ fn shell(db: &Database, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     use std::io::{BufRead, Write};
     let stdin = std::io::stdin();
     let mut txn: Option<xmldb_core::Txn> = None;
-    // Documents loaded inside the open transaction. Environment file
-    // creation is not covered by page-level undo, so a rollback must be
-    // followed by dropping these or they linger as phantom documents.
-    let mut txn_loads: Vec<String> = Vec::new();
     eprintln!("saardb shell — begin | commit | rollback | query <doc> <xq> | load <doc> <file> | drop <doc> | ls | exit");
     loop {
         eprint!("{}", if txn.is_some() { "txn> " } else { "sdb> " });
@@ -672,7 +666,7 @@ fn shell(db: &Database, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let (word, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-        let outcome = shell_statement(db, args, &mut txn, &mut txn_loads, word, rest.trim());
+        let outcome = shell_statement(db, args, &mut txn, word, rest.trim());
         match outcome {
             Ok(true) => break,
             Ok(false) => {}
@@ -683,7 +677,6 @@ fn shell(db: &Database, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 if let Some(dead) = txn.as_ref().filter(|t| !t.is_active()) {
                     eprintln!("-- transaction {} ended; begin again to retry", dead.id());
                     txn = None;
-                    undo_txn_loads(db, &mut txn_loads);
                 }
             }
         }
@@ -691,17 +684,8 @@ fn shell(db: &Database, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(t) = txn {
         eprintln!("-- rolling back open transaction {}", t.id());
         t.rollback()?;
-        undo_txn_loads(db, &mut txn_loads);
     }
     Ok(())
-}
-
-/// Compensates a rollback by dropping documents whose files the rolled-
-/// back transaction created.
-fn undo_txn_loads(db: &Database, loads: &mut Vec<String>) {
-    for name in loads.drain(..) {
-        let _ = db.drop_document(&name);
-    }
 }
 
 /// One embedded-shell statement. Returns `Ok(true)` to exit the session.
@@ -709,7 +693,6 @@ fn shell_statement(
     db: &Database,
     args: &Args,
     txn: &mut Option<xmldb_core::Txn>,
-    txn_loads: &mut Vec<String>,
     word: &str,
     rest: &str,
 ) -> Result<bool, Box<dyn std::error::Error>> {
@@ -727,7 +710,6 @@ fn shell_statement(
             Some(t) => {
                 let id = t.id();
                 t.commit()?;
-                txn_loads.clear();
                 eprintln!("-- committed transaction {id}");
             }
             None => eprintln!("-- no open transaction"),
@@ -736,7 +718,6 @@ fn shell_statement(
             Some(t) => {
                 let id = t.id();
                 t.rollback()?;
-                undo_txn_loads(db, txn_loads);
                 eprintln!("-- rolled back transaction {id}");
             }
             None => eprintln!("-- no open transaction"),
@@ -752,18 +733,10 @@ fn shell_statement(
                 .ok_or("load <doc> <file.xml>")?;
             let _scope = txn.as_ref().map(|t| t.install());
             db.load_document_from_path(name, file.trim())?;
-            if txn.is_none() {
-                db.flush()?;
-            } else {
-                txn_loads.push(name.to_string());
-            }
             eprintln!("-- loaded {name}");
         }
         ("drop", name) if !name.is_empty() => {
-            // File removal cannot be rolled back; keep drop auto-commit.
-            if txn.is_some() {
-                return Err("drop is not transactional; commit or rollback first".into());
-            }
+            let _scope = txn.as_ref().map(|t| t.install());
             db.drop_document(name)?;
             eprintln!("-- dropped {name}");
         }

@@ -339,7 +339,7 @@ pub enum Response {
     },
     /// Document listing.
     Docs {
-        /// Names in catalog order.
+        /// Committed document names, in name order.
         names: Vec<String>,
     },
     /// Liveness answer.

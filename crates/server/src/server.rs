@@ -283,12 +283,6 @@ struct Shared {
     /// Live session streams (for shutdown to sever) and finished-thread
     /// reaping.
     sessions: Mutex<SessionTable>,
-    /// Documents whose load was answered with an error but whose files
-    /// could not be removed because the environment had just degraded to
-    /// read-only. The client heard "failed", so they must not surface
-    /// after recovery: the watchdog drops them as soon as the
-    /// environment is writable again.
-    orphaned_docs: Mutex<Vec<String>>,
 }
 
 /// What a session is doing right now — the watchdog's clock starts over
@@ -559,7 +553,6 @@ impl Server {
             metrics,
             next_session_id: AtomicU64::new(1),
             sessions: Mutex::new(SessionTable::default()),
-            orphaned_docs: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let listener_thread = std::thread::Builder::new()
@@ -645,18 +638,6 @@ fn watchdog_loop(shared: &Arc<Shared>) {
             if let Ok(true) = env.try_exit_read_only() {
                 shared.metrics.watchdog_reclaims_total.inc();
             }
-        }
-        if !env.is_read_only() {
-            // Writable again: scrub documents whose failed loads could
-            // not be compensated while degraded. Their clients were told
-            // the load failed, so they must not outlive recovery. The
-            // lock is held across the scrubs: a `Load` of a parked name
-            // synchronizes on the same lock before reloading it, so the
-            // drain can never delete files out from under a legitimate
-            // reload. Names that still cannot be scrubbed (degraded
-            // again between the check and the drop) stay parked.
-            let mut orphans = shared.orphaned_docs.lock().unwrap();
-            orphans.retain(|name| shared.db.scrub_document(name).is_err());
         }
     }
 }
@@ -821,7 +802,6 @@ fn run_session(shared: &Arc<Shared>, mut stream: TcpStream, id: u64, queued: boo
         shared: Arc::clone(shared),
         id,
         txn: None,
-        txn_created_docs: Vec::new(),
         prepared: HashMap::new(),
         prepared_order: Vec::new(),
         next_prepared: 1,
@@ -832,9 +812,8 @@ fn run_session(shared: &Arc<Shared>, mut stream: TcpStream, id: u64, queued: boo
     // page locks — roll back now, not at some later GC.
     if let Some(txn) = session.txn.take() {
         let _ = txn.rollback();
-        session.drop_txn_created_docs();
-        // Counted only once the rollback and its document compensation
-        // are done: a scrape that sees the count sees their effects.
+        // Counted only once the rollback is done: a scrape that sees the
+        // count sees its effects.
         shared.metrics.disconnect_rollbacks_total.inc();
     }
     shared.remove_session(id);
@@ -848,12 +827,6 @@ struct Session {
     shared: Arc<Shared>,
     id: u64,
     txn: Option<Txn>,
-    /// Documents created inside the open transaction. Environment *file*
-    /// creation is not covered by page-level undo, so rolling back a
-    /// transaction that loaded a document would leave a phantom (empty)
-    /// document in the catalog; the session compensates by dropping these
-    /// on rollback — explicit, deadlock-forced, or disconnect.
-    txn_created_docs: Vec<String>,
     prepared: HashMap<u64, xmldb_core::PreparedQuery>,
     /// Insertion order for bounded eviction (oldest first).
     prepared_order: Vec<u64>,
@@ -1172,20 +1145,15 @@ impl Session {
                 Some(txn) => {
                     let id = txn.id();
                     match txn.commit() {
-                        Ok(()) => {
-                            self.txn_created_docs.clear();
-                            Response::Done {
-                                info: format!("committed transaction {id}"),
-                            }
-                        }
+                        Ok(()) => Response::Done {
+                            info: format!("committed transaction {id}"),
+                        },
                         Err(e) => {
                             // A failed commit leaves the transaction
                             // active (WAL append/sync error, full disk):
                             // roll it back now so its page locks free
-                            // immediately, and compensate any documents
-                            // it created — not just on handle drop.
+                            // immediately — not just on handle drop.
                             let _ = txn.rollback();
-                            self.drop_txn_created_docs();
                             self.error_response(&Error::Storage(e))
                         }
                     }
@@ -1199,12 +1167,9 @@ impl Session {
                 Some(txn) => {
                     let id = txn.id();
                     match txn.rollback() {
-                        Ok(()) => {
-                            self.drop_txn_created_docs();
-                            Response::Done {
-                                info: format!("rolled back transaction {id}"),
-                            }
-                        }
+                        Ok(()) => Response::Done {
+                            info: format!("rolled back transaction {id}"),
+                        },
                         Err(e) => self.error_response(&Error::Storage(e)),
                     }
                 }
@@ -1214,97 +1179,25 @@ impl Session {
                 },
             },
             Request::Load { name, xml } => {
-                // A parked name means an earlier failed load left partial
-                // files behind. Scrub them under the orphan-list lock —
-                // the watchdog drain holds the same lock across its own
-                // scrubs — so reclaiming the name can never race cleanup.
-                // If the scrub itself fails (degraded again), the name
-                // stays parked and the load is refused.
-                let scrub_failure = {
-                    let mut orphans = self.shared.orphaned_docs.lock().unwrap();
-                    if orphans.iter().any(|n| n == name) {
-                        match self.shared.db.scrub_document(name) {
-                            Ok(()) => {
-                                orphans.retain(|n| n != name);
-                                None
-                            }
-                            Err(e) => Some(e),
-                        }
-                    } else {
-                        None
-                    }
-                };
-                if let Some(e) = scrub_failure {
-                    return self.error_response(&e);
-                }
-                let result = {
-                    let _scope = self.txn.as_ref().map(Txn::install);
-                    self.shared.db.load_document(name, xml)
-                };
-                match result {
-                    Ok(()) => {
-                        if self.txn.is_some() {
-                            self.txn_created_docs.push(name.clone());
-                        } else if let Err(e) = self.shared.db.flush() {
-                            // The durability step failed and the client
-                            // hears an error, so the document must not
-                            // materialize later. If it cannot be removed
-                            // right now (the flush just degraded the
-                            // environment to read-only), park it for the
-                            // watchdog to drop after recovery.
-                            if self.shared.db.drop_document(name).is_err() {
-                                self.shared.orphaned_docs.lock().unwrap().push(name.clone());
-                            }
-                            return self.error_response(&e);
-                        }
-                        Response::Done {
-                            info: format!("loaded {name}"),
-                        }
-                    }
-                    Err(e) => {
-                        // A load that died because the disk filled may
-                        // have left partial files that cannot be removed
-                        // while the environment is read-only; park the
-                        // name for the watchdog to clean after recovery.
-                        if e.is_no_space() || e.is_read_only() {
-                            self.shared.orphaned_docs.lock().unwrap().push(name.clone());
-                        }
-                        self.error_response(&e)
-                    }
+                // Outside a transaction the load is durable when it
+                // returns; inside one it commits or rolls back with it.
+                let _scope = self.txn.as_ref().map(Txn::install);
+                match self.shared.db.load_document(name, xml) {
+                    Ok(()) => Response::Done {
+                        info: format!("loaded {name}"),
+                    },
+                    Err(e) => self.error_response(&e),
                 }
             }
             Request::DropDoc { name } => {
-                // Dropping removes environment files immediately; rollback
-                // could not restore them. Refuse inside a transaction
-                // rather than silently break atomicity.
-                if self.txn.is_some() {
-                    return Response::Error {
-                        code: ErrorCode::TxnState,
-                        message: format!(
-                            "drop of {name} is not transactional; commit or rollback first"
-                        ),
-                    };
-                }
+                // Inside a transaction the drop takes effect at commit.
+                let _scope = self.txn.as_ref().map(Txn::install);
                 match self.shared.db.drop_document(name) {
                     Ok(()) => Response::Done {
                         info: format!("dropped {name}"),
                     },
                     Err(e) => self.error_response(&e),
                 }
-            }
-        }
-    }
-
-    /// Drops documents created inside a transaction that did not commit
-    /// (see the field docs on `txn_created_docs`).
-    fn drop_txn_created_docs(&mut self) {
-        for name in std::mem::take(&mut self.txn_created_docs) {
-            match self.shared.db.drop_document(&name) {
-                Ok(()) | Err(Error::NoSuchDocument(_)) => {}
-                // Cannot be removed right now (typically: the rollback
-                // happened because the disk filled and the environment is
-                // read-only). The watchdog drops it after recovery.
-                Err(_) => self.shared.orphaned_docs.lock().unwrap().push(name),
             }
         }
     }
@@ -1317,7 +1210,6 @@ impl Session {
         let code = if e.is_deadlock() {
             if self.txn.as_ref().is_some_and(|t| !t.is_active()) {
                 self.txn = None;
-                self.drop_txn_created_docs();
             }
             ErrorCode::Deadlock
         } else if e.is_cancelled() {

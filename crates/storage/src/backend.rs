@@ -10,6 +10,7 @@ use crate::Result;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A physical store of fixed-size pages.
 pub trait Backend: Send + Sync {
@@ -25,8 +26,9 @@ pub trait Backend: Send + Sync {
     /// Number of pages in the store.
     fn page_count(&self) -> u64;
 
-    /// Flushes to durable storage (no-op for memory).
-    fn sync(&self) -> Result<()>;
+    /// Flushes to durable storage. Returns `false` when there was nothing
+    /// to flush (no write or extension since the last successful sync).
+    fn sync(&self) -> Result<bool>;
 
     /// Path of the underlying file, if any.
     fn path(&self) -> Option<&Path> {
@@ -41,6 +43,9 @@ pub struct FileBackend {
     page_size: usize,
     /// Cached page count; protected so allocation is atomic.
     pages: Mutex<u64>,
+    /// Written or extended since the last successful `sync`; set after
+    /// each write lands, so a sync that clears it covers the write.
+    dirty: AtomicBool,
 }
 
 impl FileBackend {
@@ -68,6 +73,7 @@ impl FileBackend {
             path: path.to_path_buf(),
             page_size,
             pages: Mutex::new(len / page_size as u64),
+            dirty: AtomicBool::new(false),
         })
     }
 
@@ -104,6 +110,7 @@ impl Backend for FileBackend {
         self.check_buf(buf)?;
         self.check_bounds(id)?;
         self.file.write_all_at(buf, id.offset(self.page_size))?;
+        self.dirty.store(true, Ordering::SeqCst);
         Ok(())
     }
 
@@ -112,7 +119,9 @@ impl Backend for FileBackend {
         let mut pages = self.pages.lock();
         let id = PageId(*pages);
         let zeros = vec![0u8; self.page_size];
-        if let Err(e) = self.file.write_all_at(&zeros, id.offset(self.page_size)) {
+        let extended = self.file.write_all_at(&zeros, id.offset(self.page_size));
+        self.dirty.store(true, Ordering::SeqCst);
+        if let Err(e) = extended {
             // A failed extension may leave a torn tail; trim it back to the
             // page boundary so the file stays openable (best effort — a
             // crash here is repaired by the round-down in `open`).
@@ -127,9 +136,16 @@ impl Backend for FileBackend {
         *self.pages.lock()
     }
 
-    fn sync(&self) -> Result<()> {
-        self.file.sync_data()?;
-        Ok(())
+    fn sync(&self) -> Result<bool> {
+        if !self.dirty.swap(false, Ordering::SeqCst) {
+            return Ok(false);
+        }
+        if let Err(e) = self.file.sync_data() {
+            // Still dirty: the next sync must retry the fsync.
+            self.dirty.store(true, Ordering::SeqCst);
+            return Err(e.into());
+        }
+        Ok(true)
     }
 
     fn path(&self) -> Option<&Path> {
@@ -205,8 +221,9 @@ impl Backend for MemBackend {
         self.pages.lock().len() as u64
     }
 
-    fn sync(&self) -> Result<()> {
-        Ok(())
+    fn sync(&self) -> Result<bool> {
+        // Memory is as durable as it will ever be: every sync "flushes".
+        Ok(true)
     }
 }
 
@@ -254,6 +271,23 @@ mod tests {
         assert_eq!(read, buf, "rejected writes must not change the page");
 
         backend.sync().unwrap();
+    }
+
+    #[test]
+    fn file_backend_syncs_only_when_dirty() {
+        let dir = std::env::temp_dir().join(format!("saardb-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dirty.sdb");
+        let _ = std::fs::remove_file(&path);
+        let b = FileBackend::open(&path, 512).unwrap();
+        assert!(!b.sync().unwrap(), "a fresh file has nothing to sync");
+        let p = b.allocate_page().unwrap();
+        assert!(b.sync().unwrap(), "an extension makes the file dirty");
+        assert!(!b.sync().unwrap(), "clean again after a sync");
+        b.write_page(p, &[7u8; 512]).unwrap();
+        assert!(b.sync().unwrap(), "a write makes the file dirty");
+        assert!(!b.sync().unwrap());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -614,7 +614,8 @@ impl BufferPool {
         meta.pin -= 1;
     }
 
-    /// Writes back every dirty frame and syncs the touched files.
+    /// Writes back every dirty frame of the files `only` selects and syncs
+    /// the touched files.
     ///
     /// All shard locks are held for the duration so no frame can be
     /// re-dirtied mid-flush, which makes the dirty-bit protocol sound: a
@@ -627,7 +628,7 @@ impl BufferPool {
     /// WAL ordering: every dirty page's images are appended first and
     /// synced with a single fsync, and only then do the data-file writes
     /// begin.
-    pub(crate) fn flush(&self, io: &dyn PoolIo) -> Result<()> {
+    pub(crate) fn flush(&self, io: &dyn PoolIo, only: &dyn Fn(FileId) -> bool) -> Result<()> {
         let mut states: Vec<_> = self.shards.iter().map(|s| s.state.lock()).collect();
 
         // Phase 1: log every dirty page, then force the log once.
@@ -635,7 +636,7 @@ impl BufferPool {
         for (si, shard) in self.shards.iter().enumerate() {
             for idx in 0..states[si].metas.len() {
                 let meta = &states[si].metas[idx];
-                if let (Some((file, page)), true) = (meta.tag, meta.dirty) {
+                if let Some((file, page)) = meta.tag.filter(|&(f, _)| meta.dirty && only(f)) {
                     let data = shard.data[idx].read();
                     io.wal_page_image(file, page, &data)?;
                     logged = true;
@@ -651,7 +652,7 @@ impl BufferPool {
         for (si, shard) in self.shards.iter().enumerate() {
             for idx in 0..states[si].metas.len() {
                 let meta = &states[si].metas[idx];
-                if let (Some((file, page)), true) = (meta.tag, meta.dirty) {
+                if let Some((file, page)) = meta.tag.filter(|&(f, _)| meta.dirty && only(f)) {
                     let backend = io.backend(file)?;
                     let data = shard.data[idx].read();
                     backend.write_page(page, &data)?;
@@ -836,7 +837,7 @@ mod tests {
         let mut raw = vec![0u8; PS];
         backend.read_page(p, &mut raw).unwrap();
         assert_eq!(raw[0], 0);
-        pool.flush(&r).unwrap();
+        pool.flush(&r, &|_| true).unwrap();
         backend.read_page(p, &mut raw).unwrap();
         assert_eq!(raw[0], 7);
     }

@@ -8,6 +8,8 @@
 //! **write-ahead log** ([`crate::wal`] — durability and recovery). The
 //! pager's file table is under a reader/writer lock: page accesses only
 //! ever read it, so lookups never serialize behind file create/drop.
+//! The file table is also the **catalog** every commit record carries
+//! (see [`crate::wal`]).
 
 use crate::backend::{Backend, FileBackend, MemBackend};
 use crate::buffer::{BufferPool, IoSnapshot, IoStats, PoolIo};
@@ -15,7 +17,7 @@ use crate::error::StorageError;
 use crate::fault::FaultState;
 use crate::page::{PageId, DEFAULT_PAGE_SIZE};
 use crate::txn::{self, Txn, TxnManager};
-use crate::wal::{self, RecoveryReport, Wal, WAL_CHECKPOINT_BYTES};
+use crate::wal::{self, Appended, RecoveryReport, Wal, WAL_CHECKPOINT_BYTES};
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -72,17 +74,53 @@ impl EnvConfig {
     }
 }
 
-struct FileEntry {
+/// Where a file stands in the catalog.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FileState {
+    /// Scratch file: exempt from logging and locking, private to its query.
+    Temp,
+    /// Created, not committed: built unlogged; recovery deletes it. Owned
+    /// by its creating transaction, or (`None`) committed by [`Env::flush`].
+    New(Option<u64>),
+    Committed,
+}
+
+pub(crate) struct FileEntry {
     backend: Arc<dyn Backend>,
     name: String,
-    /// Scratch file: exempt from logging and locking, private to its query.
-    temp: bool,
+    state: FileState,
 }
 
 struct FileTable {
     by_name: HashMap<String, FileId>,
     by_id: HashMap<FileId, FileEntry>,
     next: u32,
+    /// Committed files not opened yet, with their page counts.
+    unopened: HashMap<String, u64>,
+}
+
+impl FileTable {
+    fn remove(&mut self, id: FileId) -> Option<FileEntry> {
+        let entry = self.by_id.remove(&id)?;
+        self.by_name.remove(&entry.name);
+        Some(entry)
+    }
+
+    /// The catalog: every committed file and its page count.
+    fn catalog(&self) -> Vec<(String, u64)> {
+        let mut files: Vec<(String, u64)> = self
+            .unopened
+            .iter()
+            .map(|(name, &pages)| (name.clone(), pages))
+            .collect();
+        files.extend(
+            self.by_id
+                .values()
+                .filter(|e| e.state == FileState::Committed)
+                .map(|e| (e.name.clone(), e.backend.page_count())),
+        );
+        files
+    }
 }
 
 /// The pager: everything about resolving pages to bytes — the file table
@@ -167,13 +205,18 @@ impl Env {
         std::fs::create_dir_all(&dir)?;
         let recovery = wal::replay(&dir)?;
         let wal = Wal::open(&dir)?;
-        Ok(Env::build_inner(
-            Some(dir),
-            config,
-            Some(wal),
-            Some(recovery),
-            decorator,
-        ))
+        // Every data file recovery left is committed: the catalog.
+        let mut unopened = HashMap::new();
+        for entry in std::fs::read_dir(&dir)?.flatten() {
+            if let Some(name) = entry.file_name().to_string_lossy().strip_suffix(".sdb") {
+                let pages = entry.metadata()?.len() / config.page_size as u64;
+                unopened.insert(name.to_string(), pages);
+            }
+        }
+        let env = Env::build_inner(Some(dir), config, Some(wal), Some(recovery), decorator);
+        env.inner.pager.files.write().unopened = unopened;
+        env.checkpoint_log()?;
+        Ok(env)
     }
 
     fn build(dir: Option<PathBuf>, config: EnvConfig) -> Env {
@@ -211,6 +254,7 @@ impl Env {
                         by_name: HashMap::new(),
                         by_id: HashMap::new(),
                         next: 0,
+                        unopened: HashMap::new(),
                     }),
                     pool,
                     next_temp: Mutex::new(0),
@@ -324,9 +368,7 @@ impl Env {
             return Ok(false);
         }
         self.flush()?;
-        if let Some(wal) = &self.inner.wal {
-            self.note_wal(wal.checkpoint())?;
-        }
+        self.checkpoint_log()?;
         self.inner.read_only.store(false, Ordering::SeqCst);
         self.inner.read_only_gauge.set(0);
         Ok(true)
@@ -358,32 +400,42 @@ impl Env {
             .map(|d| d.join(format!("{name}.sdb")))
     }
 
-    fn register(&self, table: &mut FileTable, name: String, backend: Arc<dyn Backend>) -> FileId {
+    fn register(
+        &self,
+        table: &mut FileTable,
+        name: String,
+        backend: Arc<dyn Backend>,
+        state: FileState,
+    ) -> FileId {
         let backend = match &self.inner.decorator {
             Some(wrap) => wrap(&name, backend),
             None => backend,
         };
         let id = FileId(table.next);
         table.next += 1;
-        let temp = name.starts_with(TEMP_PREFIX);
+        table.unopened.remove(&name);
         table.by_name.insert(name.clone(), id);
         table.by_id.insert(
             id,
             FileEntry {
                 backend,
                 name,
-                temp,
+                state,
             },
         );
         id
     }
 
     /// Creates a new file named `name`; errors if it already exists (in
-    /// this environment or on disk).
+    /// this environment or on disk). A durable file commits with the
+    /// transaction installed on this thread, else with [`Env::flush`].
     pub fn create_file(&self, name: &str) -> Result<FileId> {
-        if !name.starts_with(TEMP_PREFIX) {
+        let state = if name.starts_with(TEMP_PREFIX) {
+            FileState::Temp
+        } else {
             self.check_writable()?;
-        }
+            FileState::New(txn::installed_id(self))
+        };
         let mut table = self.inner.pager.files.write();
         if table.by_name.contains_key(name) {
             return Err(StorageError::FileExists(name.to_string()));
@@ -397,7 +449,7 @@ impl Env {
             }
             None => Arc::new(MemBackend::new(self.page_size())),
         };
-        Ok(self.register(&mut table, name.to_string(), backend))
+        Ok(self.register(&mut table, name.to_string(), backend, state))
     }
 
     /// Opens an existing file named `name` (possibly persisted by a
@@ -411,7 +463,7 @@ impl Env {
             Some(path) if path.exists() => {
                 let backend: Arc<dyn Backend> =
                     Arc::new(FileBackend::open(&path, self.page_size())?);
-                Ok(self.register(&mut table, name.to_string(), backend))
+                Ok(self.register(&mut table, name.to_string(), backend, FileState::Committed))
             }
             _ => Err(StorageError::NoSuchFile(name.to_string())),
         }
@@ -446,40 +498,139 @@ impl Env {
         self.create_file(&format!("__tmp-{}-{n}", std::process::id()))
     }
 
-    /// Removes a file: drops its pool frames, forgets it, deletes the disk
-    /// file if any. Fails with [`StorageError::FileBusy`] while any of the
-    /// file's pages is pinned by an in-flight operation.
+    /// Removes a file; see [`Env::remove_files`].
     pub fn remove_file(&self, id: FileId) -> Result<()> {
-        if let Some((_, false)) = self.file_meta(id) {
-            // Durable drops append a WAL marker; refuse while degraded.
-            self.check_writable()?;
-        }
-        self.inner.pager.pool.invalidate_file(id)?;
-        let entry = {
-            let mut table = self.inner.pager.files.write();
-            let entry = table
-                .by_id
-                .remove(&id)
-                .ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?;
-            table.by_name.remove(&entry.name);
-            entry
-        };
-        // Log the drop ahead of the filesystem delete so recovery re-applies
-        // it instead of resurrecting the file from stale page images.
-        if let Some(wal) = &self.inner.wal {
-            if !entry.temp {
-                let synced = self.note_wal(wal.append_delete(&entry.name))?;
-                let stats = self.inner.pager.pool.stats();
-                stats.wal_appends.inc();
-                if synced {
-                    stats.wal_syncs.inc();
-                }
+        self.remove_files(&[id])
+    }
+
+    /// Removes files: drops their pool frames, forgets them, deletes the
+    /// disk files. Committed files leave the catalog with one logged
+    /// `Delete` and one log fsync — or at the commit of the transaction
+    /// installed on this thread. Fails with [`StorageError::FileBusy`]
+    /// while any of the files' pages is pinned.
+    pub fn remove_files(&self, ids: &[FileId]) -> Result<()> {
+        let mut committed = Vec::new();
+        for &id in ids {
+            match self.file_meta(id) {
+                Some((_, FileState::Committed)) => committed.push(id),
+                Some(_) => self.discard(id)?,
+                None => return Err(StorageError::NoSuchFile(format!("{id}"))),
             }
         }
-        if let Some(path) = entry.backend.path() {
-            std::fs::remove_file(path)?;
+        if committed.is_empty() || txn::defer_drops(self, &committed)? {
+            return Ok(());
+        }
+        self.check_writable()?;
+        self.drop_frames(&committed)?;
+        let (record, removed) =
+            self.publish(&[], &committed, |wal, _, gone| wal.append_delete(gone))?;
+        let synced = record.map_or(Ok(false), |a| self.sync_wal(a.end));
+        delete_files(&removed)?;
+        synced.map(drop)
+    }
+
+    /// Forgets the files' pool frames (before `publish`, which must not
+    /// wait on the pool under the file-table lock).
+    pub(crate) fn drop_frames(&self, ids: &[FileId]) -> Result<()> {
+        for &id in ids {
+            self.inner.pager.pool.invalidate_file(id)?;
         }
         Ok(())
+    }
+
+    /// Removes an uncommitted or scratch file: nothing is logged, so this
+    /// works even while the environment is read-only.
+    pub(crate) fn discard(&self, id: FileId) -> Result<()> {
+        self.inner.pager.pool.invalidate_file(id)?;
+        let entry = self.inner.pager.files.write().remove(id);
+        delete_files(&[entry.ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?])
+    }
+
+    /// One commit's catalog change: under the file-table lock (so records
+    /// reach the log in catalog order), `record` appends the catalog with
+    /// `added` in and `dropped` out, then the change is applied. Returns
+    /// the record and the dropped entries, whose files the caller deletes.
+    pub(crate) fn publish(
+        &self,
+        added: &[FileId],
+        dropped: &[FileId],
+        record: impl FnOnce(&Wal, Vec<(String, u64)>, Vec<String>) -> Result<Appended>,
+    ) -> Result<(Option<Appended>, Vec<FileEntry>)> {
+        let mut table = self.inner.pager.files.write();
+        let mut appended = None;
+        if let Some(wal) = &self.inner.wal {
+            let file = |id: &FileId| {
+                let e = table.by_id.get(id)?;
+                Some((e.name.clone(), e.backend.page_count()))
+            };
+            let gone: Vec<String> = dropped.iter().filter_map(file).map(|(n, _)| n).collect();
+            let mut files = table.catalog();
+            files.retain(|(name, _)| !gone.contains(name));
+            files.extend(added.iter().filter_map(file));
+            let a = self.note_wal(record(wal, files, gone))?;
+            let stats = self.inner.pager.pool.stats();
+            stats.wal_appends.inc();
+            stats.wal_bytes.add(a.bytes);
+            appended = Some(a);
+        }
+        for id in added {
+            if let Some(e) = table.by_id.get_mut(id) {
+                e.state = FileState::Committed;
+            }
+        }
+        let removed = dropped.iter().filter_map(|&id| table.remove(id)).collect();
+        Ok((appended, removed))
+    }
+
+    /// Makes the log durable up to `end`; true if this call fsynced.
+    pub(crate) fn sync_wal(&self, end: u64) -> Result<bool> {
+        let Some(wal) = &self.inner.wal else {
+            return Ok(false);
+        };
+        let synced = self.note_wal(wal.sync_to(end))?;
+        if synced {
+            self.inner.pager.pool.stats().wal_syncs.inc();
+        }
+        Ok(synced)
+    }
+
+    /// The uncommitted files `owner` created (`None`: untransacted ones).
+    pub(crate) fn new_files(&self, owner: Option<u64>) -> Vec<FileId> {
+        let table = self.inner.pager.files.read();
+        let new = table
+            .by_id
+            .iter()
+            .filter(|(_, e)| e.state == FileState::New(owner));
+        new.map(|(&id, _)| id).collect()
+    }
+
+    /// Writes back new files' frames and fsyncs each file and the directory
+    /// once, ahead of the record that commits them.
+    pub(crate) fn make_durable(&self, files: &[FileId]) -> Result<()> {
+        if files.is_empty() {
+            return Ok(());
+        }
+        let pool = &self.inner.pager.pool;
+        pool.flush(&EnvIo(self), &|f| files.contains(&f))?;
+        for &file in files {
+            self.backend(file)?.sync()?;
+        }
+        self.sync_dir(true);
+        Ok(())
+    }
+
+    fn sync_dir(&self, created: bool) {
+        if let (Some(dir), true) = (&self.inner.dir, created) {
+            wal::sync_dir(dir);
+        }
+    }
+
+    /// Names of the committed files, in name order: the catalog.
+    pub fn committed_files(&self) -> Vec<String> {
+        let table = self.inner.pager.files.read();
+        let mut names: Vec<String> = table.catalog().into_iter().map(|(n, _)| n).collect();
+        names.sort();
+        names
     }
 
     fn backend(&self, id: FileId) -> Result<Arc<dyn Backend>> {
@@ -491,36 +642,34 @@ impl Env {
             .ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))
     }
 
-    /// Name and temp flag of an open file, if it is still open.
-    pub(crate) fn file_meta(&self, id: FileId) -> Option<(String, bool)> {
+    /// Name and catalog state of an open file, if it is still open.
+    pub(crate) fn file_meta(&self, id: FileId) -> Option<(String, FileState)> {
         let table = self.inner.pager.files.read();
-        table.by_id.get(&id).map(|e| (e.name.clone(), e.temp))
-    }
-
-    /// Page counts of every durable (non-scratch) file — the truncation
-    /// targets a commit record carries for recovery.
-    pub(crate) fn durable_file_counts(&self) -> Vec<(String, u64)> {
-        let table = self.inner.pager.files.read();
-        table
-            .by_id
-            .values()
-            .filter(|e| !e.temp)
-            .map(|e| (e.name.clone(), e.backend.page_count()))
-            .collect()
+        table.by_id.get(&id).map(|e| (e.name.clone(), e.state))
     }
 
     /// Appends a zeroed page to `file`.
     pub fn allocate_page(&self, file: FileId) -> Result<PageId> {
-        if self.is_read_only() && !matches!(self.file_meta(file), Some((_, true))) {
+        if self.is_read_only() && !self.is_temp(file) {
             return Err(StorageError::ReadOnly);
         }
         let id = self.backend(file)?.allocate_page()?;
         Ok(id)
     }
 
+    fn is_temp(&self, file: FileId) -> bool {
+        matches!(self.file_meta(file), Some((_, FileState::Temp)))
+    }
+
     /// Number of pages in `file`.
     pub fn page_count(&self, file: FileId) -> Result<u64> {
         Ok(self.backend(file)?.page_count())
+    }
+
+    /// True if a transaction on this environment is installed on the
+    /// calling thread (see [`Txn::install`]).
+    pub fn in_txn(&self) -> bool {
+        txn::installed_id(self).is_some()
     }
 
     /// Begins a transaction on this environment. The handle is inert until
@@ -565,7 +714,7 @@ impl Env {
     ) -> Result<R> {
         // Cheap atomic probe first; the file-table lookup only runs while
         // degraded (scratch files stay writable — they are never logged).
-        if self.is_read_only() && !matches!(self.file_meta(file), Some((_, true))) {
+        if self.is_read_only() && !self.is_temp(file) {
             return Err(StorageError::ReadOnly);
         }
         txn::write_hook(self, file, page)?;
@@ -600,11 +749,12 @@ impl Env {
             .with_frame_write(file, page, &EnvIo(self), |d| d.copy_from_slice(data))
     }
 
-    /// Writes back all dirty frames, syncs every on-disk file, and — for
-    /// WAL-backed environments — appends a commit marker: this is the
-    /// durability point. Everything flushed here survives a crash; work
-    /// done since the previous flush that only reached the data files via
-    /// eviction steals is rolled back by recovery.
+    /// Writes back all dirty frames, syncs every file with unsynced writes,
+    /// and — for WAL-backed environments — appends a commit marker: this
+    /// is the durability point of untransacted work and files. Everything
+    /// flushed here survives a crash; work done since the previous flush
+    /// that only reached the data files via eviction steals is rolled back
+    /// by recovery.
     ///
     /// Once the log outgrows [`WAL_CHECKPOINT_BYTES`] the commit also
     /// checkpoints (truncates) it — unless a transaction is in flight,
@@ -612,36 +762,30 @@ impl Env {
     /// quiescent flush catches up.
     pub fn flush(&self) -> Result<()> {
         let _span = span("storage.flush");
-        self.inner.pager.pool.flush(&EnvIo(self))?;
-        // Sync every backend: pages stolen by eviction since the last
-        // flush were written without a data-file sync.
-        let entries: Vec<(String, Arc<dyn Backend>, bool)> = {
+        let created = self.new_files(None);
+        self.inner.pager.pool.flush(&EnvIo(self), &|_| true)?;
+        // Eviction steals were written unsynced; clean files skip the sync.
+        let backends: Vec<Arc<dyn Backend>> = {
             let table = self.inner.pager.files.read();
             table
                 .by_id
                 .values()
-                .map(|e| (e.name.clone(), Arc::clone(&e.backend), e.temp))
+                .map(|e| Arc::clone(&e.backend))
                 .collect()
         };
-        for (_, backend, _) in &entries {
+        for backend in &backends {
             backend.sync()?;
         }
-        if let Some(wal) = &self.inner.wal {
-            let counts: Vec<(String, u64)> = entries
-                .iter()
-                .filter(|(_, _, temp)| !temp)
-                .map(|(name, backend, _)| (name.clone(), backend.page_count()))
-                .collect();
-            let a = self.note_wal(wal.append_commit(self.page_size(), counts))?;
-            let stats = self.inner.pager.pool.stats();
-            stats.wal_appends.inc();
-            stats.wal_bytes.add(a.bytes);
-            if self.note_wal(wal.sync_to(a.end))? {
-                stats.wal_syncs.inc();
-            }
+        self.sync_dir(!created.is_empty());
+        let page_size = self.page_size();
+        let (appended, _) = self.publish(&created, &[], |wal, files, _| {
+            wal.append_commit(page_size, files)
+        })?;
+        if let (Some(a), Some(wal)) = (appended, &self.inner.wal) {
+            self.sync_wal(a.end)?;
             if wal.len() > WAL_CHECKPOINT_BYTES && self.inner.txns.active_count() == 0 {
                 let checkpointed = wal.len();
-                self.note_wal(wal.checkpoint())?;
+                self.checkpoint_log()?;
                 self.inner
                     .registry
                     .counter("saardb_wal_checkpoint_bytes_total", &[])
@@ -658,10 +802,18 @@ impl Env {
     /// would discard its undo records.
     pub fn checkpoint(&self) -> Result<()> {
         self.flush()?;
+        if self.inner.txns.active_count() == 0 {
+            self.checkpoint_log()?;
+        }
+        Ok(())
+    }
+
+    /// Replaces the log with one checkpoint carrying the catalog, under
+    /// the file-table lock like every commit record.
+    fn checkpoint_log(&self) -> Result<()> {
         if let Some(wal) = &self.inner.wal {
-            if self.inner.txns.active_count() == 0 {
-                self.note_wal(wal.checkpoint())?;
-            }
+            let table = self.inner.pager.files.write();
+            self.note_wal(wal.checkpoint(self.page_size(), table.catalog()))?;
         }
         Ok(())
     }
@@ -716,7 +868,7 @@ impl Env {
             table
                 .by_id
                 .values()
-                .filter(|e| e.temp)
+                .filter(|e| e.state == FileState::Temp)
                 .map(|e| e.name.clone())
                 .collect()
         };
@@ -765,18 +917,18 @@ impl PoolIo for EnvIo<'_> {
         let Some(wal) = &self.0.inner.wal else {
             return Ok(());
         };
-        let Some((name, temp)) = self.0.file_meta(file) else {
+        let Some((name, state)) = self.0.file_meta(file) else {
             return Err(StorageError::NoSuchFile(format!("{file}")));
         };
-        if temp {
-            // Scratch files are transient: recovery deletes them, so
-            // logging their pages would be pure overhead.
-            return Ok(());
+        if state == FileState::Temp {
+            return Ok(()); // recovery deletes scratch files
         }
         let a = self
             .0
             .note_wal(match self.0.inner.txns.owner_pre_image(file, page) {
                 Some((owner, pre)) => wal.append_txn_page_image(owner, &name, page, &pre, after),
+                // New files are built, not logged: their commit fsyncs them.
+                None if state != FileState::Committed => return Ok(()),
                 None => {
                     let backend = self.0.backend(file)?;
                     let mut before = vec![0u8; after.len()];
@@ -792,12 +944,17 @@ impl PoolIo for EnvIo<'_> {
 
     fn wal_sync(&self) -> Result<()> {
         if let Some(wal) = &self.0.inner.wal {
-            if self.0.note_wal(wal.sync())? {
-                self.0.inner.pager.pool.stats().wal_syncs.inc();
-            }
+            self.0.sync_wal(wal.len())?;
         }
         Ok(())
     }
+}
+
+pub(crate) fn delete_files(entries: &[FileEntry]) -> Result<()> {
+    for path in entries.iter().filter_map(|e| e.backend.path()) {
+        std::fs::remove_file(path)?;
+    }
+    Ok(())
 }
 
 impl std::fmt::Debug for Env {

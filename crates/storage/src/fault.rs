@@ -8,14 +8,25 @@
 //! wrapped backends fails (the process is "dead"); the harness drops the
 //! environment, reopens it without faults, and checks that WAL recovery
 //! restored exactly the last committed state.
+//!
+//! The crash is a power cut, not just a process exit: like the OS page
+//! cache, a wrapped file only keeps what its last *successful* sync made
+//! durable. At the kill every page write and every extension that reached
+//! the file after that sync is lost, so a skipped fsync shows up as lost
+//! data in the sweeps. A sync counts as durable only when the wrapped
+//! backend reports it actually flushed something ([`Backend::sync`]
+//! returning `true`), which is what lets the sweeps catch a backend that
+//! wrongly believes itself clean.
 
 use crate::backend::Backend;
 use crate::error::StorageError;
 use crate::page::PageId;
 use crate::Result;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex as StdMutex, Weak};
 
 /// What happens at the kill-point's page write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,6 +57,10 @@ pub struct FaultState {
     /// [`StorageError::NoSpace`] — a level, not a one-shot, because a full
     /// volume stays full until space is reclaimed.
     wal_no_space: AtomicBool,
+    /// Syncs of wrapped backends that flushed something.
+    syncs: AtomicU64,
+    /// Every backend sharing this plan, for the kill to revert.
+    files: StdMutex<Vec<Weak<Volatile>>>,
 }
 
 impl FaultState {
@@ -74,6 +89,13 @@ impl FaultState {
         self.fail_next_write.store(false, Ordering::SeqCst);
         self.fail_next_sync.store(false, Ordering::SeqCst);
         self.wal_no_space.store(false, Ordering::SeqCst);
+    }
+
+    /// Kills the process now, between page writes (see the module docs).
+    pub fn kill_now(&self) {
+        if !self.killed.swap(true, Ordering::SeqCst) {
+            self.lose_unsynced();
+        }
     }
 
     /// Simulates a full volume under the write-ahead log: while set, every
@@ -106,6 +128,12 @@ impl FaultState {
         self.writes.load(Ordering::SeqCst)
     }
 
+    /// Syncs of the wrapped backends that flushed something: the data-file
+    /// fsyncs a workload paid for.
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::SeqCst)
+    }
+
     /// True once the kill-point has fired.
     pub fn is_killed(&self) -> bool {
         self.killed.load(Ordering::SeqCst)
@@ -122,37 +150,90 @@ impl FaultState {
         Ok(())
     }
 
-    /// Accounts one page write; decides whether it proceeds, tears, or
-    /// fails. Returns `Ok(true)` for a torn write.
-    fn on_write(&self) -> Result<bool> {
+    /// Accounts one page write; decides whether it proceeds or fails.
+    /// Returns `Ok(Some(torn))` when this write is the kill-point.
+    fn on_write(&self) -> Result<Option<bool>> {
         self.check_alive("write_page after kill")?;
         if self.fail_next_write.swap(false, Ordering::SeqCst) {
             return Err(Self::injected("write_page (transient)"));
         }
         let n = self.writes.fetch_add(1, Ordering::SeqCst);
         if n >= self.kill_after.load(Ordering::SeqCst) {
-            self.killed.store(true, Ordering::SeqCst);
-            if self.kill_mode_torn.load(Ordering::SeqCst) {
-                return Ok(true);
+            if self.killed.swap(true, Ordering::SeqCst) {
+                return Err(Self::injected("write_page after kill"));
             }
-            return Err(Self::injected("write_page at kill-point"));
+            return Ok(Some(self.kill_mode_torn.load(Ordering::SeqCst)));
         }
-        Ok(false)
+        Ok(None)
+    }
+
+    fn lose_unsynced(&self) {
+        let files = self.files.lock().expect("fault registry poisoned");
+        let files: Vec<_> = files.iter().filter_map(Weak::upgrade).collect();
+        for file in files {
+            file.lose_unsynced();
+        }
+    }
+}
+
+/// One wrapped file and what to undo to get back to its last sync.
+struct Volatile {
+    inner: Arc<dyn Backend>,
+    unsynced: Mutex<Unsynced>,
+}
+
+struct Unsynced {
+    /// Page count at the last durable sync.
+    durable_pages: u64,
+    /// Durable content of each page overwritten since (first write only).
+    durable: HashMap<u64, Vec<u8>>,
+}
+
+impl Volatile {
+    /// Restores the last synced image (a store without a file keeps the
+    /// pages appended since: it cannot shrink).
+    fn lose_unsynced(&self) {
+        let mut u = self.unsynced.lock();
+        for (page, bytes) in u.durable.drain() {
+            let _ = self.inner.write_page(PageId(page), &bytes);
+        }
+        let pages = self.inner.page_count();
+        if let (Some(path), true) = (self.inner.path(), pages > u.durable_pages) {
+            let _ = std::fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .and_then(|f| {
+                    let page_size = f.metadata()?.len() / pages;
+                    f.set_len(u.durable_pages * page_size)
+                });
+        }
     }
 }
 
 /// A [`Backend`] decorator that injects the faults of a shared
 /// [`FaultState`]. Reads, writes, allocation and sync all fail once the
-/// state is killed; until then, writes are counted toward the kill-point.
+/// state is killed; until then, writes are counted toward the kill-point
+/// and remembered until a sync makes them durable.
 pub struct FaultBackend {
-    inner: Arc<dyn Backend>,
+    file: Arc<Volatile>,
     state: Arc<FaultState>,
 }
 
 impl FaultBackend {
-    /// Wraps `inner`, injecting the faults of `state`.
+    /// Wraps `inner` (all durable so far), injecting the faults of `state`.
     pub fn new(inner: Arc<dyn Backend>, state: Arc<FaultState>) -> FaultBackend {
-        FaultBackend { inner, state }
+        let file = Arc::new(Volatile {
+            unsynced: Mutex::new(Unsynced {
+                durable_pages: inner.page_count(),
+                durable: HashMap::new(),
+            }),
+            inner,
+        });
+        let mut files = state.files.lock().expect("fault registry poisoned");
+        files.retain(|f| f.strong_count() > 0);
+        files.push(Arc::downgrade(&file));
+        drop(files);
+        FaultBackend { file, state }
     }
 
     /// The shared fault state.
@@ -164,46 +245,68 @@ impl FaultBackend {
 impl Backend for FaultBackend {
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         self.state.check_alive("read_page after kill")?;
-        self.inner.read_page(id, buf)
+        self.file.inner.read_page(id, buf)
     }
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
-        let torn = self.state.on_write()?;
-        if torn {
-            // Crash mid-write: the first half of the new page lands, the
-            // rest keeps the old bytes — then the process is dead.
-            let mut spliced = vec![0u8; buf.len()];
-            self.inner.read_page(id, &mut spliced)?;
-            let half = buf.len() / 2;
-            spliced[..half].copy_from_slice(&buf[..half]);
-            self.inner.write_page(id, &spliced)?;
-            return Err(FaultState::injected("write_page torn at kill-point"));
+        let inner = &self.file.inner;
+        let mut u = self.file.unsynced.lock();
+        match self.state.on_write()? {
+            None => {}
+            Some(torn) => {
+                // Everything unsynced is lost; a torn write then lands the
+                // first half of its bytes on the durable page.
+                drop(u);
+                self.state.lose_unsynced();
+                if torn && id.0 < self.file.unsynced.lock().durable_pages {
+                    let mut spliced = vec![0u8; buf.len()];
+                    inner.read_page(id, &mut spliced)?;
+                    let half = buf.len() / 2;
+                    spliced[..half].copy_from_slice(&buf[..half]);
+                    inner.write_page(id, &spliced)?;
+                    return Err(FaultState::injected("write_page torn at kill-point"));
+                }
+                return Err(FaultState::injected("write_page at kill-point"));
+            }
         }
-        self.inner.write_page(id, buf)
+        if id.0 < u.durable_pages && !u.durable.contains_key(&id.0) {
+            let mut before = vec![0u8; buf.len()];
+            inner.read_page(id, &mut before)?;
+            u.durable.insert(id.0, before);
+        }
+        inner.write_page(id, buf)
     }
 
     fn allocate_page(&self) -> Result<PageId> {
         // Allocation extends the file (a physical write): it respects the
         // killed latch but does not count toward the kill-point, keeping
         // kill schedules in units of data-page writes.
+        let _u = self.file.unsynced.lock();
         self.state.check_alive("allocate_page after kill")?;
-        self.inner.allocate_page()
+        self.file.inner.allocate_page()
     }
 
     fn page_count(&self) -> u64 {
-        self.inner.page_count()
+        self.file.inner.page_count()
     }
 
-    fn sync(&self) -> Result<()> {
+    fn sync(&self) -> Result<bool> {
+        let mut u = self.file.unsynced.lock();
         self.state.check_alive("sync after kill")?;
         if self.state.fail_next_sync.swap(false, Ordering::SeqCst) {
             return Err(FaultState::injected("sync (transient)"));
         }
-        self.inner.sync()
+        let flushed = self.file.inner.sync()?;
+        if flushed {
+            u.durable_pages = self.file.inner.page_count();
+            u.durable.clear();
+            self.state.syncs.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(flushed)
     }
 
     fn path(&self) -> Option<&Path> {
-        self.inner.path()
+        self.file.inner.path()
     }
 }
 
@@ -257,6 +360,7 @@ mod tests {
         let (b, state) = setup();
         let p = b.allocate_page().unwrap();
         b.write_page(p, &[0xAAu8; PS]).unwrap();
+        b.sync().unwrap();
         state.arm_kill(0, KillMode::TornWrite);
         let err = b.write_page(p, &[0xBBu8; PS]).unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
@@ -278,5 +382,34 @@ mod tests {
         assert!(b.sync().is_err());
         b.sync().unwrap();
         assert!(!state.is_killed(), "transient faults do not kill");
+    }
+
+    #[test]
+    fn kill_loses_every_unsynced_write_and_extension() {
+        let path = std::env::temp_dir().join(format!("saardb-fault-{}.sdb", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let file: Arc<dyn Backend> =
+            Arc::new(crate::backend::FileBackend::open(&path, PS).unwrap());
+        let state = FaultState::new();
+        let b = FaultBackend::new(file, Arc::clone(&state));
+        let p0 = b.allocate_page().unwrap();
+        b.write_page(p0, &[1u8; PS]).unwrap();
+        b.sync().unwrap();
+        b.write_page(p0, &[2u8; PS]).unwrap();
+        let p1 = b.allocate_page().unwrap();
+        b.write_page(p1, &[3u8; PS]).unwrap();
+        state.kill_now();
+        assert!(b.write_page(p0, &[4u8; PS]).is_err(), "dead after the kill");
+        state.disarm();
+        let mut buf = vec![0u8; PS];
+        b.read_page(p0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 1), "the synced image survives");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            PS as u64,
+            "{p1:?} is lost"
+        );
+        assert_eq!(state.syncs(), 1);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -28,6 +28,10 @@
 //!   concurrent committers batch behind a single `sync_data`, so
 //!   `saardb_wal_syncs` grows sublinearly in committers. A read-only
 //!   transaction appends nothing and costs no fsync at all.
+//! * **Files are created and dropped inside the transaction.** A file it
+//!   creates is built without page images (but locked); commit fsyncs it
+//!   and the marker's catalog lists it, rollback deletes it. A drop waits
+//!   for commit, whose catalog omits the file; rollback forgets it.
 //!
 //! Crash semantics: pages dirtied under a transaction may be *stolen* to
 //! disk at any time (the pool's steal/no-force policy); the steal hook
@@ -35,7 +39,7 @@
 //! winners and undo losers of interleaved transactions — see
 //! [`crate::wal::replay`].
 
-use crate::env::{Env, FileId};
+use crate::env::{Env, FileId, FileState};
 use crate::error::StorageError;
 use crate::governor::Governor;
 use crate::page::PageId;
@@ -329,6 +333,8 @@ struct TxnData {
     /// First-touch order; rollback restores in reverse.
     writes: Vec<WriteEntry>,
     written: HashSet<PageKey>,
+    /// Committed files dropped by this transaction, removed at commit.
+    drops: Vec<FileId>,
 }
 
 struct TxnInner {
@@ -389,6 +395,34 @@ pub(crate) fn read_hook(env: &Env, file: FileId, page: PageId) -> Result<()> {
     }
 }
 
+/// The id of the transaction on `env` installed on this thread, if any.
+pub(crate) fn installed_id(env: &Env) -> Option<u64> {
+    if !installed() {
+        return None;
+    }
+    current().filter(|t| t.env.same_env(env)).map(|t| t.id())
+}
+
+/// Under a transaction on `env` installed on this thread, defers dropping
+/// the committed `files` to its commit and returns `true`; `false` when no
+/// such transaction is installed.
+pub(crate) fn defer_drops(env: &Env, files: &[FileId]) -> Result<bool> {
+    if !installed() {
+        return Ok(false);
+    }
+    match current() {
+        Some(txn) if txn.env.same_env(env) => {
+            let mut data = txn.inner.data.lock().unwrap();
+            if data.status != TxnStatus::Active {
+                return Err(StorageError::TxnInactive { txn: txn.id() });
+            }
+            data.drops.extend_from_slice(files);
+            Ok(true)
+        }
+        _ => Ok(false),
+    }
+}
+
 /// Page-write hook for [`Env::with_page_mut`]: under an installed
 /// transaction on `env`, takes an exclusive lock and captures the page's
 /// pre-image on first touch.
@@ -413,6 +447,7 @@ impl Txn {
                 status: TxnStatus::Active,
                 writes: Vec::new(),
                 written: HashSet::new(),
+                drops: Vec::new(),
             }),
         });
         mgr.active
@@ -465,11 +500,11 @@ impl Txn {
                 return Ok(()); // already ours, pre-image captured
             }
         }
-        let Some((_, temp)) = self.env.file_meta(file) else {
+        let Some((_, state)) = self.env.file_meta(file) else {
             // Unknown file id: let the pool produce its NoSuchFile.
             return Ok(());
         };
-        if temp {
+        if state == FileState::Temp {
             return Ok(()); // scratch files are private to their query
         }
         let mgr = self.env.txns();
@@ -485,8 +520,14 @@ impl Txn {
             }
             Err(e) => return Err(e),
         }
-        if mode == LockMode::Exclusive {
-            self.capture_pre_image(file, page)?;
+        match (mode, state) {
+            // A file this transaction created is built, not logged:
+            // rollback deletes it, so its pages need no undo image.
+            (LockMode::Exclusive, FileState::New(Some(owner))) if owner == self.inner.id => {
+                self.inner.data.lock().unwrap().written.insert((file, page));
+            }
+            (LockMode::Exclusive, _) => self.capture_pre_image(file, page)?,
+            (LockMode::Shared, _) => {}
         }
         Ok(())
     }
@@ -513,33 +554,34 @@ impl Txn {
         Ok(())
     }
 
-    /// Commits: appends the write set's transaction-tagged images and the
-    /// commit marker to the WAL, makes them durable through the
-    /// group-commit gate, then releases every lock. A transaction that
-    /// wrote nothing commits without touching the log (and without an
-    /// fsync). On error the transaction stays active — roll it back (or
+    /// Commits: makes the files this transaction created durable (one
+    /// fsync each), appends the write set's transaction-tagged images and
+    /// the commit marker — whose catalog lists the created files and omits
+    /// the dropped ones — makes them durable through the group-commit gate,
+    /// deletes the dropped files, then releases every lock. A transaction
+    /// that changed nothing commits without touching the log (and without
+    /// an fsync). On error the transaction stays active — roll it back (or
     /// drop it) and retry from `begin`.
     pub fn commit(&self) -> Result<()> {
-        let writes = {
+        let (writes, drops) = {
             let data = self.inner.data.lock().unwrap();
             if data.status != TxnStatus::Active {
                 return Err(StorageError::TxnInactive { txn: self.inner.id });
             }
-            data.writes.clone()
+            (data.writes.clone(), data.drops.clone())
         };
         let mgr = self.env.txns();
-        if !writes.is_empty() {
+        let created = self.env.new_files(Some(self.inner.id));
+        if !writes.is_empty() || !created.is_empty() || !drops.is_empty() {
+            self.env.drop_frames(&drops)?;
+            self.env.make_durable(&created)?;
+            let mut appended = 0u64;
+            let mut bytes = 0u64;
             if let Some(wal) = self.env.wal() {
-                let stats = self.env.counters();
-                let mut appended = 0u64;
-                let mut bytes = 0u64;
-                for w in &writes {
-                    let Some((name, temp)) = self.env.file_meta(w.file) else {
+                for w in writes.iter().filter(|w| !drops.contains(&w.file)) {
+                    let Some((name, _)) = self.env.file_meta(w.file) else {
                         continue; // file dropped mid-transaction
                     };
-                    if temp {
-                        continue;
-                    }
                     let after = self.env.read_page_vec(w.file, w.page)?;
                     let a = self.env.note_wal(wal.append_txn_page_image(
                         self.inner.id,
@@ -551,22 +593,20 @@ impl Txn {
                     appended += 1;
                     bytes += a.bytes;
                 }
-                let counts = self.env.durable_file_counts();
-                let a = self.env.note_wal(wal.append_txn_commit(
-                    self.inner.id,
-                    self.env.page_size(),
-                    counts,
-                ))?;
-                appended += 1;
-                bytes += a.bytes;
-                stats.wal_appends.add(appended);
-                stats.wal_bytes.add(bytes);
-                if self.env.note_wal(wal.sync_to(a.end))? {
-                    stats.wal_syncs.inc();
-                } else {
+            }
+            let stats = self.env.counters();
+            stats.wal_appends.add(appended);
+            stats.wal_bytes.add(bytes);
+            let page_size = self.env.page_size();
+            let (marker, dropped) = self.env.publish(&created, &drops, |wal, files, _| {
+                wal.append_txn_commit(self.inner.id, page_size, files)
+            })?;
+            if let Some(a) = marker {
+                if !self.env.sync_wal(a.end)? {
                     mgr.counters.group_followers.inc();
                 }
             }
+            crate::env::delete_files(&dropped)?;
         }
         self.finish(TxnStatus::Committed);
         mgr.counters.commits.inc();
@@ -574,7 +614,8 @@ impl Txn {
     }
 
     /// Rolls back: restores every written page to its pre-image (newest
-    /// first), appends an abort marker, and releases every lock.
+    /// first), deletes the files this transaction created, forgets its
+    /// drops, appends an abort marker, and releases every lock.
     /// Idempotent on an already-rolled-back transaction; an error on a
     /// committed one.
     pub fn rollback(&self) -> Result<()> {
@@ -593,6 +634,10 @@ impl Txn {
         // here — crash recovery restores it from the tagged WAL images.
         for w in writes.iter().rev() {
             let _ = self.env.write_page_raw(w.file, w.page, &w.pre_image);
+        }
+        // Undoing a create is deleting the file (recovery would too).
+        for file in self.env.new_files(Some(self.inner.id)) {
+            let _ = self.env.discard(file);
         }
         if !writes.is_empty() {
             if let Some(wal) = self.env.wal() {

@@ -8,25 +8,32 @@
 //! mid-insert could persist a half-updated B+-tree. The WAL restores the
 //! invariant:
 //!
-//! * **Before any dirty page reaches a data file** (eviction steal or
-//!   [`crate::Env::flush`]), a [`Record::PageImage`] holding the page's
-//!   *before* and *after* images is appended to the log and fsynced. Pages
-//!   written under an open transaction carry the transaction's id
-//!   ([`Record::TxnPageImage`]) so recovery can tell winners from losers
-//!   even when records of several transactions interleave in the log.
-//! * **A commit point** is either a successful `Env::flush` (the
-//!   environment-wide epoch, [`Record::Commit`]) or a transaction commit
-//!   ([`Record::TxnCommit`]): the write set's images and the marker are
-//!   appended and forced with [`Wal::sync_to`] — the *group commit* path,
-//!   where N concurrent committers ride one `sync_data`.
+//! * **Before any dirty page of a committed file reaches its data file**
+//!   (eviction steal or [`crate::Env::flush`]), a [`Record::PageImage`]
+//!   holding the page's *before* and *after* images is appended to the
+//!   log and fsynced. Pages written under an open transaction carry the
+//!   transaction's id ([`Record::TxnPageImage`]) so recovery can tell
+//!   winners from losers even when records of several transactions
+//!   interleave in the log.
+//! * **The commit record is the catalog.** A commit point — a successful
+//!   `Env::flush` ([`Record::Commit`]) or a transaction commit
+//!   ([`Record::TxnCommit`]) — lists every committed file and its page
+//!   count, as does every [`Record::Checkpoint`]. A *new* file is built
+//!   without page images and fsynced once before the commit record that
+//!   first lists it, so it needs no redo, and recovery deletes every file
+//!   the catalog does not list. An untransacted drop is one
+//!   [`Record::Delete`]; a transaction's drop is its absence from the
+//!   commit's list. Markers are forced with [`Wal::sync_to`], the *group
+//!   commit* path where N committers ride one `sync_data`.
 //! * **Recovery** ([`replay`]) runs before any file of the environment is
 //!   touched: the log is scanned with a checksum cut-off (a torn tail from
 //!   a crash mid-append is discarded, not an error), and every page is
 //!   restored with one rule — the after-image of its *last committed*
 //!   update wins; a page with no committed update reverts to the
-//!   before-image of its *first* update. Files are truncated to their
-//!   committed page counts and leftover temp files are removed. The log is
-//!   then reset.
+//!   before-image of its *first* update. Files outside the catalog are
+//!   deleted, catalog files are brought to their committed page counts,
+//!   and leftover temp files are removed. The log is then reset to a
+//!   checkpoint carrying the catalog.
 //! * **Checkpointing** atomically replaces the log with a fresh one-record
 //!   log once the data files are known consistent (write to `wal.log.tmp`,
 //!   fsync, rename over `wal.log`): there is no instant at which the log
@@ -38,19 +45,21 @@
 //!
 //! ```text
 //! record  := [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
-//! payload := 0x01 page-image | 0x02 commit | 0x03 file-delete
+//! payload := 0x01 page-image | 0x02 commit | 0x03 delete
 //!          | 0x04 checkpoint | 0x05 txn-page-image | 0x06 txn-commit
 //!          | 0x07 txn-abort
+//! catalog := [page_size: u32] [n: u32] n × ([name] [pages: u64])
+//! commit := catalog          txn-commit := [txn: u64] catalog
+//! checkpoint := catalog      delete := [n: u32] n × [name]
 //! ```
 //!
 //! A record whose length overruns the file or whose checksum mismatches
 //! ends the scan: it *is* the torn tail. A log whose very first record is
 //! torn — or a zero-length log — is explicitly an *empty* log, not
-//! corruption: the atomic checkpoint above makes that state unreachable,
-//! but logs written by older builds (truncate-in-place checkpoints) can
-//! still present it after a crash. Page images are keyed by file *name*
-//! (not [`crate::FileId`], which is assigned per-session) so replay can
-//! address the `.sdb` files directly.
+//! corruption; with no catalog record, recovery keeps every file. Page
+//! images and catalogs are keyed by file *name* (not [`crate::FileId`],
+//! which is assigned per-session) so replay can address the `.sdb` files
+//! directly.
 
 use crate::error::StorageError;
 use crate::fault::FaultState;
@@ -139,16 +148,19 @@ enum Record {
         before: Vec<u8>,
         after: Vec<u8>,
     },
-    /// Commit marker: the environment's files and their page counts at a
-    /// completed, fully synced flush.
+    /// Commit marker of a fully synced flush (commits every untagged
+    /// image before it), carrying the catalog.
     Commit {
         page_size: u32,
         files: Vec<(String, u64)>,
     },
-    /// A file was removed (drops are immediate, not transactional).
-    Delete { name: String },
-    /// Head marker of a freshly truncated log.
-    Checkpoint,
+    /// Files dropped from the catalog (an untransacted drop).
+    Delete { names: Vec<String> },
+    /// Head of a freshly truncated log, carrying the catalog.
+    Checkpoint {
+        page_size: u32,
+        files: Vec<(String, u64)>,
+    },
     /// Before/after images of a page written under transaction `txn`.
     /// The before-image is the page's content when the transaction first
     /// touched it, so undo restores the pre-transaction state no matter
@@ -160,7 +172,7 @@ enum Record {
         before: Vec<u8>,
         after: Vec<u8>,
     },
-    /// Transaction commit marker; carries file page counts like
+    /// Transaction commit marker; carries the catalog like
     /// [`Record::Commit`]. A transaction with this marker anywhere in the
     /// log is a recovery *winner*; one without is a loser.
     TxnCommit {
@@ -221,6 +233,10 @@ impl<'a> Reader<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).ok()
     }
+    fn names(&mut self) -> Option<Vec<String>> {
+        let n = self.u32()? as usize;
+        (0..n).map(|_| self.name()).collect()
+    }
     fn file_counts(&mut self) -> Option<Vec<(String, u64)>> {
         let n = self.u32()? as usize;
         let mut files = Vec::with_capacity(n);
@@ -267,11 +283,18 @@ impl Record {
                 put_u32(&mut p, *page_size);
                 put_file_counts(&mut p, files);
             }
-            Record::Delete { name } => {
+            Record::Delete { names } => {
                 p.push(TAG_DELETE);
-                put_name(&mut p, name);
+                put_u32(&mut p, names.len() as u32);
+                for name in names {
+                    put_name(&mut p, name);
+                }
             }
-            Record::Checkpoint => p.push(TAG_CHECKPOINT),
+            Record::Checkpoint { page_size, files } => {
+                p.push(TAG_CHECKPOINT);
+                put_u32(&mut p, *page_size);
+                put_file_counts(&mut p, files);
+            }
             Record::TxnPageImage {
                 txn,
                 name,
@@ -326,8 +349,12 @@ impl Record {
                 let files = r.file_counts()?;
                 Record::Commit { page_size, files }
             }
-            TAG_DELETE => Record::Delete { name: r.name()? },
-            TAG_CHECKPOINT => Record::Checkpoint,
+            TAG_DELETE => Record::Delete { names: r.names()? },
+            TAG_CHECKPOINT => {
+                let page_size = r.u32()?;
+                let files = r.file_counts()?;
+                Record::Checkpoint { page_size, files }
+            }
             TAG_TXN_PAGE_IMAGE => {
                 let txn = r.u64()?;
                 let page_size = r.u32()? as usize;
@@ -538,7 +565,7 @@ impl Wal {
         })
     }
 
-    /// Appends a commit marker carrying each file's committed page count.
+    /// Appends a commit marker carrying the catalog.
     pub fn append_commit(&self, page_size: usize, files: Vec<(String, u64)>) -> Result<Appended> {
         self.append(&Record::Commit {
             page_size: page_size as u32,
@@ -567,15 +594,10 @@ impl Wal {
         self.append(&Record::TxnAbort { txn })
     }
 
-    /// Appends a file-deletion marker (synced immediately: drops are
-    /// applied to the filesystem right after, and must not be lost).
-    /// Returns `true` if this call issued the fsync itself — see
-    /// [`Wal::sync_to`].
-    pub fn append_delete(&self, name: &str) -> Result<bool> {
-        let a = self.append(&Record::Delete {
-            name: name.to_string(),
-        })?;
-        self.sync_to(a.end)
+    /// Appends a marker dropping `names` from the catalog. Sync it with
+    /// [`Wal::sync_to`] before deleting the files.
+    pub fn append_delete(&self, names: Vec<String>) -> Result<Appended> {
+        self.append(&Record::Delete { names })
     }
 
     /// Makes the log durable at least up to offset `upto` — the group
@@ -625,14 +647,15 @@ impl Wal {
     }
 
     /// Atomically replaces the log with a fresh one holding a single
-    /// synced [`Record::Checkpoint`]: the new log is staged in
+    /// synced [`Record::Checkpoint`] carrying the catalog `files`: the new
+    /// log is staged in
     /// `wal.log.tmp`, fsynced, and renamed over `wal.log`. A crash at any
     /// instant leaves either the complete old log or the complete new one
     /// — never the zero-length/torn-head state the old truncate-in-place
     /// scheme could expose between its `set_len(0)` and the synced fresh
     /// record. Only sound immediately after a commit (data files synced
     /// and consistent) with no transaction in flight.
-    pub fn checkpoint(&self) -> Result<()> {
+    pub fn checkpoint(&self, page_size: usize, files: Vec<(String, u64)>) -> Result<()> {
         // A checkpoint reclaims log space, but it must still stage and
         // fsync a fresh one-record log: while the volume is (simulated)
         // full, that staging write fails like any other.
@@ -648,7 +671,11 @@ impl Wal {
             .parent()
             .map(Path::to_path_buf)
             .unwrap_or_else(|| PathBuf::from("."));
-        let (fresh, fresh_len) = fresh_log(&dir).map_err(|e| match e {
+        let head = Record::Checkpoint {
+            page_size: page_size as u32,
+            files,
+        };
+        let (fresh, fresh_len) = fresh_log(&dir, Some(&head)).map_err(|e| match e {
             StorageError::Io(io) if io.raw_os_error() == Some(ENOSPC) => StorageError::NoSpace,
             other => other,
         })?;
@@ -677,11 +704,11 @@ fn check_image_pair(before: &[u8], after: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Builds a fresh single-checkpoint log in `dir` and atomically installs
-/// it as `dir/wal.log` (stage in `wal.log.tmp`, fsync, rename, fsync the
-/// directory). Returns the still-open file handle — rename does not
-/// invalidate it — and the new log length.
-fn fresh_log(dir: &Path) -> Result<(File, u64)> {
+/// Builds a fresh log in `dir` holding just `head` (or nothing) and
+/// atomically installs it as `dir/wal.log` (stage in `wal.log.tmp`, fsync,
+/// rename, fsync the directory). Returns the still-open file handle —
+/// rename does not invalidate it — and the new log length.
+fn fresh_log(dir: &Path, head: Option<&Record>) -> Result<(File, u64)> {
     use std::os::unix::fs::FileExt;
     let tmp = dir.join(WAL_TMP_FILE);
     let file = OpenOptions::new()
@@ -690,16 +717,20 @@ fn fresh_log(dir: &Path) -> Result<(File, u64)> {
         .create(true)
         .truncate(true)
         .open(&tmp)?;
-    let framed = frame(&Record::Checkpoint);
+    let framed = head.map(frame).unwrap_or_default();
     file.write_all_at(&framed, 0)?;
     file.sync_data()?;
     std::fs::rename(&tmp, dir.join(WAL_FILE))?;
+    sync_dir(dir);
+    Ok((file, framed.len() as u64))
+}
+
+/// Makes a directory's entries (creations, renames) durable. Best effort:
+/// some filesystems refuse directory fsync.
+pub(crate) fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
-        // Make the rename itself durable. Best effort: some filesystems
-        // refuse directory fsync, and the rename is atomic regardless.
         let _ = d.sync_data();
     }
-    Ok((file, framed.len() as u64))
 }
 
 impl std::fmt::Debug for Wal {
@@ -725,9 +756,9 @@ pub struct RecoveryReport {
     pub pages_redone: usize,
     /// Uncommitted page images rolled back (undo).
     pub pages_undone: usize,
-    /// Files truncated to their committed page counts.
+    /// Files truncated (or extended) to their committed page counts.
     pub files_truncated: usize,
-    /// File deletions re-applied.
+    /// Files deleted: drops re-applied and uncommitted creations undone.
     pub files_deleted: usize,
     /// Leftover temp files removed.
     pub temp_files_removed: usize,
@@ -763,7 +794,7 @@ impl std::fmt::Display for RecoveryReport {
         )?;
         write!(
             f,
-            "files: {} truncated, {} deletion(s) re-applied, {} temp file(s) removed",
+            "files: {} truncated, {} deleted, {} temp file(s) removed",
             self.files_truncated, self.files_deleted, self.temp_files_removed
         )
     }
@@ -837,10 +868,12 @@ struct PageFate {
 /// Transactions interleave freely in the log: each page is restored to
 /// the after-image of its last update by a committed transaction or
 /// committed environment epoch; a page touched only by losers reverts to
-/// its first update's before-image. This is exactly the old
-/// "redo-prefix, undo-tail-in-reverse" behavior when the log holds a
-/// single untagged epoch, and generalizes it to interleaved winners and
-/// losers.
+/// its first update's before-image.
+///
+/// The catalog is the last commit or checkpoint record's list less later
+/// [`Record::Delete`]s; every other data file is an uncommitted creation
+/// (or a drop) and is deleted. A log without a catalog record (empty, or
+/// from an older build) keeps every file.
 ///
 /// Must run before any file of the environment is opened —
 /// [`crate::Env::open_dir`] does this automatically; the `saardb recover`
@@ -899,6 +932,8 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
 
     use std::os::unix::fs::FileExt;
     let mut files: HashMap<String, File> = HashMap::new();
+    let mut catalog: Option<(u64, HashMap<String, u64>)> = None;
+    // Without a catalog, drops are re-applied by name.
     let mut deleted: HashSet<String> = HashSet::new();
     let mut fates: HashMap<(String, u64), PageFate> = HashMap::new();
 
@@ -923,25 +958,28 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
                 before,
                 after,
             } => (name, *page, before, after, winners.contains(txn)),
-            Record::Delete { name } => {
-                // Drops are immediate (not transactional): re-apply them
-                // wherever they sit in the log, and forget accumulated
-                // page fates for the dropped file.
-                files.remove(name);
-                fates.retain(|(n, _), _| n != name);
-                let path = dir.join(format!("{name}.sdb"));
-                match std::fs::remove_file(&path) {
-                    Ok(()) => report.files_deleted += 1,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e.into()),
+            Record::Delete { names } => {
+                // A later file of the same name is a new file.
+                fates.retain(|(n, _), _| !names.contains(n));
+                if let Some((_, listed)) = &mut catalog {
+                    for name in names {
+                        listed.remove(name);
+                    }
                 }
-                deleted.insert(name.clone());
+                deleted.extend(names.iter().cloned());
                 continue;
             }
-            Record::Commit { .. }
-            | Record::Checkpoint
-            | Record::TxnCommit { .. }
-            | Record::TxnAbort { .. } => continue,
+            Record::Commit { page_size, files }
+            | Record::TxnCommit {
+                page_size, files, ..
+            }
+            | Record::Checkpoint { page_size, files } => {
+                let listed: HashMap<String, u64> = files.iter().cloned().collect();
+                fates.retain(|(n, _), _| listed.contains_key(n));
+                catalog = Some((u64::from(*page_size), listed));
+                continue;
+            }
+            Record::TxnAbort { .. } => continue,
         };
         // An image after a deletion means the name was recreated.
         deleted.remove(name);
@@ -961,6 +999,28 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
         }
     }
 
+    // Delete what the catalog does not hold (uncommitted creations and
+    // drops), or without a catalog what a drop removed; leftover scratch
+    // files from a crashed process are garbage too.
+    if let Ok(entries) = std::fs::read_dir(dir) {
+        for entry in entries.flatten() {
+            let fname = entry.file_name();
+            let fname = fname.to_string_lossy();
+            let Some(stem) = fname.strip_suffix(".sdb") else {
+                continue;
+            };
+            if stem.starts_with("__tmp-") {
+                std::fs::remove_file(entry.path())?;
+                report.temp_files_removed += 1;
+            } else if catalog
+                .as_ref()
+                .map_or(deleted.contains(stem), |(_, c)| !c.contains_key(stem))
+            {
+                std::fs::remove_file(entry.path())?;
+                report.files_deleted += 1;
+            }
+        }
+    }
     // Apply each page's resolved fate with one write.
     for ((name, page), fate) in &fates {
         let file = match files.entry(name.clone()) {
@@ -973,27 +1033,17 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
         report.pages_undone += fate.undo_records;
     }
 
-    // Trim files back to their committed page counts: pages allocated
-    // after the last commit marker are provisional (allocation extends
-    // files eagerly, outside the pool).
-    let last_counts = records.iter().rev().find_map(|r| match r {
-        Record::Commit { page_size, files } => Some((*page_size, files)),
-        Record::TxnCommit {
-            page_size, files, ..
-        } => Some((*page_size, files)),
-        _ => None,
-    });
-    if let Some((page_size, counts)) = last_counts {
+    // Bring files to their committed page counts: pages allocated after
+    // the last commit are provisional (allocation extends files eagerly,
+    // outside the pool); a lost committed extension comes back zeroed.
+    if let Some((page_size, counts)) = &catalog {
         for (name, pages) in counts {
-            if deleted.contains(name) {
-                continue;
-            }
             let path = dir.join(format!("{name}.sdb"));
             let Ok(meta) = std::fs::metadata(&path) else {
                 continue;
             };
-            let committed_len = pages * page_size as u64;
-            if meta.len() > committed_len {
+            let committed_len = pages * page_size;
+            if meta.len() != committed_len {
                 let file = match files.entry(name.clone()) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(e) => {
@@ -1010,22 +1060,14 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
         file.sync_data()?;
     }
 
-    // Leftover scratch files from a crashed process are garbage.
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let fname = entry.file_name();
-            let fname = fname.to_string_lossy();
-            if fname.starts_with("__tmp-") && fname.ends_with(".sdb") {
-                std::fs::remove_file(entry.path())?;
-                report.temp_files_removed += 1;
-            }
-        }
-    }
-
     // The data files now hold the committed state: reset the log (same
-    // atomic stage-and-rename as a live checkpoint).
+    // atomic stage-and-rename as a live checkpoint), keeping the catalog.
     if report.log_bytes > 0 {
-        fresh_log(dir)?;
+        let head = catalog.map(|(page_size, counts)| Record::Checkpoint {
+            page_size: page_size as u32,
+            files: counts.into_iter().collect(),
+        });
+        fresh_log(dir, head.as_ref())?;
     }
 
     Ok(report)
@@ -1071,8 +1113,13 @@ mod tests {
                 page_size: PS as u32,
                 files: vec![("nodes".into(), 3), ("idx".into(), 9)],
             },
-            Record::Delete { name: "old".into() },
-            Record::Checkpoint,
+            Record::Delete {
+                names: vec!["old".into(), "older".into()],
+            },
+            Record::Checkpoint {
+                page_size: PS as u32,
+                files: vec![("nodes".into(), 3)],
+            },
             Record::TxnPageImage {
                 txn: 42,
                 name: "nodes".into(),
@@ -1198,7 +1245,8 @@ mod tests {
         let wal = Wal::open(&dir).unwrap();
         wal.append_page_image("gone", PageId(0), &page(1), &page(9))
             .unwrap();
-        wal.append_delete("gone").unwrap();
+        wal.append_delete(vec!["gone".into()]).unwrap();
+        wal.sync().unwrap();
         drop(wal);
         let report = replay(&dir).unwrap();
         assert_eq!(report.files_deleted, 1);
@@ -1265,7 +1313,10 @@ mod tests {
         // checkpoint record was half-written when the process died.
         let dir = tmp_dir("tornhead");
         std::fs::write(dir.join("f.sdb"), page(0x77)).unwrap();
-        let full = frame(&Record::Checkpoint);
+        let full = frame(&Record::Checkpoint {
+            page_size: PS as u32,
+            files: vec![("f".into(), 1)],
+        });
         std::fs::write(dir.join(WAL_FILE), &full[..full.len() - 1]).unwrap();
         let report = replay(&dir).unwrap();
         assert_eq!(report.records, 0);
@@ -1294,7 +1345,7 @@ mod tests {
         wal.append_page_image("f", PageId(0), &page(0), &page(1))
             .unwrap();
         wal.sync().unwrap();
-        wal.checkpoint().unwrap();
+        wal.checkpoint(PS, vec![("f".into(), 1)]).unwrap();
         assert!(!dir.join(WAL_TMP_FILE).exists(), "staging file renamed");
         // The swapped-in handle keeps appending to the new log.
         wal.append_page_image("f", PageId(0), &page(1), &page(2))
@@ -1303,7 +1354,7 @@ mod tests {
         drop(wal);
         let (records, torn) = scan_log(&std::fs::read(dir.join(WAL_FILE)).unwrap());
         assert_eq!(torn, 0);
-        assert!(matches!(records[0], Record::Checkpoint));
+        assert!(matches!(records[0], Record::Checkpoint { .. }));
         assert_eq!(records.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1416,6 +1467,48 @@ mod tests {
         assert_eq!(report.pages_redone, 2);
         // The txn committed after the epoch: its after-image wins.
         assert_eq!(read_file(&dir, "f"), page(0xFF));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn catalog_deletes_uncommitted_and_dropped_files() {
+        let dir = tmp_dir("catalog");
+        for name in ["kept", "new", "dropped"] {
+            std::fs::write(dir.join(format!("{name}.sdb")), page(1)).unwrap();
+        }
+        let wal = Wal::open(&dir).unwrap();
+        // "new" was created after this commit and never committed;
+        // "dropped" was committed, then dropped.
+        wal.append_commit(PS, vec![("kept".into(), 1), ("dropped".into(), 1)])
+            .unwrap();
+        wal.append_delete(vec!["dropped".into()]).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let report = replay(&dir).unwrap();
+        assert_eq!(report.files_deleted, 2, "{report}");
+        assert!(dir.join("kept.sdb").exists());
+        assert!(!dir.join("new.sdb").exists());
+        assert!(!dir.join("dropped.sdb").exists());
+        // The reset log keeps the catalog: a second replay deletes nothing.
+        std::fs::write(dir.join("later.sdb"), page(1)).unwrap();
+        let again = replay(&dir).unwrap();
+        assert_eq!(again.files_deleted, 1, "uncommitted after the reset too");
+        assert!(dir.join("kept.sdb").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn catalog_extends_files_to_their_committed_length() {
+        let dir = tmp_dir("extend");
+        std::fs::write(dir.join("f.sdb"), page(1)).unwrap();
+        let wal = Wal::open(&dir).unwrap();
+        wal.append_commit(PS, vec![("f".into(), 3)]).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        replay(&dir).unwrap();
+        let bytes = read_file(&dir, "f");
+        assert_eq!(bytes.len(), 3 * PS);
+        assert_eq!(&bytes[..PS], &page(1)[..]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

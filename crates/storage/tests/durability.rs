@@ -273,7 +273,9 @@ proptest! {
 
         for op in &ops {
             if crashed {
-                // Reopen: recovery must restore exactly the committed state.
+                // A power cut, then reopen: recovery must restore exactly
+                // the committed state.
+                faults.kill_now();
                 faults.disarm();
                 drop(tree.take());
                 env = faulted_env(&dir, &faults);
@@ -322,7 +324,8 @@ proptest! {
             }
         }
 
-        // Final verdict: drop everything, recover, compare to committed.
+        // Final verdict: power cut, recover, compare to committed.
+        faults.kill_now();
         drop(tree.take());
         drop(env);
         let env = Env::open_dir(&dir, config()).unwrap();

@@ -50,7 +50,8 @@ pub use runner::{
 };
 pub use submission::{Submission, SubmissionPool};
 pub use torture::{
-    assert_quiescent, cancel_torture, crash_torture, CancelPointOutcome, CancelTortureConfig,
-    CancelTortureReport, KillPointOutcome, TortureConfig, TortureReport,
+    assert_quiescent, cancel_torture, crash_torture, doc_torture, CancelPointOutcome,
+    CancelTortureConfig, CancelTortureReport, DocTortureConfig, KillPointOutcome, TortureConfig,
+    TortureReport,
 };
 pub use triage::{triage_corpus, triage_query, EngineRun, Mismatch, TriageSummary};

@@ -41,7 +41,7 @@ pub mod tuple;
 
 pub use shred::shred_document;
 pub use stats::Statistics;
-pub use store::XasrStore;
+pub use store::{file_names, XasrStore};
 pub use tuple::{NodeTuple, NodeType};
 
 /// Result alias (storage errors dominate this crate).

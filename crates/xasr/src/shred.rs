@@ -18,7 +18,9 @@ use xmldb_xml::{Event, EventReader, ParseOptions};
 const SORT_BUDGET: usize = 4 << 20;
 
 /// Shreds `xml` into the three XASR indexes under document name `name` and
-/// returns the opened store.
+/// returns the opened store. The document's files are new and not yet
+/// committed: the caller commits them ([`Env::flush`] outside a
+/// transaction, [`xmldb_storage::Txn::commit`] inside one).
 ///
 /// ```
 /// use xmldb_storage::Env;
@@ -186,7 +188,6 @@ pub fn shred_document_with(
     stats.distinct_text_values = distinct.count;
 
     stats.save(env, &names.stats)?;
-    env.flush()?;
     XasrStore::from_parts(
         env.clone(),
         name.to_string(),

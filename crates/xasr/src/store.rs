@@ -85,9 +85,11 @@ impl XasrStore {
         env.file_exists(&file_names(name).clustered)
     }
 
-    /// Drops all files of document `name`.
+    /// Drops all files of document `name` at once (one log record for a
+    /// committed document; see [`Env::remove_files`]).
     pub fn drop_document(env: &Env, name: &str) -> Result<()> {
         let names = file_names(name);
+        let mut ids = Vec::new();
         for file in [
             &names.clustered,
             &names.label,
@@ -96,10 +98,10 @@ impl XasrStore {
             &names.stats,
         ] {
             if env.file_exists(file) {
-                let id = env.open_file(file)?;
-                env.remove_file(id)?;
+                ids.push(env.open_file(file)?);
             }
         }
+        env.remove_files(&ids)?;
         Ok(())
     }
 
