@@ -19,7 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use xmldb_storage::{Env, EnvConfig, PageId};
+use xmldb_storage::{Env, EnvConfig, PageId, StorageError};
 
 /// One measured concurrency level.
 struct Sample {
@@ -64,11 +64,15 @@ fn commit_case(threads: usize, ops: u64) -> Sample {
         },
     )
     .expect("open bench env");
-    let f = env.create_file("accounts").expect("create file");
-    for _ in 0..threads {
-        env.allocate_page(f).expect("allocate page");
-    }
-    env.flush().expect("baseline flush");
+    let f = env
+        .autocommit(|| {
+            let f = env.create_file("accounts")?;
+            for _ in 0..threads {
+                env.allocate_page(f)?;
+            }
+            Ok::<_, StorageError>(f)
+        })
+        .expect("baseline commit");
 
     // Warmup: one commit per thread outside the measured window.
     let warm = env.begin_txn();

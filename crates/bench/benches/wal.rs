@@ -10,7 +10,7 @@
 //! reduced size as a smoke test.
 
 use std::time::Instant;
-use xmldb_storage::{codec, BTree, Env, EnvConfig};
+use xmldb_storage::{codec, BTree, Env, EnvConfig, StorageError};
 
 struct Sample {
     name: &'static str,
@@ -56,18 +56,19 @@ fn measure(name: &'static str, size: u64, min_iters: u64, mut op: impl FnMut() -
     }
 }
 
-/// One workload run: `n` inserts with a commit (`Env::flush`) every
-/// `batch`. Returns the ops count (n) for the harness.
+/// One workload run: `n` inserts, `batch` per transaction. Returns the
+/// ops count (n) for the harness.
 fn workload(env: &Env, n: u64, batch: u64) -> u64 {
-    let mut tree = BTree::create(env, "wal-bench").unwrap();
-    for i in 0..n {
-        tree.insert(&key(i), format!("value-{i:08}").as_bytes())
-            .unwrap();
-        if (i + 1) % batch == 0 {
-            env.flush().unwrap();
-        }
+    let mut tree = env.autocommit(|| BTree::create(env, "wal-bench")).unwrap();
+    for first in (0..n).step_by(batch as usize) {
+        env.autocommit(|| {
+            for i in first..(first + batch).min(n) {
+                tree.insert(&key(i), format!("value-{i:08}").as_bytes())?;
+            }
+            Ok::<_, StorageError>(())
+        })
+        .unwrap();
     }
-    env.flush().unwrap();
     n
 }
 

@@ -6,7 +6,7 @@ use crate::{Error, QueryResult, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmldb_obs::{span, FlightRecorder, QueryRecord, SpanTree, TraceScope};
-use xmldb_storage::{Env, EnvConfig, StorageError};
+use xmldb_storage::{Env, EnvConfig, StorageError, Txn};
 use xmldb_xasr::{file_names, shred_document, XasrStore};
 
 /// A saardb database: an environment of shredded documents. Cloning
@@ -91,37 +91,31 @@ impl Database {
         self.flight.set_slow_threshold(threshold);
     }
 
-    /// Loads (shreds) an XML document under `name`. Outside a transaction
-    /// the load is its own commit and returns once the document is
-    /// durable: its new files fsynced, one commit record, one log fsync.
-    /// Under a transaction installed on this thread it commits or rolls
-    /// back with the transaction. A failed load leaves nothing behind: its
-    /// files are still uncommitted, so removing them writes no log record
-    /// and works even while the environment is read-only.
+    /// Loads (shreds) an XML document under `name`, in the transaction
+    /// installed on this thread or else in its own. Outside a transaction
+    /// the load returns once the document is durable: its new files
+    /// fsynced, one commit record, one log fsync. Until it commits, other
+    /// sessions do not see the document. A failed load leaves nothing
+    /// behind: its files are still uncommitted, so removing them writes no
+    /// log record and works even while the environment is read-only.
     pub fn load_document(&self, name: &str, xml: &str) -> Result<()> {
-        if XasrStore::exists(&self.env, name) {
-            return Err(Error::DocumentExists(name.to_string()));
-        }
-        let loaded = shred_document(&self.env, name, xml)
-            .map_err(Error::from)
-            .and_then(|_| {
-                if self.env.in_txn() {
-                    Ok(())
-                } else {
-                    self.flush()
+        self.env.autocommit(|| {
+            if XasrStore::exists(&self.env, name) {
+                return Err(Error::DocumentExists(name.to_string()));
+            }
+            match shred_document(&self.env, name, xml) {
+                Ok(_) => Ok(()),
+                // Lost a race with a load of the same name: its files are
+                // not ours.
+                Err(xmldb_xasr::Error::Storage(StorageError::FileExists(_))) => {
+                    Err(Error::DocumentExists(name.to_string()))
                 }
-            });
-        match loaded {
-            // Lost a race with a load of the same name: its files are not ours.
-            Err(Error::Storage(StorageError::FileExists(_))) => {
-                Err(Error::DocumentExists(name.to_string()))
+                Err(e) => {
+                    let _ = XasrStore::drop_document(&self.env, name);
+                    Err(e.into())
+                }
             }
-            Err(e) => {
-                let _ = XasrStore::drop_document(&self.env, name);
-                Err(e)
-            }
-            Ok(()) => Ok(()),
-        }
+        })
     }
 
     /// Loads a document from a file on disk.
@@ -138,21 +132,23 @@ impl Database {
     /// Replaces a document wholesale — the paper's "keep updates as simple
     /// as possible": no in-place node edits or relabeling, just reshred.
     pub fn replace_document(&self, name: &str, xml: &str) -> Result<()> {
-        if XasrStore::exists(&self.env, name) {
-            XasrStore::drop_document(&self.env, name)?;
+        if self.has_document(name) {
+            self.drop_document(name)?;
         }
         self.load_document(name, xml)
     }
 
-    /// Removes a document and its indexes. Under a transaction installed
-    /// on this thread the drop takes effect at its commit, and a rollback
-    /// keeps the document.
+    /// Removes a document and its indexes, in the transaction installed on
+    /// this thread or else in its own. Under an installed transaction the
+    /// drop takes effect at its commit, and a rollback keeps the document.
     pub fn drop_document(&self, name: &str) -> Result<()> {
-        if !XasrStore::exists(&self.env, name) {
-            return Err(Error::NoSuchDocument(name.to_string()));
-        }
-        XasrStore::drop_document(&self.env, name)?;
-        Ok(())
+        self.env.autocommit(|| {
+            if !XasrStore::exists(&self.env, name) {
+                return Err(Error::NoSuchDocument(name.to_string()));
+            }
+            XasrStore::drop_document(&self.env, name)?;
+            Ok(())
+        })
     }
 
     /// True if a document named `name` is loaded.
@@ -180,7 +176,17 @@ impl Database {
 
     /// Opens the XASR store for a document.
     pub fn store(&self, name: &str) -> Result<XasrStore> {
-        if !XasrStore::exists(&self.env, name) {
+        self.store_in(name, &QueryOptions::default())
+    }
+
+    /// [`Self::store`] as `options`' transaction sees it: its own
+    /// uncommitted loads included. Opening the store takes no locks.
+    pub(crate) fn store_in(&self, name: &str, options: &QueryOptions) -> Result<XasrStore> {
+        let visible = {
+            let _txn = options.txn.as_ref().map(Txn::install);
+            XasrStore::exists(&self.env, name)
+        };
+        if !visible {
             return Err(Error::NoSuchDocument(name.to_string()));
         }
         Ok(XasrStore::open(&self.env, name)?)
@@ -210,7 +216,7 @@ impl Database {
                 let _span = span("parse");
                 xmldb_xq::parse(query)?
             };
-            let store = self.store(doc)?;
+            let store = self.store_in(doc, options)?;
             engine::evaluate(&store, &expr, engine, options)
         })();
         let elapsed = started.elapsed();
@@ -325,7 +331,7 @@ impl Database {
         options: &QueryOptions,
     ) -> Result<String> {
         let expr = xmldb_xq::parse(query)?;
-        let store = self.store(doc)?;
+        let store = self.store_in(doc, options)?;
         engine::explain(&store, &expr, engine, options)
     }
 
@@ -346,22 +352,26 @@ impl Database {
         options: &QueryOptions,
     ) -> Result<String> {
         let expr = xmldb_xq::parse(query)?;
-        let store = self.store(doc)?;
+        let store = self.store_in(doc, options)?;
         engine::explain_analyze(&store, &expr, engine, options)
     }
 
-    /// Persists all dirty state.
+    /// Writes every dirty page back to its data file. It commits nothing:
+    /// loads, drops and [`Database::begin`] transactions are durable when
+    /// they commit. A flush lets the log be checkpointed once it has grown
+    /// past its threshold (see [`Env::flush`]).
     pub fn flush(&self) -> Result<()> {
         self.env.flush()?;
         Ok(())
     }
 
     /// Begins a transaction. Run queries inside it by setting
-    /// [`QueryOptions::txn`], or wrap direct store mutations in
-    /// [`xmldb_storage::Txn::install`]; finish with
-    /// [`xmldb_storage::Txn::commit`] or [`xmldb_storage::Txn::rollback`]
-    /// (dropping the last handle of an unfinished transaction rolls back).
-    /// Queries without a transaction stay auto-commit, exactly as before.
+    /// [`QueryOptions::txn`], or install it with
+    /// [`xmldb_storage::Txn::install`] around loads, drops and direct store
+    /// mutations; finish with [`xmldb_storage::Txn::commit`] or
+    /// [`xmldb_storage::Txn::rollback`] (dropping the last handle of an
+    /// unfinished transaction rolls back). Loads and drops without one run
+    /// in their own; queries without one read lock-free.
     pub fn begin(&self) -> xmldb_storage::Txn {
         self.env.begin_txn()
     }

@@ -43,7 +43,7 @@ impl Database {
         options: &QueryOptions,
     ) -> Result<PreparedQuery> {
         let expr = xmldb_xq::parse(query)?;
-        let store = self.store(doc)?;
+        let store = self.store_in(doc, options)?;
         Ok(PreparedQuery {
             db: self.clone(),
             doc: doc.to_string(),
@@ -70,7 +70,7 @@ impl PreparedQuery {
     /// the transaction its preparation options describe, with metrics
     /// attached and the engine's latency histogram and counter updated.
     pub fn execute(&self) -> Result<QueryResult> {
-        let store = self.db.store(&self.doc)?;
+        let store = self.db.store_in(&self.doc, &self.options)?;
         engine::execute(&store, || &self.compiled, self.engine, &self.options)
     }
 }

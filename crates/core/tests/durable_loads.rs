@@ -1,15 +1,19 @@
-//! What making a document durable costs, and loads and drops inside
-//! transactions.
+//! What making a document durable costs, loads and drops inside
+//! transactions, and what other sessions see of a load before it commits.
 //!
 //! Data-file fsyncs are counted by the fault-injecting backend, which
 //! sees every sync of a wrapped file and counts the ones that flushed
 //! something; log fsyncs by the environment's `wal_syncs` counter.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use xmldb_core::Database;
-use xmldb_storage::{Env, EnvConfig, FaultBackend, FaultState, PageId};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use xmldb_core::{Database, EngineKind, Error};
+use xmldb_datagen::dblp::{generate_dblp, DblpConfig};
+use xmldb_storage::backend::Backend;
+use xmldb_storage::wal::WAL_CHECKPOINT_BYTES;
+use xmldb_storage::{Env, EnvConfig, FaultBackend, FaultState, PageId, StorageError};
 
 const DOC: &str = "<lib><b><t>alpha</t></b><b><t>beta</t></b></lib>";
 
@@ -56,8 +60,8 @@ fn flush_after_no_writes_fsyncs_no_data_file() {
     db.flush().unwrap();
     assert_eq!(
         delta(before, syncs(&db, &faults)),
-        (0, 1),
-        "a flush with nothing written fsyncs only the log"
+        (0, 0),
+        "a flush with nothing written fsyncs nothing"
     );
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
@@ -113,14 +117,20 @@ fn failed_sync_leaves_the_file_dirty_for_the_next_flush() {
     let faults = FaultState::new();
     let db = faulted_db(&dir, &faults);
     let env = db.env();
-    let f = env.create_file("raw").unwrap();
-    let p = env.allocate_page(f).unwrap();
-    env.flush().unwrap();
-    env.with_page_mut(f, p, |d| d[0] = 0x5A).unwrap();
+    let (f, p) = env
+        .autocommit(|| {
+            let f = env.create_file("raw")?;
+            Ok::<_, StorageError>((f, env.allocate_page(f)?))
+        })
+        .unwrap();
+    env.autocommit(|| env.with_page_mut(f, p, |d| d[0] = 0x5A))
+        .unwrap();
     faults.fail_next_sync();
     assert!(env.flush().is_err());
+    // The checkpoint drops the log record that could rebuild the page:
+    // from then on only the data file holds the write.
     let before = syncs(&db, &faults);
-    env.flush().unwrap();
+    env.checkpoint().unwrap();
     assert_eq!(
         delta(before, syncs(&db, &faults)).0,
         1,
@@ -226,4 +236,258 @@ fn transactional_loads_of_distinct_documents_never_deadlock() {
     assert_eq!(db.documents().unwrap().len(), 100);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn other_sessions_do_not_see_an_uncommitted_load() {
+    let dir = scratch("dirty");
+    let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+    db.load_document("old", DOC).unwrap();
+    let txn = db.begin();
+    {
+        let _scope = txn.install();
+        db.load_document("d", DOC).unwrap();
+        assert!(db.has_document("d"), "its own transaction sees it");
+    }
+    let other_session = |visible: bool| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(db.has_document("d"), visible);
+                let got = db.query("d", "//t", EngineKind::M4CostBased);
+                let docs = db.documents().unwrap();
+                if visible {
+                    assert_eq!(got.unwrap().to_xml(), "<t>alpha</t><t>beta</t>");
+                    assert_eq!(docs, ["d", "old"]);
+                } else {
+                    assert!(matches!(got, Err(Error::NoSuchDocument(_))), "{got:?}");
+                    assert_eq!(docs, ["old"]);
+                }
+            });
+        })
+    };
+    other_session(false);
+    txn.commit().unwrap();
+    other_session(true);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn autocommit_loads_alone_keep_the_log_under_the_checkpoint_threshold() {
+    let dir = scratch("ckpt");
+    let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+    // Every commit record carries the catalog; long names make it grow by
+    // about 1 KB per document, so the log crosses the threshold after
+    // about 90 loads.
+    let mut checkpoints = 0;
+    let mut last = 0;
+    for i in 0..120 {
+        db.load_document(&format!("{}{i:03}", "n".repeat(200)), DOC)
+            .unwrap();
+        let len = db.env().wal_bytes().unwrap();
+        assert!(len <= WAL_CHECKPOINT_BYTES, "load {i}: log at {len} bytes");
+        checkpoints += usize::from(len < last);
+        last = len;
+    }
+    assert!(checkpoints > 0, "the log never reached the threshold");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+thread_local! {
+    /// Set on the thread that runs the big load.
+    static LOADER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// What the big load's files tell the test.
+#[derive(Default)]
+struct Watch {
+    /// The loader thread synced one of its files: its commit began.
+    committing: AtomicBool,
+    /// While set, the loader thread parks before touching its files.
+    paused: Mutex<bool>,
+    resumed: Condvar,
+    /// The loader thread is parked.
+    parked: AtomicBool,
+}
+
+impl Watch {
+    fn set_paused(&self, paused: bool) {
+        *self.paused.lock().unwrap() = paused;
+        self.resumed.notify_all();
+    }
+}
+
+/// A backend of the big load's files: parks the loader thread while the
+/// watch is paused and notes when the loader syncs.
+struct Watched {
+    inner: Arc<dyn Backend>,
+    watch: Arc<Watch>,
+}
+
+impl Watched {
+    fn gate(&self) -> bool {
+        if !LOADER.with(Cell::get) {
+            return false;
+        }
+        let mut paused = self.watch.paused.lock().unwrap();
+        while *paused {
+            self.watch.parked.store(true, Ordering::SeqCst);
+            paused = self.watch.resumed.wait(paused).unwrap();
+        }
+        true
+    }
+}
+
+impl Backend for Watched {
+    fn read_page(&self, id: PageId, buf: &mut [u8]) -> xmldb_storage::Result<()> {
+        self.gate();
+        self.inner.read_page(id, buf)
+    }
+
+    fn write_page(&self, id: PageId, buf: &[u8]) -> xmldb_storage::Result<()> {
+        self.gate();
+        self.inner.write_page(id, buf)
+    }
+
+    fn allocate_page(&self) -> xmldb_storage::Result<PageId> {
+        self.gate();
+        self.inner.allocate_page()
+    }
+
+    fn page_count(&self) -> u64 {
+        self.inner.page_count()
+    }
+
+    fn sync(&self) -> xmldb_storage::Result<bool> {
+        if self.gate() {
+            self.watch.committing.store(true, Ordering::SeqCst);
+        }
+        self.inner.sync()
+    }
+
+    fn path(&self) -> Option<&Path> {
+        self.inner.path()
+    }
+}
+
+/// The big document's name and files.
+const BIG: &str = "big";
+
+fn big_files() -> [String; 5] {
+    let f = xmldb_xasr::file_names(BIG);
+    [f.clustered, f.label, f.parent, f.text, f.stats]
+}
+
+/// Thread A loads a big document while this thread runs small autocommit
+/// loads, until A returns. After each small load, as long as A's commit
+/// has not begun, neither the committed files nor the documents may name
+/// A's document. With `crash`, the power is cut right after the first
+/// small commit that began while A was building (with A parked): after
+/// reopen every small document is there, and none of A's files unless
+/// its commit had begun.
+fn load_beside_a_big_load(xml: &str, crash: bool) {
+    let dir = scratch("beside");
+    let faults = FaultState::new();
+    let watch = Arc::new(Watch::default());
+    let (state, watched) = (Arc::clone(&faults), Arc::clone(&watch));
+    let env = Env::open_dir_with_decorator(
+        &dir,
+        EnvConfig::default(),
+        Arc::new(move |name, inner| {
+            let inner: Arc<dyn Backend> = Arc::new(FaultBackend::new(inner, Arc::clone(&state)));
+            if name.starts_with(&format!("{BIG}.")) {
+                let watch = Arc::clone(&watched);
+                Arc::new(Watched { inner, watch }) as _
+            } else {
+                inner
+            }
+        }),
+    )
+    .unwrap();
+    let db = Database::from_env(env);
+    let big = big_files();
+    let mut small = Vec::new();
+    std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            LOADER.with(|l| l.set(true));
+            db.load_document(BIG, xml)
+        });
+        while !a.is_finished() {
+            let building = dir.join(format!("{}.sdb", big[0])).exists();
+            let name = format!("s{:03}", small.len());
+            db.load_document(&name, DOC).unwrap();
+            small.push(name);
+            let files = db.env().committed_files();
+            let docs = db.documents().unwrap();
+            if !watch.committing.load(Ordering::SeqCst) {
+                assert!(
+                    !files.iter().any(|f| big.contains(f)),
+                    "an uncommitted load's file is committed: {files:?}"
+                );
+                assert!(
+                    !docs.iter().any(|d| d == BIG),
+                    "an uncommitted load is a document: {docs:?}"
+                );
+            }
+            if crash && building {
+                watch.set_paused(true);
+                while !watch.parked.load(Ordering::SeqCst) && !a.is_finished() {
+                    std::thread::yield_now();
+                }
+                faults.kill_now();
+                let committing = watch.committing.load(Ordering::SeqCst);
+                let after = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+                let docs = after.documents().unwrap();
+                let left: Vec<&String> = big
+                    .iter()
+                    .filter(|f| dir.join(format!("{f}.sdb")).exists())
+                    .collect();
+                drop(after);
+                // Let A go (it fails against the cut power) before any
+                // assertion can unwind past it.
+                watch.set_paused(false);
+                for name in &small {
+                    assert!(docs.contains(name), "{name} lost: {docs:?}");
+                }
+                if !committing {
+                    assert!(!docs.iter().any(|d| d == BIG), "{docs:?}");
+                    assert!(left.is_empty(), "survived the crash: {left:?}");
+                }
+                break;
+            }
+        }
+        let loaded = a.join().unwrap();
+        if !crash {
+            loaded.unwrap();
+        }
+    });
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// About 500 KB: long enough to build that many small loads commit
+/// meanwhile.
+fn big_doc() -> String {
+    generate_dblp(&DblpConfig::scaled(2.0))
+}
+
+#[test]
+fn autocommit_load_never_commits_another_loads_files() {
+    load_beside_a_big_load(&big_doc(), false);
+}
+
+#[test]
+fn crash_beside_a_big_load_leaves_none_of_its_files() {
+    load_beside_a_big_load(&big_doc(), true);
+}
+
+/// The CI variant: a 3 MB document, 20 rounds, each crashing once.
+#[test]
+#[ignore = "extended; CI runs it in release with --ignored"]
+fn concurrent_load_isolation_20_rounds() {
+    let xml = generate_dblp(&DblpConfig::scaled(12.0));
+    for _ in 0..20 {
+        load_beside_a_big_load(&xml, true);
+    }
 }

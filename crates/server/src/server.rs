@@ -1087,11 +1087,14 @@ impl Session {
                 // A prepared statement outlives the transaction it was
                 // prepared in: it must not capture that transaction. Each
                 // execution runs under whatever transaction the session
-                // has open then (installed in `ExecPrepared` below).
+                // has open then (installed in `ExecPrepared` below); the
+                // one open now is installed only while preparing, so the
+                // statement can name a document it loaded.
                 let options = QueryOptions {
                     txn: None,
                     ..self.options(0, 0)
                 };
+                let _scope = self.txn.as_ref().map(Txn::install);
                 match self.shared.db.prepare_with(doc, query, engine, &options) {
                     Ok(prepared) => {
                         let id = self.next_prepared;

@@ -1374,11 +1374,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
-            let mut t = BTree::create(&env, "idx").unwrap();
-            for i in 0..1000u64 {
-                t.insert(&key(i), format!("v{i}").as_bytes()).unwrap();
-            }
-            env.flush().unwrap();
+            env.autocommit(|| {
+                let mut t = BTree::create(&env, "idx")?;
+                for i in 0..1000u64 {
+                    t.insert(&key(i), format!("v{i}").as_bytes())?;
+                }
+                Ok::<_, StorageError>(())
+            })
+            .unwrap();
         }
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();

@@ -374,15 +374,16 @@ struct Shard {
 
 /// The environment services the pool needs on the write-back path:
 /// backend resolution plus write-ahead logging. The WAL hooks enforce
-/// *WAL-before-steal*: a dirty page's before/after images must be durable
-/// in the log before the page overwrites its slot in the data file.
-/// Environments without a WAL (in-memory) implement the hooks as no-ops.
+/// *WAL-before-steal*: a dirty page that needs a log record (one an active
+/// transaction owns) must have it durable in the log before the page
+/// overwrites its slot in the data file. Environments without a WAL
+/// (in-memory) implement the hooks as no-ops.
 pub(crate) trait PoolIo {
     /// Resolves a [`FileId`] to its backend.
     fn backend(&self, file: FileId) -> Result<Arc<dyn Backend>>;
 
-    /// Appends `after` (and the page's current on-disk content as the
-    /// before-image) to the WAL. Not yet durable — see [`PoolIo::wal_sync`].
+    /// Appends the page's record, with `after` as its after-image, to the
+    /// WAL if it needs one. Not yet durable — see [`PoolIo::wal_sync`].
     fn wal_page_image(&self, file: FileId, page: PageId, after: &[u8]) -> Result<()>;
 
     /// Forces appended WAL records to durable storage.

@@ -10,6 +10,13 @@
 //! ever read it, so lookups never serialize behind file create/drop.
 //! The file table is also the **catalog** every commit record carries
 //! (see [`crate::wal`]).
+//!
+//! On a logged (on-disk) environment every durable change is a
+//! transaction: creating, extending, writing or removing a file that is
+//! not scratch needs a [`Txn`] installed on the calling thread, and fails
+//! with [`StorageError::NoTxn`] otherwise. Reads need none and take no
+//! locks. In-memory environments have no log, so untransacted writes stay
+//! allowed there.
 
 use crate::backend::{Backend, FileBackend, MemBackend};
 use crate::buffer::{BufferPool, IoSnapshot, IoStats, PoolIo};
@@ -79,9 +86,10 @@ impl EnvConfig {
 pub(crate) enum FileState {
     /// Scratch file: exempt from logging and locking, private to its query.
     Temp,
-    /// Created, not committed: built unlogged; recovery deletes it. Owned
-    /// by its creating transaction, or (`None`) committed by [`Env::flush`].
-    New(Option<u64>),
+    /// Created by the transaction with this id and not committed yet:
+    /// built unlogged and seen by that transaction only; recovery deletes
+    /// it.
+    New(u64),
     Committed,
 }
 
@@ -215,7 +223,7 @@ impl Env {
         }
         let env = Env::build_inner(Some(dir), config, Some(wal), Some(recovery), decorator);
         env.inner.pager.files.write().unopened = unopened;
-        env.checkpoint_log()?;
+        env.checkpoint_log(env.wal_bytes().unwrap_or(0))?;
         Ok(env)
     }
 
@@ -354,12 +362,12 @@ impl Env {
     /// for in-flight transactions to drain, and `Err` when the volume is
     /// still full (the probe flush/checkpoint failed — stay degraded).
     ///
-    /// Order matters: the flush first makes the committed backlog durable
-    /// in the data files (dirty pool pages, commit marker, fsync), and only
-    /// then is the log checkpointed down to a single record — truncating
-    /// first could discard committed updates still pool-resident. The
-    /// server's watchdog calls this periodically, so recovery is automatic
-    /// once space is reclaimed.
+    /// The probe is a [`Env::checkpoint`]: the flush first writes the
+    /// committed backlog into the data files, and only then is the log
+    /// checkpointed down to a single record — truncating first could
+    /// discard committed updates still pool-resident. The server's
+    /// watchdog calls this periodically, so recovery is automatic once
+    /// space is reclaimed.
     pub fn try_exit_read_only(&self) -> Result<bool> {
         if !self.is_read_only() {
             return Ok(true);
@@ -367,8 +375,7 @@ impl Env {
         if self.inner.txns.active_count() > 0 {
             return Ok(false);
         }
-        self.flush()?;
-        self.checkpoint_log()?;
+        self.checkpoint()?;
         self.inner.read_only.store(false, Ordering::SeqCst);
         self.inner.read_only_gauge.set(0);
         Ok(true)
@@ -378,6 +385,24 @@ impl Env {
     fn check_writable(&self) -> Result<()> {
         if self.is_read_only() {
             return Err(StorageError::ReadOnly);
+        }
+        Ok(())
+    }
+
+    /// Refuses a durable change outside a transaction on a logged
+    /// environment.
+    fn check_txn(&self) -> Result<()> {
+        if self.inner.wal.is_some() && !self.in_txn() {
+            return Err(StorageError::NoTxn);
+        }
+        Ok(())
+    }
+
+    /// The untransacted half of [`Env::check_txn`] for one file: scratch
+    /// files (and unknown ids, which the pool reports) pass.
+    pub(crate) fn check_untransacted_write(&self, file: FileId) -> Result<()> {
+        if self.inner.wal.is_some() && !self.is_temp(file) {
+            return Err(StorageError::NoTxn);
         }
         Ok(())
     }
@@ -427,14 +452,17 @@ impl Env {
     }
 
     /// Creates a new file named `name`; errors if it already exists (in
-    /// this environment or on disk). A durable file commits with the
-    /// transaction installed on this thread, else with [`Env::flush`].
+    /// this environment, uncommitted or not, or on disk). A durable file
+    /// belongs to the transaction installed on this thread and commits
+    /// with it; without one a logged environment refuses
+    /// ([`StorageError::NoTxn`]) and an in-memory one commits it at once.
     pub fn create_file(&self, name: &str) -> Result<FileId> {
         let state = if name.starts_with(TEMP_PREFIX) {
             FileState::Temp
         } else {
             self.check_writable()?;
-            FileState::New(txn::installed_id(self))
+            self.check_txn()?;
+            txn::installed_id(self).map_or(FileState::Committed, FileState::New)
         };
         let mut table = self.inner.pager.files.write();
         if table.by_name.contains_key(name) {
@@ -478,13 +506,19 @@ impl Env {
         }
     }
 
-    /// True if `name` exists in this environment or its directory.
+    /// True if `name` is a committed file, a scratch file, or a file the
+    /// transaction installed on this thread created. Another transaction's
+    /// uncommitted files stay invisible until it commits.
     pub fn file_exists(&self, name: &str) -> bool {
         let table = self.inner.pager.files.read();
-        if table.by_name.contains_key(name) {
+        if table.unopened.contains_key(name) {
             return true;
         }
-        self.disk_path(name).is_some_and(|p| p.exists())
+        let entry = table.by_name.get(name).and_then(|id| table.by_id.get(id));
+        match entry.map(|e| e.state) {
+            Some(FileState::New(owner)) => txn::installed_id(self) == Some(owner),
+            found => found.is_some(),
+        }
     }
 
     /// Creates an anonymous scratch file. Prefer [`crate::TempFile`], which
@@ -504,29 +538,36 @@ impl Env {
     }
 
     /// Removes files: drops their pool frames, forgets them, deletes the
-    /// disk files. Committed files leave the catalog with one logged
-    /// `Delete` and one log fsync — or at the commit of the transaction
-    /// installed on this thread. Fails with [`StorageError::FileBusy`]
-    /// while any of the files' pages is pinned.
+    /// disk files. Under the transaction installed on this thread,
+    /// committed files leave at its commit, whose catalog omits them, and
+    /// uncommitted ones at once. A logged environment refuses to remove a
+    /// durable file without one ([`StorageError::NoTxn`]); an in-memory
+    /// one removes it at once. Fails with [`StorageError::FileBusy`] while
+    /// any of the files' pages is pinned.
     pub fn remove_files(&self, ids: &[FileId]) -> Result<()> {
-        let mut committed = Vec::new();
+        let mut states = Vec::with_capacity(ids.len());
         for &id in ids {
-            match self.file_meta(id) {
-                Some((_, FileState::Committed)) => committed.push(id),
-                Some(_) => self.discard(id)?,
-                None => return Err(StorageError::NoSuchFile(format!("{id}"))),
+            let (_, state) = self
+                .file_meta(id)
+                .ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?;
+            states.push(state);
+        }
+        if states.iter().any(|&s| s != FileState::Temp) {
+            self.check_txn()?;
+        }
+        let committed: Vec<FileId> = ids
+            .iter()
+            .zip(&states)
+            .filter(|(_, &s)| s == FileState::Committed)
+            .map(|(&id, _)| id)
+            .collect();
+        let deferred = !committed.is_empty() && txn::defer_drops(self, &committed)?;
+        for (&id, &state) in ids.iter().zip(&states) {
+            if !(deferred && state == FileState::Committed) {
+                self.discard(id)?;
             }
         }
-        if committed.is_empty() || txn::defer_drops(self, &committed)? {
-            return Ok(());
-        }
-        self.check_writable()?;
-        self.drop_frames(&committed)?;
-        let (record, removed) =
-            self.publish(&[], &committed, |wal, _, gone| wal.append_delete(gone))?;
-        let synced = record.map_or(Ok(false), |a| self.sync_wal(a.end));
-        delete_files(&removed)?;
-        synced.map(drop)
+        Ok(())
     }
 
     /// Forgets the files' pool frames (before `publish`, which must not
@@ -538,23 +579,25 @@ impl Env {
         Ok(())
     }
 
-    /// Removes an uncommitted or scratch file: nothing is logged, so this
-    /// works even while the environment is read-only.
+    /// Removes a file at once, logging nothing: an uncommitted or scratch
+    /// file, or any file of an in-memory environment. Works even while the
+    /// environment is read-only.
     pub(crate) fn discard(&self, id: FileId) -> Result<()> {
         self.inner.pager.pool.invalidate_file(id)?;
         let entry = self.inner.pager.files.write().remove(id);
         delete_files(&[entry.ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?])
     }
 
-    /// One commit's catalog change: under the file-table lock (so records
-    /// reach the log in catalog order), `record` appends the catalog with
-    /// `added` in and `dropped` out, then the change is applied. Returns
-    /// the record and the dropped entries, whose files the caller deletes.
+    /// Transaction `txn`'s catalog change: under the file-table lock (so
+    /// records reach the log in catalog order), appends its commit record
+    /// — the catalog with `added` in and `dropped` out — then applies the
+    /// change. Returns the record and the dropped entries, whose files the
+    /// caller deletes.
     pub(crate) fn publish(
         &self,
+        txn: u64,
         added: &[FileId],
         dropped: &[FileId],
-        record: impl FnOnce(&Wal, Vec<(String, u64)>, Vec<String>) -> Result<Appended>,
     ) -> Result<(Option<Appended>, Vec<FileEntry>)> {
         let mut table = self.inner.pager.files.write();
         let mut appended = None;
@@ -567,7 +610,7 @@ impl Env {
             let mut files = table.catalog();
             files.retain(|(name, _)| !gone.contains(name));
             files.extend(added.iter().filter_map(file));
-            let a = self.note_wal(record(wal, files, gone))?;
+            let a = self.note_wal(wal.append_txn_commit(txn, self.page_size(), files))?;
             let stats = self.inner.pager.pool.stats();
             stats.wal_appends.inc();
             stats.wal_bytes.add(a.bytes);
@@ -594,8 +637,8 @@ impl Env {
         Ok(synced)
     }
 
-    /// The uncommitted files `owner` created (`None`: untransacted ones).
-    pub(crate) fn new_files(&self, owner: Option<u64>) -> Vec<FileId> {
+    /// The uncommitted files transaction `owner` created.
+    pub(crate) fn new_files(&self, owner: u64) -> Vec<FileId> {
         let table = self.inner.pager.files.read();
         let new = table
             .by_id
@@ -615,14 +658,10 @@ impl Env {
         for &file in files {
             self.backend(file)?.sync()?;
         }
-        self.sync_dir(true);
-        Ok(())
-    }
-
-    fn sync_dir(&self, created: bool) {
-        if let (Some(dir), true) = (&self.inner.dir, created) {
+        if let Some(dir) = &self.inner.dir {
             wal::sync_dir(dir);
         }
+        Ok(())
     }
 
     /// Names of the committed files, in name order: the catalog.
@@ -653,12 +692,17 @@ impl Env {
         if self.is_read_only() && !self.is_temp(file) {
             return Err(StorageError::ReadOnly);
         }
+        if !self.in_txn() {
+            self.check_untransacted_write(file)?;
+        }
         let id = self.backend(file)?.allocate_page()?;
         Ok(id)
     }
 
     fn is_temp(&self, file: FileId) -> bool {
-        matches!(self.file_meta(file), Some((_, FileState::Temp)))
+        let table = self.inner.pager.files.read();
+        let entry = table.by_id.get(&file);
+        entry.is_some_and(|e| e.state == FileState::Temp)
     }
 
     /// Number of pages in `file`.
@@ -674,11 +718,37 @@ impl Env {
 
     /// Begins a transaction on this environment. The handle is inert until
     /// [`Txn::install`]ed on a thread; see [`crate::txn`] for the locking
-    /// and commit protocol. Without an installed transaction every page
-    /// access stays on the untransacted fast path (one thread-local probe,
-    /// no locks) and [`Env::flush`] remains the durability point.
+    /// and commit protocol. Its commit is the only way durable state
+    /// changes on a logged environment. Without an installed transaction,
+    /// reads stay on the lock-free fast path (one thread-local probe) and
+    /// writes to durable files fail with [`StorageError::NoTxn`].
     pub fn begin_txn(&self) -> Txn {
         Txn::begin(self)
+    }
+
+    /// Runs `work` in the transaction on this environment installed on
+    /// this thread, or else in its own: begin, install, work, commit — and
+    /// on any error, roll back (which deletes the files it created).
+    pub fn autocommit<T, E: From<StorageError>>(
+        &self,
+        work: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        if self.in_txn() {
+            return work();
+        }
+        let txn = self.begin_txn();
+        let done = {
+            let _scope = txn.install();
+            work()
+        };
+        let done = done.and_then(|v| {
+            txn.commit()?;
+            Ok(v)
+        });
+        if done.is_err() {
+            let _ = txn.rollback();
+        }
+        done
     }
 
     /// Number of live transactions on this environment.
@@ -705,7 +775,8 @@ impl Env {
 
     /// Runs `f` over the mutable contents of a page, marking it dirty.
     /// Under an installed transaction, first acquires an exclusive page
-    /// lock and captures the page's undo image.
+    /// lock and captures the page's undo image; without one, see
+    /// [`Env::begin_txn`].
     pub fn with_page_mut<R>(
         &self,
         file: FileId,
@@ -749,20 +820,34 @@ impl Env {
             .with_frame_write(file, page, &EnvIo(self), |d| d.copy_from_slice(data))
     }
 
-    /// Writes back all dirty frames, syncs every file with unsynced writes,
-    /// and — for WAL-backed environments — appends a commit marker: this
-    /// is the durability point of untransacted work and files. Everything
-    /// flushed here survives a crash; work done since the previous flush
-    /// that only reached the data files via eviction steals is rolled back
-    /// by recovery.
-    ///
-    /// Once the log outgrows [`WAL_CHECKPOINT_BYTES`] the commit also
-    /// checkpoints (truncates) it — unless a transaction is in flight,
-    /// whose undo records the truncation would discard; the next
-    /// quiescent flush catches up.
+    /// Writes back all dirty frames and fsyncs every file with unsynced
+    /// writes. It commits nothing — [`Txn::commit`] is the only commit
+    /// point — but moves committed state into the data files, so once the
+    /// log outgrows [`WAL_CHECKPOINT_BYTES`] it can be truncated: the
+    /// flush then checkpoints, as a commit does (see [`Env::checkpoint`]).
     pub fn flush(&self) -> Result<()> {
+        self.flush_then_checkpoint(self.checkpoint_due())
+    }
+
+    /// Flushes and then truncates the write-ahead log. The explicit form
+    /// of the periodic checkpoint [`Env::flush`] and [`Txn::commit`] apply
+    /// by threshold; a no-op beyond [`Env::flush`] for in-memory
+    /// environments. Skipped (the flush still runs) while any transaction
+    /// is in flight — truncation would discard its undo records — or when
+    /// one committed during the flush.
+    pub fn checkpoint(&self) -> Result<()> {
+        self.flush_then_checkpoint(true)
+    }
+
+    /// True once the log has outgrown [`WAL_CHECKPOINT_BYTES`].
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        self.wal_bytes()
+            .is_some_and(|len| len > WAL_CHECKPOINT_BYTES)
+    }
+
+    fn flush_then_checkpoint(&self, checkpoint: bool) -> Result<()> {
         let _span = span("storage.flush");
-        let created = self.new_files(None);
+        let start = self.wal_bytes();
         self.inner.pager.pool.flush(&EnvIo(self), &|_| true)?;
         // Eviction steals were written unsynced; clean files skip the sync.
         let backends: Vec<Arc<dyn Backend>> = {
@@ -776,46 +861,28 @@ impl Env {
         for backend in &backends {
             backend.sync()?;
         }
-        self.sync_dir(!created.is_empty());
-        let page_size = self.page_size();
-        let (appended, _) = self.publish(&created, &[], |wal, files, _| {
-            wal.append_commit(page_size, files)
-        })?;
-        if let (Some(a), Some(wal)) = (appended, &self.inner.wal) {
-            self.sync_wal(a.end)?;
-            if wal.len() > WAL_CHECKPOINT_BYTES && self.inner.txns.active_count() == 0 {
-                let checkpointed = wal.len();
-                self.checkpoint_log()?;
+        if let (Some(start), true) = (start, checkpoint) {
+            if self.inner.txns.active_count() == 0 && self.checkpoint_log(start)? {
                 self.inner
                     .registry
                     .counter("saardb_wal_checkpoint_bytes_total", &[])
-                    .add(checkpointed);
+                    .add(start);
             }
         }
         Ok(())
     }
 
-    /// Flushes and then truncates the write-ahead log. The explicit form
-    /// of the periodic checkpoint [`Env::flush`] applies by threshold; a
-    /// no-op beyond [`Env::flush`] for in-memory environments. Skipped
-    /// (flush still runs) while any transaction is in flight — truncation
-    /// would discard its undo records.
-    pub fn checkpoint(&self) -> Result<()> {
-        self.flush()?;
-        if self.inner.txns.active_count() == 0 {
-            self.checkpoint_log()?;
-        }
-        Ok(())
-    }
-
     /// Replaces the log with one checkpoint carrying the catalog, under
-    /// the file-table lock like every commit record.
-    fn checkpoint_log(&self) -> Result<()> {
-        if let Some(wal) = &self.inner.wal {
-            let table = self.inner.pager.files.write();
-            self.note_wal(wal.checkpoint(self.page_size(), table.catalog()))?;
-        }
-        Ok(())
+    /// the file-table lock like every commit record — unless the log is
+    /// no longer `start` bytes long: a record appended since the flush
+    /// began may describe frames the flush did not write back. Returns
+    /// whether it checkpointed.
+    fn checkpoint_log(&self, start: u64) -> Result<bool> {
+        let Some(wal) = &self.inner.wal else {
+            return Ok(false);
+        };
+        let table = self.inner.pager.files.write();
+        self.note_wal(wal.checkpoint(self.page_size(), table.catalog(), start))
     }
 
     /// True if this environment write-ahead-logs page images (on-disk
@@ -899,13 +966,17 @@ impl Env {
 }
 
 /// The pool's view of the environment: backend resolution plus the
-/// WAL-before-steal hooks. The before-image of a logged page is its
-/// current content in the data file, read here — reverse-order undo then
-/// restores the committed image even when a page is stolen several times
-/// between commits. Pages owned by an active transaction are logged as
-/// transaction-tagged images instead, with the owner's first-touch
-/// pre-image as the before-image, so recovery can undo a loser no matter
-/// how many times its pages were stolen.
+/// WAL-before-steal hooks. A page owned by an active transaction is logged
+/// as a transaction-tagged image with the owner's first-touch pre-image as
+/// the before-image, so recovery can undo a loser no matter how many times
+/// its pages were stolen.
+///
+/// Every other dirty page is written back without a record, because the
+/// log can already rebuild it: a new file's page is fsynced by the commit
+/// that creates the file, and a committed file's page holds either a
+/// committed after-image or a rolled-back pre-image — and the log has not
+/// been checkpointed since, because a checkpoint needs a full flush with
+/// no transaction active.
 struct EnvIo<'a>(&'a Env);
 
 impl PoolIo for EnvIo<'_> {
@@ -917,25 +988,15 @@ impl PoolIo for EnvIo<'_> {
         let Some(wal) = &self.0.inner.wal else {
             return Ok(());
         };
-        let Some((name, state)) = self.0.file_meta(file) else {
+        let Some((owner, pre)) = self.0.inner.txns.owner_pre_image(file, page) else {
+            return Ok(());
+        };
+        let Some((name, _)) = self.0.file_meta(file) else {
             return Err(StorageError::NoSuchFile(format!("{file}")));
         };
-        if state == FileState::Temp {
-            return Ok(()); // recovery deletes scratch files
-        }
         let a = self
             .0
-            .note_wal(match self.0.inner.txns.owner_pre_image(file, page) {
-                Some((owner, pre)) => wal.append_txn_page_image(owner, &name, page, &pre, after),
-                // New files are built, not logged: their commit fsyncs them.
-                None if state != FileState::Committed => return Ok(()),
-                None => {
-                    let backend = self.0.backend(file)?;
-                    let mut before = vec![0u8; after.len()];
-                    backend.read_page(page, &mut before)?;
-                    wal.append_page_image(&name, page, &before, after)
-                }
-            })?;
+            .note_wal(wal.append_txn_page_image(owner, &name, page, &pre, after))?;
         let stats = self.0.inner.pager.pool.stats();
         stats.wal_appends.inc();
         stats.wal_bytes.add(a.bytes);
@@ -1024,10 +1085,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
-            let f = env.create_file("persist").unwrap();
-            let p = env.allocate_page(f).unwrap();
-            env.with_page_mut(f, p, |d| d[0] = 0x5A).unwrap();
-            env.flush().unwrap();
+            env.autocommit(|| {
+                let f = env.create_file("persist")?;
+                let p = env.allocate_page(f)?;
+                env.with_page_mut(f, p, |d| d[0] = 0x5A)
+            })
+            .unwrap();
         }
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
@@ -1083,10 +1146,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("saardb-env-nospace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
-        let f = env.create_file("d").unwrap();
-        let p = env.allocate_page(f).unwrap();
-        env.with_page_mut(f, p, |d| d[0] = 1).unwrap();
-        env.flush().unwrap();
+        let (f, p) = env
+            .autocommit(|| {
+                let f = env.create_file("d")?;
+                let p = env.allocate_page(f)?;
+                env.with_page_mut(f, p, |d| d[0] = 1)?;
+                Ok::<_, StorageError>((f, p))
+            })
+            .unwrap();
 
         let faults = FaultState::new();
         env.inject_wal_faults(&faults);
@@ -1127,7 +1194,8 @@ mod tests {
         faults.set_wal_no_space(false);
         assert!(env.try_exit_read_only().unwrap());
         assert!(!env.is_read_only());
-        env.with_page_mut(f, p, |d| d[0] = 4).unwrap();
+        env.autocommit(|| env.with_page_mut(f, p, |d| d[0] = 4))
+            .unwrap();
         env.flush().unwrap();
         assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 4);
 
@@ -1140,16 +1208,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("saardb-env-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
-        let f = env.create_file("t").unwrap();
-        let p = env.allocate_page(f).unwrap();
+        let (f, p) = env
+            .autocommit(|| {
+                let f = env.create_file("t")?;
+                Ok::<_, StorageError>((f, env.allocate_page(f)?))
+            })
+            .unwrap();
         let txn = env.begin_txn();
         {
             let _s = txn.install();
             env.with_page_mut(f, p, |d| d[0] = 1).unwrap();
         }
         env.checkpoint().unwrap();
-        // The txn's steal/undo records (if any) plus the flush commit
-        // marker must survive: no truncation with a live transaction.
+        // The commit that created the file and the txn's steal/undo
+        // records (if any) must survive: no truncation with a live
+        // transaction.
         assert!(env.wal_bytes().unwrap() > 0);
         txn.commit().unwrap();
         env.checkpoint().unwrap();
@@ -1160,5 +1233,59 @@ mod tests {
         assert!(after < 64, "log not truncated: {after} bytes");
         drop(env);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn untransacted_durable_writes_on_disk_are_refused() {
+        let dir = std::env::temp_dir().join(format!("saardb-env-notxn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
+        let (f, p) = env
+            .autocommit(|| {
+                let f = env.create_file("d")?;
+                let p = env.allocate_page(f)?;
+                env.with_page_mut(f, p, |d| d[0] = 1)?;
+                Ok::<_, StorageError>((f, p))
+            })
+            .unwrap();
+        let wal = env.wal_bytes();
+        let refused = [
+            env.with_page_mut(f, p, |d| d[0] = 2).map(drop),
+            env.allocate_page(f).map(drop),
+            env.create_file("e").map(drop),
+            env.remove_file(f),
+        ];
+        for r in refused {
+            assert!(matches!(r, Err(StorageError::NoTxn)), "{r:?}");
+        }
+        // Nothing changed, nothing was logged, and the env stays usable:
+        // reads, scratch files and transactions all work.
+        assert_eq!(env.wal_bytes(), wal);
+        assert_eq!(env.page_count(f).unwrap(), 1);
+        assert!(!env.file_exists("e"));
+        assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 1);
+        let tmp = env.create_temp_file().unwrap();
+        let tp = env.allocate_page(tmp).unwrap();
+        env.with_page_mut(tmp, tp, |d| d[0] = 9).unwrap();
+        env.remove_file(tmp).unwrap();
+        env.autocommit(|| env.with_page_mut(f, p, |d| d[0] = 3))
+            .unwrap();
+        env.autocommit(|| env.remove_file(f)).unwrap();
+        assert!(env.committed_files().is_empty());
+        drop(env);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn memory_env_keeps_untransacted_writes() {
+        let env = Env::memory();
+        let f = env.create_file("d").unwrap();
+        assert_eq!(env.committed_files(), ["d"], "committed when created");
+        let p = env.allocate_page(f).unwrap();
+        env.with_page_mut(f, p, |d| d[0] = 7).unwrap();
+        assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 7);
+        env.remove_file(f).unwrap();
+        assert!(!env.file_exists("d"));
+        assert!(env.committed_files().is_empty());
     }
 }

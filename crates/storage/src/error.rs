@@ -92,6 +92,10 @@ pub enum StorageError {
     /// [`StorageError::NoSpace`]): queries keep running, writes are
     /// refused until [`crate::Env::try_exit_read_only`] succeeds.
     ReadOnly,
+    /// A write to a durable file of a logged (on-disk) environment outside
+    /// a transaction: every durable change commits through
+    /// [`crate::Txn::commit`], so install one first.
+    NoTxn,
 }
 
 impl StorageError {
@@ -154,6 +158,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::ReadOnly => {
                 write!(f, "environment is in read-only degraded mode (disk full)")
+            }
+            StorageError::NoTxn => {
+                write!(f, "durable write outside a transaction")
             }
         }
     }

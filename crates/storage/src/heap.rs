@@ -428,10 +428,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
-            let mut heap = HeapFile::create(&env, "records").unwrap();
-            heap.append(b"alpha").unwrap();
-            heap.append(b"beta").unwrap();
-            env.flush().unwrap();
+            env.autocommit(|| {
+                let mut heap = HeapFile::create(&env, "records")?;
+                heap.append(b"alpha")?;
+                heap.append(b"beta")?;
+                Ok::<_, StorageError>(())
+            })
+            .unwrap();
         }
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();

@@ -12,8 +12,10 @@
 //!   thread-local stack discipline as [`crate::Governor`]); while
 //!   installed, every [`crate::Env::with_page`] /
 //!   [`crate::Env::with_page_mut`] on that environment routes through the
-//!   lock table. Code with no installed transaction pays one thread-local
-//!   probe and takes no locks — the single-user fast path is unchanged.
+//!   lock table. A read with no installed transaction pays one
+//!   thread-local probe and takes no locks. A write with none is refused
+//!   on a logged environment ([`StorageError::NoTxn`]): commit is the only
+//!   way durable state changes.
 //! * **Strict 2PL at page granularity.** Reads take shared locks, writes
 //!   exclusive locks (with S→X upgrade); everything is held to commit or
 //!   rollback. The first exclusive touch of a page captures its
@@ -27,11 +29,14 @@
 //!   plus a `TxnCommit` marker and calls [`crate::wal::Wal::sync_to`]:
 //!   concurrent committers batch behind a single `sync_data`, so
 //!   `saardb_wal_syncs` grows sublinearly in committers. A read-only
-//!   transaction appends nothing and costs no fsync at all.
+//!   transaction appends nothing and costs no fsync at all. Once the log
+//!   outgrows its threshold, a commit that leaves no transaction active
+//!   also checkpoints it.
 //! * **Files are created and dropped inside the transaction.** A file it
-//!   creates is built without page images (but locked); commit fsyncs it
-//!   and the marker's catalog lists it, rollback deletes it. A drop waits
-//!   for commit, whose catalog omits the file; rollback forgets it.
+//!   creates is built without page images (but locked) and is invisible
+//!   to other transactions; commit fsyncs it and the marker's catalog
+//!   lists it, rollback deletes it. A drop waits for commit, whose catalog
+//!   omits the file; rollback forgets it.
 //!
 //! Crash semantics: pages dirtied under a transaction may be *stolen* to
 //! disk at any time (the pool's steal/no-force policy); the steal hook
@@ -386,54 +391,50 @@ fn installed() -> bool {
 /// on `env`, takes (and holds, per strict 2PL) a shared lock on the page.
 #[inline]
 pub(crate) fn read_hook(env: &Env, file: FileId, page: PageId) -> Result<()> {
+    match installed_on(env) {
+        Some(txn) => txn.touch(file, page, LockMode::Shared),
+        None => Ok(()),
+    }
+}
+
+/// The transaction on `env` installed on this thread, if any.
+#[inline]
+fn installed_on(env: &Env) -> Option<Txn> {
     if !installed() {
-        return Ok(());
+        return None;
     }
-    match current() {
-        Some(txn) if txn.env.same_env(env) => txn.touch(file, page, LockMode::Shared),
-        _ => Ok(()),
-    }
+    current().filter(|t| t.env.same_env(env))
 }
 
 /// The id of the transaction on `env` installed on this thread, if any.
 pub(crate) fn installed_id(env: &Env) -> Option<u64> {
-    if !installed() {
-        return None;
-    }
-    current().filter(|t| t.env.same_env(env)).map(|t| t.id())
+    installed_on(env).map(|t| t.id())
 }
 
 /// Under a transaction on `env` installed on this thread, defers dropping
 /// the committed `files` to its commit and returns `true`; `false` when no
 /// such transaction is installed.
 pub(crate) fn defer_drops(env: &Env, files: &[FileId]) -> Result<bool> {
-    if !installed() {
+    let Some(txn) = installed_on(env) else {
         return Ok(false);
+    };
+    let mut data = txn.inner.data.lock().unwrap();
+    if data.status != TxnStatus::Active {
+        return Err(StorageError::TxnInactive { txn: txn.id() });
     }
-    match current() {
-        Some(txn) if txn.env.same_env(env) => {
-            let mut data = txn.inner.data.lock().unwrap();
-            if data.status != TxnStatus::Active {
-                return Err(StorageError::TxnInactive { txn: txn.id() });
-            }
-            data.drops.extend_from_slice(files);
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
+    data.drops.extend_from_slice(files);
+    Ok(true)
 }
 
 /// Page-write hook for [`Env::with_page_mut`]: under an installed
 /// transaction on `env`, takes an exclusive lock and captures the page's
-/// pre-image on first touch.
+/// pre-image on first touch; without one, refuses a durable file of a
+/// logged environment.
 #[inline]
 pub(crate) fn write_hook(env: &Env, file: FileId, page: PageId) -> Result<()> {
-    if !installed() {
-        return Ok(());
-    }
-    match current() {
-        Some(txn) if txn.env.same_env(env) => txn.touch(file, page, LockMode::Exclusive),
-        _ => Ok(()),
+    match installed_on(env) {
+        Some(txn) => txn.touch(file, page, LockMode::Exclusive),
+        None => env.check_untransacted_write(file),
     }
 }
 
@@ -523,7 +524,7 @@ impl Txn {
         match (mode, state) {
             // A file this transaction created is built, not logged:
             // rollback deletes it, so its pages need no undo image.
-            (LockMode::Exclusive, FileState::New(Some(owner))) if owner == self.inner.id => {
+            (LockMode::Exclusive, FileState::New(owner)) if owner == self.inner.id => {
                 self.inner.data.lock().unwrap().written.insert((file, page));
             }
             (LockMode::Exclusive, _) => self.capture_pre_image(file, page)?,
@@ -561,7 +562,8 @@ impl Txn {
     /// deletes the dropped files, then releases every lock. A transaction
     /// that changed nothing commits without touching the log (and without
     /// an fsync). On error the transaction stays active — roll it back (or
-    /// drop it) and retry from `begin`.
+    /// drop it) and retry from `begin`. Last, the log is checkpointed if
+    /// it has outgrown its threshold (see [`Env::checkpoint`]).
     pub fn commit(&self) -> Result<()> {
         let (writes, drops) = {
             let data = self.inner.data.lock().unwrap();
@@ -571,7 +573,7 @@ impl Txn {
             (data.writes.clone(), data.drops.clone())
         };
         let mgr = self.env.txns();
-        let created = self.env.new_files(Some(self.inner.id));
+        let created = self.env.new_files(self.inner.id);
         if !writes.is_empty() || !created.is_empty() || !drops.is_empty() {
             self.env.drop_frames(&drops)?;
             self.env.make_durable(&created)?;
@@ -597,10 +599,7 @@ impl Txn {
             let stats = self.env.counters();
             stats.wal_appends.add(appended);
             stats.wal_bytes.add(bytes);
-            let page_size = self.env.page_size();
-            let (marker, dropped) = self.env.publish(&created, &drops, |wal, files, _| {
-                wal.append_txn_commit(self.inner.id, page_size, files)
-            })?;
+            let (marker, dropped) = self.env.publish(self.inner.id, &created, &drops)?;
             if let Some(a) = marker {
                 if !self.env.sync_wal(a.end)? {
                     mgr.counters.group_followers.inc();
@@ -610,6 +609,11 @@ impl Txn {
         }
         self.finish(TxnStatus::Committed);
         mgr.counters.commits.inc();
+        // The commit is durable: a failed checkpoint only leaves the log
+        // long, and the next flush or commit retries it.
+        if self.env.checkpoint_due() {
+            let _ = self.env.flush();
+        }
         Ok(())
     }
 
@@ -636,7 +640,7 @@ impl Txn {
             let _ = self.env.write_page_raw(w.file, w.page, &w.pre_image);
         }
         // Undoing a create is deleting the file (recovery would too).
-        for file in self.env.new_files(Some(self.inner.id)) {
+        for file in self.env.new_files(self.inner.id) {
             let _ = self.env.discard(file);
         }
         if !writes.is_empty() {

@@ -8,27 +8,29 @@
 //! mid-insert could persist a half-updated B+-tree. The WAL restores the
 //! invariant:
 //!
-//! * **Before any dirty page of a committed file reaches its data file**
-//!   (eviction steal or [`crate::Env::flush`]), a [`Record::PageImage`]
-//!   holding the page's *before* and *after* images is appended to the
-//!   log and fsynced. Pages written under an open transaction carry the
-//!   transaction's id ([`Record::TxnPageImage`]) so recovery can tell
-//!   winners from losers even when records of several transactions
-//!   interleave in the log.
-//! * **The commit record is the catalog.** A commit point — a successful
-//!   `Env::flush` ([`Record::Commit`]) or a transaction commit
-//!   ([`Record::TxnCommit`]) — lists every committed file and its page
-//!   count, as does every [`Record::Checkpoint`]. A *new* file is built
-//!   without page images and fsynced once before the commit record that
-//!   first lists it, so it needs no redo, and recovery deletes every file
-//!   the catalog does not list. An untransacted drop is one
-//!   [`Record::Delete`]; a transaction's drop is its absence from the
-//!   commit's list. Markers are forced with [`Wal::sync_to`], the *group
-//!   commit* path where N committers ride one `sync_data`.
+//! * **Every durable change is a transaction**, and the log speaks one
+//!   dialect: [`Record::TxnPageImage`] (a page's *before* and *after*
+//!   images, tagged with the writing transaction), [`Record::TxnCommit`],
+//!   [`Record::TxnAbort`] and [`Record::Checkpoint`]. Before a page owned
+//!   by an active transaction reaches its data file (an eviction steal or
+//!   [`crate::Env::flush`]), its image is appended and fsynced; commit
+//!   appends the images of the whole write set. A dirty page no active
+//!   transaction owns needs no record: its content is a committed
+//!   after-image or a rolled-back pre-image, both of which the log can
+//!   already rebuild.
+//! * **The commit record is the catalog.** Every [`Record::TxnCommit`]
+//!   lists every committed file and its page count, as does every
+//!   [`Record::Checkpoint`]. A *new* file is built without page images and
+//!   fsynced once before the commit record that first lists it, so it
+//!   needs no redo, and recovery deletes every file the catalog does not
+//!   list; a drop is the file's absence from the list. Commit records are
+//!   forced with [`Wal::sync_to`], the *group commit* path where N
+//!   committers ride one `sync_data`.
 //! * **Recovery** ([`replay`]) runs before any file of the environment is
 //!   touched: the log is scanned with a checksum cut-off (a torn tail from
-//!   a crash mid-append is discarded, not an error), and every page is
-//!   restored with one rule — the after-image of its *last committed*
+//!   a crash mid-append is discarded, not an error). A transaction is
+//!   committed exactly when its `TxnCommit` is in the log, and every page
+//!   is restored with one rule — the after-image of its *last committed*
 //!   update wins; a page with no committed update reverts to the
 //!   before-image of its *first* update. Files outside the catalog are
 //!   deleted, catalog files are brought to their committed page counts,
@@ -45,12 +47,13 @@
 //!
 //! ```text
 //! record  := [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
-//! payload := 0x01 page-image | 0x02 commit | 0x03 delete
-//!          | 0x04 checkpoint | 0x05 txn-page-image | 0x06 txn-commit
+//! payload := 0x04 checkpoint | 0x05 txn-page-image | 0x06 txn-commit
 //!          | 0x07 txn-abort
 //! catalog := [page_size: u32] [n: u32] n × ([name] [pages: u64])
-//! commit := catalog          txn-commit := [txn: u64] catalog
-//! checkpoint := catalog      delete := [n: u32] n × [name]
+//! checkpoint := catalog      txn-commit := [txn: u64] catalog
+//! txn-page-image := [txn: u64] [page_size: u32] [name] [page: u64]
+//!                   [before: page_size] [after: page_size]
+//! txn-abort := [txn: u64]
 //! ```
 //!
 //! A record whose length overruns the file or whose checksum mismatches
@@ -98,9 +101,6 @@ pub const WAL_TMP_FILE: &str = "wal.log.tmp";
 /// Log size (bytes) above which a commit triggers an automatic checkpoint.
 pub const WAL_CHECKPOINT_BYTES: u64 = 4 << 20;
 
-const TAG_PAGE_IMAGE: u8 = 0x01;
-const TAG_COMMIT: u8 = 0x02;
-const TAG_DELETE: u8 = 0x03;
 const TAG_CHECKPOINT: u8 = 0x04;
 const TAG_TXN_PAGE_IMAGE: u8 = 0x05;
 const TAG_TXN_COMMIT: u8 = 0x06;
@@ -141,21 +141,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// A decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Record {
-    /// Before/after images of one page, logged ahead of the page write.
-    PageImage {
-        name: String,
-        page: u64,
-        before: Vec<u8>,
-        after: Vec<u8>,
-    },
-    /// Commit marker of a fully synced flush (commits every untagged
-    /// image before it), carrying the catalog.
-    Commit {
-        page_size: u32,
-        files: Vec<(String, u64)>,
-    },
-    /// Files dropped from the catalog (an untransacted drop).
-    Delete { names: Vec<String> },
     /// Head of a freshly truncated log, carrying the catalog.
     Checkpoint {
         page_size: u32,
@@ -172,9 +157,9 @@ enum Record {
         before: Vec<u8>,
         after: Vec<u8>,
     },
-    /// Transaction commit marker; carries the catalog like
-    /// [`Record::Commit`]. A transaction with this marker anywhere in the
-    /// log is a recovery *winner*; one without is a loser.
+    /// Transaction commit marker, carrying the catalog. A transaction with
+    /// this marker anywhere in the log is a recovery *winner*; one without
+    /// is a loser.
     TxnCommit {
         txn: u64,
         page_size: u32,
@@ -233,10 +218,6 @@ impl<'a> Reader<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).ok()
     }
-    fn names(&mut self) -> Option<Vec<String>> {
-        let n = self.u32()? as usize;
-        (0..n).map(|_| self.name()).collect()
-    }
     fn file_counts(&mut self) -> Option<Vec<(String, u64)>> {
         let n = self.u32()? as usize;
         let mut files = Vec::with_capacity(n);
@@ -247,14 +228,6 @@ impl<'a> Reader<'a> {
         }
         Some(files)
     }
-}
-
-fn put_page_images(p: &mut Vec<u8>, name: &str, page: u64, before: &[u8], after: &[u8]) {
-    put_u32(p, before.len() as u32);
-    put_name(p, name);
-    put_u64(p, page);
-    p.extend_from_slice(before);
-    p.extend_from_slice(after);
 }
 
 fn put_file_counts(p: &mut Vec<u8>, files: &[(String, u64)]) {
@@ -269,27 +242,6 @@ impl Record {
     fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
         match self {
-            Record::PageImage {
-                name,
-                page,
-                before,
-                after,
-            } => {
-                p.push(TAG_PAGE_IMAGE);
-                put_page_images(&mut p, name, *page, before, after);
-            }
-            Record::Commit { page_size, files } => {
-                p.push(TAG_COMMIT);
-                put_u32(&mut p, *page_size);
-                put_file_counts(&mut p, files);
-            }
-            Record::Delete { names } => {
-                p.push(TAG_DELETE);
-                put_u32(&mut p, names.len() as u32);
-                for name in names {
-                    put_name(&mut p, name);
-                }
-            }
             Record::Checkpoint { page_size, files } => {
                 p.push(TAG_CHECKPOINT);
                 put_u32(&mut p, *page_size);
@@ -304,7 +256,11 @@ impl Record {
             } => {
                 p.push(TAG_TXN_PAGE_IMAGE);
                 put_u64(&mut p, *txn);
-                put_page_images(&mut p, name, *page, before, after);
+                put_u32(&mut p, before.len() as u32);
+                put_name(&mut p, name);
+                put_u64(&mut p, *page);
+                p.extend_from_slice(before);
+                p.extend_from_slice(after);
             }
             Record::TxnCommit {
                 txn,
@@ -331,25 +287,6 @@ impl Record {
             pos: 0,
         };
         let rec = match r.u8()? {
-            TAG_PAGE_IMAGE => {
-                let page_size = r.u32()? as usize;
-                let name = r.name()?;
-                let page = r.u64()?;
-                let before = r.take(page_size)?.to_vec();
-                let after = r.take(page_size)?.to_vec();
-                Record::PageImage {
-                    name,
-                    page,
-                    before,
-                    after,
-                }
-            }
-            TAG_COMMIT => {
-                let page_size = r.u32()?;
-                let files = r.file_counts()?;
-                Record::Commit { page_size, files }
-            }
-            TAG_DELETE => Record::Delete { names: r.names()? },
             TAG_CHECKPOINT => {
                 let page_size = r.u32()?;
                 let files = r.file_counts()?;
@@ -526,27 +463,9 @@ impl Wal {
         })
     }
 
-    /// Appends a page's before/after images. Returns what was appended.
-    /// Not synced — call [`Wal::sync`] (or [`Wal::sync_to`]) before the
-    /// page write it protects.
-    pub fn append_page_image(
-        &self,
-        name: &str,
-        page: PageId,
-        before: &[u8],
-        after: &[u8],
-    ) -> Result<Appended> {
-        check_image_pair(before, after)?;
-        self.append(&Record::PageImage {
-            name: name.to_string(),
-            page: page.0,
-            before: before.to_vec(),
-            after: after.to_vec(),
-        })
-    }
-
     /// Appends a page image tagged with the owning transaction. `before`
-    /// must be the page's content when `txn` first touched it.
+    /// must be the page's content when `txn` first touched it. Not synced
+    /// — call [`Wal::sync_to`] before the page write it protects.
     pub fn append_txn_page_image(
         &self,
         txn: u64,
@@ -562,14 +481,6 @@ impl Wal {
             page: page.0,
             before: before.to_vec(),
             after: after.to_vec(),
-        })
-    }
-
-    /// Appends a commit marker carrying the catalog.
-    pub fn append_commit(&self, page_size: usize, files: Vec<(String, u64)>) -> Result<Appended> {
-        self.append(&Record::Commit {
-            page_size: page_size as u32,
-            files,
         })
     }
 
@@ -592,12 +503,6 @@ impl Wal {
     /// a transaction without a commit marker is a loser regardless).
     pub fn append_txn_abort(&self, txn: u64) -> Result<Appended> {
         self.append(&Record::TxnAbort { txn })
-    }
-
-    /// Appends a marker dropping `names` from the catalog. Sync it with
-    /// [`Wal::sync_to`] before deleting the files.
-    pub fn append_delete(&self, names: Vec<String>) -> Result<Appended> {
-        self.append(&Record::Delete { names })
     }
 
     /// Makes the log durable at least up to offset `upto` — the group
@@ -653,9 +558,16 @@ impl Wal {
     /// instant leaves either the complete old log or the complete new one
     /// — never the zero-length/torn-head state the old truncate-in-place
     /// scheme could expose between its `set_len(0)` and the synced fresh
-    /// record. Only sound immediately after a commit (data files synced
-    /// and consistent) with no transaction in flight.
-    pub fn checkpoint(&self, page_size: usize, files: Vec<(String, u64)>) -> Result<()> {
+    /// record. Only sound once the data files hold everything the log
+    /// holds, with no transaction in flight: so it happens only while the
+    /// log is still `expect_len` bytes long — the length the caller saw
+    /// before writing the data files back — and returns whether it did.
+    pub fn checkpoint(
+        &self,
+        page_size: usize,
+        files: Vec<(String, u64)>,
+        expect_len: u64,
+    ) -> Result<bool> {
         // A checkpoint reclaims log space, but it must still stage and
         // fsync a fresh one-record log: while the volume is (simulated)
         // full, that staging write fails like any other.
@@ -665,6 +577,9 @@ impl Wal {
             g = self.group_cv.wait(g).unwrap();
         }
         let mut len = self.len.lock();
+        if *len != expect_len {
+            return Ok(false);
+        }
         let mut file = self.file.write();
         let dir = self
             .path
@@ -686,7 +601,7 @@ impl Wal {
         drop(len);
         drop(g);
         self.group_cv.notify_all();
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -762,10 +677,6 @@ pub struct RecoveryReport {
     pub files_deleted: usize,
     /// Leftover temp files removed.
     pub temp_files_removed: usize,
-    /// True when a commit marker (environment epoch or transaction) was
-    /// found; otherwise everything after the last checkpoint was rolled
-    /// back.
-    pub committed: bool,
     /// Transactions whose commit marker was found (winners, redone).
     pub txns_committed: usize,
     /// Transactions with page images but no commit marker (losers —
@@ -782,10 +693,8 @@ impl std::fmt::Display for RecoveryReport {
         )?;
         writeln!(
             f,
-            "redo: {} page(s); undo: {} page(s); commit marker {}",
-            self.pages_redone,
-            self.pages_undone,
-            if self.committed { "found" } else { "absent" }
+            "redo: {} page(s); undo: {} page(s)",
+            self.pages_redone, self.pages_undone
         )?;
         writeln!(
             f,
@@ -861,19 +770,18 @@ struct PageFate {
 }
 
 /// Replays `dir/wal.log`, restoring every data file to the state of the
-/// last commit marker(s), then resets the log. Idempotent; a missing,
+/// committed transactions, then resets the log. Idempotent; a missing,
 /// zero-length or head-torn log is an *empty* log and yields no
 /// redo/undo work (leftover temp files are still removed).
 ///
-/// Transactions interleave freely in the log: each page is restored to
-/// the after-image of its last update by a committed transaction or
-/// committed environment epoch; a page touched only by losers reverts to
-/// its first update's before-image.
+/// A transaction is committed exactly when its [`Record::TxnCommit`] is in
+/// the log. Transactions interleave freely: each page is restored to the
+/// after-image of its last update by a committed transaction; a page
+/// touched only by losers reverts to its first update's before-image.
 ///
-/// The catalog is the last commit or checkpoint record's list less later
-/// [`Record::Delete`]s; every other data file is an uncommitted creation
-/// (or a drop) and is deleted. A log without a catalog record (empty, or
-/// from an older build) keeps every file.
+/// The catalog is the last commit or checkpoint record's list; every
+/// other data file is an uncommitted creation (or a drop) and is deleted.
+/// A log without a catalog record (an empty one) keeps every file.
 ///
 /// Must run before any file of the environment is opened —
 /// [`crate::Env::open_dir`] does this automatically; the `saardb recover`
@@ -906,12 +814,7 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
     report.records = records.len();
     report.torn_bytes = torn;
 
-    // Who committed? Environment epochs: every untagged image at or
-    // before the LAST epoch marker. Transactions: every image whose
-    // transaction has a TxnCommit marker anywhere in the log.
-    let last_epoch_commit = records
-        .iter()
-        .rposition(|r| matches!(r, Record::Commit { .. }));
+    // Who committed? Every transaction with a TxnCommit in the log.
     let mut winners: HashSet<u64> = HashSet::new();
     let mut txns_seen: HashSet<u64> = HashSet::new();
     for r in &records {
@@ -928,29 +831,14 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
     }
     report.txns_committed = winners.len();
     report.txns_rolled_back = txns_seen.len() - winners.len();
-    report.committed = last_epoch_commit.is_some() || !winners.is_empty();
 
     use std::os::unix::fs::FileExt;
     let mut files: HashMap<String, File> = HashMap::new();
     let mut catalog: Option<(u64, HashMap<String, u64>)> = None;
-    // Without a catalog, drops are re-applied by name.
-    let mut deleted: HashSet<String> = HashSet::new();
     let mut fates: HashMap<(String, u64), PageFate> = HashMap::new();
 
-    for (i, record) in records.iter().enumerate() {
+    for record in &records {
         let (name, page, before, after, committed) = match record {
-            Record::PageImage {
-                name,
-                page,
-                before,
-                after,
-            } => (
-                name,
-                *page,
-                before,
-                after,
-                last_epoch_commit.is_some_and(|c| i <= c),
-            ),
             Record::TxnPageImage {
                 txn,
                 name,
@@ -958,19 +846,7 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
                 before,
                 after,
             } => (name, *page, before, after, winners.contains(txn)),
-            Record::Delete { names } => {
-                // A later file of the same name is a new file.
-                fates.retain(|(n, _), _| !names.contains(n));
-                if let Some((_, listed)) = &mut catalog {
-                    for name in names {
-                        listed.remove(name);
-                    }
-                }
-                deleted.extend(names.iter().cloned());
-                continue;
-            }
-            Record::Commit { page_size, files }
-            | Record::TxnCommit {
+            Record::TxnCommit {
                 page_size, files, ..
             }
             | Record::Checkpoint { page_size, files } => {
@@ -981,8 +857,6 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
             }
             Record::TxnAbort { .. } => continue,
         };
-        // An image after a deletion means the name was recreated.
-        deleted.remove(name);
         let fate = fates
             .entry((name.clone(), page))
             .or_insert_with(|| PageFate {
@@ -1000,8 +874,8 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
     }
 
     // Delete what the catalog does not hold (uncommitted creations and
-    // drops), or without a catalog what a drop removed; leftover scratch
-    // files from a crashed process are garbage too.
+    // drops); leftover scratch files from a crashed process are garbage
+    // too.
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
             let fname = entry.file_name();
@@ -1012,10 +886,7 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
             if stem.starts_with("__tmp-") {
                 std::fs::remove_file(entry.path())?;
                 report.temp_files_removed += 1;
-            } else if catalog
-                .as_ref()
-                .map_or(deleted.contains(stem), |(_, c)| !c.contains_key(stem))
-            {
+            } else if catalog.as_ref().is_some_and(|(_, c)| !c.contains_key(stem)) {
                 std::fs::remove_file(entry.path())?;
                 report.files_deleted += 1;
             }
@@ -1103,19 +974,6 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let records = [
-            Record::PageImage {
-                name: "nodes".into(),
-                page: 7,
-                before: page(1),
-                after: page(2),
-            },
-            Record::Commit {
-                page_size: PS as u32,
-                files: vec![("nodes".into(), 3), ("idx".into(), 9)],
-            },
-            Record::Delete {
-                names: vec!["old".into(), "older".into()],
-            },
             Record::Checkpoint {
                 page_size: PS as u32,
                 files: vec![("nodes".into(), 3)],
@@ -1151,17 +1009,17 @@ mod tests {
     fn redo_applies_committed_images() {
         let dir = tmp_dir("redo");
         let wal = Wal::open(&dir).unwrap();
-        wal.append_page_image("f", PageId(0), &page(0), &page(0xAA))
+        wal.append_txn_page_image(1, "f", PageId(0), &page(0), &page(0xAA))
             .unwrap();
-        wal.append_page_image("f", PageId(1), &page(0), &page(0xBB))
+        wal.append_txn_page_image(1, "f", PageId(1), &page(0), &page(0xBB))
             .unwrap();
-        wal.append_commit(PS, vec![("f".into(), 2)]).unwrap();
+        wal.append_txn_commit(1, PS, vec![("f".into(), 2)]).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let report = replay(&dir).unwrap();
         assert_eq!(report.pages_redone, 2);
         assert_eq!(report.pages_undone, 0);
-        assert!(report.committed);
+        assert_eq!(report.txns_committed, 1);
         let bytes = read_file(&dir, "f");
         assert_eq!(&bytes[..PS], &page(0xAA)[..]);
         assert_eq!(&bytes[PS..2 * PS], &page(0xBB)[..]);
@@ -1177,17 +1035,17 @@ mod tests {
         // Data file already holds the (uncommitted) stolen content.
         std::fs::write(dir.join("f.sdb"), page(0x33)).unwrap();
         let wal = Wal::open(&dir).unwrap();
-        // The same page stolen twice after the last commit: committed
-        // content 0x11, then 0x22 hit the disk, then 0x33.
-        wal.append_page_image("f", PageId(0), &page(0x11), &page(0x22))
+        // The same page stolen twice by an uncommitted transaction:
+        // committed content 0x11, then 0x22 hit the disk, then 0x33.
+        wal.append_txn_page_image(1, "f", PageId(0), &page(0x11), &page(0x22))
             .unwrap();
-        wal.append_page_image("f", PageId(0), &page(0x22), &page(0x33))
+        wal.append_txn_page_image(1, "f", PageId(0), &page(0x11), &page(0x33))
             .unwrap();
         wal.sync().unwrap();
         drop(wal);
         let report = replay(&dir).unwrap();
         assert_eq!(report.pages_undone, 2);
-        assert!(!report.committed);
+        assert_eq!(report.txns_committed, 0);
         assert_eq!(read_file(&dir, "f"), page(0x11));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1196,12 +1054,12 @@ mod tests {
     fn torn_tail_is_cut_off() {
         let dir = tmp_dir("torn");
         let wal = Wal::open(&dir).unwrap();
-        wal.append_page_image("f", PageId(0), &page(0), &page(0xAA))
+        wal.append_txn_page_image(1, "f", PageId(0), &page(0), &page(0xAA))
             .unwrap();
-        wal.append_commit(PS, vec![("f".into(), 1)]).unwrap();
+        wal.append_txn_commit(1, PS, vec![("f".into(), 1)]).unwrap();
         wal.sync().unwrap();
         let len = wal.len();
-        wal.append_page_image("f", PageId(0), &page(0xAA), &page(0xBB))
+        wal.append_txn_page_image(2, "f", PageId(0), &page(0xAA), &page(0xBB))
             .unwrap();
         wal.sync().unwrap();
         drop(wal);
@@ -1229,7 +1087,7 @@ mod tests {
         // File grew to 3 pages, but only 1 was committed.
         std::fs::write(dir.join("f.sdb"), [page(1), page(2), page(3)].concat()).unwrap();
         let wal = Wal::open(&dir).unwrap();
-        wal.append_commit(PS, vec![("f".into(), 1)]).unwrap();
+        wal.append_txn_commit(1, PS, vec![("f".into(), 1)]).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let report = replay(&dir).unwrap();
@@ -1239,13 +1097,14 @@ mod tests {
     }
 
     #[test]
-    fn delete_records_reapply_and_cancel_undo() {
+    fn dropping_commit_deletes_the_file_and_cancels_undo() {
         let dir = tmp_dir("delete");
         std::fs::write(dir.join("gone.sdb"), page(9)).unwrap();
         let wal = Wal::open(&dir).unwrap();
-        wal.append_page_image("gone", PageId(0), &page(1), &page(9))
+        // A loser stole a page of "gone"; then a commit dropped the file.
+        wal.append_txn_page_image(1, "gone", PageId(0), &page(1), &page(9))
             .unwrap();
-        wal.append_delete(vec!["gone".into()]).unwrap();
+        wal.append_txn_commit(2, PS, vec![]).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let report = replay(&dir).unwrap();
@@ -1273,7 +1132,7 @@ mod tests {
         let dir = tmp_dir("mismatch");
         let wal = Wal::open(&dir).unwrap();
         let err = wal
-            .append_page_image("f", PageId(0), &page(0), &[0u8; PS / 2])
+            .append_txn_page_image(1, "f", PageId(0), &page(0), &[0u8; PS / 2])
             .unwrap_err();
         assert!(
             matches!(
@@ -1342,13 +1201,17 @@ mod tests {
     fn checkpoint_is_atomic_under_reopen() {
         let dir = tmp_dir("ckpt-atomic");
         let wal = Wal::open(&dir).unwrap();
-        wal.append_page_image("f", PageId(0), &page(0), &page(1))
+        wal.append_txn_page_image(1, "f", PageId(0), &page(0), &page(1))
             .unwrap();
         wal.sync().unwrap();
-        wal.checkpoint(PS, vec![("f".into(), 1)]).unwrap();
+        // A log that grew since the caller looked is left alone.
+        assert!(!wal.checkpoint(PS, vec![("f".into(), 1)], 0).unwrap());
+        assert!(wal
+            .checkpoint(PS, vec![("f".into(), 1)], wal.len())
+            .unwrap());
         assert!(!dir.join(WAL_TMP_FILE).exists(), "staging file renamed");
         // The swapped-in handle keeps appending to the new log.
-        wal.append_page_image("f", PageId(0), &page(1), &page(2))
+        wal.append_txn_page_image(2, "f", PageId(0), &page(1), &page(2))
             .unwrap();
         wal.sync().unwrap();
         drop(wal);
@@ -1384,7 +1247,6 @@ mod tests {
         assert_eq!(report.txns_rolled_back, 1);
         assert_eq!(report.pages_redone, 2);
         assert_eq!(report.pages_undone, 2);
-        assert!(report.committed);
         let a = read_file(&dir, "a");
         assert_eq!(&a[..PS], &page(0x1A)[..]);
         assert_eq!(&a[PS..2 * PS], &page(0x1B)[..]);
@@ -1451,26 +1313,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_epoch_and_txn_commit_both_mark_committed() {
-        let dir = tmp_dir("both-commit");
-        let wal = Wal::open(&dir).unwrap();
-        wal.append_page_image("f", PageId(0), &page(0), &page(0xEE))
-            .unwrap();
-        wal.append_commit(PS, vec![("f".into(), 1)]).unwrap();
-        wal.append_txn_page_image(3, "f", PageId(0), &page(0xEE), &page(0xFF))
-            .unwrap();
-        wal.append_txn_commit(3, PS, vec![("f".into(), 1)]).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let report = replay(&dir).unwrap();
-        assert!(report.committed);
-        assert_eq!(report.pages_redone, 2);
-        // The txn committed after the epoch: its after-image wins.
-        assert_eq!(read_file(&dir, "f"), page(0xFF));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn catalog_deletes_uncommitted_and_dropped_files() {
         let dir = tmp_dir("catalog");
         for name in ["kept", "new", "dropped"] {
@@ -1479,9 +1321,10 @@ mod tests {
         let wal = Wal::open(&dir).unwrap();
         // "new" was created after this commit and never committed;
         // "dropped" was committed, then dropped.
-        wal.append_commit(PS, vec![("kept".into(), 1), ("dropped".into(), 1)])
+        wal.append_txn_commit(1, PS, vec![("kept".into(), 1), ("dropped".into(), 1)])
             .unwrap();
-        wal.append_delete(vec!["dropped".into()]).unwrap();
+        wal.append_txn_commit(2, PS, vec![("kept".into(), 1)])
+            .unwrap();
         wal.sync().unwrap();
         drop(wal);
         let report = replay(&dir).unwrap();
@@ -1502,7 +1345,7 @@ mod tests {
         let dir = tmp_dir("extend");
         std::fs::write(dir.join("f.sdb"), page(1)).unwrap();
         let wal = Wal::open(&dir).unwrap();
-        wal.append_commit(PS, vec![("f".into(), 3)]).unwrap();
+        wal.append_txn_commit(1, PS, vec![("f".into(), 3)]).unwrap();
         wal.sync().unwrap();
         drop(wal);
         replay(&dir).unwrap();

@@ -2,7 +2,7 @@
 //!
 //! Regression coverage for the storage write path's durability bugs (each
 //! `reopen_after_*` test is one bug), plus a property test interleaving
-//! inserts, deletes and flushes with injected I/O errors: every operation
+//! inserts, deletes and commits with injected I/O errors: every operation
 //! either reports the error or leaves the tree readable, and reopening
 //! the environment always recovers exactly the last committed state.
 
@@ -62,7 +62,7 @@ fn value(i: u64) -> Vec<u8> {
 }
 
 /// Kill mid-workload, reopen, and the tree must equal the last committed
-/// (flushed) state — the end-to-end WAL guarantee at the storage level.
+/// state — the end-to-end WAL guarantee at the storage level.
 #[test]
 fn reopen_after_kill_recovers_committed_prefix() {
     let dir = scratch("kill");
@@ -72,19 +72,28 @@ fn reopen_after_kill_recovers_committed_prefix() {
         let mut committed = BTreeMap::new();
         {
             let env = faulted_env(&dir, &faults);
-            let mut tree = BTree::create(&env, "t").unwrap();
+            let mut txn = env.begin_txn();
+            let mut tree = {
+                let _s = txn.install();
+                BTree::create(&env, "t").unwrap()
+            };
             let mut model = BTreeMap::new();
             faults.arm_kill(kill_at, KillMode::BeforeWrite);
             for i in 0..400u64 {
-                if tree.insert(&key(i), &value(i)).is_err() {
+                let inserted = {
+                    let _s = txn.install();
+                    tree.insert(&key(i), &value(i))
+                };
+                if inserted.is_err() {
                     break;
                 }
                 model.insert(key(i), value(i));
                 if (i + 1) % 25 == 0 {
-                    if env.flush().is_err() {
+                    if txn.commit().is_err() {
                         break;
                     }
                     committed = model.clone();
+                    txn = env.begin_txn();
                 }
             }
             assert!(faults.is_killed(), "kill-point {kill_at} never fired");
@@ -113,17 +122,21 @@ fn reopen_after_torn_write_recovers() {
     let committed;
     {
         let env = faulted_env(&dir, &faults);
-        let mut tree = BTree::create(&env, "t").unwrap();
         let mut model = BTreeMap::new();
-        for i in 0..60u64 {
-            tree.insert(&key(i), &value(i)).unwrap();
-            model.insert(key(i), value(i));
-        }
-        env.flush().unwrap();
+        let mut tree = env
+            .autocommit(|| {
+                let mut tree = BTree::create(&env, "t")?;
+                for i in 0..60u64 {
+                    tree.insert(&key(i), &value(i))?;
+                    model.insert(key(i), value(i));
+                }
+                Ok::<_, StorageError>(tree)
+            })
+            .unwrap();
         committed = model.clone();
         faults.arm_kill(2, KillMode::TornWrite);
         for i in 60..400u64 {
-            if tree.insert(&key(i), &value(i)).is_err() || env.flush().is_err() {
+            if env.autocommit(|| tree.insert(&key(i), &value(i))).is_err() {
                 break;
             }
         }
@@ -133,8 +146,8 @@ fn reopen_after_torn_write_recovers() {
     let report = env.recovery_report().unwrap().clone();
     let tree = BTree::open(&env, "t").unwrap();
     let contents = tree_contents(&tree).unwrap();
-    // The committed prefix survives; a flush attempted after the kill may
-    // have committed more, but never less.
+    // The committed prefix survives; a commit attempted after the kill
+    // may have committed more, but never less.
     for (k, v) in &committed {
         assert_eq!(contents.get(k), Some(v), "committed key lost ({report:?})");
     }
@@ -143,20 +156,22 @@ fn reopen_after_torn_write_recovers() {
 
 /// Bug regression: a failed `Backend::sync` must leave the dirty bits set
 /// so a retried flush rewrites (and re-syncs) the page instead of silently
-/// losing the write.
+/// losing the write — which the checkpoint after it makes unrecoverable.
 #[test]
 fn failed_sync_does_not_lose_writes() {
     let dir = scratch("sync");
     let faults = FaultState::new();
     {
         let env = faulted_env(&dir, &faults);
-        let mut tree = BTree::create(&env, "t").unwrap();
-        tree.insert(b"k", b"v").unwrap();
+        let mut tree = env.autocommit(|| BTree::create(&env, "t")).unwrap();
+        env.autocommit(|| tree.insert(b"k", b"v")).unwrap();
         faults.fail_next_sync();
         let err = env.flush().unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
-        // Retry: the page is still dirty, so it is written and synced now.
-        env.flush().unwrap();
+        // Retry: the page is still dirty, so it is written and synced now,
+        // and the checkpoint drops the log record that could rebuild it.
+        env.checkpoint().unwrap();
+        faults.kill_now();
     }
     let env = Env::open_dir(&dir, config()).unwrap();
     let tree = BTree::open(&env, "t").unwrap();
@@ -171,11 +186,14 @@ fn reopen_after_torn_extension_recovers() {
     let dir = scratch("extend");
     {
         let env = Env::open_dir(&dir, config()).unwrap();
-        let mut tree = BTree::create(&env, "t").unwrap();
-        for i in 0..40u64 {
-            tree.insert(&key(i), &value(i)).unwrap();
-        }
-        env.flush().unwrap();
+        env.autocommit(|| {
+            let mut tree = BTree::create(&env, "t")?;
+            for i in 0..40u64 {
+                tree.insert(&key(i), &value(i))?;
+            }
+            Ok::<_, StorageError>(())
+        })
+        .unwrap();
     }
     // Simulate the torn extension directly: append a partial page.
     let path = dir.join("t.sdb");
@@ -203,17 +221,20 @@ fn recovery_report_surfaces_through_env() {
     let faults = FaultState::new();
     {
         let env = faulted_env(&dir, &faults);
-        let mut tree = BTree::create(&env, "t").unwrap();
-        for i in 0..50u64 {
-            tree.insert(&key(i), &value(i)).unwrap();
-        }
-        env.flush().unwrap();
+        let mut tree = env
+            .autocommit(|| {
+                let mut tree = BTree::create(&env, "t")?;
+                for i in 0..50u64 {
+                    tree.insert(&key(i), &value(i))?;
+                }
+                Ok::<_, StorageError>(tree)
+            })
+            .unwrap();
         faults.arm_kill(4, KillMode::BeforeWrite);
         for i in 50..400u64 {
-            if tree.insert(&key(i), &value(i)).is_err() {
+            if env.autocommit(|| tree.insert(&key(i), &value(i))).is_err() {
                 break;
             }
-            let _ = env.flush();
             if faults.is_killed() {
                 break;
             }
@@ -221,7 +242,7 @@ fn recovery_report_surfaces_through_env() {
     }
     let env = Env::open_dir(&dir, config()).unwrap();
     let report = env.recovery_report().unwrap();
-    assert!(report.committed, "a commit marker was on disk");
+    assert!(report.txns_committed > 0, "a commit record was on disk");
     assert!(
         report.pages_redone > 0 || report.pages_undone > 0,
         "recovery had work to do: {report:?}"
@@ -238,7 +259,7 @@ enum FaultOp {
     Insert(u64),
     Delete(u64),
     Get(u64),
-    Flush,
+    Commit,
     FailNextWrite,
     FailNextSync,
 }
@@ -248,7 +269,7 @@ fn op_strategy() -> impl Strategy<Value = FaultOp> {
         5 => (0u64..120).prop_map(FaultOp::Insert),
         1 => (0u64..120).prop_map(FaultOp::Delete),
         2 => (0u64..120).prop_map(FaultOp::Get),
-        1 => Just(FaultOp::Flush),
+        1 => Just(FaultOp::Commit),
         1 => Just(FaultOp::FailNextWrite),
         1 => Just(FaultOp::FailNextSync),
     ]
@@ -261,12 +282,18 @@ proptest! {
     /// operation either returns an error or behaves per the model; after
     /// any error the environment is "crashed" (dropped) and reopened, and
     /// the recovered tree must equal the last committed state exactly.
+    /// Operations run in a transaction that each `Commit` commits, then
+    /// writes back with a flush.
     #[test]
     fn faults_never_corrupt_committed_state(ops in prop::collection::vec(op_strategy(), 1..80)) {
         let dir = scratch("prop");
         let faults = FaultState::new();
         let mut env = faulted_env(&dir, &faults);
-        let mut tree = Some(BTree::create(&env, "t").unwrap());
+        let mut txn = env.begin_txn();
+        let mut tree = Some({
+            let _s = txn.install();
+            BTree::create(&env, "t").unwrap()
+        });
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         let mut committed: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         let mut crashed = false;
@@ -276,9 +303,12 @@ proptest! {
                 // A power cut, then reopen: recovery must restore exactly
                 // the committed state.
                 faults.kill_now();
-                faults.disarm();
                 drop(tree.take());
+                drop(txn);
+                faults.disarm();
                 env = faulted_env(&dir, &faults);
+                txn = env.begin_txn();
+                let _s = txn.install();
                 if committed.is_empty() {
                     match BTree::open(&env, "t") {
                         Ok(t) => {
@@ -302,6 +332,7 @@ proptest! {
                 crashed = false;
             }
             let t = tree.as_mut().unwrap();
+            let _s = txn.install();
             match op {
                 FaultOp::Insert(i) => match t.insert(&key(*i), &value(*i)) {
                     Ok(_) => { model.insert(key(*i), value(*i)); }
@@ -315,8 +346,12 @@ proptest! {
                     Ok(v) => prop_assert_eq!(v, model.get(&key(*i)).cloned()),
                     Err(_) => crashed = true,
                 },
-                FaultOp::Flush => match env.flush() {
-                    Ok(()) => committed = model.clone(),
+                FaultOp::Commit => match txn.commit() {
+                    Ok(()) => {
+                        committed = model.clone();
+                        txn = env.begin_txn();
+                        crashed = env.flush().is_err();
+                    }
                     Err(_) => crashed = true,
                 },
                 FaultOp::FailNextWrite => faults.fail_next_write(),
@@ -327,6 +362,7 @@ proptest! {
         // Final verdict: power cut, recover, compare to committed.
         faults.kill_now();
         drop(tree.take());
+        drop(txn);
         drop(env);
         let env = Env::open_dir(&dir, config()).unwrap();
         match BTree::open(&env, "t") {

@@ -8,7 +8,7 @@
 //! page writes (optionally tearing the Nth write in half), the
 //! environment is dropped, reopened — which runs WAL recovery — and the
 //! recovered B+-tree is compared against a shadow `BTreeMap` snapshotted
-//! at the last successful flush. Durability holds iff the tree equals
+//! at the last successful commit. Durability holds iff the tree equals
 //! the committed snapshot exactly, at every kill-point.
 //!
 //! The kill is a power cut: every write no fsync made durable is lost
@@ -35,8 +35,8 @@ use xmldb_storage::{BTree, Env, EnvConfig, FaultBackend, FaultState, Governor, K
 pub struct TortureConfig {
     /// Keys inserted per run (the workload).
     pub inserts: u64,
-    /// `Env::flush` (= commit) after every this many inserts.
-    pub flush_every: u64,
+    /// Inserts per transaction: `Txn::commit` after every this many.
+    pub commit_every: u64,
     /// First kill-point: die after this many page writes.
     pub first_kill: u64,
     /// Kill-point stride: the k-th run dies after `first_kill + k*stride`
@@ -56,7 +56,7 @@ impl Default for TortureConfig {
     fn default() -> Self {
         TortureConfig {
             inserts: 1000,
-            flush_every: 50,
+            commit_every: 50,
             first_kill: 1,
             kill_stride: 7,
             kill_points: 20,
@@ -74,7 +74,7 @@ pub struct KillPointOutcome {
     pub kill_after: u64,
     /// Inserts applied before the run died.
     pub inserts_before_kill: u64,
-    /// Keys in the shadow model at the last successful flush.
+    /// Keys in the shadow model at the last successful commit.
     pub committed_keys: usize,
     /// Pages redone from after-images during recovery.
     pub pages_redone: usize,
@@ -206,24 +206,33 @@ fn torture_once(cfg: &TortureConfig, kill_after: u64) -> xmldb_storage::Result<K
     let mut inserts_before_kill = 0u64;
     {
         let env = faulted_env(&dir, env_config.clone(), &faults)?;
-        let mut tree = BTree::create(&env, "torture")?;
+        let mut txn = env.begin_txn();
+        let mut tree = {
+            let _scope = txn.install();
+            BTree::create(&env, "torture")?
+        };
         faults.arm_kill(kill_after, mode);
         for i in 0..cfg.inserts {
-            if tree.insert(&key(i), &value(i)).is_err() {
+            let inserted = {
+                let _scope = txn.install();
+                tree.insert(&key(i), &value(i))
+            };
+            if inserted.is_err() {
                 break;
             }
             model.insert(key(i), value(i));
             inserts_before_kill = i + 1;
-            if (i + 1) % cfg.flush_every == 0 {
-                if env.flush().is_err() {
+            if (i + 1) % cfg.commit_every == 0 {
+                if txn.commit().is_err() {
                     break;
                 }
                 committed = model.clone();
+                txn = env.begin_txn();
             }
         }
         // If the whole workload fit before the kill-point fired, commit the
         // remainder so the run still exercises recovery of a clean tail.
-        if !faults.is_killed() && env.flush().is_ok() {
+        if !faults.is_killed() && txn.commit().is_ok() {
             committed = model.clone();
         }
         faults.kill_now();
@@ -524,12 +533,15 @@ impl Default for TxnTortureConfig {
 /// update disjoint page sets in alternation; at the kill-point the winner
 /// commits and the process "dies" with the loser still in flight (its
 /// handle is leaked so no rollback code runs, and every unsynced page
-/// write is lost — exactly what a power cut leaves behind). Recovery must then produce the committed-only state:
-/// every winner page holds its commit-time value, every loser page its
-/// pre-transaction baseline.
+/// write is lost — exactly what a power cut leaves behind). With `flush`,
+/// every dirty frame is written back and fsynced first, so the loser's
+/// pages reach the disk durably and only the log can undo them. Recovery
+/// must then produce the committed-only state: every winner page holds
+/// its commit-time value, every loser page its pre-transaction baseline.
 fn txn_torture_once(
     cfg: &TxnTortureConfig,
     kill_after: u64,
+    flush: bool,
 ) -> xmldb_storage::Result<KillPointOutcome> {
     let dir = scratch_dir();
     let _ = std::fs::remove_dir_all(&dir);
@@ -544,12 +556,15 @@ fn txn_torture_once(
     {
         let faults = FaultState::new();
         let env = faulted_env(&dir, env_config.clone(), &faults)?;
-        let f = env.create_file("bank")?;
-        for i in 0..2 * pages {
-            let p = env.allocate_page(f)?;
-            env.with_page_mut(f, p, |d| d[0] = 0x10 + i as u8)?;
-        }
-        env.flush()?; // the baseline is durable
+        // The baseline is durable.
+        let f = env.autocommit(|| {
+            let f = env.create_file("bank")?;
+            for i in 0..2 * pages {
+                let p = env.allocate_page(f)?;
+                env.with_page_mut(f, p, |d| d[0] = 0x10 + i as u8)?;
+            }
+            Ok::<_, xmldb_storage::StorageError>(f)
+        })?;
         let winner = env.begin_txn();
         let loser = env.begin_txn();
         for round in 0..kill_after.min(cfg.rounds) {
@@ -568,9 +583,11 @@ fn txn_torture_once(
         for round in 0..kill_after.min(cfg.rounds) {
             committed[(round % pages) as usize] = 0x40 + round as u8;
         }
+        if flush {
+            env.flush()?;
+        }
         // The crash: leak the loser (no Drop, no rollback — its fate is
-        // decided purely by WAL replay) and drop the environment with its
-        // dirty frames unflushed.
+        // decided purely by WAL replay) and drop the environment.
         std::mem::forget(loser);
         faults.kill_now();
         drop(env);
@@ -589,9 +606,10 @@ fn txn_torture_once(
             break;
         }
     }
-    if kill_after > 0 && report.txns_committed == 0 {
+    // The baseline's commit, and the winner's once it wrote anything.
+    if report.txns_committed < 1 + usize::from(kill_after > 0) {
         divergence =
-            divergence.or_else(|| Some("recovery saw no committed transaction".to_string()));
+            divergence.or_else(|| Some("recovery missed a committed transaction".to_string()));
     }
     divergence = divergence.or_else(|| assert_quiescent(&env));
     drop(env);
@@ -613,7 +631,10 @@ pub fn txn_torture(cfg: &TxnTortureConfig) -> xmldb_storage::Result<TortureRepor
     let mut report = TortureReport::default();
     let step = (cfg.rounds / cfg.kill_points.max(1)).max(1);
     for k in 0..cfg.kill_points {
-        report.outcomes.push(txn_torture_once(cfg, k * step)?);
+        // Every other kill-point flushes before the crash.
+        report
+            .outcomes
+            .push(txn_torture_once(cfg, k * step, k % 2 == 1)?);
     }
     Ok(report)
 }
@@ -643,12 +664,14 @@ pub fn checkpoint_window_torture() -> xmldb_core::Result<CancelTortureReport> {
         let divergence = (|| -> Result<Option<String>, Box<dyn std::error::Error>> {
             {
                 let env = Env::open_dir(&dir, env_config.clone())?;
-                let f = env.create_file("t")?;
-                for i in 0..20u64 {
-                    let p = env.allocate_page(f)?;
-                    env.with_page_mut(f, p, |d| d[0] = i as u8)?;
-                }
-                env.flush()?;
+                env.autocommit(|| {
+                    let f = env.create_file("t")?;
+                    for i in 0..20u64 {
+                        let p = env.allocate_page(f)?;
+                        env.with_page_mut(f, p, |d| d[0] = i as u8)?;
+                    }
+                    Ok::<_, xmldb_storage::StorageError>(())
+                })?;
             }
             // Fabricate the crash window on the closed directory.
             let wal_path = dir.join(xmldb_storage::wal::WAL_FILE);
@@ -765,11 +788,13 @@ pub fn commit_stress(threads: usize, ops: u64) -> xmldb_storage::Result<CommitSt
     let faults = FaultState::new();
     let (commits, deadlocks, fsyncs, actual_sum) = {
         let env = faulted_env(&dir, env_config.clone(), &faults)?;
-        let f = env.create_file("counters")?;
-        for _ in 0..PAGES {
-            env.allocate_page(f)?;
-        }
-        env.flush()?;
+        let f = env.autocommit(|| {
+            let f = env.create_file("counters")?;
+            for _ in 0..PAGES {
+                env.allocate_page(f)?;
+            }
+            Ok::<_, xmldb_storage::StorageError>(f)
+        })?;
         let fsyncs_before = env.io_stats().wal_syncs;
         let results: Vec<(u64, u64)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
@@ -889,7 +914,7 @@ impl Default for DocTortureConfig {
 }
 
 /// One step of the document workload: an autocommit load of a fresh
-/// document, `begin; load; commit` (or `rollback`), an untransacted drop of
+/// document, `begin; load; commit` (or `rollback`), an autocommit drop of
 /// the oldest committed document, or the same drop inside a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DocOp {
@@ -1102,7 +1127,7 @@ mod tests {
     fn bounded_kill_point_sweep_recovers() {
         let cfg = TortureConfig {
             inserts: 300,
-            flush_every: 25,
+            commit_every: 25,
             first_kill: 2,
             kill_stride: 11,
             kill_points: 8,
@@ -1241,7 +1266,7 @@ mod tests {
     fn torn_write_sweep_recovers() {
         let cfg = TortureConfig {
             inserts: 200,
-            flush_every: 20,
+            commit_every: 20,
             first_kill: 3,
             kill_stride: 17,
             kill_points: 4,

@@ -600,8 +600,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let env = Env::open_dir(&dir, Default::default()).unwrap();
-            shred_document(&env, "doc", FIGURE2).unwrap();
-            env.flush().unwrap();
+            env.autocommit(|| shred_document(&env, "doc", FIGURE2))
+                .unwrap();
         }
         {
             let env = Env::open_dir(&dir, Default::default()).unwrap();
