@@ -11,8 +11,8 @@
 //!   feature),
 //! * `pool` — buffer-pool byte budget sweep (the 20 MB wall, scaled).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xmldb_algebra::rewrite::RewriteOptions;
+use xmldb_bench::harness::time;
 use xmldb_core::engine::tpm_exec;
 use xmldb_core::{Database, EngineKind, QueryOptions};
 use xmldb_datagen::DblpConfig;
@@ -38,7 +38,7 @@ const ORDER_TRAP: &str = "for $x in //article return \
     for $a in $x//author return \
     if (some $v in $x/volume satisfies true()) then $a else ()";
 
-fn bench_rewrite_ablation(c: &mut Criterion) {
+fn bench_rewrite_ablation() {
     let db = fixture(4 << 20);
     let store = db.store("dblp").unwrap();
     let query = xmldb_xq::parse(ORDER_TRAP).unwrap();
@@ -75,19 +75,14 @@ fn bench_rewrite_ablation(c: &mut Criterion) {
         assert_eq!(got, reference, "rewrite variant {name} changed the answer");
     }
 
-    let mut group = c.benchmark_group("ablation_rewrites");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
     for (name, rewrites) in variants {
-        group.bench_function(name, |b| {
-            b.iter(|| tpm_exec::evaluate(&store, &query, &rewrites, &planner, &options).unwrap())
+        time("ablation_rewrites", name, || {
+            tpm_exec::evaluate(&store, &query, &rewrites, &planner, &options).unwrap()
         });
     }
-    group.finish();
 }
 
-fn bench_index_ablation(c: &mut Criterion) {
+fn bench_index_ablation() {
     let db = fixture(4 << 20);
     let store = db.store("dblp").unwrap();
     let query = xmldb_xq::parse(EXAMPLE6).unwrap();
@@ -99,20 +94,14 @@ fn bench_index_ablation(c: &mut Criterion) {
         ..PlannerConfig::cost_based()
     };
 
-    let mut group = c.benchmark_group("ablation_indexes");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.bench_function("with-indexes", |b| {
-        b.iter(|| tpm_exec::evaluate(&store, &query, &rewrites, &with, &options).unwrap())
-    });
-    group.bench_function("without-indexes", |b| {
-        b.iter(|| tpm_exec::evaluate(&store, &query, &rewrites, &without, &options).unwrap())
-    });
-    group.finish();
+    for (name, planner) in [("with-indexes", with), ("without-indexes", without)] {
+        time("ablation_indexes", name, || {
+            tpm_exec::evaluate(&store, &query, &rewrites, &planner, &options).unwrap()
+        });
+    }
 }
 
-fn bench_pipeline_ablation(c: &mut Criterion) {
+fn bench_pipeline_ablation() {
     let db = fixture(4 << 20);
     // A query whose best plan uses an NLJ right (unrelated loops), so the
     // materialize-vs-pipeline choice matters.
@@ -125,38 +114,30 @@ fn bench_pipeline_ablation(c: &mut Criterion) {
         reference
     );
 
-    let mut group = c.benchmark_group("ablation_pipeline");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.bench_function("materialized", |b| {
-        b.iter(|| db.query("dblp", query, EngineKind::M4CostBased).unwrap())
-    });
-    group.bench_function("pipelined", |b| {
-        b.iter(|| db.query("dblp", query, EngineKind::M4Pipelined).unwrap())
-    });
-    group.finish();
+    for (name, engine) in [
+        ("materialized", EngineKind::M4CostBased),
+        ("pipelined", EngineKind::M4Pipelined),
+    ] {
+        time("ablation_pipeline", name, || {
+            db.query("dblp", query, engine).unwrap()
+        });
+    }
 }
 
-fn bench_pool_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_pool");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+fn bench_pool_sweep() {
     // A scan-bound engine so the working set (the whole clustered index)
     // streams through the pool: small pools evict on every pass.
     for pool_kib in [64usize, 256, 1024, 4096] {
         let db = fixture(pool_kib << 10);
-        group.bench_with_input(
-            BenchmarkId::new("example6-naive", format!("{pool_kib}KiB")),
-            &db,
-            |b, db| b.iter(|| db.query("dblp", EXAMPLE6, EngineKind::NaiveScan).unwrap()),
+        time(
+            "ablation_pool",
+            &format!("example6-naive/{pool_kib}KiB"),
+            || db.query("dblp", EXAMPLE6, EngineKind::NaiveScan).unwrap(),
         );
     }
-    group.finish();
 }
 
-fn bench_sort_strategies(c: &mut Criterion) {
+fn bench_sort_strategies() {
     // The ordering problem's approach (a) head-to-head: by-the-book
     // external merge sort vs. the students' clustered-B-tree workaround.
     use xmldb_physical::ops::{BTreeSortOp, RowsOp, SortOp};
@@ -179,28 +160,19 @@ fn bench_sort_strategies(c: &mut Criterion) {
         })
         .collect();
 
-    let mut group = c.benchmark_group("ablation_sort");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.bench_function("external-sort", |b| {
-        b.iter(|| {
-            let ctx = ExecContext::new(&store, &binds);
-            let mut op = SortOp::new(Box::new(RowsOp::new(rows.clone())), vec![0]);
-            execute_all(&mut op, &ctx).unwrap().len()
-        })
+    time("ablation_sort", "external-sort", || {
+        let ctx = ExecContext::new(&store, &binds);
+        let mut op = SortOp::new(Box::new(RowsOp::new(rows.clone())), vec![0]);
+        execute_all(&mut op, &ctx).unwrap().len()
     });
-    group.bench_function("btree-sort-workaround", |b| {
-        b.iter(|| {
-            let ctx = ExecContext::new(&store, &binds);
-            let mut op = BTreeSortOp::new(Box::new(RowsOp::new(rows.clone())), vec![0]);
-            execute_all(&mut op, &ctx).unwrap().len()
-        })
+    time("ablation_sort", "btree-sort-workaround", || {
+        let ctx = ExecContext::new(&store, &binds);
+        let mut op = BTreeSortOp::new(Box::new(RowsOp::new(rows.clone())), vec![0]);
+        execute_all(&mut op, &ctx).unwrap().len()
     });
-    group.finish();
 }
 
-fn bench_prepared_queries(c: &mut Criterion) {
+fn bench_prepared_queries() {
     // What Database::prepare amortizes: parsing, TPM compilation,
     // rewriting and planning (join-order enumeration included), leaving
     // only physical execution per run. Execution dominates even on small
@@ -216,24 +188,19 @@ fn bench_prepared_queries(c: &mut Criterion) {
         prepared.execute().unwrap(),
         db.query("dblp", EXAMPLE6, EngineKind::M4CostBased).unwrap()
     );
-    let mut group = c.benchmark_group("ablation_prepared");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.bench_function("adhoc", |b| {
-        b.iter(|| db.query("dblp", EXAMPLE6, EngineKind::M4CostBased).unwrap())
+    time("ablation_prepared", "adhoc", || {
+        db.query("dblp", EXAMPLE6, EngineKind::M4CostBased).unwrap()
     });
-    group.bench_function("prepared", |b| b.iter(|| prepared.execute().unwrap()));
-    group.finish();
+    time("ablation_prepared", "prepared", || {
+        prepared.execute().unwrap()
+    });
 }
 
-criterion_group!(
-    benches,
-    bench_prepared_queries,
-    bench_rewrite_ablation,
-    bench_index_ablation,
-    bench_pipeline_ablation,
-    bench_pool_sweep,
-    bench_sort_strategies
-);
-criterion_main!(benches);
+fn main() {
+    bench_prepared_queries();
+    bench_rewrite_ablation();
+    bench_index_ablation();
+    bench_pipeline_ablation();
+    bench_pool_sweep();
+    bench_sort_strategies();
+}

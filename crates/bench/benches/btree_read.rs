@@ -1,6 +1,6 @@
-//! B+-tree read-path benchmark: warm point-gets, full scans and prefix
-//! scans against the raw tree, plus the same access patterns end-to-end
-//! through `shred_document` and the M2/M4 engines.
+//! B+-tree read-path benchmark: full scans and prefix scans against the
+//! raw tree, plus a descendant query end-to-end through `shred_document`
+//! and the M2/M4 engines. Warm point-gets are measured by the `obs` bench.
 //!
 //! Emits a machine-readable JSON snapshot so read-path changes can be
 //! compared against a committed baseline (`BENCH_btree_read.json` /
@@ -10,77 +10,18 @@
 //! cargo bench -p xmldb-bench --bench btree_read -- --out BENCH_btree_read.json
 //! ```
 //!
-//! Under `cargo test` (no `--bench` flag) each case runs once as a smoke
-//! test at a reduced size.
+//! Under `cargo test --benches` (no `--bench` flag) each case runs once
+//! as a smoke test at a reduced size.
 
-use std::time::Instant;
+use xmldb_bench::harness::{self, bench_mode, measure, Row, Sample};
 use xmldb_core::{Database, EngineKind};
 use xmldb_storage::{codec, BTree, Env, EnvConfig};
-
-/// One measured case.
-struct Sample {
-    name: &'static str,
-    size: u64,
-    iters: u64,
-    /// Total operations across all iterations (rows scanned, gets issued,
-    /// or queries run).
-    ops: u64,
-    ns_per_op: f64,
-}
-
-fn bench_mode() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
-
-/// Deterministic shuffle order (no RNG dependency): a full-period LCG walk.
-fn scrambled(n: u64) -> Vec<u64> {
-    let mut order: Vec<u64> = (0..n).collect();
-    for i in 0..order.len() as u64 {
-        let j = i
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407)
-            % order.len() as u64;
-        order.swap(i as usize, j as usize);
-    }
-    order
-}
-
-fn clustered_key(i: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(8);
-    codec::put_u64(&mut k, i);
-    k
-}
 
 fn label_key(label: u64, i: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(24);
     codec::put_str_terminated(&mut k, &format!("label{label:03}"));
     codec::put_u64(&mut k, i);
     k
-}
-
-/// Times `op` (which reports how many operations it performed) until it has
-/// run for at least `min_iters` iterations, after one warmup pass.
-fn measure(name: &'static str, size: u64, min_iters: u64, mut op: impl FnMut() -> u64) -> Sample {
-    let _ = op(); // warm the pool and the allocator
-    let iters = if bench_mode() { min_iters } else { 1 };
-    let mut ops = 0u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        ops += std::hint::black_box(op());
-    }
-    let elapsed = start.elapsed();
-    let ns_per_op = if ops == 0 {
-        0.0
-    } else {
-        elapsed.as_nanos() as f64 / ops as f64
-    };
-    Sample {
-        name,
-        size,
-        iters,
-        ops,
-        ns_per_op,
-    }
 }
 
 /// Raw-tree cases at one size: the tree is bulk-loaded with `n` short
@@ -92,20 +33,13 @@ fn raw_tree_cases(n: u64, out: &mut Vec<Sample>) {
         pool_bytes: 32 << 20,
     });
     let mut tree = BTree::create(&env, "bench").unwrap();
-    tree.bulk_load((0..n).map(|i| (clustered_key(i), format!("value-{i:08}").into_bytes())))
-        .unwrap();
-    let order = scrambled(n);
-
-    out.push(measure("point_get", n, 4, || {
-        let mut hits = 0u64;
-        for &i in &order {
-            if tree.get(&clustered_key(i)).unwrap().is_some() {
-                hits += 1;
-            }
-        }
-        assert_eq!(hits, n);
-        hits
-    }));
+    tree.bulk_load((0..n).map(|i| {
+        (
+            i.to_be_bytes().to_vec(),
+            format!("value-{i:08}").into_bytes(),
+        )
+    }))
+    .unwrap();
 
     // The canonical scan: zero-copy visit of every row in place. The
     // pre-slotted engine had no cheaper way to walk the tree than the
@@ -190,37 +124,7 @@ fn engine_cases(records: u64, out: &mut Vec<Sample>) {
     }
 }
 
-fn render_json(samples: &[Sample]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"btree_read\",\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"results\": [\n",
-        if bench_mode() { "bench" } else { "smoke" }
-    ));
-    for (i, r) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"size\": {}, \"iters\": {}, \"ops\": {}, \"ns_per_op\": {:.1}}}{}\n",
-            r.name,
-            r.size,
-            r.iters,
-            r.ops,
-            r.ns_per_op,
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn main() {
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        // Any other flag is a harness flag (--bench, filters) — ignored.
-        if flag == "--out" {
-            out_path = Some(args.next().expect("--out takes a path"));
-        }
-    }
-
+fn run() -> Vec<Row> {
     let sizes: &[u64] = if bench_mode() {
         &[1_000, 10_000, 50_000]
     } else {
@@ -233,16 +137,9 @@ fn main() {
         raw_tree_cases(n, &mut samples);
     }
     engine_cases(records, &mut samples);
+    samples.iter().map(Sample::row).collect()
+}
 
-    for r in &samples {
-        println!(
-            "{:<22} n={:<6} {:>10.1} ns/op  ({} iters, {} ops)",
-            r.name, r.size, r.ns_per_op, r.iters, r.ops
-        );
-    }
-    let json = render_json(&samples);
-    match out_path {
-        Some(path) => std::fs::write(&path, &json).expect("write JSON snapshot"),
-        None => print!("{json}"),
-    }
+fn main() {
+    harness::main("btree_read", run, None);
 }

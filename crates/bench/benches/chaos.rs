@@ -26,23 +26,20 @@
 //! cargo bench -p xmldb-bench --bench chaos -- --check BENCH_chaos.json
 //! ```
 //!
-//! Under plain `cargo test` the same sweep runs once at a reduced scale
-//! (fewer clients, one disk-full cycle, shorter phases).
+//! Under `cargo test --benches` the same sweep runs once at a reduced
+//! scale (fewer clients, one disk-full cycle, shorter phases).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use xmldb_bench::harness::{self, bench_mode, Field, Row, Snapshot};
 use xmldb_core::Database;
 use xmldb_server::{ClientError, QueryParams, RetryPolicy, RetryingClient, Server, ServerConfig};
 use xmldb_storage::{EnvConfig, FaultState};
 use xmldb_testbed::chaos::{ChaosProxy, Direction};
 
 const DOC: &str = "<lib><b><t>alpha</t></b><b><t>beta</t></b><b><t>gamma</t></b></lib>";
-
-fn bench_mode() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
 
 struct SweepConfig {
     writers: usize,
@@ -403,114 +400,52 @@ fn verdict(r: &SweepResult) -> bool {
     ok
 }
 
-fn render_json(r: &SweepResult) -> String {
-    let mut s = String::from("{\n  \"bench\": \"chaos\",\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"results\": [\n",
-        if bench_mode() { "bench" } else { "smoke" },
-    ));
-    s.push_str(&format!(
-        "    {{\"name\": \"sweep\", \"writers\": {}, \"readers\": {}, \"confirmed\": {}, \
-         \"unknown\": {}, \"lost\": {}, \"failed_writes\": {}, \"reads_ok\": {}, \
-         \"reads_failed\": {}, \"retries\": {}, \"degraded_cycles\": {}, \
-         \"recovery_ms_max\": {}, \"pinned_frames\": {}, \"secs\": {:.3}}}\n",
-        r.writers,
-        r.readers,
-        r.confirmed,
-        r.unknown,
-        r.lost,
-        r.failed_writes,
-        r.reads_ok,
-        r.reads_failed,
-        r.retries,
-        r.degraded_cycles,
-        r.recovery_ms_max,
-        r.pinned_frames,
-        r.secs,
-    ));
-    s.push_str("  ]\n}\n");
-    s
+impl SweepResult {
+    fn row(&self) -> Row {
+        vec![
+            ("name", Field::Str("sweep")),
+            ("writers", Field::Int(self.writers as u64)),
+            ("readers", Field::Int(self.readers as u64)),
+            ("confirmed", Field::Int(self.confirmed)),
+            ("unknown", Field::Int(self.unknown)),
+            ("lost", Field::Int(self.lost)),
+            ("failed_writes", Field::Int(self.failed_writes)),
+            ("reads_ok", Field::Int(self.reads_ok)),
+            ("reads_failed", Field::Int(self.reads_failed)),
+            ("retries", Field::Int(self.retries)),
+            ("degraded_cycles", Field::Int(self.degraded_cycles)),
+            ("recovery_ms_max", Field::Int(self.recovery_ms_max)),
+            ("pinned_frames", Field::Int(self.pinned_frames as u64)),
+            ("secs", Field::Fixed(self.secs, 3)),
+        ]
+    }
 }
 
-fn print_table(r: &SweepResult) {
-    println!(
-        "chaos sweep  writers {:>2}  readers {:>2}  confirmed {:>5}  unknown {:>3}  \
-         lost {:>2}  failed {:>4}  reads {:>6}/{:<4}  retries {:>4}  \
-         degraded x{}  worst recovery {:>5} ms  pinned {}  in {:.1}s",
-        r.writers,
-        r.readers,
-        r.confirmed,
-        r.unknown,
-        r.lost,
-        r.failed_writes,
-        r.reads_ok,
-        r.reads_failed,
-        r.retries,
-        r.degraded_cycles,
-        r.recovery_ms_max,
-        r.pinned_frames,
-        r.secs,
-    );
-}
-
-/// CI gate: the committed snapshot must exist (it documents the full
-/// sweep), and a re-run bounded sweep must hold every absolute
+/// CI gate: the committed snapshot must be a chaos snapshot (it documents
+/// the full sweep), and a re-run bounded sweep must hold every absolute
 /// guarantee. No relative throughput bound — fault tolerance is
 /// pass/fail.
-fn check(baseline_path: &str) -> bool {
-    let mut path = std::path::PathBuf::from(baseline_path);
-    if !path.exists() && path.is_relative() {
-        path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(baseline_path);
-    }
-    let snapshot = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-    assert!(
-        snapshot.contains("\"bench\": \"chaos\""),
-        "baseline {} is not a chaos snapshot",
-        path.display()
-    );
+fn check(_snapshot: &Snapshot) -> bool {
     let r = sweep(&SweepConfig {
         writers: 4,
         readers: 2,
         enospc_cycles: 1,
         phase: Duration::from_millis(200),
     });
-    print_table(&r);
+    print!("{}", harness::render("chaos", &[r.row()]));
     verdict(&r)
 }
 
-fn main() {
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        // Any other flag is a harness flag (--bench, filters) — ignored.
-        match flag.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out takes a path")),
-            "--check" => check_path = Some(args.next().expect("--check takes a path")),
-            _ => {}
-        }
-    }
-
-    if let Some(path) = check_path {
-        if !check(&path) {
-            eprintln!("chaos sweep violated a fault-tolerance guarantee");
-            std::process::exit(1);
-        }
-        return;
-    }
-
+fn run() -> Vec<Row> {
     let r = sweep(&SweepConfig::scaled());
-    print_table(&r);
     assert!(
         verdict(&r),
         "chaos sweep violated a fault-tolerance guarantee"
     );
-    let json = render_json(&r);
-    match out_path {
-        Some(path) => std::fs::write(&path, &json).expect("write JSON snapshot"),
-        None => print!("{json}"),
-    }
+    vec![r.row()]
+}
+
+fn main() {
+    let failure = "chaos sweep violated a fault-tolerance guarantee";
+    harness::main("chaos", run, Some((check, failure)));
 }

@@ -1,7 +1,7 @@
-//! Observability-overhead benchmark: the warm B+-tree point-get workload
-//! of `btree_read` re-measured with the unified metrics registry, span
-//! tracing and flight recorder wired in, plus microbenchmarks of the
-//! instrumentation primitives themselves.
+//! Observability-overhead benchmark: warm B+-tree point-gets measured
+//! with the unified metrics registry, span tracing and flight recorder
+//! wired in, plus microbenchmarks of the instrumentation primitives
+//! themselves.
 //!
 //! Emits a machine-readable JSON snapshot (`BENCH_obs.json` at the repo
 //! root) and has a regression-gate mode used by CI:
@@ -13,26 +13,13 @@
 //!
 //! `--check` re-measures the warm point-get cases and fails (exit 1) if
 //! any size regresses more than 5% against the committed snapshot.
-//! Under `cargo test` (no `--bench` flag) each case runs once at a
-//! reduced size as a smoke test.
+//! Under `cargo test --benches` (no `--bench` flag) each case runs once
+//! at a reduced size as a smoke test.
 
-use std::time::Instant;
+use xmldb_bench::harness::{self, bench_mode, best_of, measure, Bound, Row, Sample, Snapshot};
 use xmldb_core::{Database, EngineKind};
 use xmldb_obs::{span, Registry, TraceScope};
 use xmldb_storage::{codec, BTree, Env, EnvConfig};
-
-/// One measured case.
-struct Sample {
-    name: &'static str,
-    size: u64,
-    iters: u64,
-    ops: u64,
-    ns_per_op: f64,
-}
-
-fn bench_mode() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
 
 /// Deterministic shuffle order (no RNG dependency): a full-period LCG walk.
 fn scrambled(n: u64) -> Vec<u64> {
@@ -53,34 +40,9 @@ fn clustered_key(i: u64) -> Vec<u8> {
     k
 }
 
-/// Times `op` (which reports how many operations it performed) for
-/// `min_iters` iterations after one warmup pass.
-fn measure(name: &'static str, size: u64, min_iters: u64, mut op: impl FnMut() -> u64) -> Sample {
-    let _ = op(); // warm the pool and the allocator
-    let iters = if bench_mode() { min_iters } else { 1 };
-    let mut ops = 0u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        ops += std::hint::black_box(op());
-    }
-    let elapsed = start.elapsed();
-    let ns_per_op = if ops == 0 {
-        0.0
-    } else {
-        elapsed.as_nanos() as f64 / ops as f64
-    };
-    Sample {
-        name,
-        size,
-        iters,
-        ops,
-        ns_per_op,
-    }
-}
-
-/// The `btree_read` warm point-get workload, unchanged: every get now
-/// routes through the per-shard registry counters, so this number against
-/// the PR 4 baseline *is* the counter overhead on the hottest read path.
+/// The warm B+-tree point-get workload: every get routes through the
+/// per-shard registry counters, so this number *is* the counter overhead
+/// on the hottest read path.
 fn point_get_case(n: u64) -> Sample {
     let env = Env::memory_with(EnvConfig {
         page_size: 8192,
@@ -93,7 +55,7 @@ fn point_get_case(n: u64) -> Sample {
     // Enough iterations that every size runs a few hundred milliseconds —
     // the 5% regression budget needs the noise floor well below that.
     let iters = (800_000 / n).clamp(4, 1024);
-    let mut sample = measure("point_get", n, iters, || {
+    let mut get_all = || {
         let mut hits = 0u64;
         for &i in &order {
             if tree.get(&clustered_key(i)).unwrap().is_some() {
@@ -102,21 +64,14 @@ fn point_get_case(n: u64) -> Sample {
         }
         assert_eq!(hits, n);
         hits
-    });
+    };
+    let mut sample = measure("point_get", n, iters, &mut get_all);
     // Take the minimum over repeated runs: on a shared single-core box the
     // floor is stable run to run while the mean wanders by ±10%, and a
     // real read-path regression raises the floor too.
     if bench_mode() {
         for _ in 0..2 {
-            let again = measure("point_get", n, iters, || {
-                let mut hits = 0u64;
-                for &i in &order {
-                    if tree.get(&clustered_key(i)).unwrap().is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            });
+            let again = measure("point_get", n, iters, &mut get_all);
             if again.ns_per_op < sample.ns_per_op {
                 sample = again;
             }
@@ -191,137 +146,40 @@ fn primitive_cases(out: &mut Vec<Sample>) {
     }));
 }
 
-fn render_json(samples: &[Sample]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"obs\",\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"results\": [\n",
-        if bench_mode() { "bench" } else { "smoke" }
-    ));
-    for (i, r) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"size\": {}, \"iters\": {}, \"ops\": {}, \"ns_per_op\": {:.1}}}{}\n",
-            r.name,
-            r.size,
-            r.iters,
-            r.ops,
-            r.ns_per_op,
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Pulls `(size, ns_per_op)` for every `point_get` entry out of a
-/// committed snapshot without a JSON dependency: entries are one per
-/// line in the format `render_json` writes.
-fn baseline_point_gets(snapshot: &str) -> Vec<(u64, f64)> {
-    let mut out = Vec::new();
-    for line in snapshot.lines() {
-        let Some(rest) = line
-            .trim()
-            .strip_prefix("{\"name\": \"point_get\", \"size\": ")
-        else {
-            continue;
-        };
-        let size: u64 = rest
-            .split(',')
-            .next()
-            .and_then(|s| s.trim().parse().ok())
-            .expect("malformed snapshot line");
-        let ns: f64 = rest
-            .split("\"ns_per_op\": ")
-            .nth(1)
-            .and_then(|s| s.trim_end_matches(['}', ',']).trim().parse().ok())
-            .expect("malformed snapshot line");
-        out.push((size, ns));
-    }
-    out
-}
-
 /// CI regression gate: re-measures the warm point-get cases and compares
 /// each size against the committed snapshot. Up to three attempts per
 /// size absorb scheduler noise; a case passes if any attempt lands
 /// within the 5% budget.
-fn check(baseline_path: &str) -> bool {
+fn check(snapshot: &Snapshot) -> bool {
     const TOLERANCE: f64 = 1.05;
-    // Cargo runs bench binaries from the package root; a bare file name
-    // refers to the committed snapshot at the workspace root.
-    let mut path = std::path::PathBuf::from(baseline_path);
-    if !path.exists() && path.is_relative() {
-        path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(baseline_path);
-    }
-    let snapshot = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-    let baseline = baseline_point_gets(&snapshot);
-    assert!(
-        !baseline.is_empty(),
-        "no point_get entries in {baseline_path}"
-    );
     let mut ok = true;
-    for (size, base_ns) in baseline {
+    for [size, base_ns] in snapshot.rows("point_get", ["size", "ns_per_op"]) {
+        let size = size as u64;
         let budget = base_ns * TOLERANCE;
-        let mut best = f64::INFINITY;
-        for _attempt in 0..3 {
-            best = best.min(point_get_case(size).ns_per_op);
-            if best <= budget {
-                break;
-            }
-        }
-        let verdict = if best <= budget { "ok" } else { "REGRESSED" };
+        let (best, within) = best_of(3, Bound::Ceiling(budget), || point_get_case(size).ns_per_op);
+        let verdict = if within { "ok" } else { "REGRESSED" };
         println!(
             "point_get n={size:<6} baseline {base_ns:>8.1} ns/op, measured {best:>8.1} ns/op \
              (budget {budget:>8.1})  {verdict}"
         );
-        ok &= best <= budget;
+        ok &= within;
     }
     ok
 }
 
-fn main() {
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        // Any other flag is a harness flag (--bench, filters) — ignored.
-        match flag.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out takes a path")),
-            "--check" => check_path = Some(args.next().expect("--check takes a path")),
-            _ => {}
-        }
-    }
-
-    if let Some(path) = check_path {
-        if !check(&path) {
-            eprintln!("observability overhead regression: warm point-get exceeded the 5% budget");
-            std::process::exit(1);
-        }
-        return;
-    }
-
+fn run() -> Vec<Row> {
     let sizes: &[u64] = if bench_mode() {
         &[1_000, 10_000, 50_000]
     } else {
         &[500]
     };
-    let mut samples = Vec::new();
-    for &n in sizes {
-        samples.push(point_get_case(n));
-    }
+    let mut samples: Vec<Sample> = sizes.iter().map(|&n| point_get_case(n)).collect();
     query_cases(&mut samples);
     primitive_cases(&mut samples);
+    samples.iter().map(Sample::row).collect()
+}
 
-    for r in &samples {
-        println!(
-            "{:<18} n={:<8} {:>10.1} ns/op  ({} iters, {} ops)",
-            r.name, r.size, r.ns_per_op, r.iters, r.ops
-        );
-    }
-    let json = render_json(&samples);
-    match out_path {
-        Some(path) => std::fs::write(&path, &json).expect("write JSON snapshot"),
-        None => print!("{json}"),
-    }
+fn main() {
+    let failure = "observability overhead regression: warm point-get exceeded the 5% budget";
+    harness::main("obs", run, Some((check, failure)));
 }

@@ -4,8 +4,8 @@
 //! row, index probe, re-scanned right side per 64-row block) on a
 //! structural-join workload.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use xmldb_algebra::{Attr, CmpOp};
+use xmldb_bench::harness::time;
 use xmldb_physical::ops::{JoinInner, JoinOp, Probe, ScanOp, Src};
 use xmldb_physical::{execute_all, Bindings, ExecContext, Operator, PhysOperand, PhysPred};
 use xmldb_storage::{BTree, Env, EnvConfig, ExternalSorter};
@@ -15,78 +15,57 @@ fn key(i: u64) -> Vec<u8> {
     i.to_be_bytes().to_vec()
 }
 
-fn bench_btree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("btree");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-
-    group.bench_function("insert-10k", |b| {
-        b.iter(|| {
-            let env = Env::memory();
-            let mut tree = BTree::create(&env, "t").unwrap();
-            for i in 0..10_000u64 {
-                tree.insert(&key((i * 7919 + 13) % 10_000), b"payload")
-                    .unwrap();
-            }
-            tree.len()
-        })
+fn bench_btree() {
+    time("btree", "insert-10k", || {
+        let env = Env::memory();
+        let mut tree = BTree::create(&env, "t").unwrap();
+        for i in 0..10_000u64 {
+            tree.insert(&key((i * 7919 + 13) % 10_000), b"payload")
+                .unwrap();
+        }
+        tree.len()
     });
 
-    group.bench_function("bulk-load-10k", |b| {
-        b.iter(|| {
-            let env = Env::memory();
-            let mut tree = BTree::create(&env, "t").unwrap();
-            tree.bulk_load((0..10_000u64).map(|i| (key(i), b"payload".to_vec())))
-                .unwrap();
-            tree.len()
-        })
+    time("btree", "bulk-load-10k", || {
+        let env = Env::memory();
+        let mut tree = BTree::create(&env, "t").unwrap();
+        tree.bulk_load((0..10_000u64).map(|i| (key(i), b"payload".to_vec())))
+            .unwrap();
+        tree.len()
     });
 
     let env = Env::memory();
     let mut tree = BTree::create(&env, "probe").unwrap();
     tree.bulk_load((0..100_000u64).map(|i| (key(i), b"v".to_vec())))
         .unwrap();
-    group.bench_function("get-hot", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i * 6364136223846793005 + 1442695040888963407) % 100_000;
-            tree.get(&key(i)).unwrap()
-        })
+    let mut i = 0u64;
+    time("btree", "get-hot", || {
+        i = (i * 6364136223846793005 + 1442695040888963407) % 100_000;
+        tree.get(&key(i)).unwrap()
     });
-    group.bench_function("range-scan-1k", |b| {
-        b.iter(|| {
-            tree.range(
-                std::ops::Bound::Included(key(40_000).as_slice()),
-                std::ops::Bound::Excluded(key(41_000).as_slice()),
-            )
-            .count()
-        })
+    time("btree", "range-scan-1k", || {
+        tree.range(
+            std::ops::Bound::Included(key(40_000).as_slice()),
+            std::ops::Bound::Excluded(key(41_000).as_slice()),
+        )
+        .count()
     });
-    group.finish();
 }
 
-fn bench_sort(c: &mut Criterion) {
-    let mut group = c.benchmark_group("external_sort");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+fn bench_sort() {
     for (name, budget) in [("in-memory", 64 << 20), ("spilling", 64 << 10)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let env = Env::memory_with(EnvConfig::default());
-                let mut sorter = ExternalSorter::lexicographic(&env, budget);
-                for i in 0..50_000u64 {
-                    sorter.push(key((i * 2654435761) % 50_000)).unwrap();
-                }
-                sorter.finish().unwrap().count()
-            })
+        time("external_sort", name, || {
+            let env = Env::memory_with(EnvConfig::default());
+            let mut sorter = ExternalSorter::lexicographic(&env, budget);
+            for i in 0..50_000u64 {
+                sorter.push(key((i * 2654435761) % 50_000)).unwrap();
+            }
+            sorter.finish().unwrap().count()
         });
     }
-    group.finish();
 }
 
-fn bench_joins(c: &mut Criterion) {
+fn bench_joins() {
     // Structural join: journals ⋈descendant names on a synthetic document.
     let mut xml = String::from("<lib>");
     for j in 0..50 {
@@ -130,10 +109,6 @@ fn bench_joins(c: &mut Criterion) {
         ]
     };
 
-    let mut group = c.benchmark_group("structural_join");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
     let by_label = |label: &str| -> Box<dyn Operator> {
         Box::new(ScanOp::new(Probe::ByLabel(label.into()), vec![]))
     };
@@ -156,15 +131,15 @@ fn bench_joins(c: &mut Criterion) {
         }),
     ];
     for (name, join) in cases {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let ctx = ExecContext::new(&store, &binds);
-                execute_all(&mut join(), &ctx).unwrap().len()
-            })
+        time("structural_join", name, || {
+            let ctx = ExecContext::new(&store, &binds);
+            execute_all(&mut join(), &ctx).unwrap().len()
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_btree, bench_sort, bench_joins);
-criterion_main!(benches);
+fn main() {
+    bench_btree();
+    bench_sort();
+    bench_joins();
+}

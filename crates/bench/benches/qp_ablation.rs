@@ -9,7 +9,7 @@
 //!   volumes are checked for authors, the more selective join is evaluated
 //!   first, and both joins are implemented as index nested-loop joins".
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use xmldb_bench::harness::time;
 use xmldb_core::{Database, EngineKind};
 use xmldb_datagen::DblpConfig;
 
@@ -17,36 +17,21 @@ const EXAMPLE6: &str = "for $x in //article return \
     if (some $v in $x/volume satisfies true()) \
     then for $y in $x//author return $y else ()";
 
-fn bench_qp_ablation(c: &mut Criterion) {
+fn main() {
     let db = Database::in_memory();
     let xml = xmldb_datagen::generate_dblp(&DblpConfig::scaled(0.3));
     db.load_document("dblp", &xml).unwrap();
 
-    // Sanity: all three strategies must agree before we time them.
+    // Sanity: each strategy must agree with the oracle before it is timed.
     let reference = db.query("dblp", EXAMPLE6, EngineKind::M1InMemory).unwrap();
-    for engine in [
-        EngineKind::NaiveScan,
-        EngineKind::M3Algebraic,
-        EngineKind::M4CostBased,
+    for (name, engine) in [
+        ("qp0-naive", EngineKind::NaiveScan),
+        ("qp1-heuristic", EngineKind::M3Algebraic),
+        ("qp2-costbased", EngineKind::M4CostBased),
     ] {
         assert_eq!(db.query("dblp", EXAMPLE6, engine).unwrap(), reference);
+        time("qp_ablation", name, || {
+            db.query("dblp", EXAMPLE6, engine).unwrap()
+        });
     }
-
-    let mut group = c.benchmark_group("qp_ablation");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.bench_function("qp0-naive", |b| {
-        b.iter(|| db.query("dblp", EXAMPLE6, EngineKind::NaiveScan).unwrap())
-    });
-    group.bench_function("qp1-heuristic", |b| {
-        b.iter(|| db.query("dblp", EXAMPLE6, EngineKind::M3Algebraic).unwrap())
-    });
-    group.bench_function("qp2-costbased", |b| {
-        b.iter(|| db.query("dblp", EXAMPLE6, EngineKind::M4CostBased).unwrap())
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_qp_ablation);
-criterion_main!(benches);

@@ -26,23 +26,20 @@
 //! connection errors appear in the swarm, if overload rejections stop
 //! being typed, or if closed-loop throughput at 16 sessions falls below
 //! 40% of the committed snapshot (a deliberately loose bound: CI boxes
-//! vary; a protocol-layer stall does not). Under `cargo test` (no
-//! `--bench` flag) each workload runs once at a reduced scale.
+//! vary; a protocol-layer stall does not). Under `cargo test --benches`
+//! (no `--bench` flag) each workload runs once at a reduced scale.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use xmldb_bench::harness::{self, bench_mode, best_of, Bound, Field, Row, Snapshot};
 use xmldb_core::Database;
 use xmldb_server::{AdminServer, Client, ClientError, QueryParams, Server, ServerConfig};
 
 const DOC: &str = "<lib><b><t>alpha</t></b><b><t>beta</t></b><b><t>gamma</t></b></lib>";
 const QUERY: &str = "//b/t";
-
-fn bench_mode() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
 
 /// Client threads are plentiful (up to 1000); a small stack keeps the
 /// generator itself cheap.
@@ -99,6 +96,24 @@ struct Sample {
     p50_us: u64,
     p95_us: u64,
     p99_us: u64,
+}
+
+impl Sample {
+    fn row(&self) -> Row {
+        vec![
+            ("name", Field::Str(self.name)),
+            ("conns", Field::Int(self.conns as u64)),
+            ("requests", Field::Int(self.requests)),
+            ("errors", Field::Int(self.errors)),
+            ("busy", Field::Int(self.busy)),
+            ("peak_sessions", Field::Int(self.peak as u64)),
+            ("secs", Field::Fixed(self.secs, 3)),
+            ("rps", Field::Fixed(self.rps, 1)),
+            ("p50_us", Field::Int(self.p50_us)),
+            ("p95_us", Field::Int(self.p95_us)),
+            ("p99_us", Field::Int(self.p99_us)),
+        ]
+    }
 }
 
 /// Starts the data-plane server plus its admin listener on a second
@@ -385,112 +400,16 @@ fn admission(offered: usize) -> Sample {
     }
 }
 
-fn run_all() -> Vec<Sample> {
-    let mut samples = Vec::new();
-    let (levels, window, swarm_conns, offered): (&[usize], _, _, _) = if bench_mode() {
-        (&[1, 4, 16, 64], Duration::from_secs(2), 1000, 64)
-    } else {
-        (&[1, 4], Duration::from_millis(300), 64, 24)
-    };
-    for &conns in levels {
-        samples.push(closed_loop(conns, window));
-    }
-    samples.push(swarm(swarm_conns));
-    samples.push(admission(offered));
-    samples
-}
-
-fn render_json(samples: &[Sample]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"server\",\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"results\": [\n",
-        if bench_mode() { "bench" } else { "smoke" },
-    ));
-    for (i, r) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"conns\": {}, \"requests\": {}, \"errors\": {}, \
-             \"busy\": {}, \"peak_sessions\": {}, \"secs\": {:.3}, \"rps\": {:.1}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}{}\n",
-            r.name,
-            r.conns,
-            r.requests,
-            r.errors,
-            r.busy,
-            r.peak,
-            r.secs,
-            r.rps,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn print_table(samples: &[Sample]) {
-    for r in samples {
-        println!(
-            "{:<10} conns {:>5}  reqs {:>8}  errors {:>3}  busy {:>3}  peak {:>5}  \
-             {:>8.1} req/s  p50 {:>7}us  p95 {:>7}us  p99 {:>7}us",
-            r.name,
-            r.conns,
-            r.requests,
-            r.errors,
-            r.busy,
-            r.peak,
-            r.rps,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us
-        );
-    }
-}
-
-/// Pulls `(name, conns, rps)` entries out of a committed snapshot
-/// without a JSON dependency: entries are one per line as `render_json`
-/// writes them.
-fn baseline_rps(snapshot: &str, name: &str, conns: usize) -> Option<f64> {
-    for line in snapshot.lines() {
-        let Some(rest) = line.trim().strip_prefix("{\"name\": \"") else {
-            continue;
-        };
-        let this_name = rest.split('"').next()?;
-        let Some(this_conns) = rest
-            .split("\"conns\": ")
-            .nth(1)
-            .and_then(|s| s.split(',').next())
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        else {
-            continue;
-        };
-        if this_name == name && this_conns == conns {
-            return rest
-                .split("\"rps\": ")
-                .nth(1)
-                .and_then(|s| s.split(',').next())
-                .and_then(|s| s.trim().parse().ok());
-        }
-    }
-    None
-}
-
 /// CI regression gate. Absolute invariants first (they hold on any box):
 /// zero connection errors in a reduced swarm, typed rejections under
 /// overload. Then a loose relative bound: closed-loop throughput at 16
 /// sessions ≥ 40% of the committed snapshot, best of three attempts.
-fn check(baseline_path: &str) -> bool {
+fn check(snapshot: &Snapshot) -> bool {
     const RPS_FRACTION: f64 = 0.40;
-    let mut path = std::path::PathBuf::from(baseline_path);
-    if !path.exists() && path.is_relative() {
-        path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(baseline_path);
-    }
-    let snapshot = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-    let base_rps = baseline_rps(&snapshot, "closed", 16)
+    let [_, base_rps] = snapshot
+        .rows("closed", ["conns", "rps"])
+        .into_iter()
+        .find(|[conns, _]| *conns == 16.0)
         .expect("no closed@16 entry in the committed snapshot");
     let floor = base_rps * RPS_FRACTION;
 
@@ -521,22 +440,16 @@ fn check(baseline_path: &str) -> bool {
     );
     ok &= adm_ok;
 
-    let mut best = 0.0f64;
-    for _attempt in 0..3 {
+    let mut errors = 0;
+    let (best, tp_ok) = best_of(3, Bound::Floor(floor), || {
         let c = closed_loop(16, Duration::from_secs(1));
-        if c.errors > 0 {
-            println!(
-                "closed    conns    16  errors {:>3}  REQUEST ERRORS",
-                c.errors
-            );
-            return false;
-        }
-        best = best.max(c.rps);
-        if best >= floor {
-            break;
-        }
+        errors += c.errors;
+        c.rps
+    });
+    if errors > 0 {
+        println!("closed    conns    16  errors {errors:>3}  REQUEST ERRORS");
+        return false;
     }
-    let tp_ok = best >= floor;
     println!(
         "closed    conns    16  {best:>8.1} req/s (snapshot {base_rps:>8.1}, floor \
          {floor:>8.1})  {}",
@@ -546,29 +459,18 @@ fn check(baseline_path: &str) -> bool {
     ok
 }
 
-fn main() {
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        // Any other flag is a harness flag (--bench, filters) — ignored.
-        match flag.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out takes a path")),
-            "--check" => check_path = Some(args.next().expect("--check takes a path")),
-            _ => {}
-        }
-    }
-
-    if let Some(path) = check_path {
-        if !check(&path) {
-            eprintln!("server regression (connection errors, untyped rejection, or throughput)");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let samples = run_all();
-    print_table(&samples);
+fn run() -> Vec<Row> {
+    let (levels, window, swarm_conns, offered): (&[usize], _, _, _) = if bench_mode() {
+        (&[1, 4, 16, 64], Duration::from_secs(2), 1000, 64)
+    } else {
+        (&[1, 4], Duration::from_millis(300), 64, 24)
+    };
+    let mut samples: Vec<Sample> = levels
+        .iter()
+        .map(|&conns| closed_loop(conns, window))
+        .collect();
+    samples.push(swarm(swarm_conns));
+    samples.push(admission(offered));
     for r in &samples {
         if r.name != "admission" {
             assert_eq!(r.errors, 0, "{} workload saw connection errors", r.name);
@@ -582,9 +484,10 @@ fn main() {
             );
         }
     }
-    let json = render_json(&samples);
-    match out_path {
-        Some(path) => std::fs::write(&path, &json).expect("write JSON snapshot"),
-        None => print!("{json}"),
-    }
+    samples.iter().map(Sample::row).collect()
+}
+
+fn main() {
+    let failure = "server regression (connection errors, untyped rejection, or throughput)";
+    harness::main("server", run, Some((check, failure)));
 }

@@ -14,11 +14,12 @@
 //! `--check` re-measures and fails (exit 1) if commit throughput at any
 //! concurrency falls more than 30% below the committed snapshot, or if
 //! the 16-committer run needs one or more fsyncs per commit (group
-//! commit broken). Under `cargo test` (no `--bench` flag) each case runs
-//! once at a reduced size as a smoke test.
+//! commit broken). Under `cargo test --benches` (no `--bench` flag) each
+//! case runs once at a reduced size as a smoke test.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use xmldb_bench::harness::{self, bench_mode, best_of, Bound, Field, Row, Snapshot};
 use xmldb_storage::{Env, EnvConfig, PageId, StorageError};
 
 /// One measured concurrency level.
@@ -37,10 +38,20 @@ impl Sample {
     fn fsyncs_per_commit(&self) -> f64 {
         self.fsyncs as f64 / self.commits as f64
     }
-}
 
-fn bench_mode() -> bool {
-    std::env::args().any(|a| a == "--bench")
+    fn row(&self) -> Row {
+        vec![
+            ("name", Field::Str("commit")),
+            ("threads", Field::Int(self.threads as u64)),
+            ("commits", Field::Int(self.commits)),
+            ("fsyncs", Field::Int(self.fsyncs)),
+            ("commits_per_sec", Field::Fixed(self.commits_per_sec, 1)),
+            (
+                "fsyncs_per_commit",
+                Field::Fixed(self.fsyncs_per_commit(), 3),
+            ),
+        ]
+    }
 }
 
 fn scratch_dir() -> std::path::PathBuf {
@@ -116,55 +127,6 @@ fn commit_case(threads: usize, ops: u64) -> Sample {
     }
 }
 
-fn render_json(samples: &[Sample]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"txn\",\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"results\": [\n",
-        if bench_mode() { "bench" } else { "smoke" }
-    ));
-    for (i, r) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"commit\", \"threads\": {}, \"commits\": {}, \"fsyncs\": {}, \"commits_per_sec\": {:.1}, \"fsyncs_per_commit\": {:.3}}}{}\n",
-            r.threads,
-            r.commits,
-            r.fsyncs,
-            r.commits_per_sec,
-            r.fsyncs_per_commit(),
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Pulls `(threads, commits_per_sec)` entries out of a committed snapshot
-/// without a JSON dependency: entries are one per line in the format
-/// `render_json` writes.
-fn baseline_commits(snapshot: &str) -> Vec<(usize, f64)> {
-    let mut out = Vec::new();
-    for line in snapshot.lines() {
-        let Some(rest) = line
-            .trim()
-            .strip_prefix("{\"name\": \"commit\", \"threads\": ")
-        else {
-            continue;
-        };
-        let threads: usize = rest
-            .split(',')
-            .next()
-            .and_then(|s| s.trim().parse().ok())
-            .expect("malformed snapshot line");
-        let cps: f64 = rest
-            .split("\"commits_per_sec\": ")
-            .nth(1)
-            .and_then(|s| s.split(',').next())
-            .and_then(|s| s.trim().parse().ok())
-            .expect("malformed snapshot line");
-        out.push((threads, cps));
-    }
-    out
-}
-
 fn ops_for(threads: usize) -> u64 {
     if bench_mode() {
         // Sized so every level commits a few thousand times.
@@ -179,32 +141,19 @@ fn ops_for(threads: usize) -> u64 {
 /// than the CPU-bound benches' 5%) and enforces the group-commit
 /// acceptance bound: strictly fewer than one fsync per commit at 16
 /// committers. Up to three attempts per level absorb scheduler noise.
-fn check(baseline_path: &str) -> bool {
+fn check(snapshot: &Snapshot) -> bool {
     const TOLERANCE: f64 = 1.30;
-    let mut path = std::path::PathBuf::from(baseline_path);
-    if !path.exists() && path.is_relative() {
-        path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(baseline_path);
-    }
-    let snapshot = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-    let baseline = baseline_commits(&snapshot);
-    assert!(!baseline.is_empty(), "no commit entries in {baseline_path}");
     let mut ok = true;
-    for (threads, base_cps) in baseline {
+    for [threads, base_cps] in snapshot.rows("commit", ["threads", "commits_per_sec"]) {
+        let threads = threads as usize;
         let floor = base_cps / TOLERANCE;
-        let mut best = 0.0f64;
         let mut ratio = f64::INFINITY;
-        for _attempt in 0..3 {
+        let (best, above) = best_of(3, Bound::Floor(floor), || {
             let sample = commit_case(threads, ops_for(threads));
-            best = best.max(sample.commits_per_sec);
             ratio = ratio.min(sample.fsyncs_per_commit());
-            if best >= floor {
-                break;
-            }
-        }
-        let mut verdict = if best >= floor { "ok" } else { "REGRESSED" };
+            sample.commits_per_sec
+        });
+        let mut verdict = if above { "ok" } else { "REGRESSED" };
         if threads >= 16 && ratio >= 1.0 {
             verdict = "NO GROUP COMMIT";
             ok = false;
@@ -213,46 +162,16 @@ fn check(baseline_path: &str) -> bool {
             "commit threads={threads:<3} baseline {base_cps:>9.1}/s, measured {best:>9.1}/s \
              (floor {floor:>9.1}), {ratio:.3} fsyncs/commit  {verdict}"
         );
-        ok &= best >= floor;
+        ok &= above;
     }
     ok
 }
 
-fn main() {
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        // Any other flag is a harness flag (--bench, filters) — ignored.
-        match flag.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out takes a path")),
-            "--check" => check_path = Some(args.next().expect("--check takes a path")),
-            _ => {}
-        }
-    }
-
-    if let Some(path) = check_path {
-        if !check(&path) {
-            eprintln!("transaction throughput regression (or group commit not observable)");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let mut samples = Vec::new();
-    for &threads in &[1usize, 4, 16] {
-        samples.push(commit_case(threads, ops_for(threads)));
-    }
-    for r in &samples {
-        println!(
-            "commit  threads={:<3} {:>10.1} commits/s   {:>7.3} fsyncs/commit  ({} commits, {} fsyncs)",
-            r.threads,
-            r.commits_per_sec,
-            r.fsyncs_per_commit(),
-            r.commits,
-            r.fsyncs
-        );
-    }
+fn run() -> Vec<Row> {
+    let samples: Vec<Sample> = [1usize, 4, 16]
+        .iter()
+        .map(|&threads| commit_case(threads, ops_for(threads)))
+        .collect();
     // The group-commit acceptance bound holds in full runs: overlapping
     // committers must amortize fsyncs.
     if bench_mode() {
@@ -263,9 +182,10 @@ fn main() {
             s16.fsyncs_per_commit()
         );
     }
-    let json = render_json(&samples);
-    match out_path {
-        Some(path) => std::fs::write(&path, &json).expect("write JSON snapshot"),
-        None => print!("{json}"),
-    }
+    samples.iter().map(Sample::row).collect()
+}
+
+fn main() {
+    let failure = "transaction throughput regression (or group commit not observable)";
+    harness::main("txn", run, Some((check, failure)));
 }

@@ -6,23 +6,11 @@
 //! cargo bench -p xmldb-bench --bench wal -- --out BENCH_wal.json
 //! ```
 //!
-//! Under `cargo test` (no `--bench` flag) each case runs once at a
-//! reduced size as a smoke test.
+//! Under `cargo test --benches` (no `--bench` flag) each case runs once
+//! at a reduced size as a smoke test.
 
-use std::time::Instant;
+use xmldb_bench::harness::{self, bench_mode, measure, Row, Sample};
 use xmldb_storage::{codec, BTree, Env, EnvConfig, StorageError};
-
-struct Sample {
-    name: &'static str,
-    size: u64,
-    iters: u64,
-    ops: u64,
-    ns_per_op: f64,
-}
-
-fn bench_mode() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
 
 fn key(i: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(8);
@@ -35,24 +23,6 @@ fn config() -> EnvConfig {
     EnvConfig {
         page_size: 8192,
         pool_bytes: 4 << 20,
-    }
-}
-
-fn measure(name: &'static str, size: u64, min_iters: u64, mut op: impl FnMut() -> u64) -> Sample {
-    let _ = op(); // warm the allocator and the page cache
-    let iters = if bench_mode() { min_iters } else { 1 };
-    let mut ops = 0u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        ops += std::hint::black_box(op());
-    }
-    let elapsed = start.elapsed();
-    Sample {
-        name,
-        size,
-        iters,
-        ops,
-        ns_per_op: elapsed.as_nanos() as f64 / ops.max(1) as f64,
     }
 }
 
@@ -76,15 +46,7 @@ fn scratch(tag: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("saardb-wal-bench-{}-{tag}", std::process::id()))
 }
 
-fn main() {
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        if flag == "--out" {
-            out_path = Some(args.next().expect("--out takes a path"));
-        }
-    }
-
+fn run() -> Vec<Row> {
     let (n, batch, iters) = if bench_mode() {
         (10_000u64, 1_000u64, 3u64)
     } else {
@@ -137,32 +99,9 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    for r in &samples {
-        println!(
-            "{:<24} n={:<6} {:>12.1}   ({} iters, {} ops)",
-            r.name, r.size, r.ns_per_op, r.iters, r.ops
-        );
-    }
+    samples.iter().map(Sample::row).collect()
+}
 
-    let mut json = String::from("{\n  \"bench\": \"wal\",\n");
-    json.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"results\": [\n",
-        if bench_mode() { "bench" } else { "smoke" }
-    ));
-    for (i, r) in samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"size\": {}, \"iters\": {}, \"ops\": {}, \"ns_per_op\": {:.1}}}{}\n",
-            r.name,
-            r.size,
-            r.iters,
-            r.ops,
-            r.ns_per_op,
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match out_path {
-        Some(path) => std::fs::write(&path, &json).expect("write JSON snapshot"),
-        None => print!("{json}"),
-    }
+fn main() {
+    harness::main("wal", run, None);
 }

@@ -1,6 +1,7 @@
 #![warn(missing_docs)]
 
-//! Shared benchmark harness: the Figure 7 engine lineup and table runner.
+//! Benchmark support: the Figure 7 engine lineup and table runner, and
+//! the [`harness`] every bench target runs on.
 //!
 //! The paper's Figure 7 compares the five best student engines on five
 //! secret efficiency queries over DBLP, under memory and time budgets,
@@ -14,6 +15,8 @@
 //! | 3 | milestone 3 heuristic |
 //! | 4 | milestone 2 interpreter (indexes, no algebra) |
 //! | 5 | naive full-scan interpreter |
+
+pub mod harness;
 
 use std::time::Duration;
 use xmldb_core::{Database, EngineKind, QueryOptions};
