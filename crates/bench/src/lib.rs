@@ -262,4 +262,39 @@ mod tests {
             totals[4]
         );
     }
+
+    /// The robust shape claims of EXPERIMENTS.md's Figure 7 section, at a
+    /// small scale and budget: test 3 (the value join) separates milestone
+    /// 4 from milestones 2 and 3 by at least 10x and leaves the naive engine
+    /// capped or slowest; test 4 (a non-existent label) costs the index- and
+    /// statistics-aware engines at most 1 ms. Run in release mode:
+    /// `cargo test --release -p xmldb-bench --lib -- --ignored figure7_shape`.
+    #[test]
+    #[ignore = "runs all five engines; release-mode CI step"]
+    fn figure7_shape_claims_hold() {
+        let table = run_figure7(&Figure7Config {
+            dblp_scale: 0.5,
+            budget: Duration::from_secs(2),
+            pool_bytes: 4 << 20,
+        });
+        let rendered = table.render();
+        let cell = |engine: usize, test: usize| table.rows[engine - 1].1[test - 1];
+        for slower in [3, 4] {
+            assert!(
+                cell(1, 3).seconds * 10.0 <= cell(slower, 3).seconds,
+                "test 3: engine 1 is not 10x faster than engine {slower}\n{rendered}"
+            );
+        }
+        let naive = cell(5, 3);
+        assert!(
+            naive.timed_out || (1..=4).all(|e| cell(e, 3).seconds <= naive.seconds),
+            "test 3: engine 5 is neither capped nor slowest\n{rendered}"
+        );
+        for engine in [1, 2, 4] {
+            assert!(
+                cell(engine, 4).seconds <= 0.001,
+                "test 4: engine {engine} over 1 ms\n{rendered}"
+            );
+        }
+    }
 }

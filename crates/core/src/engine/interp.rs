@@ -15,8 +15,10 @@
 //!   magnitude").
 
 use crate::{Error, QueryResult, Result};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use xmldb_physical::Error as ExecError;
+use xmldb_storage::Seeker;
 use xmldb_xasr::{predicates, NodeTuple, NodeType, XasrStore};
 use xmldb_xml::XmlWriter;
 use xmldb_xq::{Axis, Cond, Expr, NodeTest, Var};
@@ -35,7 +37,11 @@ pub fn evaluate(store: &XasrStore, query: &Expr, mode: AccessMode) -> Result<Que
     let mut out = XmlWriter::new();
     let mut env: HashMap<Var, NodeTuple> = HashMap::new();
     env.insert(Var::root(), store.root()?);
-    let interp = Interp { store, mode };
+    let interp = Interp {
+        store,
+        mode,
+        results: RefCell::default(),
+    };
     interp.eval(query, &mut env, &mut out)?;
     Ok(QueryResult::new(out))
 }
@@ -50,6 +56,7 @@ pub(crate) fn eval_cond_indexed(
     Interp {
         store,
         mode: AccessMode::Indexed,
+        results: RefCell::default(),
     }
     .eval_cond(cond, env)
 }
@@ -57,6 +64,9 @@ pub(crate) fn eval_cond_indexed(
 struct Interp<'a> {
     store: &'a XasrStore,
     mode: AccessMode,
+    /// Writes every result subtree: results come in document order, so
+    /// each costs a leaf-local seek of the clustered index.
+    results: RefCell<Seeker>,
 }
 
 impl<'a> Interp<'a> {
@@ -85,11 +95,11 @@ impl<'a> Interp<'a> {
                 out.close();
                 Ok(())
             }
-            Expr::Var(v) => Ok(self.store.write_subtree(&lookup(env, v)?, out)?),
+            Expr::Var(v) => self.write(&lookup(env, v)?, out),
             Expr::Step(step) => {
                 let base = lookup(env, &step.var)?;
                 for tuple in self.axis(&base, step.axis, &step.test) {
-                    self.store.write_subtree(&tuple?, out)?;
+                    self.write(&tuple?, out)?;
                 }
                 Ok(())
             }
@@ -112,6 +122,11 @@ impl<'a> Interp<'a> {
                 Ok(())
             }
         }
+    }
+
+    fn write(&self, tuple: &NodeTuple, out: &mut XmlWriter) -> Result<()> {
+        let mut seeker = self.results.borrow_mut();
+        Ok(self.store.write_subtree(tuple, &mut seeker, out)?)
     }
 
     /// Condition evaluation (shared with the TPM executor's fallback for

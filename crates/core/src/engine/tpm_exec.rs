@@ -21,6 +21,7 @@ use xmldb_obs::span;
 use xmldb_optimizer::{plan_psx, CostModel, Plan, PlanMetrics, PlannerConfig};
 use xmldb_physical::Error as ExecError;
 use xmldb_physical::{Bindings, ExecContext, LastKey, RowBatch, BATCH_ROWS};
+use xmldb_storage::Seeker;
 use xmldb_xasr::{NodeTuple, XasrStore};
 use xmldb_xml::XmlWriter;
 use xmldb_xq::{Cond, Expr, Var};
@@ -112,6 +113,7 @@ pub fn execute_program(program: &CompiledProgram, store: &XasrStore) -> Result<Q
     Exec {
         store,
         analyze: None,
+        results: RefCell::default(),
     }
     .run(program)
 }
@@ -131,6 +133,7 @@ pub fn execute_program_analyzed(
     let result = Exec {
         store,
         analyze: Some(&metrics),
+        results: RefCell::default(),
     }
     .run(program);
     (result, metrics.into_inner())
@@ -198,6 +201,9 @@ enum Prog {
     Constr {
         label: String,
         content: Box<Prog>,
+        /// The element serialized at compile time, when `content` reads
+        /// no variable.
+        constant: Option<String>,
     },
     VarOut(Var),
     /// A relfor: `plan`'s rows bind `vars` (and, under `outer_join`, one
@@ -248,10 +254,20 @@ fn plan_tpm(tpm: &Tpm, model: &CostModel, config: &PlannerConfig, next_index: &m
                 .map(|p| plan_tpm(p, model, config, next_index))
                 .collect(),
         ),
-        Tpm::Constr { label, content } => Prog::Constr {
-            label: label.clone(),
-            content: Box::new(plan_tpm(content, model, config, next_index)),
-        },
+        Tpm::Constr { label, content } => {
+            let content = plan_tpm(content, model, config, next_index);
+            let mut out = XmlWriter::new();
+            out.open(label);
+            let constant = content.write_const(&mut out).then(move || {
+                out.close();
+                out.into_string()
+            });
+            Prog::Constr {
+                label: label.clone(),
+                content: Box::new(content),
+                constant,
+            }
+        }
         Tpm::VarOut(v) => Prog::VarOut(v.clone()),
         Tpm::RelFor { vars, source, body } => {
             relfor(vars, None, plan_psx(source, model, config), body)
@@ -290,7 +306,7 @@ fn render_prog(prog: &Prog, level: usize, metrics: Option<&[PlanMetrics]>, out: 
                 render_prog(p, level + 1, metrics, out);
             }
         }
-        Prog::Constr { label, content } => {
+        Prog::Constr { label, content, .. } => {
             out.push_str(&format!("{pad}constr({label})\n"));
             render_prog(content, level + 1, metrics, out);
         }
@@ -329,12 +345,34 @@ fn render_prog(prog: &Prog, level: usize, metrics: Option<&[PlanMetrics]>, out: 
     }
 }
 
+impl Prog {
+    /// Writes the program if it reads no variable, so that its output is
+    /// the same under every environment; false (after a partial write) if
+    /// it reads one.
+    fn write_const(&self, out: &mut XmlWriter) -> bool {
+        match self {
+            Prog::Empty => {}
+            Prog::Text(t) => out.text(t),
+            Prog::Constr {
+                constant: Some(xml),
+                ..
+            } => out.push_element(xml),
+            Prog::Concat(parts) => return parts.iter().all(|p| p.write_const(out)),
+            _ => return false,
+        }
+        true
+    }
+}
+
 /// One execution of a program: what every step of the walk down the TPM
 /// tree needs besides the variable environment and the output position.
 struct Exec<'a> {
     store: &'a XasrStore,
     /// EXPLAIN ANALYZE: one metric-slot vector per planned relfor.
     analyze: Option<&'a RefCell<Vec<PlanMetrics>>>,
+    /// Writes every result subtree: results come in document order, so
+    /// each costs a leaf-local seek of the clustered index.
+    results: RefCell<Seeker>,
 }
 
 impl Exec<'_> {
@@ -365,7 +403,14 @@ impl Exec<'_> {
                 }
                 Ok(())
             }
-            Prog::Constr { label, content } => {
+            Prog::Constr {
+                constant: Some(xml),
+                ..
+            } => {
+                out.push_element(xml);
+                Ok(())
+            }
+            Prog::Constr { label, content, .. } => {
                 out.open(label);
                 self.exec(content, env, out)?;
                 out.close();
@@ -375,7 +420,8 @@ impl Exec<'_> {
                 let tuple = env
                     .get(v)
                     .ok_or_else(|| Error::Exec(ExecError::UnboundVariable(v.to_string())))?;
-                Ok(self.store.write_subtree(tuple, out)?)
+                let mut seeker = self.results.borrow_mut();
+                Ok(self.store.write_subtree(tuple, &mut seeker, out)?)
             }
             Prog::RelFor {
                 vars,
@@ -400,7 +446,9 @@ impl Exec<'_> {
                 let mut group = LastKey::default();
                 let mut group_open = false;
                 // The consumer of this relfor's rows: bind the row's
-                // variables, evaluate `body`.
+                // variables, evaluate `body`. A body that reads no variable
+                // is written per row without binding any.
+                let binds = !body.write_const(&mut XmlWriter::new());
                 let mut consume = |batch: &RowBatch| -> Result<()> {
                     for row in batch.iter() {
                         debug_assert_eq!(row.len(), bound().count());
@@ -419,8 +467,15 @@ impl Exec<'_> {
                                 continue;
                             }
                         }
-                        for (var, tuple) in bound().zip(row) {
-                            env.insert(var.clone(), tuple.clone());
+                        if binds {
+                            for (var, tuple) in bound().zip(row) {
+                                match env.get_mut(var) {
+                                    Some(slot) => slot.clone_from(tuple),
+                                    None => {
+                                        env.insert(var.clone(), tuple.clone());
+                                    }
+                                }
+                            }
                         }
                         self.exec(body, env, out)?;
                     }

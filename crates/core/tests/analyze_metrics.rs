@@ -138,3 +138,71 @@ fn inner_plan_accumulates_across_reexecutions() {
         "inner plan re-opened once per $j binding"
     );
 }
+
+/// The node views EXPLAIN ANALYZE reports on its `read path:` line.
+fn node_views(db: &Database, doc: &str, query: &str, engine: EngineKind) -> u64 {
+    let text = db.explain_analyze(doc, query, engine).unwrap();
+    let line = text
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("read path: "))
+        .unwrap_or_else(|| panic!("no read path line:\n{text}"));
+    line.split(' ').next().unwrap().parse().unwrap()
+}
+
+/// Result writing seeks leaf-locally: `//name` over 5 000 records (the
+/// `BENCH_btree_read` descendant case) makes at most 1.3 node views per
+/// result under M2 and M4 alike, where a descent per result made 3.0.
+#[test]
+fn result_writing_makes_at_most_1_3_views_per_result() {
+    let db = Database::in_memory_with(EnvConfig {
+        page_size: 8192,
+        pool_bytes: 32 << 20,
+    });
+    let mut xml = String::from("<db>");
+    for i in 0..5_000 {
+        xml.push_str(&format!(
+            "<journal><name>author-{i:06}</name><title>t{i}</title></journal>"
+        ));
+    }
+    xml.push_str("</db>");
+    db.load_document("bench", &xml).unwrap();
+    for engine in [EngineKind::M2Storage, EngineKind::M4CostBased] {
+        let views = node_views(&db, "bench", "//name", engine);
+        assert!(
+            views as f64 <= 1.3 * 5_000.0,
+            "[{engine}] {views} node views for 5000 results"
+        );
+    }
+}
+
+/// Value runs: an `eff3`-shaped value join reads each distinct left value
+/// once, in value order. 600 author texts over 6 distinct names cost the
+/// text index at most one descent (and a miss and a hop before it) per
+/// distinct value, where a probe per left row cost 600 descents.
+#[test]
+fn value_join_descends_once_per_distinct_value() {
+    let db = Database::in_memory();
+    let mut xml = String::from("<dblp>");
+    for i in 0..600 {
+        xml.push_str(&format!(
+            "<article><author>name {}</author><title>title {i}</title></article>",
+            i % 6
+        ));
+    }
+    xml.push_str("</dblp>");
+    db.load_document("d", &xml).unwrap();
+    let text_index =
+        xmldb_storage::BTree::open(db.env(), &xmldb_xasr::store::file_names("d").text).unwrap();
+    let join = "for $a in //author/text() return for $t in //text() return \
+                if ($a = $t) then <match/> else ()";
+    let left = "for $a in //author/text() return <match/>";
+    let engine = EngineKind::M4CostBased;
+    assert_eq!(db.query("d", join, engine).unwrap().len(), 600 * 100);
+    let text_views = node_views(&db, "d", join, engine) - node_views(&db, "d", left, engine);
+    let per_value = u64::from(text_index.height()) + 3;
+    assert!(
+        text_views <= 6 * per_value,
+        "{text_views} text-index node views for 6 distinct values (height {})",
+        text_index.height()
+    );
+}

@@ -294,7 +294,7 @@ impl PlanNode {
             PlanNode::Sort { .. } => "sort",
             PlanNode::Project { .. } => "project",
             PlanNode::Materialize { .. } => "materialize",
-            PlanNode::Singleton => "singleton",
+            PlanNode::Singleton => RowsOp::NAME,
             PlanNode::Limit { .. } => "limit",
         }
     }

@@ -83,14 +83,6 @@ impl RowBatch {
         self.tuples.extend(row);
     }
 
-    /// Appends a row from an iterator of exactly `width` tuples, without an
-    /// intermediate `Vec` (the projection fast path).
-    pub fn push_row_iter(&mut self, row: impl Iterator<Item = NodeTuple>) {
-        let before = self.tuples.len();
-        self.tuples.extend(row);
-        self.add_row(self.tuples.len() - before);
-    }
-
     /// Appends a row formed by a prefix slice plus one joined tuple,
     /// without building an intermediate `Vec` (the probe-join fast path).
     pub fn push_joined(&mut self, left: &[NodeTuple], right: NodeTuple) {
@@ -156,6 +148,38 @@ impl RowBatch {
         self.tuples.truncate(write * w);
         self.rows = write;
         Ok(())
+    }
+
+    /// Number of columns per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Columns `cols` of the rows `keep` accepts, as a new batch. Tuples
+    /// move out of this one; only a column that `cols` names again is
+    /// cloned.
+    pub fn project(
+        mut self,
+        cols: &[usize],
+        mut keep: impl FnMut(&[NodeTuple]) -> bool,
+    ) -> RowBatch {
+        let w = self.width;
+        let mut out = RowBatch::with_capacity(cols.len(), self.rows);
+        for r in 0..self.rows {
+            let row = &mut self.tuples[r * w..(r + 1) * w];
+            if !keep(row) {
+                continue;
+            }
+            for (j, &c) in cols.iter().enumerate() {
+                out.tuples.push(if cols[j + 1..].contains(&c) {
+                    row[c].clone()
+                } else {
+                    std::mem::replace(&mut row[c], NodeTuple::null())
+                });
+            }
+            out.add_row(cols.len());
+        }
+        out
     }
 
     /// Moves all rows out as owned `Vec` rows (for [`crate::execute_all`]).
@@ -235,6 +259,23 @@ mod tests {
         b.retain_rows(|_| Ok::<bool, ()>(true)).unwrap();
         assert_eq!(b.len(), 2);
         assert_eq!(b.take_rows(), vec![Vec::new(), Vec::new()]);
+    }
+
+    #[test]
+    fn project_moves_and_repeats_columns() {
+        let mut b = RowBatch::default();
+        b.push_row(&[tuple(1), tuple(2), tuple(3)]);
+        b.push_row(&[tuple(4), tuple(5), tuple(6)]);
+        b.push_row(&[tuple(7), tuple(8), tuple(9)]);
+        let mut p = b.project(&[2, 0, 2], |row| row[1].in_ != 5);
+        assert_eq!(p.width(), 3);
+        assert_eq!(
+            p.take_rows(),
+            vec![
+                vec![tuple(3), tuple(1), tuple(3)],
+                vec![tuple(9), tuple(7), tuple(9)]
+            ]
+        );
     }
 
     #[test]

@@ -55,10 +55,15 @@ impl Operator for FilterOp {
 /// only sound when the input is sorted hierarchically w.r.t. the projected
 /// columns (equal projections adjacent), which the planner guarantees by
 /// choosing a projection-compatible join order — or by sorting first.
+///
+/// Tuples move from the input batch into the output; an identity
+/// projection without dedup passes the input batch through.
 pub struct ProjectOp {
     input: Box<dyn Operator>,
     cols: Vec<usize>,
     dedup: bool,
+    /// `cols` is `0, 1, …`: on an input of that width, the identity.
+    prefix: bool,
     /// The last row emitted; carries the dedup across batch seams.
     last: LastKey,
 }
@@ -68,6 +73,7 @@ impl ProjectOp {
     pub fn new(input: Box<dyn Operator>, cols: Vec<usize>, dedup: bool) -> ProjectOp {
         ProjectOp {
             input,
+            prefix: cols.iter().enumerate().all(|(i, &c)| i == c),
             cols,
             dedup,
             last: LastKey::default(),
@@ -84,17 +90,14 @@ impl Operator for ProjectOp {
     fn next_batch(&mut self, ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
         loop {
             let input = self.input.next_batch(ctx, max_rows)?;
-            if input.is_empty() {
+            if input.is_empty() || (!self.dedup && self.prefix && input.width() == self.cols.len())
+            {
                 return Ok(input);
             }
-            let mut out = RowBatch::with_capacity(self.cols.len(), input.len());
-            for row in input.iter() {
-                let key = self.cols.iter().map(|&c| row[c].in_);
-                if self.dedup && !self.last.changes_to(key) {
-                    continue;
-                }
-                out.push_row_iter(self.cols.iter().map(|&c| row[c].clone()));
-            }
+            let (cols, last) = (&self.cols, &mut self.last);
+            let out = input.project(cols, |row| {
+                !self.dedup || last.changes_to(cols.iter().map(|&c| row[c].in_))
+            });
             if !out.is_empty() {
                 return Ok(out);
             }
@@ -158,13 +161,17 @@ impl Operator for LimitOp {
 }
 
 /// Emits a fixed set of rows: the nullary "true" relation
-/// ([`RowsOp::singleton`]), and fixed inputs for tests.
+/// ([`RowsOp::singleton`], the plan's `singleton` node), and fixed inputs
+/// for tests.
 pub struct RowsOp {
     rows: Vec<Row>,
     pos: usize,
 }
 
 impl RowsOp {
+    /// The operator's name, in EXPLAIN and EXPLAIN ANALYZE alike.
+    pub const NAME: &'static str = "singleton";
+
     /// Wraps a fixed row set.
     pub fn new(rows: Vec<Row>) -> RowsOp {
         RowsOp { rows, pos: 0 }
@@ -194,7 +201,7 @@ impl Operator for RowsOp {
     fn close(&mut self) {}
 
     fn name(&self) -> &'static str {
-        "rows"
+        Self::NAME
     }
 }
 

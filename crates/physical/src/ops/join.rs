@@ -41,17 +41,16 @@ impl<R> JoinInner<R> {
         !matches!(self, JoinInner::Scan { block_rows, .. } if *block_rows > 1)
     }
 
-    /// The EXPLAIN name of the join these parameters give.
+    /// The EXPLAIN name of the join these parameters give. A left-outer
+    /// scan join pairs one left row at a time whatever its `block_rows`
+    /// (see [`JoinOp::new`]), so no left-outer join is blocked.
     pub fn name(&self, outer: bool) -> &'static str {
-        let [inner, left_outer] = match self {
-            JoinInner::Probe(_) => ["inl-join", "left-outer-inl-join"],
-            _ if self.is_order_preserving() => ["nl-join", "left-outer-nl-join"],
-            _ => ["bnl-join", "left-outer-bnl-join"],
-        };
-        if outer {
-            left_outer
-        } else {
-            inner
+        match (self, outer) {
+            (JoinInner::Probe(_), false) => "inl-join",
+            (JoinInner::Probe(_), true) => "left-outer-inl-join",
+            (JoinInner::Scan { .. }, true) => "left-outer-nl-join",
+            _ if self.is_order_preserving() => "nl-join",
+            _ => "bnl-join",
         }
     }
 }
@@ -124,7 +123,9 @@ enum Phase {
 }
 
 impl JoinOp {
-    /// Joins `left` with `inner` under `preds`; left-outer if `outer`.
+    /// Joins `left` with `inner` under `preds`; left-outer if `outer`. A
+    /// left-outer join over a scan inner takes one left row per block:
+    /// its groups of output rows per left row must stay in left order.
     pub fn new(
         left: Box<dyn Operator>,
         inner: JoinInner<Box<dyn Operator>>,
@@ -138,7 +139,7 @@ impl JoinOp {
                 JoinInner::Probe(probe) => Inner::Probe(BatchProbe::new(probe)),
                 JoinInner::Scan { right, block_rows } => Inner::Scan {
                     right,
-                    block_rows: block_rows.max(1),
+                    block_rows: if outer { 1 } else { block_rows.max(1) },
                 },
             },
             outer,
@@ -451,11 +452,13 @@ mod tests {
         assert_eq!(scan(1).name(false), "nl-join");
         assert_eq!(scan(1).name(true), "left-outer-nl-join");
         assert_eq!(scan(64).name(false), "bnl-join");
-        // No planner blocks a left-outer join; the operator's parameters
-        // are orthogonal all the same (tests/batch_invariance.rs runs it).
-        assert_eq!(scan(64).name(true), "left-outer-bnl-join");
+        // A left-outer join is never blocked: asked for blocks, the
+        // operator still pairs one left row at a time.
+        assert_eq!(scan(64).name(true), "left-outer-nl-join");
         let op = scan_join(by_label("a"), by_label("b"), 1, true, vec![]);
         assert_eq!(op.name(), "left-outer-nl-join");
+        let op = scan_join(by_label("a"), by_label("b"), 64, true, vec![]);
+        assert!(matches!(op.inner, Inner::Scan { block_rows: 1, .. }));
     }
 
     /// Example 2 as a join: journals × names with descendant predicate.
@@ -632,6 +635,35 @@ mod tests {
         );
         let rows = execute_all(&mut join, &ctx).unwrap();
         assert_eq!(pairs(&rows), vec![(3, 4), (3, 8)]);
+        assert_eq!(gov.mem_used(), 0);
+    }
+
+    #[test]
+    fn value_runs_degrade_to_row_probes_under_budget() {
+        let (_e, store) = fixture();
+        let binds = Bindings::with_root(&store).unwrap();
+        // Every text node joined with the texts equal to it: three left
+        // rows make the join try value runs; a budget too small for one
+        // run makes it probe each row instead.
+        let texts = || {
+            let text = PhysPred {
+                op: CmpOp::Eq,
+                lhs: PhysOperand::Col {
+                    pos: 0,
+                    attr: Attr::Type,
+                },
+                rhs: PhysOperand::Kind(xmldb_xasr::NodeType::Text),
+                strict_text: false,
+            };
+            Box::new(ScanOp::new(Probe::Full, vec![text])) as Box<dyn Operator>
+        };
+        let join = || probe_join(texts(), Probe::TextEqOf(Src::Col(0)), false, vec![]);
+        let ctx = ExecContext::new(&store, &binds);
+        let runs = execute_all(&mut join(), &ctx).unwrap();
+        assert_eq!(pairs(&runs), vec![(5, 5), (9, 9), (14, 14)]);
+        let gov = Governor::with_limits(None, Some(8));
+        let ctx = ExecContext::with_governor(&store, &binds, gov.clone());
+        assert_eq!(execute_all(&mut join(), &ctx).unwrap(), runs);
         assert_eq!(gov.mem_used(), 0);
     }
 

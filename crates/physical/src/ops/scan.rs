@@ -3,13 +3,14 @@
 use crate::exec::{ExecContext, Operator};
 use crate::pred::{eval_all, PhysPred};
 use crate::{Error, Result};
-use xmldb_storage::{Governor, MemReservation};
+use std::collections::BTreeMap;
+use std::ops::Range;
+use xmldb_storage::{Governor, MemReservation, Seeker};
 use xmldb_xasr::NodeTuple;
 use xmldb_xq::Var;
 
-/// Most entries read per parent/text-index round-trip (block-based
-/// reading: about one leaf page's worth).
-const FETCH: usize = 128;
+/// Most entries a batch prefetch reads between cancellation checks.
+const CHUNK: usize = 4096;
 
 /// Where a probe gets its context node from.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,16 +22,18 @@ pub enum Src {
 }
 
 impl Src {
-    fn resolve(&self, left: Option<&[NodeTuple]>, ctx: &ExecContext<'_>) -> Result<NodeTuple> {
+    fn resolve<'a>(
+        &self,
+        left: Option<&'a [NodeTuple]>,
+        ctx: &'a ExecContext<'_>,
+    ) -> Result<&'a NodeTuple> {
         match self {
             Src::Col(pos) => left
                 .and_then(|row| row.get(*pos))
-                .cloned()
                 .ok_or_else(|| Error::Xasr(format!("probe source column {pos} out of range"))),
             Src::Ext(var) => ctx
                 .bindings
                 .get(var)
-                .cloned()
                 .ok_or_else(|| Error::UnboundVariable(var.to_string())),
         }
     }
@@ -90,13 +93,6 @@ pub(crate) struct ProbeCursor {
     /// Resume point: `in` of the last index entry read.
     resume: Option<u64>,
     done: bool,
-    /// Tuples read ahead of the caller, last first.
-    ahead: Vec<NodeTuple>,
-    /// Least number of entries the next index read asks for, doubling per
-    /// read up to [`FETCH`]: a caller pulling a row at a time (an exists
-    /// check under `limit 1`) reads one tuple if the first answers it, and
-    /// pays a B+-tree descent per doubling, not per row, if it looks on.
-    ramp: usize,
 }
 
 enum Resolved {
@@ -148,13 +144,18 @@ impl ProbeCursor {
                 let t = s.resolve(left, ctx)?;
                 range(Some(l), Some(t.in_), Some(t.out))
             }
-            Probe::Bound(s) => Resolved::Bound(Some(s.resolve(left, ctx)?)),
+            Probe::Bound(s) => Resolved::Bound(Some(s.resolve(left, ctx)?.clone())),
             Probe::ByTextEq(t) => Resolved::TextEq { text: t.clone() },
             Probe::TextEqOf(s) => {
                 let t = s.resolve(left, ctx)?;
-                match (t.kind, t.value) {
-                    (xmldb_xasr::NodeType::Text, Some(text)) => Resolved::TextEq { text },
-                    (kind, value) => return Err(Error::NonTextComparison { kind, value }),
+                match (t.kind, &t.value) {
+                    (xmldb_xasr::NodeType::Text, Some(text)) => {
+                        Resolved::TextEq { text: text.clone() }
+                    }
+                    (kind, value) => {
+                        let value = value.clone();
+                        return Err(Error::NonTextComparison { kind, value });
+                    }
                 }
             }
         };
@@ -162,111 +163,129 @@ impl ProbeCursor {
             resolved,
             resume: None,
             done: false,
-            ahead: Vec::new(),
-            ramp: 1,
         })
     }
 
-    /// Appends up to `max` further tuples to `out`, in document order;
-    /// returns how many (0 = the probe is exhausted).
+    /// Appends up to `max` further tuples to `out`, in document order,
+    /// reading the index through `seeker`; returns how many (0 = the probe
+    /// is exhausted). Every read asks for what the caller still wants: an
+    /// exists check under `limit 1` reads one tuple, and a caller that
+    /// looks on pays a leaf-local seek per read, not a descent.
     pub(crate) fn fill(
         &mut self,
         ctx: &ExecContext<'_>,
+        seeker: &mut Seeker,
         out: &mut Vec<NodeTuple>,
         max: usize,
     ) -> Result<usize> {
         let before = out.len();
-        loop {
-            while out.len() - before < max {
-                let Some(t) = self.ahead.pop() else { break };
-                out.push(t);
-            }
-            let want = max - (out.len() - before);
-            if want == 0 || self.done {
-                return Ok(out.len() - before);
-            }
-            if want >= self.ramp {
-                self.read(ctx, out, want)?;
-            } else {
-                let mut ahead = std::mem::take(&mut self.ahead);
-                self.read(ctx, &mut ahead, self.ramp)?;
-                ahead.reverse();
-                self.ahead = ahead;
-            }
-            self.ramp = (self.ramp * 2).min(FETCH);
+        while !self.done && out.len() - before < max {
+            self.read(ctx, seeker, out, max - (out.len() - before))?;
         }
+        Ok(out.len() - before)
     }
 
-    /// One index read: appends at most `want` tuples to `out`. Contiguous
-    /// ranges (full/label and interval scans) fill straight from the leaf
-    /// pages via the zero-copy visitor; children and text probes read the
-    /// parent/text index at most [`FETCH`] entries at a time.
-    fn read(&mut self, ctx: &ExecContext<'_>, out: &mut Vec<NodeTuple>, want: usize) -> Result<()> {
-        // Every read asks for `asked` index entries at most; getting fewer
-        // means the index range is exhausted.
-        let asked = want.min(FETCH);
-        let (fetched, label) = match &mut self.resolved {
+    /// One index read: appends at most `want` tuples to `out`, straight
+    /// from the leaf pages.
+    fn read(
+        &mut self,
+        ctx: &ExecContext<'_>,
+        seeker: &mut Seeker,
+        out: &mut Vec<NodeTuple>,
+        want: usize,
+    ) -> Result<()> {
+        let (store, before, resume) = (ctx.store, out.len(), self.resume);
+        let (read, label) = match &mut self.resolved {
             Resolved::Range { label, lo, hi } => {
-                let lower = self.resume.max(*lo);
+                let lower = resume.max(*lo);
                 let read = match label {
-                    Some(l) => ctx.store.label_range_into(l, lower, *hi, want, out)?,
-                    None => ctx.store.clustered_range_into(lower, *hi, want, out)?,
+                    Some(l) => store.label_range_into(l, lower, *hi, want, seeker, out)?,
+                    None => store.clustered_range_into(lower, *hi, want, seeker, out)?,
                 };
-                if read > 0 {
-                    self.resume = out.last().map(|t| t.in_);
-                }
-                self.done = read < want;
-                return Ok(());
+                (read, None)
             }
-            Resolved::Children { parent_in, label } => {
-                let raw = ctx.store.parent_batch(*parent_in, self.resume, asked)?;
-                (raw, label.as_deref())
+            Resolved::Children { parent_in, label } => (
+                store.parent_batch(*parent_in, resume, want, seeker, out)?,
+                label.as_deref(),
+            ),
+            Resolved::TextEq { text } => (store.text_batch(text, resume, want, seeker, out)?, None),
+            Resolved::Bound(slot) => {
+                out.extend(slot.take());
+                (out.len() - before, None)
             }
-            Resolved::TextEq { text } => (ctx.store.text_batch(text, self.resume, asked)?, None),
-            Resolved::Bound(slot) => (Vec::from_iter(slot.take()), None),
         };
+        // Getting fewer entries than asked means the range is exhausted.
         // Resume after the last entry *read*, so tuples the label test
         // drops are not refetched forever.
-        if let Some(t) = fetched.last() {
-            self.resume = Some(t.in_);
+        self.done = read < want;
+        if read > 0 {
+            self.resume = Some(out[out.len() - 1].in_);
         }
-        self.done = fetched.len() < asked;
-        let kept = |t: &NodeTuple| label.map_or(true, |l| t.label() == Some(l));
-        out.extend(fetched.into_iter().filter(kept));
+        if let Some(l) = label {
+            let mut kept = before;
+            for i in before..out.len() {
+                if out[i].label() == Some(l) {
+                    out.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            out.truncate(kept);
+        }
         Ok(())
     }
 }
 
 /// Runs a probe once per row of a left batch — the inner side of a probe
 /// join — by one of two routes. The general one is a [`ProbeCursor`] per
-/// row. Label probes on a left column can instead be *merge-probed*: fetch
-/// the label's index run once over the whole batch's document window, then
-/// answer each row with a binary search into the fetched run, saving a
-/// B+-tree descent per row. The per-row semantics are exact: matches are
-/// the label tuples with `row.in < t.in < row.out` (descendant probes),
-/// restricted to `t.parent_in == row.in` for children probes — the same
-/// sets the per-row cursors produce (the label index holds only elements),
-/// in the same document order. An `Ext` source is constant per execution,
-/// where the per-row cursor is already a single range scan.
+/// row. Probes on a left column can instead share index reads across the
+/// batch: [`BatchProbe::load`] prefetches them, in one of two kinds, and
+/// hands each row its run of the prefetched tuples.
+///
+/// * *Label window* (merge probing): the label's index run over the whole
+///   batch's document window. A row's run is the label tuples with
+///   `row.in < t.in < row.out` (descendant probes), restricted to
+///   `t.parent_in == row.in` for children probes — the sets the per-row
+///   cursors produce (the label index holds only elements), in the same
+///   document order.
+/// * *Value runs*: for a text-equality probe, the matches of each distinct
+///   text value of the batch, read once. A row whose source is not a text
+///   node gets no run, so its cursor raises the non-text error at that
+///   row, as before.
+///
+/// Either saves a B+-tree descent per row. An `Ext` source is constant
+/// per execution, where the per-row cursor is already a single range scan.
+/// All reads go through one seeker: left rows come in document order, so
+/// per-row children and interval probes, and value runs read in value
+/// order, are leaf-local seeks.
 pub(crate) struct BatchProbe {
     probe: Probe,
-    /// `(label, left column, children only)` when the probe can be
-    /// merge-probed.
-    mergeable: Option<(String, usize, bool)>,
-    /// The label's tuples over the current batch's window, in document
-    /// order, when that batch is merge-probed.
-    window: Option<Vec<NodeTuple>>,
-    /// Accounts `window` against the governor's memory budget.
+    seeker: Seeker,
+    /// The left column the probe reads, and how its batches prefetch.
+    prefetch: Option<(usize, Prefetch)>,
+    /// The current batch's prefetched tuples.
+    fetched: Vec<NodeTuple>,
+    /// Per row of the current batch, its run of `fetched`; `None`, or no
+    /// entry at all, probes the row alone.
+    runs: Vec<Option<Range<usize>>>,
+    /// Accounts `fetched` against the governor's memory budget.
     reservation: MemReservation,
-    /// Where the row in progress reads from; `None` between rows.
+    /// The row in progress: its index in the batch, and where it reads
+    /// from (`None` until its first `fill`).
+    row: usize,
     current: Option<Candidates>,
+}
+
+/// The kinds of batch prefetch.
+enum Prefetch {
+    Label { label: String, children_only: bool },
+    Values,
 }
 
 enum Candidates {
     /// A running index probe for this row alone.
     Cursor(ProbeCursor),
-    /// The row's run of the merge window: the index of its next tuple.
-    Window(usize),
+    /// The row's run of the prefetched tuples still to read.
+    Run(Range<usize>),
 }
 
 /// Estimated heap footprint of buffered tuples (structs plus text values).
@@ -279,78 +298,110 @@ pub(crate) fn tuple_bytes(tuples: &[NodeTuple]) -> usize {
 
 impl BatchProbe {
     pub(crate) fn new(probe: Probe) -> BatchProbe {
-        let mergeable = match &probe {
-            Probe::LabelChildrenOf(l, Src::Col(pos)) => Some((l.clone(), *pos, true)),
-            Probe::LabelDescendantsOf(l, Src::Col(pos)) => Some((l.clone(), *pos, false)),
+        let label = |l: &String, children_only| Prefetch::Label {
+            label: l.clone(),
+            children_only,
+        };
+        let prefetch = match &probe {
+            Probe::LabelChildrenOf(l, Src::Col(pos)) => Some((*pos, label(l, true))),
+            Probe::LabelDescendantsOf(l, Src::Col(pos)) => Some((*pos, label(l, false))),
+            Probe::TextEqOf(Src::Col(pos)) => Some((*pos, Prefetch::Values)),
             _ => None,
         };
         BatchProbe {
             probe,
-            mergeable,
-            window: None,
+            seeker: Seeker::default(),
+            prefetch,
+            fetched: Vec::new(),
+            runs: Vec::new(),
             reservation: MemReservation::default(),
+            row: 0,
             current: None,
         }
     }
 
-    /// Forgets the batch and row in progress; later windows are accounted
-    /// against `governor`.
+    /// Forgets the batch and row in progress; later prefetches are
+    /// accounted against `governor`.
     pub(crate) fn reset(&mut self, governor: &Governor) {
-        self.window = None;
-        self.current = None;
+        (self.seeker, self.row, self.current) = (Seeker::default(), 0, None);
+        (self.fetched, self.runs) = (Vec::new(), Vec::new());
         self.reservation = MemReservation::empty(governor);
     }
 
-    /// Prepares for the rows of a new left batch: fetches the merge window
-    /// covering them, in chunks, so cancellation stays responsive. A single
-    /// row (an exists check under `limit 1`) gets no window: its cursor
-    /// reads just the matches asked for. A window the memory budget refuses
-    /// is dropped and the batch probed per row — the window only saves
-    /// descents, so budget pressure degrades it rather than failing the
-    /// query.
+    /// Prepares for the rows of a new left batch: prefetches what its rows
+    /// share, in chunks, so cancellation stays responsive. A single row
+    /// (an exists check under `limit 1`) gets no prefetch: its cursor
+    /// reads just the matches asked for. A prefetch the memory budget
+    /// refuses is dropped and the batch probed per row — prefetching only
+    /// saves descents, so budget pressure degrades it rather than failing
+    /// the query.
     pub(crate) fn load(&mut self, ctx: &ExecContext<'_>, batch: &crate::RowBatch) -> Result<()> {
-        const CHUNK: usize = 4096;
-        self.window = None;
-        self.current = None;
-        self.reservation.release_all();
-        if batch.len() < 2 {
-            return Ok(());
-        }
-        let Some((label, pos, _)) = &self.mergeable else {
+        let BatchProbe {
+            seeker,
+            prefetch,
+            fetched,
+            runs,
+            reservation,
+            ..
+        } = self;
+        (self.row, self.current) = (0, None);
+        fetched.clear();
+        runs.clear();
+        reservation.release_all();
+        let Some((pos, prefetch)) = prefetch.as_ref().filter(|_| batch.len() > 1) else {
             return Ok(());
         };
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for row in batch.iter() {
-            let t = row
-                .get(*pos)
-                .ok_or_else(|| Error::Xasr(format!("probe source column {pos} out of range")))?;
-            // NULL left tuples (left-outer padding) have the empty window
-            // (0, 0) and never match; keep them out of the fetch window.
-            if !t.is_null() {
-                lo = lo.min(t.in_);
-                hi = hi.max(t.out);
+        let sources = batch.iter().map(|row| {
+            row.get(*pos)
+                .ok_or_else(|| Error::Xasr(format!("probe source column {pos} out of range")))
+        });
+        let sources: Vec<&NodeTuple> = sources.collect::<Result<_>>()?;
+        let fits = match prefetch {
+            Prefetch::Label { label, .. } => {
+                // NULL left tuples (left-outer padding) have the empty
+                // window (0, 0) and never match; keep them out of the
+                // fetch window.
+                let live = sources.iter().filter(|t| !t.is_null());
+                let lo = live.clone().map(|t| t.in_).min().unwrap_or(0);
+                let hi = live.map(|t| t.out).max().unwrap_or(0);
+                let fits = read_chunks(ctx, reservation, fetched, lo < hi, |out, from| {
+                    let from = from.unwrap_or(lo);
+                    ctx.store
+                        .label_range_into(label, Some(from), Some(hi), CHUNK, seeker, out)
+                })?;
+                runs.extend(sources.iter().map(|t| {
+                    let start = fetched.partition_point(|w| w.in_ <= t.in_);
+                    Some(start..fetched.partition_point(|w| w.in_ < t.out).max(start))
+                }));
+                fits
             }
+            Prefetch::Values => {
+                // Distinct values in index order: the seeks stay leaf-local.
+                let mut values: BTreeMap<&str, Range<usize>> = sources
+                    .iter()
+                    .filter_map(|t| Some((t.text()?, 0..0)))
+                    .collect();
+                let mut fits = true;
+                for (text, run) in values.iter_mut() {
+                    let start = fetched.len();
+                    fits = reservation.grow(text.len())
+                        && read_chunks(ctx, reservation, fetched, true, |out, from| {
+                            ctx.store.text_batch(text, from, CHUNK, seeker, out)
+                        })?;
+                    if !fits {
+                        break;
+                    }
+                    *run = start..fetched.len();
+                }
+                runs.extend(sources.iter().map(|t| Some(values.get(t.text()?)?.clone())));
+                fits
+            }
+        };
+        if !fits {
+            fetched.clear();
+            runs.clear();
+            reservation.release_all();
         }
-        let mut window = Vec::new();
-        let mut resume = lo;
-        while resume < hi {
-            ctx.governor.check()?;
-            let read =
-                ctx.store
-                    .label_range_into(label, Some(resume), Some(hi), CHUNK, &mut window)?;
-            if !self
-                .reservation
-                .grow(tuple_bytes(&window[window.len() - read..]))
-            {
-                self.reservation.release_all();
-                return Ok(());
-            }
-            if read < CHUNK {
-                break;
-            }
-            resume = window.last().expect("read > 0").in_;
-        }
-        self.window = Some(window);
         Ok(())
     }
 
@@ -366,46 +417,72 @@ impl BatchProbe {
     ) -> Result<usize> {
         let BatchProbe {
             probe,
-            mergeable,
-            window,
+            seeker,
+            prefetch,
+            fetched,
+            runs,
             current,
             ..
         } = self;
-        let merge = window.as_ref().zip(mergeable.as_ref());
         let current = match current {
             Some(current) => current,
-            empty => empty.insert(match merge {
-                Some((window, (_, pos, _))) => {
-                    Candidates::Window(window.partition_point(|t| t.in_ <= row[*pos].in_))
-                }
+            empty => empty.insert(match runs.get(self.row).cloned().flatten() {
+                Some(run) => Candidates::Run(run),
                 None => Candidates::Cursor(ProbeCursor::start(probe, Some(row), ctx)?),
             }),
         };
-        let (cur, window, pos, children_only) = match (current, merge) {
-            (Candidates::Cursor(cursor), _) => return cursor.fill(ctx, out, max),
-            (Candidates::Window(cur), Some((window, (_, pos, children_only)))) => {
-                (cur, window, *pos, *children_only)
-            }
-            (Candidates::Window(_), None) => unreachable!("the window outlives its batch's rows"),
+        let run = match current {
+            Candidates::Cursor(cursor) => return cursor.fill(ctx, seeker, out, max),
+            Candidates::Run(run) => run,
         };
-        let (lo, hi) = (row[pos].in_, row[pos].out);
+        let parent = match prefetch {
+            Some((pos, Prefetch::Label { children_only, .. })) if *children_only => {
+                Some(row[*pos].in_)
+            }
+            _ => None,
+        };
         let before = out.len();
         while out.len() - before < max {
-            let Some(t) = window.get(*cur).filter(|t| t.in_ < hi) else {
+            let Some(t) = run.next().map(|i| &fetched[i]) else {
                 break;
             };
-            *cur += 1;
-            if !children_only || t.parent_in == lo {
+            if parent.map_or(true, |p| t.parent_in == p) {
                 out.push(t.clone());
             }
         }
         Ok(out.len() - before)
     }
 
-    /// Ends the row in progress: the next `fill` starts a new row's probe.
+    /// Ends the row in progress: the next `fill` starts the next row's
+    /// probe.
     pub(crate) fn next_row(&mut self) {
+        self.row += 1;
         self.current = None;
     }
+}
+
+/// Appends one index run to `out`, [`CHUNK`] entries per `read` call
+/// (which appends what it reads after `in` of the last tuple read, and
+/// says how many), accounted against `reservation`; false when the budget
+/// refuses a chunk.
+fn read_chunks(
+    ctx: &ExecContext<'_>,
+    reservation: &mut MemReservation,
+    out: &mut Vec<NodeTuple>,
+    mut more: bool,
+    mut read: impl FnMut(&mut Vec<NodeTuple>, Option<u64>) -> xmldb_xasr::Result<usize>,
+) -> Result<bool> {
+    let run_start = out.len();
+    while more {
+        ctx.governor.check()?;
+        let before = out.len();
+        let resume = (before > run_start).then(|| out[before - 1].in_);
+        more = read(out, resume)? == CHUNK;
+        if !reservation.grow(tuple_bytes(&out[before..])) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// Leaf scan: a probe plus pushed-down selection conjuncts, producing
@@ -414,6 +491,7 @@ pub struct ScanOp {
     probe: Probe,
     filter: Vec<PhysPred>,
     cursor: Option<ProbeCursor>,
+    seeker: Seeker,
 }
 
 impl ScanOp {
@@ -423,6 +501,7 @@ impl ScanOp {
             probe,
             filter,
             cursor: None,
+            seeker: Seeker::default(),
         }
     }
 }
@@ -430,6 +509,7 @@ impl ScanOp {
 impl Operator for ScanOp {
     fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.cursor = Some(ProbeCursor::start(&self.probe, None, ctx)?);
+        self.seeker = Seeker::default();
         Ok(())
     }
 
@@ -450,7 +530,7 @@ impl Operator for ScanOp {
         let mut tuples: Vec<NodeTuple> = Vec::new();
         while tuples.len() < max_rows {
             let start = tuples.len();
-            if cursor.fill(ctx, &mut tuples, max_rows - start)? == 0 {
+            if cursor.fill(ctx, &mut self.seeker, &mut tuples, max_rows - start)? == 0 {
                 break;
             }
             if !self.filter.is_empty() {

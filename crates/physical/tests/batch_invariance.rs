@@ -6,8 +6,8 @@
 //!
 //! At `max_rows = 1` every probe join answers each left row with its own
 //! index probe; at 1024 the label probes merge-probe a window over the
-//! whole left batch — so the sweep also pins those two candidate sources
-//! to each other.
+//! whole left batch and text-equality probes read each distinct value
+//! once — so the sweep also pins those candidate sources to each other.
 
 use xmldb_algebra::{Attr, CmpOp};
 use xmldb_physical::ops::{
@@ -367,6 +367,90 @@ fn probe_joins() {
         probe_join(by_label("name"), Probe::Bound(Src::Col(0)), false, vec![])
     });
     assert_eq!(pinned.len(), names);
+}
+
+/// The `(name, text)` rows of every name, in document order.
+fn name_texts() -> Box<dyn Operator> {
+    probe_join(
+        by_label("name"),
+        Probe::ChildrenOf(Src::Col(0)),
+        false,
+        vec![],
+    )
+}
+
+/// Text-equality probes on a left column read each distinct value of a
+/// batch once (value runs): the rows match per-row probes and a
+/// nested-loops join at every batch size, and under a budget that refuses
+/// the runs.
+#[test]
+fn value_runs_match_row_probes() {
+    let (_env, store) = fixture();
+    let binds = Bindings::with_root(&store).unwrap();
+    let ctx = ExecContext::new(&store, &binds);
+    let probed = || probe_join(name_texts(), Probe::TextEqOf(Src::Col(1)), false, vec![]);
+    let runs = invariant("text-eq runs", &ctx, &probed);
+    let nested = invariant("text = text", &ctx, &|| {
+        let same_text = vec![
+            is_kind(2, NodeType::Text),
+            pred(CmpOp::Eq, col(1, Attr::Value), col(2, Attr::Value)),
+        ];
+        scan_join(name_texts(), scan(Probe::Full), 1, false, same_text)
+    });
+    assert_eq!(runs, nested);
+    // Four distinct texts over 31 names: every row matches 7 or 8 texts.
+    assert!(runs.len() > 7 * 31, "{} rows", runs.len());
+    let tight = ExecContext::with_governor(&store, &binds, Governor::with_limits(None, Some(8)));
+    assert_eq!(invariant("text-eq per row", &tight, &probed), runs);
+}
+
+/// A left batch mixing text and element rows raises the non-text error at
+/// the first element row, at every batch size: the value runs skip the
+/// element rows, whose own probes raise it when the join reaches them.
+#[test]
+fn value_runs_raise_non_text_at_the_same_row() {
+    let (_env, store) = fixture();
+    let binds = Bindings::with_root(&store).unwrap();
+    let ctx = ExecContext::new(&store, &binds);
+    let texts: Vec<NodeTuple> = store.by_text("n1").map(Result::unwrap).collect();
+    let journal = store.by_label("journal").next().unwrap().unwrap();
+    let title = store.by_label("title").next().unwrap().unwrap();
+    let left: Vec<Row> = [&texts[0], &texts[1], &journal, &texts[2], &title]
+        .into_iter()
+        .map(|t| vec![t.clone()])
+        .collect();
+    for max_rows in SIZES {
+        let mut join = probe_join(
+            Box::new(RowsOp::new(left.clone())),
+            Probe::TextEqOf(Src::Col(0)),
+            false,
+            vec![],
+        );
+        join.open(&ctx).unwrap();
+        let mut emitted = 0;
+        let err = loop {
+            match join.next_batch(&ctx, max_rows) {
+                Ok(batch) => {
+                    assert!(!batch.is_empty(), "the error must come");
+                    emitted += batch.len();
+                }
+                Err(e) => break e,
+            }
+        };
+        join.close();
+        assert!(
+            matches!(
+                &err,
+                xmldb_physical::Error::NonTextComparison { value: Some(v), .. } if v == "journal"
+            ),
+            "max_rows {max_rows}: {err}"
+        );
+        // Rows before the journal produced their matches, and no more.
+        assert!(emitted <= 2 * texts.len(), "max_rows {max_rows}");
+        if max_rows == 1 {
+            assert_eq!(emitted, 2 * texts.len());
+        }
+    }
 }
 
 /// The padded row of a match-less left row can be the row that fills a

@@ -19,6 +19,9 @@
 //!   rather than pinning frames across `next()` calls — engine iterators
 //!   nest as deep as the document, and pins held that long could exhaust
 //!   the small pools the efficiency tests run under.
+//! * Visitor scans are [`Seeker`] scans: zero-copy over the pinned leaves,
+//!   and a seeker remembers its last leaf, so scans in key order seek
+//!   leaf-locally.
 //! * Keys must compare lexicographically ([`crate::codec`] provides
 //!   order-preserving encodings). Keys are unique; inserting an existing
 //!   key replaces its value.
@@ -504,7 +507,7 @@ impl BTree {
     /// ascending order, without materializing rows: `visit` receives
     /// slices borrowed straight from the pinned page (only overflow
     /// values are assembled into a scratch buffer first). Scanning stops
-    /// early when `visit` returns `false`.
+    /// early when `visit` returns `false`. A one-shot [`Seeker`].
     ///
     /// This is the fast path the slotted layout exists for — a full scan
     /// allocates nothing per row. `visit` runs while the leaf's frame is
@@ -514,69 +517,9 @@ impl BTree {
         &self,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
-        mut visit: impl FnMut(&[u8], &[u8]) -> bool,
+        visit: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<()> {
-        let mut leaf = match lower {
-            Bound::Unbounded => self.leftmost_leaf()?,
-            Bound::Included(k) | Bound::Excluded(k) => self.leaf_for(k)?,
-        };
-        let stats = self.env.counters();
-        let mut first = true;
-        loop {
-            let next = self
-                .env
-                .with_page(self.file, leaf, |data| -> Result<u64> {
-                    stats.note_node_view();
-                    let NodeView::Leaf(view) = NodeView::parse(data)? else {
-                        return Err(StorageError::corrupt("expected leaf page in scan"));
-                    };
-                    let start = if first {
-                        match lower {
-                            Bound::Unbounded => 0,
-                            Bound::Included(k) => {
-                                stats.note_in_place_search();
-                                view.search(k).unwrap_or_else(|i| i)
-                            }
-                            Bound::Excluded(k) => {
-                                stats.note_in_place_search();
-                                match view.search(k) {
-                                    Ok(i) => i + 1,
-                                    Err(i) => i,
-                                }
-                            }
-                        }
-                    } else {
-                        0
-                    };
-                    for i in start..view.nkeys() {
-                        let (key, val) = view.cell(i);
-                        let in_range = match upper {
-                            Bound::Unbounded => true,
-                            Bound::Included(u) => key <= u,
-                            Bound::Excluded(u) => key < u,
-                        };
-                        if !in_range {
-                            return Ok(NO_SIBLING);
-                        }
-                        let keep = match val {
-                            ValueRef::Inline(v) => visit(key, v),
-                            ValueRef::Overflow { page, len } => {
-                                let owned = self.load_value(LeafVal::Overflow { page, len })?;
-                                visit(key, &owned)
-                            }
-                        };
-                        if !keep {
-                            return Ok(NO_SIBLING);
-                        }
-                    }
-                    Ok(view.next_leaf())
-                })??;
-            if next == NO_SIBLING {
-                return Ok(());
-            }
-            first = false;
-            leaf = PageId(next);
-        }
+        Seeker::default().scan_range(self, lower, upper, visit)
     }
 
     /// Visits every entry in key order without materializing rows; see
@@ -595,6 +538,15 @@ impl BTree {
         match prefix_successor(prefix) {
             Some(succ) => self.scan_range(Bound::Included(prefix), Bound::Excluded(&succ), visit),
             None => self.scan_range(Bound::Included(prefix), Bound::Unbounded, visit),
+        }
+    }
+
+    /// Leaf page where a scan from `lower` starts, found by zero-copy
+    /// descent.
+    fn leaf_at(&self, lower: Bound<&[u8]>) -> Result<PageId> {
+        match lower {
+            Bound::Unbounded => self.leftmost_leaf(),
+            Bound::Included(k) | Bound::Excluded(k) => self.leaf_for(k),
         }
     }
 
@@ -820,6 +772,141 @@ fn clone_bound(b: Bound<&[u8]>) -> Bound<Vec<u8>> {
         Bound::Included(k) => Bound::Included(k.to_vec()),
         Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
         Bound::Unbounded => Bound::Unbounded,
+    }
+}
+
+// --- seeker --------------------------------------------------------------------
+
+/// A forward scan position over a [`BTree`]: each [`Seeker::scan_range`]
+/// is a zero-copy visitor scan, and the seeker remembers the file and page
+/// id of the last leaf it read. The next scan of the same tree re-pins
+/// that leaf and starts there when the leaf still covers its lower bound —
+/// holds a key at or below it and one at or above it — or when the bound
+/// lies past the leaf's keys and the right sibling covers it; otherwise it
+/// descends from the root. Scans in ascending key order (query results in
+/// document order) thus cost a leaf-local seek each, not a descent.
+///
+/// No pin is held between scans. The check reads the leaf as it is now,
+/// so a leaf that split or emptied since is used only where it still
+/// covers the bound. The page id is trusted the way a scan trusts a
+/// sibling id it read a leaf earlier, so a seeker is kept no longer than
+/// one query execution.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Seeker {
+    leaf: Option<(FileId, PageId)>,
+}
+
+/// How a scan came to the leaf it reads next.
+#[derive(Clone, Copy, PartialEq)]
+enum Entry {
+    /// The remembered leaf: valid only if it proves that no earlier leaf
+    /// holds a key in range.
+    Remembered,
+    /// The right sibling of a remembered leaf whose keys all lay below
+    /// the lower bound: valid only if the bound is not past it too.
+    Hop,
+    /// The leaf a descent found for the lower bound.
+    Descent,
+    /// A later leaf of the scan: read from its first key.
+    Sibling,
+}
+
+/// What reading one leaf found.
+enum Read {
+    /// The leaf cannot start this scan: descend instead.
+    Miss,
+    /// Read; the scan goes on at this leaf ([`NO_SIBLING`]: it is over).
+    Next(u64),
+    /// The lower bound lay past every key; the scan goes on at this leaf.
+    Past(u64),
+}
+
+impl Seeker {
+    /// Visits every `(key, value)` pair of `tree` with keys in
+    /// `[lower, upper]`, in ascending order; see [`BTree::scan_range`].
+    pub fn scan_range(
+        &mut self,
+        tree: &BTree,
+        lower: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+        mut visit: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<()> {
+        let (mut page, mut entry) = match (self.leaf, lower) {
+            (Some((file, leaf)), Bound::Included(_) | Bound::Excluded(_)) if file == tree.file => {
+                (leaf, Entry::Remembered)
+            }
+            _ => (tree.leaf_at(lower)?, Entry::Descent),
+        };
+        loop {
+            (page, entry) = match self.read_leaf(tree, page, entry, lower, upper, &mut visit)? {
+                Read::Miss => (tree.leaf_at(lower)?, Entry::Descent),
+                Read::Next(NO_SIBLING) | Read::Past(NO_SIBLING) => return Ok(()),
+                Read::Past(next) if entry == Entry::Remembered => (PageId(next), Entry::Hop),
+                Read::Next(next) | Read::Past(next) => (PageId(next), Entry::Sibling),
+            };
+        }
+    }
+
+    /// Reads the in-range cells of leaf `page` under one page acquire.
+    fn read_leaf(
+        &mut self,
+        tree: &BTree,
+        page: PageId,
+        entry: Entry,
+        lower: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+        visit: &mut impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<Read> {
+        let stats = tree.env.counters();
+        let read = tree
+            .env
+            .with_page(tree.file, page, |data| -> Result<Read> {
+                stats.note_node_view();
+                let view = match NodeView::parse(data) {
+                    Ok(NodeView::Leaf(view)) => view,
+                    _ if entry == Entry::Remembered => return Ok(Read::Miss),
+                    _ => return Err(StorageError::corrupt("expected leaf page in scan")),
+                };
+                // `start` is the first cell in range; `proven` says no earlier
+                // leaf holds one (this leaf has a cell below the bound, or the
+                // bound's own key).
+                let (start, proven) = match (entry, lower) {
+                    (Entry::Sibling, _) | (_, Bound::Unbounded) => (0, true),
+                    (_, Bound::Included(k) | Bound::Excluded(k)) => {
+                        stats.note_in_place_search();
+                        match (view.search(k), lower) {
+                            (Ok(i), Bound::Excluded(_)) => (i + 1, true),
+                            (Ok(i), _) => (i, true),
+                            (Err(i), _) => (i, i > 0),
+                        }
+                    }
+                };
+                let past = start == view.nkeys();
+                if (entry == Entry::Remembered && !proven) || (entry == Entry::Hop && past) {
+                    return Ok(Read::Miss);
+                }
+                for i in start..view.nkeys() {
+                    let keep = match (view.cell(i), upper) {
+                        ((key, _), Bound::Included(u)) if key > u => false,
+                        ((key, _), Bound::Excluded(u)) if key >= u => false,
+                        ((key, ValueRef::Inline(v)), _) => visit(key, v),
+                        ((key, ValueRef::Overflow { page, len }), _) => {
+                            visit(key, &tree.load_value(LeafVal::Overflow { page, len })?)
+                        }
+                    };
+                    if !keep {
+                        return Ok(Read::Next(NO_SIBLING));
+                    }
+                }
+                Ok(match past {
+                    true => Read::Past(view.next_leaf()),
+                    false => Read::Next(view.next_leaf()),
+                })
+            })??;
+        if !matches!(read, Read::Miss) {
+            self.leaf = Some((tree.file, page));
+        }
+        Ok(read)
     }
 }
 
@@ -1109,6 +1196,94 @@ mod tests {
                 0
             );
         }
+    }
+
+    /// Point scans of one seeker in ascending key order cost one leaf view
+    /// each after the first descent, also across leaf boundaries.
+    #[test]
+    fn seeker_scans_in_key_order_stay_leaf_local() {
+        let env = Env::memory_with(EnvConfig {
+            page_size: 256,
+            pool_bytes: 64 * 256,
+        });
+        let mut t = BTree::create(&env, "t").unwrap();
+        for i in 0..200u64 {
+            t.insert(&key(2 * i), b"v").unwrap();
+        }
+        assert!(t.height() >= 3, "need a descent of several pages");
+        let mut seeker = Seeker::default();
+        let before = env.io_stats();
+        for i in 0..200u64 {
+            let k = key(2 * i);
+            let mut got = Vec::new();
+            seeker
+                .scan_range(&t, Bound::Included(&k), Bound::Included(&k), |k, _| {
+                    got.push(k.to_vec());
+                    true
+                })
+                .unwrap();
+            assert_eq!(got, vec![k]);
+        }
+        let views = env.io_stats().delta(&before).node_views;
+        // A full scan views the descent's pages and every leaf once.
+        let before = env.io_stats();
+        t.scan(|_, _| true).unwrap();
+        let leaves = env.io_stats().delta(&before).node_views - u64::from(t.height());
+        // The first scan descends and re-reads its leaf; every later one
+        // views one leaf, plus the next leaf where a scan ends on its
+        // leaf's last key (the scan reads on to find its end).
+        assert_eq!(views, u64::from(t.height()) + 1 + 199 + (leaves - 1));
+    }
+
+    /// A remembered leaf that no longer covers the lower bound — the
+    /// bound lies before it, or a split moved the key two leaves on — is
+    /// not trusted: the seeker descends and still finds the right keys.
+    #[test]
+    fn seeker_redescends_when_its_leaf_stops_covering() {
+        let env = Env::memory_with(EnvConfig {
+            page_size: 256,
+            pool_bytes: 64 * 256,
+        });
+        let mut t = BTree::create(&env, "t").unwrap();
+        for i in 0..100u64 {
+            t.insert(&key(100 * i), b"v").unwrap();
+        }
+        let scan = |seeker: &mut Seeker, t: &BTree, lo: u64, hi: u64| {
+            let (lo, hi) = (key(lo), key(hi));
+            let mut got = Vec::new();
+            seeker
+                .scan_range(t, Bound::Included(&lo), Bound::Excluded(&hi), |k, _| {
+                    got.push(crate::codec::get_u64(k, &mut 0));
+                    true
+                })
+                .unwrap();
+            got
+        };
+        let mut seeker = Seeker::default();
+        assert_eq!(scan(&mut seeker, &t, 5000, 5001), vec![5000]);
+        // Backwards: the remembered leaf holds no key below the bound.
+        let before = env.io_stats();
+        assert_eq!(scan(&mut seeker, &t, 100, 201), vec![100, 200]);
+        let views = env.io_stats().delta(&before).node_views;
+        assert_eq!(views, 1 + u64::from(t.height()) + 1, "miss, descent, leaf");
+        // Splits push the keys after 200 far past the remembered leaf.
+        for i in 201..1000u64 {
+            t.insert(&key(i), b"w").unwrap();
+        }
+        assert_eq!(scan(&mut seeker, &t, 900, 903), vec![900, 901, 902]);
+        // Deletes empty the leaf it now remembers.
+        for i in 890..1000u64 {
+            t.delete(&key(i)).unwrap();
+        }
+        assert_eq!(scan(&mut seeker, &t, 880, 10_000), {
+            let mut want: Vec<u64> = (880..890).collect();
+            want.extend((10..100).map(|i| 100 * i));
+            want
+        });
+        // A seeker used on another tree ignores the leaf it remembers.
+        let mut other = BTree::create(&env, "o").unwrap();
+        other.insert(&key(7), b"x").unwrap();
+        assert_eq!(scan(&mut seeker, &other, 0, 10), vec![7]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod error;
 mod node;
 mod page;
 
-pub use btree::{BTree, Cursor};
+pub use btree::{BTree, Cursor, Seeker};
 pub use buffer::{IoSnapshot, IoStats};
 pub use env::{BackendDecorator, Env, EnvConfig, FileId};
 pub use error::StorageError;

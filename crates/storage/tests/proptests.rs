@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use xmldb_storage::{BTree, Env, EnvConfig, ExternalSorter};
+use xmldb_storage::{BTree, Env, EnvConfig, ExternalSorter, Seeker};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -19,6 +19,10 @@ enum Op {
     RangeExcl(Vec<u8>, Vec<u8>),
     Prefix(Vec<u8>),
     FullScan,
+    /// Included lower / Excluded upper through one seeker kept across the
+    /// whole sequence: its remembered leaf may since have split, emptied
+    /// or stopped covering the bound.
+    SeekScan(Vec<u8>, Vec<u8>),
 }
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -38,6 +42,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::RangeExcl(a, b)),
         prop::collection::vec(0u8..4, 0..4).prop_map(Op::Prefix),
         Just(Op::FullScan),
+        (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::SeekScan(a, b)),
     ]
 }
 
@@ -57,6 +62,7 @@ proptest! {
         let env = tiny_env();
         let mut tree = BTree::create(&env, "t").unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut seeker = Seeker::default();
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
@@ -108,6 +114,21 @@ proptest! {
                     let want: Vec<(Vec<u8>, Vec<u8>)> = model
                         .range::<Vec<u8>, _>((Bound::Included(&p), Bound::Unbounded))
                         .take_while(|(k, _)| k.starts_with(&p))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    prop_assert_eq!(got, want);
+                }
+                Op::SeekScan(a, b) => {
+                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                    let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+                    seeker
+                        .scan_range(&tree, Bound::Included(&lo), Bound::Excluded(&hi), |k, v| {
+                            got.push((k.to_vec(), v.to_vec()));
+                            true
+                        })
+                        .unwrap();
+                    let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .range::<Vec<u8>, _>((Bound::Included(&lo), Bound::Excluded(&hi)))
                         .map(|(k, v)| (k.clone(), v.clone()))
                         .collect();
                     prop_assert_eq!(got, want);

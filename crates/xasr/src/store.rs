@@ -4,7 +4,7 @@ use crate::stats::Statistics;
 use crate::tuple::{NodeTuple, NodeType, TupleRef};
 use crate::{Error, Result};
 use std::ops::Bound;
-use xmldb_storage::{BTree, Env};
+use xmldb_storage::{BTree, Env, Seeker};
 use xmldb_xml::{Document, XmlWriter};
 
 /// File names backing a document named `name`.
@@ -161,7 +161,7 @@ impl XasrStore {
 
     /// Point lookup by `in` value.
     pub fn get(&self, in_: u64) -> Result<Option<NodeTuple>> {
-        match self.clustered.get(&NodeTuple::clustered_key(in_))? {
+        match self.clustered.get(&NodeTuple::clustered_key_bytes(in_))? {
             Some(bytes) => Ok(Some(NodeTuple::decode(&bytes)?)),
             None => Ok(None),
         }
@@ -241,148 +241,104 @@ impl XasrStore {
         let needle = text.to_string();
         self.text_idx
             .prefix(&NodeTuple::text_prefix(text))
-            .filter_map(move |r| {
-                let entry = r
-                    .map_err(crate::Error::from)
-                    .and_then(|(k, v)| NodeTuple::from_text_entry(&k, &v));
-                match entry {
-                    Ok(t) if t.text() == Some(needle.as_str()) => Some(Ok(t)),
-                    Ok(_) => None,
-                    Err(e) => Some(Err(e)),
-                }
+            .filter_map(move |r| match r {
+                Ok((k, v)) => NodeTuple::from_text_entry_eq(&k, &v, &needle).map(Ok),
+                Err(e) => Some(Err(e.into())),
             })
-    }
-
-    /// Up to `limit` text nodes with content exactly `text` and
-    /// `in > lower_excl` (batched probe for the physical layer).
-    pub fn text_batch(
-        &self,
-        text: &str,
-        lower_excl: Option<u64>,
-        limit: usize,
-    ) -> Result<Vec<NodeTuple>> {
-        let prefix = NodeTuple::text_key_prefix(text);
-        let lo = NodeTuple::text_key(prefix, lower_excl.unwrap_or(0));
-        let hi = NodeTuple::text_key(prefix, u64::MAX);
-        let mut out = Vec::with_capacity(limit.min(16));
-        for entry in self.text_idx.range(
-            Bound::Excluded(lo.as_slice()),
-            Bound::Included(hi.as_slice()),
-        ) {
-            let (k, v) = entry?;
-            let t = NodeTuple::from_text_entry(&k, &v)?;
-            if t.text() == Some(text) {
-                out.push(t);
-                if out.len() >= limit {
-                    break;
-                }
-            }
-        }
-        Ok(out)
     }
 
     // --- batched access (for volcano operators) --------------------------------
     //
     // Physical operators cannot hold borrowing iterators across
-    // `next_batch()` calls, so they pull bounded runs and remember a resume key —
-    // which is also faithful block-based reading: one batch ≈ one leaf
-    // page's worth of tuples.
+    // `next_batch()` calls, so they pull bounded runs and remember a resume
+    // key — which is also faithful block-based reading: one batch ≈ one
+    // leaf page's worth of tuples. Every run is a zero-copy visitor scan
+    // through the caller's seeker: tuples decode straight off the pinned
+    // leaf, and runs read in key order cost a leaf-local seek each.
+
+    /// Appends up to `limit` text nodes with content exactly `text` and
+    /// `in > lower_excl` to `out`; returns how many. Each entry's content
+    /// is compared in place; only matches are decoded.
+    pub fn text_batch(
+        &self,
+        text: &str,
+        lower_excl: Option<u64>,
+        limit: usize,
+        seeker: &mut Seeker,
+        out: &mut Vec<NodeTuple>,
+    ) -> Result<usize> {
+        let prefix = NodeTuple::text_key_prefix(text);
+        let lo = NodeTuple::text_key(prefix, lower_excl.unwrap_or(0));
+        let hi = NodeTuple::text_key(prefix, u64::MAX);
+        let range = (Bound::Excluded(&lo[..]), Bound::Included(&hi[..]));
+        scan_into(&self.text_idx, seeker, range, limit, out, |k, v| {
+            Ok(NodeTuple::from_text_entry_eq(k, v, text))
+        })
+    }
 
     /// Appends up to `limit` tuples of the clustered index with
-    /// `lower_excl < in < upper_excl` (`None` bounds are open) to `out`,
-    /// via the zero-copy [`BTree::scan_range`] visitor — decoding straight
-    /// off the pinned leaf page, with no per-row key or value allocation
-    /// and no cursor re-descent per tuple. Returns how many.
+    /// `lower_excl < in < upper_excl` (`None` bounds are open) to `out`.
+    /// Returns how many.
     pub fn clustered_range_into(
         &self,
         lower_excl: Option<u64>,
         upper_excl: Option<u64>,
         limit: usize,
+        seeker: &mut Seeker,
         out: &mut Vec<NodeTuple>,
     ) -> Result<usize> {
-        let lo = lower_excl.map(NodeTuple::clustered_key);
-        let hi = upper_excl.map(NodeTuple::clustered_key);
-        let lo_bound = lo.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-        let hi_bound = hi.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-        let before = out.len();
-        let mut decode_err = None;
-        self.clustered.scan_range(lo_bound, hi_bound, |_, v| {
-            match NodeTuple::decode(v) {
-                Ok(t) => out.push(t),
-                Err(e) => {
-                    decode_err = Some(e);
-                    return false;
-                }
-            }
-            out.len() - before < limit
-        })?;
-        match decode_err {
-            Some(e) => Err(e),
-            None => Ok(out.len() - before),
+        fn bound(key: &Option<[u8; 8]>) -> Bound<&[u8]> {
+            key.as_ref()
+                .map_or(Bound::Unbounded, |k| Bound::Excluded(k))
         }
+        let lo = lower_excl.map(NodeTuple::clustered_key_bytes);
+        let hi = upper_excl.map(NodeTuple::clustered_key_bytes);
+        let range = (bound(&lo), bound(&hi));
+        scan_into(&self.clustered, seeker, range, limit, out, |_, v| {
+            NodeTuple::decode(v).map(Some)
+        })
     }
 
     /// Appends up to `limit` elements labeled `label` with
-    /// `lower_excl < in < upper_excl` to `out`: a zero-copy visitor fill,
-    /// like [`Self::clustered_range_into`].
+    /// `lower_excl < in < upper_excl` to `out`, like
+    /// [`Self::clustered_range_into`].
     pub fn label_range_into(
         &self,
         label: &str,
         lower_excl: Option<u64>,
         upper_excl: Option<u64>,
         limit: usize,
+        seeker: &mut Seeker,
         out: &mut Vec<NodeTuple>,
     ) -> Result<usize> {
         let lo = NodeTuple::label_key(label, lower_excl.unwrap_or(0));
-        let hi = match upper_excl {
-            Some(u) => NodeTuple::label_key(label, u),
-            None => NodeTuple::label_key(label, u64::MAX),
+        let hi = NodeTuple::label_key(label, upper_excl.unwrap_or(u64::MAX));
+        let hi_bound = match upper_excl {
+            Some(_) => Bound::Excluded(&hi[..]),
+            None => Bound::Included(&hi[..]),
         };
-        let hi_bound = if upper_excl.is_some() {
-            Bound::Excluded(hi.as_slice())
-        } else {
-            Bound::Included(hi.as_slice())
-        };
-        let before = out.len();
-        let mut decode_err = None;
-        self.label_idx
-            .scan_range(Bound::Excluded(lo.as_slice()), hi_bound, |k, v| {
-                match NodeTuple::from_label_entry(k, v) {
-                    Ok(t) => out.push(t),
-                    Err(e) => {
-                        decode_err = Some(e);
-                        return false;
-                    }
-                }
-                out.len() - before < limit
-            })?;
-        match decode_err {
-            Some(e) => Err(e),
-            None => Ok(out.len() - before),
-        }
+        let range = (Bound::Excluded(&lo[..]), hi_bound);
+        scan_into(&self.label_idx, seeker, range, limit, out, |k, v| {
+            NodeTuple::from_label_entry(k, v).map(Some)
+        })
     }
 
-    /// Up to `limit` children of `parent_in` with `in > lower_excl`.
+    /// Appends up to `limit` children of `parent_in` with
+    /// `in > lower_excl` to `out`; returns how many.
     pub fn parent_batch(
         &self,
         parent_in: u64,
         lower_excl: Option<u64>,
         limit: usize,
-    ) -> Result<Vec<NodeTuple>> {
+        seeker: &mut Seeker,
+        out: &mut Vec<NodeTuple>,
+    ) -> Result<usize> {
         let lo = NodeTuple::parent_key(parent_in, lower_excl.unwrap_or(0));
         let hi = NodeTuple::parent_key(parent_in, u64::MAX);
-        let mut out = Vec::with_capacity(limit);
-        for entry in self.parent_idx.range(
-            Bound::Excluded(lo.as_slice()),
-            Bound::Included(hi.as_slice()),
-        ) {
-            let (k, v) = entry?;
-            out.push(NodeTuple::from_parent_entry(&k, &v)?);
-            if out.len() >= limit {
-                break;
-            }
-        }
-        Ok(out)
+        let range = (Bound::Excluded(&lo[..]), Bound::Included(&hi[..]));
+        scan_into(&self.parent_idx, seeker, range, limit, out, |k, v| {
+            NodeTuple::from_parent_entry(k, v).map(Some)
+        })
     }
 
     /// Reconstructs the subtree rooted at `in_` as a DOM fragment —
@@ -443,8 +399,15 @@ impl XasrStore {
     /// node, no per-node allocation. A stack of the open elements' `out`
     /// values says when to close them: an element ends before the first
     /// tuple whose `in` exceeds its `out`. A text tuple needs no read at
-    /// all, and neither does an element without descendants.
-    pub fn write_subtree(&self, tuple: &NodeTuple, out: &mut XmlWriter) -> Result<()> {
+    /// all, and neither does an element without descendants. The scan
+    /// goes through `seeker`, so subtrees written in document order with
+    /// one seeker cost a leaf-local seek each, not a descent.
+    pub fn write_subtree(
+        &self,
+        tuple: &NodeTuple,
+        seeker: &mut Seeker,
+        out: &mut XmlWriter,
+    ) -> Result<()> {
         let value = tuple.value.as_deref().unwrap_or("");
         match tuple.kind {
             NodeType::Text => {
@@ -456,11 +419,14 @@ impl XasrStore {
         }
         let mut open_outs: Vec<u64> = Vec::new();
         if tuple.out > tuple.in_ + 1 {
-            let lo = NodeTuple::clustered_key(tuple.in_);
-            let hi = NodeTuple::clustered_key(tuple.out);
+            let lo = NodeTuple::clustered_key_bytes(tuple.in_);
+            let hi = NodeTuple::clustered_key_bytes(tuple.out);
             let mut failed = None;
-            self.clustered
-                .scan_range(Bound::Excluded(&lo), Bound::Excluded(&hi), |_, v| {
+            seeker.scan_range(
+                &self.clustered,
+                Bound::Excluded(&lo),
+                Bound::Excluded(&hi),
+                |_, v| {
                     let t = match TupleRef::decode(v) {
                         Ok(t) => t,
                         Err(e) => {
@@ -483,7 +449,8 @@ impl XasrStore {
                         NodeType::Root => {}
                     }
                     true
-                })?;
+                },
+            )?;
             if let Some(e) = failed {
                 return Err(e);
             }
@@ -503,9 +470,35 @@ impl XasrStore {
             .get(in_)?
             .ok_or_else(|| Error::Corrupt(format!("no node with in={in_}")))?;
         let mut out = XmlWriter::new();
-        self.write_subtree(&tuple, &mut out)?;
+        self.write_subtree(&tuple, &mut Seeker::default(), &mut out)?;
         Ok(out.into_string())
     }
+}
+
+/// Appends to `out` the tuples `decode` makes of `tree`'s entries in
+/// `range` (`None` skips an entry), until `limit` are appended: a visitor
+/// scan through `seeker`. Returns how many.
+fn scan_into(
+    tree: &BTree,
+    seeker: &mut Seeker,
+    (lo, hi): (Bound<&[u8]>, Bound<&[u8]>),
+    limit: usize,
+    out: &mut Vec<NodeTuple>,
+    decode: impl Fn(&[u8], &[u8]) -> Result<Option<NodeTuple>>,
+) -> Result<usize> {
+    let before = out.len();
+    let mut failed = None;
+    seeker.scan_range(tree, lo, hi, |k, v| match decode(k, v) {
+        Ok(t) => {
+            out.extend(t);
+            out.len() - before < limit
+        }
+        Err(e) => {
+            failed = Some(e);
+            false
+        }
+    })?;
+    failed.map_or(Ok(out.len() - before), Err)
 }
 
 impl std::fmt::Debug for XasrStore {
@@ -639,10 +632,17 @@ mod tests {
     #[test]
     fn batched_access_resumes() {
         let (_env, s) = store();
+        let mut seeker = Seeker::default();
         // Batch through the clustered index two at a time.
         let mut seen = Vec::new();
         while s
-            .clustered_range_into(seen.last().map(|t: &NodeTuple| t.in_), None, 2, &mut seen)
+            .clustered_range_into(
+                seen.last().map(|t: &NodeTuple| t.in_),
+                None,
+                2,
+                &mut seeker,
+                &mut seen,
+            )
             .unwrap()
             > 0
         {}
@@ -652,21 +652,31 @@ mod tests {
         // Label batches with interval bounds (descendants of journal in=2,
         // out=17).
         let mut names = Vec::new();
-        s.label_range_into("name", Some(2), Some(17), 10, &mut names)
+        s.label_range_into("name", Some(2), Some(17), 10, &mut seeker, &mut names)
             .unwrap();
         assert_eq!(ins(&names), vec![4, 8]);
         let none = s
-            .label_range_into("name", Some(4), Some(8), 10, &mut names)
+            .label_range_into("name", Some(4), Some(8), 10, &mut seeker, &mut names)
             .unwrap();
         assert_eq!(none, 0);
 
         // Parent batches resume too.
-        let first = s.parent_batch(3, None, 1).unwrap();
-        assert_eq!(first[0].in_, 4);
-        let second = s.parent_batch(3, Some(4), 1).unwrap();
-        assert_eq!(second[0].in_, 8);
-        let empty = s.parent_batch(3, Some(8), 1).unwrap();
-        assert!(empty.is_empty());
+        let mut kids = Vec::new();
+        assert_eq!(
+            s.parent_batch(3, None, 1, &mut seeker, &mut kids).unwrap(),
+            1
+        );
+        assert_eq!(
+            s.parent_batch(3, Some(4), 1, &mut seeker, &mut kids)
+                .unwrap(),
+            1
+        );
+        assert_eq!(
+            s.parent_batch(3, Some(8), 1, &mut seeker, &mut kids)
+                .unwrap(),
+            0
+        );
+        assert_eq!(ins(&kids), vec![4, 8]);
     }
 
     #[test]
@@ -694,20 +704,24 @@ mod tests {
     fn text_batch_resumes_and_verifies() {
         let env = Env::memory();
         let s = shred_document(&env, "tb", "<r><a>x</a><b>x</b><c>x</c><d>y</d></r>").unwrap();
-        let first = s.text_batch("x", None, 2).unwrap();
+        let mut seeker = Seeker::default();
+        let batch = |s: &XasrStore, text: &str, lower, limit, seeker: &mut Seeker| {
+            let mut out = Vec::new();
+            s.text_batch(text, lower, limit, seeker, &mut out).unwrap();
+            out
+        };
+        let first = batch(&s, "x", None, 2, &mut seeker);
         assert_eq!(first.len(), 2);
-        let rest = s
-            .text_batch("x", Some(first.last().unwrap().in_), 10)
-            .unwrap();
+        let rest = batch(&s, "x", Some(first.last().unwrap().in_), 10, &mut seeker);
         assert_eq!(rest.len(), 1);
-        assert!(s.text_batch("x", Some(rest[0].in_), 10).unwrap().is_empty());
+        assert!(batch(&s, "x", Some(rest[0].in_), 10, &mut seeker).is_empty());
         // Long values sharing a 48-byte prefix are distinguished.
         let long_a = format!("{}{}", "p".repeat(60), "AAA");
         let long_b = format!("{}{}", "p".repeat(60), "BBB");
         let xml = format!("<r><a>{long_a}</a><b>{long_b}</b></r>");
         let s2 = shred_document(&env, "tl", &xml).unwrap();
-        assert_eq!(s2.text_batch(&long_a, None, 10).unwrap().len(), 1);
-        assert_eq!(s2.text_batch(&long_b, None, 10).unwrap().len(), 1);
+        assert_eq!(batch(&s2, &long_a, None, 10, &mut seeker).len(), 1);
+        assert_eq!(batch(&s2, &long_b, None, 10, &mut seeker).len(), 1);
         assert_eq!(s2.by_text(&long_a).count(), 1);
     }
 

@@ -47,7 +47,7 @@ impl std::fmt::Display for NodeType {
 ///
 /// Example 1 of the paper: the `journal` and `Ana` nodes of the Figure 2
 /// document are `(2, 17, 1, element, journal)` and `(5, 6, 4, text, Ana)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct NodeTuple {
     /// Tags encountered before this node's opening tag, plus one.
     pub in_: u64,
@@ -59,6 +59,23 @@ pub struct NodeTuple {
     pub kind: NodeType,
     /// Element label / text content / `None` for the root (SQL NULL).
     pub value: Option<String>,
+}
+
+impl Clone for NodeTuple {
+    fn clone(&self) -> NodeTuple {
+        NodeTuple {
+            value: self.value.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s value buffer: rebinding a variable row after row
+    /// allocates nothing once the buffer is big enough.
+    fn clone_from(&mut self, source: &NodeTuple) {
+        self.value.clone_from(&source.value);
+        (self.in_, self.out) = (source.in_, source.out);
+        (self.parent_in, self.kind) = (source.parent_in, source.kind);
+    }
 }
 
 impl NodeTuple {
@@ -136,9 +153,12 @@ impl NodeTuple {
 
     /// Clustered index key: `in` (big-endian, so byte order = numeric order).
     pub fn clustered_key(in_: u64) -> Vec<u8> {
-        let mut k = Vec::with_capacity(8);
-        codec::put_u64(&mut k, in_);
-        k
+        Self::clustered_key_bytes(in_).to_vec()
+    }
+
+    /// [`Self::clustered_key`] without an allocation.
+    pub fn clustered_key_bytes(in_: u64) -> [u8; 8] {
+        in_.to_be_bytes()
     }
 
     /// Label index key: `(label, in)`.
@@ -243,22 +263,21 @@ impl NodeTuple {
         v
     }
 
-    /// Decodes a text-index entry back into a full text tuple.
-    pub fn from_text_entry(key: &[u8], value: &[u8]) -> Result<NodeTuple> {
+    /// Decodes a text-index entry if its full content is `text`, comparing
+    /// the stored bytes in place; `None` for an entry that only shares the
+    /// key prefix.
+    pub fn from_text_entry_eq(key: &[u8], value: &[u8], text: &str) -> Option<NodeTuple> {
+        if codec::get_bytes(value, &mut 16) != text.as_bytes() {
+            return None;
+        }
         let mut kpos = 0;
-        let _prefix = codec::get_str_terminated(key, &mut kpos);
-        let in_ = codec::get_u64(key, &mut kpos);
-        let mut vpos = 0;
-        let out = codec::get_u64(value, &mut vpos);
-        let parent_in = codec::get_u64(value, &mut vpos);
-        let text = String::from_utf8(codec::get_bytes(value, &mut vpos).to_vec())
-            .map_err(|_| Error::Corrupt("text entry not UTF-8".into()))?;
-        Ok(NodeTuple {
-            in_,
-            out,
-            parent_in,
+        codec::get_str_terminated(key, &mut kpos);
+        Some(NodeTuple {
+            in_: codec::get_u64(key, &mut kpos),
+            out: codec::get_u64(value, &mut 0),
+            parent_in: codec::get_u64(value, &mut 8),
             kind: NodeType::Text,
-            value: Some(text),
+            value: Some(text.to_string()),
         })
     }
 
@@ -451,7 +470,8 @@ mod tests {
         let t = ana();
         let key = NodeTuple::text_key("Ana", t.in_);
         let val = t.text_value_entry();
-        assert_eq!(NodeTuple::from_text_entry(&key, &val).unwrap(), t);
+        assert_eq!(NodeTuple::from_text_entry_eq(&key, &val, "Ana").unwrap(), t);
+        assert_eq!(NodeTuple::from_text_entry_eq(&key, &val, "An"), None);
         assert!(key.starts_with(&NodeTuple::text_prefix("Ana")));
     }
 
@@ -477,9 +497,12 @@ mod tests {
             kind: NodeType::Text,
             value: Some(long_a.clone()),
         };
-        let back =
-            NodeTuple::from_text_entry(&NodeTuple::text_key(&long_a, 5), &t.text_value_entry())
-                .unwrap();
+        let back = NodeTuple::from_text_entry_eq(
+            &NodeTuple::text_key(&long_a, 5),
+            &t.text_value_entry(),
+            &long_a,
+        )
+        .unwrap();
         assert_eq!(back.text(), Some(long_a.as_str()));
     }
 

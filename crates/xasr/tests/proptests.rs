@@ -2,7 +2,7 @@
 //! on structure, axes, and round-trip serialization.
 
 use proptest::prelude::*;
-use xmldb_storage::{Env, EnvConfig};
+use xmldb_storage::{Env, EnvConfig, Seeker};
 use xmldb_xasr::{shred_document, NodeTuple, NodeType};
 use xmldb_xml::{NodeKind, XmlWriter};
 
@@ -118,11 +118,13 @@ proptest! {
         to_xml(&tree, &mut xml);
         let env = small_env();
         let store = shred_document(&env, "d", &xml).unwrap();
+        // One seeker writes every subtree, in document order.
+        let mut seeker = Seeker::default();
         for tuple in store.scan_all() {
             let tuple = tuple.unwrap();
             let fragment = store.reconstruct(tuple.in_).unwrap();
             let mut out = XmlWriter::new();
-            store.write_subtree(&tuple, &mut out).unwrap();
+            store.write_subtree(&tuple, &mut seeker, &mut out).unwrap();
             prop_assert_eq!(out.items(), fragment.children(fragment.root()).len());
             prop_assert_eq!(out.into_string(), xmldb_xml::serialize_document(&fragment));
         }

@@ -76,6 +76,13 @@ impl XmlWriter {
         self.names.truncate(start);
     }
 
+    /// Writes an element another writer serialized whole — the output of
+    /// one `open` … `close` span — by copying its bytes.
+    pub fn push_element(&mut self, xml: &str) {
+        self.child(false);
+        self.out.push_str(xml);
+    }
+
     /// Writes the DOM subtree rooted at `id`; for the virtual root, its
     /// children.
     pub fn node(&mut self, doc: &Document, id: NodeId) {
