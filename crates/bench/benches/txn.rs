@@ -1,7 +1,9 @@
-//! Transaction-throughput benchmark: commits/sec at 1, 4 and 16
+//! Transaction-throughput benchmark: document commits/sec at 1, 4 and 16
 //! concurrent committers over one WAL, and the fsyncs-per-commit ratio
 //! that makes group commit visible (followers ride the leader's
 //! `sync_data`, so the ratio falls well below 1.0 as committers overlap).
+//! Each commit is the kind of change the system makes: it loads a ~1 KB
+//! document and drops the committer's previous one.
 //!
 //! Emits a machine-readable JSON snapshot (`BENCH_txn.json` at the repo
 //! root) and has a regression-gate mode used by CI:
@@ -13,22 +15,23 @@
 //!
 //! `--check` re-measures and fails (exit 1) if commit throughput at any
 //! concurrency falls more than 30% below the committed snapshot, or if
-//! the 16-committer run needs one or more fsyncs per commit (group
+//! the 16-committer run needs one or more log fsyncs per commit (group
 //! commit broken). Under `cargo test --benches` (no `--bench` flag) each
 //! case runs once at a reduced size as a smoke test.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use xmldb_bench::harness::{self, bench_mode, best_of, Bound, Field, Row, Snapshot};
-use xmldb_storage::{Env, EnvConfig, PageId, StorageError};
+use xmldb_core::Database;
+use xmldb_storage::EnvConfig;
 
 /// One measured concurrency level.
 struct Sample {
     /// Committer threads.
     threads: usize,
-    /// Total committed transactions.
+    /// Total committed transactions (one document load and drop each).
     commits: u64,
-    /// WAL fsyncs issued during the run.
+    /// Log fsyncs issued during the run.
     fsyncs: u64,
     /// Commits per second (all threads together).
     commits_per_sec: f64,
@@ -60,54 +63,44 @@ fn scratch_dir() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("saardb-bench-txn-{}-{n}", std::process::id()))
 }
 
-/// `threads` committers, each updating its own page in its own
-/// transaction, `ops` commits per thread. Write sets are disjoint, so the
-/// run measures the commit path itself — WAL append + group-commit gate —
-/// not lock contention (the torture commit-stress covers that).
+/// Committer `t`'s `i`-th document: about 1 KB of XML.
+fn document(t: usize, i: u64) -> String {
+    let words: String = (0..24).map(|k| format!("<w>w{k}-{t}-{i}</w>")).collect();
+    format!("<c><i>{i}</i>{words}</c>")
+}
+
+fn name(t: usize, i: u64) -> String {
+    format!("c{t}-{i}")
+}
+
+/// `threads` committers, `ops` commits each; each commit loads the
+/// committer's next document and drops its previous one. Names are
+/// disjoint across committers, so the run measures the commit path itself
+/// — shredding, new-file fsyncs, the commit record and the group-commit
+/// gate — not lock contention.
 fn commit_case(threads: usize, ops: u64) -> Sample {
     let dir = scratch_dir();
     let _ = std::fs::remove_dir_all(&dir);
-    let env = Env::open_dir(
-        &dir,
-        EnvConfig {
-            page_size: 512,
-            pool_bytes: 64 * 512,
-        },
-    )
-    .expect("open bench env");
-    let f = env
-        .autocommit(|| {
-            let f = env.create_file("accounts")?;
-            for _ in 0..threads {
-                env.allocate_page(f)?;
-            }
-            Ok::<_, StorageError>(f)
-        })
-        .expect("baseline commit");
+    let db = Database::open_dir(&dir, EnvConfig::default()).expect("open bench db");
+    // Warmup: one commit outside the measured window.
+    db.load_document("warm", &document(0, 0))
+        .expect("warmup commit");
 
-    // Warmup: one commit per thread outside the measured window.
-    let warm = env.begin_txn();
-    {
-        let _s = warm.install();
-        env.with_page_mut(f, PageId(0), |d| d[0] = d[0].wrapping_add(1))
-            .unwrap();
-    }
-    warm.commit().unwrap();
-
-    let fsyncs_before = env.io_stats().wal_syncs;
+    let fsyncs_before = db.env().io_stats().wal_syncs;
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
-            let env = env.clone();
+            let db = db.clone();
             s.spawn(move || {
                 for i in 0..ops {
-                    let txn = env.begin_txn();
+                    let txn = db.begin();
                     {
                         let _scope = txn.install();
-                        env.with_page_mut(f, PageId(t as u64), |d| {
-                            d[..8].copy_from_slice(&(i + 1).to_le_bytes());
-                        })
-                        .expect("page write");
+                        db.load_document(&name(t, i), &document(t, i))
+                            .expect("load");
+                        if i > 0 {
+                            db.drop_document(&name(t, i - 1)).expect("drop");
+                        }
                     }
                     txn.commit().expect("commit");
                 }
@@ -115,8 +108,8 @@ fn commit_case(threads: usize, ops: u64) -> Sample {
         }
     });
     let elapsed = start.elapsed();
-    let fsyncs = env.io_stats().wal_syncs - fsyncs_before;
-    drop(env);
+    let fsyncs = db.env().io_stats().wal_syncs - fsyncs_before;
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     let commits = threads as u64 * ops;
     Sample {
@@ -129,8 +122,8 @@ fn commit_case(threads: usize, ops: u64) -> Sample {
 
 fn ops_for(threads: usize) -> u64 {
     if bench_mode() {
-        // Sized so every level commits a few thousand times.
-        (4096 / threads as u64).max(256)
+        // Sized so every level commits several hundred times.
+        (512 / threads as u64).max(64)
     } else {
         8
     }

@@ -1,6 +1,7 @@
-//! WAL write-path overhead: insert+commit workloads on a disk environment
-//! (page-image WAL on) against the same workload on a memory environment
-//! (no WAL), plus the log's write amplification per committed insert.
+//! Write-path overhead: document commits on a disk environment (new-file
+//! fsyncs plus one commit record) against the same workload on a memory
+//! environment (no log, no disk), plus the log's bytes and fsyncs per
+//! commit. Each commit loads a ~1 KB document and drops the previous one.
 //!
 //! ```text
 //! cargo bench -p xmldb-bench --bench wal -- --out BENCH_wal.json
@@ -10,34 +11,28 @@
 //! at a reduced size as a smoke test.
 
 use xmldb_bench::harness::{self, bench_mode, measure, Row, Sample};
-use xmldb_storage::{codec, BTree, Env, EnvConfig, StorageError};
+use xmldb_core::Database;
+use xmldb_storage::EnvConfig;
 
-fn key(i: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(8);
-    // Scramble so inserts are not an append-only best case.
-    codec::put_u64(&mut k, i.wrapping_mul(6364136223846793005));
-    k
+/// The `i`-th document: about 1 KB of XML.
+fn document(i: u64) -> String {
+    let words: String = (0..24).map(|k| format!("<w>w{k}-{i}</w>")).collect();
+    format!("<c><i>{i}</i>{words}</c>")
 }
 
-fn config() -> EnvConfig {
-    EnvConfig {
-        page_size: 8192,
-        pool_bytes: 4 << 20,
-    }
-}
-
-/// One workload run: `n` inserts, `batch` per transaction. Returns the
-/// ops count (n) for the harness.
-fn workload(env: &Env, n: u64, batch: u64) -> u64 {
-    let mut tree = env.autocommit(|| BTree::create(env, "wal-bench")).unwrap();
-    for first in (0..n).step_by(batch as usize) {
-        env.autocommit(|| {
-            for i in first..(first + batch).min(n) {
-                tree.insert(&key(i), format!("value-{i:08}").as_bytes())?;
+/// One workload run: `n` commits, each loading document `i` and dropping
+/// document `i - 1`. Returns the commit count for the harness.
+fn workload(db: &Database, n: u64) -> u64 {
+    for i in 0..n {
+        let txn = db.begin();
+        {
+            let _scope = txn.install();
+            db.load_document(&format!("d{i}"), &document(i)).unwrap();
+            if i > 0 {
+                db.drop_document(&format!("d{}", i - 1)).unwrap();
             }
-            Ok::<_, StorageError>(())
-        })
-        .unwrap();
+        }
+        txn.commit().unwrap();
     }
     n
 }
@@ -47,42 +42,42 @@ fn scratch(tag: u64) -> std::path::PathBuf {
 }
 
 fn run() -> Vec<Row> {
-    let (n, batch, iters) = if bench_mode() {
-        (10_000u64, 1_000u64, 3u64)
+    let (n, iters) = if bench_mode() {
+        (500u64, 3u64)
     } else {
-        (500, 100, 1)
+        (20, 1)
     };
 
     let mut samples = Vec::new();
 
-    // Ceiling: the same workload with no WAL and no disk at all.
-    samples.push(measure("insert_commit_mem", n, iters, || {
-        let env = Env::memory_with(config());
-        workload(&env, n, batch)
+    // Ceiling: the same workload with no log and no disk at all.
+    samples.push(measure("doc_commit_mem", n, iters, || {
+        workload(&Database::in_memory(), n)
     }));
 
-    // The real thing: disk files + page-image WAL + fsync per commit.
+    // The real thing: disk files, their fsyncs, and the commit record.
     let mut dir_seq = 0u64;
-    samples.push(measure("insert_commit_disk_wal", n, iters, || {
+    samples.push(measure("doc_commit_disk_wal", n, iters, || {
         dir_seq += 1;
         let dir = scratch(dir_seq);
         let _ = std::fs::remove_dir_all(&dir);
-        let env = Env::open_dir(&dir, config()).unwrap();
-        let ops = workload(&env, n, batch);
-        drop(env);
+        let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+        let ops = workload(&db, n);
+        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
         ops
     }));
 
-    // Write amplification: WAL bytes appended per committed insert.
+    // Write amplification: log bytes and fsyncs per commit.
     {
         let dir = scratch(0);
         let _ = std::fs::remove_dir_all(&dir);
-        let env = Env::open_dir(&dir, config()).unwrap();
-        workload(&env, n, batch);
-        let io = env.io_stats();
+        let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+        let before = db.env().io_stats();
+        workload(&db, n);
+        let io = db.env().io_stats().delta(&before);
         samples.push(Sample {
-            name: "wal_bytes_per_insert",
+            name: "wal_bytes_per_commit",
             size: n,
             iters: 1,
             ops: io.wal_appends,
@@ -93,9 +88,9 @@ fn run() -> Vec<Row> {
             size: n,
             iters: 1,
             ops: io.wal_syncs,
-            ns_per_op: io.wal_syncs as f64 / (n / batch) as f64,
+            ns_per_op: io.wal_syncs as f64 / n as f64,
         });
-        drop(env);
+        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -345,9 +345,9 @@ mod tests {
 
         let wal = read("BENCH_wal.json", "wal");
         for name in [
-            "insert_commit_mem",
-            "insert_commit_disk_wal",
-            "wal_bytes_per_insert",
+            "doc_commit_mem",
+            "doc_commit_disk_wal",
+            "wal_bytes_per_commit",
         ] {
             assert_eq!(wal.rows(name, ["size", "ns_per_op"]).len(), 1, "{name}");
         }

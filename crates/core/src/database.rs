@@ -6,7 +6,7 @@ use crate::{Error, QueryResult, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmldb_obs::{span, FlightRecorder, QueryRecord, SpanTree, TraceScope};
-use xmldb_storage::{Env, EnvConfig, StorageError, Txn};
+use xmldb_storage::{Env, EnvConfig, LockMode, StorageError, Txn};
 use xmldb_xasr::{file_names, shred_document, XasrStore};
 
 /// A saardb database: an environment of shredded documents. Cloning
@@ -92,14 +92,16 @@ impl Database {
     }
 
     /// Loads (shreds) an XML document under `name`, in the transaction
-    /// installed on this thread or else in its own. Outside a transaction
-    /// the load returns once the document is durable: its new files
-    /// fsynced, one commit record, one log fsync. Until it commits, other
-    /// sessions do not see the document. A failed load leaves nothing
-    /// behind: its files are still uncommitted, so removing them writes no
-    /// log record and works even while the environment is read-only.
+    /// installed on this thread or else in its own, holding an exclusive
+    /// lock on the name to its end. Outside a transaction the load returns
+    /// once the document is durable: its new files fsynced, one commit
+    /// record, one log fsync. Until it commits, other sessions do not see
+    /// the document. A failed load leaves nothing behind: its files are
+    /// still uncommitted, so removing them writes no log record and works
+    /// even while the environment is read-only.
     pub fn load_document(&self, name: &str, xml: &str) -> Result<()> {
         self.env.autocommit(|| {
+            self.env.lock(name, LockMode::Exclusive)?;
             if XasrStore::exists(&self.env, name) {
                 return Err(Error::DocumentExists(name.to_string()));
             }
@@ -139,10 +141,13 @@ impl Database {
     }
 
     /// Removes a document and its indexes, in the transaction installed on
-    /// this thread or else in its own. Under an installed transaction the
-    /// drop takes effect at its commit, and a rollback keeps the document.
+    /// this thread or else in its own, holding an exclusive lock on the
+    /// name to its end. Under an installed transaction the drop takes
+    /// effect at its commit, and a rollback keeps the document. Queries
+    /// already running on the document finish on the dropped version.
     pub fn drop_document(&self, name: &str) -> Result<()> {
         self.env.autocommit(|| {
+            self.env.lock(name, LockMode::Exclusive)?;
             if !XasrStore::exists(&self.env, name) {
                 return Err(Error::NoSuchDocument(name.to_string()));
             }
@@ -180,16 +185,27 @@ impl Database {
     }
 
     /// [`Self::store`] as `options`' transaction sees it: its own
-    /// uncommitted loads included. Opening the store takes no locks.
+    /// uncommitted loads included. Under a transaction, first takes a
+    /// shared lock on the name, held to its end — also when no such
+    /// document exists, so the answer repeats. Without one it takes no
+    /// lock and opens the committed version; either way the store pins its
+    /// files, so a concurrent drop never pulls them from under the query.
     pub(crate) fn store_in(&self, name: &str, options: &QueryOptions) -> Result<XasrStore> {
-        let visible = {
-            let _txn = options.txn.as_ref().map(Txn::install);
-            XasrStore::exists(&self.env, name)
-        };
-        if !visible {
-            return Err(Error::NoSuchDocument(name.to_string()));
+        let _txn = options.txn.as_ref().map(Txn::install);
+        if self.env.in_txn() {
+            // A wait for the lock honours the query's deadline and token.
+            let governor = options.governor_handle();
+            let _governor = governor.install();
+            self.env.lock(name, LockMode::Shared)?;
         }
-        Ok(XasrStore::open(&self.env, name)?)
+        match XasrStore::open(&self.env, name) {
+            Err(xmldb_xasr::Error::Storage(StorageError::NoSuchFile(file)))
+                if file == file_names(name).clustered =>
+            {
+                Err(Error::NoSuchDocument(name.to_string()))
+            }
+            store => Ok(store?),
+        }
     }
 
     /// Parses and evaluates a query with the chosen engine.
@@ -370,8 +386,10 @@ impl Database {
     /// [`xmldb_storage::Txn::install`] around loads, drops and direct store
     /// mutations; finish with [`xmldb_storage::Txn::commit`] or
     /// [`xmldb_storage::Txn::rollback`] (dropping the last handle of an
-    /// unfinished transaction rolls back). Loads and drops without one run
-    /// in their own; queries without one read lock-free.
+    /// unfinished transaction rolls back). A transaction locks whole
+    /// documents: shared for a query, exclusive for a load or a drop. Loads
+    /// and drops without one run in their own; queries without one read
+    /// the committed version lock-free.
     pub fn begin(&self) -> xmldb_storage::Txn {
         self.env.begin_txn()
     }

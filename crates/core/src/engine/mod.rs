@@ -104,10 +104,11 @@ pub struct QueryOptions {
     /// Lets callers keep the cancellation token to fire it from another
     /// thread (the testbed's timed runner does exactly this).
     pub governor: Option<Governor>,
-    /// Run the query inside this transaction: its page reads take (and
-    /// hold) shared locks, writes take exclusive locks, and nothing is
-    /// durable until the transaction commits. `None` — the default — is
-    /// auto-commit: the query runs on the untransacted fast path.
+    /// Run the query inside this transaction: it takes (and holds to the
+    /// transaction's end) a shared lock on the document, and sees the
+    /// transaction's own uncommitted loads. `None` — the default — is
+    /// auto-commit: the query takes no lock and reads the committed
+    /// version.
     pub txn: Option<Txn>,
     /// Wire-level request id of the statement this query serves, when it
     /// arrived over the network. Carried into [`QueryMetrics`] and the
@@ -362,7 +363,7 @@ fn render_execution(
     // an unlimited query, carries no information.
     if store.env().has_wal() {
         out.push_str(&format!(
-            "wal: {} page images, {} bytes, {} syncs\n",
+            "wal: {} records, {} bytes, {} syncs\n",
             io.wal_appends, io.wal_bytes, io.wal_syncs
         ));
     }

@@ -13,7 +13,7 @@ use xmldb_core::{Database, EngineKind, Error};
 use xmldb_datagen::dblp::{generate_dblp, DblpConfig};
 use xmldb_storage::backend::Backend;
 use xmldb_storage::wal::WAL_CHECKPOINT_BYTES;
-use xmldb_storage::{Env, EnvConfig, FaultBackend, FaultState, PageId, StorageError};
+use xmldb_storage::{Env, EnvConfig, FaultBackend, FaultState, PageId};
 
 const DOC: &str = "<lib><b><t>alpha</t></b><b><t>beta</t></b></lib>";
 
@@ -117,25 +117,26 @@ fn failed_sync_leaves_the_file_dirty_for_the_next_flush() {
     let faults = FaultState::new();
     let db = faulted_db(&dir, &faults);
     let env = db.env();
-    let (f, p) = env
-        .autocommit(|| {
-            let f = env.create_file("raw")?;
-            Ok::<_, StorageError>((f, env.allocate_page(f)?))
-        })
-        .unwrap();
-    env.autocommit(|| env.with_page_mut(f, p, |d| d[0] = 0x5A))
-        .unwrap();
+    let txn = db.begin();
+    {
+        let _scope = txn.install();
+        let f = env.create_file("raw").unwrap();
+        let p = env.allocate_page(f).unwrap();
+        env.with_page_mut(f, p, |d| d[0] = 0x5A).unwrap();
+    }
     faults.fail_next_sync();
-    assert!(env.flush().is_err());
-    // The checkpoint drops the log record that could rebuild the page:
-    // from then on only the data file holds the write.
+    assert!(txn.commit().is_err());
+    // The retried commit fsyncs the file again; the checkpoint then drops
+    // everything from the log but the catalog: from then on only the data
+    // file holds the write.
     let before = syncs(&db, &faults);
-    env.checkpoint().unwrap();
+    txn.commit().unwrap();
     assert_eq!(
         delta(before, syncs(&db, &faults)).0,
         1,
         "the retry fsyncs it"
     );
+    env.checkpoint().unwrap();
     faults.kill_now();
     drop(db);
     let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
@@ -276,22 +277,23 @@ fn other_sessions_do_not_see_an_uncommitted_load() {
 fn autocommit_loads_alone_keep_the_log_under_the_checkpoint_threshold() {
     let dir = scratch("ckpt");
     let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
-    // Every commit record carries the catalog; long names make it grow by
-    // about 1 KB per document, so the log crosses the threshold after
-    // about 90 loads.
-    let mut checkpoints = 0;
+    // A commit record lists the files it adds; names near the file-name
+    // limit make it about 1.3 KB per document, so the log crosses the
+    // threshold after about 3 200 loads. Every commit past it checkpoints.
     let mut last = 0;
-    for i in 0..120 {
-        db.load_document(&format!("{}{i:03}", "n".repeat(200)), DOC)
+    for i in 0..4_000 {
+        db.load_document(&format!("{}{i:04}", "n".repeat(240)), DOC)
             .unwrap();
         let len = db.env().wal_bytes().unwrap();
         assert!(len <= WAL_CHECKPOINT_BYTES, "load {i}: log at {len} bytes");
-        checkpoints += usize::from(len < last);
+        if len < last {
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+            return;
+        }
         last = len;
     }
-    assert!(checkpoints > 0, "the log never reached the threshold");
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
+    panic!("the log never reached the threshold");
 }
 
 thread_local! {

@@ -74,7 +74,7 @@ pub struct ServerConfig {
     pub frame_timeout: Duration,
     /// Idle-in-transaction reaper: a session holding an open transaction
     /// that sends nothing for this long is severed, its transaction rolled
-    /// back and its page locks freed (`None` = never reap).
+    /// back and its document locks freed (`None` = never reap).
     pub idle_txn_timeout: Option<Duration>,
     /// Plain idle sessions (no open transaction) severed after this much
     /// silence (`None` = keep idle sessions forever, the default).
@@ -297,7 +297,7 @@ enum Phase {
     /// (bounded by the idle timeout, if configured).
     Idle,
     /// Waiting for the next request header while holding an open
-    /// transaction — and therefore page locks other sessions may need
+    /// transaction — and therefore document locks other sessions may need
     /// (bounded by the idle-in-transaction timeout).
     IdleInTxn,
     /// A request header arrived; the body is being received (bounded by
@@ -809,7 +809,7 @@ fn run_session(shared: &Arc<Shared>, mut stream: TcpStream, id: u64, queued: boo
     };
     session.serve(&mut stream);
     // Cleanup: a client that vanished mid-transaction must not keep its
-    // page locks — roll back now, not at some later GC.
+    // document locks — roll back now, not at some later GC.
     if let Some(txn) = session.txn.take() {
         let _ = txn.rollback();
         // Counted only once the rollback is done: a scrape that sees the
@@ -884,7 +884,7 @@ impl Session {
                 return;
             }
             // Idle phase choice is what the idle-in-transaction reaper
-            // keys on: silence while holding page locks has a (usually
+            // keys on: silence while holding document locks has a (usually
             // much tighter) deadline of its own.
             let waiting = if self.txn.is_some() {
                 Phase::IdleInTxn
@@ -1154,7 +1154,7 @@ impl Session {
                         Err(e) => {
                             // A failed commit leaves the transaction
                             // active (WAL append/sync error, full disk):
-                            // roll it back now so its page locks free
+                            // roll it back now so its document locks free
                             // immediately — not just on handle drop.
                             let _ = txn.rollback();
                             self.error_response(&Error::Storage(e))

@@ -128,14 +128,14 @@ impl BTree {
 
     /// Opens an existing tree by file name.
     pub fn open(env: &Env, name: &str) -> Result<BTree> {
-        let file = env.open_file(name)?;
-        Self::open_in(env, file, name)
+        Self::open_in(env, env.open_file(name)?)
     }
 
-    fn open_in(env: &Env, file: FileId, name: &str) -> Result<BTree> {
+    /// Opens the existing tree in an open file (see [`Env::pin_files`]).
+    pub fn open_in(env: &Env, file: FileId) -> Result<BTree> {
         let (root, count, height) = env.with_page(file, PageId(0), |data| {
             if &data[..4] != MAGIC {
-                return Err(StorageError::corrupt(format!("{name}: bad btree magic")));
+                return Err(StorageError::corrupt(format!("{file}: bad btree magic")));
             }
             Ok((
                 u64::from_le_bytes(data[META_ROOT..META_ROOT + 8].try_into().unwrap()),

@@ -92,12 +92,11 @@ pub struct IoStats {
     pub shard_locks: Arc<Counter>,
     /// B+-tree node splits (leaf and internal) on the insert path.
     pub btree_splits: Arc<Counter>,
-    /// WAL records appended (page images, commits, deletes).
+    /// WAL records appended (commits and checkpoints).
     pub wal_appends: Arc<Counter>,
     /// Bytes appended to the WAL.
     pub wal_bytes: Arc<Counter>,
-    /// WAL fsyncs issued (one per eviction steal, one per group-commit
-    /// leader).
+    /// WAL fsyncs issued (one per group-commit leader).
     pub wal_syncs: Arc<Counter>,
     /// Snapshot cuts that never stabilized: [`IoStats::snapshot`] gave up
     /// after its bounded retries and returned the last read. Non-zero is
@@ -199,7 +198,7 @@ impl IoStats {
         );
         registry.help(
             "saardb_wal_appends_total",
-            "WAL records appended (page images, commits, deletes).",
+            "WAL records appended (commits and checkpoints).",
         );
         registry.help(
             "saardb_snapshot_unstable_total",
@@ -372,41 +371,9 @@ struct Shard {
     stats: ShardStats,
 }
 
-/// The environment services the pool needs on the write-back path:
-/// backend resolution plus write-ahead logging. The WAL hooks enforce
-/// *WAL-before-steal*: a dirty page that needs a log record (one an active
-/// transaction owns) must have it durable in the log before the page
-/// overwrites its slot in the data file. Environments without a WAL
-/// (in-memory) implement the hooks as no-ops.
-pub(crate) trait PoolIo {
-    /// Resolves a [`FileId`] to its backend.
-    fn backend(&self, file: FileId) -> Result<Arc<dyn Backend>>;
-
-    /// Appends the page's record, with `after` as its after-image, to the
-    /// WAL if it needs one. Not yet durable — see [`PoolIo::wal_sync`].
-    fn wal_page_image(&self, file: FileId, page: PageId, after: &[u8]) -> Result<()>;
-
-    /// Forces appended WAL records to durable storage.
-    fn wal_sync(&self) -> Result<()>;
-}
-
-/// Plain resolvers (tests, scratch pools) get no-op WAL hooks.
-impl<F> PoolIo for F
-where
-    F: Fn(FileId) -> Result<Arc<dyn Backend>>,
-{
-    fn backend(&self, file: FileId) -> Result<Arc<dyn Backend>> {
-        self(file)
-    }
-
-    fn wal_page_image(&self, _file: FileId, _page: PageId, _after: &[u8]) -> Result<()> {
-        Ok(())
-    }
-
-    fn wal_sync(&self) -> Result<()> {
-        Ok(())
-    }
-}
+/// How the pool finds a file's backend on a miss or a write-back: the
+/// environment's file table, or a plain closure in tests and scratch pools.
+pub(crate) type Resolver<'a> = &'a dyn Fn(FileId) -> Result<Arc<dyn Backend>>;
 
 /// The buffer pool. See module docs.
 pub struct BufferPool {
@@ -510,7 +477,7 @@ impl BufferPool {
         &self,
         file: FileId,
         page: PageId,
-        io: &dyn PoolIo,
+        io: Resolver<'_>,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
         let pin = PinGuard::new(self, self.acquire(file, page, AccessMode::Read, io)?);
@@ -527,7 +494,7 @@ impl BufferPool {
         &self,
         file: FileId,
         page: PageId,
-        io: &dyn PoolIo,
+        io: Resolver<'_>,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R> {
         let pin = PinGuard::new(self, self.acquire(file, page, AccessMode::Write, io)?);
@@ -547,7 +514,7 @@ impl BufferPool {
         file: FileId,
         page: PageId,
         mode: AccessMode,
-        io: &dyn PoolIo,
+        io: Resolver<'_>,
     ) -> Result<(usize, usize)> {
         // Page acquires are the structural choke point every
         // storage-touching engine passes through: check the thread's
@@ -574,16 +541,16 @@ impl BufferPool {
         let idx = find_victim(&mut state)?;
 
         // Write back the victim while still holding the shard lock, so no
-        // other fetch can read stale bytes for the evicted page. This is a
-        // *steal* — the page may carry uncommitted changes — so its images
-        // must be durable in the WAL before the data file is touched.
+        // other fetch can read stale bytes for the evicted page. A dirty
+        // page needs no log record first: it belongs to a scratch file, to
+        // a file no commit has published yet (recovery deletes it unless
+        // its commit record lands, and that commit fsyncs it first), or to
+        // an in-memory environment.
         let old = state.metas[idx].tag;
         if let Some((old_file, old_page)) = old {
             if state.metas[idx].dirty {
-                let backend = io.backend(old_file)?;
+                let backend = io(old_file)?;
                 let data = shard.data[idx].read();
-                io.wal_page_image(old_file, old_page, &data)?;
-                io.wal_sync()?;
                 backend.write_page(old_page, &data)?;
                 shard.stats.physical_writes.inc();
             }
@@ -594,7 +561,7 @@ impl BufferPool {
         // Claim the frame and load under the shard lock: holding the lock
         // keeps this shard's table exact, and only this shard is blocked.
         {
-            let backend = io.backend(file)?;
+            let backend = io(file)?;
             let mut data = shard.data[idx].write();
             backend.read_page(page, &mut data)?;
             shard.stats.physical_reads.inc();
@@ -615,63 +582,21 @@ impl BufferPool {
         meta.pin -= 1;
     }
 
-    /// Writes back every dirty frame of the files `only` selects and syncs
-    /// the touched files.
-    ///
-    /// All shard locks are held for the duration so no frame can be
-    /// re-dirtied mid-flush, which makes the dirty-bit protocol sound: a
-    /// frame's dirty bit is cleared only once the owning file's
-    /// `Backend::sync` has returned `Ok` (clearing it after the write but
-    /// before the sync would make a retried flush skip the page and lose
-    /// the write if the first sync failed). Frames that are still pinned
-    /// (an operator may be mid-mutation) are written back but stay dirty.
-    ///
-    /// WAL ordering: every dirty page's images are appended first and
-    /// synced with a single fsync, and only then do the data-file writes
-    /// begin.
-    pub(crate) fn flush(&self, io: &dyn PoolIo, only: &dyn Fn(FileId) -> bool) -> Result<()> {
-        let mut states: Vec<_> = self.shards.iter().map(|s| s.state.lock()).collect();
-
-        // Phase 1: log every dirty page, then force the log once.
-        let mut logged = false;
-        for (si, shard) in self.shards.iter().enumerate() {
-            for idx in 0..states[si].metas.len() {
-                let meta = &states[si].metas[idx];
-                if let Some((file, page)) = meta.tag.filter(|&(f, _)| meta.dirty && only(f)) {
-                    let data = shard.data[idx].read();
-                    io.wal_page_image(file, page, &data)?;
-                    logged = true;
-                }
-            }
-        }
-        if logged {
-            io.wal_sync()?;
-        }
-
-        // Phase 2: write every dirty page, grouping frames by file.
-        let mut by_file: HashMap<FileId, Vec<(usize, usize)>> = HashMap::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            for idx in 0..states[si].metas.len() {
-                let meta = &states[si].metas[idx];
-                if let Some((file, page)) = meta.tag.filter(|&(f, _)| meta.dirty && only(f)) {
-                    let backend = io.backend(file)?;
-                    let data = shard.data[idx].read();
-                    backend.write_page(page, &data)?;
-                    shard.stats.physical_writes.inc();
-                    by_file.entry(file).or_default().push((si, idx));
-                }
-            }
-        }
-
-        // Phase 3: per file, sync — and only on success clear the dirty
-        // bits of the frames written for that file.
-        for (file, frames) in by_file {
-            io.backend(file)?.sync()?;
-            for (si, idx) in frames {
-                let meta = &mut states[si].metas[idx];
-                if meta.pin == 0 {
-                    meta.dirty = false;
-                }
+    /// Writes back every dirty frame of the files `only` selects, one
+    /// shard at a time. A frame still pinned (an operator may be
+    /// mid-mutation) is written but stays dirty. It syncs nothing: the
+    /// caller fsyncs the files, and a file whose sync fails stays dirty at
+    /// its backend (see [`Backend::sync`]), so the next sync retries it.
+    pub(crate) fn flush(&self, io: Resolver<'_>, only: &dyn Fn(FileId) -> bool) -> Result<()> {
+        for shard in &self.shards {
+            let mut state = shard.state.lock();
+            for (idx, meta) in state.metas.iter_mut().enumerate() {
+                let Some((file, page)) = meta.tag.filter(|&(f, _)| meta.dirty && only(f)) else {
+                    continue;
+                };
+                io(file)?.write_page(page, &shard.data[idx].read())?;
+                shard.stats.physical_writes.inc();
+                meta.dirty = meta.pin > 0;
             }
         }
         Ok(())

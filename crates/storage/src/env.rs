@@ -4,26 +4,29 @@
 //! Internally the environment splits into three cooperating components:
 //! the **pager** (file table + buffer pool — everything about resolving a
 //! `(FileId, PageId)` to bytes), the **transaction manager**
-//! ([`crate::txn`] — locks, undo images, commit/rollback), and the
-//! **write-ahead log** ([`crate::wal`] — durability and recovery). The
+//! ([`crate::txn`] — name locks, commit and rollback), and the
+//! **write-ahead log** ([`crate::wal`] — commit records and recovery). The
 //! pager's file table is under a reader/writer lock: page accesses only
 //! ever read it, so lookups never serialize behind file create/drop.
-//! The file table is also the **catalog** every commit record carries
-//! (see [`crate::wal`]).
+//! The file table is also the **catalog** the log records (see
+//! [`crate::wal`]).
 //!
-//! On a logged (on-disk) environment every durable change is a
-//! transaction: creating, extending, writing or removing a file that is
-//! not scratch needs a [`Txn`] installed on the calling thread, and fails
-//! with [`StorageError::NoTxn`] otherwise. Reads need none and take no
-//! locks. In-memory environments have no log, so untransacted writes stay
-//! allowed there.
+//! On a logged (on-disk) environment a file is immutable once committed:
+//! a change is a new file built inside a [`Txn`] and published by its
+//! commit, or a committed file retired by one. Creating or removing a file
+//! that is not scratch needs a transaction installed on the calling thread
+//! ([`StorageError::NoTxn`] otherwise), and a page write to a committed
+//! file fails with [`StorageError::Immutable`]. Reads need no transaction
+//! and take no locks; a reader that must not see its files vanish pins
+//! them ([`Env::pin_files`]). In-memory environments have no log, so
+//! untransacted writes stay allowed there.
 
 use crate::backend::{Backend, FileBackend, MemBackend};
-use crate::buffer::{BufferPool, IoSnapshot, IoStats, PoolIo};
+use crate::buffer::{BufferPool, IoSnapshot, IoStats};
 use crate::error::StorageError;
 use crate::fault::FaultState;
 use crate::page::{PageId, DEFAULT_PAGE_SIZE};
-use crate::txn::{self, Txn, TxnManager};
+use crate::txn::{self, LockMode, Txn, TxnManager};
 use crate::wal::{self, Appended, RecoveryReport, Wal, WAL_CHECKPOINT_BYTES};
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
@@ -37,8 +40,8 @@ use xmldb_obs::{span, Gauge, Registry};
 /// the hook fault-injection wrappers use. See [`Env::open_dir_with_decorator`].
 pub type BackendDecorator = Arc<dyn Fn(&str, Arc<dyn Backend>) -> Arc<dyn Backend> + Send + Sync>;
 
-/// Prefix of anonymous scratch files: exempt from write-ahead logging and
-/// removed by recovery.
+/// Prefix of anonymous scratch files: writable without a transaction,
+/// never in the catalog, and removed by recovery.
 pub(crate) const TEMP_PREFIX: &str = "__tmp-";
 
 /// Identifier of an open file within an [`Env`].
@@ -84,19 +87,25 @@ impl EnvConfig {
 /// Where a file stands in the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FileState {
-    /// Scratch file: exempt from logging and locking, private to its query.
+    /// Scratch file: writable without a transaction, private to its query.
     Temp,
     /// Created by the transaction with this id and not committed yet:
     /// built unlogged and seen by that transaction only; recovery deletes
     /// it.
     New(u64),
+    /// In the catalog; read-only on a logged environment.
     Committed,
+    /// Dropped by a committed transaction: out of the catalog and its name
+    /// free, kept only until the last [`FilePins`] holding it goes.
+    Dropped,
 }
 
-pub(crate) struct FileEntry {
+struct FileEntry {
     backend: Arc<dyn Backend>,
     name: String,
     state: FileState,
+    /// Live [`FilePins`] holding this file.
+    pins: usize,
 }
 
 struct FileTable {
@@ -108,9 +117,12 @@ struct FileTable {
 }
 
 impl FileTable {
+    /// Forgets `id`, and its name unless a newer file took it over.
     fn remove(&mut self, id: FileId) -> Option<FileEntry> {
         let entry = self.by_id.remove(&id)?;
-        self.by_name.remove(&entry.name);
+        if self.by_name.get(&entry.name) == Some(&id) {
+            self.by_name.remove(&entry.name);
+        }
         Some(entry)
     }
 
@@ -144,7 +156,7 @@ struct EnvInner {
     /// Directory for on-disk environments; `None` keeps everything in RAM.
     dir: Option<PathBuf>,
     pager: Pager,
-    /// Transaction bookkeeping: ids, lock table, page ownership.
+    /// Transaction bookkeeping: ids, the lock table, live transactions.
     txns: TxnManager,
     /// Metrics registry every layer of this environment publishes into —
     /// pool/WAL/B+-tree counters here, engine latency histograms in core.
@@ -185,10 +197,10 @@ impl Env {
     /// Opens (creating if needed) an on-disk environment rooted at `dir`.
     ///
     /// Before any data file is touched, the directory's write-ahead log is
-    /// replayed: committed page images are redone, uncommitted steals are
-    /// undone, and torn log tails are discarded — see [`crate::wal`]. The
-    /// resulting [`RecoveryReport`] is available via
-    /// [`Env::recovery_report`].
+    /// replayed: the catalog is rebuilt from the last checkpoint and the
+    /// commit records after it, every other data file is deleted, and a
+    /// torn log tail is discarded — see [`crate::wal`]. The resulting
+    /// [`RecoveryReport`] is available via [`Env::recovery_report`].
     pub fn open_dir(dir: impl Into<PathBuf>, config: EnvConfig) -> Result<Env> {
         Env::open_dir_inner(dir.into(), config, None)
     }
@@ -315,14 +327,9 @@ impl Env {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// The transaction manager (lock table, ownership index, counters).
+    /// The transaction manager (lock table, live transactions, counters).
     pub(crate) fn txns(&self) -> &TxnManager {
         &self.inner.txns
-    }
-
-    /// The write-ahead log, if this environment has one.
-    pub(crate) fn wal(&self) -> Option<&Wal> {
-        self.inner.wal.as_ref()
     }
 
     /// True while the environment is in read-only degraded mode: a WAL
@@ -398,13 +405,21 @@ impl Env {
         Ok(())
     }
 
-    /// The untransacted half of [`Env::check_txn`] for one file: scratch
-    /// files (and unknown ids, which the pool reports) pass.
-    pub(crate) fn check_untransacted_write(&self, file: FileId) -> Result<()> {
-        if self.inner.wal.is_some() && !self.is_temp(file) {
-            return Err(StorageError::NoTxn);
+    /// Refuses a page write or extension the log could not account for:
+    /// on a logged environment only scratch files and files no commit has
+    /// published yet are writable, and only scratch ones while degraded.
+    /// Unknown ids pass — the pool reports them.
+    fn check_write(&self, file: FileId) -> Result<()> {
+        if self.inner.wal.is_none() {
+            return Ok(());
         }
-        Ok(())
+        let table = self.inner.pager.files.read();
+        match table.by_id.get(&file).map(|e| (e.state, &e.name)) {
+            None | Some((FileState::Temp, _)) => Ok(()),
+            Some(_) if self.is_read_only() => Err(StorageError::ReadOnly),
+            Some((FileState::New(_), _)) => Ok(()),
+            Some((_, name)) => Err(StorageError::Immutable(name.clone())),
+        }
     }
 
     /// Attaches a fault plan to the write-ahead log so its `wal_no_space`
@@ -446,6 +461,7 @@ impl Env {
                 backend,
                 name,
                 state,
+                pins: 0,
             },
         );
         id
@@ -483,7 +499,10 @@ impl Env {
     /// Opens an existing file named `name` (possibly persisted by a
     /// previous environment over the same directory).
     pub fn open_file(&self, name: &str) -> Result<FileId> {
-        let mut table = self.inner.pager.files.write();
+        self.open_in(&mut self.inner.pager.files.write(), name)
+    }
+
+    fn open_in(&self, table: &mut FileTable, name: &str) -> Result<FileId> {
         if let Some(&id) = table.by_name.get(name) {
             return Ok(id);
         }
@@ -491,9 +510,60 @@ impl Env {
             Some(path) if path.exists() => {
                 let backend: Arc<dyn Backend> =
                     Arc::new(FileBackend::open(&path, self.page_size())?);
-                Ok(self.register(&mut table, name.to_string(), backend, FileState::Committed))
+                Ok(self.register(table, name.to_string(), backend, FileState::Committed))
             }
             _ => Err(StorageError::NoSuchFile(name.to_string())),
+        }
+    }
+
+    /// Opens the files `names` and pins them, all or none, in one step
+    /// under the file-table lock: no commit falls between two of them, so
+    /// they are one committed version (or the installed transaction's own
+    /// new files). While the returned [`FilePins`] lives, a committed drop
+    /// of any of them takes the names out of the catalog and unlinks the
+    /// files, but their pages stay readable through the open handles and
+    /// their frames stay in the pool; the last pin to go frees them. Fails
+    /// with [`StorageError::NoSuchFile`] naming the first file that is
+    /// absent or another transaction's uncommitted one.
+    pub fn pin_files(&self, names: &[&str]) -> Result<FilePins> {
+        let owner = txn::installed_id(self);
+        let mut table = self.inner.pager.files.write();
+        let mut ids = Vec::with_capacity(names.len());
+        for &name in names {
+            let id = self.open_in(&mut table, name)?;
+            if matches!(table.by_id[&id].state, FileState::New(o) if Some(o) != owner) {
+                return Err(StorageError::NoSuchFile(name.to_string()));
+            }
+            ids.push(id);
+        }
+        for id in &ids {
+            if let Some(e) = table.by_id.get_mut(id) {
+                e.pins += 1;
+            }
+        }
+        Ok(FilePins {
+            env: self.clone(),
+            ids,
+        })
+    }
+
+    /// Releases one pin on each of `ids`; a dropped file whose last pin
+    /// this was is reaped.
+    fn unpin(&self, ids: &[FileId]) {
+        let mut last = Vec::new();
+        {
+            let mut table = self.inner.pager.files.write();
+            for id in ids {
+                if let Some(e) = table.by_id.get_mut(id) {
+                    e.pins -= 1;
+                    if e.pins == 0 && e.state == FileState::Dropped {
+                        last.push(*id);
+                    }
+                }
+            }
+        }
+        for id in last {
+            self.reap(id);
         }
     }
 
@@ -537,18 +607,20 @@ impl Env {
         self.remove_files(&[id])
     }
 
-    /// Removes files: drops their pool frames, forgets them, deletes the
-    /// disk files. Under the transaction installed on this thread,
-    /// committed files leave at its commit, whose catalog omits them, and
-    /// uncommitted ones at once. A logged environment refuses to remove a
-    /// durable file without one ([`StorageError::NoTxn`]); an in-memory
-    /// one removes it at once. Fails with [`StorageError::FileBusy`] while
-    /// any of the files' pages is pinned.
+    /// Removes files. Scratch files and the installed transaction's own
+    /// uncommitted ones go at once (frames, entry, disk file). Committed
+    /// files leave at the installed transaction's commit; a logged
+    /// environment refuses to remove a durable file without one
+    /// ([`StorageError::NoTxn`]), an in-memory one drops it at once. A
+    /// dropped file that is still pinned stays readable to its pinners
+    /// (see [`Env::pin_files`]). Fails with [`StorageError::FileBusy`]
+    /// while a page of a file removed at once is pinned.
     pub fn remove_files(&self, ids: &[FileId]) -> Result<()> {
         let mut states = Vec::with_capacity(ids.len());
         for &id in ids {
-            let (_, state) = self
-                .file_meta(id)
+            let state = self
+                .file_state(id)
+                .filter(|&s| s != FileState::Dropped)
                 .ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?;
             states.push(state);
         }
@@ -561,68 +633,97 @@ impl Env {
             .filter(|(_, &s)| s == FileState::Committed)
             .map(|(&id, _)| id)
             .collect();
-        let deferred = !committed.is_empty() && txn::defer_drops(self, &committed)?;
+        if !committed.is_empty() && !txn::defer_drops(self, &committed)? {
+            self.publish(&[], &committed)?;
+            self.retire(&committed);
+        }
         for (&id, &state) in ids.iter().zip(&states) {
-            if !(deferred && state == FileState::Committed) {
+            if state != FileState::Committed {
                 self.discard(id)?;
             }
         }
         Ok(())
     }
 
-    /// Forgets the files' pool frames (before `publish`, which must not
-    /// wait on the pool under the file-table lock).
-    pub(crate) fn drop_frames(&self, ids: &[FileId]) -> Result<()> {
-        for &id in ids {
-            self.inner.pager.pool.invalidate_file(id)?;
+    /// Removes a file at once, logging nothing: an uncommitted or scratch
+    /// file. Works even while the environment is read-only.
+    pub(crate) fn discard(&self, id: FileId) -> Result<()> {
+        self.inner.pager.pool.invalidate_file(id)?;
+        let entry = self.inner.pager.files.write().remove(id);
+        let entry = entry.ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?;
+        if let Some(path) = entry.backend.path() {
+            std::fs::remove_file(path)?;
         }
         Ok(())
     }
 
-    /// Removes a file at once, logging nothing: an uncommitted or scratch
-    /// file, or any file of an in-memory environment. Works even while the
-    /// environment is read-only.
-    pub(crate) fn discard(&self, id: FileId) -> Result<()> {
-        self.inner.pager.pool.invalidate_file(id)?;
-        let entry = self.inner.pager.files.write().remove(id);
-        delete_files(&[entry.ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?])
-    }
-
-    /// Transaction `txn`'s catalog change: under the file-table lock (so
-    /// records reach the log in catalog order), appends its commit record
-    /// — the catalog with `added` in and `dropped` out — then applies the
-    /// change. Returns the record and the dropped entries, whose files the
-    /// caller deletes.
-    pub(crate) fn publish(
-        &self,
-        txn: u64,
-        added: &[FileId],
-        dropped: &[FileId],
-    ) -> Result<(Option<Appended>, Vec<FileEntry>)> {
-        let mut table = self.inner.pager.files.write();
+    /// A commit's catalog change: under the file-table lock (so records
+    /// reach the log in catalog order), appends the commit record — the
+    /// `added` files with their page counts and the `dropped` names — then
+    /// applies it: the added files are committed, and the dropped ones
+    /// leave the catalog and free their names (see [`Env::retire`]).
+    pub(crate) fn publish(&self, added: &[FileId], dropped: &[FileId]) -> Result<Option<Appended>> {
+        let mut guard = self.inner.pager.files.write();
+        let FileTable { by_id, by_name, .. } = &mut *guard;
         let mut appended = None;
         if let Some(wal) = &self.inner.wal {
-            let file = |id: &FileId| {
-                let e = table.by_id.get(id)?;
-                Some((e.name.clone(), e.backend.page_count()))
-            };
-            let gone: Vec<String> = dropped.iter().filter_map(file).map(|(n, _)| n).collect();
-            let mut files = table.catalog();
-            files.retain(|(name, _)| !gone.contains(name));
-            files.extend(added.iter().filter_map(file));
-            let a = self.note_wal(wal.append_txn_commit(txn, self.page_size(), files))?;
+            let adds = added.iter().filter_map(|id| by_id.get(id));
+            let drops = dropped.iter().filter_map(|id| by_id.get(id));
+            let a = self.note_wal(
+                wal.append_commit(
+                    adds.map(|e| (e.name.clone(), e.backend.page_count()))
+                        .collect(),
+                    drops.map(|e| e.name.clone()).collect(),
+                ),
+            )?;
             let stats = self.inner.pager.pool.stats();
             stats.wal_appends.inc();
             stats.wal_bytes.add(a.bytes);
             appended = Some(a);
         }
         for id in added {
-            if let Some(e) = table.by_id.get_mut(id) {
+            if let Some(e) = by_id.get_mut(id) {
                 e.state = FileState::Committed;
             }
         }
-        let removed = dropped.iter().filter_map(|&id| table.remove(id)).collect();
-        Ok((appended, removed))
+        for id in dropped {
+            if let Some(e) = by_id.get_mut(id) {
+                e.state = FileState::Dropped;
+                if by_name.get(&e.name) == Some(id) {
+                    by_name.remove(&e.name);
+                }
+            }
+        }
+        Ok(appended)
+    }
+
+    /// After the commit that dropped `ids`: unlinks their disk files — a
+    /// reader still pinning one keeps reading its open handle — and reaps
+    /// the unpinned ones. Best effort: a file left on disk is outside the
+    /// catalog, so recovery deletes it.
+    pub(crate) fn retire(&self, ids: &[FileId]) {
+        for &id in ids {
+            if let Ok(backend) = self.backend(id) {
+                if let Some(path) = backend.path() {
+                    let _ = std::fs::remove_file(path);
+                }
+            }
+            self.reap(id);
+        }
+    }
+
+    /// Frees a dropped file's frames and forgets it once nothing pins it.
+    /// A frame still pinned by a raw page access keeps the entry; the clock
+    /// evicts such frames like any other.
+    fn reap(&self, id: FileId) {
+        let unpinned = {
+            let table = self.inner.pager.files.read();
+            let entry = table.by_id.get(&id);
+            entry.is_some_and(|e| e.state == FileState::Dropped && e.pins == 0)
+        };
+        if unpinned && self.inner.pager.pool.invalidate_file(id).is_ok() {
+            self.inner.pager.files.write().remove(id);
+        }
     }
 
     /// Makes the log durable up to `end`; true if this call fsynced.
@@ -654,7 +755,7 @@ impl Env {
             return Ok(());
         }
         let pool = &self.inner.pager.pool;
-        pool.flush(&EnvIo(self), &|f| files.contains(&f))?;
+        pool.flush(&|f| self.backend(f), &|f| files.contains(&f))?;
         for &file in files {
             self.backend(file)?.sync()?;
         }
@@ -681,28 +782,17 @@ impl Env {
             .ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))
     }
 
-    /// Name and catalog state of an open file, if it is still open.
-    pub(crate) fn file_meta(&self, id: FileId) -> Option<(String, FileState)> {
+    /// Catalog state of an open file, if it is still open.
+    fn file_state(&self, id: FileId) -> Option<FileState> {
         let table = self.inner.pager.files.read();
-        table.by_id.get(&id).map(|e| (e.name.clone(), e.state))
+        table.by_id.get(&id).map(|e| e.state)
     }
 
-    /// Appends a zeroed page to `file`.
+    /// Appends a zeroed page to `file` (see [`Env::with_page_mut`] for
+    /// which files are writable).
     pub fn allocate_page(&self, file: FileId) -> Result<PageId> {
-        if self.is_read_only() && !self.is_temp(file) {
-            return Err(StorageError::ReadOnly);
-        }
-        if !self.in_txn() {
-            self.check_untransacted_write(file)?;
-        }
-        let id = self.backend(file)?.allocate_page()?;
-        Ok(id)
-    }
-
-    fn is_temp(&self, file: FileId) -> bool {
-        let table = self.inner.pager.files.read();
-        let entry = table.by_id.get(&file);
-        entry.is_some_and(|e| e.state == FileState::Temp)
+        self.check_write(file)?;
+        self.backend(file)?.allocate_page()
     }
 
     /// Number of pages in `file`.
@@ -719,11 +809,19 @@ impl Env {
     /// Begins a transaction on this environment. The handle is inert until
     /// [`Txn::install`]ed on a thread; see [`crate::txn`] for the locking
     /// and commit protocol. Its commit is the only way durable state
-    /// changes on a logged environment. Without an installed transaction,
-    /// reads stay on the lock-free fast path (one thread-local probe) and
-    /// writes to durable files fail with [`StorageError::NoTxn`].
+    /// changes on a logged environment.
     pub fn begin_txn(&self) -> Txn {
         Txn::begin(self)
+    }
+
+    /// Takes `mode` on `name` for the transaction on this environment
+    /// installed on this thread (see [`Txn::lock`]); without one, a no-op:
+    /// an autocommit reader takes no locks.
+    pub fn lock(&self, name: &str, mode: LockMode) -> Result<()> {
+        match txn::installed_on(self) {
+            Some(txn) => txn.lock(name, mode),
+            None => Ok(()),
+        }
     }
 
     /// Runs `work` in the transaction on this environment installed on
@@ -758,66 +856,29 @@ impl Env {
 
     /// Runs `f` over the (read-only) contents of a page. Takes the frame's
     /// shared lock: concurrent readers of a hot page do not serialize.
-    /// Under an installed transaction, first acquires (and holds, per
-    /// strict two-phase locking) a shared page lock.
     pub fn with_page<R>(
         &self,
         file: FileId,
         page: PageId,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        txn::read_hook(self, file, page)?;
-        self.inner
-            .pager
-            .pool
-            .with_frame_read(file, page, &EnvIo(self), f)
+        let pool = &self.inner.pager.pool;
+        pool.with_frame_read(file, page, &|f| self.backend(f), f)
     }
 
-    /// Runs `f` over the mutable contents of a page, marking it dirty.
-    /// Under an installed transaction, first acquires an exclusive page
-    /// lock and captures the page's undo image; without one, see
-    /// [`Env::begin_txn`].
+    /// Runs `f` over the mutable contents of a page, marking it dirty. On
+    /// a logged environment only scratch files and uncommitted new files
+    /// are writable ([`StorageError::Immutable`] otherwise), and only
+    /// scratch ones while degraded ([`StorageError::ReadOnly`]).
     pub fn with_page_mut<R>(
         &self,
         file: FileId,
         page: PageId,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R> {
-        // Cheap atomic probe first; the file-table lookup only runs while
-        // degraded (scratch files stay writable — they are never logged).
-        if self.is_read_only() && !self.is_temp(file) {
-            return Err(StorageError::ReadOnly);
-        }
-        txn::write_hook(self, file, page)?;
-        self.inner
-            .pager
-            .pool
-            .with_frame_write(file, page, &EnvIo(self), f)
-    }
-
-    /// Copies a page's current (pool-resident) content. Bypasses the
-    /// transaction hooks — used by the transaction layer itself, which
-    /// already holds the page lock when it captures images.
-    pub(crate) fn read_page_vec(&self, file: FileId, page: PageId) -> Result<Vec<u8>> {
-        self.inner
-            .pager
-            .pool
-            .with_frame_read(file, page, &EnvIo(self), |d| d.to_vec())
-    }
-
-    /// Overwrites a page with `data` (pool write, marks dirty). Bypasses
-    /// the transaction hooks — rollback's pre-image restore.
-    pub(crate) fn write_page_raw(&self, file: FileId, page: PageId, data: &[u8]) -> Result<()> {
-        if data.len() != self.page_size() {
-            return Err(StorageError::PageBufferSize {
-                len: data.len(),
-                page_size: self.page_size(),
-            });
-        }
-        self.inner
-            .pager
-            .pool
-            .with_frame_write(file, page, &EnvIo(self), |d| d.copy_from_slice(data))
+        self.check_write(file)?;
+        let pool = &self.inner.pager.pool;
+        pool.with_frame_write(file, page, &|f| self.backend(f), f)
     }
 
     /// Writes back all dirty frames and fsyncs every file with unsynced
@@ -833,8 +894,7 @@ impl Env {
     /// of the periodic checkpoint [`Env::flush`] and [`Txn::commit`] apply
     /// by threshold; a no-op beyond [`Env::flush`] for in-memory
     /// environments. Skipped (the flush still runs) while any transaction
-    /// is in flight — truncation would discard its undo records — or when
-    /// one committed during the flush.
+    /// is in flight, or when one committed during the flush.
     pub fn checkpoint(&self) -> Result<()> {
         self.flush_then_checkpoint(true)
     }
@@ -848,8 +908,11 @@ impl Env {
     fn flush_then_checkpoint(&self, checkpoint: bool) -> Result<()> {
         let _span = span("storage.flush");
         let start = self.wal_bytes();
-        self.inner.pager.pool.flush(&EnvIo(self), &|_| true)?;
-        // Eviction steals were written unsynced; clean files skip the sync.
+        self.inner
+            .pager
+            .pool
+            .flush(&|f| self.backend(f), &|_| true)?;
+        // Eviction write-backs were not synced; clean files skip the sync.
         let backends: Vec<Arc<dyn Backend>> = {
             let table = self.inner.pager.files.read();
             table
@@ -885,7 +948,7 @@ impl Env {
         self.note_wal(wal.checkpoint(self.page_size(), table.catalog(), start))
     }
 
-    /// True if this environment write-ahead-logs page images (on-disk
+    /// True if this environment has a write-ahead log (on-disk
     /// environments only). EXPLAIN ANALYZE uses this to omit WAL lines —
     /// rather than print zeros — when no log exists.
     pub fn has_wal(&self) -> bool {
@@ -965,57 +1028,24 @@ impl Env {
     }
 }
 
-/// The pool's view of the environment: backend resolution plus the
-/// WAL-before-steal hooks. A page owned by an active transaction is logged
-/// as a transaction-tagged image with the owner's first-touch pre-image as
-/// the before-image, so recovery can undo a loser no matter how many times
-/// its pages were stolen.
-///
-/// Every other dirty page is written back without a record, because the
-/// log can already rebuild it: a new file's page is fsynced by the commit
-/// that creates the file, and a committed file's page holds either a
-/// committed after-image or a rolled-back pre-image — and the log has not
-/// been checkpointed since, because a checkpoint needs a full flush with
-/// no transaction active.
-struct EnvIo<'a>(&'a Env);
+/// Files held against drops — see [`Env::pin_files`]. Dropping it
+/// releases the pins.
+pub struct FilePins {
+    env: Env,
+    ids: Vec<FileId>,
+}
 
-impl PoolIo for EnvIo<'_> {
-    fn backend(&self, file: FileId) -> Result<Arc<dyn Backend>> {
-        self.0.backend(file)
-    }
-
-    fn wal_page_image(&self, file: FileId, page: PageId, after: &[u8]) -> Result<()> {
-        let Some(wal) = &self.0.inner.wal else {
-            return Ok(());
-        };
-        let Some((owner, pre)) = self.0.inner.txns.owner_pre_image(file, page) else {
-            return Ok(());
-        };
-        let Some((name, _)) = self.0.file_meta(file) else {
-            return Err(StorageError::NoSuchFile(format!("{file}")));
-        };
-        let a = self
-            .0
-            .note_wal(wal.append_txn_page_image(owner, &name, page, &pre, after))?;
-        let stats = self.0.inner.pager.pool.stats();
-        stats.wal_appends.inc();
-        stats.wal_bytes.add(a.bytes);
-        Ok(())
-    }
-
-    fn wal_sync(&self) -> Result<()> {
-        if let Some(wal) = &self.0.inner.wal {
-            self.0.sync_wal(wal.len())?;
-        }
-        Ok(())
+impl FilePins {
+    /// The pinned files, in the order their names were given.
+    pub fn ids(&self) -> &[FileId] {
+        &self.ids
     }
 }
 
-pub(crate) fn delete_files(entries: &[FileEntry]) -> Result<()> {
-    for path in entries.iter().filter_map(|e| e.backend.path()) {
-        std::fs::remove_file(path)?;
+impl Drop for FilePins {
+    fn drop(&mut self) {
+        self.env.unpin(&self.ids);
     }
-    Ok(())
 }
 
 impl std::fmt::Debug for Env {
@@ -1164,12 +1194,14 @@ mod tests {
         let txn = env.begin_txn();
         {
             let _s = txn.install();
-            env.with_page_mut(f, p, |d| d[0] = 2).unwrap();
+            let n = env.create_file("n").unwrap();
+            env.allocate_page(n).unwrap();
         }
         let err = txn.commit().unwrap_err();
         assert!(matches!(err, StorageError::NoSpace), "{err}");
         txn.rollback().unwrap();
         assert!(env.is_read_only());
+        assert!(!env.file_exists("n"));
         assert_eq!(env.pinned_frames(), 0);
 
         // Degraded mode: reads fine, durable writes typed-refused, scratch
@@ -1194,10 +1226,16 @@ mod tests {
         faults.set_wal_no_space(false);
         assert!(env.try_exit_read_only().unwrap());
         assert!(!env.is_read_only());
-        env.autocommit(|| env.with_page_mut(f, p, |d| d[0] = 4))
+        let (g, q) = env
+            .autocommit(|| {
+                let g = env.create_file("after")?;
+                let q = env.allocate_page(g)?;
+                env.with_page_mut(g, q, |d| d[0] = 4)?;
+                Ok::<_, StorageError>((g, q))
+            })
             .unwrap();
         env.flush().unwrap();
-        assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 4);
+        assert_eq!(env.with_page(g, q, |d| d[0]).unwrap(), 4);
 
         drop(env);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1208,22 +1246,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("saardb-env-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
-        let (f, p) = env
-            .autocommit(|| {
-                let f = env.create_file("t")?;
-                Ok::<_, StorageError>((f, env.allocate_page(f)?))
-            })
-            .unwrap();
+        env.autocommit(|| {
+            let f = env.create_file("t")?;
+            env.allocate_page(f)
+        })
+        .unwrap();
         let txn = env.begin_txn();
         {
             let _s = txn.install();
-            env.with_page_mut(f, p, |d| d[0] = 1).unwrap();
+            let u = env.create_file("u").unwrap();
+            env.allocate_page(u).unwrap();
         }
+        let logged = env.wal_bytes().unwrap();
         env.checkpoint().unwrap();
-        // The commit that created the file and the txn's steal/undo
-        // records (if any) must survive: no truncation with a live
-        // transaction.
-        assert!(env.wal_bytes().unwrap() > 0);
+        // The commit that created "t" must survive: no truncation with a
+        // live transaction.
+        assert_eq!(env.wal_bytes().unwrap(), logged);
         txn.commit().unwrap();
         env.checkpoint().unwrap();
         // Quiescent now: the log holds exactly the fresh checkpoint record.
@@ -1249,15 +1287,26 @@ mod tests {
             })
             .unwrap();
         let wal = env.wal_bytes();
-        let refused = [
-            env.with_page_mut(f, p, |d| d[0] = 2).map(drop),
-            env.allocate_page(f).map(drop),
-            env.create_file("e").map(drop),
-            env.remove_file(f),
-        ];
+        let refused = [env.create_file("e").map(drop), env.remove_file(f)];
         for r in refused {
             assert!(matches!(r, Err(StorageError::NoTxn)), "{r:?}");
         }
+        // A committed file is immutable, in a transaction or not.
+        let txn = env.begin_txn();
+        for installed in [false, true] {
+            let _s = installed.then(|| txn.install());
+            let writes = [
+                env.with_page_mut(f, p, |d| d[0] = 2).map(drop),
+                env.allocate_page(f).map(drop),
+            ];
+            for r in writes {
+                assert!(
+                    matches!(&r, Err(StorageError::Immutable(n)) if n == "d"),
+                    "{r:?}"
+                );
+            }
+        }
+        txn.commit().unwrap();
         // Nothing changed, nothing was logged, and the env stays usable:
         // reads, scratch files and transactions all work.
         assert_eq!(env.wal_bytes(), wal);
@@ -1268,8 +1317,6 @@ mod tests {
         let tp = env.allocate_page(tmp).unwrap();
         env.with_page_mut(tmp, tp, |d| d[0] = 9).unwrap();
         env.remove_file(tmp).unwrap();
-        env.autocommit(|| env.with_page_mut(f, p, |d| d[0] = 3))
-            .unwrap();
         env.autocommit(|| env.remove_file(f)).unwrap();
         assert!(env.committed_files().is_empty());
         drop(env);
@@ -1287,5 +1334,74 @@ mod tests {
         env.remove_file(f).unwrap();
         assert!(!env.file_exists("d"));
         assert!(env.committed_files().is_empty());
+    }
+
+    #[test]
+    fn pinned_files_outlive_a_committed_drop() {
+        let dir = std::env::temp_dir().join(format!("saardb-env-pins-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
+        let build = |fill: u8| {
+            env.autocommit(|| {
+                let f = env.create_file("d")?;
+                let p = env.allocate_page(f)?;
+                env.with_page_mut(f, p, |d| d[0] = fill)
+            })
+            .unwrap()
+        };
+        build(1);
+        let pins = env.pin_files(&["d"]).unwrap();
+        let old = pins.ids()[0];
+        assert_eq!(env.with_page(old, PageId(0), |d| d[0]).unwrap(), 1);
+        // The drop commits at once: the name and the directory entry go,
+        // the pinned reader keeps its pages.
+        env.autocommit(|| env.remove_file(old)).unwrap();
+        assert!(!env.file_exists("d"));
+        assert!(!dir.join("d.sdb").exists());
+        assert!(env.committed_files().is_empty());
+        env.flush().unwrap();
+        assert_eq!(env.with_page(old, PageId(0), |d| d[0]).unwrap(), 1);
+        // A reload under the same name is a new file beside the old one.
+        build(2);
+        let new = env.open_file("d").unwrap();
+        assert_ne!(new, old);
+        assert_eq!(env.with_page(new, PageId(0), |d| d[0]).unwrap(), 2);
+        assert_eq!(env.with_page(old, PageId(0), |d| d[0]).unwrap(), 1);
+        // The last pin frees the old file; the new one is untouched.
+        drop(pins);
+        assert!(matches!(
+            env.with_page(old, PageId(0), |d| d[0]),
+            Err(StorageError::NoSuchFile(_))
+        ));
+        assert_eq!(env.with_page(new, PageId(0), |d| d[0]).unwrap(), 2);
+        assert_eq!(env.committed_files(), ["d"]);
+        drop(env);
+        let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
+        let f = env.open_file("d").unwrap();
+        assert_eq!(env.with_page(f, PageId(0), |d| d[0]).unwrap(), 2);
+        drop(env);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pins_are_all_or_none_and_respect_visibility() {
+        let env = Env::memory();
+        env.create_file("a").unwrap();
+        assert!(matches!(
+            env.pin_files(&["a", "b"]),
+            Err(StorageError::NoSuchFile(n)) if n == "b"
+        ));
+        let txn = env.begin_txn();
+        {
+            let _s = txn.install();
+            env.create_file("b").unwrap();
+            assert_eq!(env.pin_files(&["a", "b"]).unwrap().ids().len(), 2);
+        }
+        assert!(env.pin_files(&["b"]).is_err(), "another transaction's file");
+        txn.commit().unwrap();
+        let pins = env.pin_files(&["a", "b"]).unwrap();
+        env.remove_files(pins.ids()).unwrap();
+        assert!(env.committed_files().is_empty());
+        assert!(env.pin_files(&["a"]).is_err());
     }
 }

@@ -92,10 +92,22 @@ pub enum StorageError {
     /// [`StorageError::NoSpace`]): queries keep running, writes are
     /// refused until [`crate::Env::try_exit_read_only`] succeeds.
     ReadOnly,
-    /// A write to a durable file of a logged (on-disk) environment outside
-    /// a transaction: every durable change commits through
+    /// A durable file created or removed on a logged (on-disk) environment
+    /// outside a transaction: every durable change commits through
     /// [`crate::Txn::commit`], so install one first.
     NoTxn,
+    /// A page write to a committed file of a logged environment. Committed
+    /// files are immutable: build a new file in a transaction instead.
+    Immutable(String),
+    /// A log record whose checksum holds but whose kind this build does not
+    /// know — a log written by another format. Recovery refuses it rather
+    /// than cut the log there and delete what the lost records listed.
+    UnknownLogRecord {
+        /// Byte offset of the record in the log.
+        offset: u64,
+        /// Its kind tag.
+        tag: u8,
+    },
 }
 
 impl StorageError {
@@ -162,6 +174,14 @@ impl fmt::Display for StorageError {
             StorageError::NoTxn => {
                 write!(f, "durable write outside a transaction")
             }
+            StorageError::Immutable(name) => {
+                write!(f, "file {name} is committed and cannot be written")
+            }
+            StorageError::UnknownLogRecord { offset, tag } => write!(
+                f,
+                "write-ahead log record at byte {offset} has unknown kind {tag:#04x} \
+                 (a log from another format)"
+            ),
         }
     }
 }

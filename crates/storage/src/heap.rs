@@ -70,10 +70,14 @@ impl HeapFile {
 
     /// Opens an existing heap file.
     pub fn open(env: &Env, name: &str) -> Result<HeapFile> {
-        let file = env.open_file(name)?;
+        Self::open_in(env, env.open_file(name)?)
+    }
+
+    /// Opens the existing heap in an open file (see [`Env::pin_files`]).
+    pub fn open_in(env: &Env, file: FileId) -> Result<HeapFile> {
         let count = env.with_page(file, PageId(0), |data| {
             if &data[..4] != MAGIC {
-                return Err(StorageError::corrupt(format!("{name}: bad heap magic")));
+                return Err(StorageError::corrupt(format!("{file}: bad heap magic")));
             }
             let mut bytes = [0u8; 8];
             bytes.copy_from_slice(&data[META_COUNT_OFF..META_COUNT_OFF + 8]);

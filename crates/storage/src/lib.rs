@@ -55,7 +55,7 @@ mod page;
 
 pub use btree::{BTree, Cursor, Seeker};
 pub use buffer::{IoSnapshot, IoStats};
-pub use env::{BackendDecorator, Env, EnvConfig, FileId};
+pub use env::{BackendDecorator, Env, EnvConfig, FileId, FilePins};
 pub use error::StorageError;
 pub use fault::{FaultBackend, FaultState, KillMode};
 pub use governor::{Governor, GovernorScope, GovernorSnapshot, MemReservation};
@@ -63,7 +63,7 @@ pub use heap::HeapFile;
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use sort::{ExternalSorter, SortedRecords};
 pub use temp::TempFile;
-pub use txn::{Txn, TxnScope};
+pub use txn::{LockMode, Txn, TxnScope};
 pub use wal::{crc32, Appended, RecoveryReport, Wal};
 
 /// Result alias for this crate.

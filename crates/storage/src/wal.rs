@@ -1,41 +1,28 @@
-//! Page-image write-ahead log and crash recovery.
+//! Commit log and crash recovery.
 //!
 //! The paper's M2 engine got durability "for free" from Berkeley DB; this
-//! module supplies the equivalent guarantee for our storage manager. The
-//! buffer pool runs a *steal / no-force* policy — dirty pages may be
-//! written back at arbitrary eviction points, and a flush is not forced
-//! after every operation — so without write-ahead ordering a crash
-//! mid-insert could persist a half-updated B+-tree. The WAL restores the
-//! invariant:
+//! module supplies the equivalent guarantee for our storage manager. No
+//! operation rewrites a page of a committed file: a load builds new files,
+//! a drop retires committed ones, and a query reads (see [`crate::txn`]).
+//! So the log holds no page images, only the catalog and its changes:
 //!
-//! * **Every durable change is a transaction**, and the log speaks one
-//!   dialect: [`Record::TxnPageImage`] (a page's *before* and *after*
-//!   images, tagged with the writing transaction), [`Record::TxnCommit`],
-//!   [`Record::TxnAbort`] and [`Record::Checkpoint`]. Before a page owned
-//!   by an active transaction reaches its data file (an eviction steal or
-//!   [`crate::Env::flush`]), its image is appended and fsynced; commit
-//!   appends the images of the whole write set. A dirty page no active
-//!   transaction owns needs no record: its content is a committed
-//!   after-image or a rolled-back pre-image, both of which the log can
-//!   already rebuild.
-//! * **The commit record is the catalog.** Every [`Record::TxnCommit`]
-//!   lists every committed file and its page count, as does every
-//!   [`Record::Checkpoint`]. A *new* file is built without page images and
-//!   fsynced once before the commit record that first lists it, so it
-//!   needs no redo, and recovery deletes every file the catalog does not
-//!   list; a drop is the file's absence from the list. Commit records are
-//!   forced with [`Wal::sync_to`], the *group commit* path where N
-//!   committers ride one `sync_data`.
+//! * **A commit record is a catalog delta.** [`Record::Commit`] lists the
+//!   files a transaction adds, each with its page count, and the names it
+//!   drops. Each new file is written back and fsynced before the record
+//!   that first lists it, so it needs no redo; a file the last catalog
+//!   does not list is an uncommitted creation or a drop, and recovery
+//!   deletes it. Commit records are forced with [`Wal::sync_to`], the
+//!   *group commit* path where N committers ride one `sync_data`.
+//! * **A checkpoint is the whole catalog.** [`Record::Checkpoint`] lists
+//!   every committed file and its page count. Every log starts with one
+//!   (opening an environment writes it), so the catalog at any point is
+//!   the last checkpoint with the later commit records folded onto it.
 //! * **Recovery** ([`replay`]) runs before any file of the environment is
 //!   touched: the log is scanned with a checksum cut-off (a torn tail from
-//!   a crash mid-append is discarded, not an error). A transaction is
-//!   committed exactly when its `TxnCommit` is in the log, and every page
-//!   is restored with one rule — the after-image of its *last committed*
-//!   update wins; a page with no committed update reverts to the
-//!   before-image of its *first* update. Files outside the catalog are
-//!   deleted, catalog files are brought to their committed page counts,
-//!   and leftover temp files are removed. The log is then reset to a
-//!   checkpoint carrying the catalog.
+//!   a crash mid-append is discarded, not an error), the catalog is
+//!   folded, files outside it are deleted, catalog files are brought to
+//!   their committed page counts, and leftover temp files are removed. The
+//!   log is then reset to a checkpoint carrying the catalog.
 //! * **Checkpointing** atomically replaces the log with a fresh one-record
 //!   log once the data files are known consistent (write to `wal.log.tmp`,
 //!   fsync, rename over `wal.log`): there is no instant at which the log
@@ -47,29 +34,28 @@
 //!
 //! ```text
 //! record  := [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
-//! payload := 0x04 checkpoint | 0x05 txn-page-image | 0x06 txn-commit
-//!          | 0x07 txn-abort
-//! catalog := [page_size: u32] [n: u32] n × ([name] [pages: u64])
-//! checkpoint := catalog      txn-commit := [txn: u64] catalog
-//! txn-page-image := [txn: u64] [page_size: u32] [name] [page: u64]
-//!                   [before: page_size] [after: page_size]
-//! txn-abort := [txn: u64]
+//! payload := 0x04 checkpoint | 0x08 commit
+//! files   := [n: u32] n × ([name] [pages: u64])
+//! checkpoint := [page_size: u32] files
+//! commit  := files [m: u32] m × [name]
+//! name    := [len: u16] [utf-8 bytes]
 //! ```
 //!
 //! A record whose length overruns the file or whose checksum mismatches
 //! ends the scan: it *is* the torn tail. A log whose very first record is
 //! torn — or a zero-length log — is explicitly an *empty* log, not
-//! corruption; with no catalog record, recovery keeps every file. Page
-//! images and catalogs are keyed by file *name* (not [`crate::FileId`],
-//! which is assigned per-session) so replay can address the `.sdb` files
-//! directly.
+//! corruption; with no catalog record, recovery keeps every file. A record
+//! whose checksum holds but whose kind is unknown — tags 0x01–0x03 and
+//! 0x05–0x07 belong to retired log formats — is not a torn tail: recovery
+//! refuses the log with [`StorageError::UnknownLogRecord`] and touches no
+//! file. Catalogs are keyed by file *name* (not [`crate::FileId`], which is
+//! assigned per-session) so replay can address the `.sdb` files directly.
 
 use crate::error::StorageError;
 use crate::fault::FaultState;
-use crate::page::PageId;
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -102,9 +88,7 @@ pub const WAL_TMP_FILE: &str = "wal.log.tmp";
 pub const WAL_CHECKPOINT_BYTES: u64 = 4 << 20;
 
 const TAG_CHECKPOINT: u8 = 0x04;
-const TAG_TXN_PAGE_IMAGE: u8 = 0x05;
-const TAG_TXN_COMMIT: u8 = 0x06;
-const TAG_TXN_ABORT: u8 = 0x07;
+const TAG_COMMIT: u8 = 0x08;
 
 /// CRC-32 (IEEE, reflected) lookup table, built at compile time.
 static CRC_TABLE: [u32; 256] = {
@@ -141,34 +125,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// A decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Record {
-    /// Head of a freshly truncated log, carrying the catalog.
+    /// The whole catalog: every committed file and its page count. Heads
+    /// every log.
     Checkpoint {
         page_size: u32,
         files: Vec<(String, u64)>,
     },
-    /// Before/after images of a page written under transaction `txn`.
-    /// The before-image is the page's content when the transaction first
-    /// touched it, so undo restores the pre-transaction state no matter
-    /// how many times the page was stolen since.
-    TxnPageImage {
-        txn: u64,
-        name: String,
-        page: u64,
-        before: Vec<u8>,
-        after: Vec<u8>,
+    /// One committed transaction's catalog change: the files it added, with
+    /// their page counts, and the names it dropped.
+    Commit {
+        added: Vec<(String, u64)>,
+        dropped: Vec<String>,
     },
-    /// Transaction commit marker, carrying the catalog. A transaction with
-    /// this marker anywhere in the log is a recovery *winner*; one without
-    /// is a loser.
-    TxnCommit {
-        txn: u64,
-        page_size: u32,
-        files: Vec<(String, u64)>,
-    },
-    /// Transaction rollback marker (informational: a transaction without a
-    /// [`Record::TxnCommit`] is rolled back whether or not the abort
-    /// record reached the log).
-    TxnAbort { txn: u64 },
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -220,13 +188,11 @@ impl<'a> Reader<'a> {
     }
     fn file_counts(&mut self) -> Option<Vec<(String, u64)>> {
         let n = self.u32()? as usize;
-        let mut files = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = self.name()?;
-            let pages = self.u64()?;
-            files.push((name, pages));
-        }
-        Some(files)
+        (0..n).map(|_| Some((self.name()?, self.u64()?))).collect()
+    }
+    fn names(&mut self) -> Option<Vec<String>> {
+        let n = self.u32()? as usize;
+        (0..n).map(|_| self.name()).collect()
     }
 }
 
@@ -247,77 +213,34 @@ impl Record {
                 put_u32(&mut p, *page_size);
                 put_file_counts(&mut p, files);
             }
-            Record::TxnPageImage {
-                txn,
-                name,
-                page,
-                before,
-                after,
-            } => {
-                p.push(TAG_TXN_PAGE_IMAGE);
-                put_u64(&mut p, *txn);
-                put_u32(&mut p, before.len() as u32);
-                put_name(&mut p, name);
-                put_u64(&mut p, *page);
-                p.extend_from_slice(before);
-                p.extend_from_slice(after);
-            }
-            Record::TxnCommit {
-                txn,
-                page_size,
-                files,
-            } => {
-                p.push(TAG_TXN_COMMIT);
-                put_u64(&mut p, *txn);
-                put_u32(&mut p, *page_size);
-                put_file_counts(&mut p, files);
-            }
-            Record::TxnAbort { txn } => {
-                p.push(TAG_TXN_ABORT);
-                put_u64(&mut p, *txn);
+            Record::Commit { added, dropped } => {
+                p.push(TAG_COMMIT);
+                put_file_counts(&mut p, added);
+                put_u32(&mut p, dropped.len() as u32);
+                for name in dropped {
+                    put_name(&mut p, name);
+                }
             }
         }
         p
     }
 
-    /// Decodes one payload; `None` means malformed (treated as torn).
+    /// Decodes one payload; `None` means an unknown tag or a malformed
+    /// body.
     fn decode(payload: &[u8]) -> Option<Record> {
         let mut r = Reader {
             buf: payload,
             pos: 0,
         };
         let rec = match r.u8()? {
-            TAG_CHECKPOINT => {
-                let page_size = r.u32()?;
-                let files = r.file_counts()?;
-                Record::Checkpoint { page_size, files }
-            }
-            TAG_TXN_PAGE_IMAGE => {
-                let txn = r.u64()?;
-                let page_size = r.u32()? as usize;
-                let name = r.name()?;
-                let page = r.u64()?;
-                let before = r.take(page_size)?.to_vec();
-                let after = r.take(page_size)?.to_vec();
-                Record::TxnPageImage {
-                    txn,
-                    name,
-                    page,
-                    before,
-                    after,
-                }
-            }
-            TAG_TXN_COMMIT => {
-                let txn = r.u64()?;
-                let page_size = r.u32()?;
-                let files = r.file_counts()?;
-                Record::TxnCommit {
-                    txn,
-                    page_size,
-                    files,
-                }
-            }
-            TAG_TXN_ABORT => Record::TxnAbort { txn: r.u64()? },
+            TAG_CHECKPOINT => Record::Checkpoint {
+                page_size: r.u32()?,
+                files: r.file_counts()?,
+            },
+            TAG_COMMIT => Record::Commit {
+                added: r.file_counts()?,
+                dropped: r.names()?,
+            },
             _ => return None,
         };
         (r.pos == payload.len()).then_some(rec)
@@ -444,11 +367,6 @@ impl Wal {
         self.len() == 0
     }
 
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     fn append(&self, record: &Record) -> Result<Appended> {
         use std::os::unix::fs::FileExt;
         self.check_space()?;
@@ -463,46 +381,15 @@ impl Wal {
         })
     }
 
-    /// Appends a page image tagged with the owning transaction. `before`
-    /// must be the page's content when `txn` first touched it. Not synced
-    /// — call [`Wal::sync_to`] before the page write it protects.
-    pub fn append_txn_page_image(
-        &self,
-        txn: u64,
-        name: &str,
-        page: PageId,
-        before: &[u8],
-        after: &[u8],
-    ) -> Result<Appended> {
-        check_image_pair(before, after)?;
-        self.append(&Record::TxnPageImage {
-            txn,
-            name: name.to_string(),
-            page: page.0,
-            before: before.to_vec(),
-            after: after.to_vec(),
-        })
-    }
-
-    /// Appends a transaction commit marker. The transaction is durable
+    /// Appends a commit record: the files a transaction adds, with their
+    /// page counts, and the names it drops. The transaction is durable
     /// once [`Wal::sync_to`] covers the returned end offset.
-    pub fn append_txn_commit(
+    pub fn append_commit(
         &self,
-        txn: u64,
-        page_size: usize,
-        files: Vec<(String, u64)>,
+        added: Vec<(String, u64)>,
+        dropped: Vec<String>,
     ) -> Result<Appended> {
-        self.append(&Record::TxnCommit {
-            txn,
-            page_size: page_size as u32,
-            files,
-        })
-    }
-
-    /// Appends a transaction abort marker (informational; not synced —
-    /// a transaction without a commit marker is a loser regardless).
-    pub fn append_txn_abort(&self, txn: u64) -> Result<Appended> {
-        self.append(&Record::TxnAbort { txn })
+        self.append(&Record::Commit { added, dropped })
     }
 
     /// Makes the log durable at least up to offset `upto` — the group
@@ -605,20 +492,6 @@ impl Wal {
     }
 }
 
-/// Both images of a page-image record must be exactly one page. A
-/// mismatched pair logged silently would corrupt undo: replay writes the
-/// before-image back with the page size inferred from its length, so a
-/// short image would splice into the wrong offsets.
-fn check_image_pair(before: &[u8], after: &[u8]) -> Result<()> {
-    if before.len() != after.len() {
-        return Err(StorageError::PageBufferSize {
-            len: after.len(),
-            page_size: before.len(),
-        });
-    }
-    Ok(())
-}
-
 /// Builds a fresh log in `dir` holding just `head` (or nothing) and
 /// atomically installs it as `dir/wal.log` (stage in `wal.log.tmp`, fsync,
 /// rename, fsync the directory). Returns the still-open file handle —
@@ -667,21 +540,14 @@ pub struct RecoveryReport {
     pub records: usize,
     /// Bytes discarded as a torn tail (checksum/length cut-off).
     pub torn_bytes: u64,
-    /// Committed page images re-applied (redo).
-    pub pages_redone: usize,
-    /// Uncommitted page images rolled back (undo).
-    pub pages_undone: usize,
+    /// Commit records folded onto the last checkpoint.
+    pub txns_committed: usize,
     /// Files truncated (or extended) to their committed page counts.
     pub files_truncated: usize,
     /// Files deleted: drops re-applied and uncommitted creations undone.
     pub files_deleted: usize,
     /// Leftover temp files removed.
     pub temp_files_removed: usize,
-    /// Transactions whose commit marker was found (winners, redone).
-    pub txns_committed: usize,
-    /// Transactions with page images but no commit marker (losers —
-    /// in-flight or aborted at the crash — rolled back).
-    pub txns_rolled_back: usize,
 }
 
 impl std::fmt::Display for RecoveryReport {
@@ -693,13 +559,8 @@ impl std::fmt::Display for RecoveryReport {
         )?;
         writeln!(
             f,
-            "redo: {} page(s); undo: {} page(s)",
-            self.pages_redone, self.pages_undone
-        )?;
-        writeln!(
-            f,
-            "txns: {} committed (redone), {} rolled back",
-            self.txns_committed, self.txns_rolled_back
+            "commits: {} since the last checkpoint",
+            self.txns_committed
         )?;
         write!(
             f,
@@ -712,9 +573,7 @@ impl std::fmt::Display for RecoveryReport {
 impl RecoveryReport {
     /// True when recovery changed nothing (clean shutdown).
     pub fn is_clean(&self) -> bool {
-        self.pages_redone == 0
-            && self.pages_undone == 0
-            && self.files_truncated == 0
+        self.files_truncated == 0
             && self.files_deleted == 0
             && self.temp_files_removed == 0
             && self.torn_bytes == 0
@@ -722,83 +581,48 @@ impl RecoveryReport {
 }
 
 /// Parses the log into its valid record prefix, returning the records and
-/// the number of torn bytes discarded.
-fn scan_log(bytes: &[u8]) -> (Vec<Record>, u64) {
+/// the number of torn bytes discarded. A frame whose checksum holds but
+/// whose payload does not decode is an error, not a torn tail.
+fn scan_log(bytes: &[u8]) -> Result<(Vec<Record>, u64)> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos + 8 <= bytes.len() {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
+        // A zero length is a zero-filled tail (a crash after the file grew
+        // but before its bytes landed): every record has a tag.
+        let Some(payload) = bytes.get(pos + 8..pos + 8 + len).filter(|_| len > 0) else {
             break; // length overruns the file: torn tail
         };
         if crc32(payload) != crc {
             break;
         }
-        let Some(record) = Record::decode(payload) else {
-            break;
-        };
+        let record = Record::decode(payload).ok_or(StorageError::UnknownLogRecord {
+            offset: pos as u64,
+            tag: payload[0],
+        })?;
         records.push(record);
         pos += 8 + len;
     }
-    (records, (bytes.len() - pos) as u64)
+    Ok((records, (bytes.len() - pos) as u64))
 }
 
-/// Opens (creating if absent) a data file for recovery writes.
-fn recovery_file(dir: &Path, name: &str) -> Result<File> {
-    Ok(OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(dir.join(format!("{name}.sdb")))?)
-}
-
-/// The resolved fate of one page: enough of its update history to decide
-/// its recovered content with the one-rule resolution (last committed
-/// after-image wins; otherwise the first update's before-image).
-struct PageFate {
-    /// Before-image of the page's *first* logged update — the
-    /// pre-crash-epoch content every loser chain unwinds to.
-    first_before: Vec<u8>,
-    /// After-image of the page's *last committed* update, if any.
-    last_committed: Option<Vec<u8>>,
-    /// Committed update records seen (report accounting).
-    redo_records: usize,
-    /// Loser update records seen (report accounting).
-    undo_records: usize,
-}
-
-/// Replays `dir/wal.log`, restoring every data file to the state of the
-/// committed transactions, then resets the log. Idempotent; a missing,
-/// zero-length or head-torn log is an *empty* log and yields no
-/// redo/undo work (leftover temp files are still removed).
+/// Replays `dir/wal.log`, restoring the directory to the committed
+/// catalog, then resets the log. Idempotent; a missing, zero-length or
+/// head-torn log is an *empty* log (leftover temp files are still
+/// removed).
 ///
-/// A transaction is committed exactly when its [`Record::TxnCommit`] is in
-/// the log. Transactions interleave freely: each page is restored to the
-/// after-image of its last update by a committed transaction; a page
-/// touched only by losers reverts to its first update's before-image.
-///
-/// The catalog is the last commit or checkpoint record's list; every
-/// other data file is an uncommitted creation (or a drop) and is deleted.
-/// A log without a catalog record (an empty one) keeps every file.
+/// The catalog is the last checkpoint with every later commit record
+/// folded onto it; every other data file is an uncommitted creation (or a
+/// drop) and is deleted. A log without a catalog record (an empty one)
+/// keeps every file. A log with a record this build cannot decode is
+/// refused before any file is touched.
 ///
 /// Must run before any file of the environment is opened —
 /// [`crate::Env::open_dir`] does this automatically; the `saardb recover`
 /// subcommand exposes it manually.
 pub fn replay(dir: &Path) -> Result<RecoveryReport> {
     let mut report = RecoveryReport::default();
-
-    // A leftover staging file from a checkpoint that crashed between the
-    // staging write and the rename is garbage either way: the rename
-    // either happened (wal.log is the fresh log) or it did not (wal.log is
-    // the complete old log).
-    match std::fs::remove_file(dir.join(WAL_TMP_FILE)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
-
     let wal_path = dir.join(WAL_FILE);
     let bytes = match File::open(&wal_path) {
         Ok(mut f) => {
@@ -810,66 +634,38 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
         Err(e) => return Err(e.into()),
     };
     report.log_bytes = bytes.len() as u64;
-    let (records, torn) = scan_log(&bytes);
+    let (records, torn) = scan_log(&bytes)?;
     report.records = records.len();
     report.torn_bytes = torn;
 
-    // Who committed? Every transaction with a TxnCommit in the log.
-    let mut winners: HashSet<u64> = HashSet::new();
-    let mut txns_seen: HashSet<u64> = HashSet::new();
-    for r in &records {
-        match r {
-            Record::TxnCommit { txn, .. } => {
-                winners.insert(*txn);
-                txns_seen.insert(*txn);
-            }
-            Record::TxnPageImage { txn, .. } | Record::TxnAbort { txn } => {
-                txns_seen.insert(*txn);
-            }
-            _ => {}
-        }
+    // A leftover staging file from a checkpoint that crashed between the
+    // staging write and the rename is garbage either way: the rename
+    // either happened (wal.log is the fresh log) or it did not (wal.log is
+    // the complete old log).
+    match std::fs::remove_file(dir.join(WAL_TMP_FILE)) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e.into()),
     }
-    report.txns_committed = winners.len();
-    report.txns_rolled_back = txns_seen.len() - winners.len();
 
-    use std::os::unix::fs::FileExt;
-    let mut files: HashMap<String, File> = HashMap::new();
     let mut catalog: Option<(u64, HashMap<String, u64>)> = None;
-    let mut fates: HashMap<(String, u64), PageFate> = HashMap::new();
-
-    for record in &records {
-        let (name, page, before, after, committed) = match record {
-            Record::TxnPageImage {
-                txn,
-                name,
-                page,
-                before,
-                after,
-            } => (name, *page, before, after, winners.contains(txn)),
-            Record::TxnCommit {
-                page_size, files, ..
+    for record in records {
+        match record {
+            Record::Checkpoint { page_size, files } => {
+                catalog = Some((u64::from(page_size), files.into_iter().collect()));
             }
-            | Record::Checkpoint { page_size, files } => {
-                let listed: HashMap<String, u64> = files.iter().cloned().collect();
-                fates.retain(|(n, _), _| listed.contains_key(n));
-                catalog = Some((u64::from(*page_size), listed));
-                continue;
+            Record::Commit { added, dropped } => {
+                let Some((_, files)) = catalog.as_mut() else {
+                    return Err(StorageError::corrupt(
+                        "write-ahead log: a commit record precedes every checkpoint",
+                    ));
+                };
+                for name in &dropped {
+                    files.remove(name);
+                }
+                files.extend(added);
+                report.txns_committed += 1;
             }
-            Record::TxnAbort { .. } => continue,
-        };
-        let fate = fates
-            .entry((name.clone(), page))
-            .or_insert_with(|| PageFate {
-                first_before: before.clone(),
-                last_committed: None,
-                redo_records: 0,
-                undo_records: 0,
-            });
-        if committed {
-            fate.last_committed = Some(after.clone());
-            fate.redo_records += 1;
-        } else {
-            fate.undo_records += 1;
         }
     }
 
@@ -892,21 +688,10 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
             }
         }
     }
-    // Apply each page's resolved fate with one write.
-    for ((name, page), fate) in &fates {
-        let file = match files.entry(name.clone()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(recovery_file(dir, name)?),
-        };
-        let image = fate.last_committed.as_ref().unwrap_or(&fate.first_before);
-        file.write_all_at(image, page * image.len() as u64)?;
-        report.pages_redone += fate.redo_records;
-        report.pages_undone += fate.undo_records;
-    }
 
-    // Bring files to their committed page counts: pages allocated after
-    // the last commit are provisional (allocation extends files eagerly,
-    // outside the pool); a lost committed extension comes back zeroed.
+    // Bring files to their committed page counts: a commit fsyncs its new
+    // files before its record, so a mismatch is a file the disk changed
+    // behind the log; a lost committed extension comes back zeroed.
     if let Some((page_size, counts)) = &catalog {
         for (name, pages) in counts {
             let path = dir.join(format!("{name}.sdb"));
@@ -915,20 +700,12 @@ pub fn replay(dir: &Path) -> Result<RecoveryReport> {
             };
             let committed_len = pages * page_size;
             if meta.len() != committed_len {
-                let file = match files.entry(name.clone()) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(recovery_file(dir, name)?)
-                    }
-                };
+                let file = OpenOptions::new().write(true).open(&path)?;
                 file.set_len(committed_len)?;
+                file.sync_data()?;
                 report.files_truncated += 1;
             }
         }
-    }
-
-    for file in files.values() {
-        file.sync_data()?;
     }
 
     // The data files now hold the committed state: reset the log (same
@@ -965,6 +742,29 @@ mod tests {
         vec![fill; PS]
     }
 
+    fn checkpoint(files: &[(&str, u64)]) -> Record {
+        Record::Checkpoint {
+            page_size: PS as u32,
+            files: files.iter().map(|&(n, p)| (n.to_string(), p)).collect(),
+        }
+    }
+
+    fn commit(added: &[(&str, u64)], dropped: &[&str]) -> Record {
+        Record::Commit {
+            added: added.iter().map(|&(n, p)| (n.to_string(), p)).collect(),
+            dropped: dropped.iter().map(|n| n.to_string()).collect(),
+        }
+    }
+
+    /// Writes `records` as the directory's whole log.
+    fn write_log(dir: &Path, records: &[Record]) {
+        std::fs::write(
+            dir.join(WAL_FILE),
+            records.iter().flat_map(frame).collect::<Vec<u8>>(),
+        )
+        .unwrap();
+    }
+
     #[test]
     fn crc32_known_vector() {
         // IEEE CRC-32 of "123456789".
@@ -974,23 +774,9 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let records = [
-            Record::Checkpoint {
-                page_size: PS as u32,
-                files: vec![("nodes".into(), 3)],
-            },
-            Record::TxnPageImage {
-                txn: 42,
-                name: "nodes".into(),
-                page: 5,
-                before: page(3),
-                after: page(4),
-            },
-            Record::TxnCommit {
-                txn: 42,
-                page_size: PS as u32,
-                files: vec![("nodes".into(), 6)],
-            },
-            Record::TxnAbort { txn: 43 },
+            checkpoint(&[("nodes", 3)]),
+            commit(&[("nodes", 6), ("labels", 2)], &["old"]),
+            commit(&[], &[]),
         ];
         for r in &records {
             assert_eq!(Record::decode(&r.encode()).as_ref(), Some(r));
@@ -1006,61 +792,16 @@ mod tests {
     }
 
     #[test]
-    fn redo_applies_committed_images() {
-        let dir = tmp_dir("redo");
-        let wal = Wal::open(&dir).unwrap();
-        wal.append_txn_page_image(1, "f", PageId(0), &page(0), &page(0xAA))
-            .unwrap();
-        wal.append_txn_page_image(1, "f", PageId(1), &page(0), &page(0xBB))
-            .unwrap();
-        wal.append_txn_commit(1, PS, vec![("f".into(), 2)]).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let report = replay(&dir).unwrap();
-        assert_eq!(report.pages_redone, 2);
-        assert_eq!(report.pages_undone, 0);
-        assert_eq!(report.txns_committed, 1);
-        let bytes = read_file(&dir, "f");
-        assert_eq!(&bytes[..PS], &page(0xAA)[..]);
-        assert_eq!(&bytes[PS..2 * PS], &page(0xBB)[..]);
-        // Log was reset to a bare checkpoint: a second replay is a no-op.
-        let again = replay(&dir).unwrap();
-        assert_eq!(again.pages_redone, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn undo_rolls_back_uncommitted_steals_in_reverse() {
-        let dir = tmp_dir("undo");
-        // Data file already holds the (uncommitted) stolen content.
-        std::fs::write(dir.join("f.sdb"), page(0x33)).unwrap();
-        let wal = Wal::open(&dir).unwrap();
-        // The same page stolen twice by an uncommitted transaction:
-        // committed content 0x11, then 0x22 hit the disk, then 0x33.
-        wal.append_txn_page_image(1, "f", PageId(0), &page(0x11), &page(0x22))
-            .unwrap();
-        wal.append_txn_page_image(1, "f", PageId(0), &page(0x11), &page(0x33))
-            .unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let report = replay(&dir).unwrap();
-        assert_eq!(report.pages_undone, 2);
-        assert_eq!(report.txns_committed, 0);
-        assert_eq!(read_file(&dir, "f"), page(0x11));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn torn_tail_is_cut_off() {
         let dir = tmp_dir("torn");
+        std::fs::write(dir.join("f.sdb"), page(0xAA)).unwrap();
+        std::fs::write(dir.join("g.sdb"), page(0xBB)).unwrap();
         let wal = Wal::open(&dir).unwrap();
-        wal.append_txn_page_image(1, "f", PageId(0), &page(0), &page(0xAA))
-            .unwrap();
-        wal.append_txn_commit(1, PS, vec![("f".into(), 1)]).unwrap();
+        wal.checkpoint(PS, vec![], 0).unwrap();
+        wal.append_commit(vec![("f".into(), 1)], vec![]).unwrap();
         wal.sync().unwrap();
         let len = wal.len();
-        wal.append_txn_page_image(2, "f", PageId(0), &page(0xAA), &page(0xBB))
-            .unwrap();
+        wal.append_commit(vec![("g".into(), 1)], vec![]).unwrap();
         wal.sync().unwrap();
         drop(wal);
         // Chop mid-way through the last record: a crash during append.
@@ -1076,8 +817,65 @@ mod tests {
         let report = replay(&dir).unwrap();
         assert_eq!(report.torn_bytes, cut - len);
         assert_eq!(report.records, 2);
-        assert_eq!(report.pages_redone, 1);
-        assert_eq!(read_file(&dir, "f")[..PS], page(0xAA)[..]);
+        assert_eq!(report.txns_committed, 1);
+        assert_eq!(read_file(&dir, "f"), page(0xAA));
+        assert!(!dir.join("g.sdb").exists(), "its commit record was torn");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn zero_filled_tail_is_torn_not_unknown() {
+        let dir = tmp_dir("zeros");
+        std::fs::write(dir.join("f.sdb"), page(1)).unwrap();
+        let mut log: Vec<u8> = [checkpoint(&[("f", 1)])].iter().flat_map(frame).collect();
+        log.extend_from_slice(&[0u8; 24]);
+        std::fs::write(dir.join(WAL_FILE), log).unwrap();
+        let report = replay(&dir).unwrap();
+        assert_eq!(report.torn_bytes, 24);
+        assert_eq!(read_file(&dir, "f"), page(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unknown_record_kind_is_refused_before_any_file_changes() {
+        let dir = tmp_dir("unknown");
+        for name in ["a", "b", "__tmp-1-1"] {
+            std::fs::write(dir.join(format!("{name}.sdb")), page(1)).unwrap();
+        }
+        // A record of a retired format (0x01, checksum intact) between the
+        // checkpoint and a commit that lists "b".
+        let mut log: Vec<u8> = frame(&checkpoint(&[("a", 1)]));
+        let retired = [0x01u8, 7, 0, 0, 0, 0, 0, 0, 0];
+        put_u32(&mut log, retired.len() as u32);
+        put_u32(&mut log, crc32(&retired));
+        log.extend_from_slice(&retired);
+        let offset = frame(&checkpoint(&[("a", 1)])).len() as u64;
+        log.extend(frame(&commit(&[("b", 1)], &[])));
+        std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+        std::fs::write(dir.join(WAL_TMP_FILE), b"staged").unwrap();
+        let err = replay(&dir).unwrap_err();
+        assert!(
+            matches!(err, StorageError::UnknownLogRecord { offset: o, tag: 0x01 } if o == offset),
+            "{err}"
+        );
+        for name in ["a.sdb", "b.sdb", "__tmp-1-1.sdb", WAL_TMP_FILE] {
+            assert!(dir.join(name).exists(), "{name} was touched");
+        }
+        assert_eq!(
+            std::fs::read(dir.join(WAL_FILE)).unwrap(),
+            log,
+            "log untouched"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn commit_before_any_checkpoint_is_corrupt() {
+        let dir = tmp_dir("headless");
+        std::fs::write(dir.join("f.sdb"), page(1)).unwrap();
+        write_log(&dir, &[commit(&[("g", 1)], &[])]);
+        assert!(matches!(replay(&dir), Err(StorageError::Corrupt(_))));
+        assert!(dir.join("f.sdb").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1086,10 +884,7 @@ mod tests {
         let dir = tmp_dir("trunc");
         // File grew to 3 pages, but only 1 was committed.
         std::fs::write(dir.join("f.sdb"), [page(1), page(2), page(3)].concat()).unwrap();
-        let wal = Wal::open(&dir).unwrap();
-        wal.append_txn_commit(1, PS, vec![("f".into(), 1)]).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
+        write_log(&dir, &[checkpoint(&[]), commit(&[("f", 1)], &[])]);
         let report = replay(&dir).unwrap();
         assert_eq!(report.files_truncated, 1);
         assert_eq!(read_file(&dir, "f").len(), PS);
@@ -1097,20 +892,21 @@ mod tests {
     }
 
     #[test]
-    fn dropping_commit_deletes_the_file_and_cancels_undo() {
+    fn dropping_commit_deletes_the_file() {
         let dir = tmp_dir("delete");
         std::fs::write(dir.join("gone.sdb"), page(9)).unwrap();
-        let wal = Wal::open(&dir).unwrap();
-        // A loser stole a page of "gone"; then a commit dropped the file.
-        wal.append_txn_page_image(1, "gone", PageId(0), &page(1), &page(9))
-            .unwrap();
-        wal.append_txn_commit(2, PS, vec![]).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
+        std::fs::write(dir.join("kept.sdb"), page(8)).unwrap();
+        write_log(
+            &dir,
+            &[
+                checkpoint(&[("gone", 1), ("kept", 1)]),
+                commit(&[], &["gone"]),
+            ],
+        );
         let report = replay(&dir).unwrap();
         assert_eq!(report.files_deleted, 1);
-        assert_eq!(report.pages_undone, 0, "undo for a dropped file is moot");
         assert!(!dir.join("gone.sdb").exists());
+        assert_eq!(read_file(&dir, "kept"), page(8));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1122,33 +918,6 @@ mod tests {
         let report = replay(&dir).unwrap();
         assert_eq!(report.temp_files_removed, 1);
         assert!(dir.join("keep.sdb").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mismatched_image_lengths_rejected() {
-        // Regression: this used to be a debug_assert only — release builds
-        // silently logged a mismatched pair and corrupted undo.
-        let dir = tmp_dir("mismatch");
-        let wal = Wal::open(&dir).unwrap();
-        let err = wal
-            .append_txn_page_image(1, "f", PageId(0), &page(0), &[0u8; PS / 2])
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StorageError::PageBufferSize {
-                    len,
-                    page_size
-                } if len == PS / 2 && page_size == PS
-            ),
-            "{err}"
-        );
-        let err = wal
-            .append_txn_page_image(1, "f", PageId(0), &[0u8; PS - 1], &page(0))
-            .unwrap_err();
-        assert!(matches!(err, StorageError::PageBufferSize { .. }), "{err}");
-        assert!(wal.is_empty(), "rejected records must not reach the log");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1172,15 +941,12 @@ mod tests {
         // checkpoint record was half-written when the process died.
         let dir = tmp_dir("tornhead");
         std::fs::write(dir.join("f.sdb"), page(0x77)).unwrap();
-        let full = frame(&Record::Checkpoint {
-            page_size: PS as u32,
-            files: vec![("f".into(), 1)],
-        });
+        let full = frame(&checkpoint(&[("f", 1)]));
         std::fs::write(dir.join(WAL_FILE), &full[..full.len() - 1]).unwrap();
         let report = replay(&dir).unwrap();
         assert_eq!(report.records, 0);
         assert_eq!(report.torn_bytes, full.len() as u64 - 1);
-        assert_eq!(report.pages_redone + report.pages_undone, 0);
+        assert_eq!(report.files_deleted, 0);
         assert_eq!(read_file(&dir, "f"), page(0x77), "data untouched");
         // The reset left a valid log behind.
         let again = replay(&dir).unwrap();
@@ -1201,8 +967,7 @@ mod tests {
     fn checkpoint_is_atomic_under_reopen() {
         let dir = tmp_dir("ckpt-atomic");
         let wal = Wal::open(&dir).unwrap();
-        wal.append_txn_page_image(1, "f", PageId(0), &page(0), &page(1))
-            .unwrap();
+        wal.append_commit(vec![("f".into(), 1)], vec![]).unwrap();
         wal.sync().unwrap();
         // A log that grew since the caller looked is left alone.
         assert!(!wal.checkpoint(PS, vec![("f".into(), 1)], 0).unwrap());
@@ -1211,82 +976,37 @@ mod tests {
             .unwrap());
         assert!(!dir.join(WAL_TMP_FILE).exists(), "staging file renamed");
         // The swapped-in handle keeps appending to the new log.
-        wal.append_txn_page_image(2, "f", PageId(0), &page(1), &page(2))
+        wal.append_commit(vec![("g".into(), 2)], vec!["f".into()])
             .unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (records, torn) = scan_log(&std::fs::read(dir.join(WAL_FILE)).unwrap());
+        let (records, torn) = scan_log(&std::fs::read(dir.join(WAL_FILE)).unwrap()).unwrap();
         assert_eq!(torn, 0);
-        assert!(matches!(records[0], Record::Checkpoint { .. }));
-        assert_eq!(records.len(), 2);
+        assert_eq!(
+            records,
+            [checkpoint(&[("f", 1)]), commit(&[("g", 2)], &["f"])]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn interleaved_txns_winner_redone_loser_undone() {
         let dir = tmp_dir("interleaved");
-        let wal = Wal::open(&dir).unwrap();
-        // Two transactions interleave their steals; txn 1 commits, txn 2
-        // is in flight at the crash.
-        wal.append_txn_page_image(1, "a", PageId(0), &page(0), &page(0x1A))
-            .unwrap();
-        wal.append_txn_page_image(2, "b", PageId(0), &page(0), &page(0x2A))
-            .unwrap();
-        wal.append_txn_page_image(1, "a", PageId(1), &page(0), &page(0x1B))
-            .unwrap();
-        wal.append_txn_commit(1, PS, vec![("a".into(), 2), ("b".into(), 1)])
-            .unwrap();
-        wal.append_txn_page_image(2, "b", PageId(0), &page(0x2A), &page(0x2B))
-            .unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        // Pretend the loser's steals reached the data file.
-        std::fs::write(dir.join("b.sdb"), page(0x2B)).unwrap();
+        // Two transactions built files side by side; the winner's commit
+        // reached the log, the loser was in flight at the crash.
+        for name in ["base", "won", "lost"] {
+            std::fs::write(dir.join(format!("{name}.sdb")), page(1)).unwrap();
+        }
+        write_log(
+            &dir,
+            &[checkpoint(&[("base", 1)]), commit(&[("won", 1)], &[])],
+        );
         let report = replay(&dir).unwrap();
         assert_eq!(report.txns_committed, 1);
-        assert_eq!(report.txns_rolled_back, 1);
-        assert_eq!(report.pages_redone, 2);
-        assert_eq!(report.pages_undone, 2);
-        let a = read_file(&dir, "a");
-        assert_eq!(&a[..PS], &page(0x1A)[..]);
-        assert_eq!(&a[PS..2 * PS], &page(0x1B)[..]);
-        // The loser's page reverts to its first update's before-image.
-        assert_eq!(read_file(&dir, "b"), page(0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn committed_txn_wins_over_later_loser_on_same_page() {
-        let dir = tmp_dir("same-page");
-        let wal = Wal::open(&dir).unwrap();
-        // Winner writes page 0, then a loser rewrites it (lock released at
-        // commit, second txn touched the page, crashed in flight).
-        wal.append_txn_page_image(1, "f", PageId(0), &page(0), &page(0x11))
-            .unwrap();
-        wal.append_txn_commit(1, PS, vec![("f".into(), 1)]).unwrap();
-        wal.append_txn_page_image(2, "f", PageId(0), &page(0x11), &page(0x22))
-            .unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        std::fs::write(dir.join("f.sdb"), page(0x22)).unwrap();
-        let report = replay(&dir).unwrap();
-        assert_eq!(read_file(&dir, "f"), page(0x11), "{report}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn aborted_txn_counts_as_rolled_back() {
-        let dir = tmp_dir("abort");
-        let wal = Wal::open(&dir).unwrap();
-        wal.append_txn_page_image(7, "f", PageId(0), &page(0), &page(1))
-            .unwrap();
-        wal.append_txn_abort(7).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let report = replay(&dir).unwrap();
-        assert_eq!(report.txns_committed, 0);
-        assert_eq!(report.txns_rolled_back, 1);
-        assert_eq!(read_file(&dir, "f"), page(0));
+        assert_eq!(report.files_deleted, 1);
+        assert!(dir.join("won.sdb").exists(), "the winner's file is in");
+        assert!(!dir.join("lost.sdb").exists(), "the loser's file is gone");
+        assert!(dir.join("base.sdb").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1296,7 +1016,7 @@ mod tests {
         let wal = std::sync::Arc::new(Wal::open(&dir).unwrap());
         let ends: Vec<u64> = (0..4)
             .map(|i| {
-                wal.append_txn_page_image(i, "f", PageId(0), &page(0), &page(1))
+                wal.append_commit(vec![(format!("f{i}"), 1)], vec![])
                     .unwrap()
                     .end
             })
@@ -1318,15 +1038,16 @@ mod tests {
         for name in ["kept", "new", "dropped"] {
             std::fs::write(dir.join(format!("{name}.sdb")), page(1)).unwrap();
         }
-        let wal = Wal::open(&dir).unwrap();
-        // "new" was created after this commit and never committed;
+        // "new" was created after the last commit and never committed;
         // "dropped" was committed, then dropped.
-        wal.append_txn_commit(1, PS, vec![("kept".into(), 1), ("dropped".into(), 1)])
-            .unwrap();
-        wal.append_txn_commit(2, PS, vec![("kept".into(), 1)])
-            .unwrap();
-        wal.sync().unwrap();
-        drop(wal);
+        write_log(
+            &dir,
+            &[
+                checkpoint(&[]),
+                commit(&[("kept", 1), ("dropped", 1)], &[]),
+                commit(&[], &["dropped"]),
+            ],
+        );
         let report = replay(&dir).unwrap();
         assert_eq!(report.files_deleted, 2, "{report}");
         assert!(dir.join("kept.sdb").exists());
@@ -1344,10 +1065,7 @@ mod tests {
     fn catalog_extends_files_to_their_committed_length() {
         let dir = tmp_dir("extend");
         std::fs::write(dir.join("f.sdb"), page(1)).unwrap();
-        let wal = Wal::open(&dir).unwrap();
-        wal.append_txn_commit(1, PS, vec![("f".into(), 3)]).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
+        write_log(&dir, &[checkpoint(&[("f", 3)])]);
         replay(&dir).unwrap();
         let bytes = read_file(&dir, "f");
         assert_eq!(bytes.len(), 3 * PS);

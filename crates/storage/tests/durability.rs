@@ -1,17 +1,20 @@
 //! Durability tests: WAL recovery under injected faults.
 //!
-//! Regression coverage for the storage write path's durability bugs (each
-//! `reopen_after_*` test is one bug), plus a property test interleaving
-//! inserts, deletes and commits with injected I/O errors: every operation
-//! either reports the error or leaves the tree readable, and reopening
-//! the environment always recovers exactly the last committed state.
+//! A committed file never changes, so every workload here commits whole
+//! versions: each commit builds the tree `t{n}` afresh from the model and
+//! drops `t{n-1}` in the same transaction. Regression coverage for the
+//! storage write path's durability bugs (each `reopen_after_*` test is one
+//! bug), plus a property test interleaving inserts, deletes and commits
+//! with injected I/O errors: every operation either reports the error or
+//! leaves the tree readable, and reopening the environment always recovers
+//! exactly the last committed version — and no other.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xmldb_storage::{BTree, Env, EnvConfig, FaultBackend, FaultState, KillMode, StorageError};
+use xmldb_storage::{BTree, Env, EnvConfig, FaultBackend, FaultState, KillMode, StorageError, Txn};
 
 /// Unique scratch directory per test invocation.
 fn scratch(tag: &str) -> PathBuf {
@@ -25,7 +28,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Tiny pages and a tiny pool: splits and eviction steals from the start.
+/// Tiny pages and a tiny pool: splits and evictions from the start.
 fn config() -> EnvConfig {
     EnvConfig {
         page_size: 256,
@@ -61,115 +64,122 @@ fn value(i: u64) -> Vec<u8> {
     format!("value-{i}-{}", "x".repeat((i % 23) as usize)).into_bytes()
 }
 
+/// Version `n` of the tree.
+fn version(n: u64) -> String {
+    format!("t{n}")
+}
+
+/// In the transaction installed on this thread (or its own): builds
+/// version `n` holding `model`, and drops version `n - 1` if it exists.
+fn build_version(
+    env: &Env,
+    n: u64,
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+) -> xmldb_storage::Result<BTree> {
+    env.autocommit(|| {
+        let mut tree = BTree::create(env, &version(n))?;
+        for (k, v) in model {
+            tree.insert(k, v)?;
+        }
+        if n > 0 && env.file_exists(&version(n - 1)) {
+            env.remove_file(env.open_file(&version(n - 1))?)?;
+        }
+        Ok(tree)
+    })
+}
+
+/// The recovered environment holds exactly version `n` with `committed`
+/// in it (or, with nothing committed, no version at all).
+fn assert_recovered(env: &Env, n: Option<u64>, committed: &BTreeMap<Vec<u8>, Vec<u8>>) {
+    let want: Vec<String> = n.map(version).into_iter().collect();
+    assert_eq!(env.committed_files(), want, "exactly the last version");
+    if let Some(n) = n {
+        let tree = BTree::open(env, &version(n)).unwrap();
+        assert_eq!(&tree_contents(&tree).unwrap(), committed);
+    }
+}
+
 /// Kill mid-workload, reopen, and the tree must equal the last committed
-/// state — the end-to-end WAL guarantee at the storage level.
+/// version — the end-to-end WAL guarantee at the storage level.
 #[test]
 fn reopen_after_kill_recovers_committed_prefix() {
     let dir = scratch("kill");
-    for kill_at in [3u64, 9, 17, 40] {
+    for kill_at in [3u64, 9, 17, 40, 90] {
         let _ = std::fs::remove_dir_all(&dir);
         let faults = FaultState::new();
-        let mut committed = BTreeMap::new();
+        let mut committed = (None, BTreeMap::new());
         {
             let env = faulted_env(&dir, &faults);
-            let mut txn = env.begin_txn();
-            let mut tree = {
-                let _s = txn.install();
-                BTree::create(&env, "t").unwrap()
-            };
             let mut model = BTreeMap::new();
             faults.arm_kill(kill_at, KillMode::BeforeWrite);
             for i in 0..400u64 {
-                let inserted = {
-                    let _s = txn.install();
-                    tree.insert(&key(i), &value(i))
-                };
-                if inserted.is_err() {
-                    break;
-                }
                 model.insert(key(i), value(i));
                 if (i + 1) % 25 == 0 {
-                    if txn.commit().is_err() {
+                    let n = (i + 1) / 25;
+                    if build_version(&env, n, &model).is_err() {
                         break;
                     }
-                    committed = model.clone();
-                    txn = env.begin_txn();
+                    committed = (Some(n), model.clone());
                 }
             }
             assert!(faults.is_killed(), "kill-point {kill_at} never fired");
         }
         let env = Env::open_dir(&dir, config()).unwrap();
-        if committed.is_empty() {
-            // Nothing was ever committed; the tree may not even open.
-            continue;
-        }
-        let tree = BTree::open(&env, "t").unwrap();
-        assert_eq!(
-            tree_contents(&tree).unwrap(),
-            committed,
-            "kill-point {kill_at}: recovered tree diverges from committed state"
-        );
+        assert_recovered(&env, committed.0, &committed.1);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Torn page write at the kill-point: recovery must still restore the
-/// committed images (the torn page is rolled back from its before-image).
+/// last committed version (the torn file was never committed).
 #[test]
 fn reopen_after_torn_write_recovers() {
     let dir = scratch("torn");
     let faults = FaultState::new();
-    let committed;
+    let mut model = BTreeMap::new();
+    for i in 0..60u64 {
+        model.insert(key(i), value(i));
+    }
+    let mut committed = (Some(1), model.clone());
     {
         let env = faulted_env(&dir, &faults);
-        let mut model = BTreeMap::new();
-        let mut tree = env
-            .autocommit(|| {
-                let mut tree = BTree::create(&env, "t")?;
-                for i in 0..60u64 {
-                    tree.insert(&key(i), &value(i))?;
-                    model.insert(key(i), value(i));
-                }
-                Ok::<_, StorageError>(tree)
-            })
-            .unwrap();
-        committed = model.clone();
+        build_version(&env, 1, &model).unwrap();
         faults.arm_kill(2, KillMode::TornWrite);
-        for i in 60..400u64 {
-            if env.autocommit(|| tree.insert(&key(i), &value(i))).is_err() {
+        for n in 2..20u64 {
+            model.insert(key(60 + n), value(60 + n));
+            if build_version(&env, n, &model).is_err() {
                 break;
             }
+            committed = (Some(n), model.clone());
         }
         assert!(faults.is_killed());
     }
     let env = Env::open_dir(&dir, config()).unwrap();
-    let report = env.recovery_report().unwrap().clone();
-    let tree = BTree::open(&env, "t").unwrap();
-    let contents = tree_contents(&tree).unwrap();
-    // The committed prefix survives; a commit attempted after the kill
-    // may have committed more, but never less.
-    for (k, v) in &committed {
-        assert_eq!(contents.get(k), Some(v), "committed key lost ({report:?})");
-    }
+    assert_recovered(&env, committed.0, &committed.1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Bug regression: a failed `Backend::sync` must leave the dirty bits set
-/// so a retried flush rewrites (and re-syncs) the page instead of silently
-/// losing the write — which the checkpoint after it makes unrecoverable.
+/// Bug regression: a failed `Backend::sync` must leave the file dirty so
+/// a retried commit re-syncs it instead of silently losing the write —
+/// which the checkpoint after it makes unrecoverable.
 #[test]
 fn failed_sync_does_not_lose_writes() {
     let dir = scratch("sync");
     let faults = FaultState::new();
     {
         let env = faulted_env(&dir, &faults);
-        let mut tree = env.autocommit(|| BTree::create(&env, "t")).unwrap();
-        env.autocommit(|| tree.insert(b"k", b"v")).unwrap();
+        let txn: Txn = env.begin_txn();
+        {
+            let _s = txn.install();
+            let mut tree = BTree::create(&env, "t").unwrap();
+            tree.insert(b"k", b"v").unwrap();
+        }
         faults.fail_next_sync();
-        let err = env.flush().unwrap_err();
+        let err = txn.commit().unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
-        // Retry: the page is still dirty, so it is written and synced now,
-        // and the checkpoint drops the log record that could rebuild it.
+        // Retry: the file is still dirty, so it is synced now, and the
+        // checkpoint drops everything but the catalog.
+        txn.commit().unwrap();
         env.checkpoint().unwrap();
         faults.kill_now();
     }
@@ -221,36 +231,79 @@ fn recovery_report_surfaces_through_env() {
     let faults = FaultState::new();
     {
         let env = faulted_env(&dir, &faults);
-        let mut tree = env
-            .autocommit(|| {
-                let mut tree = BTree::create(&env, "t")?;
-                for i in 0..50u64 {
-                    tree.insert(&key(i), &value(i))?;
-                }
-                Ok::<_, StorageError>(tree)
-            })
-            .unwrap();
-        faults.arm_kill(4, KillMode::BeforeWrite);
-        for i in 50..400u64 {
-            if env.autocommit(|| tree.insert(&key(i), &value(i))).is_err() {
-                break;
-            }
-            if faults.is_killed() {
-                break;
-            }
+        let mut model = BTreeMap::new();
+        for i in 0..50u64 {
+            model.insert(key(i), value(i));
         }
+        build_version(&env, 1, &model).unwrap();
+        // The crash lands while version 2 is built: the transaction is
+        // leaked, so only recovery decides its files' fate.
+        let txn = env.begin_txn();
+        {
+            let _s = txn.install();
+            build_version(&env, 2, &model).unwrap();
+        }
+        faults.kill_now();
+        std::mem::forget(txn);
     }
     let env = Env::open_dir(&dir, config()).unwrap();
     let report = env.recovery_report().unwrap();
     assert!(report.txns_committed > 0, "a commit record was on disk");
     assert!(
-        report.pages_redone > 0 || report.pages_undone > 0,
-        "recovery had work to do: {report:?}"
+        report.files_deleted > 0,
+        "the version in flight was deleted: {report:?}"
     );
     // A clean reopen after the recovery is itself clean.
     drop(env);
     let env = Env::open_dir(&dir, config()).unwrap();
     assert!(env.recovery_report().unwrap().is_clean());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log holding a record of a retired format (here a 0x01 frame, its
+/// checksum intact, followed by a commit) is refused at open with a typed
+/// error, and every file stays where it was — not cut off as a torn tail,
+/// which would delete the files only the later records list.
+#[test]
+fn log_with_a_retired_record_kind_is_refused_at_open() {
+    let dir = scratch("retired");
+    {
+        let env = Env::open_dir(&dir, config()).unwrap();
+        env.autocommit(|| BTree::create(&env, "a").map(drop))
+            .unwrap();
+    }
+    std::fs::write(dir.join("b.sdb"), vec![0u8; config().page_size]).unwrap();
+    let frame = |payload: &[u8]| {
+        let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+        f.extend_from_slice(&xmldb_storage::crc32(payload).to_le_bytes());
+        f.extend_from_slice(payload);
+        f
+    };
+    // 0x08 commit adding "b" (1 page), dropping nothing.
+    let mut commit = vec![0x08, 1, 0, 0, 0, 1, 0, b'b'];
+    commit.extend_from_slice(&1u64.to_le_bytes());
+    commit.extend_from_slice(&0u32.to_le_bytes());
+    let log_path = dir.join(xmldb_storage::wal::WAL_FILE);
+    let mut log = std::fs::read(&log_path).unwrap();
+    log.extend(frame(&[0x01, 0, 0, 0, 0, 0, 0, 0, 0]));
+    log.extend(frame(&commit));
+    std::fs::write(&log_path, &log).unwrap();
+    let before: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    let err = Env::open_dir(&dir, config()).unwrap_err();
+    assert!(
+        matches!(err, StorageError::UnknownLogRecord { tag: 0x01, .. }),
+        "{err}"
+    );
+    let after: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(before.len(), after.len(), "{before:?} → {after:?}");
+    assert!(dir.join("a.sdb").exists() && dir.join("b.sdb").exists());
+    assert_eq!(std::fs::read(&log_path).unwrap(), log, "log untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -275,63 +328,62 @@ fn op_strategy() -> impl Strategy<Value = FaultOp> {
     ]
 }
 
+/// Begins the transaction that builds version `n` from `committed`.
+fn begin_version(
+    env: &Env,
+    n: u64,
+    committed: &BTreeMap<Vec<u8>, Vec<u8>>,
+) -> xmldb_storage::Result<(Txn, BTree)> {
+    let txn = env.begin_txn();
+    let tree = {
+        let _s = txn.install();
+        build_version(env, n, committed)?
+    };
+    Ok((txn, tree))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Interleaves tree operations with injected I/O errors. Every
     /// operation either returns an error or behaves per the model; after
     /// any error the environment is "crashed" (dropped) and reopened, and
-    /// the recovered tree must equal the last committed state exactly.
-    /// Operations run in a transaction that each `Commit` commits, then
-    /// writes back with a flush.
+    /// the recovered version must equal the last committed state exactly.
+    /// Each transaction builds the next version, which `Commit` commits.
     #[test]
     fn faults_never_corrupt_committed_state(ops in prop::collection::vec(op_strategy(), 1..80)) {
         let dir = scratch("prop");
         let faults = FaultState::new();
         let mut env = faulted_env(&dir, &faults);
-        let mut txn = env.begin_txn();
-        let mut tree = Some({
-            let _s = txn.install();
-            BTree::create(&env, "t").unwrap()
-        });
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        let mut committed: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        let mut crashed = false;
+        let mut committed: (Option<u64>, BTreeMap<Vec<u8>, Vec<u8>>) = (None, BTreeMap::new());
+        let mut next = 0u64;
+        let mut open = begin_version(&env, next, &committed.1).ok();
+        let mut model = committed.1.clone();
+        let mut crashed = open.is_none();
 
         for op in &ops {
             if crashed {
                 // A power cut, then reopen: recovery must restore exactly
-                // the committed state.
+                // the committed version.
                 faults.kill_now();
-                drop(tree.take());
-                drop(txn);
+                drop(open.take());
                 faults.disarm();
                 env = faulted_env(&dir, &faults);
-                txn = env.begin_txn();
-                let _s = txn.install();
-                if committed.is_empty() {
-                    match BTree::open(&env, "t") {
-                        Ok(t) => {
-                            prop_assert_eq!(tree_contents(&t).unwrap(), committed.clone());
-                            tree = Some(t);
-                        }
-                        Err(_) => {
-                            // Never committed: recreate from scratch.
-                            if let Ok(id) = env.open_file("t") {
-                                let _ = env.remove_file(id);
-                            }
-                            tree = Some(BTree::create(&env, "t").unwrap());
-                        }
-                    }
-                } else {
-                    let t = BTree::open(&env, "t").unwrap();
-                    prop_assert_eq!(tree_contents(&t).unwrap(), committed.clone());
-                    tree = Some(t);
+                let want: Vec<String> = committed.0.map(version).into_iter().collect();
+                prop_assert_eq!(env.committed_files(), want);
+                if let Some(n) = committed.0 {
+                    let t = BTree::open(&env, &version(n)).unwrap();
+                    prop_assert_eq!(tree_contents(&t).unwrap(), committed.1.clone());
                 }
-                model = committed.clone();
-                crashed = false;
+                next = committed.0.map_or(0, |n| n + 1);
+                open = begin_version(&env, next, &committed.1).ok();
+                model = committed.1.clone();
+                crashed = open.is_none();
+                if crashed {
+                    continue;
+                }
             }
-            let t = tree.as_mut().unwrap();
+            let (txn, t) = open.as_mut().unwrap();
             let _s = txn.install();
             match op {
                 FaultOp::Insert(i) => match t.insert(&key(*i), &value(*i)) {
@@ -348,9 +400,11 @@ proptest! {
                 },
                 FaultOp::Commit => match txn.commit() {
                     Ok(()) => {
-                        committed = model.clone();
-                        txn = env.begin_txn();
-                        crashed = env.flush().is_err();
+                        committed = (Some(next), model.clone());
+                        next += 1;
+                        drop(_s);
+                        open = begin_version(&env, next, &committed.1).ok();
+                        crashed = open.is_none() || env.flush().is_err();
                     }
                     Err(_) => crashed = true,
                 },
@@ -361,13 +415,14 @@ proptest! {
 
         // Final verdict: power cut, recover, compare to committed.
         faults.kill_now();
-        drop(tree.take());
-        drop(txn);
+        drop(open.take());
         drop(env);
         let env = Env::open_dir(&dir, config()).unwrap();
-        match BTree::open(&env, "t") {
-            Ok(t) => prop_assert_eq!(tree_contents(&t).unwrap(), committed),
-            Err(_) => prop_assert!(committed.is_empty(), "committed data must reopen"),
+        let want: Vec<String> = committed.0.map(version).into_iter().collect();
+        prop_assert_eq!(env.committed_files(), want);
+        if let Some(n) = committed.0 {
+            let t = BTree::open(&env, &version(n)).unwrap();
+            prop_assert_eq!(tree_contents(&t).unwrap(), committed.1);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -23,7 +23,7 @@
 //!   penalties, scalability bonuses, exam admission,
 //! * [`torture`] — crash-torture harness: kill the storage layer after a
 //!   scripted number of page writes, reopen, and verify WAL recovery
-//!   restores exactly the last committed state,
+//!   restores exactly the committed documents,
 //! * [`triage`] — differential-engine triage: run every engine against the
 //!   M1 oracle over the corpus plus generated documents, shrink each
 //!   mismatch to a minimal witness, and report it with every engine's
@@ -50,8 +50,8 @@ pub use runner::{
 };
 pub use submission::{Submission, SubmissionPool};
 pub use torture::{
-    assert_quiescent, cancel_torture, crash_torture, doc_torture, CancelPointOutcome,
-    CancelTortureConfig, CancelTortureReport, DocTortureConfig, KillPointOutcome, TortureConfig,
-    TortureReport,
+    assert_quiescent, cancel_torture, doc_commit_stress, doc_torture, CancelPointOutcome,
+    CancelTortureConfig, CancelTortureReport, CommitStressReport, DocTortureConfig,
+    KillPointOutcome, TortureReport,
 };
 pub use triage::{triage_corpus, triage_query, EngineRun, Mismatch, TriageSummary};

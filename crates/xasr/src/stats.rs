@@ -5,7 +5,7 @@
 
 use crate::Result;
 use std::collections::BTreeMap;
-use xmldb_storage::{codec, Env, HeapFile};
+use xmldb_storage::{codec, Env, FileId, HeapFile};
 
 /// Statistics over one shredded document.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -104,9 +104,9 @@ impl Statistics {
         Ok(())
     }
 
-    /// Loads statistics previously [`Self::save`]d as `<name>`.
-    pub fn load(env: &Env, name: &str) -> Result<Statistics> {
-        let heap = HeapFile::open(env, name)?;
+    /// Loads statistics previously [`Self::save`]d into `file`.
+    pub fn load(env: &Env, file: FileId) -> Result<Statistics> {
+        let heap = HeapFile::open_in(env, file)?;
         let mut scan = heap.scan();
         let header = scan
             .next()
@@ -207,7 +207,7 @@ mod tests {
         let env = Env::memory();
         let s = sample();
         s.save(&env, "doc.stats").unwrap();
-        let loaded = Statistics::load(&env, "doc.stats").unwrap();
+        let loaded = Statistics::load(&env, env.open_file("doc.stats").unwrap()).unwrap();
         assert_eq!(loaded, s);
     }
 
@@ -218,7 +218,7 @@ mod tests {
         let mut s2 = sample();
         s2.record_element("extra", 1);
         s2.save(&env, "doc.stats").unwrap();
-        let loaded = Statistics::load(&env, "doc.stats").unwrap();
+        let loaded = Statistics::load(&env, env.open_file("doc.stats").unwrap()).unwrap();
         assert_eq!(loaded, s2);
     }
 
@@ -230,6 +230,9 @@ mod tests {
             s.record_element(&format!("label-{i:04}"), 1);
         }
         s.save(&env, "big.stats").unwrap();
-        assert_eq!(Statistics::load(&env, "big.stats").unwrap(), s);
+        assert_eq!(
+            Statistics::load(&env, env.open_file("big.stats").unwrap()).unwrap(),
+            s
+        );
     }
 }

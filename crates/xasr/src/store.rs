@@ -4,7 +4,7 @@ use crate::stats::Statistics;
 use crate::tuple::{NodeTuple, NodeType, TupleRef};
 use crate::{Error, Result};
 use std::ops::Bound;
-use xmldb_storage::{BTree, Env, Seeker};
+use xmldb_storage::{BTree, Env, FilePins, Seeker};
 use xmldb_xml::{Document, XmlWriter};
 
 /// File names backing a document named `name`.
@@ -32,8 +32,23 @@ pub fn file_names(name: &str) -> FileNames {
     }
 }
 
+impl FileNames {
+    /// All five, clustered first.
+    pub fn all(&self) -> [&str; 5] {
+        [
+            &self.clustered,
+            &self.label,
+            &self.parent,
+            &self.text,
+            &self.stats,
+        ]
+    }
+}
+
 /// A shredded document: clustered index on `in`, covering secondary indexes
-/// on `(label, in)` and `(parent_in, in)`, and persisted statistics.
+/// on `(label, in)` and `(parent_in, in)`, and persisted statistics. The
+/// store pins its five files for its whole life: a drop that commits
+/// meanwhile leaves them readable to it (see [`Env::pin_files`]).
 pub struct XasrStore {
     env: Env,
     name: String,
@@ -42,6 +57,7 @@ pub struct XasrStore {
     parent_idx: BTree,
     text_idx: BTree,
     stats: Statistics,
+    _pins: FilePins,
 }
 
 impl XasrStore {
@@ -55,6 +71,7 @@ impl XasrStore {
         text_idx: BTree,
         stats: Statistics,
     ) -> Result<XasrStore> {
+        let _pins = env.pin_files(&file_names(&name).all())?;
         Ok(XasrStore {
             env,
             name,
@@ -63,20 +80,28 @@ impl XasrStore {
             parent_idx,
             text_idx,
             stats,
+            _pins,
         })
     }
 
-    /// Opens a previously shredded document.
+    /// Opens a previously shredded document: pins its five files in one
+    /// step, so they are one committed version of it. A document that is
+    /// not there fails with the clustered file's
+    /// [`xmldb_storage::StorageError::NoSuchFile`].
     pub fn open(env: &Env, name: &str) -> Result<XasrStore> {
-        let names = file_names(name);
+        let pins = env.pin_files(&file_names(name).all())?;
+        let &[clustered, label, parent, text, stats] = pins.ids() else {
+            unreachable!("five names pin five files");
+        };
         Ok(XasrStore {
             env: env.clone(),
             name: name.to_string(),
-            clustered: BTree::open(env, &names.clustered)?,
-            label_idx: BTree::open(env, &names.label)?,
-            parent_idx: BTree::open(env, &names.parent)?,
-            text_idx: BTree::open(env, &names.text)?,
-            stats: Statistics::load(env, &names.stats)?,
+            clustered: BTree::open_in(env, clustered)?,
+            label_idx: BTree::open_in(env, label)?,
+            parent_idx: BTree::open_in(env, parent)?,
+            text_idx: BTree::open_in(env, text)?,
+            stats: Statistics::load(env, stats)?,
+            _pins: pins,
         })
     }
 
@@ -88,15 +113,8 @@ impl XasrStore {
     /// Drops all files of document `name` at once (one log record for a
     /// committed document; see [`Env::remove_files`]).
     pub fn drop_document(env: &Env, name: &str) -> Result<()> {
-        let names = file_names(name);
         let mut ids = Vec::new();
-        for file in [
-            &names.clustered,
-            &names.label,
-            &names.parent,
-            &names.text,
-            &names.stats,
-        ] {
+        for file in file_names(name).all() {
             if env.file_exists(file) {
                 ids.push(env.open_file(file)?);
             }
