@@ -198,12 +198,40 @@ fn repeated_read_in_a_transaction_outlasts_a_concurrent_drop() {
 /// frees them with the last pin.
 #[test]
 fn drop_and_reload_under_a_looping_reader_never_fail_untyped() {
+    drop_and_reload_under_a_looping_reader(&Database::in_memory());
+}
+
+/// The same race on disk, where a drop's commit fsyncs the log between
+/// taking the name out of the catalog and unlinking the files. A reader
+/// that opened the document in that window used to find the files still
+/// on disk and open them as committed again, and a reader whose last
+/// unpin fell in it forgot the files before the unlink, which then never
+/// came: either way the reload under the name failed `DocumentExists`.
+#[test]
+fn drop_and_reload_under_a_looping_reader_on_disk() {
+    let dir = std::env::temp_dir().join(format!("saardb-reg-reload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open_dir(&dir, xmldb_storage::EnvConfig::default()).unwrap();
+    drop_and_reload_under_a_looping_reader(&db);
+    drop(db);
+    let db = Database::open_dir(&dir, xmldb_storage::EnvConfig::default()).unwrap();
+    assert_eq!(db.documents().unwrap(), ["f"]);
+    assert_eq!(
+        db.query("f", "//name", EngineKind::M4CostBased)
+            .unwrap()
+            .len(),
+        5_000
+    );
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn drop_and_reload_under_a_looping_reader(db: &Database) {
     let mut xml = String::from("<dblp>");
     for i in 0..5_000 {
         xml.push_str(&format!("<rec><name>n{i}</name></rec>"));
     }
     xml.push_str("</dblp>");
-    let db = Database::in_memory();
     db.load_document("f", &xml).unwrap();
     let done = std::sync::atomic::AtomicBool::new(false);
     let (reads, bad_reads, bad_writes) = std::thread::scope(|s| {

@@ -140,11 +140,7 @@ impl Backend for FileBackend {
         if !self.dirty.swap(false, Ordering::SeqCst) {
             return Ok(false);
         }
-        if let Err(e) = self.file.sync_data() {
-            // Still dirty: the next sync must retry the fsync.
-            self.dirty.store(true, Ordering::SeqCst);
-            return Err(e.into());
-        }
+        self.file.sync_data()?;
         Ok(true)
     }
 

@@ -585,8 +585,9 @@ impl BufferPool {
     /// Writes back every dirty frame of the files `only` selects, one
     /// shard at a time. A frame still pinned (an operator may be
     /// mid-mutation) is written but stays dirty. It syncs nothing: the
-    /// caller fsyncs the files, and a file whose sync fails stays dirty at
-    /// its backend (see [`Backend::sync`]), so the next sync retries it.
+    /// caller fsyncs the files, and a file whose fsync fails has its
+    /// frames marked dirty again ([`BufferPool::redirty_file`]), so the
+    /// next flush rewrites them.
     pub(crate) fn flush(&self, io: Resolver<'_>, only: &dyn Fn(FileId) -> bool) -> Result<()> {
         for shard in &self.shards {
             let mut state = shard.state.lock();
@@ -600,6 +601,23 @@ impl BufferPool {
             }
         }
         Ok(())
+    }
+
+    /// Marks every resident frame of `file` dirty and returns how many
+    /// there are: after a failed fsync of the file, the next flush then
+    /// rewrites each of its pages the pool still holds.
+    pub(crate) fn redirty_file(&self, file: FileId) -> u64 {
+        let mut resident = 0;
+        for shard in &self.shards {
+            let mut state = shard.state.lock();
+            for meta in &mut state.metas {
+                if matches!(meta.tag, Some((f, _)) if f == file) {
+                    meta.dirty = true;
+                    resident += 1;
+                }
+            }
+        }
+        resident
     }
 
     /// Drops every frame belonging to `file` without write-back (the file

@@ -106,6 +106,9 @@ struct FileEntry {
     state: FileState,
     /// Live [`FilePins`] holding this file.
     pins: usize,
+    /// The failed fsync after which this file can no longer be made
+    /// durable (see [`Env::sync_file`]).
+    lost: Option<StorageError>,
 }
 
 struct FileTable {
@@ -312,11 +315,6 @@ impl Env {
         self.inner.pager.pool.capacity()
     }
 
-    /// Number of buffer-pool shards (lock-striping granularity).
-    pub fn pool_shards(&self) -> usize {
-        self.inner.pager.pool.shard_count()
-    }
-
     /// True if the environment is backed by a directory on disk.
     pub fn is_on_disk(&self) -> bool {
         self.inner.dir.is_some()
@@ -369,12 +367,9 @@ impl Env {
     /// for in-flight transactions to drain, and `Err` when the volume is
     /// still full (the probe flush/checkpoint failed — stay degraded).
     ///
-    /// The probe is a [`Env::checkpoint`]: the flush first writes the
-    /// committed backlog into the data files, and only then is the log
-    /// checkpointed down to a single record — truncating first could
-    /// discard committed updates still pool-resident. The server's
-    /// watchdog calls this periodically, so recovery is automatic once
-    /// space is reclaimed.
+    /// The probe is a [`Env::checkpoint`], which rewrites the log as one
+    /// record. The server's watchdog calls this periodically, so recovery
+    /// is automatic once space is reclaimed.
     pub fn try_exit_read_only(&self) -> Result<bool> {
         if !self.is_read_only() {
             return Ok(true);
@@ -462,6 +457,7 @@ impl Env {
                 name,
                 state,
                 pins: 0,
+                lost: None,
             },
         );
         id
@@ -502,12 +498,15 @@ impl Env {
         self.open_in(&mut self.inner.pager.files.write(), name)
     }
 
+    /// Resolves `name` in the file table, or opens it if recovery's
+    /// catalog lists it. A file on disk outside the catalog is not opened:
+    /// a dropped one stays there from its commit record to its unlink.
     fn open_in(&self, table: &mut FileTable, name: &str) -> Result<FileId> {
         if let Some(&id) = table.by_name.get(name) {
             return Ok(id);
         }
         match self.disk_path(name) {
-            Some(path) if path.exists() => {
+            Some(path) if table.unopened.contains_key(name) => {
                 let backend: Arc<dyn Backend> =
                     Arc::new(FileBackend::open(&path, self.page_size())?);
                 Ok(self.register(table, name.to_string(), backend, FileState::Committed))
@@ -616,23 +615,20 @@ impl Env {
     /// (see [`Env::pin_files`]). Fails with [`StorageError::FileBusy`]
     /// while a page of a file removed at once is pinned.
     pub fn remove_files(&self, ids: &[FileId]) -> Result<()> {
-        let mut states = Vec::with_capacity(ids.len());
+        let (mut states, mut committed) = (Vec::with_capacity(ids.len()), Vec::new());
         for &id in ids {
             let state = self
                 .file_state(id)
                 .filter(|&s| s != FileState::Dropped)
                 .ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?;
+            if state == FileState::Committed {
+                committed.push(id);
+            }
             states.push(state);
         }
         if states.iter().any(|&s| s != FileState::Temp) {
             self.check_txn()?;
         }
-        let committed: Vec<FileId> = ids
-            .iter()
-            .zip(&states)
-            .filter(|(_, &s)| s == FileState::Committed)
-            .map(|(&id, _)| id)
-            .collect();
         if !committed.is_empty() && !txn::defer_drops(self, &committed)? {
             self.publish(&[], &committed)?;
             self.retire(&committed);
@@ -661,7 +657,9 @@ impl Env {
     /// reach the log in catalog order), appends the commit record — the
     /// `added` files with their page counts and the `dropped` names — then
     /// applies it: the added files are committed, and the dropped ones
-    /// leave the catalog and free their names (see [`Env::retire`]).
+    /// leave the catalog and free their names. The commit pins each
+    /// dropped file until [`Env::retire`] has unlinked it, so a reader's
+    /// last unpin cannot forget the file before then.
     pub(crate) fn publish(&self, added: &[FileId], dropped: &[FileId]) -> Result<Option<Appended>> {
         let mut guard = self.inner.pager.files.write();
         let FileTable { by_id, by_name, .. } = &mut *guard;
@@ -687,8 +685,10 @@ impl Env {
             }
         }
         for id in dropped {
-            if let Some(e) = by_id.get_mut(id) {
+            // A commit retried after a failed log fsync publishes again.
+            if let Some(e) = by_id.get_mut(id).filter(|e| e.state != FileState::Dropped) {
                 e.state = FileState::Dropped;
+                e.pins += 1;
                 if by_name.get(&e.name) == Some(id) {
                     by_name.remove(&e.name);
                 }
@@ -698,9 +698,10 @@ impl Env {
     }
 
     /// After the commit that dropped `ids`: unlinks their disk files — a
-    /// reader still pinning one keeps reading its open handle — and reaps
-    /// the unpinned ones. Best effort: a file left on disk is outside the
-    /// catalog, so recovery deletes it.
+    /// reader still pinning one keeps reading its open handle — and
+    /// releases the commit's pins, reaping the files no reader holds. Best
+    /// effort: a file left on disk is outside the catalog, so recovery
+    /// deletes it.
     pub(crate) fn retire(&self, ids: &[FileId]) {
         for &id in ids {
             if let Ok(backend) = self.backend(id) {
@@ -708,13 +709,13 @@ impl Env {
                     let _ = std::fs::remove_file(path);
                 }
             }
-            self.reap(id);
         }
+        self.unpin(ids);
     }
 
     /// Frees a dropped file's frames and forgets it once nothing pins it.
-    /// A frame still pinned by a raw page access keeps the entry; the clock
-    /// evicts such frames like any other.
+    /// A frame still pinned by a raw page access keeps the entry until the
+    /// next flush reaps it again.
     fn reap(&self, id: FileId) {
         let unpinned = {
             let table = self.inner.pager.files.read();
@@ -757,12 +758,36 @@ impl Env {
         let pool = &self.inner.pager.pool;
         pool.flush(&|f| self.backend(f), &|f| files.contains(&f))?;
         for &file in files {
-            self.backend(file)?.sync()?;
+            self.sync_file(file)?;
         }
         if let Some(dir) = &self.inner.dir {
             wal::sync_dir(dir);
         }
         Ok(())
+    }
+
+    /// Fsyncs file `id`. A failed fsync may drop the writes it did not
+    /// flush while the kernel marks their pages clean, so a retry that
+    /// succeeds proves nothing. The file's resident frames are marked dirty
+    /// for the retry to rewrite; if a page is no longer resident (the pool
+    /// evicted it after writing it back), nothing can restore it, and every
+    /// later sync of the file fails with this error: its transaction can
+    /// only roll back.
+    fn sync_file(&self, id: FileId) -> Result<()> {
+        let backend = match self.inner.pager.files.read().by_id.get(&id) {
+            Some(FileEntry { lost: Some(e), .. }) => return Err(e.clone()),
+            Some(entry) => Arc::clone(&entry.backend),
+            None => return Err(StorageError::NoSuchFile(format!("{id}"))),
+        };
+        let Err(e) = backend.sync() else {
+            return Ok(());
+        };
+        if self.inner.pager.pool.redirty_file(id) < backend.page_count() {
+            if let Some(entry) = self.inner.pager.files.write().by_id.get_mut(&id) {
+                entry.lost = Some(e.clone());
+            }
+        }
+        Err(e)
     }
 
     /// Names of the committed files, in name order: the catalog.
@@ -814,9 +839,12 @@ impl Env {
         Txn::begin(self)
     }
 
-    /// Takes `mode` on `name` for the transaction on this environment
-    /// installed on this thread (see [`Txn::lock`]); without one, a no-op:
-    /// an autocommit reader takes no locks.
+    /// Takes (or upgrades to) `mode` on `name` for the transaction on this
+    /// environment installed on this thread, held until it ends; without
+    /// one, a no-op: an autocommit reader takes no locks. Blocks while
+    /// another transaction holds a conflicting lock. On deadlock the
+    /// installed transaction — the victim — is rolled back before
+    /// [`StorageError::Deadlock`] returns, so its locks are already free.
     pub fn lock(&self, name: &str, mode: LockMode) -> Result<()> {
         match txn::installed_on(self) {
             Some(txn) => txn.lock(name, mode),
@@ -913,16 +941,18 @@ impl Env {
             .pool
             .flush(&|f| self.backend(f), &|_| true)?;
         // Eviction write-backs were not synced; clean files skip the sync.
-        let backends: Vec<Arc<dyn Backend>> = {
+        // Scratch files are never durable, and a dropped file that a raw
+        // page access kept from its reap is reaped now.
+        let files: Vec<(FileId, FileState)> = {
             let table = self.inner.pager.files.read();
-            table
-                .by_id
-                .values()
-                .map(|e| Arc::clone(&e.backend))
-                .collect()
+            table.by_id.iter().map(|(&id, e)| (id, e.state)).collect()
         };
-        for backend in &backends {
-            backend.sync()?;
+        for (id, state) in files {
+            match state {
+                FileState::Temp => {}
+                FileState::Dropped => self.reap(id),
+                FileState::New(_) | FileState::Committed => self.sync_file(id)?,
+            }
         }
         if let (Some(start), true) = (start, checkpoint) {
             if self.inner.txns.active_count() == 0 && self.checkpoint_log(start)? {
@@ -1379,6 +1409,55 @@ mod tests {
         let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
         let f = env.open_file("d").unwrap();
         assert_eq!(env.with_page(f, PageId(0), |d| d[0]).unwrap(), 2);
+        drop(env);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_dropped_file_held_by_a_page_access_is_reaped_by_the_next_flush() {
+        let env = Env::memory();
+        let f = env.create_file("d").unwrap();
+        let p = env.allocate_page(f).unwrap();
+        // The drop commits while a raw page access pins the file's frame.
+        env.with_page(f, p, |_| env.remove_file(f))
+            .unwrap()
+            .unwrap();
+        assert!(env.committed_files().is_empty());
+        assert!(env.with_page(f, p, |_| ()).is_ok(), "not reaped yet");
+        env.flush().unwrap();
+        assert!(matches!(
+            env.with_page(f, p, |_| ()),
+            Err(StorageError::NoSuchFile(_))
+        ));
+    }
+
+    #[test]
+    fn a_dropped_file_does_not_reopen_before_it_is_unlinked() {
+        let dir = std::env::temp_dir().join(format!("saardb-env-unlink-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
+        env.autocommit(|| {
+            let f = env.create_file("d")?;
+            env.allocate_page(f).map(|_| ())
+        })
+        .unwrap();
+        let reader = env.pin_files(&["d"]).unwrap();
+        let old = reader.ids()[0];
+        // A drop's commit between its record and the unlink, where it
+        // fsyncs the log: the file is out of the catalog but on disk.
+        env.publish(&[], &[old]).unwrap();
+        assert!(dir.join("d.sdb").exists());
+        assert!(matches!(
+            env.open_file("d"),
+            Err(StorageError::NoSuchFile(_))
+        ));
+        assert!(env.pin_files(&["d"]).is_err());
+        // The last reader leaves before the unlink.
+        drop(reader);
+        env.retire(&[old]);
+        assert!(!dir.join("d.sdb").exists());
+        env.autocommit(|| env.create_file("d").map(|_| ())).unwrap();
+        assert_eq!(env.committed_files(), ["d"]);
         drop(env);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -118,7 +118,8 @@ impl FaultState {
     }
 
     /// Makes the next sync fail with an injected I/O error without killing
-    /// the backend.
+    /// the backend. Like a failed Linux `fsync`, which may mark the pages
+    /// it could not write clean, it loses the file's unsynced writes.
     pub fn fail_next_sync(&self) {
         self.fail_next_sync.store(true, Ordering::SeqCst);
     }
@@ -193,7 +194,10 @@ impl Volatile {
     /// Restores the last synced image (a store without a file keeps the
     /// pages appended since: it cannot shrink).
     fn lose_unsynced(&self) {
-        let mut u = self.unsynced.lock();
+        self.revert(&mut self.unsynced.lock());
+    }
+
+    fn revert(&self, u: &mut Unsynced) {
         for (page, bytes) in u.durable.drain() {
             let _ = self.inner.write_page(PageId(page), &bytes);
         }
@@ -294,6 +298,7 @@ impl Backend for FaultBackend {
         let mut u = self.file.unsynced.lock();
         self.state.check_alive("sync after kill")?;
         if self.state.fail_next_sync.swap(false, Ordering::SeqCst) {
+            self.file.revert(&mut u);
             return Err(FaultState::injected("sync (transient)"));
         }
         let flushed = self.file.inner.sync()?;
@@ -382,6 +387,24 @@ mod tests {
         assert!(b.sync().is_err());
         b.sync().unwrap();
         assert!(!state.is_killed(), "transient faults do not kill");
+    }
+
+    #[test]
+    fn failed_sync_loses_the_unsynced_writes() {
+        let (b, state) = setup();
+        let p = b.allocate_page().unwrap();
+        b.write_page(p, &[1u8; PS]).unwrap();
+        b.sync().unwrap();
+        b.write_page(p, &[2u8; PS]).unwrap();
+        state.fail_next_sync();
+        assert!(b.sync().is_err());
+        let mut buf = vec![0u8; PS];
+        b.read_page(p, &mut buf).unwrap();
+        assert!(
+            buf.iter().all(|&x| x == 1),
+            "the failed sync dropped the write"
+        );
+        assert!(!state.is_killed());
     }
 
     #[test]

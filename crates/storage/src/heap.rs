@@ -162,16 +162,6 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Appends a record assembled from parts (saves a concat allocation for
-    /// hot operator spills).
-    pub fn append_parts(&mut self, parts: &[&[u8]]) -> Result<()> {
-        let mut record = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for p in parts {
-            record.extend_from_slice(p);
-        }
-        self.append(&record)
-    }
-
     fn init_data_page(&self, page: PageId) -> Result<()> {
         self.env.with_page_mut(self.file, page, |data| {
             set_nrecords(data, 0);

@@ -15,10 +15,11 @@
 //!   it alone, made durable by its commit and deleted by its rollback.
 //!   Without an installed transaction, a logged environment refuses to
 //!   create or remove a durable file ([`StorageError::NoTxn`]).
-//! * **Strict 2PL on names.** [`Txn::lock`] takes a shared or exclusive
-//!   lock on a name (S→X upgrades in place), held to commit or rollback.
-//!   The caller picks the names: `xmldb-core` locks a document's name — S
-//!   for a query, X for a load or a drop.
+//! * **Strict 2PL on names.** [`Env::lock`] takes a shared or exclusive
+//!   lock on a name for the installed transaction (S→X upgrades in
+//!   place), held to commit or rollback. The caller picks the names:
+//!   `xmldb-core` locks a document's name — S for a query, X for a load
+//!   or a drop.
 //! * **Deadlock detection, not timeouts.** A blocked request adds its
 //!   edge to the wait-for graph and searches for a cycle through itself;
 //!   if found, the *requester* is the victim: it is rolled back on the
@@ -389,7 +390,7 @@ impl Txn {
     /// deadlock this transaction — the victim — is rolled back before the
     /// error returns, so its locks are already free when the caller sees
     /// [`StorageError::Deadlock`].
-    pub fn lock(&self, name: &str, mode: LockMode) -> Result<()> {
+    pub(crate) fn lock(&self, name: &str, mode: LockMode) -> Result<()> {
         if !self.is_active() {
             return Err(StorageError::TxnInactive { txn: self.inner.id });
         }

@@ -161,7 +161,8 @@ fn reopen_after_torn_write_recovers() {
 
 /// Bug regression: a failed `Backend::sync` must leave the file dirty so
 /// a retried commit re-syncs it instead of silently losing the write —
-/// which the checkpoint after it makes unrecoverable.
+/// which the checkpoint after it makes unrecoverable. The failed sync
+/// drops the unsynced write; the retry rewrites it from the pool.
 #[test]
 fn failed_sync_does_not_lose_writes() {
     let dir = scratch("sync");
@@ -186,6 +187,40 @@ fn failed_sync_does_not_lose_writes() {
     let env = Env::open_dir(&dir, config()).unwrap();
     let tree = BTree::open(&env, "t").unwrap();
     assert_eq!(tree.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed fsync may drop the writes it did not flush (the fault plan's
+/// failed sync does). A retry can rewrite only the pages still in the
+/// pool: once the pool has evicted one, a retried commit that fsynced
+/// cleanly would publish a file with pages missing. The file can no longer
+/// commit; its transaction rolls back.
+#[test]
+fn failed_sync_after_an_eviction_cannot_commit() {
+    let dir = scratch("sync-evicted");
+    let faults = FaultState::new();
+    {
+        let env = faulted_env(&dir, &faults);
+        let txn: Txn = env.begin_txn();
+        {
+            let _s = txn.install();
+            let mut tree = BTree::create(&env, "t").unwrap();
+            for i in 0..200 {
+                tree.insert(&key(i), &value(i)).unwrap();
+            }
+        }
+        faults.fail_next_sync();
+        let first = txn.commit().unwrap_err();
+        assert!(matches!(first, StorageError::FaultInjected(_)), "{first}");
+        let retry = txn.commit().unwrap_err();
+        assert_eq!(retry.to_string(), first.to_string(), "the failure is final");
+        txn.rollback().unwrap();
+        assert!(env.committed_files().is_empty());
+        faults.kill_now();
+    }
+    let env = Env::open_dir(&dir, config()).unwrap();
+    assert!(env.committed_files().is_empty());
+    assert!(!dir.join("t.sdb").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
