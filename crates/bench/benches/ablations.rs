@@ -138,9 +138,10 @@ fn bench_pool_sweep() {
 }
 
 fn bench_sort_strategies() {
-    // The ordering problem's approach (a) head-to-head: by-the-book
-    // external merge sort vs. the students' clustered-B-tree workaround.
-    use xmldb_physical::ops::{BTreeSortOp, RowsOp, SortOp};
+    // The ordering problem's approach (a): the by-the-book external merge
+    // sort. (The students' clustered-B-tree workaround needs a tree that
+    // takes inserts; trees here are bulk-built once.)
+    use xmldb_physical::ops::{RowsOp, SortOp};
     use xmldb_physical::{execute_all, Bindings, ExecContext};
     use xmldb_xasr::{NodeTuple, NodeType};
 
@@ -163,11 +164,6 @@ fn bench_sort_strategies() {
     time("ablation_sort", "external-sort", || {
         let ctx = ExecContext::new(&store, &binds);
         let mut op = SortOp::new(Box::new(RowsOp::new(rows.clone())), vec![0]);
-        execute_all(&mut op, &ctx).unwrap().len()
-    });
-    time("ablation_sort", "btree-sort-workaround", || {
-        let ctx = ExecContext::new(&store, &binds);
-        let mut op = BTreeSortOp::new(Box::new(RowsOp::new(rows.clone())), vec![0]);
         execute_all(&mut op, &ctx).unwrap().len()
     });
 }

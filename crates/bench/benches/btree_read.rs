@@ -32,14 +32,13 @@ fn raw_tree_cases(n: u64, out: &mut Vec<Sample>) {
         page_size: 8192,
         pool_bytes: 32 << 20,
     });
-    let mut tree = BTree::create(&env, "bench").unwrap();
-    tree.bulk_load((0..n).map(|i| {
+    let entries = (0..n).map(|i| {
         (
             i.to_be_bytes().to_vec(),
             format!("value-{i:08}").into_bytes(),
         )
-    }))
-    .unwrap();
+    });
+    let tree = BTree::build_in(&env, env.create_file("bench").unwrap(), entries).unwrap();
 
     // The canonical scan: zero-copy visit of every row in place. The
     // pre-slotted engine had no cheaper way to walk the tree than the
@@ -75,12 +74,11 @@ fn raw_tree_cases(n: u64, out: &mut Vec<Sample>) {
     // Secondary-index shape: 64 labels, n/64 entries each, scanned label by
     // label (the XASR `(label, in)` covering-index pattern).
     let labels = 64u64;
-    let mut idx = BTree::create(&env, "bench-idx").unwrap();
     let mut entries: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
         .map(|i| (label_key(i % labels, i), i.to_be_bytes().to_vec()))
         .collect();
     entries.sort();
-    idx.bulk_load(entries).unwrap();
+    let idx = BTree::build_in(&env, env.create_file("bench-idx").unwrap(), entries).unwrap();
     out.push(measure("prefix_scan", n, 4, || {
         let mut rows = 0u64;
         for label in 0..labels {

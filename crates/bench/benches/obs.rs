@@ -48,9 +48,8 @@ fn point_get_case(n: u64) -> Sample {
         page_size: 8192,
         pool_bytes: 32 << 20,
     });
-    let mut tree = BTree::create(&env, "bench").unwrap();
-    tree.bulk_load((0..n).map(|i| (clustered_key(i), format!("value-{i:08}").into_bytes())))
-        .unwrap();
+    let entries = (0..n).map(|i| (clustered_key(i), format!("value-{i:08}").into_bytes()));
+    let tree = BTree::build_in(&env, env.create_file("bench").unwrap(), entries).unwrap();
     let order = scrambled(n);
     // Enough iterations that every size runs a few hundred milliseconds —
     // the 5% regression budget needs the noise floor well below that.

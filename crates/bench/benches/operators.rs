@@ -16,28 +16,16 @@ fn key(i: u64) -> Vec<u8> {
 }
 
 fn bench_btree() {
-    time("btree", "insert-10k", || {
-        let env = Env::memory();
-        let mut tree = BTree::create(&env, "t").unwrap();
-        for i in 0..10_000u64 {
-            tree.insert(&key((i * 7919 + 13) % 10_000), b"payload")
-                .unwrap();
-        }
-        tree.len()
-    });
-
     time("btree", "bulk-load-10k", || {
         let env = Env::memory();
-        let mut tree = BTree::create(&env, "t").unwrap();
-        tree.bulk_load((0..10_000u64).map(|i| (key(i), b"payload".to_vec())))
-            .unwrap();
+        let entries = (0..10_000u64).map(|i| (key(i), b"payload".to_vec()));
+        let tree = BTree::build_in(&env, env.create_file("t").unwrap(), entries).unwrap();
         tree.len()
     });
 
     let env = Env::memory();
-    let mut tree = BTree::create(&env, "probe").unwrap();
-    tree.bulk_load((0..100_000u64).map(|i| (key(i), b"v".to_vec())))
-        .unwrap();
+    let entries = (0..100_000u64).map(|i| (key(i), b"v".to_vec()));
+    let tree = BTree::build_in(&env, env.create_file("probe").unwrap(), entries).unwrap();
     let mut i = 0u64;
     time("btree", "get-hot", || {
         i = (i * 6364136223846793005 + 1442695040888963407) % 100_000;

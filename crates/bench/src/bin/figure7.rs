@@ -4,9 +4,9 @@
 //! figure7 [--scale F] [--budget-secs S] [--pool-mb M]
 //! ```
 //!
-//! Defaults are CI-friendly (scale 1.0 ≈ 250 KB of DBLP, 5 s budget,
+//! Defaults are CI-friendly (scale 1.0 ≈ 0.150 MB of DBLP, 5 s budget,
 //! 4 MiB pool). To approach the paper's setting use
-//! `--scale 1000 --budget-secs 2400 --pool-mb 20`.
+//! `--scale 1663 --budget-secs 2400 --pool-mb 20`.
 
 use std::time::Duration;
 use xmldb_bench::{run_figure7, Figure7Config};

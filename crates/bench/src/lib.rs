@@ -28,7 +28,7 @@ use xmldb_xasr::Statistics;
 /// Configuration of a Figure 7 run.
 #[derive(Debug, Clone)]
 pub struct Figure7Config {
-    /// DBLP scale factor (1.0 ≈ 250 KB; the paper used 250 MB ≈ 1000).
+    /// DBLP scale factor (1.0 ≈ 0.150 MB; the paper used 250 MB ≈ 1 663).
     pub dblp_scale: f64,
     /// Per-query wall-clock budget (the paper's 2400 s, scaled down).
     pub budget: Duration,

@@ -277,7 +277,6 @@ impl Database {
                         ("pool.physical_writes", m.io.physical_writes),
                         ("btree.node_views", m.io.node_views),
                         ("btree.in_place_searches", m.io.in_place_searches),
-                        ("btree.splits", m.io.btree_splits),
                         ("wal.appends", m.io.wal_appends),
                         ("wal.bytes", m.io.wal_bytes),
                         ("wal.syncs", m.io.wal_syncs),
@@ -372,10 +371,10 @@ impl Database {
         engine::explain_analyze(&store, &expr, engine, options)
     }
 
-    /// Writes every dirty page back to its data file. It commits nothing:
-    /// loads, drops and [`Database::begin`] transactions are durable when
-    /// they commit. A flush lets the log be checkpointed once it has grown
-    /// past its threshold (see [`Env::flush`]).
+    /// Reaps dropped files and checkpoints the log once it has grown past
+    /// its threshold (see [`Env::flush`]). It commits nothing and writes no
+    /// data page: loads, drops and [`Database::begin`] transactions are
+    /// durable when they commit.
     pub fn flush(&self) -> Result<()> {
         self.env.flush()?;
         Ok(())

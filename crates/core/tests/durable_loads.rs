@@ -111,38 +111,46 @@ fn transactional_load_fsyncs_nothing_until_commit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed data fsync fails the commit of the load and rolls it back: a
+/// retried commit cannot publish the document, its files are gone, and
+/// after a crash and reopen the catalog does not list it.
 #[test]
-fn failed_sync_leaves_the_file_dirty_for_the_next_flush() {
+fn a_failed_data_fsync_fails_the_load_and_leaves_nothing() {
     let dir = scratch("failsync");
     let faults = FaultState::new();
     let db = faulted_db(&dir, &faults);
-    let env = db.env();
+    db.load_document("old", DOC).unwrap();
     let txn = db.begin();
     {
         let _scope = txn.install();
-        let f = env.create_file("raw").unwrap();
-        let p = env.allocate_page(f).unwrap();
-        env.with_page_mut(f, p, |d| d[0] = 0x5A).unwrap();
+        db.load_document("t", DOC).unwrap();
     }
     faults.fail_next_sync();
     assert!(txn.commit().is_err());
-    // The retried commit fsyncs the file again; the checkpoint then drops
-    // everything from the log but the catalog: from then on only the data
-    // file holds the write.
-    let before = syncs(&db, &faults);
-    txn.commit().unwrap();
-    assert_eq!(
-        delta(before, syncs(&db, &faults)).0,
-        1,
-        "the retry fsyncs it"
-    );
-    env.checkpoint().unwrap();
+    assert!(matches!(
+        txn.commit(),
+        Err(xmldb_storage::StorageError::TxnInactive { .. })
+    ));
+    assert_eq!(db.documents().unwrap(), ["old"]);
+    assert!(db
+        .env()
+        .committed_files()
+        .iter()
+        .all(|f| !f.starts_with('t')));
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("t."))
+        .collect();
+    assert!(leftovers.is_empty(), "{leftovers:?}");
+    // The load itself can be retried.
+    db.load_document("t", DOC).unwrap();
+    db.drop_document("t").unwrap();
     faults.kill_now();
     drop(db);
-    let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
-    let f = env.open_file("raw").unwrap();
-    assert_eq!(env.with_page(f, PageId(0), |d| d[0]).unwrap(), 0x5A);
-    drop(env);
+    let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+    assert_eq!(db.documents().unwrap(), ["old"]);
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -352,9 +360,9 @@ impl Backend for Watched {
         self.inner.write_page(id, buf)
     }
 
-    fn allocate_page(&self) -> xmldb_storage::Result<PageId> {
+    fn append_page(&self, buf: &[u8]) -> xmldb_storage::Result<PageId> {
         self.gate();
-        self.inner.allocate_page()
+        self.inner.append_page(buf)
     }
 
     fn page_count(&self) -> u64 {

@@ -201,20 +201,24 @@ fn governor_trips_are_counted_by_kind() {
 }
 
 #[test]
-fn io_snapshot_counts_evictions_and_splits() {
+fn io_snapshot_counts_evictions_and_writes() {
     use xmldb_storage::{BTree, Env, EnvConfig};
-    // Trickle inserts through a minimal 8-frame pool: the tree must split
-    // (bulk loading is not used on this path) and the pool must evict.
+    // A tree built under a minimal 8-frame pool: each page is written
+    // once, straight to the backend, and reading it back must evict.
     let env = Env::memory_with(EnvConfig::with_pool_bytes(1));
-    let mut tree = BTree::create(&env, "t").unwrap();
     let value = [7u8; 200];
-    for i in 0..2000u32 {
-        tree.insert(format!("key-{i:06}").as_bytes(), &value)
-            .unwrap();
-    }
+    let entries = (0..2000u32).map(|i| (format!("key-{i:06}").into_bytes(), value.to_vec()));
+    let tree = BTree::build_in(&env, env.create_file("t").unwrap(), entries).unwrap();
+    let pages = env.page_count(tree.file_id()).unwrap();
     let snap = env.io_stats();
-    assert!(snap.btree_splits > 0, "{snap:?}");
-    assert!(snap.evictions > 0, "{snap:?}");
+    assert_eq!(
+        snap.physical_writes,
+        pages + 1,
+        "appends and the meta patch"
+    );
+    assert_eq!(snap.requests(), 0, "{snap:?}");
+    assert_eq!(tree.iter().count(), 2000);
+    assert!(env.io_stats().evictions > 0, "{:?}", env.io_stats());
     // The same counters surface through a query's io delta.
     let db = Database::in_memory_with(EnvConfig::with_pool_bytes(1));
     let mut xml = String::from("<r>");
@@ -226,4 +230,29 @@ fn io_snapshot_counts_evictions_and_splits() {
     let r = db.query("big", "//e", EngineKind::M4CostBased).unwrap();
     let m = r.metrics().unwrap();
     assert!(m.io.evictions > 0, "{:?}", m.io);
+}
+
+/// Loading a document writes its files straight to their backends: the
+/// buffer pool sees no request and reads nothing, so the new document
+/// starts cold.
+#[test]
+fn a_load_never_touches_the_pool() {
+    let db = Database::in_memory();
+    let mut xml = String::from("<r>");
+    for i in 0..2000 {
+        xml.push_str(&format!("<e a=\"{i}\">text {i}</e>"));
+    }
+    xml.push_str("</r>");
+    let before = db.env().io_stats();
+    db.load_document("d", &xml).unwrap();
+    let delta = db.env().io_stats().delta(&before);
+    assert_eq!(delta.requests(), 0, "{delta:?}");
+    assert_eq!(delta.physical_reads, 0, "{delta:?}");
+    assert!(delta.physical_writes > 20, "{delta:?}");
+    assert!(
+        db.env().temp_files().is_empty(),
+        "the shred sort stayed in memory"
+    );
+    let r = db.query("d", "//e", EngineKind::M4CostBased).unwrap();
+    assert_eq!(r.len(), 2000);
 }

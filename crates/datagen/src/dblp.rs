@@ -37,8 +37,8 @@ impl Default for DblpConfig {
 
 impl DblpConfig {
     /// Scales the default publication counts by `factor` (≈ linear in
-    /// output bytes; factor 1.0 ≈ 250 KB, so the paper's 250 MB DBLP is
-    /// factor ≈ 1000).
+    /// output bytes; factor 1.0 is 150 366 bytes and 40 is 6 009 090, so
+    /// the paper's 250 MB DBLP is factor ≈ 1 663).
     pub fn scaled(factor: f64) -> DblpConfig {
         let base = DblpConfig::default();
         DblpConfig {

@@ -8,4 +8,4 @@ mod sort;
 pub use filter::{FilterOp, LimitOp, ProjectOp, RowsOp};
 pub use join::{JoinInner, JoinOp};
 pub use scan::{Probe, ScanOp, Src};
-pub use sort::{BTreeSortOp, MaterializeOp, SortOp};
+pub use sort::{MaterializeOp, SortOp};

@@ -3,7 +3,7 @@
 use crate::exec::{ExecContext, Operator};
 use crate::row::{decode_row, encode_row};
 use crate::{Error, Result, RowBatch};
-use xmldb_storage::{HeapFile, SortedRecords};
+use xmldb_storage::{HeapFile, HeapWriter, SortedRecords};
 use xmldb_xasr::NodeTuple;
 
 /// Default sort memory budget (run-generation buffer).
@@ -11,7 +11,7 @@ const SORT_BUDGET: usize = 2 << 20;
 
 /// Drains an opened `input`, handing every row to `sink` (the blocking
 /// operators below consume their whole input in `open`). Checks the
-/// governor per row: a sink spills or inserts, so rows are not cheap here.
+/// governor per row: a sink spills or writes pages, so rows are not cheap here.
 fn drain(
     input: &mut dyn Operator,
     ctx: &ExecContext<'_>,
@@ -133,14 +133,14 @@ impl MaterializeOp {
 impl Operator for MaterializeOp {
     fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         if self.heap.is_none() {
-            let mut heap = HeapFile::temp(ctx.store.env())?;
+            let mut heap = HeapWriter::temp(ctx.store.env())?;
             self.input.open(ctx)?;
             drain(&mut *self.input, ctx, |row| {
                 heap.append(&encode_row(row))?;
                 Ok(())
             })?;
             self.input.close();
-            self.heap = Some(heap);
+            self.heap = Some(heap.finish()?);
         }
         self.page = 0;
         self.buffered.clear();
@@ -181,88 +181,6 @@ impl Operator for MaterializeOp {
     }
 }
 
-/// The student workaround the paper describes: "several students chose to
-/// enforce sorted intermediate results by constructing a clustered B-tree
-/// index on the input to the projection operator, thus retrieving the
-/// results in the proper order. While this is certainly not an elegant
-/// solution, we accepted it as a creative workaround."
-///
-/// Rows are inserted into a scratch B+-tree keyed by the sort columns (plus
-/// a disambiguating sequence number, since B+-tree keys are unique), then
-/// streamed back in key order. Compare against [`SortOp`] in the `ablations`
-/// bench to see why the external sort is the by-the-book choice.
-pub struct BTreeSortOp {
-    input: Box<dyn Operator>,
-    key_cols: Vec<usize>,
-    tree: Option<xmldb_storage::BTree>,
-    /// Resume key for streaming the sorted output.
-    cursor_after: Option<Vec<u8>>,
-}
-
-impl BTreeSortOp {
-    /// Sorts `input` via a scratch B+-tree keyed on `key_cols`.
-    pub fn new(input: Box<dyn Operator>, key_cols: Vec<usize>) -> BTreeSortOp {
-        BTreeSortOp {
-            input,
-            key_cols,
-            tree: None,
-            cursor_after: None,
-        }
-    }
-}
-
-impl Operator for BTreeSortOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.input.open(ctx)?;
-        let mut tree = xmldb_storage::BTree::temp(ctx.store.env())?;
-        let mut seq = 0u64;
-        drain(&mut *self.input, ctx, |row| {
-            let mut key = Vec::with_capacity(self.key_cols.len() * 8 + 8);
-            sort_key(row, &self.key_cols, &mut key);
-            // Unique suffix: duplicates must all survive (bag semantics).
-            key.extend_from_slice(&seq.to_be_bytes());
-            seq += 1;
-            tree.insert(&key, &encode_row(row))?;
-            Ok(())
-        })?;
-        self.input.close();
-        self.tree = Some(tree);
-        self.cursor_after = None;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, _ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
-        let tree = self
-            .tree
-            .as_ref()
-            .ok_or_else(|| Error::Xasr("btree-sort not open".into()))?;
-        let lower = match &self.cursor_after {
-            Some(k) => std::ops::Bound::Excluded(k.as_slice()),
-            None => std::ops::Bound::Unbounded,
-        };
-        let mut batch = RowBatch::default();
-        let mut last_key = None;
-        for entry in tree.range(lower, std::ops::Bound::Unbounded).take(max_rows) {
-            let (key, value) = entry?;
-            batch.push_row_vec(decode_row(&value)?);
-            last_key = Some(key);
-        }
-        if last_key.is_some() {
-            self.cursor_after = last_key;
-        }
-        Ok(batch)
-    }
-
-    fn close(&mut self) {
-        self.tree = None;
-        self.cursor_after = None;
-    }
-
-    fn name(&self) -> &'static str {
-        "btree-sort"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,11 +216,12 @@ mod tests {
             vec![t(2), t(5)],
             vec![t(9), t(0)],
             vec![t(2), t(3)],
+            vec![t(9), t(1)], // a duplicate row survives
         ];
         let mut op = SortOp::new(Box::new(RowsOp::new(rows)), vec![0, 1]);
         let out = execute_all(&mut op, &ctx).unwrap();
         let keys: Vec<(u64, u64)> = out.iter().map(|r| (r[0].in_, r[1].in_)).collect();
-        assert_eq!(keys, vec![(2, 3), (2, 5), (9, 0), (9, 1)]);
+        assert_eq!(keys, vec![(2, 3), (2, 5), (9, 0), (9, 1), (9, 1)]);
     }
 
     #[test]
@@ -345,37 +264,6 @@ mod tests {
         let ctx = ExecContext::new(&store, &binds);
         let mut op = MaterializeOp::new(Box::new(RowsOp::new(vec![])));
         assert!(execute_all(&mut op, &ctx).unwrap().is_empty());
-        assert!(execute_all(&mut op, &ctx).unwrap().is_empty());
-    }
-
-    #[test]
-    fn btree_sort_matches_external_sort() {
-        let (_e, store) = fixture();
-        let binds = Bindings::new();
-        let ctx = ExecContext::new(&store, &binds);
-        let rows = vec![
-            vec![t(9), t(1)],
-            vec![t(2), t(5)],
-            vec![t(9), t(1)], // duplicate row must survive
-            vec![t(2), t(3)],
-        ];
-        let mut external = SortOp::new(Box::new(RowsOp::new(rows.clone())), vec![0, 1]);
-        let mut btree = BTreeSortOp::new(Box::new(RowsOp::new(rows)), vec![0, 1]);
-        let a = execute_all(&mut external, &ctx).unwrap();
-        let b = execute_all(&mut btree, &ctx).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 4);
-        // Re-open restarts the stream.
-        let c = execute_all(&mut btree, &ctx).unwrap();
-        assert_eq!(b, c);
-    }
-
-    #[test]
-    fn btree_sort_empty() {
-        let (_e, store) = fixture();
-        let binds = Bindings::new();
-        let ctx = ExecContext::new(&store, &binds);
-        let mut op = BTreeSortOp::new(Box::new(RowsOp::new(vec![])), vec![0]);
         assert!(execute_all(&mut op, &ctx).unwrap().is_empty());
     }
 

@@ -155,6 +155,9 @@ pub enum ErrorCode {
     /// would just hammer a full volume; the mode clears once a checkpoint
     /// reclaims space.
     ReadOnly = 16,
+    /// The response would exceed [`MAX_FRAME_LEN`] (the message gives its
+    /// size). Nothing of it was sent; the session stays usable.
+    ResultTooLarge = 17,
     /// A code this build does not know (forward compatibility).
     Unknown = 0,
 }
@@ -179,6 +182,7 @@ impl ErrorCode {
             14 => ErrorCode::ShuttingDown,
             15 => ErrorCode::Internal,
             16 => ErrorCode::ReadOnly,
+            17 => ErrorCode::ResultTooLarge,
             _ => ErrorCode::Unknown,
         }
     }
@@ -202,6 +206,7 @@ impl ErrorCode {
             ErrorCode::ShuttingDown => "shutting-down",
             ErrorCode::Internal => "internal",
             ErrorCode::ReadOnly => "read-only",
+            ErrorCode::ResultTooLarge => "result-too-large",
             ErrorCode::Unknown => "unknown",
         }
     }
@@ -768,9 +773,19 @@ impl From<ProtoError> for FrameError {
     }
 }
 
-/// Writes one frame: header (length + CRC) then payload, then flush.
+/// Writes one frame: header (length + CRC) then payload, then flush. A
+/// payload over [`MAX_FRAME_LEN`], which no reader would accept, is
+/// refused with [`io::ErrorKind::InvalidInput`] before a byte is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized outbound frame");
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame of {} bytes exceeds maximum {MAX_FRAME_LEN}",
+                payload.len()
+            ),
+        ));
+    }
     let mut header = [0u8; 8];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());

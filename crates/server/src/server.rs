@@ -915,22 +915,35 @@ impl Session {
             self.current_request_id = request_id;
             let response = self.handle(&request);
             self.current_request_id = None;
+            let tag = |inner: Response| match request_id {
+                Some(request_id) => Response::Tagged {
+                    request_id,
+                    inner: Box::new(inner),
+                },
+                None => inner,
+            };
+            let mut failed = matches!(response, Response::Error { .. });
+            let mut payload = tag(response).encode();
+            if payload.len() > MAX_FRAME_LEN {
+                // Say so instead: a frame no reader accepts would leave the
+                // stream out of step.
+                let message = format!(
+                    "response of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit",
+                    payload.len()
+                );
+                let code = ErrorCode::ResultTooLarge;
+                payload = tag(Response::Error { code, message }).encode();
+                failed = true;
+            }
             let elapsed_us = op_started.elapsed().as_micros() as u64;
             inflight.add(-1);
             statement_us.record(elapsed_us);
             self.shared.metrics.requests_total.inc();
             self.shared.metrics.request_us.record(elapsed_us);
-            if matches!(response, Response::Error { .. }) {
+            if failed {
                 self.shared.metrics.request_errors_total.inc();
             }
-            let response = match request_id {
-                Some(request_id) => Response::Tagged {
-                    request_id,
-                    inner: Box::new(response),
-                },
-                None => response,
-            };
-            if write_frame(stream, &response.encode()).is_err() || closing {
+            if write_frame(stream, &payload).is_err() || closing {
                 return;
             }
         }

@@ -327,6 +327,46 @@ fn wire_budgets_reach_the_governor() {
     client.close().unwrap();
 }
 
+/// A result larger than one frame is answered with a typed error that
+/// gives its size, not sent: the connection stays in step and answers the
+/// next query. The 1 MiB text also goes through the B+-tree builder's
+/// overflow pages.
+#[test]
+fn an_oversized_result_gets_a_typed_error_and_the_session_survives() {
+    let (db, server) = server_with(ServerConfig::default());
+    let mut xml = String::from("<r>");
+    for _ in 0..70 {
+        xml.push_str("<b/>");
+    }
+    xml.push_str("<t>");
+    xml.push_str(&"x".repeat(1 << 20));
+    xml.push_str("</t></r>");
+    db.load_document("wide", &xml).unwrap();
+    drop(xml);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let query = "for $b in //b return for $t in //t return $t";
+    match client.query("wide", query, QueryParams::default()) {
+        Err(ClientError::Server(code, message)) => {
+            assert_eq!(code, ErrorCode::ResultTooLarge, "{message}");
+            assert!(message.contains(&MAX_FRAME_LEN.to_string()), "{message}");
+        }
+        other => panic!("expected a typed result-too-large error, got {other:?}"),
+    }
+    let reply = client.query("lib", "//t", QueryParams::default()).unwrap();
+    assert_eq!(reply.count, 3);
+    client.close().unwrap();
+}
+
+/// `write_frame` refuses a payload over the frame limit instead of sending
+/// a frame no reader accepts.
+#[test]
+fn write_frame_refuses_an_oversized_payload() {
+    let mut wire = Vec::new();
+    let err = write_frame(&mut wire, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(wire.is_empty(), "nothing was written");
+}
+
 /// CI's scaled variant: dozens of concurrent clients, several killed
 /// mid-transaction at random points, typed rejections under overload, and
 /// a clean full shutdown at the end. Run with `--ignored`.

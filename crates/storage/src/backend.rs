@@ -1,7 +1,7 @@
 //! Physical page stores: an on-disk file or an in-memory vector.
 //!
-//! Backends are deliberately dumb — fixed-size page reads/writes and
-//! append-allocation. Caching, eviction and accounting live in the buffer
+//! Backends are deliberately dumb — fixed-size page reads, appends and
+//! positional writes. Caching, eviction and accounting live in the buffer
 //! pool; structure lives in the B+-tree and heap-file layers.
 
 use crate::error::StorageError;
@@ -17,11 +17,12 @@ pub trait Backend: Send + Sync {
     /// Reads page `id` into `buf` (`buf.len()` equals the page size).
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()>;
 
-    /// Writes `buf` to page `id`.
+    /// Writes `buf` to page `id`, which must already exist.
     fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()>;
 
-    /// Appends a zeroed page and returns its id.
-    fn allocate_page(&self) -> Result<PageId>;
+    /// Appends `buf` as a new page and returns its id: the call that
+    /// extends the file also brings the page's contents.
+    fn append_page(&self, buf: &[u8]) -> Result<PageId>;
 
     /// Number of pages in the store.
     fn page_count(&self) -> u64;
@@ -52,7 +53,7 @@ impl FileBackend {
     /// Opens (creating if missing) the file at `path`.
     ///
     /// A length that is not a page multiple is the signature of a crash
-    /// mid-extension (`allocate_page`'s `write_all_at` failing part-way):
+    /// mid-extension (`append_page`'s `write_all_at` failing part-way):
     /// the torn tail is trimmed to whole pages instead of refusing the
     /// file — the partial page was never handed out, so no data is lost.
     pub fn open(path: &Path, page_size: usize) -> Result<FileBackend> {
@@ -84,22 +85,23 @@ impl FileBackend {
         }
         Ok(())
     }
+}
 
-    fn check_buf(&self, buf: &[u8]) -> Result<()> {
-        if buf.len() != self.page_size {
-            return Err(StorageError::PageBufferSize {
-                len: buf.len(),
-                page_size: self.page_size,
-            });
-        }
-        Ok(())
+/// Refuses a buffer that is not exactly one page.
+fn check_buf(buf: &[u8], page_size: usize) -> Result<()> {
+    if buf.len() != page_size {
+        return Err(StorageError::PageBufferSize {
+            len: buf.len(),
+            page_size,
+        });
     }
+    Ok(())
 }
 
 impl Backend for FileBackend {
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         use std::os::unix::fs::FileExt;
-        self.check_buf(buf)?;
+        check_buf(buf, self.page_size)?;
         self.check_bounds(id)?;
         self.file.read_exact_at(buf, id.offset(self.page_size))?;
         Ok(())
@@ -107,19 +109,19 @@ impl Backend for FileBackend {
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
         use std::os::unix::fs::FileExt;
-        self.check_buf(buf)?;
+        check_buf(buf, self.page_size)?;
         self.check_bounds(id)?;
         self.file.write_all_at(buf, id.offset(self.page_size))?;
         self.dirty.store(true, Ordering::SeqCst);
         Ok(())
     }
 
-    fn allocate_page(&self) -> Result<PageId> {
+    fn append_page(&self, buf: &[u8]) -> Result<PageId> {
         use std::os::unix::fs::FileExt;
+        check_buf(buf, self.page_size)?;
         let mut pages = self.pages.lock();
         let id = PageId(*pages);
-        let zeros = vec![0u8; self.page_size];
-        let extended = self.file.write_all_at(&zeros, id.offset(self.page_size));
+        let extended = self.file.write_all_at(buf, id.offset(self.page_size));
         self.dirty.store(true, Ordering::SeqCst);
         if let Err(e) = extended {
             // A failed extension may leave a torn tail; trim it back to the
@@ -166,21 +168,9 @@ impl MemBackend {
     }
 }
 
-impl MemBackend {
-    fn check_buf(&self, buf: &[u8]) -> Result<()> {
-        if buf.len() != self.page_size {
-            return Err(StorageError::PageBufferSize {
-                len: buf.len(),
-                page_size: self.page_size,
-            });
-        }
-        Ok(())
-    }
-}
-
 impl Backend for MemBackend {
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        self.check_buf(buf)?;
+        check_buf(buf, self.page_size)?;
         let pages = self.pages.lock();
         let page = pages
             .get(id.0 as usize)
@@ -193,7 +183,7 @@ impl Backend for MemBackend {
     }
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
-        self.check_buf(buf)?;
+        check_buf(buf, self.page_size)?;
         let mut pages = self.pages.lock();
         let count = pages.len() as u64;
         let page = pages
@@ -206,10 +196,11 @@ impl Backend for MemBackend {
         Ok(())
     }
 
-    fn allocate_page(&self) -> Result<PageId> {
+    fn append_page(&self, buf: &[u8]) -> Result<PageId> {
+        check_buf(buf, self.page_size)?;
         let mut pages = self.pages.lock();
         let id = PageId(pages.len() as u64);
-        pages.push(vec![0u8; self.page_size].into_boxed_slice());
+        pages.push(buf.into());
         Ok(id)
     }
 
@@ -229,8 +220,9 @@ mod tests {
 
     fn exercise(backend: &dyn Backend, page_size: usize) {
         assert_eq!(backend.page_count(), 0);
-        let p0 = backend.allocate_page().unwrap();
-        let p1 = backend.allocate_page().unwrap();
+        let zeros = vec![0u8; page_size];
+        let p0 = backend.append_page(&zeros).unwrap();
+        let p1 = backend.append_page(&zeros).unwrap();
         assert_eq!((p0, p1), (PageId(0), PageId(1)));
         assert_eq!(backend.page_count(), 2);
 
@@ -244,7 +236,10 @@ mod tests {
         assert_eq!(read, buf);
 
         backend.read_page(p0, &mut read).unwrap();
-        assert!(read.iter().all(|&b| b == 0), "fresh pages are zeroed");
+        assert!(
+            read.iter().all(|&b| b == 0),
+            "an appended page holds its bytes"
+        );
 
         assert!(matches!(
             backend.read_page(PageId(9), &mut read),
@@ -259,6 +254,11 @@ mod tests {
             Err(StorageError::PageBufferSize { .. })
         ));
         let mut long = vec![0xEEu8; page_size + 1];
+        assert!(matches!(
+            backend.append_page(&long),
+            Err(StorageError::PageBufferSize { .. })
+        ));
+        assert_eq!(backend.page_count(), 2, "a rejected append adds no page");
         assert!(matches!(
             backend.read_page(p1, &mut long),
             Err(StorageError::PageBufferSize { .. })
@@ -277,7 +277,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let b = FileBackend::open(&path, 512).unwrap();
         assert!(!b.sync().unwrap(), "a fresh file has nothing to sync");
-        let p = b.allocate_page().unwrap();
+        let p = b.append_page(&[0u8; 512]).unwrap();
         assert!(b.sync().unwrap(), "an extension makes the file dirty");
         assert!(!b.sync().unwrap(), "clean again after a sync");
         b.write_page(p, &[7u8; 512]).unwrap();

@@ -8,13 +8,14 @@
 //!
 //! ## Design notes
 //!
+//! * A tree is built once from sorted entries ([`BTree::build_in`]) and
+//!   then only read: each page is written once, in page order, through a
+//!   [`PageAppender`], never through the buffer pool.
 //! * Pages use the slotted layout of [`crate::node`] (format v2): a
 //!   cell-offset directory lets the read path binary-search keys *in
 //!   place* against the pinned frame bytes. `get`, `contains` and cursor
 //!   descent run on [`crate::node::NodeView`]s and allocate only for rows
-//!   actually returned; the write path still materializes whole nodes
-//!   (parse → mutate → serialize), which keeps the free-space check
-//!   trivial ("does the serialized node fit").
+//!   actually returned.
 //! * Cursors copy the in-range cells of one leaf out per page acquire
 //!   rather than pinning frames across `next()` calls — engine iterators
 //!   nest as deep as the document, and pins held that long could exhaust
@@ -23,32 +24,34 @@
 //!   and a seeker remembers its last leaf, so scans in key order seek
 //!   leaf-locally.
 //! * Keys must compare lexicographically ([`crate::codec`] provides
-//!   order-preserving encodings). Keys are unique; inserting an existing
-//!   key replaces its value.
+//!   order-preserving encodings) and are unique.
 //! * Values up to an eighth of a page are stored inline; larger values go
 //!   to a chain of overflow pages (XASR `value` columns hold whole text
 //!   nodes, which in TREEBANK-like data can be long).
-//! * Deletion removes leaf entries without rebalancing — updates in the
-//!   course project were deliberately "as simple as possible". Pages are
-//!   never reclaimed (no free list); dropped overflow chains leak until the
-//!   file is rebuilt, which the bulk loader makes cheap.
+//! * Leaves and internal nodes fill to 90 %, and page 1 is an empty leaf
+//!   that no pointer reaches: both are the layout of the insert-capable
+//!   trees this builder replaced, kept so that files stay byte-identical.
+//!   A format change may drop them.
+//! * Updates in the course project were deliberately "as simple as
+//!   possible": a changed document is shredded again into new files.
 //!
 //! ```
 //! use xmldb_storage::{BTree, Env};
 //! let env = Env::memory();
-//! let mut tree = BTree::create(&env, "idx").unwrap();
-//! tree.insert(b"journal", b"value").unwrap();
+//! let file = env.create_file("idx").unwrap();
+//! let entries = vec![(b"journal".to_vec(), b"value".to_vec())];
+//! let tree = BTree::build_in(&env, file, entries).unwrap();
 //! assert_eq!(tree.get(b"journal").unwrap(), Some(b"value".to_vec()));
 //! ```
 
+use crate::append::PageAppender;
 use crate::env::{Env, FileId};
 use crate::error::StorageError;
 use crate::node::{
-    internal_cell_size, leaf_cell_size, node_size, parse_node, serialize_node, LeafVal, Node,
-    NodeBody, NodeView, ValueRef, NODE_HEADER, NO_SIBLING,
+    internal_cell_size, leaf_cell_size, serialize_node, LeafVal, Node, NodeBody, NodeView,
+    ValueRef, NODE_HEADER, NO_SIBLING,
 };
 use crate::page::PageId;
-use crate::temp::TempFile;
 use crate::Result;
 use std::ops::Bound;
 
@@ -61,21 +64,9 @@ const META_HEIGHT: usize = 20;
 pub struct BTree {
     env: Env,
     file: FileId,
-    _temp: Option<TempFile>,
     root: PageId,
     height: u32,
     count: u64,
-}
-
-enum InsertOutcome {
-    Fit {
-        replaced: bool,
-    },
-    Split {
-        sep: Vec<u8>,
-        right: u64,
-        replaced: bool,
-    },
 }
 
 /// One zero-copy descent step, computed entirely inside the page closure.
@@ -87,42 +78,103 @@ enum Step<T> {
 impl BTree {
     // --- lifecycle ------------------------------------------------------------
 
-    /// Creates an empty tree in a fresh file named `name`.
-    pub fn create(env: &Env, name: &str) -> Result<BTree> {
-        let file = env.create_file(name)?;
-        Self::create_in(env, file)
-    }
+    /// Builds a tree in the new, empty `file` from strictly ascending
+    /// `(key, value)` pairs, writing each page once (see the module docs
+    /// for the layout).
+    ///
+    /// # Errors
+    /// `Corrupt` if keys do not strictly ascend, `KeyTooLarge` for a key
+    /// over [`BTree::max_key`], and whatever [`Env::appender`] refuses.
+    pub fn build_in<I>(env: &Env, file: FileId, entries: I) -> Result<BTree>
+    where
+        I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+    {
+        let mut b = Builder {
+            app: env.appender(file)?,
+            pending: None,
+        };
+        b.app.append()?; // the meta page, patched last
+                         // Page 1: the unreachable empty leaf (see the module docs).
+        b.append_node(&Node {
+            extra: NO_SIBLING,
+            body: NodeBody::Leaf(Vec::new()),
+        })?;
+        let page_size = env.page_size();
+        let (max_key, fill_limit) = (page_size / 8, page_size * 9 / 10);
+        let mut leaf_index: Vec<(Vec<u8>, u64)> = Vec::new();
+        let mut cells: Vec<(Vec<u8>, LeafVal)> = Vec::new();
+        let mut size = NODE_HEADER;
+        let mut count = 0u64;
+        for (key, value) in entries {
+            if key.len() > max_key {
+                return Err(StorageError::KeyTooLarge {
+                    len: key.len(),
+                    max: max_key,
+                });
+            }
+            // A leaf closes only after the next key is checked, so the
+            // previous key is always the last cell.
+            if cells.last().is_some_and(|(prev, _)| prev >= &key) {
+                return Err(StorageError::corrupt("B+-tree keys must strictly ascend"));
+            }
+            let val = b.store_value(&value)?;
+            let cell = leaf_cell_size(&key, &val);
+            if size + cell > fill_limit && !cells.is_empty() {
+                let first = cells[0].0.clone();
+                leaf_index.push((first, b.close_leaf(std::mem::take(&mut cells))?.0));
+                size = NODE_HEADER;
+            }
+            size += cell;
+            cells.push((key, val));
+            count += 1;
+        }
+        let first = cells.first().map_or_else(Vec::new, |(k, _)| k.clone());
+        leaf_index.push((first, b.close_leaf(cells)?.0));
+        b.flush_pending()?;
 
-    /// Creates an empty tree in a self-deleting scratch file.
-    pub fn temp(env: &Env) -> Result<BTree> {
-        let tmp = TempFile::new(env)?;
-        let file = tmp.id();
-        let mut tree = Self::create_in(env, file)?;
-        tree._temp = Some(tmp);
-        Ok(tree)
-    }
-
-    /// Creates an empty tree in an existing, empty file.
-    pub fn create_in(env: &Env, file: FileId) -> Result<BTree> {
-        let meta = env.allocate_page(file)?;
-        debug_assert_eq!(meta, PageId(0));
-        let root = env.allocate_page(file)?;
+        // Internal levels, bottom-up: each node is complete when appended.
+        let mut level = leaf_index;
+        let mut height = 1u32;
+        while level.len() > 1 {
+            height += 1;
+            let mut next_level: Vec<(Vec<u8>, u64)> = Vec::new();
+            let mut iter = level.into_iter();
+            let (mut group_first, mut extra) = iter.next().expect("at least two children");
+            let mut node_cells: Vec<(Vec<u8>, u64)> = Vec::new();
+            let mut node_bytes = NODE_HEADER;
+            for (key, child) in iter {
+                let cell = internal_cell_size(&key);
+                if node_bytes + cell > fill_limit && !node_cells.is_empty() {
+                    let body = NodeBody::Internal(std::mem::take(&mut node_cells));
+                    let page = b.append_node(&Node { extra, body })?;
+                    next_level.push((std::mem::replace(&mut group_first, key), page.0));
+                    // The next group starts with this entry as its
+                    // leftmost child.
+                    extra = child;
+                    node_bytes = NODE_HEADER;
+                    continue;
+                }
+                node_bytes += cell;
+                node_cells.push((key, child));
+            }
+            let body = NodeBody::Internal(node_cells);
+            let page = b.append_node(&Node { extra, body })?;
+            next_level.push((group_first, page.0));
+            level = next_level;
+        }
         let tree = BTree {
             env: env.clone(),
             file,
-            _temp: None,
-            root,
-            height: 1,
-            count: 0,
+            root: PageId(level[0].1),
+            height,
+            count,
         };
-        tree.write_node(
-            root,
-            &Node {
-                extra: NO_SIBLING,
-                body: NodeBody::Leaf(Vec::new()),
-            },
-        )?;
-        tree.write_meta()?;
+        let meta = b.app.page();
+        meta[..4].copy_from_slice(MAGIC);
+        meta[META_ROOT..META_ROOT + 8].copy_from_slice(&tree.root.0.to_le_bytes());
+        meta[META_COUNT..META_COUNT + 8].copy_from_slice(&tree.count.to_le_bytes());
+        meta[META_HEIGHT..META_HEIGHT + 4].copy_from_slice(&tree.height.to_le_bytes());
+        b.app.rewrite(PageId(0))?;
         Ok(tree)
     }
 
@@ -146,7 +198,6 @@ impl BTree {
         Ok(BTree {
             env: env.clone(),
             file,
-            _temp: None,
             root: PageId(root),
             height,
             count,
@@ -175,34 +226,9 @@ impl BTree {
 
     /// Largest permitted key for this page size. An eighth of a page still
     /// guarantees at least three cells per node in the worst case (max key
-    /// + max inline value), so splits always have a valid separator.
+    /// + max inline value).
     pub fn max_key(&self) -> usize {
         self.env.page_size() / 8
-    }
-
-    fn inline_threshold(&self) -> usize {
-        self.env.page_size() / 8
-    }
-
-    fn write_meta(&self) -> Result<()> {
-        self.env.with_page_mut(self.file, PageId(0), |data| {
-            data[..4].copy_from_slice(MAGIC);
-            data[META_ROOT..META_ROOT + 8].copy_from_slice(&self.root.0.to_le_bytes());
-            data[META_COUNT..META_COUNT + 8].copy_from_slice(&self.count.to_le_bytes());
-            data[META_HEIGHT..META_HEIGHT + 4].copy_from_slice(&self.height.to_le_bytes());
-        })
-    }
-
-    // --- node (de)serialization -------------------------------------------------
-
-    /// Materializes a node (write path only — readers use [`NodeView`]s).
-    fn read_node(&self, page: PageId) -> Result<Node> {
-        self.env.with_page(self.file, page, parse_node)?
-    }
-
-    fn write_node(&self, page: PageId, node: &Node) -> Result<()> {
-        self.env
-            .with_page_mut(self.file, page, |data| serialize_node(node, data))?
     }
 
     /// Runs one descent step against the pinned page bytes: internal nodes
@@ -253,197 +279,7 @@ impl BTree {
         }
     }
 
-    /// Inserts `key → value`, replacing any existing value. Returns `true`
-    /// if the key was new.
-    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<bool> {
-        if key.len() > self.max_key() {
-            return Err(StorageError::KeyTooLarge {
-                len: key.len(),
-                max: self.max_key(),
-            });
-        }
-        let val = self.store_value(value)?;
-        match self.insert_rec(self.root, key, val)? {
-            InsertOutcome::Fit { replaced } => {
-                if !replaced {
-                    self.count += 1;
-                }
-                self.write_meta()?;
-                Ok(!replaced)
-            }
-            InsertOutcome::Split {
-                sep,
-                right,
-                replaced,
-            } => {
-                let new_root = PageId(self.env.allocate_page(self.file)?.0);
-                self.write_node(
-                    new_root,
-                    &Node {
-                        extra: self.root.0,
-                        body: NodeBody::Internal(vec![(sep, right)]),
-                    },
-                )?;
-                self.root = new_root;
-                self.height += 1;
-                if !replaced {
-                    self.count += 1;
-                }
-                self.write_meta()?;
-                Ok(!replaced)
-            }
-        }
-    }
-
-    fn insert_rec(&mut self, page: PageId, key: &[u8], val: LeafVal) -> Result<InsertOutcome> {
-        let mut node = self.read_node(page)?;
-        match &mut node.body {
-            NodeBody::Leaf(cells) => {
-                let replaced = match cells.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(idx) => {
-                        cells[idx].1 = val;
-                        true
-                    }
-                    Err(idx) => {
-                        cells.insert(idx, (key.to_vec(), val));
-                        false
-                    }
-                };
-                if node_size(&node) <= self.env.page_size() {
-                    self.write_node(page, &node)?;
-                    return Ok(InsertOutcome::Fit { replaced });
-                }
-                // Split the leaf.
-                self.env.counters().note_split();
-                let NodeBody::Leaf(cells) = node.body else {
-                    unreachable!()
-                };
-                let split = split_point_leaf(&cells);
-                let right_cells = cells[split..].to_vec();
-                let left_cells = cells[..split].to_vec();
-                let sep = right_cells[0].0.clone();
-                let right_page = self.env.allocate_page(self.file)?;
-                self.write_node(
-                    right_page,
-                    &Node {
-                        extra: node.extra,
-                        body: NodeBody::Leaf(right_cells),
-                    },
-                )?;
-                self.write_node(
-                    page,
-                    &Node {
-                        extra: right_page.0,
-                        body: NodeBody::Leaf(left_cells),
-                    },
-                )?;
-                Ok(InsertOutcome::Split {
-                    sep,
-                    right: right_page.0,
-                    replaced,
-                })
-            }
-            NodeBody::Internal(cells) => {
-                let child = PageId(child_for(cells, node.extra, key));
-                match self.insert_rec(child, key, val)? {
-                    InsertOutcome::Fit { replaced } => Ok(InsertOutcome::Fit { replaced }),
-                    InsertOutcome::Split {
-                        sep,
-                        right,
-                        replaced,
-                    } => {
-                        let idx = match cells.binary_search_by(|(k, _)| k.as_slice().cmp(&sep)) {
-                            Ok(i) => i + 1,
-                            Err(i) => i,
-                        };
-                        cells.insert(idx, (sep, right));
-                        if node_size(&node) <= self.env.page_size() {
-                            self.write_node(page, &node)?;
-                            return Ok(InsertOutcome::Fit { replaced });
-                        }
-                        // Split the internal node: the middle key moves up.
-                        self.env.counters().note_split();
-                        let NodeBody::Internal(cells) = node.body else {
-                            unreachable!()
-                        };
-                        let mid = cells.len() / 2;
-                        let sep_up = cells[mid].0.clone();
-                        let right_extra = cells[mid].1;
-                        let right_cells = cells[mid + 1..].to_vec();
-                        let left_cells = cells[..mid].to_vec();
-                        let right_page = self.env.allocate_page(self.file)?;
-                        self.write_node(
-                            right_page,
-                            &Node {
-                                extra: right_extra,
-                                body: NodeBody::Internal(right_cells),
-                            },
-                        )?;
-                        self.write_node(
-                            page,
-                            &Node {
-                                extra: node.extra,
-                                body: NodeBody::Internal(left_cells),
-                            },
-                        )?;
-                        Ok(InsertOutcome::Split {
-                            sep: sep_up,
-                            right: right_page.0,
-                            replaced,
-                        })
-                    }
-                }
-            }
-        }
-    }
-
-    /// Removes `key`; returns `true` if it was present. Leaves are never
-    /// rebalanced (see module docs). The descent is zero-copy; only the
-    /// target leaf is materialized for rewriting.
-    pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        let leaf = self.leaf_for(key)?;
-        let mut node = self.read_node(leaf)?;
-        let NodeBody::Leaf(cells) = &mut node.body else {
-            return Err(StorageError::corrupt("leaf_for returned internal node"));
-        };
-        match cells.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(idx) => {
-                cells.remove(idx);
-                self.write_node(leaf, &node)?;
-                self.count -= 1;
-                self.write_meta()?;
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
-    }
-
     // --- values -------------------------------------------------------------------
-
-    fn store_value(&self, value: &[u8]) -> Result<LeafVal> {
-        if value.len() <= self.inline_threshold() {
-            return Ok(LeafVal::Inline(value.to_vec()));
-        }
-        // Write the overflow chain back-to-front so each page can point to
-        // the next.
-        let page_size = self.env.page_size();
-        let chunk_size = page_size - 12;
-        let mut next = NO_SIBLING;
-        let chunks: Vec<&[u8]> = value.chunks(chunk_size).collect();
-        for chunk in chunks.iter().rev() {
-            let page = self.env.allocate_page(self.file)?;
-            self.env.with_page_mut(self.file, page, |data| {
-                data[..8].copy_from_slice(&next.to_le_bytes());
-                data[8..12].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
-                data[12..12 + chunk.len()].copy_from_slice(chunk);
-            })?;
-            next = page.0;
-        }
-        Ok(LeafVal::Overflow {
-            page: next,
-            len: value.len() as u32,
-        })
-    }
 
     fn load_value(&self, val: LeafVal) -> Result<Vec<u8>> {
         match val {
@@ -581,146 +417,6 @@ impl BTree {
         }
     }
 
-    // --- bulk loading -------------------------------------------------------------------
-
-    /// Builds a tree from an iterator of strictly-ascending `(key, value)`
-    /// pairs, replacing the current (empty) contents. Pages are filled to
-    /// ~90% so subsequent trickle inserts don't immediately split.
-    ///
-    /// # Errors
-    /// `Corrupt` if keys are not strictly ascending; the tree must be empty.
-    pub fn bulk_load<I>(&mut self, entries: I) -> Result<()>
-    where
-        I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
-    {
-        if !self.is_empty() {
-            return Err(StorageError::corrupt("bulk_load requires an empty tree"));
-        }
-        let fill_limit = self.env.page_size() * 9 / 10;
-        let mut leaf_index: Vec<(Vec<u8>, u64)> = Vec::new();
-        let mut cells: Vec<(Vec<u8>, LeafVal)> = Vec::new();
-        let mut size = NODE_HEADER;
-        // The ascending-order check reuses one buffer instead of cloning
-        // every key.
-        let mut prev_key: Vec<u8> = Vec::new();
-        let mut have_prev = false;
-        let mut count = 0u64;
-        let mut pending_leaf: Option<(PageId, Node)> = None;
-
-        for (key, value) in entries {
-            if key.len() > self.max_key() {
-                return Err(StorageError::KeyTooLarge {
-                    len: key.len(),
-                    max: self.max_key(),
-                });
-            }
-            if have_prev && prev_key.as_slice() >= key.as_slice() {
-                return Err(StorageError::corrupt("bulk_load keys must strictly ascend"));
-            }
-            prev_key.clear();
-            prev_key.extend_from_slice(&key);
-            have_prev = true;
-            let val = self.store_value(&value)?;
-            let cell = leaf_cell_size(&key, &val);
-            if size + cell > fill_limit && !cells.is_empty() {
-                let page = self.env.allocate_page(self.file)?;
-                let node = Node {
-                    extra: NO_SIBLING,
-                    body: NodeBody::Leaf(std::mem::take(&mut cells)),
-                };
-                if let Some((prev_page, mut prev_node)) = pending_leaf.take() {
-                    prev_node.extra = page.0;
-                    self.write_node(prev_page, &prev_node)?;
-                }
-                let first = match &node.body {
-                    NodeBody::Leaf(c) => c[0].0.clone(),
-                    _ => unreachable!(),
-                };
-                leaf_index.push((first, page.0));
-                pending_leaf = Some((page, node));
-                size = NODE_HEADER;
-            }
-            size += cell;
-            cells.push((key, val));
-            count += 1;
-        }
-        // Flush the final leaf.
-        let page = self.env.allocate_page(self.file)?;
-        let node = Node {
-            extra: NO_SIBLING,
-            body: NodeBody::Leaf(cells),
-        };
-        if let Some((prev_page, mut prev_node)) = pending_leaf.take() {
-            prev_node.extra = page.0;
-            self.write_node(prev_page, &prev_node)?;
-        }
-        let first = match &node.body {
-            NodeBody::Leaf(c) if !c.is_empty() => c[0].0.clone(),
-            _ => Vec::new(),
-        };
-        self.write_node(page, &node)?;
-        leaf_index.push((first, page.0));
-
-        // Build internal levels bottom-up.
-        let mut level = leaf_index;
-        let mut height = 1u32;
-        while level.len() > 1 {
-            height += 1;
-            let mut next_level: Vec<(Vec<u8>, u64)> = Vec::new();
-            let mut iter = level.into_iter();
-            let mut group_first: Option<Vec<u8>> = None;
-            let mut extra: Option<u64> = None;
-            let mut node_cells: Vec<(Vec<u8>, u64)> = Vec::new();
-            let mut node_bytes = NODE_HEADER;
-            for (key, child) in &mut iter {
-                match extra {
-                    None => {
-                        group_first = Some(key);
-                        extra = Some(child);
-                    }
-                    Some(_) => {
-                        let cell = internal_cell_size(&key);
-                        if node_bytes + cell > fill_limit && !node_cells.is_empty() {
-                            let page = self.env.allocate_page(self.file)?;
-                            self.write_node(
-                                page,
-                                &Node {
-                                    extra: extra.take().expect("group has leftmost child"),
-                                    body: NodeBody::Internal(std::mem::take(&mut node_cells)),
-                                },
-                            )?;
-                            next_level
-                                .push((group_first.take().expect("group has first key"), page.0));
-                            // Start the next group with this entry as its
-                            // leftmost child.
-                            group_first = Some(key);
-                            extra = Some(child);
-                            node_bytes = NODE_HEADER;
-                            continue;
-                        }
-                        node_bytes += cell;
-                        node_cells.push((key, child));
-                    }
-                }
-            }
-            let page = self.env.allocate_page(self.file)?;
-            self.write_node(
-                page,
-                &Node {
-                    extra: extra.expect("at least one child"),
-                    body: NodeBody::Internal(node_cells),
-                },
-            )?;
-            next_level.push((group_first.expect("at least one key"), page.0));
-            level = next_level;
-        }
-        self.root = PageId(level[0].1);
-        self.height = height;
-        self.count = count;
-        self.write_meta()?;
-        Ok(())
-    }
-
     /// First key in the tree (document-order start for XASR scans).
     pub fn first_key(&self) -> Result<Option<Vec<u8>>> {
         match self.iter().next() {
@@ -731,17 +427,90 @@ impl BTree {
     }
 }
 
-// --- helpers -------------------------------------------------------------------
+// --- builder -------------------------------------------------------------------
 
-/// Child page for `key` within an owned internal node (write path).
-fn child_for(cells: &[(Vec<u8>, u64)], extra: u64, key: &[u8]) -> u64 {
-    // Rightmost cell with key_i ≤ key, else leftmost child.
-    match cells.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-        Ok(idx) => cells[idx].1,
-        Err(0) => extra,
-        Err(idx) => cells[idx - 1].1,
+/// The state of one [`BTree::build_in`]: the appender, and the last closed
+/// leaf, held until its right sibling's page id is known.
+struct Builder {
+    app: PageAppender,
+    /// The leaf at this page id, its sibling not yet known, and whether it
+    /// was already appended (to make room for overflow pages after it).
+    pending: Option<(PageId, Node, bool)>,
+}
+
+impl Builder {
+    /// Appends `node` as the next page.
+    fn append_node(&mut self, node: &Node) -> Result<PageId> {
+        serialize_node(node, self.app.page())?;
+        self.app.append()
+    }
+
+    /// Appends the pending leaf if it still waits in memory; its sibling
+    /// is patched in when [`Builder::close_leaf`] learns it.
+    fn flush_pending(&mut self) -> Result<()> {
+        if let Some((page, node, appended @ false)) = &mut self.pending {
+            debug_assert_eq!(self.app.next_page(), *page);
+            serialize_node(node, self.app.page())?;
+            self.app.append()?;
+            *appended = true;
+        }
+        Ok(())
+    }
+
+    /// Closes a full leaf: it becomes pending, and the previous pending
+    /// leaf, now knowing its sibling, is written. Returns the leaf's page.
+    fn close_leaf(&mut self, cells: Vec<(Vec<u8>, LeafVal)>) -> Result<PageId> {
+        let next = self.app.next_page();
+        let page = match self.pending.take() {
+            None => next,
+            Some((prev, mut node, appended)) => {
+                let page = if appended { next } else { PageId(next.0 + 1) };
+                node.extra = page.0;
+                serialize_node(&node, self.app.page())?;
+                if appended {
+                    self.app.rewrite(prev)?;
+                } else {
+                    self.app.append()?;
+                }
+                page
+            }
+        };
+        let body = NodeBody::Leaf(cells);
+        self.pending = Some((
+            page,
+            Node {
+                extra: NO_SIBLING,
+                body,
+            },
+            false,
+        ));
+        Ok(page)
+    }
+
+    /// Stores `value` inline, or in an overflow chain written back to
+    /// front so that each page can point to the next.
+    fn store_value(&mut self, value: &[u8]) -> Result<LeafVal> {
+        let page_size = self.app.env().page_size();
+        if value.len() <= page_size / 8 {
+            return Ok(LeafVal::Inline(value.to_vec()));
+        }
+        self.flush_pending()?;
+        let mut next = NO_SIBLING;
+        for chunk in value.chunks(page_size - 12).rev() {
+            let data = self.app.page();
+            data[..8].copy_from_slice(&next.to_le_bytes());
+            data[8..12].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
+            data[12..12 + chunk.len()].copy_from_slice(chunk);
+            next = self.app.append()?.0;
+        }
+        Ok(LeafVal::Overflow {
+            page: next,
+            len: value.len() as u32,
+        })
     }
 }
+
+// --- helpers -------------------------------------------------------------------
 
 /// Smallest byte string greater than every key starting with `prefix`,
 /// or `None` when no such bound exists (the prefix is empty or all 0xFF).
@@ -750,21 +519,6 @@ fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
     let mut succ = prefix[..=last].to_vec();
     succ[last] += 1;
     Some(succ)
-}
-
-/// Split index for an oversized leaf: the first index where the left half's
-/// serialized size reaches half the total, clamped to keep both sides
-/// non-empty.
-fn split_point_leaf(cells: &[(Vec<u8>, LeafVal)]) -> usize {
-    let total: usize = cells.iter().map(|(k, v)| leaf_cell_size(k, v)).sum();
-    let mut acc = 0usize;
-    for (i, (k, v)) in cells.iter().enumerate() {
-        acc += leaf_cell_size(k, v);
-        if acc >= total / 2 {
-            return (i + 1).clamp(1, cells.len() - 1);
-        }
-    }
-    cells.len() / 2
 }
 
 fn clone_bound(b: Bound<&[u8]>) -> Bound<Vec<u8>> {
@@ -786,11 +540,10 @@ fn clone_bound(b: Bound<&[u8]>) -> Bound<Vec<u8>> {
 /// descends from the root. Scans in ascending key order (query results in
 /// document order) thus cost a leaf-local seek each, not a descent.
 ///
-/// No pin is held between scans. The check reads the leaf as it is now,
-/// so a leaf that split or emptied since is used only where it still
-/// covers the bound. The page id is trusted the way a scan trusts a
-/// sibling id it read a leaf earlier, so a seeker is kept no longer than
-/// one query execution.
+/// No pin is held between scans. A page never changes once written, so
+/// the page id is trusted the way a scan trusts a sibling id it read a
+/// leaf earlier; a seeker is kept no longer than one query execution,
+/// which holds its files against drops.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Seeker {
     leaf: Option<(FileId, PageId)>,
@@ -1060,13 +813,23 @@ mod tests {
         k
     }
 
+    /// Builds tree `name` from `entries`, given in any order.
+    fn build<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        env: &Env,
+        name: &str,
+        entries: impl IntoIterator<Item = (K, V)>,
+    ) -> BTree {
+        let sorted: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = entries
+            .into_iter()
+            .map(|(k, v)| (k.as_ref().to_vec(), v.as_ref().to_vec()))
+            .collect();
+        BTree::build_in(env, env.create_file(name).unwrap(), sorted).unwrap()
+    }
+
     #[test]
-    fn insert_get_small() {
+    fn build_get_small() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        assert!(t.insert(b"b", b"2").unwrap());
-        assert!(t.insert(b"a", b"1").unwrap());
-        assert!(t.insert(b"c", b"3").unwrap());
+        let t = build(&env, "t", [("b", "2"), ("a", "1"), ("c", "3")]);
         assert_eq!(t.get(b"a").unwrap(), Some(b"1".to_vec()));
         assert_eq!(t.get(b"b").unwrap(), Some(b"2".to_vec()));
         assert_eq!(t.get(b"c").unwrap(), Some(b"3".to_vec()));
@@ -1075,35 +838,15 @@ mod tests {
     }
 
     #[test]
-    fn replace_value() {
-        let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        assert!(t.insert(b"k", b"old").unwrap());
-        assert!(!t.insert(b"k", b"new").unwrap());
-        assert_eq!(t.get(b"k").unwrap(), Some(b"new".to_vec()));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn many_inserts_split_and_stay_sorted() {
+    fn many_entries_build_levels_and_stay_sorted() {
         let env = Env::memory_with(EnvConfig {
             page_size: 512,
             pool_bytes: 64 * 512,
         });
-        let mut t = BTree::create(&env, "t").unwrap();
-        // Insert in a scrambled order.
         let n = 2000u64;
-        let mut order: Vec<u64> = (0..n).collect();
-        // Deterministic shuffle.
-        for i in 0..order.len() {
-            let j = (i * 7919 + 13) % order.len();
-            order.swap(i, j);
-        }
-        for &i in &order {
-            t.insert(&key(i), format!("v{i}").as_bytes()).unwrap();
-        }
+        let t = build(&env, "t", (0..n).map(|i| (key(i), format!("v{i}"))));
         assert_eq!(t.len(), n);
-        assert!(t.height() > 1, "tree should have split");
+        assert!(t.height() > 2, "a tree of several levels");
         for i in 0..n {
             assert_eq!(t.get(&key(i)).unwrap(), Some(format!("v{i}").into_bytes()));
         }
@@ -1116,10 +859,7 @@ mod tests {
     #[test]
     fn range_scan_bounds() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        for i in 0..100u64 {
-            t.insert(&key(i), b"").unwrap();
-        }
+        let t = build(&env, "t", (0..100u64).map(|i| (key(i), b"")));
         let collect = |lo: Bound<&[u8]>, hi: Bound<&[u8]>| -> Vec<u64> {
             t.range(lo, hi)
                 .map(|r| {
@@ -1162,11 +902,8 @@ mod tests {
             page_size: 256,
             pool_bytes: 64 * 256,
         });
-        let mut t = BTree::create(&env, "t").unwrap();
         let n = 300u64;
-        for i in 0..n {
-            t.insert(&key(i), b"v").unwrap();
-        }
+        let t = build(&env, "t", (0..n).map(|i| (key(i), b"v")));
         assert!(t.height() > 1, "need multiple leaves");
         for i in 0..n {
             let ki = key(i);
@@ -1206,10 +943,7 @@ mod tests {
             page_size: 256,
             pool_bytes: 64 * 256,
         });
-        let mut t = BTree::create(&env, "t").unwrap();
-        for i in 0..200u64 {
-            t.insert(&key(2 * i), b"v").unwrap();
-        }
+        let t = build(&env, "t", (0..200u64).map(|i| (key(2 * i), b"v")));
         assert!(t.height() >= 3, "need a descent of several pages");
         let mut seeker = Seeker::default();
         let before = env.io_stats();
@@ -1235,19 +969,16 @@ mod tests {
         assert_eq!(views, u64::from(t.height()) + 1 + 199 + (leaves - 1));
     }
 
-    /// A remembered leaf that no longer covers the lower bound — the
-    /// bound lies before it, or a split moved the key two leaves on — is
-    /// not trusted: the seeker descends and still finds the right keys.
+    /// A remembered leaf that does not cover the lower bound — the bound
+    /// lies before it, or more than one leaf after it — is not trusted:
+    /// the seeker descends and still finds the right keys.
     #[test]
     fn seeker_redescends_when_its_leaf_stops_covering() {
         let env = Env::memory_with(EnvConfig {
             page_size: 256,
             pool_bytes: 64 * 256,
         });
-        let mut t = BTree::create(&env, "t").unwrap();
-        for i in 0..100u64 {
-            t.insert(&key(100 * i), b"v").unwrap();
-        }
+        let t = build(&env, "t", (0..100u64).map(|i| (key(100 * i), b"v")));
         let scan = |seeker: &mut Seeker, t: &BTree, lo: u64, hi: u64| {
             let (lo, hi) = (key(lo), key(hi));
             let mut got = Vec::new();
@@ -1266,38 +997,36 @@ mod tests {
         assert_eq!(scan(&mut seeker, &t, 100, 201), vec![100, 200]);
         let views = env.io_stats().delta(&before).node_views;
         assert_eq!(views, 1 + u64::from(t.height()) + 1, "miss, descent, leaf");
-        // Splits push the keys after 200 far past the remembered leaf.
-        for i in 201..1000u64 {
-            t.insert(&key(i), b"w").unwrap();
-        }
-        assert_eq!(scan(&mut seeker, &t, 900, 903), vec![900, 901, 902]);
-        // Deletes empty the leaf it now remembers.
-        for i in 890..1000u64 {
-            t.delete(&key(i)).unwrap();
-        }
-        assert_eq!(scan(&mut seeker, &t, 880, 10_000), {
-            let mut want: Vec<u64> = (880..890).collect();
-            want.extend((10..100).map(|i| 100 * i));
-            want
+        // Forwards, several leaves past the remembered one.
+        let before = env.io_stats();
+        assert_eq!(scan(&mut seeker, &t, 9000, 9101), vec![9000, 9100]);
+        let views = env.io_stats().delta(&before).node_views;
+        assert_eq!(
+            views,
+            2 + u64::from(t.height()) + 1,
+            "hop, miss, descent, leaf"
+        );
+        assert_eq!(scan(&mut seeker, &t, 8850, 10_000), {
+            (89..100).map(|i| 100 * i).collect::<Vec<u64>>()
         });
         // A seeker used on another tree ignores the leaf it remembers.
-        let mut other = BTree::create(&env, "o").unwrap();
-        other.insert(&key(7), b"x").unwrap();
+        let other = build(&env, "o", [(key(7), b"x")]);
         assert_eq!(scan(&mut seeker, &other, 0, 10), vec![7]);
     }
 
     #[test]
     fn prefix_scan() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        for (k, v) in [
-            ("author\x001", "a1"),
-            ("author\x002", "a2"),
-            ("journal\x001", "j1"),
-            ("title\x001", "t1"),
-        ] {
-            t.insert(k.as_bytes(), v.as_bytes()).unwrap();
-        }
+        let t = build(
+            &env,
+            "t",
+            [
+                ("author\x001", "a1"),
+                ("author\x002", "a2"),
+                ("journal\x001", "j1"),
+                ("title\x001", "t1"),
+            ],
+        );
         let hits: Vec<Vec<u8>> = t.prefix(b"author\x00").map(|r| r.unwrap().1).collect();
         assert_eq!(hits, vec![b"a1".to_vec(), b"a2".to_vec()]);
         assert_eq!(t.prefix(b"volume\x00").count(), 0);
@@ -1315,11 +1044,16 @@ mod tests {
     #[test]
     fn prefix_scan_all_ff_prefix() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        t.insert(&[0xFF, 0x01], b"a").unwrap();
-        t.insert(&[0xFF, 0xFF], b"b").unwrap();
-        t.insert(&[0xFF, 0xFF, 0x00], b"c").unwrap();
-        t.insert(&[0x10], b"d").unwrap();
+        let t = build(
+            &env,
+            "t",
+            [
+                (&[0xFF, 0x01][..], b"a"),
+                (&[0xFF, 0xFF], b"b"),
+                (&[0xFF, 0xFF, 0x00], b"c"),
+                (&[0x10], b"d"),
+            ],
+        );
         let hits: Vec<Vec<u8>> = t.prefix(&[0xFF]).map(|r| r.unwrap().1).collect();
         assert_eq!(hits, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
         let hits: Vec<Vec<u8>> = t.prefix(&[0xFF, 0xFF]).map(|r| r.unwrap().1).collect();
@@ -1332,10 +1066,7 @@ mod tests {
             page_size: 256,
             pool_bytes: 64 * 256,
         });
-        let mut t = BTree::create(&env, "t").unwrap();
-        for i in 0..500u64 {
-            t.insert(&key(i), format!("v{i}").as_bytes()).unwrap();
-        }
+        let t = build(&env, "t", (0..500u64).map(|i| (key(i), format!("v{i}"))));
         let mut scanned: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         t.scan(|k, v| {
             scanned.push((k.to_vec(), v.to_vec()));
@@ -1372,10 +1103,8 @@ mod tests {
             page_size: 512,
             pool_bytes: 64 * 512,
         });
-        let mut t = BTree::create(&env, "t").unwrap();
         let big = vec![0xCDu8; 3000];
-        t.insert(b"big", &big).unwrap();
-        t.insert(b"tiny", b"t").unwrap();
+        let t = build(&env, "t", [(&b"big"[..], &big[..]), (b"tiny", b"t")]);
         let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         t.scan(|k, v| {
             got.push((k.to_vec(), v.to_vec()));
@@ -1391,14 +1120,15 @@ mod tests {
     #[test]
     fn scan_prefix_matches_prefix_cursor() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        for (k, v) in [
-            ("author\x001", "a1"),
-            ("author\x002", "a2"),
-            ("journal\x001", "j1"),
-        ] {
-            t.insert(k.as_bytes(), v.as_bytes()).unwrap();
-        }
+        let t = build(
+            &env,
+            "t",
+            [
+                ("author\x001", "a1"),
+                ("author\x002", "a2"),
+                ("journal\x001", "j1"),
+            ],
+        );
         let mut vals: Vec<Vec<u8>> = Vec::new();
         t.scan_prefix(b"author\x00", |_, v| {
             vals.push(v.to_vec());
@@ -1409,32 +1139,13 @@ mod tests {
     }
 
     #[test]
-    fn delete_removes_entries() {
-        let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        for i in 0..50u64 {
-            t.insert(&key(i), b"x").unwrap();
-        }
-        for i in (0..50u64).step_by(2) {
-            assert!(t.delete(&key(i)).unwrap());
-        }
-        assert!(!t.delete(&key(0)).unwrap(), "double delete");
-        assert_eq!(t.len(), 25);
-        for i in 0..50u64 {
-            assert_eq!(t.get(&key(i)).unwrap().is_some(), i % 2 == 1);
-        }
-    }
-
-    #[test]
     fn overflow_values_roundtrip() {
         let env = Env::memory_with(EnvConfig {
             page_size: 512,
             pool_bytes: 64 * 512,
         });
-        let mut t = BTree::create(&env, "t").unwrap();
         let big = vec![0xABu8; 5000]; // ~10 overflow pages at 512B
-        t.insert(b"big", &big).unwrap();
-        t.insert(b"small", b"s").unwrap();
+        let t = build(&env, "t", [(&b"big"[..], &big[..]), (b"small", b"s")]);
         assert_eq!(t.get(b"big").unwrap(), Some(big.clone()));
         // Cursor also materializes overflow values.
         let all: Vec<(Vec<u8>, Vec<u8>)> = t.iter().map(|r| r.unwrap()).collect();
@@ -1448,9 +1159,7 @@ mod tests {
             pool_bytes: 64 * 512,
         });
         let n = 5000u64;
-        let mut bulk = BTree::create(&env, "bulk").unwrap();
-        bulk.bulk_load((0..n).map(|i| (key(i), format!("v{i}").into_bytes())))
-            .unwrap();
+        let bulk = build(&env, "bulk", (0..n).map(|i| (key(i), format!("v{i}"))));
         assert_eq!(bulk.len(), n);
         for i in (0..n).step_by(97) {
             assert_eq!(
@@ -1459,20 +1168,15 @@ mod tests {
             );
         }
         let keys: Vec<Vec<u8>> = bulk.iter().map(|r| r.unwrap().0).collect();
-        assert_eq!(keys.len(), n as usize);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        // Bulk-loaded trees accept subsequent inserts.
-        let mut bulk = bulk;
-        bulk.insert(&key(n + 1), b"late").unwrap();
-        assert_eq!(bulk.get(&key(n + 1)).unwrap(), Some(b"late".to_vec()));
+        assert_eq!(keys, (0..n).map(key).collect::<Vec<_>>());
     }
 
     #[test]
     fn bulk_load_rejects_unsorted() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        let err = t
-            .bulk_load(vec![(key(2), vec![]), (key(1), vec![])])
+        let f = env.create_file("t").unwrap();
+        let err = BTree::build_in(&env, f, vec![(key(2), vec![]), (key(1), vec![])])
+            .map(drop)
             .unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)));
     }
@@ -1480,9 +1184,9 @@ mod tests {
     #[test]
     fn bulk_load_rejects_duplicates() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        let err = t
-            .bulk_load(vec![(key(1), vec![]), (key(1), vec![])])
+        let f = env.create_file("t").unwrap();
+        let err = BTree::build_in(&env, f, vec![(key(1), vec![]), (key(1), vec![])])
+            .map(drop)
             .unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)));
     }
@@ -1490,13 +1194,42 @@ mod tests {
     #[test]
     fn bulk_load_empty_iter() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        t.bulk_load(Vec::new()).unwrap();
+        let t = build(&env, "t", Vec::<(Vec<u8>, Vec<u8>)>::new());
         assert!(t.is_empty());
         assert_eq!(t.iter().count(), 0);
-        // And still usable.
-        t.insert(b"x", b"y").unwrap();
-        assert_eq!(t.get(b"x").unwrap(), Some(b"y".to_vec()));
+        assert_eq!(t.get(b"x").unwrap(), None);
+        // Meta page, the unreachable empty leaf, and the empty root leaf.
+        assert_eq!(env.page_count(t.file_id()).unwrap(), 3);
+    }
+
+    /// Each page is written once, and a leaf whose sibling waited on
+    /// overflow pages is patched once more: the build appends every page
+    /// and rewrites only page 0 and such leaves.
+    #[test]
+    fn build_writes_each_page_once() {
+        let env = Env::memory_with(EnvConfig {
+            page_size: 256,
+            pool_bytes: 8 * 256,
+        });
+        let plain = build(&env, "p", (0..300u64).map(|i| (key(i), b"v")));
+        let pages = env.page_count(plain.file_id()).unwrap();
+        assert_eq!(env.io_stats().physical_writes, pages + 1, "appends + meta");
+        assert_eq!(env.io_stats().requests(), 0, "the build reads nothing");
+        env.reset_io_stats();
+        let big = vec![7u8; 600];
+        let t = build(&env, "o", (0..60u64).map(|i| (key(i), &big[..])));
+        let pages = env.page_count(t.file_id()).unwrap();
+        let writes = env.io_stats().physical_writes;
+        // A full scan views the descent and then every leaf.
+        t.scan(|_, _| true).unwrap();
+        let leaves = env.io_stats().node_views - u64::from(t.height());
+        assert!(leaves > 2, "{leaves} leaves, height {}", t.height());
+        // Every leaf but the last is followed by the next entry's overflow
+        // pages, so its sibling is patched in: appends + meta + leaves - 1.
+        assert_eq!(writes, pages + leaves, "{writes} writes for {pages} pages");
+        for i in 0..60u64 {
+            assert_eq!(t.get(&key(i)).unwrap().as_deref(), Some(&big[..]));
+        }
     }
 
     #[test]
@@ -1505,22 +1238,29 @@ mod tests {
             page_size: 512,
             pool_bytes: 64 * 512,
         });
-        let mut t = BTree::create(&env, "t").unwrap();
-        let err = t.insert(&[0u8; 100], b"").unwrap_err();
+        let f = env.create_file("t").unwrap();
+        let err = BTree::build_in(&env, f, [(vec![0u8; 100], vec![])])
+            .map(drop)
+            .unwrap_err();
         assert!(matches!(err, StorageError::KeyTooLarge { .. }));
     }
 
     #[test]
     fn v1_format_pages_rejected() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        t.insert(b"k", b"v").unwrap();
-        // Rewrite the root as a v1-style page: the old format had no
-        // version byte — byte 0 held the node type directly.
-        env.with_page_mut(t.file_id(), PageId(1), |data| {
-            data[0] = crate::node::TYPE_LEAF;
-        })
-        .unwrap();
+        let f = env.create_file("t").unwrap();
+        let mut app = env.appender(f).unwrap();
+        let meta = app.page();
+        meta[..4].copy_from_slice(MAGIC);
+        meta[META_ROOT..META_ROOT + 8].copy_from_slice(&1u64.to_le_bytes());
+        meta[META_COUNT..META_COUNT + 8].copy_from_slice(&1u64.to_le_bytes());
+        meta[META_HEIGHT..META_HEIGHT + 4].copy_from_slice(&1u32.to_le_bytes());
+        app.append().unwrap();
+        // A v1-style root: the old format had no version byte — byte 0
+        // held the node type directly.
+        app.page()[0] = crate::node::TYPE_LEAF;
+        app.append().unwrap();
+        let t = BTree::open_in(&env, f).unwrap();
         let err = t.get(b"k").unwrap_err();
         assert!(
             matches!(&err, StorageError::Corrupt(m) if m.contains("page format v1, expected v2")),
@@ -1531,10 +1271,7 @@ mod tests {
     #[test]
     fn read_path_counters_tick() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        for i in 0..100u64 {
-            t.insert(&key(i), b"v").unwrap();
-        }
+        let t = build(&env, "t", (0..100u64).map(|i| (key(i), b"v")));
         let before = env.io_stats();
         assert_eq!(t.get(&key(42)).unwrap(), Some(b"v".to_vec()));
         let after = env.io_stats();
@@ -1550,11 +1287,8 @@ mod tests {
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
             env.autocommit(|| {
-                let mut t = BTree::create(&env, "idx")?;
-                for i in 0..1000u64 {
-                    t.insert(&key(i), format!("v{i}").as_bytes())?;
-                }
-                Ok::<_, StorageError>(())
+                let entries = (0..1000u64).map(|i| (key(i), format!("v{i}").into_bytes()));
+                BTree::build_in(&env, env.create_file("idx")?, entries)
             })
             .unwrap();
         }
@@ -1572,8 +1306,9 @@ mod tests {
         let env = Env::memory();
         let id;
         {
-            let mut t = BTree::temp(&env).unwrap();
-            t.insert(b"k", b"v").unwrap();
+            let tmp = crate::TempFile::new(&env).unwrap();
+            let t = BTree::build_in(&env, tmp.id(), [(b"k".to_vec(), b"v".to_vec())]).unwrap();
+            assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
             id = t.file_id();
         }
         assert!(env.page_count(id).is_err());
@@ -1582,10 +1317,9 @@ mod tests {
     #[test]
     fn first_key_and_contains() {
         let env = Env::memory();
-        let mut t = BTree::create(&env, "t").unwrap();
-        assert_eq!(t.first_key().unwrap(), None);
-        t.insert(&key(5), b"").unwrap();
-        t.insert(&key(3), b"").unwrap();
+        let empty = build(&env, "e", Vec::<(Vec<u8>, Vec<u8>)>::new());
+        assert_eq!(empty.first_key().unwrap(), None);
+        let t = build(&env, "t", [(key(5), b""), (key(3), b"")]);
         assert_eq!(t.first_key().unwrap(), Some(key(3)));
         assert!(t.contains(&key(5)).unwrap());
         assert!(!t.contains(&key(4)).unwrap());

@@ -11,16 +11,19 @@
 //! The file table is also the **catalog** the log records (see
 //! [`crate::wal`]).
 //!
-//! On a logged (on-disk) environment a file is immutable once committed:
-//! a change is a new file built inside a [`Txn`] and published by its
-//! commit, or a committed file retired by one. Creating or removing a file
-//! that is not scratch needs a transaction installed on the calling thread
-//! ([`StorageError::NoTxn`] otherwise), and a page write to a committed
-//! file fails with [`StorageError::Immutable`]. Reads need no transaction
-//! and take no locks; a reader that must not see its files vanish pins
-//! them ([`Env::pin_files`]). In-memory environments have no log, so
-//! untransacted writes stay allowed there.
+//! Every file is written once, in page order, through a
+//! [`PageAppender`], and then only read through the pool. On a logged
+//! (on-disk) environment a file is immutable once committed: a change is a
+//! new file built inside a [`Txn`] and published by its commit, or a
+//! committed file retired by one. Creating or removing a file that is not
+//! scratch needs a transaction installed on the calling thread
+//! ([`StorageError::NoTxn`] otherwise), and only that transaction's new
+//! files can be appended to ([`StorageError::Immutable`] otherwise).
+//! Reads need no transaction and take no locks; a reader that must not
+//! see its files vanish pins them ([`Env::pin_files`]). In-memory
+//! environments have no log, so untransacted writes stay allowed there.
 
+use crate::append::PageAppender;
 use crate::backend::{Backend, FileBackend, MemBackend};
 use crate::buffer::{BufferPool, IoSnapshot, IoStats};
 use crate::error::StorageError;
@@ -106,9 +109,6 @@ struct FileEntry {
     state: FileState,
     /// Live [`FilePins`] holding this file.
     pins: usize,
-    /// The failed fsync after which this file can no longer be made
-    /// durable (see [`Env::sync_file`]).
-    lost: Option<StorageError>,
 }
 
 struct FileTable {
@@ -400,21 +400,27 @@ impl Env {
         Ok(())
     }
 
-    /// Refuses a page write or extension the log could not account for:
-    /// on a logged environment only scratch files and files no commit has
-    /// published yet are writable, and only scratch ones while degraded.
-    /// Unknown ids pass — the pool reports them.
-    fn check_write(&self, file: FileId) -> Result<()> {
-        if self.inner.wal.is_none() {
-            return Ok(());
-        }
+    /// The [`PageAppender`] that builds `file`. On a logged environment
+    /// only scratch files and the installed transaction's new files can be
+    /// written ([`StorageError::Immutable`] otherwise), and only scratch
+    /// ones while degraded ([`StorageError::ReadOnly`]).
+    pub fn appender(&self, file: FileId) -> Result<PageAppender> {
         let table = self.inner.pager.files.read();
-        match table.by_id.get(&file).map(|e| (e.state, &e.name)) {
-            None | Some((FileState::Temp, _)) => Ok(()),
-            Some(_) if self.is_read_only() => Err(StorageError::ReadOnly),
-            Some((FileState::New(_), _)) => Ok(()),
-            Some((_, name)) => Err(StorageError::Immutable(name.clone())),
+        let entry = table
+            .by_id
+            .get(&file)
+            .ok_or_else(|| StorageError::NoSuchFile(format!("{file}")))?;
+        let scratch = entry.state == FileState::Temp;
+        if self.inner.wal.is_some() && !scratch {
+            if self.is_read_only() {
+                return Err(StorageError::ReadOnly);
+            }
+            if txn::installed_id(self).map(FileState::New) != Some(entry.state) {
+                return Err(StorageError::Immutable(entry.name.clone()));
+            }
         }
+        let backend = Arc::clone(&entry.backend);
+        Ok(PageAppender::new(self, file, backend, scratch))
     }
 
     /// Attaches a fault plan to the write-ahead log so its `wal_no_space`
@@ -457,7 +463,6 @@ impl Env {
                 name,
                 state,
                 pins: 0,
-                lost: None,
             },
         );
         id
@@ -749,45 +754,22 @@ impl Env {
         new.map(|(&id, _)| id).collect()
     }
 
-    /// Writes back new files' frames and fsyncs each file and the directory
-    /// once, ahead of the record that commits them.
+    /// Fsyncs new files and the directory once, ahead of the record that
+    /// commits them. Their pages went straight to the files when they were
+    /// built, so there is nothing to write back. A failed fsync may have
+    /// dropped writes it did not flush, so no retry can prove the files
+    /// whole: the caller rolls the transaction back.
     pub(crate) fn make_durable(&self, files: &[FileId]) -> Result<()> {
         if files.is_empty() {
             return Ok(());
         }
-        let pool = &self.inner.pager.pool;
-        pool.flush(&|f| self.backend(f), &|f| files.contains(&f))?;
         for &file in files {
-            self.sync_file(file)?;
+            self.backend(file)?.sync()?;
         }
         if let Some(dir) = &self.inner.dir {
             wal::sync_dir(dir);
         }
         Ok(())
-    }
-
-    /// Fsyncs file `id`. A failed fsync may drop the writes it did not
-    /// flush while the kernel marks their pages clean, so a retry that
-    /// succeeds proves nothing. The file's resident frames are marked dirty
-    /// for the retry to rewrite; if a page is no longer resident (the pool
-    /// evicted it after writing it back), nothing can restore it, and every
-    /// later sync of the file fails with this error: its transaction can
-    /// only roll back.
-    fn sync_file(&self, id: FileId) -> Result<()> {
-        let backend = match self.inner.pager.files.read().by_id.get(&id) {
-            Some(FileEntry { lost: Some(e), .. }) => return Err(e.clone()),
-            Some(entry) => Arc::clone(&entry.backend),
-            None => return Err(StorageError::NoSuchFile(format!("{id}"))),
-        };
-        let Err(e) = backend.sync() else {
-            return Ok(());
-        };
-        if self.inner.pager.pool.redirty_file(id) < backend.page_count() {
-            if let Some(entry) = self.inner.pager.files.write().by_id.get_mut(&id) {
-                entry.lost = Some(e.clone());
-            }
-        }
-        Err(e)
     }
 
     /// Names of the committed files, in name order: the catalog.
@@ -811,13 +793,6 @@ impl Env {
     fn file_state(&self, id: FileId) -> Option<FileState> {
         let table = self.inner.pager.files.read();
         table.by_id.get(&id).map(|e| e.state)
-    }
-
-    /// Appends a zeroed page to `file` (see [`Env::with_page_mut`] for
-    /// which files are writable).
-    pub fn allocate_page(&self, file: FileId) -> Result<PageId> {
-        self.check_write(file)?;
-        self.backend(file)?.allocate_page()
     }
 
     /// Number of pages in `file`.
@@ -894,26 +869,11 @@ impl Env {
         pool.with_frame_read(file, page, &|f| self.backend(f), f)
     }
 
-    /// Runs `f` over the mutable contents of a page, marking it dirty. On
-    /// a logged environment only scratch files and uncommitted new files
-    /// are writable ([`StorageError::Immutable`] otherwise), and only
-    /// scratch ones while degraded ([`StorageError::ReadOnly`]).
-    pub fn with_page_mut<R>(
-        &self,
-        file: FileId,
-        page: PageId,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> Result<R> {
-        self.check_write(file)?;
-        let pool = &self.inner.pager.pool;
-        pool.with_frame_write(file, page, &|f| self.backend(f), f)
-    }
-
-    /// Writes back all dirty frames and fsyncs every file with unsynced
-    /// writes. It commits nothing — [`Txn::commit`] is the only commit
-    /// point — but moves committed state into the data files, so once the
-    /// log outgrows [`WAL_CHECKPOINT_BYTES`] it can be truncated: the
-    /// flush then checkpoints, as a commit does (see [`Env::checkpoint`]).
+    /// Reaps dropped files that a raw page access kept from their reap,
+    /// and truncates the write-ahead log once it outgrows
+    /// [`WAL_CHECKPOINT_BYTES`], as a commit does (see [`Env::checkpoint`]).
+    /// It commits nothing — [`Txn::commit`] is the only commit point — and
+    /// writes no data page: every committed file was fsynced by its commit.
     pub fn flush(&self) -> Result<()> {
         self.flush_then_checkpoint(self.checkpoint_due())
     }
@@ -936,23 +896,14 @@ impl Env {
     fn flush_then_checkpoint(&self, checkpoint: bool) -> Result<()> {
         let _span = span("storage.flush");
         let start = self.wal_bytes();
-        self.inner
-            .pager
-            .pool
-            .flush(&|f| self.backend(f), &|_| true)?;
-        // Eviction write-backs were not synced; clean files skip the sync.
-        // Scratch files are never durable, and a dropped file that a raw
-        // page access kept from its reap is reaped now.
-        let files: Vec<(FileId, FileState)> = {
+        let dropped: Vec<FileId> = {
             let table = self.inner.pager.files.read();
-            table.by_id.iter().map(|(&id, e)| (id, e.state)).collect()
+            let files = table.by_id.iter();
+            let dropped = files.filter(|(_, e)| e.state == FileState::Dropped);
+            dropped.map(|(&id, _)| id).collect()
         };
-        for (id, state) in files {
-            match state {
-                FileState::Temp => {}
-                FileState::Dropped => self.reap(id),
-                FileState::New(_) | FileState::Committed => self.sync_file(id)?,
-            }
+        for id in dropped {
+            self.reap(id);
         }
         if let (Some(start), true) = (start, checkpoint) {
             if self.inner.txns.active_count() == 0 && self.checkpoint_log(start)? {
@@ -967,9 +918,9 @@ impl Env {
 
     /// Replaces the log with one checkpoint carrying the catalog, under
     /// the file-table lock like every commit record — unless the log is
-    /// no longer `start` bytes long: a record appended since the flush
-    /// began may describe frames the flush did not write back. Returns
-    /// whether it checkpointed.
+    /// no longer `start` bytes long: a commit appended since the flush
+    /// began may still be waiting for its log fsync. Returns whether it
+    /// checkpointed.
     fn checkpoint_log(&self, start: u64) -> Result<bool> {
         let Some(wal) = &self.inner.wal else {
             return Ok(false);
@@ -1092,13 +1043,19 @@ impl std::fmt::Debug for Env {
 mod tests {
     use super::*;
 
+    /// Appends one page to `f` whose first byte is `first`.
+    fn append(env: &Env, f: FileId, first: u8) -> Result<PageId> {
+        let mut app = env.appender(f)?;
+        app.page()[0] = first;
+        app.append()
+    }
+
     #[test]
     fn memory_env_basic_page_io() {
         let env = Env::memory();
         let f = env.create_file("nodes").unwrap();
-        let p = env.allocate_page(f).unwrap();
-        env.with_page_mut(f, p, |data| data[10] = 99).unwrap();
-        let v = env.with_page(f, p, |data| data[10]).unwrap();
+        let p = append(&env, f, 99).unwrap();
+        let v = env.with_page(f, p, |data| data[0]).unwrap();
         assert_eq!(v, 99);
         assert_eq!(env.page_count(f).unwrap(), 1);
     }
@@ -1147,8 +1104,7 @@ mod tests {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
             env.autocommit(|| {
                 let f = env.create_file("persist")?;
-                let p = env.allocate_page(f)?;
-                env.with_page_mut(f, p, |d| d[0] = 0x5A)
+                append(&env, f, 0x5A)
             })
             .unwrap();
         }
@@ -1177,18 +1133,15 @@ mod tests {
             pool_bytes: 8 * 512,
         });
         let f = env.create_file("s").unwrap();
-        let pages: Vec<_> = (0..32).map(|_| env.allocate_page(f).unwrap()).collect();
+        let pages: Vec<_> = (0..32).map(|i| append(&env, f, i).unwrap()).collect();
         for &p in &pages {
-            env.with_page_mut(f, p, |d| d[0] = 1).unwrap();
+            env.with_page(f, p, |_| ()).unwrap();
         }
         let snap = env.io_stats();
         assert_eq!(snap.misses, 32);
-        // 32 pages through 8 frames: at least 24 evictions of dirty pages.
-        assert!(
-            snap.physical_writes >= 24,
-            "writes = {}",
-            snap.physical_writes
-        );
+        assert_eq!(snap.physical_writes, 32, "one write per appended page");
+        // 32 pages through 8 frames: at least 24 evictions.
+        assert!(snap.evictions >= 24, "evictions = {}", snap.evictions);
         env.reset_io_stats();
         assert_eq!(env.io_stats().requests(), 0);
     }
@@ -1209,9 +1162,7 @@ mod tests {
         let (f, p) = env
             .autocommit(|| {
                 let f = env.create_file("d")?;
-                let p = env.allocate_page(f)?;
-                env.with_page_mut(f, p, |d| d[0] = 1)?;
-                Ok::<_, StorageError>((f, p))
+                Ok::<_, StorageError>((f, append(&env, f, 1)?))
             })
             .unwrap();
 
@@ -1225,7 +1176,7 @@ mod tests {
         {
             let _s = txn.install();
             let n = env.create_file("n").unwrap();
-            env.allocate_page(n).unwrap();
+            append(&env, n, 0).unwrap();
         }
         let err = txn.commit().unwrap_err();
         assert!(matches!(err, StorageError::NoSpace), "{err}");
@@ -1237,15 +1188,14 @@ mod tests {
         // Degraded mode: reads fine, durable writes typed-refused, scratch
         // files still usable (read-only queries must be able to spill).
         assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 1);
-        let err = env.with_page_mut(f, p, |d| d[0] = 3).unwrap_err();
+        let err = append(&env, f, 3).unwrap_err();
         assert!(matches!(err, StorageError::ReadOnly), "{err}");
         assert!(matches!(
             env.create_file("new"),
             Err(StorageError::ReadOnly)
         ));
         let tmp = env.create_temp_file().unwrap();
-        let tp = env.allocate_page(tmp).unwrap();
-        env.with_page_mut(tmp, tp, |d| d[0] = 9).unwrap();
+        append(&env, tmp, 9).unwrap();
         env.remove_file(tmp).unwrap();
 
         // Still full: the probe fails and the latch stays.
@@ -1259,9 +1209,7 @@ mod tests {
         let (g, q) = env
             .autocommit(|| {
                 let g = env.create_file("after")?;
-                let q = env.allocate_page(g)?;
-                env.with_page_mut(g, q, |d| d[0] = 4)?;
-                Ok::<_, StorageError>((g, q))
+                Ok::<_, StorageError>((g, append(&env, g, 4)?))
             })
             .unwrap();
         env.flush().unwrap();
@@ -1278,14 +1226,14 @@ mod tests {
         let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
         env.autocommit(|| {
             let f = env.create_file("t")?;
-            env.allocate_page(f)
+            append(&env, f, 0)
         })
         .unwrap();
         let txn = env.begin_txn();
         {
             let _s = txn.install();
             let u = env.create_file("u").unwrap();
-            env.allocate_page(u).unwrap();
+            append(&env, u, 0).unwrap();
         }
         let logged = env.wal_bytes().unwrap();
         env.checkpoint().unwrap();
@@ -1311,9 +1259,7 @@ mod tests {
         let (f, p) = env
             .autocommit(|| {
                 let f = env.create_file("d")?;
-                let p = env.allocate_page(f)?;
-                env.with_page_mut(f, p, |d| d[0] = 1)?;
-                Ok::<_, StorageError>((f, p))
+                Ok::<_, StorageError>((f, append(&env, f, 1)?))
             })
             .unwrap();
         let wal = env.wal_bytes();
@@ -1325,16 +1271,11 @@ mod tests {
         let txn = env.begin_txn();
         for installed in [false, true] {
             let _s = installed.then(|| txn.install());
-            let writes = [
-                env.with_page_mut(f, p, |d| d[0] = 2).map(drop),
-                env.allocate_page(f).map(drop),
-            ];
-            for r in writes {
-                assert!(
-                    matches!(&r, Err(StorageError::Immutable(n)) if n == "d"),
-                    "{r:?}"
-                );
-            }
+            let r = env.appender(f).map(drop);
+            assert!(
+                matches!(&r, Err(StorageError::Immutable(n)) if n == "d"),
+                "{r:?}"
+            );
         }
         txn.commit().unwrap();
         // Nothing changed, nothing was logged, and the env stays usable:
@@ -1344,11 +1285,39 @@ mod tests {
         assert!(!env.file_exists("e"));
         assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 1);
         let tmp = env.create_temp_file().unwrap();
-        let tp = env.allocate_page(tmp).unwrap();
-        env.with_page_mut(tmp, tp, |d| d[0] = 9).unwrap();
+        append(&env, tmp, 9).unwrap();
         env.remove_file(tmp).unwrap();
         env.autocommit(|| env.remove_file(f)).unwrap();
         assert!(env.committed_files().is_empty());
+        drop(env);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Only the transaction that created a new file can write it: not
+    /// another transaction, and not the thread once it is uninstalled.
+    #[test]
+    fn a_new_file_is_writable_by_its_own_transaction_only() {
+        let dir = std::env::temp_dir().join(format!("saardb-env-owner-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
+        let (owner, other) = (env.begin_txn(), env.begin_txn());
+        let g = {
+            let _s = owner.install();
+            let g = env.create_file("g").unwrap();
+            append(&env, g, 1).unwrap();
+            g
+        };
+        for installed in [None, Some(&other)] {
+            let _s = installed.map(Txn::install);
+            let r = append(&env, g, 2);
+            assert!(
+                matches!(&r, Err(StorageError::Immutable(n)) if n == "g"),
+                "{r:?}"
+            );
+        }
+        other.rollback().unwrap();
+        owner.commit().unwrap();
+        assert_eq!(env.page_count(g).unwrap(), 1);
         drop(env);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1358,8 +1327,7 @@ mod tests {
         let env = Env::memory();
         let f = env.create_file("d").unwrap();
         assert_eq!(env.committed_files(), ["d"], "committed when created");
-        let p = env.allocate_page(f).unwrap();
-        env.with_page_mut(f, p, |d| d[0] = 7).unwrap();
+        let p = append(&env, f, 7).unwrap();
         assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 7);
         env.remove_file(f).unwrap();
         assert!(!env.file_exists("d"));
@@ -1374,8 +1342,7 @@ mod tests {
         let build = |fill: u8| {
             env.autocommit(|| {
                 let f = env.create_file("d")?;
-                let p = env.allocate_page(f)?;
-                env.with_page_mut(f, p, |d| d[0] = fill)
+                append(&env, f, fill)
             })
             .unwrap()
         };
@@ -1417,7 +1384,7 @@ mod tests {
     fn a_dropped_file_held_by_a_page_access_is_reaped_by_the_next_flush() {
         let env = Env::memory();
         let f = env.create_file("d").unwrap();
-        let p = env.allocate_page(f).unwrap();
+        let p = append(&env, f, 0).unwrap();
         // The drop commits while a raw page access pins the file's frame.
         env.with_page(f, p, |_| env.remove_file(f))
             .unwrap()
@@ -1438,7 +1405,7 @@ mod tests {
         let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
         env.autocommit(|| {
             let f = env.create_file("d")?;
-            env.allocate_page(f).map(|_| ())
+            append(&env, f, 0).map(|_| ())
         })
         .unwrap();
         let reader = env.pin_files(&["d"]).unwrap();

@@ -96,8 +96,10 @@ pub enum StorageError {
     /// outside a transaction: every durable change commits through
     /// [`crate::Txn::commit`], so install one first.
     NoTxn,
-    /// A page write to a committed file of a logged environment. Committed
-    /// files are immutable: build a new file in a transaction instead.
+    /// A page write to a file of a logged environment that is neither
+    /// scratch nor a new file of the transaction installed on the calling
+    /// thread. Committed files are immutable: build a new file in a
+    /// transaction instead.
     Immutable(String),
     /// A log record whose checksum holds but whose kind this build does not
     /// know — a log written by another format. Recovery refuses it rather
@@ -175,7 +177,10 @@ impl fmt::Display for StorageError {
                 write!(f, "durable write outside a transaction")
             }
             StorageError::Immutable(name) => {
-                write!(f, "file {name} is committed and cannot be written")
+                write!(
+                    f,
+                    "file {name} is not a new file of this transaction and cannot be written"
+                )
             }
             StorageError::UnknownLogRecord { offset, tag } => write!(
                 f,

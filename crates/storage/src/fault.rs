@@ -215,9 +215,9 @@ impl Volatile {
 }
 
 /// A [`Backend`] decorator that injects the faults of a shared
-/// [`FaultState`]. Reads, writes, allocation and sync all fail once the
-/// state is killed; until then, writes are counted toward the kill-point
-/// and remembered until a sync makes them durable.
+/// [`FaultState`]. Reads, writes, appends and sync all fail once the
+/// state is killed; until then, writes and appends are counted toward the
+/// kill-point and remembered until a sync makes them durable.
 pub struct FaultBackend {
     file: Arc<Volatile>,
     state: Arc<FaultState>,
@@ -281,13 +281,17 @@ impl Backend for FaultBackend {
         inner.write_page(id, buf)
     }
 
-    fn allocate_page(&self) -> Result<PageId> {
-        // Allocation extends the file (a physical write): it respects the
-        // killed latch but does not count toward the kill-point, keeping
-        // kill schedules in units of data-page writes.
+    fn append_page(&self, buf: &[u8]) -> Result<PageId> {
+        // An append is a data-page write like any other and counts toward
+        // the kill-point; at the kill it never lands (a new page has no
+        // durable image to tear).
         let _u = self.file.unsynced.lock();
-        self.state.check_alive("allocate_page after kill")?;
-        self.file.inner.allocate_page()
+        if self.state.on_write()?.is_some() {
+            drop(_u);
+            self.state.lose_unsynced();
+            return Err(FaultState::injected("append_page at kill-point"));
+        }
+        self.file.inner.append_page(buf)
     }
 
     fn page_count(&self) -> u64 {
@@ -331,20 +335,20 @@ mod tests {
     #[test]
     fn disarmed_passes_through() {
         let (b, state) = setup();
-        let p = b.allocate_page().unwrap();
-        b.write_page(p, &[7u8; PS]).unwrap();
+        let p = b.append_page(&[7u8; PS]).unwrap();
+        b.write_page(p, &[8u8; PS]).unwrap();
         let mut buf = vec![0u8; PS];
         b.read_page(p, &mut buf).unwrap();
-        assert_eq!(buf[0], 7);
-        assert_eq!(state.writes(), 1);
+        assert_eq!(buf[0], 8);
+        assert_eq!(state.writes(), 2, "an append counts as a write");
         b.sync().unwrap();
     }
 
     #[test]
     fn kill_point_latches_all_operations() {
         let (b, state) = setup();
-        let p0 = b.allocate_page().unwrap();
-        let p1 = b.allocate_page().unwrap();
+        let p0 = b.append_page(&[0u8; PS]).unwrap();
+        let p1 = b.append_page(&[0u8; PS]).unwrap();
         state.arm_kill(1, KillMode::BeforeWrite);
         b.write_page(p0, &[1u8; PS]).unwrap();
         let err = b.write_page(p1, &[2u8; PS]).unwrap_err();
@@ -354,16 +358,27 @@ mod tests {
         let mut buf = vec![0u8; PS];
         assert!(b.read_page(p1, &mut buf).is_err());
         assert!(b.sync().is_err());
-        assert!(b.allocate_page().is_err());
+        assert!(b.append_page(&[0u8; PS]).is_err());
         state.disarm();
         b.read_page(p1, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 0), "killed write must not land");
     }
 
     #[test]
+    fn an_append_at_the_kill_point_never_lands() {
+        let (b, state) = setup();
+        b.append_page(&[1u8; PS]).unwrap();
+        state.arm_kill(0, KillMode::TornWrite);
+        assert!(b.append_page(&[2u8; PS]).is_err());
+        assert!(state.is_killed());
+        state.disarm();
+        assert_eq!(b.page_count(), 1);
+    }
+
+    #[test]
     fn torn_write_leaves_half_a_page() {
         let (b, state) = setup();
-        let p = b.allocate_page().unwrap();
+        let p = b.append_page(&[0u8; PS]).unwrap();
         b.write_page(p, &[0xAAu8; PS]).unwrap();
         b.sync().unwrap();
         state.arm_kill(0, KillMode::TornWrite);
@@ -379,7 +394,7 @@ mod tests {
     #[test]
     fn transient_faults_are_one_shot() {
         let (b, state) = setup();
-        let p = b.allocate_page().unwrap();
+        let p = b.append_page(&[0u8; PS]).unwrap();
         state.fail_next_write();
         assert!(b.write_page(p, &[1u8; PS]).is_err());
         b.write_page(p, &[1u8; PS]).unwrap();
@@ -392,7 +407,7 @@ mod tests {
     #[test]
     fn failed_sync_loses_the_unsynced_writes() {
         let (b, state) = setup();
-        let p = b.allocate_page().unwrap();
+        let p = b.append_page(&[0u8; PS]).unwrap();
         b.write_page(p, &[1u8; PS]).unwrap();
         b.sync().unwrap();
         b.write_page(p, &[2u8; PS]).unwrap();
@@ -415,11 +430,11 @@ mod tests {
             Arc::new(crate::backend::FileBackend::open(&path, PS).unwrap());
         let state = FaultState::new();
         let b = FaultBackend::new(file, Arc::clone(&state));
-        let p0 = b.allocate_page().unwrap();
+        let p0 = b.append_page(&[0u8; PS]).unwrap();
         b.write_page(p0, &[1u8; PS]).unwrap();
         b.sync().unwrap();
         b.write_page(p0, &[2u8; PS]).unwrap();
-        let p1 = b.allocate_page().unwrap();
+        let p1 = b.append_page(&[0u8; PS]).unwrap();
         b.write_page(p1, &[3u8; PS]).unwrap();
         state.kill_now();
         assert!(b.write_page(p0, &[4u8; PS]).is_err(), "dead after the kill");

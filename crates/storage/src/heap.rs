@@ -1,14 +1,16 @@
-//! Append-only heap files of variable-length records.
+//! Heap files of variable-length records, written once by a
+//! [`HeapWriter`] and then read as a [`HeapFile`].
 //!
-//! Used for materialized intermediate results (milestone 3 allowed engines
-//! to spill every intermediate) and for external-sort runs. Records are
-//! opaque byte strings; page layout is
+//! Used for document statistics, materialized intermediate results
+//! (milestone 3 allowed engines to spill every intermediate) and
+//! external-sort runs. Records are opaque byte strings; page layout is
 //!
 //! ```text
 //! page 0 (meta):  magic "SAHP" | record_count u64
 //! page ≥ 1:       nrecords u16 | free_off u16 | records: (len u32 | bytes)*
 //! ```
 
+use crate::append::PageAppender;
 use crate::codec;
 use crate::env::{Env, FileId};
 use crate::error::StorageError;
@@ -21,53 +23,102 @@ const META_COUNT_OFF: usize = 4;
 const DATA_HEADER: usize = 4; // nrecords u16 | free_off u16
 const LEN_PREFIX: usize = 4;
 
-/// An append-only record file. See module docs.
+/// Writes a heap file once, front to back: records fill a page in the
+/// appender's buffer, each full page is appended, and [`HeapWriter::finish`]
+/// appends the last one and patches the record count into the meta page.
+pub struct HeapWriter {
+    app: PageAppender,
+    temp: Option<TempFile>,
+    count: u64,
+    /// The buffered page holds records (it is appended when the next
+    /// record does not fit, or at finish).
+    tail: bool,
+}
+
+impl HeapWriter {
+    /// Starts a heap in a fresh named file.
+    pub fn create(env: &Env, name: &str) -> Result<HeapWriter> {
+        Self::init(env.appender(env.create_file(name)?)?, None)
+    }
+
+    /// Starts a heap in a self-deleting scratch file.
+    pub fn temp(env: &Env) -> Result<HeapWriter> {
+        let tmp = TempFile::new(env)?;
+        Self::init(env.appender(tmp.id())?, Some(tmp))
+    }
+
+    fn init(mut app: PageAppender, temp: Option<TempFile>) -> Result<HeapWriter> {
+        app.append()?; // the meta page, patched at finish
+        Ok(HeapWriter {
+            app,
+            temp,
+            count: 0,
+            tail: false,
+        })
+    }
+
+    /// Largest record this heap can store.
+    pub fn max_record(&self) -> usize {
+        self.app.env().page_size() - DATA_HEADER - LEN_PREFIX
+    }
+
+    /// Appends a record.
+    pub fn append(&mut self, record: &[u8]) -> Result<()> {
+        if record.len() > self.max_record() {
+            return Err(StorageError::RecordTooLarge {
+                len: record.len(),
+                max: self.max_record(),
+            });
+        }
+        let page_size = self.app.env().page_size();
+        if self.tail && free_off(self.app.page()) as usize + LEN_PREFIX + record.len() > page_size {
+            self.app.append()?;
+            self.tail = false;
+        }
+        let data = self.app.page();
+        if !self.tail {
+            set_free_off(data, DATA_HEADER as u16);
+            self.tail = true;
+        }
+        let n = nrecords(data);
+        let off = free_off(data) as usize;
+        data[off..off + 4].copy_from_slice(&(record.len() as u32).to_le_bytes());
+        data[off + 4..off + 4 + record.len()].copy_from_slice(record);
+        set_nrecords(data, n + 1);
+        set_free_off(data, (off + 4 + record.len()) as u16);
+        self.count += 1;
+        Ok(())
+    }
+
+    /// Writes the last page and the meta page; the heap is read-only from
+    /// here on.
+    pub fn finish(mut self) -> Result<HeapFile> {
+        if self.tail {
+            self.app.append()?;
+        }
+        let meta = self.app.page();
+        meta[..4].copy_from_slice(MAGIC);
+        meta[META_COUNT_OFF..META_COUNT_OFF + 8].copy_from_slice(&self.count.to_le_bytes());
+        self.app.rewrite(PageId(0))?;
+        Ok(HeapFile {
+            env: self.app.env().clone(),
+            file: self.app.file_id(),
+            _temp: self.temp,
+            count: self.count,
+        })
+    }
+}
+
+/// A finished, read-only record file. See module docs.
 pub struct HeapFile {
     env: Env,
     file: FileId,
     /// Keeps a scratch file alive for the lifetime of the heap.
     _temp: Option<TempFile>,
-    /// Cached record count (mirrored to the meta page).
     count: u64,
-    /// Page currently being filled.
-    tail: Option<PageId>,
 }
 
 impl HeapFile {
-    /// Creates a heap in a fresh named file.
-    pub fn create(env: &Env, name: &str) -> Result<HeapFile> {
-        let file = env.create_file(name)?;
-        Self::init(env.clone(), file, None)
-    }
-
-    /// Creates a heap in a self-deleting scratch file.
-    pub fn temp(env: &Env) -> Result<HeapFile> {
-        let tmp = TempFile::new(env)?;
-        let file = tmp.id();
-        Self::init(env.clone(), file, Some(tmp))
-    }
-
-    /// Creates a heap in an existing, empty file.
-    pub fn create_in(env: &Env, file: FileId) -> Result<HeapFile> {
-        Self::init(env.clone(), file, None)
-    }
-
-    fn init(env: Env, file: FileId, temp: Option<TempFile>) -> Result<HeapFile> {
-        let meta = env.allocate_page(file)?;
-        debug_assert_eq!(meta, PageId(0));
-        env.with_page_mut(file, meta, |data| {
-            data[..4].copy_from_slice(MAGIC);
-            data[META_COUNT_OFF..META_COUNT_OFF + 8].copy_from_slice(&0u64.to_le_bytes());
-        })?;
-        Ok(HeapFile {
-            env,
-            file,
-            _temp: temp,
-            count: 0,
-            tail: None,
-        })
-    }
-
     /// Opens an existing heap file.
     pub fn open(env: &Env, name: &str) -> Result<HeapFile> {
         Self::open_in(env, env.open_file(name)?)
@@ -83,18 +134,11 @@ impl HeapFile {
             bytes.copy_from_slice(&data[META_COUNT_OFF..META_COUNT_OFF + 8]);
             Ok(u64::from_le_bytes(bytes))
         })??;
-        let pages = env.page_count(file)?;
-        let tail = if pages > 1 {
-            Some(PageId(pages - 1))
-        } else {
-            None
-        };
         Ok(HeapFile {
             env: env.clone(),
             file,
             _temp: None,
             count,
-            tail,
         })
     }
 
@@ -108,77 +152,22 @@ impl HeapFile {
         self.count
     }
 
-    /// True when no records have been appended.
+    /// True when the heap holds no records.
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
 
-    /// Largest record this heap can store.
-    pub fn max_record(&self) -> usize {
-        self.env.page_size() - DATA_HEADER - LEN_PREFIX
+    /// Iterates over all records in append order, decoding a page of
+    /// records per page fetch.
+    pub fn scan(&self) -> Scan<&HeapFile> {
+        Scan::new(self)
     }
 
-    /// Appends a record.
-    pub fn append(&mut self, record: &[u8]) -> Result<()> {
-        let needed = LEN_PREFIX + record.len();
-        if record.len() > self.max_record() {
-            return Err(StorageError::RecordTooLarge {
-                len: record.len(),
-                max: self.max_record(),
-            });
-        }
-        let page_size = self.env.page_size();
-        let page = match self.tail {
-            Some(p) => {
-                let free = self.env.with_page(self.file, p, free_off)?;
-                if free as usize + needed <= page_size {
-                    p
-                } else {
-                    let np = self.env.allocate_page(self.file)?;
-                    self.init_data_page(np)?;
-                    self.tail = Some(np);
-                    np
-                }
-            }
-            None => {
-                let np = self.env.allocate_page(self.file)?;
-                self.init_data_page(np)?;
-                self.tail = Some(np);
-                np
-            }
-        };
-        self.env.with_page_mut(self.file, page, |data| {
-            let n = nrecords(data);
-            let off = free_off(data) as usize;
-            data[off..off + 4].copy_from_slice(&(record.len() as u32).to_le_bytes());
-            data[off + 4..off + 4 + record.len()].copy_from_slice(record);
-            set_nrecords(data, n + 1);
-            set_free_off(data, (off + 4 + record.len()) as u16);
-        })?;
-        self.count += 1;
-        self.env.with_page_mut(self.file, PageId(0), |data| {
-            data[META_COUNT_OFF..META_COUNT_OFF + 8].copy_from_slice(&self.count.to_le_bytes());
-        })?;
-        Ok(())
-    }
-
-    fn init_data_page(&self, page: PageId) -> Result<()> {
-        self.env.with_page_mut(self.file, page, |data| {
-            set_nrecords(data, 0);
-            set_free_off(data, DATA_HEADER as u16);
-        })
-    }
-
-    /// Iterates over all records in append order. Each `next()` clones the
-    /// record bytes; a full page of records is decoded per page fetch.
-    pub fn scan(&self) -> Scan<'_> {
-        Scan {
-            heap: self,
-            next_page: 1,
-            buffered: Vec::new(),
-            buffer_pos: 0,
-            error: None,
-        }
+    /// Converts the heap into an owning streaming scan, which keeps a
+    /// scratch file alive until it drops (the external sorter's merge
+    /// ties run lifetimes to it).
+    pub fn into_scan(self) -> OwnedScan {
+        Scan::new(self)
     }
 
     /// Number of data pages (for explicit page-at-a-time iteration by
@@ -220,135 +209,53 @@ fn set_free_off(data: &mut [u8], off: u16) {
     data[2..4].copy_from_slice(&off.to_le_bytes());
 }
 
-/// Streaming record iterator over a [`HeapFile`].
-pub struct Scan<'a> {
-    heap: &'a HeapFile,
-    next_page: u64,
-    buffered: Vec<Vec<u8>>,
-    buffer_pos: usize,
-    error: Option<StorageError>,
-}
-
-impl<'a> Scan<'a> {
-    fn fill(&mut self) -> Result<bool> {
-        let pages = self.heap.env.page_count(self.heap.file)?;
-        while self.next_page < pages {
-            let page = PageId(self.next_page);
-            self.next_page += 1;
-            let records = self.heap.env.with_page(self.heap.file, page, |data| {
-                let n = nrecords(data) as usize;
-                let mut out = Vec::with_capacity(n);
-                let mut pos = DATA_HEADER;
-                for _ in 0..n {
-                    out.push(codec::get_bytes(data, &mut pos).to_vec());
-                }
-                out
-            })?;
-            if !records.is_empty() {
-                self.buffered = records;
-                self.buffer_pos = 0;
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-}
-
-impl<'a> Iterator for Scan<'a> {
-    type Item = Result<Vec<u8>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.error.is_some() {
-            return None;
-        }
-        if self.buffer_pos >= self.buffered.len() {
-            match self.fill() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => {
-                    self.error = Some(e.clone());
-                    return Some(Err(e));
-                }
-            }
-        }
-        let rec = std::mem::take(&mut self.buffered[self.buffer_pos]);
-        self.buffer_pos += 1;
-        Some(Ok(rec))
-    }
-}
-
-/// Owning record iterator: consumes the [`HeapFile`] (keeping any scratch
-/// file alive) and streams records one page at a time. Used by the external
-/// sorter's merge phase, where run lifetimes must be tied to the iterator.
-pub struct OwnedScan {
-    heap: HeapFile,
-    next_page: u64,
-    buffered: Vec<Vec<u8>>,
-    buffer_pos: usize,
+/// Streaming record iterator over a [`HeapFile`], borrowed or owned.
+pub struct Scan<H> {
+    heap: H,
+    /// The next data page to read (0-based).
+    page: u64,
+    buffered: std::vec::IntoIter<Vec<u8>>,
     done: bool,
 }
 
-impl HeapFile {
-    /// Converts the heap into an owning streaming scan.
-    pub fn into_scan(self) -> OwnedScan {
-        OwnedScan {
-            heap: self,
-            next_page: 1,
-            buffered: Vec::new(),
-            buffer_pos: 0,
+/// A [`Scan`] that owns its heap.
+pub type OwnedScan = Scan<HeapFile>;
+
+impl<H: std::borrow::Borrow<HeapFile>> Scan<H> {
+    fn new(heap: H) -> Scan<H> {
+        Scan {
+            heap,
+            page: 0,
+            buffered: Vec::new().into_iter(),
             done: false,
         }
     }
-}
 
-impl OwnedScan {
-    fn fill(&mut self) -> Result<bool> {
-        let pages = self.heap.env.page_count(self.heap.file)?;
-        while self.next_page < pages {
-            let page = PageId(self.next_page);
-            self.next_page += 1;
-            let records = self.heap.env.with_page(self.heap.file, page, |data| {
-                let n = nrecords(data) as usize;
-                let mut out = Vec::with_capacity(n);
-                let mut pos = DATA_HEADER;
-                for _ in 0..n {
-                    out.push(codec::get_bytes(data, &mut pos).to_vec());
-                }
-                out
-            })?;
-            if !records.is_empty() {
-                self.buffered = records;
-                self.buffer_pos = 0;
-                return Ok(true);
+    fn advance(&mut self) -> Result<Option<Vec<u8>>> {
+        loop {
+            if let Some(record) = self.buffered.next() {
+                return Ok(Some(record));
             }
+            let heap = self.heap.borrow();
+            if self.page >= heap.data_pages()? {
+                return Ok(None);
+            }
+            self.buffered = heap.page_records(self.page)?.into_iter();
+            self.page += 1;
         }
-        Ok(false)
     }
 }
 
-impl Iterator for OwnedScan {
+impl<H: std::borrow::Borrow<HeapFile>> Iterator for Scan<H> {
     type Item = Result<Vec<u8>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.done {
             return None;
         }
-        if self.buffer_pos >= self.buffered.len() {
-            match self.fill() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        let rec = std::mem::take(&mut self.buffered[self.buffer_pos]);
-        self.buffer_pos += 1;
-        Some(Ok(rec))
+        let next = self.advance();
+        self.done = !matches!(next, Ok(Some(_)));
+        next.transpose()
     }
 }
 
@@ -360,13 +267,14 @@ mod tests {
     #[test]
     fn append_scan_roundtrip() {
         let env = Env::memory();
-        let mut heap = HeapFile::create(&env, "h").unwrap();
+        let mut writer = HeapWriter::create(&env, "h").unwrap();
         let records: Vec<Vec<u8>> = (0..100u32)
             .map(|i| i.to_le_bytes().repeat(1 + (i % 5) as usize))
             .collect();
         for r in &records {
-            heap.append(r).unwrap();
+            writer.append(r).unwrap();
         }
+        let heap = writer.finish().unwrap();
         assert_eq!(heap.len(), 100);
         let scanned: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap()).collect();
         assert_eq!(scanned, records);
@@ -378,12 +286,16 @@ mod tests {
             page_size: 256,
             pool_bytes: 8 * 256,
         });
-        let mut heap = HeapFile::create(&env, "h").unwrap();
+        let mut writer = HeapWriter::create(&env, "h").unwrap();
         let record = vec![7u8; 100];
         for _ in 0..50 {
-            heap.append(&record).unwrap();
+            writer.append(&record).unwrap();
         }
-        assert!(env.page_count(heap.file_id()).unwrap() > 10);
+        let heap = writer.finish().unwrap();
+        // Two records per data page, plus the meta page; each page is
+        // written once, the meta page twice.
+        assert_eq!(env.page_count(heap.file_id()).unwrap(), 26);
+        assert_eq!(env.io_stats().physical_writes, 27);
         assert_eq!(heap.scan().count(), 50);
     }
 
@@ -393,7 +305,7 @@ mod tests {
             page_size: 256,
             pool_bytes: 8 * 256,
         });
-        let mut heap = HeapFile::create(&env, "h").unwrap();
+        let mut heap = HeapWriter::create(&env, "h").unwrap();
         let err = heap.append(&vec![0u8; 300]).unwrap_err();
         assert!(matches!(err, StorageError::RecordTooLarge { .. }));
     }
@@ -401,9 +313,10 @@ mod tests {
     #[test]
     fn empty_record_ok() {
         let env = Env::memory();
-        let mut heap = HeapFile::create(&env, "h").unwrap();
-        heap.append(b"").unwrap();
-        heap.append(b"x").unwrap();
+        let mut writer = HeapWriter::create(&env, "h").unwrap();
+        writer.append(b"").unwrap();
+        writer.append(b"x").unwrap();
+        let heap = writer.finish().unwrap();
         let recs: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap()).collect();
         assert_eq!(recs, vec![Vec::<u8>::new(), b"x".to_vec()]);
     }
@@ -411,7 +324,7 @@ mod tests {
     #[test]
     fn empty_heap_scans_nothing() {
         let env = Env::memory();
-        let heap = HeapFile::create(&env, "h").unwrap();
+        let heap = HeapWriter::create(&env, "h").unwrap().finish().unwrap();
         assert!(heap.is_empty());
         assert_eq!(heap.scan().count(), 0);
     }
@@ -423,10 +336,10 @@ mod tests {
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
             env.autocommit(|| {
-                let mut heap = HeapFile::create(&env, "records")?;
+                let mut heap = HeapWriter::create(&env, "records")?;
                 heap.append(b"alpha")?;
                 heap.append(b"beta")?;
-                Ok::<_, StorageError>(())
+                heap.finish().map(drop)
             })
             .unwrap();
         }
@@ -445,8 +358,9 @@ mod tests {
         let env = Env::memory();
         let id;
         {
-            let mut heap = HeapFile::temp(&env).unwrap();
-            heap.append(b"gone").unwrap();
+            let mut writer = HeapWriter::temp(&env).unwrap();
+            writer.append(b"gone").unwrap();
+            let heap = writer.finish().unwrap();
             id = heap.file_id();
         }
         assert!(env.page_count(id).is_err());
@@ -456,7 +370,7 @@ mod tests {
     fn open_rejects_non_heap() {
         let env = Env::memory();
         let f = env.create_file("junk").unwrap();
-        env.allocate_page(f).unwrap();
+        env.appender(f).unwrap().append().unwrap();
         assert!(matches!(
             HeapFile::open(&env, "junk"),
             Err(StorageError::Corrupt(_))

@@ -11,12 +11,16 @@
 //!
 //! * [`env::Env`] — a storage *environment*: a set of named paged files
 //!   (on disk or in memory) sharing one buffer pool with a byte budget,
-//! * [`buffer`] — the buffer pool: clock eviction, pin counts, dirty
-//!   write-back, hit/miss accounting for the cost model,
-//! * [`btree::BTree`] — B+-trees over byte-string keys with range cursors,
-//!   bulk loading, and overflow pages for large values,
-//! * [`heap::HeapFile`] — append-only record files for materialized
-//!   intermediate results (the paper allowed engines to "write to disk each
+//! * [`append::PageAppender`] — the one way pages are written: each file
+//!   is built once, in page order, straight to its backend,
+//! * [`buffer`] — the buffer pool, a read cache: clock eviction, pin
+//!   counts, hit/miss accounting for the cost model,
+//! * [`btree::BTree`] — B+-trees over byte-string keys, bulk-built from
+//!   sorted entries, with range cursors and overflow pages for large
+//!   values,
+//! * [`heap::HeapFile`] — record files written once by a
+//!   [`heap::HeapWriter`], for statistics and materialized intermediate
+//!   results (the paper allowed engines to "write to disk each
 //!   intermediate result"),
 //! * [`sort::ExternalSorter`] — run-generation + k-way-merge external sort
 //!   (the paper laments BDB made this hard to do "properly by the book";
@@ -28,7 +32,8 @@
 //!
 //! Unlike Berkeley DB, this storage manager supports block-based *writing*
 //! as well as reading, so block-oriented operators can be implemented
-//! faithfully.
+//! faithfully. Documents are loaded, then queried: a page is written once
+//! and never updated in place.
 //!
 //! ## Key encoding
 //!
@@ -36,6 +41,7 @@
 //! [`codec`] module provides order-preserving encodings (big-endian `u64`,
 //! length-framed strings) so composite XASR keys sort correctly.
 
+pub mod append;
 pub mod backend;
 pub mod btree;
 pub mod buffer;
@@ -53,13 +59,14 @@ mod error;
 mod node;
 mod page;
 
+pub use append::PageAppender;
 pub use btree::{BTree, Cursor, Seeker};
 pub use buffer::{IoSnapshot, IoStats};
 pub use env::{BackendDecorator, Env, EnvConfig, FileId, FilePins};
 pub use error::StorageError;
 pub use fault::{FaultBackend, FaultState, KillMode};
 pub use governor::{Governor, GovernorScope, GovernorSnapshot, MemReservation};
-pub use heap::HeapFile;
+pub use heap::{HeapFile, HeapWriter};
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use sort::{ExternalSorter, SortedRecords};
 pub use temp::TempFile;

@@ -21,9 +21,8 @@
 //! binary-searched *in place* against the pinned frame bytes by chasing
 //! slot offsets, so point lookups and descent steps materialize nothing.
 //! [`LeafView`] / [`InternalView`] wrap a `&[u8]` page with exactly that
-//! access pattern; the owned [`Node`] (parse → mutate → serialize) remains
-//! for the write path, where whole-node rewrites keep the free-space check
-//! trivial.
+//! access pattern; the owned [`Node`] is what the bulk builder fills and
+//! serializes, once per page.
 //!
 //! Format v1 (the pre-slotted layout, no version byte: byte 0 held the
 //! node type) is deliberately *not* readable — v1 pages are rejected with
@@ -74,7 +73,7 @@ impl ValueRef<'_> {
     }
 }
 
-/// Owned node body (write path).
+/// Owned node body (build path).
 #[derive(Debug, Clone)]
 pub(crate) enum NodeBody {
     /// Sorted `(key, value)` cells.
@@ -84,7 +83,7 @@ pub(crate) enum NodeBody {
     Internal(Vec<(Vec<u8>, u64)>),
 }
 
-/// Owned node (write path).
+/// Owned node (build path).
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     /// Leaf: right sibling page (or [`NO_SIBLING`]); internal: leftmost
@@ -267,7 +266,7 @@ fn binary_search<'a>(
     Err(lo)
 }
 
-// --- owned parse / serialize (write path) ----------------------------------
+// --- owned serialize (build path) ----------------------------------------
 
 /// Serialized size of a leaf cell, including its slot-directory entry.
 pub(crate) fn leaf_cell_size(key: &[u8], val: &LeafVal) -> usize {
@@ -285,49 +284,8 @@ pub(crate) fn internal_cell_size(key: &[u8]) -> usize {
     SLOT_SIZE + 10 + key.len()
 }
 
-/// Serialized size of a whole node.
-pub(crate) fn node_size(node: &Node) -> usize {
-    NODE_HEADER
-        + match &node.body {
-            NodeBody::Leaf(cells) => cells
-                .iter()
-                .map(|(k, v)| leaf_cell_size(k, v))
-                .sum::<usize>(),
-            NodeBody::Internal(cells) => cells
-                .iter()
-                .map(|(k, _)| internal_cell_size(k))
-                .sum::<usize>(),
-        }
-}
-
-/// Materializes a page into an owned [`Node`] (write path: parse → mutate
-/// → serialize).
-pub(crate) fn parse_node(data: &[u8]) -> Result<Node> {
-    match NodeView::parse(data)? {
-        NodeView::Leaf(view) => {
-            let cells = (0..view.nkeys())
-                .map(|i| (view.key(i).to_vec(), view.value(i).to_leaf_val()))
-                .collect();
-            Ok(Node {
-                extra: view.next_leaf(),
-                body: NodeBody::Leaf(cells),
-            })
-        }
-        NodeView::Internal(view) => {
-            let cells = (0..view.nkeys)
-                .map(|i| (view.key(i).to_vec(), view.child(i)))
-                .collect();
-            Ok(Node {
-                extra: view.leftmost(),
-                body: NodeBody::Internal(cells),
-            })
-        }
-    }
-}
-
 /// Serializes `node` into a page, building the slot directory.
 pub(crate) fn serialize_node(node: &Node, data: &mut [u8]) -> Result<()> {
-    debug_assert!(node_size(node) <= data.len(), "node does not fit page");
     data[0] = FORMAT_V2;
     data[OFF_EXTRA..OFF_EXTRA + 8].copy_from_slice(&node.extra.to_le_bytes());
     match &node.body {
@@ -420,23 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_roundtrip_via_owned_parse() {
-        let mut page = vec![0u8; PAGE];
-        serialize_node(&leaf_node(), &mut page).unwrap();
-        let node = parse_node(&page).unwrap();
-        assert_eq!(node.extra, 77);
-        let NodeBody::Leaf(cells) = node.body else {
-            panic!("leaf");
-        };
-        assert_eq!(cells.len(), 3);
-        assert_eq!(cells[0].0, b"alpha");
-        assert!(matches!(
-            &cells[1].1,
-            LeafVal::Overflow { page: 9, len: 4000 }
-        ));
-    }
-
-    #[test]
     fn internal_roundtrip_and_child_for() {
         let node = Node {
             extra: 100,
@@ -457,18 +398,7 @@ mod tests {
         assert_eq!(view.child_for(b"g"), 101);
         assert_eq!(view.child_for(b"m"), 102);
         assert_eq!(view.child_for(b"z"), 103);
-        let owned = parse_node(&page).unwrap();
-        let NodeBody::Internal(cells) = owned.body else {
-            panic!("internal");
-        };
-        assert_eq!(
-            cells,
-            vec![
-                (b"f".to_vec(), 101),
-                (b"m".to_vec(), 102),
-                (b"t".to_vec(), 103)
-            ]
-        );
+        assert_eq!((view.key(1), view.child(1)), (&b"m"[..], 102));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::env::Env;
 use crate::governor::{Governor, MemReservation};
-use crate::heap::HeapFile;
+use crate::heap::{HeapFile, HeapWriter};
 use crate::Result;
 use std::cmp::Ordering;
 
@@ -123,10 +123,11 @@ impl ExternalSorter {
         span.attr_u64("records", self.buffer.len() as u64);
         let cmp = &self.cmp;
         self.buffer.sort_by(|a, b| cmp(a, b));
-        let mut run = HeapFile::temp(&self.env)?;
+        let mut run = HeapWriter::temp(&self.env)?;
         for record in self.buffer.drain(..) {
             run.append(&record)?;
         }
+        let run = run.finish()?;
         self.governor.note_spill(self.buffered_bytes as u64);
         let registry = self.env.registry();
         registry.counter("saardb_sort_spills_total", &[]).inc();
@@ -388,6 +389,6 @@ mod tests {
         // After the iterator drops, no run files remain registered: a fresh
         // temp file gets a fresh id and the env accepts it.
         let t = crate::TempFile::new(&env).unwrap();
-        env.allocate_page(t.id()).unwrap();
+        env.appender(t.id()).unwrap().append().unwrap();
     }
 }

@@ -55,7 +55,7 @@ mod tests {
         {
             let tmp = TempFile::new(&env).unwrap();
             id = tmp.id();
-            env.allocate_page(id).unwrap();
+            env.appender(id).unwrap().append().unwrap();
         }
         assert!(env.page_count(id).is_err(), "file should be gone");
     }
@@ -65,7 +65,7 @@ mod tests {
         let env = Env::memory();
         let tmp = TempFile::new(&env).unwrap();
         let id = tmp.into_inner();
-        env.allocate_page(id).unwrap();
+        env.appender(id).unwrap().append().unwrap();
         assert_eq!(env.page_count(id).unwrap(), 1);
     }
 }

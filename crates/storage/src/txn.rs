@@ -26,8 +26,10 @@
 //!   spot and the request fails with [`StorageError::Deadlock`] — a
 //!   retryable error, exactly like the governor's `Cancelled`. A parked
 //!   request re-checks the thread's governor every 25 ms.
-//! * **Group commit.** Commit fsyncs the files the transaction created,
-//!   appends one commit record — the files it adds and the names it drops
+//! * **Group commit.** Commit fsyncs the files the transaction created
+//!   (a failed data fsync rolls the transaction back: the files may have
+//!   lost pages, and nothing is left to rewrite them from), appends one
+//!   commit record — the files it adds and the names it drops
 //!   — and calls [`crate::wal::Wal::sync_to`]: concurrent committers batch
 //!   behind a single `sync_data`, so `saardb_wal_syncs` grows sublinearly
 //!   in committers. A transaction that changed nothing costs no record and
@@ -412,10 +414,12 @@ impl Txn {
     /// commit record — the files it adds and the names it drops — and
     /// makes it durable through the group-commit gate; then unlinks the
     /// dropped files and releases every lock. A transaction that changed
-    /// nothing commits without touching the log (and without an fsync). On
-    /// error the transaction stays active — roll it back (or drop it) and
-    /// retry from `begin`. Last, the log is checkpointed if it has outgrown
-    /// its threshold (see [`Env::checkpoint`]).
+    /// nothing commits without touching the log (and without an fsync). A
+    /// failed data fsync rolls the transaction back — deleting its files —
+    /// before the error returns, as a deadlock does; on any later error
+    /// the transaction stays active — roll it back (or drop it) and retry
+    /// from `begin`. Last, the log is checkpointed if it has outgrown its
+    /// threshold (see [`Env::checkpoint`]).
     pub fn commit(&self) -> Result<()> {
         let drops = {
             let data = self.inner.data.lock().unwrap();
@@ -427,7 +431,10 @@ impl Txn {
         let mgr = self.env.txns();
         let created = self.env.new_files(self.inner.id);
         if !created.is_empty() || !drops.is_empty() {
-            self.env.make_durable(&created)?;
+            if let Err(e) = self.env.make_durable(&created) {
+                let _ = self.rollback();
+                return Err(e);
+            }
             if let Some(marker) = self.env.publish(&created, &drops)? {
                 if !self.env.sync_wal(marker.end)? {
                     mgr.counters.group_followers.inc();
@@ -526,9 +533,9 @@ mod tests {
             let _scope = txn.install();
             txn.lock("t", LockMode::Exclusive).unwrap();
             let f = env.create_file("t").unwrap();
-            let p = env.allocate_page(f).unwrap();
-            env.with_page_mut(f, p, |d| d[0] = 7).unwrap();
-            (f, p)
+            let mut app = env.appender(f).unwrap();
+            app.page()[0] = 7;
+            (f, app.append().unwrap())
         };
         assert!(!env.file_exists("t"), "invisible outside its transaction");
         assert!(env.committed_files().is_empty());
@@ -646,7 +653,7 @@ mod tests {
     fn no_txn_installed_means_no_locking() {
         let env = mem_env();
         let f = env.create_file("t").unwrap();
-        let p = env.allocate_page(f).unwrap();
+        let p = env.appender(f).unwrap().append().unwrap();
         let txn = env.begin_txn();
         txn.lock("t", LockMode::Exclusive).unwrap();
         // A plain (auto-commit) access on another thread ignores the lock
@@ -669,8 +676,7 @@ mod tests {
         {
             let _s = t1.install();
             let f = env.create_file("t").unwrap();
-            env.with_page_mut(f, env.allocate_page(f).unwrap(), |d| d[0] = 1)
-                .unwrap();
+            env.appender(f).unwrap().append().unwrap();
         }
         t1.commit().unwrap();
         let t2 = env.begin_txn();

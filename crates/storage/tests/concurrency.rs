@@ -13,10 +13,9 @@ fn concurrent_readers_on_shared_tree() {
         page_size: 1024,
         pool_bytes: 16 * 1024,
     });
-    let mut tree = BTree::create(&env, "shared").unwrap();
     let n = 2_000u64;
-    tree.bulk_load((0..n).map(|i| (i.to_be_bytes().to_vec(), format!("v{i}").into_bytes())))
-        .unwrap();
+    let entries = (0..n).map(|i| (i.to_be_bytes().to_vec(), format!("v{i}").into_bytes()));
+    let tree = BTree::build_in(&env, env.create_file("shared").unwrap(), entries).unwrap();
     let tree = Arc::new(tree);
 
     let mut handles = Vec::new();
@@ -50,9 +49,12 @@ fn concurrent_page_traffic_across_files() {
         .map(|i| env.create_file(&format!("f{i}")).unwrap())
         .collect();
     let pages_per_file = 16u64;
-    for &f in &files {
-        for _ in 0..pages_per_file {
-            env.allocate_page(f).unwrap();
+    for (t, &f) in files.iter().enumerate() {
+        let mut app = env.appender(f).unwrap();
+        for p in 0..pages_per_file {
+            app.page()[0] = t as u8;
+            app.page()[2] = p as u8;
+            app.append().unwrap();
         }
     }
     let env = Arc::new(env);
@@ -60,16 +62,7 @@ fn concurrent_page_traffic_across_files() {
     for (t, &file) in files.iter().enumerate() {
         let env = Arc::clone(&env);
         handles.push(thread::spawn(move || {
-            for round in 0..50u64 {
-                for p in 0..pages_per_file {
-                    let page = xmldb_storage::PageId(p);
-                    env.with_page_mut(file, page, |data| {
-                        data[0] = t as u8;
-                        data[1] = round as u8;
-                        data[2] = p as u8;
-                    })
-                    .unwrap();
-                }
+            for _round in 0..50u64 {
                 for p in 0..pages_per_file {
                     let page = xmldb_storage::PageId(p);
                     let (owner, pp) = env
@@ -94,18 +87,22 @@ fn concurrent_queries_through_cloned_envs() {
         page_size: 1024,
         pool_bytes: 32 * 1024,
     });
-    let mut tree = BTree::create(&env, "data").unwrap();
-    tree.bulk_load((0..500u64).map(|i| (i.to_be_bytes().to_vec(), vec![1u8; 16])))
-        .unwrap();
+    let entries = (0..500u64).map(|i| (i.to_be_bytes().to_vec(), vec![1u8; 16]));
+    let tree = BTree::build_in(&env, env.create_file("data").unwrap(), entries).unwrap();
     let tree = Arc::new(tree);
     let env2 = env.clone();
 
     let churn = thread::spawn(move || {
         for _ in 0..50 {
             let tmp = xmldb_storage::TempFile::new(&env2).unwrap();
-            env2.allocate_page(tmp.id()).unwrap();
-            env2.with_page_mut(tmp.id(), xmldb_storage::PageId(0), |d| d[0] = 1)
-                .unwrap();
+            let mut app = env2.appender(tmp.id()).unwrap();
+            app.page()[0] = 1;
+            app.append().unwrap();
+            assert_eq!(
+                env2.with_page(tmp.id(), xmldb_storage::PageId(0), |d| d[0])
+                    .unwrap(),
+                1
+            );
         }
     });
     let mut readers = Vec::new();

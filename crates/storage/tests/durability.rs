@@ -4,7 +4,7 @@
 //! versions: each commit builds the tree `t{n}` afresh from the model and
 //! drops `t{n-1}` in the same transaction. Regression coverage for the
 //! storage write path's durability bugs (each `reopen_after_*` test is one
-//! bug), plus a property test interleaving inserts, deletes and commits
+//! bug), plus a property test interleaving model edits, reads and commits
 //! with injected I/O errors: every operation either reports the error or
 //! leaves the tree readable, and reopening the environment always recovers
 //! exactly the last committed version — and no other.
@@ -28,7 +28,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Tiny pages and a tiny pool: splits and evictions from the start.
+/// Tiny pages and a tiny pool: deep trees and evictions from the start.
 fn config() -> EnvConfig {
     EnvConfig {
         page_size: 256,
@@ -77,10 +77,8 @@ fn build_version(
     model: &BTreeMap<Vec<u8>, Vec<u8>>,
 ) -> xmldb_storage::Result<BTree> {
     env.autocommit(|| {
-        let mut tree = BTree::create(env, &version(n))?;
-        for (k, v) in model {
-            tree.insert(k, v)?;
-        }
+        let entries = model.iter().map(|(k, v)| (k.clone(), v.clone()));
+        let tree = BTree::build_in(env, env.create_file(&version(n))?, entries)?;
         if n > 0 && env.file_exists(&version(n - 1)) {
             env.remove_file(env.open_file(&version(n - 1))?)?;
         }
@@ -159,12 +157,12 @@ fn reopen_after_torn_write_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Bug regression: a failed `Backend::sync` must leave the file dirty so
-/// a retried commit re-syncs it instead of silently losing the write —
-/// which the checkpoint after it makes unrecoverable. The failed sync
-/// drops the unsynced write; the retry rewrites it from the pool.
+/// A failed data fsync may have dropped writes it did not flush, and no
+/// copy is left to rewrite them from: the commit fails, rolling the
+/// transaction back and deleting its files, so a retried commit cannot
+/// publish them, and after a crash the directory holds no trace of them.
 #[test]
-fn failed_sync_does_not_lose_writes() {
+fn a_failed_data_fsync_rolls_the_commit_back() {
     let dir = scratch("sync");
     let faults = FaultState::new();
     {
@@ -172,50 +170,20 @@ fn failed_sync_does_not_lose_writes() {
         let txn: Txn = env.begin_txn();
         {
             let _s = txn.install();
-            let mut tree = BTree::create(&env, "t").unwrap();
-            tree.insert(b"k", b"v").unwrap();
+            let entries = (0..200)
+                .map(|i| (key(i), value(i)))
+                .collect::<BTreeMap<_, _>>();
+            BTree::build_in(&env, env.create_file("t").unwrap(), entries).unwrap();
         }
         faults.fail_next_sync();
         let err = txn.commit().unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
-        // Retry: the file is still dirty, so it is synced now, and the
-        // checkpoint drops everything but the catalog.
-        txn.commit().unwrap();
-        env.checkpoint().unwrap();
-        faults.kill_now();
-    }
-    let env = Env::open_dir(&dir, config()).unwrap();
-    let tree = BTree::open(&env, "t").unwrap();
-    assert_eq!(tree.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A failed fsync may drop the writes it did not flush (the fault plan's
-/// failed sync does). A retry can rewrite only the pages still in the
-/// pool: once the pool has evicted one, a retried commit that fsynced
-/// cleanly would publish a file with pages missing. The file can no longer
-/// commit; its transaction rolls back.
-#[test]
-fn failed_sync_after_an_eviction_cannot_commit() {
-    let dir = scratch("sync-evicted");
-    let faults = FaultState::new();
-    {
-        let env = faulted_env(&dir, &faults);
-        let txn: Txn = env.begin_txn();
-        {
-            let _s = txn.install();
-            let mut tree = BTree::create(&env, "t").unwrap();
-            for i in 0..200 {
-                tree.insert(&key(i), &value(i)).unwrap();
-            }
-        }
-        faults.fail_next_sync();
-        let first = txn.commit().unwrap_err();
-        assert!(matches!(first, StorageError::FaultInjected(_)), "{first}");
+        assert!(!txn.is_active(), "the commit rolled the transaction back");
         let retry = txn.commit().unwrap_err();
-        assert_eq!(retry.to_string(), first.to_string(), "the failure is final");
-        txn.rollback().unwrap();
+        assert!(matches!(retry, StorageError::TxnInactive { .. }), "{retry}");
         assert!(env.committed_files().is_empty());
+        assert!(!dir.join("t.sdb").exists(), "its files are gone");
+        assert_eq!(env.pinned_frames(), 0);
         faults.kill_now();
     }
     let env = Env::open_dir(&dir, config()).unwrap();
@@ -231,14 +199,11 @@ fn reopen_after_torn_extension_recovers() {
     let dir = scratch("extend");
     {
         let env = Env::open_dir(&dir, config()).unwrap();
-        env.autocommit(|| {
-            let mut tree = BTree::create(&env, "t")?;
-            for i in 0..40u64 {
-                tree.insert(&key(i), &value(i))?;
-            }
-            Ok::<_, StorageError>(())
-        })
-        .unwrap();
+        let entries = (0..40u64)
+            .map(|i| (key(i), value(i)))
+            .collect::<BTreeMap<_, _>>();
+        env.autocommit(|| BTree::build_in(&env, env.create_file("t")?, entries))
+            .unwrap();
     }
     // Simulate the torn extension directly: append a partial page.
     let path = dir.join("t.sdb");
@@ -304,7 +269,7 @@ fn log_with_a_retired_record_kind_is_refused_at_open() {
     let dir = scratch("retired");
     {
         let env = Env::open_dir(&dir, config()).unwrap();
-        env.autocommit(|| BTree::create(&env, "a").map(drop))
+        env.autocommit(|| BTree::build_in(&env, env.create_file("a")?, []).map(drop))
             .unwrap();
     }
     std::fs::write(dir.join("b.sdb"), vec![0u8; config().page_size]).unwrap();
@@ -363,45 +328,29 @@ fn op_strategy() -> impl Strategy<Value = FaultOp> {
     ]
 }
 
-/// Begins the transaction that builds version `n` from `committed`.
-fn begin_version(
-    env: &Env,
-    n: u64,
-    committed: &BTreeMap<Vec<u8>, Vec<u8>>,
-) -> xmldb_storage::Result<(Txn, BTree)> {
-    let txn = env.begin_txn();
-    let tree = {
-        let _s = txn.install();
-        build_version(env, n, committed)?
-    };
-    Ok((txn, tree))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Interleaves tree operations with injected I/O errors. Every
+    /// Interleaves model edits, reads of the committed version and commits
+    /// with injected I/O errors. Insert and Delete edit the model; Commit
+    /// builds the next version from it and drops the previous one. Every
     /// operation either returns an error or behaves per the model; after
     /// any error the environment is "crashed" (dropped) and reopened, and
     /// the recovered version must equal the last committed state exactly.
-    /// Each transaction builds the next version, which `Commit` commits.
     #[test]
     fn faults_never_corrupt_committed_state(ops in prop::collection::vec(op_strategy(), 1..80)) {
         let dir = scratch("prop");
         let faults = FaultState::new();
         let mut env = faulted_env(&dir, &faults);
         let mut committed: (Option<u64>, BTreeMap<Vec<u8>, Vec<u8>>) = (None, BTreeMap::new());
-        let mut next = 0u64;
-        let mut open = begin_version(&env, next, &committed.1).ok();
-        let mut model = committed.1.clone();
-        let mut crashed = open.is_none();
+        let mut model = BTreeMap::new();
+        let mut crashed = false;
 
         for op in &ops {
             if crashed {
                 // A power cut, then reopen: recovery must restore exactly
                 // the committed version.
                 faults.kill_now();
-                drop(open.take());
                 faults.disarm();
                 env = faulted_env(&dir, &faults);
                 let want: Vec<String> = committed.0.map(version).into_iter().collect();
@@ -410,39 +359,34 @@ proptest! {
                     let t = BTree::open(&env, &version(n)).unwrap();
                     prop_assert_eq!(tree_contents(&t).unwrap(), committed.1.clone());
                 }
-                next = committed.0.map_or(0, |n| n + 1);
-                open = begin_version(&env, next, &committed.1).ok();
                 model = committed.1.clone();
-                crashed = open.is_none();
-                if crashed {
-                    continue;
-                }
+                crashed = false;
             }
-            let (txn, t) = open.as_mut().unwrap();
-            let _s = txn.install();
             match op {
-                FaultOp::Insert(i) => match t.insert(&key(*i), &value(*i)) {
-                    Ok(_) => { model.insert(key(*i), value(*i)); }
-                    Err(_) => crashed = true,
-                },
-                FaultOp::Delete(i) => match t.delete(&key(*i)) {
-                    Ok(_) => { model.remove(&key(*i)); }
-                    Err(_) => crashed = true,
-                },
-                FaultOp::Get(i) => match t.get(&key(*i)) {
-                    Ok(v) => prop_assert_eq!(v, model.get(&key(*i)).cloned()),
-                    Err(_) => crashed = true,
-                },
-                FaultOp::Commit => match txn.commit() {
-                    Ok(()) => {
-                        committed = (Some(next), model.clone());
-                        next += 1;
-                        drop(_s);
-                        open = begin_version(&env, next, &committed.1).ok();
-                        crashed = open.is_none() || env.flush().is_err();
+                FaultOp::Insert(i) => {
+                    model.insert(key(*i), value(*i));
+                }
+                FaultOp::Delete(i) => {
+                    model.remove(&key(*i));
+                }
+                FaultOp::Get(i) => {
+                    if let Some(n) = committed.0 {
+                        match BTree::open(&env, &version(n)).and_then(|t| t.get(&key(*i))) {
+                            Ok(v) => prop_assert_eq!(v, committed.1.get(&key(*i)).cloned()),
+                            Err(_) => crashed = true,
+                        }
                     }
-                    Err(_) => crashed = true,
-                },
+                }
+                FaultOp::Commit => {
+                    let next = committed.0.map_or(0, |n| n + 1);
+                    match build_version(&env, next, &model) {
+                        Ok(_) => {
+                            committed = (Some(next), model.clone());
+                            crashed = env.flush().is_err();
+                        }
+                        Err(_) => crashed = true,
+                    }
+                }
                 FaultOp::FailNextWrite => faults.fail_next_write(),
                 FaultOp::FailNextSync => faults.fail_next_sync(),
             }
@@ -450,7 +394,6 @@ proptest! {
 
         // Final verdict: power cut, recover, compare to committed.
         faults.kill_now();
-        drop(open.take());
         drop(env);
         let env = Env::open_dir(&dir, config()).unwrap();
         let want: Vec<String> = committed.0.map(version).into_iter().collect();

@@ -1,16 +1,13 @@
-//! Model-based property tests: the B+-tree must behave exactly like
-//! `BTreeMap<Vec<u8>, Vec<u8>>` under arbitrary operation sequences, and the
-//! external sorter like `sort()`.
+//! Model-based property tests: a bulk-built B+-tree must answer exactly
+//! like the `BTreeMap<Vec<u8>, Vec<u8>>` it was built from under arbitrary
+//! read sequences, and the external sorter must agree with `sort()`.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::ops::Bound;
 use xmldb_storage::{BTree, Env, EnvConfig, ExternalSorter, Seeker};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert(Vec<u8>, Vec<u8>),
-    Delete(Vec<u8>),
     Get(Vec<u8>),
     Contains(Vec<u8>),
     Range(Vec<u8>, Vec<u8>),
@@ -20,22 +17,17 @@ enum Op {
     Prefix(Vec<u8>),
     FullScan,
     /// Included lower / Excluded upper through one seeker kept across the
-    /// whole sequence: its remembered leaf may since have split, emptied
-    /// or stopped covering the bound.
+    /// whole sequence: its remembered leaf may not cover the bound.
     SeekScan(Vec<u8>, Vec<u8>),
 }
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-    // Short keys from a narrow alphabet maximize collisions (replacements,
-    // deletes of present keys).
+    // Short keys from a narrow alphabet make probes hit present keys.
     prop::collection::vec(0u8..4, 1..6)
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (key_strategy(), prop::collection::vec(any::<u8>(), 0..40))
-            .prop_map(|(k, v)| Op::Insert(k, v)),
-        key_strategy().prop_map(Op::Delete),
         key_strategy().prop_map(Op::Get),
         key_strategy().prop_map(Op::Contains),
         (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::Range(a, b)),
@@ -47,7 +39,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn tiny_env() -> Env {
-    // Small pages force splits early; a small pool forces eviction.
+    // Small pages force many levels and overflow values; a small pool
+    // forces eviction.
     Env::memory_with(EnvConfig {
         page_size: 256,
         pool_bytes: 8 * 256,
@@ -58,22 +51,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn btree_matches_btreemap(ops in prop::collection::vec(op_strategy(), 1..120)) {
+    fn btree_matches_btreemap(
+        model in prop::collection::btree_map(
+            key_strategy(),
+            prop::collection::vec(any::<u8>(), 0..60),
+            0..200,
+        ),
+        ops in prop::collection::vec(op_strategy(), 1..120),
+    ) {
         let env = tiny_env();
-        let mut tree = BTree::create(&env, "t").unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let entries = model.iter().map(|(k, v)| (k.clone(), v.clone()));
+        let tree = BTree::build_in(&env, env.create_file("t").unwrap(), entries).unwrap();
+        prop_assert_eq!(tree.len(), model.len() as u64);
         let mut seeker = Seeker::default();
         for op in ops {
             match op {
-                Op::Insert(k, v) => {
-                    let fresh = tree.insert(&k, &v).unwrap();
-                    let was_new = model.insert(k, v).is_none();
-                    prop_assert_eq!(fresh, was_new);
-                }
-                Op::Delete(k) => {
-                    let removed = tree.delete(&k).unwrap();
-                    prop_assert_eq!(removed, model.remove(&k).is_some());
-                }
                 Op::Get(k) => {
                     prop_assert_eq!(tree.get(&k).unwrap(), model.get(&k).cloned());
                 }
@@ -141,7 +133,9 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(tree.len(), model.len() as u64);
+        }
+        for (k, v) in &model {
+            prop_assert_eq!(tree.get(k).unwrap(), Some(v.clone()));
         }
     }
 
@@ -154,8 +148,8 @@ proptest! {
         )
     ) {
         let env = tiny_env();
-        let mut bulk = BTree::create(&env, "bulk").unwrap();
-        bulk.bulk_load(entries.iter().map(|(k, v)| (k.clone(), v.clone()))).unwrap();
+        let pairs = entries.iter().map(|(k, v)| (k.clone(), v.clone()));
+        let bulk = BTree::build_in(&env, env.create_file("bulk").unwrap(), pairs).unwrap();
         let scanned: Vec<(Vec<u8>, Vec<u8>)> = bulk.iter().map(|r| r.unwrap()).collect();
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect();

@@ -5,8 +5,8 @@ use xmldb_datagen::{classroom_document, figure2_document, DblpConfig, TreebankCo
 /// Scale configuration for the generated documents.
 #[derive(Debug, Clone)]
 pub struct CorpusConfig {
-    /// Scale factor of the big DBLP substitute (1.0 ≈ 250 KB; the paper's
-    /// 250 MB corresponds to ≈ 1000).
+    /// Scale factor of the big DBLP substitute (1.0 ≈ 0.150 MB; the
+    /// paper's 250 MB corresponds to ≈ 1 663).
     pub dblp_scale: f64,
     /// Scale factor of the DBLP excerpt.
     pub excerpt_scale: f64,

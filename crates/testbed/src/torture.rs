@@ -356,10 +356,10 @@ pub fn checkpoint_window_torture() -> xmldb_core::Result<CancelTortureReport> {
             {
                 let env = Env::open_dir(&dir, env_config.clone())?;
                 env.autocommit(|| {
-                    let f = env.create_file("t")?;
+                    let mut app = env.appender(env.create_file("t")?)?;
                     for i in 0..20u64 {
-                        let p = env.allocate_page(f)?;
-                        env.with_page_mut(f, p, |d| d[0] = i as u8)?;
+                        app.page()[0] = i as u8;
+                        app.append()?;
                     }
                     Ok::<_, xmldb_storage::StorageError>(())
                 })?;

@@ -171,18 +171,20 @@ pub fn shred_document_with(
         &mut text_sorter,
     )?;
 
-    // Bulk-load each index from its sorted stream.
-    let mut clustered = BTree::create(env, &names.clustered)?;
-    clustered.bulk_load(SplitRecords::new(clustered_sorter.finish()?))?;
-    let mut label_idx = BTree::create(env, &names.label)?;
-    label_idx.bulk_load(SplitRecords::new(label_sorter.finish()?))?;
-    let mut parent_idx = BTree::create(env, &names.parent)?;
-    parent_idx.bulk_load(SplitRecords::new(parent_sorter.finish()?))?;
+    // Bulk-build each index from its sorted stream.
+    let build = |name: &str, records| BTree::build_in(env, env.create_file(name)?, records);
+    let clustered = build(
+        &names.clustered,
+        SplitRecords::new(clustered_sorter.finish()?),
+    )?;
+    let label_idx = build(&names.label, SplitRecords::new(label_sorter.finish()?))?;
+    let parent_idx = build(&names.parent, SplitRecords::new(parent_sorter.finish()?))?;
     // The text index loads through a distinct-prefix counter: the stream is
     // sorted by (value-prefix, in), so distinct values are adjacent runs.
-    let mut text_idx = BTree::create(env, &names.text)?;
     let mut distinct = DistinctPrefixCounter::default();
-    text_idx.bulk_load(
+    let text_idx = BTree::build_in(
+        env,
+        env.create_file(&names.text)?,
         SplitRecords::new(text_sorter.finish()?).inspect(|(k, _)| distinct.observe(k)),
     )?;
     stats.distinct_text_values = distinct.count;

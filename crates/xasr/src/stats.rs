@@ -5,7 +5,7 @@
 
 use crate::Result;
 use std::collections::BTreeMap;
-use xmldb_storage::{codec, Env, FileId, HeapFile};
+use xmldb_storage::{codec, Env, FileId, HeapFile, HeapWriter};
 
 /// Statistics over one shredded document.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -84,7 +84,7 @@ impl Statistics {
             let file = env.open_file(name)?;
             env.remove_file(file)?;
         }
-        let mut heap = HeapFile::create(env, name)?;
+        let mut heap = HeapWriter::create(env, name)?;
         let mut header = Vec::new();
         codec::put_u64(&mut header, self.node_count);
         codec::put_u64(&mut header, self.element_count);
@@ -101,6 +101,7 @@ impl Statistics {
             codec::put_u64(&mut rec, *count);
             heap.append(&rec)?;
         }
+        heap.finish()?;
         Ok(())
     }
 
