@@ -190,12 +190,12 @@ fn repeated_read_in_a_transaction_outlasts_a_concurrent_drop() {
     ));
 }
 
-/// A drop racing autocommit readers: a drop that found one of the
-/// document's frames pinned failed with `FileBusy`, and a drop that got
-/// through deleted files from under running queries, which then failed
-/// mid-query with an untyped "no such file". The reader's store now pins
-/// the document's files; a committed drop leaves them readable to it and
-/// frees them with the last pin.
+/// A drop racing autocommit readers: a drop could fail because a reader
+/// held one of the document's pages, or delete files from under running
+/// queries, which then failed mid-query with an untyped "no such file". A
+/// reader now holds its pages, which removal leaves intact, and its store
+/// pins the document's files; a committed drop leaves them readable to it
+/// and frees them with the last pin.
 #[test]
 fn drop_and_reload_under_a_looping_reader_never_fail_untyped() {
     drop_and_reload_under_a_looping_reader(&Database::in_memory());

@@ -3,7 +3,8 @@
 use crate::exec::{ExecContext, Operator};
 use crate::row::{decode_row, encode_row};
 use crate::{Error, Result, RowBatch};
-use xmldb_storage::{HeapFile, HeapWriter, SortedRecords};
+use xmldb_storage::heap::OwnedScan;
+use xmldb_storage::{HeapWriter, SortedRecords};
 use xmldb_xasr::NodeTuple;
 
 /// Default sort memory budget (run-generation buffer).
@@ -110,61 +111,46 @@ impl Operator for SortOp {
 /// operation").
 pub struct MaterializeOp {
     input: Box<dyn Operator>,
-    heap: Option<HeapFile>,
-    /// Cursor: (data page index, offset within the page's records).
-    page: u64,
-    buffered: Vec<Vec<u8>>,
-    buffer_pos: usize,
+    /// The materialized rows, streamed by a scan that each open rewinds.
+    rows: Option<OwnedScan>,
 }
 
 impl MaterializeOp {
     /// Materializes `input` into a scratch file on first open.
     pub fn new(input: Box<dyn Operator>) -> MaterializeOp {
-        MaterializeOp {
-            input,
-            heap: None,
-            page: 0,
-            buffered: Vec::new(),
-            buffer_pos: 0,
-        }
+        MaterializeOp { input, rows: None }
     }
 }
 
 impl Operator for MaterializeOp {
     fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        if self.heap.is_none() {
-            let mut heap = HeapWriter::temp(ctx.store.env())?;
-            self.input.open(ctx)?;
-            drain(&mut *self.input, ctx, |row| {
-                heap.append(&encode_row(row))?;
-                Ok(())
-            })?;
-            self.input.close();
-            self.heap = Some(heap.finish()?);
+        match &mut self.rows {
+            Some(rows) => rows.rewind(),
+            None => {
+                let mut heap = HeapWriter::temp(ctx.store.env())?;
+                self.input.open(ctx)?;
+                drain(&mut *self.input, ctx, |row| {
+                    heap.append(&encode_row(row))?;
+                    Ok(())
+                })?;
+                self.input.close();
+                self.rows = Some(heap.finish()?.into_scan());
+            }
         }
-        self.page = 0;
-        self.buffered.clear();
-        self.buffer_pos = 0;
         Ok(())
     }
 
     fn next_batch(&mut self, _ctx: &ExecContext<'_>, max_rows: usize) -> Result<RowBatch> {
-        let heap = self
-            .heap
-            .as_ref()
+        let rows = self
+            .rows
+            .as_mut()
             .ok_or_else(|| Error::Xasr("materialize not open".into()))?;
         let mut batch = RowBatch::default();
         while batch.len() < max_rows {
-            if self.buffer_pos < self.buffered.len() {
-                batch.push_row_vec(decode_row(&self.buffered[self.buffer_pos])?);
-                self.buffer_pos += 1;
-            } else if self.page < heap.data_pages()? {
-                self.buffered = heap.page_records(self.page)?;
-                self.buffer_pos = 0;
-                self.page += 1;
-            } else {
+            let Some(record) = rows.next_record()? else {
                 break;
-            }
+            };
+            batch.push_row_vec(decode_row(record)?);
         }
         Ok(batch)
     }
@@ -172,8 +158,9 @@ impl Operator for MaterializeOp {
     fn close(&mut self) {
         // Keep the heap: re-open streams it again without recompute. It is
         // dropped (and its scratch file deleted) with the operator.
-        self.buffered.clear();
-        self.buffer_pos = 0;
+        if let Some(rows) = &mut self.rows {
+            rows.rewind();
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -118,9 +118,9 @@ mod tests {
         let snap = env.io_stats();
         assert_eq!(snap.requests(), 0, "building never touches the pool");
         assert_eq!(snap.physical_writes, 21);
-        assert_eq!(env.with_page(f, PageId(0), |d| d[0]).unwrap(), 99);
+        assert_eq!(env.page(f, PageId(0)).map(|d| d[0]).unwrap(), 99);
         for i in 1..20u8 {
-            let v = env.with_page(f, PageId(u64::from(i)), |d| d[0]).unwrap();
+            let v = env.page(f, PageId(u64::from(i))).unwrap()[0];
             assert_eq!(v, i);
         }
     }

@@ -13,15 +13,15 @@
 //!   [`PageAppender`], never through the buffer pool.
 //! * Pages use the slotted layout of [`crate::node`] (format v2): a
 //!   cell-offset directory lets the read path binary-search keys *in
-//!   place* against the pinned frame bytes. `get`, `contains` and cursor
-//!   descent run on [`crate::node::NodeView`]s and allocate only for rows
-//!   actually returned.
-//! * Cursors copy the in-range cells of one leaf out per page acquire
-//!   rather than pinning frames across `next()` calls — engine iterators
-//!   nest as deep as the document, and pins held that long could exhaust
-//!   the small pools the efficiency tests run under.
-//! * Visitor scans are [`Seeker`] scans: zero-copy over the pinned leaves,
-//!   and a seeker remembers its last leaf, so scans in key order seek
+//!   place* against the page bytes. `get`, `contains` and cursor descent
+//!   run on [`crate::node::NodeView`]s and allocate only for rows actually
+//!   returned.
+//! * A [`Cursor`] holds its current leaf's page (a shared handle from the
+//!   pool, see [`Env::page`]) and a slot index across `next()` calls. The
+//!   page never changes, so the pool may evict its frame meanwhile; the
+//!   cursor copies out only the rows it returns.
+//! * Visitor scans are [`Seeker`] scans: zero-copy over the leaves, and a
+//!   seeker remembers its last leaf, so scans in key order seek
 //!   leaf-locally.
 //! * Keys must compare lexicographically ([`crate::codec`] provides
 //!   order-preserving encodings) and are unique.
@@ -54,6 +54,7 @@ use crate::node::{
 use crate::page::PageId;
 use crate::Result;
 use std::ops::Bound;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"SABT";
 const META_ROOT: usize = 4;
@@ -185,22 +186,18 @@ impl BTree {
 
     /// Opens the existing tree in an open file (see [`Env::pin_files`]).
     pub fn open_in(env: &Env, file: FileId) -> Result<BTree> {
-        let (root, count, height) = env.with_page(file, PageId(0), |data| {
-            if &data[..4] != MAGIC {
-                return Err(StorageError::corrupt(format!("{file}: bad btree magic")));
-            }
-            Ok((
-                u64::from_le_bytes(data[META_ROOT..META_ROOT + 8].try_into().unwrap()),
-                u64::from_le_bytes(data[META_COUNT..META_COUNT + 8].try_into().unwrap()),
-                u32::from_le_bytes(data[META_HEIGHT..META_HEIGHT + 4].try_into().unwrap()),
-            ))
-        })??;
+        let data = env.page(file, PageId(0))?;
+        if &data[..4] != MAGIC {
+            return Err(StorageError::corrupt(format!("{file}: bad btree magic")));
+        }
         Ok(BTree {
             env: env.clone(),
             file,
-            root: PageId(root),
-            height,
-            count,
+            root: PageId(u64::from_le_bytes(
+                data[META_ROOT..META_ROOT + 8].try_into().unwrap(),
+            )),
+            height: u32::from_le_bytes(data[META_HEIGHT..META_HEIGHT + 4].try_into().unwrap()),
+            count: u64::from_le_bytes(data[META_COUNT..META_COUNT + 8].try_into().unwrap()),
         })
     }
 
@@ -231,7 +228,7 @@ impl BTree {
         self.env.page_size() / 8
     }
 
-    /// Runs one descent step against the pinned page bytes: internal nodes
+    /// Runs one descent step against the page bytes: internal nodes
     /// resolve the child pointer in place, leaves are handed to `at_leaf`.
     fn view_step<T>(
         &self,
@@ -240,14 +237,13 @@ impl BTree {
         at_leaf: impl FnOnce(&crate::node::LeafView<'_>) -> T,
     ) -> Result<Step<T>> {
         let stats = self.env.counters();
-        self.env.with_page(self.file, page, |data| {
-            stats.note_node_view();
-            stats.note_in_place_search();
-            match NodeView::parse(data)? {
-                NodeView::Internal(view) => Ok(Step::Descend(view.child_for(key))),
-                NodeView::Leaf(view) => Ok(Step::Leaf(at_leaf(&view))),
-            }
-        })?
+        let data = self.env.page(self.file, page)?;
+        stats.note_node_view();
+        stats.note_in_place_search();
+        match NodeView::parse(&data)? {
+            NodeView::Internal(view) => Ok(Step::Descend(view.child_for(key))),
+            NodeView::Leaf(view) => Ok(Step::Leaf(at_leaf(&view))),
+        }
     }
 
     // --- point operations --------------------------------------------------------
@@ -288,13 +284,10 @@ impl BTree {
                 let mut out = Vec::with_capacity(len as usize);
                 let mut next = page;
                 while next != NO_SIBLING {
-                    next = self.env.with_page(self.file, PageId(next), |data| {
-                        let n = u64::from_le_bytes(data[..8].try_into().unwrap());
-                        let chunk_len =
-                            u32::from_le_bytes(data[8..12].try_into().unwrap()) as usize;
-                        out.extend_from_slice(&data[12..12 + chunk_len]);
-                        n
-                    })?;
+                    let data = self.env.page(self.file, PageId(next))?;
+                    next = u64::from_le_bytes(data[..8].try_into().unwrap());
+                    let chunk_len = u32::from_le_bytes(data[8..12].try_into().unwrap()) as usize;
+                    out.extend_from_slice(&data[12..12 + chunk_len]);
                 }
                 if out.len() != len as usize {
                     return Err(StorageError::corrupt("overflow chain length mismatch"));
@@ -341,14 +334,13 @@ impl BTree {
 
     /// Visits every `(key, value)` pair with keys in `[lower, upper]`, in
     /// ascending order, without materializing rows: `visit` receives
-    /// slices borrowed straight from the pinned page (only overflow
+    /// slices borrowed straight from the leaf's page (only overflow
     /// values are assembled into a scratch buffer first). Scanning stops
     /// early when `visit` returns `false`. A one-shot [`Seeker`].
     ///
     /// This is the fast path the slotted layout exists for — a full scan
-    /// allocates nothing per row. `visit` runs while the leaf's frame is
-    /// pinned under a read latch, so it must not write to this
-    /// environment; nested *reads* (even on this tree) are fine.
+    /// allocates nothing per row. `visit` may read this environment, this
+    /// tree included, while the scan holds its leaf.
     pub fn scan_range(
         &self,
         lower: Bound<&[u8]>,
@@ -400,19 +392,11 @@ impl BTree {
     fn leftmost_leaf(&self) -> Result<PageId> {
         let mut page = self.root;
         loop {
-            let stats = self.env.counters();
-            let step = self
-                .env
-                .with_page(self.file, page, |data| -> Result<Step<()>> {
-                    stats.note_node_view();
-                    match NodeView::parse(data)? {
-                        NodeView::Internal(view) => Ok(Step::Descend(view.leftmost())),
-                        NodeView::Leaf(_) => Ok(Step::Leaf(())),
-                    }
-                })??;
-            match step {
-                Step::Descend(child) => page = PageId(child),
-                Step::Leaf(()) => return Ok(page),
+            let data = self.env.page(self.file, page)?;
+            self.env.counters().note_node_view();
+            match NodeView::parse(&data)? {
+                NodeView::Internal(view) => page = PageId(view.leftmost()),
+                NodeView::Leaf(_) => return Ok(page),
             }
         }
     }
@@ -533,14 +517,14 @@ fn clone_bound(b: Bound<&[u8]>) -> Bound<Vec<u8>> {
 
 /// A forward scan position over a [`BTree`]: each [`Seeker::scan_range`]
 /// is a zero-copy visitor scan, and the seeker remembers the file and page
-/// id of the last leaf it read. The next scan of the same tree re-pins
-/// that leaf and starts there when the leaf still covers its lower bound —
-/// holds a key at or below it and one at or above it — or when the bound
-/// lies past the leaf's keys and the right sibling covers it; otherwise it
-/// descends from the root. Scans in ascending key order (query results in
+/// id of the last leaf it read. The next scan of the same tree fetches
+/// that leaf again and starts there when the leaf still covers its lower
+/// bound — holds a key at or below it and one at or above it — or when the
+/// bound lies past the leaf's keys and the right sibling covers it;
+/// otherwise it descends from the root. Scans in ascending key order (query results in
 /// document order) thus cost a leaf-local seek each, not a descent.
 ///
-/// No pin is held between scans. A page never changes once written, so
+/// No page is held between scans. A page never changes once written, so
 /// the page id is trusted the way a scan trusts a sibling id it read a
 /// leaf earlier; a seeker is kept no longer than one query execution,
 /// which holds its files against drops.
@@ -600,7 +584,7 @@ impl Seeker {
         }
     }
 
-    /// Reads the in-range cells of leaf `page` under one page acquire.
+    /// Reads the in-range cells of leaf `page` under one page fetch.
     fn read_leaf(
         &mut self,
         tree: &BTree,
@@ -611,123 +595,62 @@ impl Seeker {
         visit: &mut impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<Read> {
         let stats = tree.env.counters();
-        let read = tree
-            .env
-            .with_page(tree.file, page, |data| -> Result<Read> {
-                stats.note_node_view();
-                let view = match NodeView::parse(data) {
-                    Ok(NodeView::Leaf(view)) => view,
-                    _ if entry == Entry::Remembered => return Ok(Read::Miss),
-                    _ => return Err(StorageError::corrupt("expected leaf page in scan")),
-                };
-                // `start` is the first cell in range; `proven` says no earlier
-                // leaf holds one (this leaf has a cell below the bound, or the
-                // bound's own key).
-                let (start, proven) = match (entry, lower) {
-                    (Entry::Sibling, _) | (_, Bound::Unbounded) => (0, true),
-                    (_, Bound::Included(k) | Bound::Excluded(k)) => {
-                        stats.note_in_place_search();
-                        match (view.search(k), lower) {
-                            (Ok(i), Bound::Excluded(_)) => (i + 1, true),
-                            (Ok(i), _) => (i, true),
-                            (Err(i), _) => (i, i > 0),
-                        }
-                    }
-                };
-                let past = start == view.nkeys();
-                if (entry == Entry::Remembered && !proven) || (entry == Entry::Hop && past) {
-                    return Ok(Read::Miss);
+        let data = tree.env.page(tree.file, page)?;
+        stats.note_node_view();
+        let view = match NodeView::parse(&data) {
+            Ok(NodeView::Leaf(view)) => view,
+            _ if entry == Entry::Remembered => return Ok(Read::Miss),
+            _ => return Err(StorageError::corrupt("expected leaf page in scan")),
+        };
+        // `start` is the first cell in range; `proven` says no earlier leaf
+        // holds one (this leaf has a cell below the bound, or the bound's
+        // own key).
+        let (start, proven) = match (entry, lower) {
+            (Entry::Sibling, _) | (_, Bound::Unbounded) => (0, true),
+            (_, Bound::Included(k) | Bound::Excluded(k)) => {
+                stats.note_in_place_search();
+                match (view.search(k), lower) {
+                    (Ok(i), Bound::Excluded(_)) => (i + 1, true),
+                    (Ok(i), _) => (i, true),
+                    (Err(i), _) => (i, i > 0),
                 }
-                for i in start..view.nkeys() {
-                    let keep = match (view.cell(i), upper) {
-                        ((key, _), Bound::Included(u)) if key > u => false,
-                        ((key, _), Bound::Excluded(u)) if key >= u => false,
-                        ((key, ValueRef::Inline(v)), _) => visit(key, v),
-                        ((key, ValueRef::Overflow { page, len }), _) => {
-                            visit(key, &tree.load_value(LeafVal::Overflow { page, len })?)
-                        }
-                    };
-                    if !keep {
-                        return Ok(Read::Next(NO_SIBLING));
-                    }
-                }
-                Ok(match past {
-                    true => Read::Past(view.next_leaf()),
-                    false => Read::Next(view.next_leaf()),
-                })
-            })??;
-        if !matches!(read, Read::Miss) {
-            self.leaf = Some((tree.file, page));
+            }
+        };
+        let past = start == view.nkeys();
+        if (entry == Entry::Remembered && !proven) || (entry == Entry::Hop && past) {
+            return Ok(Read::Miss);
         }
-        Ok(read)
+        self.leaf = Some((tree.file, page));
+        for i in start..view.nkeys() {
+            let keep = match (view.cell(i), upper) {
+                ((key, _), Bound::Included(u)) if key > u => false,
+                ((key, _), Bound::Excluded(u)) if key >= u => false,
+                ((key, ValueRef::Inline(v)), _) => visit(key, v),
+                ((key, ValueRef::Overflow { page, len }), _) => {
+                    visit(key, &tree.load_value(LeafVal::Overflow { page, len })?)
+                }
+            };
+            if !keep {
+                return Ok(Read::Next(NO_SIBLING));
+            }
+        }
+        Ok(match past {
+            true => Read::Past(view.next_leaf()),
+            false => Read::Next(view.next_leaf()),
+        })
     }
 }
 
 // --- cursor --------------------------------------------------------------------
 
-/// Copies the in-range cells of one leaf out under a single page acquire.
-///
-/// Returns the copied rows and the next leaf to visit ([`NO_SIBLING`] when
-/// the scan is finished — either the leaf chain ended or a key crossed
-/// `upper`, in which case no later leaf can be in range). The start
-/// position comes from an in-place binary search when `lower` is given
-/// (initial seek) and is 0 otherwise (sibling steps).
-/// Rows copied out of one leaf plus the next leaf page to visit.
-type LeafBatch = (Vec<(Vec<u8>, LeafVal)>, u64);
-
-fn load_leaf(
-    tree: &BTree,
-    upper: &Bound<Vec<u8>>,
-    page: PageId,
-    lower: Option<&Bound<Vec<u8>>>,
-) -> Result<LeafBatch> {
-    let stats = tree.env.counters();
-    tree.env.with_page(tree.file, page, |data| {
-        stats.note_node_view();
-        let NodeView::Leaf(view) = NodeView::parse(data)? else {
-            return Err(StorageError::corrupt("expected leaf page in cursor"));
-        };
-        let start = match lower {
-            None | Some(Bound::Unbounded) => 0,
-            Some(Bound::Included(k)) => {
-                stats.note_in_place_search();
-                view.search(k).unwrap_or_else(|i| i)
-            }
-            Some(Bound::Excluded(k)) => {
-                stats.note_in_place_search();
-                match view.search(k) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                }
-            }
-        };
-        let mut rows = Vec::with_capacity(view.nkeys().saturating_sub(start));
-        let mut next = view.next_leaf();
-        for i in start..view.nkeys() {
-            let (key, val) = view.cell(i);
-            let in_range = match upper {
-                Bound::Unbounded => true,
-                Bound::Included(u) => key <= u.as_slice(),
-                Bound::Excluded(u) => key < u.as_slice(),
-            };
-            if !in_range {
-                next = NO_SIBLING;
-                break;
-            }
-            rows.push((key.to_vec(), val.to_leaf_val()));
-        }
-        Ok((rows, next))
-    })?
-}
-
 enum CursorState {
     Unseeked {
         lower: Bound<Vec<u8>>,
     },
-    /// Draining the in-range rows copied out of one leaf.
+    /// Reading the held leaf page from cell `slot` on.
     At {
-        rows: std::vec::IntoIter<(Vec<u8>, LeafVal)>,
-        next_leaf: u64,
+        leaf: Arc<[u8]>,
+        slot: usize,
     },
     Done,
 }
@@ -741,50 +664,82 @@ pub struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn seek(&mut self, lower: Bound<Vec<u8>>) -> Result<()> {
-        let leaf = match &lower {
-            Bound::Unbounded => self.tree.leftmost_leaf()?,
-            Bound::Included(k) | Bound::Excluded(k) => self.tree.leaf_for(k)?,
+    /// Fetches leaf `page` and holds it, starting at its first cell in
+    /// range of `lower`: a seek's bound, found by an in-place binary
+    /// search, or [`Bound::Unbounded`] for a sibling step.
+    fn enter(&mut self, page: PageId, lower: &Bound<Vec<u8>>) -> Result<()> {
+        let stats = self.tree.env.counters();
+        let leaf = self.tree.env.page(self.tree.file, page)?;
+        stats.note_node_view();
+        let NodeView::Leaf(view) = NodeView::parse(&leaf)? else {
+            return Err(StorageError::corrupt("expected leaf page in cursor"));
         };
-        let (rows, next_leaf) = load_leaf(self.tree, &self.upper, leaf, Some(&lower))?;
-        self.state = CursorState::At {
-            rows: rows.into_iter(),
-            next_leaf,
+        let slot = match lower {
+            Bound::Unbounded => 0,
+            Bound::Included(k) | Bound::Excluded(k) => {
+                stats.note_in_place_search();
+                match (view.search(k), lower) {
+                    (Ok(i), Bound::Excluded(_)) => i + 1,
+                    (Ok(i) | Err(i), _) => i,
+                }
+            }
         };
+        self.state = CursorState::At { leaf, slot };
         Ok(())
     }
 
     fn advance(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        if matches!(self.state, CursorState::Unseeked { .. }) {
-            let CursorState::Unseeked { lower } =
-                std::mem::replace(&mut self.state, CursorState::Done)
-            else {
-                unreachable!("matched Unseeked above")
-            };
-            self.seek(lower)?;
-        }
         loop {
-            let next_page = match &mut self.state {
-                CursorState::Done | CursorState::Unseeked { .. } => return Ok(None),
-                CursorState::At { rows, next_leaf } => {
-                    if let Some((key, val)) = rows.next() {
-                        let value = self.tree.load_value(val)?;
-                        return Ok(Some((key, value)));
-                    }
-                    if *next_leaf == NO_SIBLING {
-                        self.state = CursorState::Done;
-                        return Ok(None);
-                    }
-                    PageId(*next_leaf)
+            let next = match &mut self.state {
+                CursorState::Unseeked { lower } => {
+                    let lower = std::mem::replace(lower, Bound::Unbounded);
+                    let page = match &lower {
+                        Bound::Unbounded => self.tree.leftmost_leaf()?,
+                        Bound::Included(k) | Bound::Excluded(k) => self.tree.leaf_for(k)?,
+                    };
+                    self.enter(page, &lower)?;
+                    continue;
                 }
+                CursorState::At { leaf, slot } => match next_cell(leaf, slot, &self.upper)? {
+                    Ok((key, val)) => return Ok(Some((key, self.tree.load_value(val)?))),
+                    Err(next) => next,
+                },
+                CursorState::Done => return Ok(None),
             };
-            let (rows, next_leaf) = load_leaf(self.tree, &self.upper, next_page, None)?;
-            self.state = CursorState::At {
-                rows: rows.into_iter(),
-                next_leaf,
-            };
+            if next == NO_SIBLING {
+                self.state = CursorState::Done;
+                return Ok(None);
+            }
+            self.enter(PageId(next), &Bound::Unbounded)?;
         }
     }
+}
+
+/// The cell at `slot` of a held leaf if it is in range of `upper`, moving
+/// `slot` past it; else the leaf to read next ([`NO_SIBLING`] once a key
+/// crossed `upper`, as no later leaf can be in range).
+fn next_cell(
+    leaf: &[u8],
+    slot: &mut usize,
+    upper: &Bound<Vec<u8>>,
+) -> Result<std::result::Result<(Vec<u8>, LeafVal), u64>> {
+    let NodeView::Leaf(view) = NodeView::parse(leaf)? else {
+        return Err(StorageError::corrupt("expected leaf page in cursor"));
+    };
+    if *slot == view.nkeys() {
+        return Ok(Err(view.next_leaf()));
+    }
+    let (key, val) = view.cell(*slot);
+    *slot += 1;
+    let in_range = match upper {
+        Bound::Unbounded => true,
+        Bound::Included(u) => key <= u.as_slice(),
+        Bound::Excluded(u) => key < u.as_slice(),
+    };
+    Ok(match in_range {
+        true => Ok((key.to_vec(), val.to_leaf_val())),
+        false => Err(NO_SIBLING),
+    })
 }
 
 impl<'a> Iterator for Cursor<'a> {

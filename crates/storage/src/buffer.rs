@@ -1,32 +1,39 @@
 //! The buffer pool: a fixed set of page frames shared by every file of an
-//! environment, with clock (second-chance) eviction and pin counting. It is
-//! a read cache: pages are written once, straight to their backend, before
-//! anyone reads them (see [`crate::PageAppender`]), so no frame is ever
-//! dirty and eviction just forgets the victim.
+//! environment, with clock (second-chance) eviction. It is a read cache:
+//! pages are written once, straight to their backend, before anyone reads
+//! them (see [`crate::PageAppender`]), so no frame is ever dirty and
+//! eviction just forgets the victim.
+//!
+//! A frame holds its page as a shared `Arc<[u8]>`. A fetch clones that
+//! handle under one shard-lock acquisition, and the reader reads after the
+//! lock is gone. Because no page ever changes, eviction and file removal
+//! only drop the pool's reference: a reader's handle stays valid, so there
+//! are no pin counts and no frame latches, a fetch always finds a victim,
+//! and a file can be removed while its pages are being read. A miss reads
+//! into the victim's buffer when no reader holds it, and into a fresh
+//! buffer otherwise.
 //!
 //! The pool's byte budget is the knob that models the paper's efficiency
 //! tests ("we allowed only 20 MB of memory"): a query whose working set
 //! exceeds the budget pays physical I/O, which is exactly what the cost
-//! model must predict.
+//! model must predict. Pages that readers hold past their eviction live
+//! outside that budget, in place of the copies readers would make.
 //!
 //! ## Sharding
 //!
 //! The pool is split into up to [`MAX_SHARDS`] shards, each with its own
-//! frame set, its own `Mutex<PoolState>` (frame table + pin counts) and its
-//! own clock hand. A page's shard is fixed by `hash(file, page)`, so
-//! concurrent engines — the testbed runs queries on worker threads against
-//! clones of one environment — only contend when they touch pages that
-//! land in the same shard, instead of serializing every access on one
-//! global lock. Each shard keeps at least [`MIN_SHARD_FRAMES`] frames so
-//! nested page accesses (a scan's leaf pinned while its overflow chain is
-//! read) can always pin their working set no matter how the pages hash.
+//! frame set, its own `Mutex<PoolState>` (frame table and reference bits)
+//! and its own clock hand. A page's shard is fixed by `hash(file, page)`,
+//! so concurrent engines — the testbed runs queries on worker threads
+//! against clones of one environment — only contend when they touch pages
+//! that land in the same shard, instead of serializing every access on
+//! one global lock. Each shard keeps at least [`MIN_SHARD_FRAMES`] frames.
 
 use crate::backend::Backend;
 use crate::env::FileId;
-use crate::error::StorageError;
 use crate::page::PageId;
 use crate::Result;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use xmldb_obs::{Counter, Registry};
@@ -34,8 +41,7 @@ use xmldb_obs::{Counter, Registry};
 /// Upper bound on the number of pool shards.
 pub const MAX_SHARDS: usize = 16;
 
-/// Minimum frames per shard (the old whole-pool floor, now per shard, so a
-/// worst-case hash distribution still leaves room for nested pins).
+/// Minimum frames per shard (the old whole-pool floor, now per shard).
 pub const MIN_SHARD_FRAMES: usize = 8;
 
 /// One shard's traffic counters, registered in the environment's metrics
@@ -83,13 +89,13 @@ pub struct IoStats {
     /// Pages written to a backend (appends and the builders' positional
     /// patches; see [`crate::PageAppender`]).
     pub physical_writes: Arc<Counter>,
-    /// Zero-copy B+-tree node views constructed over pinned frame bytes
-    /// (read path only — one per page visited without materialization).
+    /// Zero-copy B+-tree node views constructed over page bytes (read path
+    /// only — one per page visited without materialization).
     pub node_views: Arc<Counter>,
-    /// Binary searches executed in place against pinned frame bytes
+    /// Binary searches executed in place against page bytes
     /// (internal-node descent steps and leaf probes).
     pub in_place_searches: Arc<Counter>,
-    /// Shard-lock acquisitions on the page-fetch path (one per pin).
+    /// Shard-lock acquisitions on the page-fetch path (one per fetch).
     pub shard_locks: Arc<Counter>,
     /// WAL records appended (commits and checkpoints).
     pub wal_appends: Arc<Counter>,
@@ -120,7 +126,7 @@ pub struct IoSnapshot {
     pub physical_writes: u64,
     /// Zero-copy node views constructed.
     pub node_views: u64,
-    /// In-place binary searches over pinned frames.
+    /// In-place binary searches over page bytes.
     pub in_place_searches: u64,
     /// Shard-lock acquisitions on the fetch path.
     pub shard_locks: u64,
@@ -187,7 +193,7 @@ impl IoStats {
         );
         registry.help(
             "saardb_btree_node_views_total",
-            "Zero-copy B+-tree node views over pinned frames.",
+            "Zero-copy B+-tree node views over page bytes.",
         );
         registry.help(
             "saardb_wal_appends_total",
@@ -325,15 +331,15 @@ impl IoSnapshot {
     }
 }
 
-#[derive(Debug)]
-struct FrameMeta {
+/// One frame: the page it holds, shared with every reader that fetched it.
+struct Frame {
     tag: Option<(FileId, PageId)>,
-    pin: u32,
     refbit: bool,
+    data: Arc<[u8]>,
 }
 
 struct PoolState {
-    metas: Vec<FrameMeta>,
+    frames: Vec<Frame>,
     table: HashMap<(FileId, PageId), usize>,
     clock: usize,
 }
@@ -342,8 +348,6 @@ struct PoolState {
 /// clock hand.
 struct Shard {
     state: Mutex<PoolState>,
-    /// Frame contents. Indexed in lockstep with `PoolState::metas`.
-    data: Vec<RwLock<Box<[u8]>>>,
     /// This shard's registry-backed traffic counters.
     stats: ShardStats,
 }
@@ -393,19 +397,16 @@ impl BufferPool {
                 let frames = capacity / nshards + usize::from(i < capacity % nshards);
                 Shard {
                     state: Mutex::new(PoolState {
-                        metas: (0..frames)
-                            .map(|_| FrameMeta {
+                        frames: (0..frames)
+                            .map(|_| Frame {
                                 tag: None,
-                                pin: 0,
                                 refbit: false,
+                                data: zeroed(page_size),
                             })
                             .collect(),
                         table: HashMap::new(),
                         clock: 0,
                     }),
-                    data: (0..frames)
-                        .map(|_| RwLock::new(vec![0u8; page_size].into_boxed_slice()))
-                        .collect(),
                     stats: stats.shards[i].clone(),
                 }
             })
@@ -419,7 +420,8 @@ impl BufferPool {
 
     /// Number of frames across all shards.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.data.len()).sum()
+        let frames = self.shards.iter().map(|s| s.state.lock().frames.len());
+        frames.sum()
     }
 
     /// Number of shards.
@@ -444,108 +446,67 @@ impl BufferPool {
         ((h >> 32) as usize) & (n - 1)
     }
 
-    /// Runs `f` on the read-only contents of `(file, page)`, faulting it in
-    /// if necessary. Takes the frame's *read* lock, so concurrent readers
-    /// of the same hot page (e.g. an index root) proceed in parallel; only
-    /// a miss loading the frame takes it exclusively, and eviction cannot
-    /// touch the frame while the pin is held.
-    pub(crate) fn with_frame_read<R>(
-        &self,
-        file: FileId,
-        page: PageId,
-        io: Resolver<'_>,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R> {
-        let pin = PinGuard::new(self, self.acquire(file, page, io)?);
-        let result = {
-            let guard = self.shards[pin.shard].data[pin.idx].read();
-            f(&guard)
-        };
-        Ok(result)
-    }
-
-    /// Pins the frame holding `(file, page)`, loading it on a miss. Returns
-    /// `(shard, frame)` with `pin` already incremented.
-    fn acquire(&self, file: FileId, page: PageId, io: Resolver<'_>) -> Result<(usize, usize)> {
-        // Page acquires are the structural choke point every
+    /// The contents of `(file, page)`, faulted in on a miss, under one
+    /// acquisition of the page's shard lock. The handle shares the frame's
+    /// bytes: a page never changes once written, so it stays valid after
+    /// the frame is evicted or its file removed.
+    pub(crate) fn page(&self, file: FileId, page: PageId, io: Resolver<'_>) -> Result<Arc<[u8]>> {
+        // Page fetches are the structural choke point every
         // storage-touching engine passes through: check the thread's
         // installed governor here so cancellation and deadlines reach even
         // code that never sees an `ExecContext` (B+-tree descents, the
         // XASR axis cursors, recovery replays nothing — it runs before any
         // governor is installed).
         crate::governor::Governor::check_current()?;
-        let shard_idx = self.shard_of(file, page);
-        let shard = &self.shards[shard_idx];
+        let shard = &self.shards[self.shard_of(file, page)];
         self.stats.shard_locks.inc();
         let mut state = shard.state.lock();
         if let Some(&idx) = state.table.get(&(file, page)) {
-            let meta = &mut state.metas[idx];
-            meta.pin += 1;
-            meta.refbit = true;
+            let frame = &mut state.frames[idx];
+            frame.refbit = true;
             shard.stats.hits.inc();
-            return Ok((shard_idx, idx));
+            return Ok(Arc::clone(&frame.data));
         }
         shard.stats.misses.inc();
-        let idx = find_victim(&mut state)?;
-        if let Some(old) = state.metas[idx].tag.take() {
+        let idx = find_victim(&mut state);
+        if let Some(old) = state.frames[idx].tag.take() {
             state.table.remove(&old);
             shard.stats.evictions.inc();
         }
-
-        // Claim the frame and load under the shard lock: holding the lock
-        // keeps this shard's table exact, and only this shard is blocked.
-        {
-            let backend = io(file)?;
-            let mut data = shard.data[idx].write();
-            backend.read_page(page, &mut data)?;
-            shard.stats.physical_reads.inc();
+        // Load under the shard lock: it keeps this shard's table exact, and
+        // only this shard is blocked. The victim's buffer is reused unless
+        // a reader still holds its page.
+        let backend = io(file)?;
+        let frame = &mut state.frames[idx];
+        if Arc::get_mut(&mut frame.data).is_none() {
+            frame.data = zeroed(self.page_size);
         }
+        let data = Arc::get_mut(&mut frame.data).expect("the pool's only handle");
+        backend.read_page(page, data)?;
+        shard.stats.physical_reads.inc();
+        frame.tag = Some((file, page));
+        frame.refbit = true;
+        let data = Arc::clone(&frame.data);
         state.table.insert((file, page), idx);
-        let meta = &mut state.metas[idx];
-        meta.tag = Some((file, page));
-        meta.pin = 1;
-        meta.refbit = true;
-        Ok((shard_idx, idx))
+        Ok(data)
     }
 
-    fn release(&self, shard: usize, idx: usize) {
-        let mut state = self.shards[shard].state.lock();
-        let meta = &mut state.metas[idx];
-        debug_assert!(meta.pin > 0, "release of unpinned frame");
-        meta.pin -= 1;
-    }
-
-    /// Drops every frame belonging to `file` (the file is being removed). Refuses with [`StorageError::FileBusy`] if any of
-    /// the file's frames is still pinned — silently unmapping a page
-    /// another operator holds would hand it a frame whose identity can
-    /// change under it. All shard locks are held together so the
-    /// pinned-check and the unmapping are one atomic step.
-    pub(crate) fn invalidate_file(&self, file: FileId) -> Result<()> {
-        // Lock shards in index order (the only place multiple shard locks
-        // are held at once, so lock ordering is trivially consistent).
-        let mut states: Vec<_> = self.shards.iter().map(|s| s.state.lock()).collect();
-        let pinned = states
-            .iter()
-            .flat_map(|state| state.metas.iter())
-            .filter(|m| matches!(m.tag, Some((f, _)) if f == file) && m.pin > 0)
-            .count();
-        if pinned > 0 {
-            return Err(StorageError::FileBusy {
-                file: format!("{file}"),
-                pinned,
-            });
-        }
-        for state in &mut states {
-            for idx in 0..state.metas.len() {
-                if matches!(state.metas[idx].tag, Some((f, _)) if f == file) {
-                    if let Some(tag) = state.metas[idx].tag.take() {
-                        state.table.remove(&tag);
+    /// Forgets every frame of `file` (the file is being removed). Readers
+    /// that still hold one of its pages keep reading it.
+    pub(crate) fn invalidate_file(&self, file: FileId) {
+        for shard in &self.shards {
+            let mut state = shard.state.lock();
+            let PoolState { frames, table, .. } = &mut *state;
+            for frame in frames {
+                if let Some(tag @ (f, _)) = frame.tag {
+                    if f == file {
+                        table.remove(&tag);
+                        frame.tag = None;
+                        frame.refbit = false;
                     }
-                    state.metas[idx].refbit = false;
                 }
             }
         }
-        Ok(())
     }
 
     /// Page size of frames in this pool.
@@ -553,69 +514,45 @@ impl BufferPool {
         self.page_size
     }
 
-    /// Number of frames with a non-zero pin count across all shards.
-    /// Zero whenever no operation is in flight — the cancellation-torture
-    /// sweep asserts this after every cancelled query to prove no pin
-    /// leaked on the unwind path.
+    /// Number of frames whose page a reader still holds. Zero whenever no
+    /// operation is in flight — the cancellation-torture sweep asserts
+    /// this after every cancelled query to prove no page handle leaked on
+    /// the unwind path.
     pub fn pinned_frames(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().metas.iter().filter(|m| m.pin > 0).count())
-            .sum()
+        let held = |s: &Shard| {
+            let state = s.state.lock();
+            let frames = state.frames.iter();
+            frames.filter(|f| Arc::strong_count(&f.data) > 1).count()
+        };
+        self.shards.iter().map(held).sum()
     }
 }
 
-/// Unpins a frame on drop, so `with_frame_read` releases its pin even
-/// when the caller's closure panics (a crashing engine must
-/// not leave the pool with stuck pins — `catch_unwind` in the testbed
-/// relies on this to keep the pool usable after a `Crashed` submission).
-struct PinGuard<'a> {
-    pool: &'a BufferPool,
-    shard: usize,
-    idx: usize,
+/// A zeroed page buffer.
+fn zeroed(page_size: usize) -> Arc<[u8]> {
+    std::iter::repeat(0).take(page_size).collect()
 }
 
-impl<'a> PinGuard<'a> {
-    fn new(pool: &'a BufferPool, (shard, idx): (usize, usize)) -> PinGuard<'a> {
-        PinGuard { pool, shard, idx }
-    }
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        self.pool.release(self.shard, self.idx);
-    }
-}
-
-/// Clock (second-chance) victim selection among one shard's unpinned
-/// frames.
-fn find_victim(state: &mut PoolState) -> Result<usize> {
-    let n = state.metas.len();
-    // Two sweeps: the first clears reference bits, the second takes the
-    // first unpinned frame.
-    for _ in 0..2 * n {
+/// Clock (second-chance) victim selection among one shard's frames: the
+/// first sweep clears reference bits, so the second always finds one.
+fn find_victim(state: &mut PoolState) -> usize {
+    let n = state.frames.len();
+    loop {
         let idx = state.clock;
         state.clock = (state.clock + 1) % n;
-        let meta = &mut state.metas[idx];
-        if meta.pin > 0 {
-            continue;
+        let frame = &mut state.frames[idx];
+        if frame.tag.is_none() || !frame.refbit {
+            return idx;
         }
-        if meta.tag.is_none() {
-            return Ok(idx);
-        }
-        if meta.refbit {
-            meta.refbit = false;
-        } else {
-            return Ok(idx);
-        }
+        frame.refbit = false;
     }
-    Err(StorageError::PoolExhausted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::error::StorageError;
 
     const PS: usize = 256;
 
@@ -643,12 +580,12 @@ mod tests {
         let f = FileId(0);
         let p = append(&backend, 42);
         for _ in 0..2 {
-            assert_eq!(pool.with_frame_read(f, p, &r, |data| data[0]).unwrap(), 42);
+            assert_eq!(pool.page(f, p, &r).unwrap()[0], 42);
         }
         let snap = pool.stats().snapshot();
         assert_eq!(snap.misses, 1);
         assert_eq!(snap.hits, 1);
-        assert_eq!(snap.shard_locks, 2, "one shard-lock acquisition per pin");
+        assert_eq!(snap.shard_locks, 2, "one shard-lock acquisition per fetch");
     }
 
     /// Eviction forgets a frame; the next fetch of its page reloads it.
@@ -660,7 +597,7 @@ mod tests {
         let pages: Vec<PageId> = (0..20).map(|i| append(&backend, i)).collect();
         for _ in 0..2 {
             for (i, &p) in pages.iter().enumerate() {
-                let v = pool.with_frame_read(f, p, &r, |data| data[0]).unwrap();
+                let v = pool.page(f, p, &r).unwrap()[0];
                 assert_eq!(v, i as u8, "page {p}");
             }
         }
@@ -677,7 +614,7 @@ mod tests {
         let f = FileId(0);
         let p = append(&backend, 0);
         for _ in 0..9 {
-            pool.with_frame_read(f, p, &r, |_| ()).unwrap();
+            pool.page(f, p, &r).unwrap();
         }
         let snap = pool.stats().snapshot();
         assert_eq!(snap.misses, 1);
@@ -693,10 +630,10 @@ mod tests {
         let r = resolver(&backend);
         let f = FileId(3);
         let p = append(&backend, 9);
-        pool.with_frame_read(f, p, &r, |_| ()).unwrap();
-        pool.invalidate_file(f).unwrap();
+        pool.page(f, p, &r).unwrap();
+        pool.invalidate_file(f);
         // The refetch misses and reads the page from the backend again.
-        let v = pool.with_frame_read(f, p, &r, |d| d[0]).unwrap();
+        let v = pool.page(f, p, &r).unwrap()[0];
         assert_eq!(v, 9);
         assert_eq!(pool.stats().snapshot().misses, 2);
     }
@@ -730,7 +667,7 @@ mod tests {
         let pages: Vec<PageId> = (0..64).map(|i| append(&backend, i)).collect();
         for _ in 0..2 {
             for &p in &pages {
-                let v = pool.with_frame_read(f, p, &r, |d| d[0]).unwrap();
+                let v = pool.page(f, p, &r).unwrap()[0];
                 assert_eq!(v, (p.0 & 0xFF) as u8);
             }
         }
@@ -739,23 +676,53 @@ mod tests {
         assert_eq!(snap.hits, 64);
     }
 
+    /// A reader holds a page across its file's removal and its frame's
+    /// reuse: the bytes it holds do not change, and the pool counts the
+    /// frame as held until the reader lets go.
     #[test]
-    fn invalidate_file_refuses_pinned_frames() {
+    fn invalidate_file_leaves_held_pages_readable() {
         let (pool, backend) = setup(8);
         let r = resolver(&backend);
         let f = FileId(5);
-        let p = append(&backend, 0);
-        let (shard, idx) = pool.acquire(f, p, &r).unwrap();
-        let err = pool.invalidate_file(f).unwrap_err();
-        assert!(
-            matches!(err, StorageError::FileBusy { pinned: 1, .. }),
-            "unexpected error: {err}"
-        );
-        pool.release(shard, idx);
-        pool.invalidate_file(f).unwrap();
+        let p = append(&backend, 7);
+        let held = pool.page(f, p, &r).unwrap();
+        assert_eq!(pool.pinned_frames(), 1);
+        pool.invalidate_file(f);
+        // Eight other pages fill the shard, so the held page's frame is
+        // reused; the reader's copy is untouched.
+        for i in 0..8 {
+            let q = append(&backend, 100 + i);
+            assert_eq!(pool.page(FileId(6), q, &r).unwrap()[0], 100 + i);
+        }
+        assert_eq!(held[0], 7);
+        assert_eq!(pool.pinned_frames(), 0, "the held page left the pool");
+        drop(held);
         // Frame was unmapped: the next fetch is a miss.
-        pool.with_frame_read(f, p, &r, |_| ()).unwrap();
-        assert_eq!(pool.stats().snapshot().misses, 2);
+        pool.page(f, p, &r).unwrap();
+        assert_eq!(pool.stats().snapshot().misses, 10);
+    }
+
+    /// Regression: an 8-frame, single-shard pool serves a ninth page while
+    /// eight are held. Pinned frames used to be skipped by the clock, so
+    /// the ninth fetch failed: the pool was exhausted.
+    #[test]
+    fn a_full_pool_of_held_pages_serves_one_more() {
+        let (pool, backend) = setup(8);
+        assert_eq!(pool.shard_count(), 1);
+        let r = resolver(&backend);
+        let f = FileId(0);
+        let pages: Vec<PageId> = (0..9).map(|i| append(&backend, i)).collect();
+        let held: Vec<Arc<[u8]>> = pages
+            .iter()
+            .map(|&p| pool.page(f, p, &r).unwrap())
+            .collect();
+        assert_eq!(pool.pinned_frames(), 8);
+        assert_eq!(held.len(), 9);
+        for (i, page) in held.iter().enumerate() {
+            assert_eq!(page[0], i as u8, "page {i} kept its bytes");
+        }
+        drop(held);
+        assert_eq!(pool.pinned_frames(), 0);
     }
 
     #[test]
@@ -764,16 +731,17 @@ mod tests {
         let r = resolver(&backend);
         let f = FileId(0);
         let p = append(&backend, 1);
-        pool.with_frame_read(f, p, &r, |_| ()).unwrap();
+        pool.page(f, p, &r).unwrap();
         assert_eq!(pool.pinned_frames(), 0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.with_frame_read(f, p, &r, |_| panic!("engine bug"))
+            let page = pool.page(f, p, &r).unwrap();
+            assert_eq!(pool.pinned_frames(), 1);
+            panic!("engine bug at byte {}", page[0]);
         }));
         assert!(result.is_err());
-        // The pin was released during unwinding: the file can still be
-        // invalidated and the pool reports no stuck pins.
+        // The page was released during unwinding: the pool reports no
+        // held frames.
         assert_eq!(pool.pinned_frames(), 0);
-        pool.invalidate_file(f).unwrap();
     }
 
     #[test]
@@ -785,9 +753,9 @@ mod tests {
         let p = append(&backend, 0);
         let gov = Governor::unlimited();
         let _scope = gov.install();
-        pool.with_frame_read(f, p, &r, |_| ()).unwrap();
+        pool.page(f, p, &r).unwrap();
         gov.cancel();
-        let err = pool.with_frame_read(f, p, &r, |_| ()).unwrap_err();
+        let err = pool.page(f, p, &r).unwrap_err();
         assert!(matches!(err, StorageError::Cancelled), "{err}");
         assert_eq!(pool.pinned_frames(), 0);
     }
@@ -847,10 +815,10 @@ mod tests {
         let r = resolver(&backend);
         let f = FileId(0);
         let p = append(&backend, 0);
-        pool.with_frame_read(f, p, &r, |_| ()).unwrap();
+        pool.page(f, p, &r).unwrap();
         let before = pool.stats().snapshot();
-        pool.with_frame_read(f, p, &r, |_| ()).unwrap();
-        pool.with_frame_read(f, p, &r, |_| ()).unwrap();
+        pool.page(f, p, &r).unwrap();
+        pool.page(f, p, &r).unwrap();
         let d = pool.stats().snapshot().delta(&before);
         assert_eq!(
             d,

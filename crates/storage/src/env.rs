@@ -164,8 +164,6 @@ struct EnvInner {
     /// Metrics registry every layer of this environment publishes into —
     /// pool/WAL/B+-tree counters here, engine latency histograms in core.
     registry: Arc<Registry>,
-    /// Sampled on demand in [`Env::pinned_frames`].
-    pinned_gauge: Arc<Gauge>,
     /// Write-ahead log; present for every on-disk environment.
     wal: Option<Wal>,
     /// What recovery did when this environment was opened.
@@ -265,7 +263,6 @@ impl Env {
         registry
             .gauge("saardb_env_on_disk", &[])
             .set(i64::from(dir.is_some()));
-        let pinned_gauge = registry.gauge("saardb_pool_pinned_frames", &[]);
         let read_only_gauge = registry.gauge("saardb_env_read_only", &[]);
         let txns = TxnManager::new(&registry);
         Env {
@@ -284,7 +281,6 @@ impl Env {
                 },
                 txns,
                 registry,
-                pinned_gauge,
                 wal,
                 recovery,
                 decorator,
@@ -552,7 +548,7 @@ impl Env {
     }
 
     /// Releases one pin on each of `ids`; a dropped file whose last pin
-    /// this was is reaped.
+    /// this was is forgotten, and its frames with it.
     fn unpin(&self, ids: &[FileId]) {
         let mut last = Vec::new();
         {
@@ -565,9 +561,14 @@ impl Env {
                     }
                 }
             }
+            for &id in &last {
+                table.remove(id);
+            }
         }
+        // Outside the file-table lock: a miss takes a shard lock, then the
+        // file table's.
         for id in last {
-            self.reap(id);
+            self.inner.pager.pool.invalidate_file(id);
         }
     }
 
@@ -617,8 +618,8 @@ impl Env {
     /// environment refuses to remove a durable file without one
     /// ([`StorageError::NoTxn`]), an in-memory one drops it at once. A
     /// dropped file that is still pinned stays readable to its pinners
-    /// (see [`Env::pin_files`]). Fails with [`StorageError::FileBusy`]
-    /// while a page of a file removed at once is pinned.
+    /// (see [`Env::pin_files`]), and a page already fetched stays readable
+    /// whatever is removed.
     pub fn remove_files(&self, ids: &[FileId]) -> Result<()> {
         let (mut states, mut committed) = (Vec::with_capacity(ids.len()), Vec::new());
         for &id in ids {
@@ -649,9 +650,9 @@ impl Env {
     /// Removes a file at once, logging nothing: an uncommitted or scratch
     /// file. Works even while the environment is read-only.
     pub(crate) fn discard(&self, id: FileId) -> Result<()> {
-        self.inner.pager.pool.invalidate_file(id)?;
         let entry = self.inner.pager.files.write().remove(id);
         let entry = entry.ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?;
+        self.inner.pager.pool.invalidate_file(id);
         if let Some(path) = entry.backend.path() {
             std::fs::remove_file(path)?;
         }
@@ -704,7 +705,7 @@ impl Env {
 
     /// After the commit that dropped `ids`: unlinks their disk files — a
     /// reader still pinning one keeps reading its open handle — and
-    /// releases the commit's pins, reaping the files no reader holds. Best
+    /// releases the commit's pins, forgetting the files no reader holds. Best
     /// effort: a file left on disk is outside the catalog, so recovery
     /// deletes it.
     pub(crate) fn retire(&self, ids: &[FileId]) {
@@ -716,20 +717,6 @@ impl Env {
             }
         }
         self.unpin(ids);
-    }
-
-    /// Frees a dropped file's frames and forgets it once nothing pins it.
-    /// A frame still pinned by a raw page access keeps the entry until the
-    /// next flush reaps it again.
-    fn reap(&self, id: FileId) {
-        let unpinned = {
-            let table = self.inner.pager.files.read();
-            let entry = table.by_id.get(&id);
-            entry.is_some_and(|e| e.state == FileState::Dropped && e.pins == 0)
-        };
-        if unpinned && self.inner.pager.pool.invalidate_file(id).is_ok() {
-            self.inner.pager.files.write().remove(id);
-        }
     }
 
     /// Makes the log durable up to `end`; true if this call fsynced.
@@ -857,70 +844,48 @@ impl Env {
         self.inner.txns.active_count()
     }
 
-    /// Runs `f` over the (read-only) contents of a page. Takes the frame's
-    /// shared lock: concurrent readers of a hot page do not serialize.
-    pub fn with_page<R>(
-        &self,
-        file: FileId,
-        page: PageId,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R> {
+    /// The contents of a page, shared with the buffer pool: the handle
+    /// stays valid after the page is evicted or its file removed, because
+    /// no page changes once written.
+    pub fn page(&self, file: FileId, page: PageId) -> Result<Arc<[u8]>> {
         let pool = &self.inner.pager.pool;
-        pool.with_frame_read(file, page, &|f| self.backend(f), f)
+        pool.page(file, page, &|f| self.backend(f))
     }
 
-    /// Reaps dropped files that a raw page access kept from their reap,
-    /// and truncates the write-ahead log once it outgrows
+    /// Truncates the write-ahead log once it outgrows
     /// [`WAL_CHECKPOINT_BYTES`], as a commit does (see [`Env::checkpoint`]).
     /// It commits nothing — [`Txn::commit`] is the only commit point — and
     /// writes no data page: every committed file was fsynced by its commit.
     pub fn flush(&self) -> Result<()> {
-        self.flush_then_checkpoint(self.checkpoint_due())
-    }
-
-    /// Flushes and then truncates the write-ahead log. The explicit form
-    /// of the periodic checkpoint [`Env::flush`] and [`Txn::commit`] apply
-    /// by threshold; a no-op beyond [`Env::flush`] for in-memory
-    /// environments. Skipped (the flush still runs) while any transaction
-    /// is in flight, or when one committed during the flush.
-    pub fn checkpoint(&self) -> Result<()> {
-        self.flush_then_checkpoint(true)
-    }
-
-    /// True once the log has outgrown [`WAL_CHECKPOINT_BYTES`].
-    pub(crate) fn checkpoint_due(&self) -> bool {
-        self.wal_bytes()
-            .is_some_and(|len| len > WAL_CHECKPOINT_BYTES)
-    }
-
-    fn flush_then_checkpoint(&self, checkpoint: bool) -> Result<()> {
-        let _span = span("storage.flush");
-        let start = self.wal_bytes();
-        let dropped: Vec<FileId> = {
-            let table = self.inner.pager.files.read();
-            let files = table.by_id.iter();
-            let dropped = files.filter(|(_, e)| e.state == FileState::Dropped);
-            dropped.map(|(&id, _)| id).collect()
-        };
-        for id in dropped {
-            self.reap(id);
+        match self.wal_bytes() {
+            Some(len) if len > WAL_CHECKPOINT_BYTES => self.checkpoint(),
+            _ => Ok(()),
         }
-        if let (Some(start), true) = (start, checkpoint) {
-            if self.inner.txns.active_count() == 0 && self.checkpoint_log(start)? {
-                self.inner
-                    .registry
-                    .counter("saardb_wal_checkpoint_bytes_total", &[])
-                    .add(start);
-            }
+    }
+
+    /// Truncates the write-ahead log. The explicit form of the periodic
+    /// checkpoint [`Env::flush`] and [`Txn::commit`] apply by threshold; a
+    /// no-op for in-memory environments. Skipped while any transaction is
+    /// in flight, or when one committed since it began.
+    pub fn checkpoint(&self) -> Result<()> {
+        let _span = span("storage.flush");
+        let Some(start) = self.wal_bytes() else {
+            return Ok(());
+        };
+        if self.inner.txns.active_count() == 0 && self.checkpoint_log(start)? {
+            self.inner
+                .registry
+                .counter("saardb_wal_checkpoint_bytes_total", &[])
+                .add(start);
         }
         Ok(())
     }
 
     /// Replaces the log with one checkpoint carrying the catalog, under
     /// the file-table lock like every commit record — unless the log is
-    /// no longer `start` bytes long: a commit appended since the flush
-    /// began may still be waiting for its log fsync. Returns whether it
-    /// checkpointed.
+    /// no longer `start` bytes long: a commit appended since the
+    /// checkpoint began may still be waiting for its log fsync. Returns
+    /// whether it checkpointed.
     fn checkpoint_log(&self, start: u64) -> Result<bool> {
         let Some(wal) = &self.inner.wal else {
             return Ok(false);
@@ -959,13 +924,11 @@ impl Env {
         self.inner.pager.pool.stats().reset();
     }
 
-    /// Number of buffer-pool frames currently pinned. Zero whenever no
-    /// operation is in flight; the cancellation-torture sweep asserts this
-    /// after every cancelled query.
+    /// Number of buffer-pool frames whose page a reader still holds. Zero
+    /// whenever no operation is in flight; the cancellation-torture sweep
+    /// asserts this after every cancelled query.
     pub fn pinned_frames(&self) -> usize {
-        let pinned = self.inner.pager.pool.pinned_frames();
-        self.inner.pinned_gauge.set(pinned as i64);
-        pinned
+        self.inner.pager.pool.pinned_frames()
     }
 
     /// Names of scratch (`__tmp-`) files still present — registered in the
@@ -1055,7 +1018,7 @@ mod tests {
         let env = Env::memory();
         let f = env.create_file("nodes").unwrap();
         let p = append(&env, f, 99).unwrap();
-        let v = env.with_page(f, p, |data| data[0]).unwrap();
+        let v = env.page(f, p).map(|data| data[0]).unwrap();
         assert_eq!(v, 99);
         assert_eq!(env.page_count(f).unwrap(), 1);
     }
@@ -1111,7 +1074,7 @@ mod tests {
         {
             let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
             let f = env.open_file("persist").unwrap();
-            let v = env.with_page(f, PageId(0), |d| d[0]).unwrap();
+            let v = env.page(f, PageId(0)).map(|d| d[0]).unwrap();
             assert_eq!(v, 0x5A);
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1135,7 +1098,7 @@ mod tests {
         let f = env.create_file("s").unwrap();
         let pages: Vec<_> = (0..32).map(|i| append(&env, f, i).unwrap()).collect();
         for &p in &pages {
-            env.with_page(f, p, |_| ()).unwrap();
+            env.page(f, p).unwrap();
         }
         let snap = env.io_stats();
         assert_eq!(snap.misses, 32);
@@ -1187,7 +1150,7 @@ mod tests {
 
         // Degraded mode: reads fine, durable writes typed-refused, scratch
         // files still usable (read-only queries must be able to spill).
-        assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 1);
+        assert_eq!(env.page(f, p).map(|d| d[0]).unwrap(), 1);
         let err = append(&env, f, 3).unwrap_err();
         assert!(matches!(err, StorageError::ReadOnly), "{err}");
         assert!(matches!(
@@ -1213,7 +1176,7 @@ mod tests {
             })
             .unwrap();
         env.flush().unwrap();
-        assert_eq!(env.with_page(g, q, |d| d[0]).unwrap(), 4);
+        assert_eq!(env.page(g, q).map(|d| d[0]).unwrap(), 4);
 
         drop(env);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1283,7 +1246,7 @@ mod tests {
         assert_eq!(env.wal_bytes(), wal);
         assert_eq!(env.page_count(f).unwrap(), 1);
         assert!(!env.file_exists("e"));
-        assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 1);
+        assert_eq!(env.page(f, p).map(|d| d[0]).unwrap(), 1);
         let tmp = env.create_temp_file().unwrap();
         append(&env, tmp, 9).unwrap();
         env.remove_file(tmp).unwrap();
@@ -1328,7 +1291,7 @@ mod tests {
         let f = env.create_file("d").unwrap();
         assert_eq!(env.committed_files(), ["d"], "committed when created");
         let p = append(&env, f, 7).unwrap();
-        assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 7);
+        assert_eq!(env.page(f, p).map(|d| d[0]).unwrap(), 7);
         env.remove_file(f).unwrap();
         assert!(!env.file_exists("d"));
         assert!(env.committed_files().is_empty());
@@ -1349,7 +1312,7 @@ mod tests {
         build(1);
         let pins = env.pin_files(&["d"]).unwrap();
         let old = pins.ids()[0];
-        assert_eq!(env.with_page(old, PageId(0), |d| d[0]).unwrap(), 1);
+        assert_eq!(env.page(old, PageId(0)).map(|d| d[0]).unwrap(), 1);
         // The drop commits at once: the name and the directory entry go,
         // the pinned reader keeps its pages.
         env.autocommit(|| env.remove_file(old)).unwrap();
@@ -1357,45 +1320,75 @@ mod tests {
         assert!(!dir.join("d.sdb").exists());
         assert!(env.committed_files().is_empty());
         env.flush().unwrap();
-        assert_eq!(env.with_page(old, PageId(0), |d| d[0]).unwrap(), 1);
+        assert_eq!(env.page(old, PageId(0)).map(|d| d[0]).unwrap(), 1);
         // A reload under the same name is a new file beside the old one.
         build(2);
         let new = env.open_file("d").unwrap();
         assert_ne!(new, old);
-        assert_eq!(env.with_page(new, PageId(0), |d| d[0]).unwrap(), 2);
-        assert_eq!(env.with_page(old, PageId(0), |d| d[0]).unwrap(), 1);
+        assert_eq!(env.page(new, PageId(0)).map(|d| d[0]).unwrap(), 2);
+        assert_eq!(env.page(old, PageId(0)).map(|d| d[0]).unwrap(), 1);
         // The last pin frees the old file; the new one is untouched.
         drop(pins);
         assert!(matches!(
-            env.with_page(old, PageId(0), |d| d[0]),
+            env.page(old, PageId(0)).map(|d| d[0]),
             Err(StorageError::NoSuchFile(_))
         ));
-        assert_eq!(env.with_page(new, PageId(0), |d| d[0]).unwrap(), 2);
+        assert_eq!(env.page(new, PageId(0)).map(|d| d[0]).unwrap(), 2);
         assert_eq!(env.committed_files(), ["d"]);
         drop(env);
         let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
         let f = env.open_file("d").unwrap();
-        assert_eq!(env.with_page(f, PageId(0), |d| d[0]).unwrap(), 2);
+        assert_eq!(env.page(f, PageId(0)).map(|d| d[0]).unwrap(), 2);
         drop(env);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn a_dropped_file_held_by_a_page_access_is_reaped_by_the_next_flush() {
+    fn a_dropped_file_held_by_a_page_access_is_reaped_at_once() {
         let env = Env::memory();
         let f = env.create_file("d").unwrap();
-        let p = append(&env, f, 0).unwrap();
-        // The drop commits while a raw page access pins the file's frame.
-        env.with_page(f, p, |_| env.remove_file(f))
-            .unwrap()
-            .unwrap();
+        let p = append(&env, f, 3).unwrap();
+        // The drop commits while a page access holds the file's page.
+        let held = env.page(f, p).unwrap();
+        env.remove_file(f).unwrap();
         assert!(env.committed_files().is_empty());
-        assert!(env.with_page(f, p, |_| ()).is_ok(), "not reaped yet");
-        env.flush().unwrap();
-        assert!(matches!(
-            env.with_page(f, p, |_| ()),
-            Err(StorageError::NoSuchFile(_))
-        ));
+        assert!(matches!(env.page(f, p), Err(StorageError::NoSuchFile(_))));
+        assert_eq!(held[0], 3);
+    }
+
+    /// Regression: a reader holds a page of a scratch file, and of a
+    /// document file whose drop commits, while each file is removed. Both
+    /// removals succeed at once and the reader still reads the same bytes.
+    /// Removing a scratch file while a page access held one of its frames
+    /// used to fail as busy.
+    #[test]
+    fn held_pages_outlive_the_removal_of_their_files() {
+        let dir = std::env::temp_dir().join(format!("saardb-env-held-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let env = Env::open_dir(&dir, EnvConfig::default()).unwrap();
+        let doc = env
+            .autocommit(|| {
+                let f = env.create_file("d")?;
+                Ok::<_, StorageError>((f, append(&env, f, 5)?))
+            })
+            .unwrap();
+        let tmp = env.create_temp_file().unwrap();
+        let tmp = (tmp, append(&env, tmp, 9).unwrap());
+        let held = [doc, tmp].map(|(f, p)| env.page(f, p).unwrap());
+        assert_eq!(env.pinned_frames(), 2);
+        env.remove_file(tmp.0).unwrap();
+        env.autocommit(|| env.remove_file(doc.0)).unwrap();
+        assert!(env.committed_files().is_empty());
+        assert!(env.temp_files().is_empty());
+        assert!(!dir.join("d.sdb").exists());
+        for (f, p) in [doc, tmp] {
+            assert!(matches!(env.page(f, p), Err(StorageError::NoSuchFile(_))));
+        }
+        assert_eq!([held[0][0], held[1][0]], [5, 9]);
+        drop(held);
+        assert_eq!(env.pinned_frames(), 0);
+        drop(env);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

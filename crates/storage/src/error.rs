@@ -14,9 +14,6 @@ pub enum StorageError {
         /// Pages in the file.
         pages: u64,
     },
-    /// Every buffer-pool frame is pinned; the working set exceeds the
-    /// memory budget (the efficiency tests' 20 MB wall).
-    PoolExhausted,
     /// A key larger than the B+-tree's maximum (page-size dependent).
     KeyTooLarge {
         /// The offending key length.
@@ -37,14 +34,6 @@ pub enum StorageError {
     NoSuchFile(String),
     /// A file with this name already exists.
     FileExists(String),
-    /// A file could not be removed because buffer-pool frames holding its
-    /// pages are still pinned by an in-flight operation.
-    FileBusy {
-        /// The file being removed.
-        file: String,
-        /// Number of pinned frames belonging to it.
-        pinned: usize,
-    },
     /// A page read/write was handed a buffer whose length is not the page
     /// size (a short buffer would tear the file or panic).
     PageBufferSize {
@@ -131,9 +120,6 @@ impl fmt::Display for StorageError {
             StorageError::PageOutOfBounds { page, pages } => {
                 write!(f, "page {page} out of bounds (file has {pages} pages)")
             }
-            StorageError::PoolExhausted => {
-                write!(f, "buffer pool exhausted: all frames pinned")
-            }
             StorageError::KeyTooLarge { len, max } => {
                 write!(f, "key of {len} bytes exceeds maximum {max}")
             }
@@ -143,9 +129,6 @@ impl fmt::Display for StorageError {
             StorageError::Corrupt(msg) => write!(f, "corrupt storage: {msg}"),
             StorageError::NoSuchFile(name) => write!(f, "no such file: {name}"),
             StorageError::FileExists(name) => write!(f, "file already exists: {name}"),
-            StorageError::FileBusy { file, pinned } => {
-                write!(f, "file {file} is busy: {pinned} pinned frame(s)")
-            }
             StorageError::PageBufferSize { len, page_size } => {
                 write!(
                     f,

@@ -17,8 +17,8 @@
 //! Checks are cooperative. The two structural choke points every engine
 //! passes through are:
 //!
-//! * **page acquires** — the buffer pool checks the thread's installed
-//!   governor at the top of every pin ([`Governor::check_current`]), which
+//! * **page fetches** — the buffer pool checks the thread's installed
+//!   governor at the top of every fetch ([`Governor::check_current`]), which
 //!   covers all storage-touching engines without threading a handle
 //!   through every call signature, and
 //! * **row boundaries** — `Operator::next` in the physical layer and the
@@ -324,7 +324,7 @@ impl Governor {
     }
 
     /// [`Governor::check`] on the thread's current governor — the buffer
-    /// pool's page-acquire hook.
+    /// pool's page-fetch hook.
     pub fn check_current() -> Result<()> {
         CURRENT.with(|c| match c.borrow().last() {
             Some(gov) => gov.check(),

@@ -17,6 +17,7 @@ use crate::error::StorageError;
 use crate::page::PageId;
 use crate::temp::TempFile;
 use crate::Result;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"SAHP";
 const META_COUNT_OFF: usize = 4;
@@ -126,19 +127,16 @@ impl HeapFile {
 
     /// Opens the existing heap in an open file (see [`Env::pin_files`]).
     pub fn open_in(env: &Env, file: FileId) -> Result<HeapFile> {
-        let count = env.with_page(file, PageId(0), |data| {
-            if &data[..4] != MAGIC {
-                return Err(StorageError::corrupt(format!("{file}: bad heap magic")));
-            }
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&data[META_COUNT_OFF..META_COUNT_OFF + 8]);
-            Ok(u64::from_le_bytes(bytes))
-        })??;
+        let data = env.page(file, PageId(0))?;
+        if &data[..4] != MAGIC {
+            return Err(StorageError::corrupt(format!("{file}: bad heap magic")));
+        }
+        let count = &data[META_COUNT_OFF..META_COUNT_OFF + 8];
         Ok(HeapFile {
             env: env.clone(),
             file,
             _temp: None,
-            count,
+            count: u64::from_le_bytes(count.try_into().expect("an 8-byte field")),
         })
     }
 
@@ -157,39 +155,18 @@ impl HeapFile {
         self.count == 0
     }
 
-    /// Iterates over all records in append order, decoding a page of
-    /// records per page fetch.
+    /// Iterates over all records in append order, holding one page at a
+    /// time.
     pub fn scan(&self) -> Scan<&HeapFile> {
         Scan::new(self)
     }
 
     /// Converts the heap into an owning streaming scan, which keeps a
     /// scratch file alive until it drops (the external sorter's merge
-    /// ties run lifetimes to it).
+    /// ties run lifetimes to it, and a materialized intermediate rewinds
+    /// it to re-read).
     pub fn into_scan(self) -> OwnedScan {
         Scan::new(self)
-    }
-
-    /// Number of data pages (for explicit page-at-a-time iteration by
-    /// operators that must own their cursor state).
-    pub fn data_pages(&self) -> Result<u64> {
-        Ok(self.env.page_count(self.file)?.saturating_sub(1))
-    }
-
-    /// All records of data page `index` (0-based over data pages). Together
-    /// with [`Self::data_pages`] this lets a caller iterate with state it
-    /// owns — the re-openable scans that nested-loops inners need.
-    pub fn page_records(&self, index: u64) -> Result<Vec<Vec<u8>>> {
-        let page = PageId(index + 1);
-        self.env.with_page(self.file, page, |data| {
-            let n = nrecords(data) as usize;
-            let mut out = Vec::with_capacity(n);
-            let mut pos = DATA_HEADER;
-            for _ in 0..n {
-                out.push(codec::get_bytes(data, &mut pos).to_vec());
-            }
-            out
-        })
     }
 }
 
@@ -209,12 +186,16 @@ fn set_free_off(data: &mut [u8], off: u16) {
     data[2..4].copy_from_slice(&off.to_le_bytes());
 }
 
-/// Streaming record iterator over a [`HeapFile`], borrowed or owned.
+/// Streaming record iterator over a [`HeapFile`], borrowed or owned. It
+/// holds the page it reads (see [`Env::page`]) and the offset of its next
+/// record there.
 pub struct Scan<H> {
     heap: H,
-    /// The next data page to read (0-based).
-    page: u64,
-    buffered: std::vec::IntoIter<Vec<u8>>,
+    /// The next page to read (page 0 is the meta page).
+    next_page: u64,
+    /// The page being read, the offset of its next record, and how many
+    /// records are left on it.
+    at: Option<(Arc<[u8]>, usize, u16)>,
     done: bool,
 }
 
@@ -225,24 +206,34 @@ impl<H: std::borrow::Borrow<HeapFile>> Scan<H> {
     fn new(heap: H) -> Scan<H> {
         Scan {
             heap,
-            page: 0,
-            buffered: Vec::new().into_iter(),
+            next_page: 1,
+            at: None,
             done: false,
         }
     }
 
-    fn advance(&mut self) -> Result<Option<Vec<u8>>> {
-        loop {
-            if let Some(record) = self.buffered.next() {
-                return Ok(Some(record));
-            }
+    /// Starts the scan over from the first record.
+    pub fn rewind(&mut self) {
+        (self.next_page, self.at, self.done) = (1, None, false);
+    }
+
+    /// The next record, borrowed from the page the scan holds; `None` at
+    /// the end, where the scan lets go of its last page.
+    pub fn next_record(&mut self) -> Result<Option<&[u8]>> {
+        while self.at.as_ref().map_or(true, |&(_, _, left)| left == 0) {
+            self.at = None;
             let heap = self.heap.borrow();
-            if self.page >= heap.data_pages()? {
+            if self.next_page >= heap.env.page_count(heap.file)? {
                 return Ok(None);
             }
-            self.buffered = heap.page_records(self.page)?.into_iter();
-            self.page += 1;
+            let page = heap.env.page(heap.file, PageId(self.next_page))?;
+            self.next_page += 1;
+            let left = nrecords(&page);
+            self.at = Some((page, DATA_HEADER, left));
         }
+        let (page, pos, left) = self.at.as_mut().expect("a page with records left");
+        *left -= 1;
+        Ok(Some(codec::get_bytes(page, pos)))
     }
 }
 
@@ -253,7 +244,7 @@ impl<H: std::borrow::Borrow<HeapFile>> Iterator for Scan<H> {
         if self.done {
             return None;
         }
-        let next = self.advance();
+        let next = self.next_record().map(|r| r.map(<[u8]>::to_vec));
         self.done = !matches!(next, Ok(Some(_)));
         next.transpose()
     }

@@ -13,8 +13,9 @@
 //!   (on disk or in memory) sharing one buffer pool with a byte budget,
 //! * [`append::PageAppender`] — the one way pages are written: each file
 //!   is built once, in page order, straight to its backend,
-//! * [`buffer`] — the buffer pool, a read cache: clock eviction, pin
-//!   counts, hit/miss accounting for the cost model,
+//! * [`buffer`] — the buffer pool, a read cache: clock eviction, pages
+//!   shared with readers as immutable handles ([`env::Env::page`]),
+//!   hit/miss accounting for the cost model,
 //! * [`btree::BTree`] — B+-trees over byte-string keys, bulk-built from
 //!   sorted entries, with range cursors and overflow pages for large
 //!   values,

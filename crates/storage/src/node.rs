@@ -18,7 +18,7 @@
 //! len u32`). Internal cell: `key_len u16 | child u64 | key`.
 //!
 //! The slot directory is what makes the read path zero-copy: a key can be
-//! binary-searched *in place* against the pinned frame bytes by chasing
+//! binary-searched *in place* against the page bytes by chasing
 //! slot offsets, so point lookups and descent steps materialize nothing.
 //! [`LeafView`] / [`InternalView`] wrap a `&[u8]` page with exactly that
 //! access pattern; the owned [`Node`] is what the bulk builder fills and
@@ -55,7 +55,7 @@ pub(crate) enum LeafVal {
     Overflow { page: u64, len: u32 },
 }
 
-/// A borrowed leaf value, pointing into pinned frame bytes.
+/// A borrowed leaf value, pointing into page bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ValueRef<'a> {
     Inline(&'a [u8]),
@@ -131,7 +131,7 @@ pub(crate) enum NodeView<'a> {
 }
 
 impl<'a> NodeView<'a> {
-    /// Wraps pinned page bytes, validating the format header only — cells
+    /// Wraps page bytes, validating the format header only — cells
     /// are decoded lazily, per slot access.
     pub(crate) fn parse(data: &'a [u8]) -> Result<NodeView<'a>> {
         let (node_type, nkeys, extra) = parse_header(data)?;

@@ -446,9 +446,7 @@ impl Txn {
         mgr.counters.commits.inc();
         // The commit is durable: a failed checkpoint only leaves the log
         // long, and the next flush or commit retries it.
-        if self.env.checkpoint_due() {
-            let _ = self.env.flush();
-        }
+        let _ = self.env.flush();
         Ok(())
     }
 
@@ -544,7 +542,7 @@ mod tests {
         assert!(!txn.is_active());
         assert_eq!(held_count(&env.txns().locks, txn.id()), 0);
         assert_eq!(env.committed_files(), ["t"]);
-        assert_eq!(env.with_page(f, p, |d| d[0]).unwrap(), 7);
+        assert_eq!(env.page(f, p).map(|d| d[0]).unwrap(), 7);
     }
 
     #[test]
@@ -661,7 +659,7 @@ mod tests {
         let env2 = env.clone();
         std::thread::spawn(move || {
             env2.lock("t", LockMode::Exclusive).unwrap();
-            env2.with_page(f, p, |d| d[0]).unwrap()
+            env2.page(f, p).map(|d| d[0]).unwrap()
         })
         .join()
         .unwrap();

@@ -65,9 +65,8 @@ fn concurrent_page_traffic_across_files() {
             for _round in 0..50u64 {
                 for p in 0..pages_per_file {
                     let page = xmldb_storage::PageId(p);
-                    let (owner, pp) = env
-                        .with_page(file, page, |data| (data[0], data[2]))
-                        .unwrap();
+                    let data = env.page(file, page).unwrap();
+                    let (owner, pp) = (data[0], data[2]);
                     assert_eq!(owner, t as u8, "page leaked between files");
                     assert_eq!(pp, p as u8);
                 }
@@ -99,7 +98,8 @@ fn concurrent_queries_through_cloned_envs() {
             app.page()[0] = 1;
             app.append().unwrap();
             assert_eq!(
-                env2.with_page(tmp.id(), xmldb_storage::PageId(0), |d| d[0])
+                env2.page(tmp.id(), xmldb_storage::PageId(0))
+                    .map(|d| d[0])
                     .unwrap(),
                 1
             );

@@ -19,6 +19,9 @@ enum Op {
     /// Included lower / Excluded upper through one seeker kept across the
     /// whole sequence: its remembered leaf may not cover the bound.
     SeekScan(Vec<u8>, Vec<u8>),
+    /// A range cursor that reads a second tree between its rows, so the
+    /// pool evicts the leaf the cursor holds.
+    EvictingRange(Vec<u8>, Vec<u8>),
 }
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -35,6 +38,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         prop::collection::vec(0u8..4, 0..4).prop_map(Op::Prefix),
         Just(Op::FullScan),
         (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::SeekScan(a, b)),
+        (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::EvictingRange(a, b)),
     ]
 }
 
@@ -63,6 +67,10 @@ proptest! {
         let entries = model.iter().map(|(k, v)| (k.clone(), v.clone()));
         let tree = BTree::build_in(&env, env.create_file("t").unwrap(), entries).unwrap();
         prop_assert_eq!(tree.len(), model.len() as u64);
+        // More pages than the pool has frames: a full scan of it sweeps
+        // the clock past every frame twice.
+        let flood = (0..300u32).map(|i| (i.to_be_bytes().to_vec(), vec![0; 8]));
+        let flood = BTree::build_in(&env, env.create_file("o").unwrap(), flood).unwrap();
         let mut seeker = Seeker::default();
         for op in ops {
             match op {
@@ -119,6 +127,20 @@ proptest! {
                             true
                         })
                         .unwrap();
+                    let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .range::<Vec<u8>, _>((Bound::Included(&lo), Bound::Excluded(&hi)))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    prop_assert_eq!(got, want);
+                }
+                Op::EvictingRange(a, b) => {
+                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                    let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+                    for row in tree.range(Bound::Included(&lo), Bound::Excluded(&hi)) {
+                        got.push(row.unwrap());
+                        flood.scan(|_, _| true).unwrap();
+                        prop_assert_eq!(env.pinned_frames(), 0, "the held leaf left the pool");
+                    }
                     let want: Vec<(Vec<u8>, Vec<u8>)> = model
                         .range::<Vec<u8>, _>((Bound::Included(&lo), Bound::Excluded(&hi)))
                         .map(|(k, v)| (k.clone(), v.clone()))

@@ -377,7 +377,7 @@ pub fn checkpoint_window_torture() -> xmldb_core::Result<CancelTortureReport> {
             let env = Env::open_dir(&dir, env_config)?;
             let f = env.open_file("t")?;
             for i in 0..20u64 {
-                let got = env.with_page(f, xmldb_storage::PageId(i), |d| d[0])?;
+                let got = env.page(f, xmldb_storage::PageId(i)).map(|d| d[0])?;
                 if got != i as u8 {
                     return Ok(Some(format!("page {i}: got {got}, want {i}")));
                 }
