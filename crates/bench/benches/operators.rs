@@ -46,9 +46,14 @@ fn bench_sort() {
             let env = Env::memory_with(EnvConfig::default());
             let mut sorter = ExternalSorter::lexicographic(&env, budget);
             for i in 0..50_000u64 {
-                sorter.push(key((i * 2654435761) % 50_000)).unwrap();
+                sorter.push(&key((i * 2654435761) % 50_000)).unwrap();
             }
-            sorter.finish().unwrap().count()
+            let mut sorted = sorter.finish().unwrap();
+            let mut n = 0;
+            while sorted.next_record().unwrap().is_some() {
+                n += 1;
+            }
+            n
         });
     }
 }

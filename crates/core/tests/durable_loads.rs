@@ -154,6 +154,91 @@ fn a_failed_data_fsync_fails_the_load_and_leaves_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A scratch-file backend that fails its `k`-th read of a page past a
+/// run's first data page: only the merge of spilled sort runs reads one,
+/// after it has handed out the run's first records.
+struct FailingRunRead {
+    inner: Arc<dyn Backend>,
+    /// Reads left until the failing one, shared by all scratch files.
+    left: Arc<AtomicU64>,
+}
+
+impl Backend for FailingRunRead {
+    fn read_page(&self, id: PageId, buf: &mut [u8]) -> xmldb_storage::Result<()> {
+        if id.0 >= 2 && self.left.fetch_sub(1, Ordering::SeqCst) == 1 {
+            return Err(std::io::Error::other("injected run read failure").into());
+        }
+        self.inner.read_page(id, buf)
+    }
+
+    fn write_page(&self, id: PageId, buf: &[u8]) -> xmldb_storage::Result<()> {
+        self.inner.write_page(id, buf)
+    }
+
+    fn append_page(&self, buf: &[u8]) -> xmldb_storage::Result<PageId> {
+        self.inner.append_page(buf)
+    }
+
+    fn page_count(&self) -> u64 {
+        self.inner.page_count()
+    }
+
+    fn sync(&self) -> xmldb_storage::Result<bool> {
+        self.inner.sync()
+    }
+
+    fn path(&self) -> Option<&Path> {
+        self.inner.path()
+    }
+}
+
+/// A read error in the middle of the merge of spilled runs fails the load
+/// (it used to panic the loading thread) and leaves no file behind.
+#[test]
+fn a_failed_run_read_mid_merge_fails_the_load_and_leaves_nothing() {
+    let dir = scratch("failrun");
+    let left = Arc::new(AtomicU64::new(3));
+    let reads = Arc::clone(&left);
+    let env = Env::open_dir_with_decorator(
+        &dir,
+        EnvConfig::default(),
+        Arc::new(move |name, inner| {
+            if !name.starts_with("__tmp-") {
+                return inner;
+            }
+            let left = Arc::clone(&reads);
+            Arc::new(FailingRunRead { inner, left }) as _
+        }),
+    )
+    .unwrap();
+    let db = Database::from_env(env);
+    let xml = generate_dblp(&DblpConfig::scaled(1.0));
+    let gov = xmldb_storage::Governor::with_limits(None, Some(256 << 10));
+    let err = {
+        let _scope = gov.install();
+        db.load_document("d", &xml).unwrap_err()
+    };
+    assert!(gov.snapshot().spill_count > 0, "the shred spilled");
+    assert!(
+        err.to_string().contains("injected run read failure"),
+        "{err}"
+    );
+    assert!(!db.has_document("d"));
+    assert!(db.env().committed_files().is_empty());
+    assert!(
+        db.env().temp_files().is_empty(),
+        "{:?}",
+        db.env().temp_files()
+    );
+    assert!(!db.env().file_exists("d.xasr"));
+    // Without the fault the same load succeeds.
+    left.store(0, Ordering::SeqCst);
+    db.load_document("d", &xml).unwrap();
+    assert!(db.has_document("d"));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn drop_inside_a_transaction_commits_or_rolls_back() {
     let dir = scratch("txndrop");

@@ -71,11 +71,12 @@ impl Operator for SortOp {
             ctx.governor.clone(),
             move |a, b| a[..key_width].cmp(&b[..key_width]),
         );
+        let mut rec = Vec::new();
         drain(&mut *self.input, ctx, |row| {
-            let mut rec = Vec::with_capacity(key_width + 32);
+            rec.clear();
             sort_key(row, &self.key_cols, &mut rec);
-            rec.extend_from_slice(&encode_row(row));
-            Ok(sorter.push(rec)?)
+            encode_row(row, &mut rec);
+            Ok(sorter.push(&rec)?)
         })?;
         self.input.close();
         self.sorted = Some(sorter.finish()?);
@@ -89,8 +90,11 @@ impl Operator for SortOp {
             .ok_or_else(|| Error::Xasr("sort not open".into()))?;
         let key_width = self.key_cols.len() * 8;
         let mut batch = RowBatch::default();
-        for rec in sorted.take(max_rows) {
-            batch.push_row_vec(decode_row(&rec?[key_width..])?);
+        while batch.len() < max_rows {
+            let Some(rec) = sorted.next_record()? else {
+                break;
+            };
+            batch.push_row_vec(decode_row(&rec[key_width..])?);
         }
         Ok(batch)
     }
@@ -129,9 +133,11 @@ impl Operator for MaterializeOp {
             None => {
                 let mut heap = HeapWriter::temp(ctx.store.env())?;
                 self.input.open(ctx)?;
+                let mut rec = Vec::new();
                 drain(&mut *self.input, ctx, |row| {
-                    heap.append(&encode_row(row))?;
-                    Ok(())
+                    rec.clear();
+                    encode_row(row, &mut rec);
+                    Ok(heap.append(&rec)?)
                 })?;
                 self.input.close();
                 self.rows = Some(heap.finish()?.into_scan());

@@ -7,14 +7,12 @@ use xmldb_xasr::NodeTuple;
 /// A row: one XASR tuple per joined relation, in plan column order.
 pub type Row = Vec<NodeTuple>;
 
-/// Serializes a row for spilling (materialization, sort runs).
-pub fn encode_row(row: &[NodeTuple]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + row.len() * 32);
-    codec::put_u64(&mut out, row.len() as u64);
+/// Appends a row's spill encoding (materialization, sort runs) to `out`.
+pub fn encode_row(row: &[NodeTuple], out: &mut Vec<u8>) {
+    codec::put_u64(out, row.len() as u64);
     for tuple in row {
-        codec::put_bytes(&mut out, &tuple.encode());
+        codec::put_bytes(out, &tuple.encode());
     }
-    out
 }
 
 /// Inverse of [`encode_row`].
@@ -70,7 +68,9 @@ mod tests {
     #[test]
     fn row_codec_roundtrip() {
         for row in [vec![], vec![tuple(1)], vec![tuple(2), tuple(5), tuple(9)]] {
-            assert_eq!(decode_row(&encode_row(&row)).unwrap(), row);
+            let mut bytes = Vec::new();
+            encode_row(&row, &mut bytes);
+            assert_eq!(decode_row(&bytes).unwrap(), row);
         }
     }
 

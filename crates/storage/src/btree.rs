@@ -8,9 +8,9 @@
 //!
 //! ## Design notes
 //!
-//! * A tree is built once from sorted entries ([`BTree::build_in`]) and
-//!   then only read: each page is written once, in page order, through a
-//!   [`PageAppender`], never through the buffer pool.
+//! * A tree is built once from sorted, borrowed entries ([`BTree::builder`])
+//!   and then only read: each page is appended once, in page order, through
+//!   a [`PageAppender`], never through the buffer pool.
 //! * Pages use the slotted layout of [`crate::node`] (format v2): a
 //!   cell-offset directory lets the read path binary-search keys *in
 //!   place* against the page bytes. `get`, `contains` and cursor descent
@@ -48,8 +48,8 @@ use crate::append::PageAppender;
 use crate::env::{Env, FileId};
 use crate::error::StorageError;
 use crate::node::{
-    internal_cell_size, leaf_cell_size, serialize_node, LeafVal, Node, NodeBody, NodeView,
-    ValueRef, NODE_HEADER, NO_SIBLING,
+    internal_cell_size, leaf_cell_key, leaf_cell_size, put_leaf_cell, write_internal, write_leaf,
+    LeafVal, NodeView, ValueRef, NODE_HEADER, NO_SIBLING, SLOT_SIZE,
 };
 use crate::page::PageId;
 use crate::Result;
@@ -81,102 +81,46 @@ impl BTree {
 
     /// Builds a tree in the new, empty `file` from strictly ascending
     /// `(key, value)` pairs, writing each page once (see the module docs
-    /// for the layout).
+    /// for the layout): [`BTree::builder`] with every pair pushed.
     ///
     /// # Errors
-    /// `Corrupt` if keys do not strictly ascend, `KeyTooLarge` for a key
-    /// over [`BTree::max_key`], and whatever [`Env::appender`] refuses.
-    pub fn build_in<I>(env: &Env, file: FileId, entries: I) -> Result<BTree>
+    /// As [`BTreeBuilder::push`] and [`BTreeBuilder::finish`].
+    pub fn build_in<I, K, V>(env: &Env, file: FileId, entries: I) -> Result<BTree>
     where
-        I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+        I: IntoIterator<Item = (K, V)>,
+        K: AsRef<[u8]>,
+        V: AsRef<[u8]>,
     {
-        let mut b = Builder {
-            app: env.appender(file)?,
-            pending: None,
-        };
-        b.app.append()?; // the meta page, patched last
-                         // Page 1: the unreachable empty leaf (see the module docs).
-        b.append_node(&Node {
-            extra: NO_SIBLING,
-            body: NodeBody::Leaf(Vec::new()),
-        })?;
-        let page_size = env.page_size();
-        let (max_key, fill_limit) = (page_size / 8, page_size * 9 / 10);
-        let mut leaf_index: Vec<(Vec<u8>, u64)> = Vec::new();
-        let mut cells: Vec<(Vec<u8>, LeafVal)> = Vec::new();
-        let mut size = NODE_HEADER;
-        let mut count = 0u64;
+        let mut builder = BTree::builder(env, file)?;
         for (key, value) in entries {
-            if key.len() > max_key {
-                return Err(StorageError::KeyTooLarge {
-                    len: key.len(),
-                    max: max_key,
-                });
-            }
-            // A leaf closes only after the next key is checked, so the
-            // previous key is always the last cell.
-            if cells.last().is_some_and(|(prev, _)| prev >= &key) {
-                return Err(StorageError::corrupt("B+-tree keys must strictly ascend"));
-            }
-            let val = b.store_value(&value)?;
-            let cell = leaf_cell_size(&key, &val);
-            if size + cell > fill_limit && !cells.is_empty() {
-                let first = cells[0].0.clone();
-                leaf_index.push((first, b.close_leaf(std::mem::take(&mut cells))?.0));
-                size = NODE_HEADER;
-            }
-            size += cell;
-            cells.push((key, val));
-            count += 1;
+            builder.push(key.as_ref(), value.as_ref())?;
         }
-        let first = cells.first().map_or_else(Vec::new, |(k, _)| k.clone());
-        leaf_index.push((first, b.close_leaf(cells)?.0));
-        b.flush_pending()?;
+        builder.finish()
+    }
 
-        // Internal levels, bottom-up: each node is complete when appended.
-        let mut level = leaf_index;
-        let mut height = 1u32;
-        while level.len() > 1 {
-            height += 1;
-            let mut next_level: Vec<(Vec<u8>, u64)> = Vec::new();
-            let mut iter = level.into_iter();
-            let (mut group_first, mut extra) = iter.next().expect("at least two children");
-            let mut node_cells: Vec<(Vec<u8>, u64)> = Vec::new();
-            let mut node_bytes = NODE_HEADER;
-            for (key, child) in iter {
-                let cell = internal_cell_size(&key);
-                if node_bytes + cell > fill_limit && !node_cells.is_empty() {
-                    let body = NodeBody::Internal(std::mem::take(&mut node_cells));
-                    let page = b.append_node(&Node { extra, body })?;
-                    next_level.push((std::mem::replace(&mut group_first, key), page.0));
-                    // The next group starts with this entry as its
-                    // leftmost child.
-                    extra = child;
-                    node_bytes = NODE_HEADER;
-                    continue;
-                }
-                node_bytes += cell;
-                node_cells.push((key, child));
-            }
-            let body = NodeBody::Internal(node_cells);
-            let page = b.append_node(&Node { extra, body })?;
-            next_level.push((group_first, page.0));
-            level = next_level;
-        }
-        let tree = BTree {
-            env: env.clone(),
-            file,
-            root: PageId(level[0].1),
-            height,
-            count,
+    /// Starts a tree in the new, empty `file`; entries are pushed in
+    /// strictly ascending key order and copied into pages as they come.
+    ///
+    /// # Errors
+    /// Whatever [`Env::appender`] refuses.
+    pub fn builder(env: &Env, file: FileId) -> Result<BTreeBuilder> {
+        let mut b = BTreeBuilder {
+            app: env.appender(file)?,
+            // A leaf's cells never outgrow a page.
+            cells: Vec::with_capacity(env.page_size()),
+            ends: Vec::new(),
+            prev: None,
+            prev_cells: Vec::with_capacity(env.page_size()),
+            prev_ends: Vec::new(),
+            leaf_index: Vec::new(),
+            count: 0,
         };
-        let meta = b.app.page();
-        meta[..4].copy_from_slice(MAGIC);
-        meta[META_ROOT..META_ROOT + 8].copy_from_slice(&tree.root.0.to_le_bytes());
-        meta[META_COUNT..META_COUNT + 8].copy_from_slice(&tree.count.to_le_bytes());
-        meta[META_HEIGHT..META_HEIGHT + 4].copy_from_slice(&tree.height.to_le_bytes());
-        b.app.rewrite(PageId(0))?;
-        Ok(tree)
+        // Page 0 is the meta page, patched last; page 1 the unreachable
+        // empty leaf (see the module docs).
+        b.app.append()?;
+        write_leaf(b.app.page(), NO_SIBLING, &[], &[]);
+        b.app.append()?;
+        Ok(b)
     }
 
     /// Opens an existing tree by file name.
@@ -413,72 +357,143 @@ impl BTree {
 
 // --- builder -------------------------------------------------------------------
 
-/// The state of one [`BTree::build_in`]: the appender, and the last closed
-/// leaf, held until its right sibling's page id is known.
-struct Builder {
+/// One bulk load in progress (see [`BTree::builder`]). It owns no copy of
+/// an entry: each is serialized into the open leaf's cells as it arrives.
+pub struct BTreeBuilder {
     app: PageAppender,
-    /// The leaf at this page id, its sibling not yet known, and whether it
-    /// was already appended (to make room for overflow pages after it).
-    pending: Option<(PageId, Node, bool)>,
+    /// The open leaf's cells, back to back, and where each one ends.
+    cells: Vec<u8>,
+    ends: Vec<usize>,
+    /// The last closed leaf's page and cells, kept to point it to its
+    /// right sibling again if overflow pages came between the two.
+    prev: Option<PageId>,
+    prev_cells: Vec<u8>,
+    prev_ends: Vec<usize>,
+    /// The first key and page id of every closed leaf.
+    leaf_index: Vec<(Vec<u8>, u64)>,
+    count: u64,
 }
 
-impl Builder {
-    /// Appends `node` as the next page.
-    fn append_node(&mut self, node: &Node) -> Result<PageId> {
-        serialize_node(node, self.app.page())?;
-        self.app.append()
-    }
-
-    /// Appends the pending leaf if it still waits in memory; its sibling
-    /// is patched in when [`Builder::close_leaf`] learns it.
-    fn flush_pending(&mut self) -> Result<()> {
-        if let Some((page, node, appended @ false)) = &mut self.pending {
-            debug_assert_eq!(self.app.next_page(), *page);
-            serialize_node(node, self.app.page())?;
-            self.app.append()?;
-            *appended = true;
+impl BTreeBuilder {
+    /// Adds the next entry.
+    ///
+    /// # Errors
+    /// `Corrupt` if `key` does not follow the previous key, `KeyTooLarge`
+    /// for a key over [`BTree::max_key`], and whatever a page write
+    /// returns.
+    pub fn push(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        let page_size = self.app.env().page_size();
+        if key.len() > page_size / 8 {
+            return Err(StorageError::KeyTooLarge {
+                len: key.len(),
+                max: page_size / 8,
+            });
         }
+        // A leaf closes only after the next key is checked, so the
+        // previous key is always the open leaf's last cell.
+        let last = self.ends.len().checked_sub(2).map_or(0, |i| self.ends[i]);
+        if !self.ends.is_empty() && leaf_cell_key(&self.cells[last..]) >= key {
+            return Err(StorageError::corrupt("B+-tree keys must strictly ascend"));
+        }
+        let val = self.store_value(value)?;
+        let size = NODE_HEADER + self.cells.len() + SLOT_SIZE * self.ends.len();
+        if size + leaf_cell_size(key, val) > page_size * 9 / 10 && !self.ends.is_empty() {
+            self.close_leaf(false)?;
+        }
+        put_leaf_cell(&mut self.cells, key, val);
+        self.ends.push(self.cells.len());
+        self.count += 1;
         Ok(())
     }
 
-    /// Closes a full leaf: it becomes pending, and the previous pending
-    /// leaf, now knowing its sibling, is written. Returns the leaf's page.
-    fn close_leaf(&mut self, cells: Vec<(Vec<u8>, LeafVal)>) -> Result<PageId> {
-        let next = self.app.next_page();
-        let page = match self.pending.take() {
-            None => next,
-            Some((prev, mut node, appended)) => {
-                let page = if appended { next } else { PageId(next.0 + 1) };
-                node.extra = page.0;
-                serialize_node(&node, self.app.page())?;
-                if appended {
-                    self.app.rewrite(prev)?;
-                } else {
-                    self.app.append()?;
+    /// Writes the last leaf, the internal levels and the meta page.
+    pub fn finish(mut self) -> Result<BTree> {
+        self.close_leaf(true)?;
+        let fill_limit = self.app.env().page_size() * 9 / 10;
+
+        // Internal levels, bottom-up: each node is complete when appended.
+        let mut level = std::mem::take(&mut self.leaf_index);
+        let mut height = 1u32;
+        while level.len() > 1 {
+            height += 1;
+            let mut next_level: Vec<(Vec<u8>, u64)> = Vec::new();
+            let mut iter = level.into_iter();
+            let (mut group_first, mut extra) = iter.next().expect("at least two children");
+            let mut node_cells: Vec<(Vec<u8>, u64)> = Vec::new();
+            let mut node_bytes = NODE_HEADER;
+            for (key, child) in iter {
+                let cell = internal_cell_size(&key);
+                if node_bytes + cell > fill_limit && !node_cells.is_empty() {
+                    let page = self.append_internal(extra, &node_cells)?;
+                    node_cells.clear();
+                    next_level.push((std::mem::replace(&mut group_first, key), page.0));
+                    // The next group starts with this entry as its
+                    // leftmost child.
+                    extra = child;
+                    node_bytes = NODE_HEADER;
+                    continue;
                 }
-                page
+                node_bytes += cell;
+                node_cells.push((key, child));
             }
+            let page = self.append_internal(extra, &node_cells)?;
+            next_level.push((group_first, page.0));
+            level = next_level;
+        }
+        let tree = BTree {
+            env: self.app.env().clone(),
+            file: self.app.file_id(),
+            root: PageId(level[0].1),
+            height,
+            count: self.count,
         };
-        let body = NodeBody::Leaf(cells);
-        self.pending = Some((
-            page,
-            Node {
-                extra: NO_SIBLING,
-                body,
-            },
-            false,
-        ));
-        Ok(page)
+        let meta = self.app.page();
+        meta[..4].copy_from_slice(MAGIC);
+        meta[META_ROOT..META_ROOT + 8].copy_from_slice(&tree.root.0.to_le_bytes());
+        meta[META_COUNT..META_COUNT + 8].copy_from_slice(&tree.count.to_le_bytes());
+        meta[META_HEIGHT..META_HEIGHT + 4].copy_from_slice(&tree.height.to_le_bytes());
+        self.app.rewrite(PageId(0))?;
+        Ok(tree)
+    }
+
+    /// Appends an internal node as the next page.
+    fn append_internal(&mut self, leftmost: u64, cells: &[(Vec<u8>, u64)]) -> Result<PageId> {
+        write_internal(self.app.page(), leftmost, cells);
+        self.app.append()
+    }
+
+    /// Appends the open leaf, pointing to the page after it (or to none
+    /// if it is the `last`). The previous leaf was pointed the same way:
+    /// if overflow pages went there instead, it is rewritten.
+    fn close_leaf(&mut self, last: bool) -> Result<()> {
+        let page = self.app.next_page();
+        if let Some(prev) = self.prev.filter(|prev| prev.0 + 1 != page.0) {
+            write_leaf(self.app.page(), page.0, &self.prev_cells, &self.prev_ends);
+            self.app.rewrite(prev)?;
+        }
+        let next_leaf = if last { NO_SIBLING } else { page.0 + 1 };
+        write_leaf(self.app.page(), next_leaf, &self.cells, &self.ends);
+        self.app.append()?;
+        let first = match self.ends.is_empty() {
+            true => Vec::new(),
+            false => leaf_cell_key(&self.cells).to_vec(),
+        };
+        self.leaf_index.push((first, page.0));
+        std::mem::swap(&mut self.cells, &mut self.prev_cells);
+        std::mem::swap(&mut self.ends, &mut self.prev_ends);
+        self.cells.clear();
+        self.ends.clear();
+        self.prev = Some(page);
+        Ok(())
     }
 
     /// Stores `value` inline, or in an overflow chain written back to
     /// front so that each page can point to the next.
-    fn store_value(&mut self, value: &[u8]) -> Result<LeafVal> {
+    fn store_value<'v>(&mut self, value: &'v [u8]) -> Result<ValueRef<'v>> {
         let page_size = self.app.env().page_size();
         if value.len() <= page_size / 8 {
-            return Ok(LeafVal::Inline(value.to_vec()));
+            return Ok(ValueRef::Inline(value));
         }
-        self.flush_pending()?;
         let mut next = NO_SIBLING;
         for chunk in value.chunks(page_size - 12).rev() {
             let data = self.app.page();
@@ -487,7 +502,7 @@ impl Builder {
             data[12..12 + chunk.len()].copy_from_slice(chunk);
             next = self.app.append()?.0;
         }
-        Ok(LeafVal::Overflow {
+        Ok(ValueRef::Overflow {
             page: next,
             len: value.len() as u32,
         })
@@ -1091,6 +1106,23 @@ mod tests {
         })
         .unwrap();
         assert_eq!(vals, vec![b"a1".to_vec(), b"a2".to_vec()]);
+    }
+
+    /// Overflow chains written while a leaf is open land between it and
+    /// the previous leaf, whose sibling link must skip them.
+    #[test]
+    fn overflow_pages_between_leaves_keep_the_sibling_chain() {
+        let env = Env::memory_with(EnvConfig {
+            page_size: 512,
+            pool_bytes: 64 * 512,
+        });
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..300u64)
+            .map(|i| (key(i), vec![i as u8; if i % 25 == 7 { 200 } else { 5 }]))
+            .collect();
+        let t = build(&env, "t", entries.clone());
+        assert!(t.height() > 1);
+        let all: Vec<(Vec<u8>, Vec<u8>)> = t.iter().map(|r| r.unwrap()).collect();
+        assert_eq!(all, entries);
     }
 
     #[test]

@@ -220,20 +220,36 @@ impl<H: std::borrow::Borrow<HeapFile>> Scan<H> {
     /// The next record, borrowed from the page the scan holds; `None` at
     /// the end, where the scan lets go of its last page.
     pub fn next_record(&mut self) -> Result<Option<&[u8]>> {
+        if !self.fill()? {
+            return Ok(None);
+        }
+        let (page, pos, left) = self.at.as_mut().expect("a page with records left");
+        *left -= 1;
+        Ok(Some(codec::get_bytes(page, pos)))
+    }
+
+    /// Holds the page of the next record, reading pages as needed; false
+    /// at the end.
+    pub(crate) fn fill(&mut self) -> Result<bool> {
         while self.at.as_ref().map_or(true, |&(_, _, left)| left == 0) {
             self.at = None;
             let heap = self.heap.borrow();
             if self.next_page >= heap.env.page_count(heap.file)? {
-                return Ok(None);
+                return Ok(false);
             }
             let page = heap.env.page(heap.file, PageId(self.next_page))?;
             self.next_page += 1;
             let left = nrecords(&page);
             self.at = Some((page, DATA_HEADER, left));
         }
-        let (page, pos, left) = self.at.as_mut().expect("a page with records left");
-        *left -= 1;
-        Ok(Some(codec::get_bytes(page, pos)))
+        Ok(true)
+    }
+
+    /// The next record without consuming it, once [`Scan::fill`] found it.
+    pub(crate) fn peek(&self) -> Option<&[u8]> {
+        let (page, pos, left) = self.at.as_ref()?;
+        let mut pos = *pos;
+        (*left > 0).then(|| codec::get_bytes(page, &mut pos))
     }
 }
 

@@ -61,7 +61,7 @@ mod node;
 mod page;
 
 pub use append::PageAppender;
-pub use btree::{BTree, Cursor, Seeker};
+pub use btree::{BTree, BTreeBuilder, Cursor, Seeker};
 pub use buffer::{IoSnapshot, IoStats};
 pub use env::{BackendDecorator, Env, EnvConfig, FileId, FilePins};
 pub use error::StorageError;

@@ -21,8 +21,9 @@
 //! binary-searched *in place* against the page bytes by chasing
 //! slot offsets, so point lookups and descent steps materialize nothing.
 //! [`LeafView`] / [`InternalView`] wrap a `&[u8]` page with exactly that
-//! access pattern; the owned [`Node`] is what the bulk builder fills and
-//! serializes, once per page.
+//! access pattern; the bulk builder writes each page once, from cells it
+//! appended back to back ([`put_leaf_cell`], [`write_leaf`]) or from an
+//! internal node's `(key, child)` list ([`write_internal`]).
 //!
 //! Format v1 (the pre-slotted layout, no version byte: byte 0 held the
 //! node type) is deliberately *not* readable — v1 pages are rejected with
@@ -71,25 +72,6 @@ impl ValueRef<'_> {
             ValueRef::Overflow { page, len } => LeafVal::Overflow { page, len },
         }
     }
-}
-
-/// Owned node body (build path).
-#[derive(Debug, Clone)]
-pub(crate) enum NodeBody {
-    /// Sorted `(key, value)` cells.
-    Leaf(Vec<(Vec<u8>, LeafVal)>),
-    /// Sorted `(key, child)` cells; keys ≥ `key_i` and < `key_{i+1}` live
-    /// under `child_i`.
-    Internal(Vec<(Vec<u8>, u64)>),
-}
-
-/// Owned node (build path).
-#[derive(Debug, Clone)]
-pub(crate) struct Node {
-    /// Leaf: right sibling page (or [`NO_SIBLING`]); internal: leftmost
-    /// child.
-    pub extra: u64,
-    pub body: NodeBody,
 }
 
 /// Validates the v2 header, returning `(type, nkeys, extra)`.
@@ -162,9 +144,7 @@ impl<'a> LeafView<'a> {
 
     /// Key of cell `i`, in place.
     pub(crate) fn key(&self, i: usize) -> &'a [u8] {
-        let off = slot(self.data, i);
-        let key_len = u16::from_le_bytes([self.data[off + 1], self.data[off + 2]]) as usize;
-        &self.data[off + 7..off + 7 + key_len]
+        leaf_cell_key(&self.data[slot(self.data, i)..])
     }
 
     /// Key and value of cell `i`, decoding the cell header once.
@@ -266,16 +246,16 @@ fn binary_search<'a>(
     Err(lo)
 }
 
-// --- owned serialize (build path) ----------------------------------------
+// --- serialize (build path) ---------------------------------------------
 
 /// Serialized size of a leaf cell, including its slot-directory entry.
-pub(crate) fn leaf_cell_size(key: &[u8], val: &LeafVal) -> usize {
+pub(crate) fn leaf_cell_size(key: &[u8], val: ValueRef<'_>) -> usize {
     SLOT_SIZE
         + 7
         + key.len()
         + match val {
-            LeafVal::Inline(v) => v.len(),
-            LeafVal::Overflow { .. } => 12,
+            ValueRef::Inline(v) => v.len(),
+            ValueRef::Overflow { .. } => 12,
         }
 }
 
@@ -284,57 +264,66 @@ pub(crate) fn internal_cell_size(key: &[u8]) -> usize {
     SLOT_SIZE + 10 + key.len()
 }
 
-/// Serializes `node` into a page, building the slot directory.
-pub(crate) fn serialize_node(node: &Node, data: &mut [u8]) -> Result<()> {
-    data[0] = FORMAT_V2;
-    data[OFF_EXTRA..OFF_EXTRA + 8].copy_from_slice(&node.extra.to_le_bytes());
-    match &node.body {
-        NodeBody::Leaf(cells) => {
-            data[OFF_TYPE] = TYPE_LEAF;
-            data[OFF_NKEYS..OFF_NKEYS + 2].copy_from_slice(&(cells.len() as u16).to_le_bytes());
-            let mut pos = NODE_HEADER + SLOT_SIZE * cells.len();
-            for (i, (key, val)) in cells.iter().enumerate() {
-                let so = NODE_HEADER + SLOT_SIZE * i;
-                data[so..so + 2].copy_from_slice(&(pos as u16).to_le_bytes());
-                let (flags, val_len) = match val {
-                    LeafVal::Inline(v) => (0u8, v.len() as u32),
-                    LeafVal::Overflow { len, .. } => (1u8, *len),
-                };
-                data[pos] = flags;
-                data[pos + 1..pos + 3].copy_from_slice(&(key.len() as u16).to_le_bytes());
-                data[pos + 3..pos + 7].copy_from_slice(&val_len.to_le_bytes());
-                pos += 7;
-                data[pos..pos + key.len()].copy_from_slice(key);
-                pos += key.len();
-                match val {
-                    LeafVal::Inline(v) => {
-                        data[pos..pos + v.len()].copy_from_slice(v);
-                        pos += v.len();
-                    }
-                    LeafVal::Overflow { page, len } => {
-                        data[pos..pos + 8].copy_from_slice(&page.to_le_bytes());
-                        data[pos + 8..pos + 12].copy_from_slice(&len.to_le_bytes());
-                        pos += 12;
-                    }
-                }
-            }
-        }
-        NodeBody::Internal(cells) => {
-            data[OFF_TYPE] = TYPE_INTERNAL;
-            data[OFF_NKEYS..OFF_NKEYS + 2].copy_from_slice(&(cells.len() as u16).to_le_bytes());
-            let mut pos = NODE_HEADER + SLOT_SIZE * cells.len();
-            for (i, (key, child)) in cells.iter().enumerate() {
-                let so = NODE_HEADER + SLOT_SIZE * i;
-                data[so..so + 2].copy_from_slice(&(pos as u16).to_le_bytes());
-                data[pos..pos + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-                data[pos + 2..pos + 10].copy_from_slice(&child.to_le_bytes());
-                pos += 10;
-                data[pos..pos + key.len()].copy_from_slice(key);
-                pos += key.len();
-            }
+/// Appends the leaf cell `key → val` to `cells`.
+pub(crate) fn put_leaf_cell(cells: &mut Vec<u8>, key: &[u8], val: ValueRef<'_>) {
+    let (flags, val_len) = match val {
+        ValueRef::Inline(v) => (0u8, v.len() as u32),
+        ValueRef::Overflow { len, .. } => (1u8, len),
+    };
+    cells.push(flags);
+    cells.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    cells.extend_from_slice(&val_len.to_le_bytes());
+    cells.extend_from_slice(key);
+    match val {
+        ValueRef::Inline(v) => cells.extend_from_slice(v),
+        ValueRef::Overflow { page, len } => {
+            cells.extend_from_slice(&page.to_le_bytes());
+            cells.extend_from_slice(&len.to_le_bytes());
         }
     }
-    Ok(())
+}
+
+/// Key of the leaf cell that `cell` starts with.
+pub(crate) fn leaf_cell_key(cell: &[u8]) -> &[u8] {
+    let key_len = u16::from_le_bytes([cell[1], cell[2]]) as usize;
+    &cell[7..7 + key_len]
+}
+
+/// Writes a leaf page with right sibling `next_leaf`. `cells` holds the
+/// cells back to back, as [`put_leaf_cell`] appends them, and `ends`
+/// where each one ends.
+pub(crate) fn write_leaf(data: &mut [u8], next_leaf: u64, cells: &[u8], ends: &[usize]) {
+    write_header(data, TYPE_LEAF, ends.len(), next_leaf);
+    let base = NODE_HEADER + SLOT_SIZE * ends.len();
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    for (i, start) in starts.take(ends.len()).enumerate() {
+        let so = NODE_HEADER + SLOT_SIZE * i;
+        data[so..so + 2].copy_from_slice(&((base + start) as u16).to_le_bytes());
+    }
+    data[base..base + cells.len()].copy_from_slice(cells);
+}
+
+/// Writes an internal page: `leftmost` child, then sorted `(key, child)`
+/// cells; keys ≥ `key_i` and < `key_{i+1}` live under `child_i`.
+pub(crate) fn write_internal(data: &mut [u8], leftmost: u64, cells: &[(Vec<u8>, u64)]) {
+    write_header(data, TYPE_INTERNAL, cells.len(), leftmost);
+    let mut pos = NODE_HEADER + SLOT_SIZE * cells.len();
+    for (i, (key, child)) in cells.iter().enumerate() {
+        let so = NODE_HEADER + SLOT_SIZE * i;
+        data[so..so + 2].copy_from_slice(&(pos as u16).to_le_bytes());
+        data[pos..pos + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+        data[pos + 2..pos + 10].copy_from_slice(&child.to_le_bytes());
+        pos += 10;
+        data[pos..pos + key.len()].copy_from_slice(key);
+        pos += key.len();
+    }
+}
+
+fn write_header(data: &mut [u8], node_type: u8, nkeys: usize, extra: u64) {
+    data[0] = FORMAT_V2;
+    data[OFF_TYPE] = node_type;
+    data[OFF_NKEYS..OFF_NKEYS + 2].copy_from_slice(&(nkeys as u16).to_le_bytes());
+    data[OFF_EXTRA..OFF_EXTRA + 8].copy_from_slice(&extra.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -343,21 +332,25 @@ mod tests {
 
     const PAGE: usize = 512;
 
-    fn leaf_node() -> Node {
-        Node {
-            extra: 77,
-            body: NodeBody::Leaf(vec![
-                (b"alpha".to_vec(), LeafVal::Inline(b"1".to_vec())),
-                (b"beta".to_vec(), LeafVal::Overflow { page: 9, len: 4000 }),
-                (b"gamma".to_vec(), LeafVal::Inline(vec![])),
-            ]),
+    /// A leaf with right sibling 77 and three cells.
+    fn leaf_page() -> Vec<u8> {
+        let (mut cells, mut ends) = (Vec::new(), Vec::new());
+        for (key, val) in [
+            (&b"alpha"[..], ValueRef::Inline(b"1")),
+            (b"beta", ValueRef::Overflow { page: 9, len: 4000 }),
+            (b"gamma", ValueRef::Inline(&[])),
+        ] {
+            put_leaf_cell(&mut cells, key, val);
+            ends.push(cells.len());
         }
+        let mut page = vec![0u8; PAGE];
+        write_leaf(&mut page, 77, &cells, &ends);
+        page
     }
 
     #[test]
     fn leaf_roundtrip_via_view() {
-        let mut page = vec![0u8; PAGE];
-        serialize_node(&leaf_node(), &mut page).unwrap();
+        let page = leaf_page();
         let NodeView::Leaf(view) = NodeView::parse(&page).unwrap() else {
             panic!("expected leaf view");
         };
@@ -379,16 +372,13 @@ mod tests {
 
     #[test]
     fn internal_roundtrip_and_child_for() {
-        let node = Node {
-            extra: 100,
-            body: NodeBody::Internal(vec![
-                (b"f".to_vec(), 101),
-                (b"m".to_vec(), 102),
-                (b"t".to_vec(), 103),
-            ]),
-        };
+        let cells = [
+            (b"f".to_vec(), 101),
+            (b"m".to_vec(), 102),
+            (b"t".to_vec(), 103),
+        ];
         let mut page = vec![0u8; PAGE];
-        serialize_node(&node, &mut page).unwrap();
+        write_internal(&mut page, 100, &cells);
         let NodeView::Internal(view) = NodeView::parse(&page).unwrap() else {
             panic!("expected internal view");
         };

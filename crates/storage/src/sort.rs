@@ -10,27 +10,32 @@
 
 use crate::env::Env;
 use crate::governor::{Governor, MemReservation};
-use crate::heap::{HeapFile, HeapWriter};
+use crate::heap::{HeapFile, HeapWriter, OwnedScan};
 use crate::Result;
 use std::cmp::Ordering;
 
 /// Record comparator used by the sorter.
 pub type RecordCmp = Box<dyn Fn(&[u8], &[u8]) -> Ordering + Send>;
 
+/// Where one buffered record lies in the arena: `(start, end)`.
+type Entry = (usize, usize);
+
 /// External sorter over opaque byte records. See module docs.
 pub struct ExternalSorter {
     env: Env,
     cmp: RecordCmp,
-    /// In-memory buffer for the current run.
-    buffer: Vec<Vec<u8>>,
-    buffered_bytes: usize,
+    /// The current run's records, back to back in push order.
+    arena: Vec<u8>,
+    /// One entry per buffered record; sorting permutes these, not bytes.
+    index: Vec<Entry>,
     budget_bytes: usize,
     /// Spilled, individually sorted runs.
     runs: Vec<HeapFile>,
     pushed: u64,
     governor: Governor,
-    /// Accounts the buffered records against the governor's memory budget;
-    /// releases itself on drop (including on a cancellation unwind).
+    /// Accounts the arena's and the index's bytes against the governor's
+    /// memory budget; releases itself on drop (including on a cancellation
+    /// unwind).
     reservation: MemReservation,
 }
 
@@ -60,8 +65,8 @@ impl ExternalSorter {
         ExternalSorter {
             env: env.clone(),
             cmp: Box::new(cmp),
-            buffer: Vec::new(),
-            buffered_bytes: 0,
+            arena: Vec::new(),
+            index: Vec::new(),
             budget_bytes: budget_bytes.max(1),
             runs: Vec::new(),
             pushed: 0,
@@ -90,12 +95,13 @@ impl ExternalSorter {
         self.runs.len()
     }
 
-    /// Adds a record. A record the governor's budget cannot cover forces a
-    /// spill first (graceful degradation: disk instead of an error); only
-    /// a record too large for the *whole* budget fails with
+    /// Adds a copy of `record`. A record the governor's budget cannot
+    /// cover forces a spill first (graceful degradation: disk instead of
+    /// an error); only a record the governor cannot cover with this
+    /// sorter's buffer empty fails with
     /// [`crate::StorageError::MemoryExceeded`].
-    pub fn push(&mut self, record: Vec<u8>) -> Result<()> {
-        let cost = record.len() + std::mem::size_of::<Vec<u8>>();
+    pub fn push(&mut self, record: &[u8]) -> Result<()> {
+        let cost = record.len() + std::mem::size_of::<Entry>();
         if !self.reservation.grow(cost) {
             self.spill()?;
             if !self.reservation.grow(cost) {
@@ -105,36 +111,48 @@ impl ExternalSorter {
                 });
             }
         }
-        self.buffered_bytes += cost;
-        self.buffer.push(record);
+        let start = self.arena.len();
+        self.arena.extend_from_slice(record);
+        self.index.push((start, self.arena.len()));
         self.pushed += 1;
-        if self.buffered_bytes > self.budget_bytes {
+        if self.reservation.bytes() > self.budget_bytes {
             self.spill()?;
         }
         Ok(())
     }
 
-    fn spill(&mut self) -> Result<()> {
-        if self.buffer.is_empty() {
+    /// Sorts the index by the records it points to; equal records keep
+    /// their push order.
+    fn sort_index(&mut self) {
+        let (arena, cmp) = (&self.arena, &self.cmp);
+        self.index
+            .sort_by(|a, b| cmp(&arena[a.0..a.1], &arena[b.0..b.1]));
+    }
+
+    /// Writes the buffered records to a new run, sorted, and empties the
+    /// buffer (keeping its capacity for the next run).
+    pub fn spill(&mut self) -> Result<()> {
+        if self.index.is_empty() {
             return Ok(());
         }
+        let bytes = self.reservation.bytes() as u64;
         let span = xmldb_obs::span("sort.spill");
-        span.attr_u64("bytes", self.buffered_bytes as u64);
-        span.attr_u64("records", self.buffer.len() as u64);
-        let cmp = &self.cmp;
-        self.buffer.sort_by(|a, b| cmp(a, b));
+        span.attr_u64("bytes", bytes);
+        span.attr_u64("records", self.index.len() as u64);
+        self.sort_index();
         let mut run = HeapWriter::temp(&self.env)?;
-        for record in self.buffer.drain(..) {
-            run.append(&record)?;
+        for &(start, end) in &self.index {
+            run.append(&self.arena[start..end])?;
         }
         let run = run.finish()?;
-        self.governor.note_spill(self.buffered_bytes as u64);
+        self.governor.note_spill(bytes);
         let registry = self.env.registry();
         registry.counter("saardb_sort_spills_total", &[]).inc();
         registry
             .counter("saardb_sort_spill_bytes_total", &[])
-            .add(self.buffered_bytes as u64);
-        self.buffered_bytes = 0;
+            .add(bytes);
+        self.arena.clear();
+        self.index.clear();
         self.reservation.release_all();
         self.runs.push(run);
         Ok(())
@@ -142,101 +160,94 @@ impl ExternalSorter {
 
     /// Finishes and returns the records in sorted order.
     pub fn finish(mut self) -> Result<SortedRecords> {
-        if self.runs.is_empty() {
-            // Everything fit in memory: no merge needed. The reservation
-            // moves into the iterator — the records stay accounted until
-            // the consumer is done with them.
-            let cmp = &self.cmp;
-            self.buffer.sort_by(|a, b| cmp(a, b));
-            return Ok(SortedRecords {
-                memory: self.buffer.into_iter(),
-                merge: None,
-                _reservation: self.reservation,
-            });
-        }
-        self.spill()?;
+        let merge = if self.runs.is_empty() {
+            // Everything fit in memory: no merge needed. The arena and its
+            // reservation move into the result — the records stay
+            // accounted until the consumer is done with them.
+            self.sort_index();
+            None
+        } else {
+            self.spill()?;
+            (self.arena, self.index) = (Vec::new(), Vec::new());
+            Some(MergeState::new(self.runs, self.cmp)?)
+        };
         Ok(SortedRecords {
-            memory: Vec::new().into_iter(),
-            merge: Some(MergeState::new(self.runs, self.cmp)?),
+            arena: self.arena,
+            index: self.index.into_iter(),
+            merge,
             _reservation: self.reservation,
         })
     }
 }
 
-/// Iterator over sorted records produced by [`ExternalSorter::finish`].
+/// The sorted records produced by [`ExternalSorter::finish`], lent one at
+/// a time by [`SortedRecords::next_record`].
 pub struct SortedRecords {
-    memory: std::vec::IntoIter<Vec<u8>>,
+    arena: Vec<u8>,
+    index: std::vec::IntoIter<Entry>,
     merge: Option<MergeState>,
     /// Keeps the in-memory records accounted against the governor until
-    /// the iterator drops.
+    /// they drop.
     _reservation: MemReservation,
 }
 
-impl Iterator for SortedRecords {
-    type Item = Result<Vec<u8>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(merge) = &mut self.merge {
-            return merge.next_record().transpose();
+impl SortedRecords {
+    /// The next record in sorted order, borrowed until the next call;
+    /// `None` after the last.
+    pub fn next_record(&mut self) -> Result<Option<&[u8]>> {
+        match &mut self.merge {
+            Some(merge) => merge.next_record(),
+            None => Ok(self
+                .index
+                .next()
+                .map(|(start, end)| &self.arena[start..end])),
         }
-        self.memory.next().map(Ok)
     }
 }
 
 /// K-way merge over spilled runs. Runs are few (dozens at most for the
-/// Figure 7 workloads), so min-selection is a linear scan of run heads.
+/// Figure 7 workloads), so min-selection is a linear scan of run heads,
+/// each a record in the page its scan holds.
 struct MergeState {
-    /// `(run, head)` pairs; `head` is the next unconsumed record.
-    runs: Vec<RunCursor>,
+    /// One scan per run, standing on its next unconsumed record.
+    runs: Vec<OwnedScan>,
     cmp: RecordCmp,
-}
-
-struct RunCursor {
-    /// Streams the run page-at-a-time and keeps its scratch file alive.
-    records: crate::heap::OwnedScan,
-    head: Option<Vec<u8>>,
-}
-
-impl RunCursor {
-    fn step(&mut self) -> Result<()> {
-        self.head = self.records.next().transpose()?;
-        Ok(())
-    }
+    /// The run whose head the last call lent out: it steps past it first
+    /// thing on the next call.
+    lent: Option<usize>,
 }
 
 impl MergeState {
     fn new(runs: Vec<HeapFile>, cmp: RecordCmp) -> Result<MergeState> {
-        let mut cursors = Vec::with_capacity(runs.len());
+        let mut scans = Vec::with_capacity(runs.len());
         for heap in runs {
-            let mut cursor = RunCursor {
-                records: heap.into_scan(),
-                head: None,
-            };
-            cursor.step()?;
-            cursors.push(cursor);
+            let mut scan = heap.into_scan();
+            scan.fill()?;
+            scans.push(scan);
         }
-        Ok(MergeState { runs: cursors, cmp })
+        Ok(MergeState {
+            runs: scans,
+            cmp,
+            lent: None,
+        })
     }
 
-    fn next_record(&mut self) -> Result<Option<Vec<u8>>> {
-        let mut best: Option<usize> = None;
+    fn next_record(&mut self) -> Result<Option<&[u8]>> {
+        if let Some(i) = self.lent.take() {
+            let run = &mut self.runs[i];
+            run.next_record()?;
+            run.fill()?;
+        }
+        // The lowest run wins ties, so equal records keep push order.
+        let mut best: Option<(usize, &[u8])> = None;
         for (i, run) in self.runs.iter().enumerate() {
-            let Some(head) = &run.head else { continue };
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    let best_head = self.runs[b].head.as_ref().expect("best has head");
-                    if (self.cmp)(head, best_head) == Ordering::Less {
-                        best = Some(i);
-                    }
-                }
+            let Some(head) = run.peek() else { continue };
+            if best.map_or(true, |(_, b)| (self.cmp)(head, b) == Ordering::Less) {
+                best = Some((i, head));
             }
         }
-        let Some(i) = best else { return Ok(None) };
-        let run = &mut self.runs[i];
-        let out = run.head.take();
-        run.step()?;
-        Ok(out)
+        self.lent = best.map(|(i, _)| i);
+        Ok(best.map(|(_, head)| head))
     }
 }
 
@@ -245,15 +256,25 @@ mod tests {
     use super::*;
     use crate::env::EnvConfig;
 
+    /// Every record of a finished sorter, in the order it lends them.
+    fn collect(sorter: ExternalSorter) -> Vec<Vec<u8>> {
+        let mut sorted = sorter.finish().unwrap();
+        let mut out = Vec::new();
+        while let Some(record) = sorted.next_record().unwrap() {
+            out.push(record.to_vec());
+        }
+        out
+    }
+
     #[test]
     fn in_memory_sort() {
         let env = Env::memory();
         let mut sorter = ExternalSorter::lexicographic(&env, 1 << 20);
-        for rec in [b"cherry".to_vec(), b"apple".to_vec(), b"banana".to_vec()] {
+        for rec in [&b"cherry"[..], b"apple", b"banana"] {
             sorter.push(rec).unwrap();
         }
         assert_eq!(sorter.spilled_runs(), 0);
-        let out: Vec<Vec<u8>> = sorter.finish().unwrap().map(|r| r.unwrap()).collect();
+        let out = collect(sorter);
         assert_eq!(
             out,
             vec![b"apple".to_vec(), b"banana".to_vec(), b"cherry".to_vec()]
@@ -272,14 +293,14 @@ mod tests {
         for i in 0..n {
             // Scrambled order, fixed-width keys so byte order = numeric order.
             let v = (i * 7919 + 13) % n;
-            sorter.push(format!("{v:08}").into_bytes()).unwrap();
+            sorter.push(format!("{v:08}").as_bytes()).unwrap();
         }
         assert!(
             sorter.spilled_runs() > 2,
             "expected spills, got {}",
             sorter.spilled_runs()
         );
-        let out: Vec<Vec<u8>> = sorter.finish().unwrap().map(|r| r.unwrap()).collect();
+        let out = collect(sorter);
         assert_eq!(out.len(), n as usize);
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
         // All inputs present exactly once ((i*7919+13) mod 1000 is a bijection
@@ -294,10 +315,10 @@ mod tests {
         let mut sorter = ExternalSorter::new(&env, 64, |a, b| b.cmp(a));
         for i in 0..100u32 {
             sorter
-                .push(format!("{:04}", (i * 37) % 100).into_bytes())
+                .push(format!("{:04}", (i * 37) % 100).as_bytes())
                 .unwrap();
         }
-        let out: Vec<Vec<u8>> = sorter.finish().unwrap().map(|r| r.unwrap()).collect();
+        let out = collect(sorter);
         assert!(out.windows(2).all(|w| w[0] >= w[1]));
     }
 
@@ -306,10 +327,35 @@ mod tests {
         let env = Env::memory();
         let mut sorter = ExternalSorter::lexicographic(&env, 32);
         for _ in 0..10 {
-            sorter.push(b"same".to_vec()).unwrap();
+            sorter.push(b"same").unwrap();
         }
-        let out: Vec<Vec<u8>> = sorter.finish().unwrap().map(|r| r.unwrap()).collect();
+        let out = collect(sorter);
         assert_eq!(out.len(), 10);
+    }
+
+    /// Records compared by their first byte alone come out in push order
+    /// among equals, from memory and from the merge of spilled runs.
+    #[test]
+    fn equal_keys_keep_push_order() {
+        let env = Env::memory_with(EnvConfig {
+            page_size: 512,
+            pool_bytes: 32 * 512,
+        });
+        for budget in [1 << 20, 64] {
+            let mut sorter = ExternalSorter::new(&env, budget, |a, b| a[0].cmp(&b[0]));
+            for i in 0..300u32 {
+                sorter
+                    .push(&[b"ba"[(i % 2) as usize], (i / 2) as u8])
+                    .unwrap();
+            }
+            assert_eq!(sorter.spilled_runs() > 0, budget == 64);
+            let out = collect(sorter);
+            let expected: Vec<Vec<u8>> = [b'a', b'b']
+                .iter()
+                .flat_map(|&k| (0..150u32).map(move |i| vec![k, i as u8]))
+                .collect();
+            assert_eq!(out, expected);
+        }
     }
 
     #[test]
@@ -317,7 +363,7 @@ mod tests {
         let env = Env::memory();
         let sorter = ExternalSorter::lexicographic(&env, 1024);
         assert!(sorter.is_empty());
-        assert_eq!(sorter.finish().unwrap().count(), 0);
+        assert!(collect(sorter).is_empty());
     }
 
     #[test]
@@ -328,11 +374,11 @@ mod tests {
         let mut sorter = ExternalSorter::with_governor(&env, 1 << 20, gov.clone(), |a, b| a.cmp(b));
         for i in 0..200u32 {
             sorter
-                .push(format!("{:08}", (i * 37) % 200).into_bytes())
+                .push(format!("{:08}", (i * 37) % 200).as_bytes())
                 .unwrap();
         }
         assert!(sorter.spilled_runs() > 0, "governor pressure must spill");
-        let out: Vec<Vec<u8>> = sorter.finish().unwrap().map(|r| r.unwrap()).collect();
+        let out = collect(sorter);
         assert_eq!(out.len(), 200);
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
         let snap = gov.snapshot();
@@ -351,7 +397,7 @@ mod tests {
         let env = Env::memory();
         let gov = Governor::with_limits(None, Some(64));
         let mut sorter = ExternalSorter::with_governor(&env, 1 << 20, gov.clone(), |a, b| a.cmp(b));
-        let err = sorter.push(vec![0u8; 1000]).unwrap_err();
+        let err = sorter.push(&[0u8; 1000]).unwrap_err();
         assert!(
             matches!(err, crate::StorageError::MemoryExceeded { budget: 64, .. }),
             "{err}"
@@ -366,7 +412,7 @@ mod tests {
         let gov = Governor::with_limits(None, Some(1 << 20));
         let mut sorter = ExternalSorter::with_governor(&env, 1 << 20, gov.clone(), |a, b| a.cmp(b));
         for i in 0..10u32 {
-            sorter.push(format!("{i:04}").into_bytes()).unwrap();
+            sorter.push(format!("{i:04}").as_bytes()).unwrap();
         }
         let sorted = sorter.finish().unwrap();
         assert!(gov.mem_used() > 0, "in-memory results remain accounted");
@@ -380,11 +426,9 @@ mod tests {
         {
             let mut sorter = ExternalSorter::lexicographic(&env, 16);
             for i in 0..100u32 {
-                sorter.push(format!("{i:06}").into_bytes()).unwrap();
+                sorter.push(format!("{i:06}").as_bytes()).unwrap();
             }
-            let sorted = sorter.finish().unwrap();
-            let out: Vec<std::result::Result<Vec<u8>, _>> = sorted.collect();
-            assert_eq!(out.len(), 100);
+            assert_eq!(collect(sorter).len(), 100);
         }
         // After the iterator drops, no run files remain registered: a fresh
         // temp file gets a fresh id and the env accepts it.

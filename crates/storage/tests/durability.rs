@@ -269,8 +269,12 @@ fn log_with_a_retired_record_kind_is_refused_at_open() {
     let dir = scratch("retired");
     {
         let env = Env::open_dir(&dir, config()).unwrap();
-        env.autocommit(|| BTree::build_in(&env, env.create_file("a")?, []).map(drop))
-            .unwrap();
+        env.autocommit(|| {
+            BTree::builder(&env, env.create_file("a")?)?
+                .finish()
+                .map(drop)
+        })
+        .unwrap();
     }
     std::fs::write(dir.join("b.sdb"), vec![0u8; config().page_size]).unwrap();
     let frame = |payload: &[u8]| {

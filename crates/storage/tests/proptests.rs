@@ -189,9 +189,13 @@ proptest! {
         let env = tiny_env();
         let mut sorter = ExternalSorter::lexicographic(&env, budget);
         for r in &records {
-            sorter.push(r.clone()).unwrap();
+            sorter.push(r).unwrap();
         }
-        let got: Vec<Vec<u8>> = sorter.finish().unwrap().map(|r| r.unwrap()).collect();
+        let mut sorted = sorter.finish().unwrap();
+        let mut got = Vec::new();
+        while let Some(r) = sorted.next_record().unwrap() {
+            got.push(r.to_vec());
+        }
         let mut want = records;
         want.sort();
         prop_assert_eq!(got, want);

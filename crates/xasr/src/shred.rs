@@ -2,22 +2,27 @@
 //!
 //! Milestone 2 explicitly "does not require building the DOM tree of the
 //! input XML document". The shredder keeps only the open-element stack in
-//! memory: a tuple is complete when its closing tag arrives, is pushed into
-//! three external sorters (one per index key order), and the sorted streams
-//! are bulk-loaded into the B+-trees. Memory use is O(depth + sort budget)
-//! regardless of document size.
+//! memory: a tuple is complete when its closing tag arrives, and its
+//! entries go to four external sorters, one per index (clustered, label,
+//! parent, text), encoded straight into each sorter's arena through one
+//! reused buffer. The sorted streams are bulk-loaded into the B+-trees,
+//! borrowed record by record. Memory is O(depth) for the stack plus, per
+//! index, at most [`SORT_BUDGET`] of buffered records (less under a
+//! governor's budget, which makes the sorters spill early), one page per
+//! spilled run during its merge, and the first key of each leaf the
+//! builder closed — regardless of document size.
 
 use crate::stats::Statistics;
 use crate::store::{file_names, XasrStore};
-use crate::tuple::{NodeTuple, NodeType};
+use crate::tuple::{NodeTuple, NodeType, TupleRef};
 use crate::Result;
-use xmldb_storage::{BTree, Env, ExternalSorter};
+use xmldb_storage::{BTree, Env, ExternalSorter, StorageError};
 use xmldb_xml::{Event, EventReader, ParseOptions};
 
 /// Sort-buffer budget per index during shredding.
 const SORT_BUDGET: usize = 4 << 20;
 
-/// Shreds `xml` into the three XASR indexes under document name `name` and
+/// Shreds `xml` into the four XASR indexes under document name `name` and
 /// returns the opened store. The document's files are new and not yet
 /// committed: the caller commits them ([`Env::flush`] outside a
 /// transaction, [`xmldb_storage::Txn::commit`] inside one).
@@ -51,10 +56,12 @@ pub fn shred_document_with(
             needed * 8
         )));
     }
-    let mut clustered_sorter = key_sorter(env);
-    let mut label_sorter = key_sorter(env);
-    let mut parent_sorter = key_sorter(env);
-    let mut text_sorter = key_sorter(env);
+    let mut sorters = Sorters {
+        indexes: [(); 4].map(|()| {
+            ExternalSorter::new(env, SORT_BUDGET, |a, b| kv_split(a).0.cmp(kv_split(b).0))
+        }),
+        buf: Vec::new(),
+    };
     let mut stats = Statistics::default();
 
     // Tag counter and open-element stack. Stack entries are (in, parent_in).
@@ -66,35 +73,6 @@ pub fn shred_document_with(
     let root_in = counter;
     stack.push((root_in, 0));
     stats.record_node(0);
-
-    let push_tuple = |tuple: NodeTuple,
-                      clustered: &mut ExternalSorter,
-                      label: &mut ExternalSorter,
-                      parent: &mut ExternalSorter,
-                      text: &mut ExternalSorter|
-     -> Result<()> {
-        clustered.push(kv_record(
-            &NodeTuple::clustered_key(tuple.in_),
-            &tuple.encode(),
-        ))?;
-        if let Some(l) = tuple.label() {
-            label.push(kv_record(
-                &NodeTuple::label_key(l, tuple.in_),
-                &tuple.label_value(),
-            ))?;
-        }
-        if let Some(t) = tuple.text() {
-            text.push(kv_record(
-                &NodeTuple::text_key(t, tuple.in_),
-                &tuple.text_value_entry(),
-            ))?;
-        }
-        parent.push(kv_record(
-            &NodeTuple::parent_key(tuple.parent_in, tuple.in_),
-            &tuple.parent_value(),
-        ))?;
-        Ok(())
-    };
 
     let mut reader = EventReader::new(xml, options.clone());
     // Element stack entries carry the label for tuple completion.
@@ -112,20 +90,13 @@ pub fn shred_document_with(
                 let (in_, parent_in) = stack.pop().expect("balanced tags");
                 let label = labels.pop().expect("balanced tags");
                 counter += 1;
-                let tuple = NodeTuple {
+                sorters.push(TupleRef {
                     in_,
                     out: counter,
                     parent_in,
                     kind: NodeType::Element,
-                    value: Some(label),
-                };
-                push_tuple(
-                    tuple,
-                    &mut clustered_sorter,
-                    &mut label_sorter,
-                    &mut parent_sorter,
-                    &mut text_sorter,
-                )?;
+                    value: Some(&label),
+                })?;
             }
             Event::Text(text) => {
                 counter += 1;
@@ -133,20 +104,13 @@ pub fn shred_document_with(
                 counter += 1;
                 let parent_in = stack.last().expect("root always open").0;
                 stats.record_text(&text, stack.len() as u32);
-                let tuple = NodeTuple {
+                sorters.push(TupleRef {
                     in_,
                     out: counter,
                     parent_in,
                     kind: NodeType::Text,
-                    value: Some(text),
-                };
-                push_tuple(
-                    tuple,
-                    &mut clustered_sorter,
-                    &mut label_sorter,
-                    &mut parent_sorter,
-                    &mut text_sorter,
-                )?;
+                    value: Some(&text),
+                })?;
             }
             Event::Comment(_) | Event::Pi { .. } => {
                 // Not representable in the XASR data model; counted nowhere.
@@ -156,37 +120,23 @@ pub fn shred_document_with(
     // Close the virtual root.
     let (root_in, _) = stack.pop().expect("root still open");
     counter += 1;
-    let root_tuple = NodeTuple {
+    sorters.push(TupleRef {
         in_: root_in,
         out: counter,
         parent_in: 0,
         kind: NodeType::Root,
         value: None,
-    };
-    push_tuple(
-        root_tuple,
-        &mut clustered_sorter,
-        &mut label_sorter,
-        &mut parent_sorter,
-        &mut text_sorter,
-    )?;
+    })?;
 
-    // Bulk-build each index from its sorted stream.
-    let build = |name: &str, records| BTree::build_in(env, env.create_file(name)?, records);
-    let clustered = build(
-        &names.clustered,
-        SplitRecords::new(clustered_sorter.finish()?),
-    )?;
-    let label_idx = build(&names.label, SplitRecords::new(label_sorter.finish()?))?;
-    let parent_idx = build(&names.parent, SplitRecords::new(parent_sorter.finish()?))?;
-    // The text index loads through a distinct-prefix counter: the stream is
-    // sorted by (value-prefix, in), so distinct values are adjacent runs.
+    // Bulk-build each index from its sorted stream. The text index counts
+    // distinct prefixes on the way: its stream is sorted by (value-prefix,
+    // in), so distinct values are adjacent runs.
     let mut distinct = DistinctPrefixCounter::default();
-    let text_idx = BTree::build_in(
-        env,
-        env.create_file(&names.text)?,
-        SplitRecords::new(text_sorter.finish()?).inspect(|(k, _)| distinct.observe(k)),
-    )?;
+    let [clustered, label, parent, text] = sorters.indexes;
+    let clustered = load(env, &names.clustered, clustered, |_| {})?;
+    let label_idx = load(env, &names.label, label, |_| {})?;
+    let parent_idx = load(env, &names.parent, parent, |_| {})?;
+    let text_idx = load(env, &names.text, text, |key| distinct.observe(key))?;
     stats.distinct_text_values = distinct.count;
 
     stats.save(env, &names.stats)?;
@@ -201,10 +151,81 @@ pub fn shred_document_with(
     )
 }
 
+/// The index sorters of one load — clustered, label, parent and text —
+/// and the buffer every entry is encoded in before it is copied into its
+/// sorter, as a `u32 key_len | key | value` record.
+struct Sorters {
+    indexes: [ExternalSorter; 4],
+    buf: Vec<u8>,
+}
+
+impl Sorters {
+    /// Pushes a node's entries: clustered and parent for every node, label
+    /// for an element, text for a text node.
+    fn push(&mut self, t: TupleRef<'_>) -> Result<()> {
+        let buf = &mut self.buf;
+        for index in 0..4 {
+            buf.clear();
+            buf.extend_from_slice(&[0; 4]);
+            match (index, t.kind, t.value) {
+                (0, ..) => buf.extend_from_slice(&NodeTuple::clustered_key_bytes(t.in_)),
+                (1, NodeType::Element, Some(l)) => NodeTuple::put_label_key(buf, l, t.in_),
+                (2, ..) => NodeTuple::put_parent_key(buf, t.parent_in, t.in_),
+                (3, NodeType::Text, Some(text)) => NodeTuple::put_text_key(buf, text, t.in_),
+                _ => continue,
+            }
+            let key_len = (buf.len() - 4) as u32;
+            buf[..4].copy_from_slice(&key_len.to_le_bytes());
+            match index {
+                0 => t.encode_into(buf),
+                1 => t.put_label_value(buf),
+                2 => t.put_parent_value(buf),
+                _ => t.put_text_value(buf),
+            }
+            // Governor pressure spills only the refused sorter; the others
+            // may hold the budget, so they spill too before the one retry.
+            match self.indexes[index].push(buf) {
+                Err(StorageError::MemoryExceeded { .. }) => {
+                    for sorter in &mut self.indexes {
+                        sorter.spill()?;
+                    }
+                    self.indexes[index].push(buf)?;
+                }
+                pushed => pushed?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Bulk-loads the new file `name` from a sorter's records, handing each
+/// key to `observe` first.
+fn load(
+    env: &Env,
+    name: &str,
+    sorter: ExternalSorter,
+    mut observe: impl FnMut(&[u8]),
+) -> Result<BTree> {
+    let mut sorted = sorter.finish()?;
+    let mut tree = BTree::builder(env, env.create_file(name)?)?;
+    while let Some(record) = sorted.next_record()? {
+        let (key, value) = kv_split(record);
+        observe(key);
+        tree.push(key, value)?;
+    }
+    Ok(tree.finish()?)
+}
+
+/// Splits a `u32 key_len | key | value` sorter record.
+fn kv_split(record: &[u8]) -> (&[u8], &[u8]) {
+    let key_len = u32::from_le_bytes(record[..4].try_into().expect("a 4-byte length")) as usize;
+    record[4..].split_at(key_len)
+}
+
 /// Counts distinct NUL-terminated key prefixes in a sorted key stream.
 #[derive(Default)]
 struct DistinctPrefixCounter {
-    last: Option<Vec<u8>>,
+    last: Vec<u8>,
     count: u64,
 }
 
@@ -216,59 +237,11 @@ impl DistinctPrefixCounter {
             .map(|p| p + 1)
             .unwrap_or(key.len());
         let prefix = &key[..prefix_end];
-        if self.last.as_deref() != Some(prefix) {
+        if self.count == 0 || self.last != prefix {
             self.count += 1;
-            self.last = Some(prefix.to_vec());
+            self.last.clear();
+            self.last.extend_from_slice(prefix);
         }
-    }
-}
-
-/// Sorter record layout: `u32 key_len | key | value`, compared by key.
-fn kv_record(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(4 + key.len() + value.len());
-    rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    rec.extend_from_slice(key);
-    rec.extend_from_slice(value);
-    rec
-}
-
-fn kv_key(rec: &[u8]) -> &[u8] {
-    let key_len = u32::from_le_bytes(rec[..4].try_into().unwrap()) as usize;
-    &rec[4..4 + key_len]
-}
-
-fn kv_split(rec: Vec<u8>) -> (Vec<u8>, Vec<u8>) {
-    let key_len = u32::from_le_bytes(rec[..4].try_into().unwrap()) as usize;
-    let key = rec[4..4 + key_len].to_vec();
-    let value = rec[4 + key_len..].to_vec();
-    (key, value)
-}
-
-fn key_sorter(env: &Env) -> ExternalSorter {
-    ExternalSorter::new(env, SORT_BUDGET, |a, b| kv_key(a).cmp(kv_key(b)))
-}
-
-/// Adapts sorted key/value records into `(key, value)` pairs for bulk
-/// loading.
-struct SplitRecords<I> {
-    inner: I,
-}
-
-impl<I> SplitRecords<I> {
-    fn new(inner: I) -> Self {
-        SplitRecords { inner }
-    }
-}
-
-impl<I: Iterator<Item = xmldb_storage::Result<Vec<u8>>>> Iterator for SplitRecords<I> {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let rec = self
-            .inner
-            .next()?
-            .expect("sort spill I/O failed during shred");
-        Some(kv_split(rec))
     }
 }
 

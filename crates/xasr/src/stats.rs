@@ -155,7 +155,11 @@ impl Statistics {
     pub(crate) fn record_element(&mut self, label: &str, depth: u32) {
         self.record_node(depth);
         self.element_count += 1;
-        *self.label_counts.entry(label.to_string()).or_insert(0) += 1;
+        if let Some(count) = self.label_counts.get_mut(label) {
+            *count += 1;
+        } else {
+            self.label_counts.insert(label.to_string(), 1);
+        }
     }
 
     pub(crate) fn record_text(&mut self, text: &str, depth: u32) {

@@ -122,19 +122,20 @@ impl NodeTuple {
 
     /// Serializes the full tuple (the clustered index's value).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25 + self.value.as_ref().map_or(0, |v| v.len() + 4));
-        codec::put_u64(&mut out, self.in_);
-        codec::put_u64(&mut out, self.out);
-        codec::put_u64(&mut out, self.parent_in);
-        out.push(self.kind.to_byte());
-        match &self.value {
-            Some(v) => {
-                out.push(1);
-                codec::put_bytes(&mut out, v.as_bytes());
-            }
-            None => out.push(0),
-        }
+        let mut out = Vec::with_capacity(26 + self.value.as_ref().map_or(0, |v| v.len() + 4));
+        self.borrowed().encode_into(&mut out);
         out
+    }
+
+    /// This tuple with its value borrowed.
+    pub(crate) fn borrowed(&self) -> TupleRef<'_> {
+        TupleRef {
+            in_: self.in_,
+            out: self.out,
+            parent_in: self.parent_in,
+            kind: self.kind,
+            value: self.value.as_deref(),
+        }
     }
 
     /// Inverse of [`Self::encode`].
@@ -164,9 +165,14 @@ impl NodeTuple {
     /// Label index key: `(label, in)`.
     pub fn label_key(label: &str, in_: u64) -> Vec<u8> {
         let mut k = Vec::with_capacity(label.len() + 9);
-        codec::put_str_terminated(&mut k, label);
-        codec::put_u64(&mut k, in_);
+        Self::put_label_key(&mut k, label, in_);
         k
+    }
+
+    /// Appends [`Self::label_key`] to `out`.
+    pub(crate) fn put_label_key(out: &mut Vec<u8>, label: &str, in_: u64) {
+        codec::put_str_terminated(out, label);
+        codec::put_u64(out, in_);
     }
 
     /// Prefix of all label-index keys with this label.
@@ -179,9 +185,14 @@ impl NodeTuple {
     /// Parent index key: `(parent_in, in)`.
     pub fn parent_key(parent_in: u64, in_: u64) -> Vec<u8> {
         let mut k = Vec::with_capacity(16);
-        codec::put_u64(&mut k, parent_in);
-        codec::put_u64(&mut k, in_);
+        Self::put_parent_key(&mut k, parent_in, in_);
         k
+    }
+
+    /// Appends [`Self::parent_key`] to `out`.
+    pub(crate) fn put_parent_key(out: &mut Vec<u8>, parent_in: u64, in_: u64) {
+        codec::put_u64(out, parent_in);
+        codec::put_u64(out, in_);
     }
 
     /// Prefix of all parent-index keys under this parent.
@@ -189,15 +200,6 @@ impl NodeTuple {
         let mut k = Vec::with_capacity(8);
         codec::put_u64(&mut k, parent_in);
         k
-    }
-
-    /// Label index value: `(out, parent_in)` — with the key this covers the
-    /// whole tuple except text content, which elements don't carry anyway.
-    pub fn label_value(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(16);
-        codec::put_u64(&mut v, self.out);
-        codec::put_u64(&mut v, self.parent_in);
-        v
     }
 
     /// Decodes a label-index entry back into a full element tuple.
@@ -236,11 +238,15 @@ impl NodeTuple {
 
     /// Text index key: `(value-prefix, in)`.
     pub fn text_key(text: &str, in_: u64) -> Vec<u8> {
-        let prefix = Self::text_key_prefix(text);
-        let mut k = Vec::with_capacity(prefix.len() + 9);
-        codec::put_str_terminated(&mut k, prefix);
-        codec::put_u64(&mut k, in_);
+        let mut k = Vec::with_capacity(Self::TEXT_KEY_PREFIX + 9);
+        Self::put_text_key(&mut k, text, in_);
         k
+    }
+
+    /// Appends [`Self::text_key`] to `out`.
+    pub(crate) fn put_text_key(out: &mut Vec<u8>, text: &str, in_: u64) {
+        codec::put_str_terminated(out, Self::text_key_prefix(text));
+        codec::put_u64(out, in_);
     }
 
     /// Prefix of all text-index keys whose content starts with the
@@ -250,17 +256,6 @@ impl NodeTuple {
         let mut k = Vec::with_capacity(prefix.len() + 1);
         codec::put_str_terminated(&mut k, prefix);
         k
-    }
-
-    /// Text index value: `(out, parent_in, full text)` — with the key this
-    /// covers the whole tuple, including content beyond the key prefix.
-    pub fn text_value_entry(&self) -> Vec<u8> {
-        let text = self.text().unwrap_or("");
-        let mut v = Vec::with_capacity(20 + text.len());
-        codec::put_u64(&mut v, self.out);
-        codec::put_u64(&mut v, self.parent_in);
-        codec::put_bytes(&mut v, text.as_bytes());
-        v
     }
 
     /// Decodes a text-index entry if its full content is `text`, comparing
@@ -279,21 +274,6 @@ impl NodeTuple {
             kind: NodeType::Text,
             value: Some(text.to_string()),
         })
-    }
-
-    /// Parent index value: `(out, type, value)` — covering.
-    pub fn parent_value(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(10 + self.value.as_ref().map_or(0, |s| s.len() + 4));
-        codec::put_u64(&mut v, self.out);
-        v.push(self.kind.to_byte());
-        match &self.value {
-            Some(s) => {
-                v.push(1);
-                codec::put_bytes(&mut v, s.as_bytes());
-            }
-            None => v.push(0),
-        }
-        v
     }
 
     /// Decodes a parent-index entry back into a full tuple.
@@ -326,9 +306,10 @@ impl NodeTuple {
     }
 }
 
-/// A clustered record decoded in place: [`NodeTuple`]'s fields with the
-/// value borrowed from the encoded bytes, so a scan can read the tuple
-/// without allocating.
+/// [`NodeTuple`]'s fields with the value borrowed: a clustered record
+/// decoded in place, so a scan can read the tuple without allocating, or
+/// a node the shredder encodes into its index entries.
+#[derive(Clone, Copy)]
 pub(crate) struct TupleRef<'a> {
     pub(crate) in_: u64,
     pub(crate) out: u64,
@@ -370,6 +351,49 @@ impl<'a> TupleRef<'a> {
             kind,
             value,
         })
+    }
+
+    /// Appends [`NodeTuple::encode`]'s encoding to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::put_u64(out, self.in_);
+        codec::put_u64(out, self.out);
+        codec::put_u64(out, self.parent_in);
+        out.push(self.kind.to_byte());
+        self.put_value(out);
+    }
+
+    /// The value column: a presence byte, then the length-prefixed bytes.
+    fn put_value(&self, out: &mut Vec<u8>) {
+        match self.value {
+            Some(v) => {
+                out.push(1);
+                codec::put_bytes(out, v.as_bytes());
+            }
+            None => out.push(0),
+        }
+    }
+
+    /// Appends the label index value, `(out, parent_in)`: with the key
+    /// this covers the whole tuple except text content, which elements
+    /// don't carry anyway.
+    pub(crate) fn put_label_value(&self, out: &mut Vec<u8>) {
+        codec::put_u64(out, self.out);
+        codec::put_u64(out, self.parent_in);
+    }
+
+    /// Appends the text index value, `(out, parent_in, full text)`: with
+    /// the key this covers the whole tuple, including content beyond the
+    /// key prefix.
+    pub(crate) fn put_text_value(&self, out: &mut Vec<u8>) {
+        self.put_label_value(out);
+        codec::put_bytes(out, self.value.unwrap_or("").as_bytes());
+    }
+
+    /// Appends the parent index value, `(out, type, value)`: covering.
+    pub(crate) fn put_parent_value(&self, out: &mut Vec<u8>) {
+        codec::put_u64(out, self.out);
+        out.push(self.kind.to_byte());
+        self.put_value(out);
     }
 }
 
@@ -434,11 +458,18 @@ mod tests {
         }
     }
 
+    /// What `put` appends for `t`.
+    fn value(t: &NodeTuple, put: impl FnOnce(TupleRef<'_>, &mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        put(t.borrowed(), &mut out);
+        out
+    }
+
     #[test]
     fn label_entry_roundtrip() {
         let t = journal();
         let key = NodeTuple::label_key("journal", t.in_);
-        let val = t.label_value();
+        let val = value(&t, |t, v| t.put_label_value(v));
         assert_eq!(NodeTuple::from_label_entry(&key, &val).unwrap(), t);
     }
 
@@ -446,7 +477,7 @@ mod tests {
     fn parent_entry_roundtrip() {
         for t in [journal(), ana()] {
             let key = NodeTuple::parent_key(t.parent_in, t.in_);
-            let val = t.parent_value();
+            let val = value(&t, |t, v| t.put_parent_value(v));
             assert_eq!(NodeTuple::from_parent_entry(&key, &val).unwrap(), t);
         }
     }
@@ -469,7 +500,7 @@ mod tests {
     fn text_entry_roundtrip() {
         let t = ana();
         let key = NodeTuple::text_key("Ana", t.in_);
-        let val = t.text_value_entry();
+        let val = value(&t, |t, v| t.put_text_value(v));
         assert_eq!(NodeTuple::from_text_entry_eq(&key, &val, "Ana").unwrap(), t);
         assert_eq!(NodeTuple::from_text_entry_eq(&key, &val, "An"), None);
         assert!(key.starts_with(&NodeTuple::text_prefix("Ana")));
@@ -499,7 +530,7 @@ mod tests {
         };
         let back = NodeTuple::from_text_entry_eq(
             &NodeTuple::text_key(&long_a, 5),
-            &t.text_value_entry(),
+            &value(&t, |t, v| t.put_text_value(v)),
             &long_a,
         )
         .unwrap();
